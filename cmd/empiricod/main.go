@@ -52,7 +52,6 @@ func main() {
 		cacheDir = flag.String("cache", "", "directory for the durable measurement cache")
 		workers  = flag.Int("workers", 0, "farm + analytics workers (0 = GOMAXPROCS)")
 		models   = flag.Int("max-models", 0, "resident (workload, scale) model sets (0 = 8)")
-		window   = flag.Duration("window", 0, "measure coalescing window (0 = 10ms)")
 		rate     = flag.Float64("rate", 0, "per-endpoint requests/second (0 = 50)")
 		burst    = flag.Float64("burst", 0, "per-endpoint burst (0 = 100)")
 		inflight = flag.Int("max-inflight", 0, "concurrent requests before shedding (0 = 256)")
@@ -83,7 +82,6 @@ func main() {
 		MaxModels:       *models,
 		ArtifactDir:     *artDir,
 		Replica:         *replica,
-		CoalesceWindow:  *window,
 		RatePerSec:      *rate,
 		RateBurst:       *burst,
 		MaxInFlight:     *inflight,

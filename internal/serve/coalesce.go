@@ -2,9 +2,10 @@ package serve
 
 import (
 	"context"
+	"runtime"
+	"slices"
 	"strconv"
 	"sync"
-	"time"
 
 	"repro/internal/doe"
 	"repro/internal/farm"
@@ -15,29 +16,33 @@ import (
 // farm.Farm.MeasureBatch. It must return one value per point, in order.
 type BatchFunc func(ctx context.Context, w workloads.Workload, pts []doe.Point, resp farm.Response) ([]float64, error)
 
-// Coalescer batches concurrent measure requests: callers arriving within
-// one window (default 10ms) for the same (workload, response) pair are
-// folded into a single farm batch, with duplicate points submitted once.
-// The farm already deduplicates in-flight points, but only within its own
-// queue — coalescing upstream means many small HTTP callers cost one batch
-// dispatch (and one Stats/log line) instead of hundreds, and the farm's
-// worker pool sees the full batch at once instead of a trickle.
+// Coalescer dispatches measure requests on arrival: while fewer batches are
+// in flight than the farm has workers a request is submitted at once, as a
+// batch of its own. Only when every slot is taken do arrivals for the same
+// (workload, response) pair merge — duplicate points submitted once — into
+// one pending batch, which starts the moment a running batch returns its
+// slot. An idle farm therefore adds no latency, and a saturated one sees one
+// large batch per key instead of a queue of small ones. Dispatching early
+// never duplicates work: the farm deduplicates points in flight and answers
+// finished ones from its store.
 //
 // Cancellation propagates per request: a caller whose context expires stops
 // waiting immediately, and when every caller interested in a batch has gone
 // the batch's own context is cancelled so the farm can stop early.
 type Coalescer struct {
-	run    BatchFunc
-	window time.Duration
+	run   BatchFunc
+	slots int
 
-	mu      sync.Mutex
-	pending map[string]*measureBatch
-	batches int64
+	mu       sync.Mutex
+	inFlight int
+	pending  []*measureBatch // waiting for a slot, oldest first; one per key
+	batches  int64
 }
 
-// measureBatch accumulates points for one (workload, response) pair until
-// its window closes.
+// measureBatch accumulates points for one (workload, response) pair until a
+// slot frees.
 type measureBatch struct {
+	key    string
 	w      workloads.Workload
 	resp   farm.Response
 	points []doe.Point
@@ -51,13 +56,13 @@ type measureBatch struct {
 	err     error
 }
 
-// NewCoalescer returns a coalescer over run with the given batching window
-// (0 means 10ms).
-func NewCoalescer(run BatchFunc, window time.Duration) *Coalescer {
-	if window <= 0 {
-		window = 10 * time.Millisecond
+// NewCoalescer returns a coalescer over run that keeps at most slots batches
+// in flight: the farm's worker count, so 0 means GOMAXPROCS as it does there.
+func NewCoalescer(run BatchFunc, slots int) *Coalescer {
+	if slots <= 0 {
+		slots = runtime.GOMAXPROCS(0)
 	}
-	return &Coalescer{run: run, window: window, pending: map[string]*measureBatch{}}
+	return &Coalescer{run: run, slots: slots}
 }
 
 func pointKey(p doe.Point) string {
@@ -74,17 +79,20 @@ func pointKey(p doe.Point) string {
 func (c *Coalescer) Measure(ctx context.Context, w workloads.Workload, pts []doe.Point, resp farm.Response) ([]float64, error) {
 	key := w.Key() + "|" + strconv.Itoa(int(resp))
 	c.mu.Lock()
-	b, ok := c.pending[key]
-	if !ok {
+	var b *measureBatch
+	// A short scan: at most one pending batch per key.
+	if i := slices.IndexFunc(c.pending, func(p *measureBatch) bool { return p.key == key }); i >= 0 {
+		b = c.pending[i]
+	}
+	fresh := b == nil
+	if fresh {
 		bctx, cancel := context.WithCancel(context.Background())
 		b = &measureBatch{
-			w: w, resp: resp,
+			key: key, w: w, resp: resp,
 			index: map[string]int{},
 			ctx:   bctx, cancel: cancel,
 			done: make(chan struct{}),
 		}
-		c.pending[key] = b
-		go c.fire(key, b)
 	}
 	// Record which batch slot each of this caller's points landed in
 	// (duplicates within and across callers share a slot).
@@ -100,6 +108,15 @@ func (c *Coalescer) Measure(ctx context.Context, w workloads.Workload, pts []doe
 		slots[i] = j
 	}
 	b.waiters++
+	if fresh {
+		if c.inFlight < c.slots {
+			c.inFlight++
+			c.batches++
+			go c.dispatch(b)
+		} else {
+			c.pending = append(c.pending, b)
+		}
+	}
 	c.mu.Unlock()
 
 	select {
@@ -116,11 +133,13 @@ func (c *Coalescer) Measure(ctx context.Context, w workloads.Workload, pts []doe
 		c.mu.Lock()
 		b.waiters--
 		if b.waiters == 0 {
-			// Nobody left wants this batch: let the farm stop early, and
-			// unregister it so a caller arriving after the cancellation
-			// opens a fresh batch instead of joining a doomed one.
-			if c.pending[key] == b {
-				delete(c.pending, key)
+			// Nobody left wants this batch: let the farm stop early, and if
+			// it was still waiting for a slot unregister it, so a caller
+			// arriving after the cancellation opens a fresh batch instead of
+			// joining a doomed one.
+			if i := slices.Index(c.pending, b); i >= 0 {
+				c.pending = slices.Delete(c.pending, i, i+1)
+				c.batches++
 			}
 			b.cancel()
 		}
@@ -129,30 +148,25 @@ func (c *Coalescer) Measure(ctx context.Context, w workloads.Workload, pts []doe
 	}
 }
 
-// fire waits out the batching window, unregisters the batch (so late
-// arrivals open a fresh one) and runs it.
-func (c *Coalescer) fire(key string, b *measureBatch) {
-	timer := time.NewTimer(c.window)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-	case <-b.ctx.Done():
-		// Every waiter gave up before the window closed.
-	}
-	c.mu.Lock()
-	if c.pending[key] == b {
-		delete(c.pending, key)
-	}
-	c.batches++
-	run := b.ctx.Err() == nil
-	c.mu.Unlock()
-	if run {
+// dispatch runs b on a slot the caller has claimed, then hands the slot to
+// the oldest pending batch, and releases it when none is waiting.
+func (c *Coalescer) dispatch(b *measureBatch) {
+	for b != nil {
 		b.vals, b.err = c.run(b.ctx, b.w, b.points, b.resp)
-	} else {
-		b.err = b.ctx.Err()
+		close(b.done)
+		b.cancel()
+
+		c.mu.Lock()
+		if len(c.pending) > 0 {
+			b = c.pending[0]
+			c.pending = slices.Delete(c.pending, 0, 1)
+			c.batches++
+		} else {
+			b = nil
+			c.inFlight--
+		}
+		c.mu.Unlock()
 	}
-	close(b.done)
-	b.cancel()
 }
 
 // Batches reports how many farm batches have been dispatched (including
@@ -161,4 +175,11 @@ func (c *Coalescer) Batches() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.batches
+}
+
+// Pending reports how many batches are waiting for a farm slot.
+func (c *Coalescer) Pending() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.pending)
 }

@@ -135,7 +135,7 @@ type PredictProgramRequest struct {
 	// Model is the cross-model kind: "linear", "mars" or "rbf" (default).
 	Model string `json:"model,omitempty"`
 	// Points are raw joint-space points (25 values each).
-	Points [][]int64 `json:"points"`
+	Points Points `json:"points"`
 }
 
 // PredictProgramResponse carries cross-model predictions in request order.

@@ -11,10 +11,10 @@
 //     (atomic-rename files), so boots warm-start from artifacts instead of
 //     refitting, reloads swap new artifacts in without downtime, and
 //     read-only replicas serve prediction traffic with no farm at all;
-//   - Coalescer: concurrent measure requests for overlapping points are
-//     batched into one farm.MeasureBatch call per ~10ms window, so many
-//     small callers exercise the farm's dedup and worker pool the way one
-//     big batch caller does;
+//   - Coalescer: measure requests go to the farm as they arrive while it has
+//     a free worker, and concurrent requests for the same workload merge into
+//     one farm.MeasureBatch call while it has none, so an idle farm adds no
+//     wait and a busy one sees many small callers as one big batch caller;
 //   - Server: the HTTP handlers (/v1/predict, /v1/measure, /v1/search,
 //     /v1/rank, /v1/reload, /healthz, /metrics) with per-endpoint
 //     token-bucket rate limiting, max-in-flight shedding and graceful
@@ -51,6 +51,14 @@ type Artifacts struct {
 	// work is a pool fetch, never a plan walk.
 	planOnce sync.Once
 	scratch  int
+
+	// ranks memoizes the full effect ranking per model kind, computed on
+	// first use under rankMu (concurrent first requests wait for the one
+	// computation). The memo lives and dies with the entry: a reload, or a
+	// re-resolution after eviction, installs a new Artifacts value whose memo
+	// is empty, so a ranking can never outlive the model it describes.
+	rankMu sync.Mutex
+	ranks  map[string][]RankedEffect
 }
 
 // Model resolves a model kind ("linear", "mars", "rbf", "mars-raw"; "" means
@@ -77,6 +85,25 @@ func (a *Artifacts) scratchLen() int {
 		}
 	})
 	return a.scratch
+}
+
+// ranking returns every main effect and two-factor interaction of the kind's
+// model m, largest magnitude first (model.AllEffects, labels rendered), and
+// whether it was already computed. The slice is shared: callers must not
+// modify it.
+func (a *Artifacts) ranking(kind string, m model.Model) (effects []RankedEffect, hit bool) {
+	a.rankMu.Lock()
+	defer a.rankMu.Unlock()
+	if effects, hit = a.ranks[kind]; !hit {
+		for _, e := range model.AllEffects(m, a.Space, a.TrainX) {
+			effects = append(effects, RankedEffect{Label: e.Label(), Value: e.Value})
+		}
+		if a.ranks == nil {
+			a.ranks = map[string][]RankedEffect{}
+		}
+		a.ranks[kind] = effects
+	}
+	return effects, hit
 }
 
 // Trainer produces the artifacts for one (workload, scale) pair. The

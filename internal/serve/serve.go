@@ -56,8 +56,6 @@ type Options struct {
 	// no artifact is 503 with a Retry-After hint — the writer owns
 	// training. Requires ArtifactDir.
 	Replica bool
-	// CoalesceWindow is the measure-batching window (0 = 10ms).
-	CoalesceWindow time.Duration
 	// RatePerSec and RateBurst configure the per-endpoint token buckets
 	// (0 = 50 req/s with burst 100). /healthz and /metrics are not limited.
 	RatePerSec float64
@@ -115,7 +113,13 @@ type Server struct {
 	cross     map[string]*crossEntry // per-scale cross-program models
 	crossFits atomic.Int64
 	crossHits atomic.Int64
+
+	rankHits   atomic.Int64 // rank requests answered from an entry's memo
+	rankMisses atomic.Int64 // rankings computed
 }
+
+// jointSpace validates measure requests; a Space is immutable once built.
+var jointSpace = doe.JointSpace()
 
 // New builds a server. No harness or model exists until the first request
 // that needs one.
@@ -174,7 +178,7 @@ func New(opts Options) *Server {
 	if batch == nil {
 		batch = s.farmBatch
 	}
-	s.coalescer = NewCoalescer(batch, opts.CoalesceWindow)
+	s.coalescer = NewCoalescer(batch, opts.Workers)
 
 	s.limits = map[string]*bucket{}
 	s.mux = http.NewServeMux()
@@ -372,7 +376,7 @@ type PredictRequest struct {
 	// Model is the kind: "linear", "mars", "rbf" (default), "mars-raw".
 	Model string `json:"model,omitempty"`
 	// Points are raw joint-space points (25 values each).
-	Points [][]int64 `json:"points"`
+	Points Points `json:"points"`
 }
 
 // PredictResponse carries predictions in request order.
@@ -389,8 +393,8 @@ type MeasureRequest struct {
 	Workload string `json:"workload"`
 	Class    string `json:"class,omitempty"`
 	// Response is "cycles" (default) or "energy".
-	Response string    `json:"response,omitempty"`
-	Points   [][]int64 `json:"points"`
+	Response string `json:"response,omitempty"`
+	Points   Points `json:"points"`
 	// TimeoutMS bounds the request server-side (on top of the client's
 	// connection lifetime, which also cancels it).
 	TimeoutMS int `json:"timeout_ms,omitempty"`
@@ -546,11 +550,10 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	if req.Response == "" {
 		req.Response = "cycles"
 	}
-	space := doe.JointSpace()
 	pts := make([]doe.Point, len(req.Points))
 	for i, raw := range req.Points {
 		pts[i] = doe.Point(raw)
-		if err := space.Validate(pts[i]); err != nil {
+		if err := jointSpace.Validate(pts[i]); err != nil {
 			writeErr(w, http.StatusBadRequest, fmt.Sprintf("point %d: %v", i, err))
 			return
 		}
@@ -679,12 +682,16 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	top := model.TopEffects(m, art.Space, art.TrainX, n)
-	out := RankResponse{Workload: wl.Key(), Model: kind}
-	for _, e := range top {
-		out.Effects = append(out.Effects, RankedEffect{Label: e.Label(), Value: e.Value})
+	effects, hit := art.ranking(kind, m)
+	if hit {
+		s.rankHits.Add(1)
+	} else {
+		s.rankMisses.Add(1)
 	}
-	writeJSON(w, http.StatusOK, out)
+	if n > len(effects) {
+		n = len(effects)
+	}
+	writeJSON(w, http.StatusOK, RankResponse{Workload: wl.Key(), Model: kind, Effects: effects[:n]})
 }
 
 // handleReload rescans the artifact directory and swaps every decodable
@@ -734,6 +741,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "empiricod_model_fits_total %d\n", rs.Fits)
 	fmt.Fprintf(w, "empiricod_model_registry_hits_total %d\n", rs.Hits)
 	fmt.Fprintf(w, "empiricod_model_registry_evictions_total %d\n", rs.Evictions)
+	fmt.Fprintln(w, "# HELP empiricod_rank_cache_hits_total Rank requests answered from a cached ranking.")
+	fmt.Fprintln(w, "# TYPE empiricod_rank_cache_hits_total counter")
+	fmt.Fprintf(w, "empiricod_rank_cache_hits_total %d\n", s.rankHits.Load())
+	fmt.Fprintln(w, "# HELP empiricod_rank_cache_misses_total Effect rankings computed (first rank request per model set and kind).")
+	fmt.Fprintln(w, "# TYPE empiricod_rank_cache_misses_total counter")
+	fmt.Fprintf(w, "empiricod_rank_cache_misses_total %d\n", s.rankMisses.Load())
 	s.crossMu.Lock()
 	crossCached := len(s.cross)
 	s.crossMu.Unlock()
@@ -776,6 +789,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "# HELP empiricod_measure_batches_total Coalesced farm batches dispatched.")
 	fmt.Fprintln(w, "# TYPE empiricod_measure_batches_total counter")
 	fmt.Fprintf(w, "empiricod_measure_batches_total %d\n", s.coalescer.Batches())
+	fmt.Fprintln(w, "# HELP empiricod_coalescer_pending_batches Merged measure batches waiting for a farm slot.")
+	fmt.Fprintln(w, "# TYPE empiricod_coalescer_pending_batches gauge")
+	fmt.Fprintf(w, "empiricod_coalescer_pending_batches %d\n", s.coalescer.Pending())
 
 	// Farm gauges, one block per scale harness that has run measurements.
 	s.mu.Lock()

@@ -114,15 +114,21 @@ func TestPredictOneFitUnderConcurrentRequests(t *testing.T) {
 }
 
 // TestMeasureCoalescesConcurrentClients drives the real farm (with a stub
-// compile+simulate executor) through the HTTP measure endpoint: N
-// concurrent clients inside one window become one farm batch.
+// compile+simulate executor) through the HTTP measure endpoint with one
+// worker: the first client's batch holds the slot, every client arriving
+// meanwhile merges into one more, and each distinct point is simulated once.
 func TestMeasureCoalescesConcurrentClients(t *testing.T) {
 	var executions atomic.Int64
+	gate := make(chan struct{})
+	entered := make(chan struct{}, 1)
 	srv := New(Options{
-		Scale:          "quick",
-		CoalesceWindow: 150 * time.Millisecond,
+		Scale:   "quick",
+		Workers: 1,
 		Measure: func(ctx context.Context, job farm.Job) (farm.Result, error) {
-			executions.Add(1)
+			if executions.Add(1) == 1 {
+				entered <- struct{}{}
+			}
+			<-gate
 			return farm.Result{Cycles: coalesceValue(job.Point), Energy: 1, Instructions: 1}, nil
 		},
 	})
@@ -134,39 +140,44 @@ func TestMeasureCoalescesConcurrentClients(t *testing.T) {
 	const clients = 20
 	var wg sync.WaitGroup
 	fail := make(chan string, clients)
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			pts := [][]int64{points[i%len(points)], points[(i+2)%len(points)]}
-			resp := postJSON(t, ts.URL+"/v1/measure", MeasureRequest{Workload: "179.art", Points: pts})
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				body, _ := io.ReadAll(resp.Body)
-				fail <- fmt.Sprintf("status %d: %s", resp.StatusCode, body)
+	client := func(i int) {
+		defer wg.Done()
+		pts := [][]int64{points[i%len(points)], points[(i+2)%len(points)]}
+		resp := postJSON(t, ts.URL+"/v1/measure", MeasureRequest{Workload: "179.art", Points: pts})
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			body, _ := io.ReadAll(resp.Body)
+			fail <- fmt.Sprintf("status %d: %s", resp.StatusCode, body)
+			return
+		}
+		var mr MeasureResponse
+		if err := json.NewDecoder(resp.Body).Decode(&mr); err != nil {
+			fail <- err.Error()
+			return
+		}
+		for j, p := range pts {
+			if mr.Values[j] != coalesceValue(doe.Point(p)) {
+				fail <- "wrong value for requested point"
 				return
 			}
-			var mr MeasureResponse
-			if err := json.NewDecoder(resp.Body).Decode(&mr); err != nil {
-				fail <- err.Error()
-				return
-			}
-			for j, p := range pts {
-				if mr.Values[j] != coalesceValue(doe.Point(p)) {
-					fail <- "wrong value for requested point"
-					return
-				}
-			}
-		}(i)
+		}
 	}
+	wg.Add(clients)
+	go client(0)
+	<-entered // the first client's batch occupies the farm's only worker
+	for i := 1; i < clients; i++ {
+		go client(i)
+	}
+	waitPending(t, srv.coalescer, 1, clients-1)
+	close(gate)
 	wg.Wait()
 	select {
 	case msg := <-fail:
 		t.Fatal(msg)
 	default:
 	}
-	if n := srv.coalescer.Batches(); n != 1 {
-		t.Fatalf("%d concurrent measure clients dispatched %d farm batches, want 1", clients, n)
+	if n := srv.coalescer.Batches(); n != 2 {
+		t.Fatalf("%d concurrent measure clients dispatched %d farm batches, want 2", clients, n)
 	}
 	if n := executions.Load(); n != int64(len(points)) {
 		t.Fatalf("%d simulations for %d distinct points", n, len(points))
@@ -437,9 +448,8 @@ func TestServerCloseCheckpointsFarm(t *testing.T) {
 	var executions atomic.Int64
 	mk := func() *Server {
 		return New(Options{
-			Scale:          "quick",
-			CacheDir:       dir,
-			CoalesceWindow: time.Millisecond,
+			Scale:    "quick",
+			CacheDir: dir,
 			Measure: func(ctx context.Context, job farm.Job) (farm.Result, error) {
 				executions.Add(1)
 				return farm.Result{Cycles: coalesceValue(job.Point), Energy: 1, Instructions: 1}, nil
