@@ -11,9 +11,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/doe"
 	"repro/internal/farm"
-	"repro/internal/workloads"
 )
 
 // Options configures a Coordinator.
@@ -56,14 +54,16 @@ type Options struct {
 	Log io.Writer
 }
 
-// Coordinator is a farm.Backend that shards measurement batches across
-// remote workers. It plans batches into shared-binary groups exactly as the
-// in-process farm does, leases whole groups to workers, and merges the
-// streamed results into its own durable store — callers cannot tell it
-// apart from a local farm except by throughput.
+// Coordinator is a farm.Backend whose executor is a lease scheduler over
+// remote workers: the embedded farm.Planner looks up, deduplicates, groups
+// and completes exactly as it does in front of the in-process pool, and the
+// coordinator adds only what placing a group on a worker takes — capacity-
+// weighted placement, lease expiry and requeue, straggler hedging and the
+// pull of worker store deltas. Callers cannot tell it apart from a local
+// farm except by throughput.
 type Coordinator struct {
+	*farm.Planner
 	opts        Options
-	store       *farm.Store
 	client      *http.Client
 	lease       time.Duration
 	hedgeMin    time.Duration
@@ -72,71 +72,42 @@ type Coordinator struct {
 
 	pull time.Duration
 
+	// mu is the dispatch lock. It is never held across a call that
+	// completes a group: completion journals, and may sleep between retries.
 	mu           sync.Mutex
 	cond         *sync.Cond
 	queue        []*dispatchReq
-	inflight     map[string]*ctask
 	workers      []*workerRef
-	leases       int // dispatches currently on the wire
+	leases       int // leases not yet fully unwound, completion included
 	leaseSeq     int64
 	leaseCancels map[int64]context.CancelFunc
 	draining     bool
 	closed       bool
 	schedDone    chan struct{}
 
-	// statMu guards the counters (always acquired after mu when both are
-	// held, mirroring the farm's locking order).
-	statMu sync.Mutex
-	st     coStats
-	start  time.Time
-}
-
-// coStats are the coordinator's instrumentation counters, all guarded by
-// statMu and updated in one critical section per logical event. The
-// per-worker slices are indexed like Coordinator.workers and append-only:
-// registration grows them (under both locks), removal never shrinks them,
-// so a worker's history survives its departure.
-type coStats struct {
-	hits, misses, coalesced      int64
-	sims, instrs, fails, budget  int64
-	groups, traceShared          int64
-	dispatched, hedged, requeued int64
-	localHits                    int64
-	merges, mergeConflicts       int64
-	workerJobs                   []int64
-	workerBusyNanos              []int64
-	workerGroups                 []int64
-	workerLocalHits              []int64
-	// latencies of recently completed group leases (seconds), the input
-	// to the p95 hedging threshold.
+	// Dispatch-layer counters, guarded by the planner's stats lock (Count).
+	// perWorker is indexed like workers and append-only: registration grows
+	// it (under both locks), removal never shrinks it, so a worker's history
+	// survives its departure. Only Jobs, Busy, Groups and LocalHits are kept
+	// here; Stats takes the fleet view (address, slots, in-flight) from workers.
+	disp      farm.DispatchStats
+	perWorker []farm.WorkerStats
+	// latencies of recently completed group leases (seconds), the input to
+	// the p95 hedging threshold.
 	latencies []float64
 }
 
-// ctask is one in-flight point; all callers for the same key share it.
-type ctask struct {
-	job  farm.Job
-	key  string
-	done chan struct{}
-	res  farm.Result
-	err  error
-}
-
-// cgroup is one shared-binary group, the unit of dispatch. All fields
-// except the immutable ones are guarded by Coordinator.mu.
+// cgroup is one planned group on the dispatch plane, the unit of lease. The
+// dispatch fields are guarded by Coordinator.mu.
 type cgroup struct {
-	w     workloads.Workload
-	tasks []*ctask
-	// ctx is the first submitter's context: its cancellation fails the
-	// group (later joiners still bail on their own contexts while
-	// waiting), exactly like the farm's task ctx.
-	ctx context.Context
+	*farm.Group
 
 	attempts   int // failed leases so far
 	leases     int // leases currently on the wire for this group
 	leaseSeqs  map[int64]struct{}
 	onWorkers  map[int]int // active leases per worker index; hedges must land elsewhere
 	hedged     bool
-	done       bool
+	done       bool // settled: an outcome is on its way to the planner
 	lastWorker int
 	finished   chan struct{} // closed when done flips true
 }
@@ -176,20 +147,15 @@ func New(opts Options) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		opts:         opts,
-		store:        opts.Store,
 		client:       opts.Client,
 		lease:        opts.LeaseTimeout,
 		hedgeMin:     opts.HedgeMin,
 		maxAttempts:  opts.MaxAttempts,
 		cap:          opts.MaxInFlight,
-		inflight:     map[string]*ctask{},
 		leaseCancels: map[int64]context.CancelFunc{},
 		schedDone:    make(chan struct{}),
-		start:        time.Now(),
 	}
-	if c.store == nil {
-		c.store = farm.MemStore()
-	}
+	c.Planner = farm.NewPlanner(farm.Options{Store: opts.Store, Log: opts.Log}, true, c.execute)
 	if c.client == nil {
 		c.client = &http.Client{}
 	}
@@ -214,10 +180,7 @@ func New(opts Options) (*Coordinator, error) {
 	for _, addr := range opts.Addrs {
 		c.workers = append(c.workers, &workerRef{addr: addr, base: baseURL(addr), live: true, slots: c.cap})
 	}
-	c.st.workerJobs = make([]int64, len(c.workers))
-	c.st.workerBusyNanos = make([]int64, len(c.workers))
-	c.st.workerGroups = make([]int64, len(c.workers))
-	c.st.workerLocalHits = make([]int64, len(c.workers))
+	c.perWorker = make([]farm.WorkerStats, len(c.workers))
 	c.cond = sync.NewCond(&c.mu)
 	go c.scheduler()
 	return c, nil
@@ -249,12 +212,7 @@ func (c *Coordinator) Register(addr string, slots int) (int, error) {
 	}
 	if !found {
 		c.workers = append(c.workers, &workerRef{addr: addr, base: baseURL(addr), live: true, slots: slots})
-		c.statMu.Lock()
-		c.st.workerJobs = append(c.st.workerJobs, 0)
-		c.st.workerBusyNanos = append(c.st.workerBusyNanos, 0)
-		c.st.workerGroups = append(c.st.workerGroups, 0)
-		c.st.workerLocalHits = append(c.st.workerLocalHits, 0)
-		c.statMu.Unlock()
+		c.Count(func() { c.perWorker = append(c.perWorker, farm.WorkerStats{}) })
 	}
 	n := c.fleetSizeLocked()
 	c.mu.Unlock()
@@ -382,14 +340,14 @@ func (c *Coordinator) pullWorker(ctx context.Context, addr string) (added, confl
 	}
 	if len(d.Entries) > 0 {
 		var merr error
-		added, conflicts, merr = c.store.Merge(d.Entries)
+		added, conflicts, merr = c.Store().Merge(d.Entries)
 		if merr != nil {
 			c.logf("dist: store merge from %s: %v", addr, merr)
 			return 0, 0
 		}
-		c.bump(func(s *coStats) {
-			s.merges++
-			s.mergeConflicts += int64(conflicts)
+		c.Count(func() {
+			c.disp.StoreMerges++
+			c.disp.StoreMergeConflicts += int64(conflicts)
 		})
 	}
 	c.mu.Lock()
@@ -405,20 +363,11 @@ func baseURL(addr string) string {
 	return "http://" + addr
 }
 
-func (c *Coordinator) bump(update func(*coStats)) {
-	c.statMu.Lock()
-	update(&c.st)
-	c.statMu.Unlock()
-}
-
 func (c *Coordinator) logf(format string, args ...interface{}) {
 	if c.opts.Log != nil {
 		fmt.Fprintf(c.opts.Log, format+"\n", args...)
 	}
 }
-
-// Store exposes the coordinator-owned result store.
-func (c *Coordinator) Store() *farm.Store { return c.store }
 
 // Checkpoint pulls every reachable worker's store delta, merges it, and
 // flushes the merged store to its durable checkpoint file — so a
@@ -428,126 +377,25 @@ func (c *Coordinator) Checkpoint() error {
 	ctx, cancel := context.WithTimeout(context.Background(), c.pull)
 	c.PullDeltas(ctx)
 	cancel()
-	return c.store.Checkpoint()
+	return c.Store().Checkpoint()
 }
 
-// Do runs one job through the cache, single-flight and dispatch layers.
-func (c *Coordinator) Do(ctx context.Context, job farm.Job) (farm.Result, error) {
-	res, errs := c.DoJobs(ctx, []farm.Job{job})
-	return res[0], errs[0]
-}
-
-// Measure returns the requested response of workload w at point p.
-func (c *Coordinator) Measure(ctx context.Context, w workloads.Workload, p doe.Point, resp farm.Response) (float64, error) {
-	res, err := c.Do(ctx, farm.Job{Workload: w, Point: p})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Value(res), nil
-}
-
-// MeasureBatch measures w at every point and returns the responses in input
-// order, failing with the error of the earliest failing point — the same
-// error selection as the in-process farm, so the planes are
-// indistinguishable to callers.
-func (c *Coordinator) MeasureBatch(ctx context.Context, w workloads.Workload, points []doe.Point, resp farm.Response) ([]float64, error) {
-	jobs := make([]farm.Job, len(points))
-	for i, p := range points {
-		jobs[i] = farm.Job{Workload: w, Point: p}
-	}
-	res, errs := c.DoJobs(ctx, jobs)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	out := make([]float64, len(points))
-	for i := range res {
-		out[i] = resp.Value(res[i])
-	}
-	return out, nil
-}
-
-// DoJobs plans a batch into shared-binary groups and dispatches them across
-// the workers, returning one result and one error per job in input order.
-// The grouping is byte-identical to farm.DoJobs' planner: jobs with equal
-// farm.BinaryKey form one group, and the whole group is leased to a single
-// worker so its points share one compile and one functional interpretation
-// there.
-func (c *Coordinator) DoJobs(ctx context.Context, jobs []farm.Job) ([]farm.Result, []error) {
-	res := make([]farm.Result, len(jobs))
-	errs := make([]error, len(jobs))
-	tasks := make([]*ctask, len(jobs))
-	pending := make([]int, 0, len(jobs))
-
-	for i, job := range jobs {
-		key := farm.Key(job.Workload, job.Point)
-		if cyc, en, ok := c.store.Get2(key, farm.EnergyKey(key)); ok {
-			c.bump(func(s *coStats) { s.hits++ })
-			res[i] = farm.Result{Cycles: cyc, Energy: en}
-			continue
-		}
-		pending = append(pending, i)
-	}
-	if len(pending) == 0 {
-		return res, errs
-	}
-
+// execute is the coordinator's executor: queue the planned groups for
+// lease. The whole group goes to a single worker, so its points share one
+// compile and one functional interpretation there.
+func (c *Coordinator) execute(groups []*farm.Group) {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		for _, i := range pending {
-			errs[i] = errClosed
-		}
-		return res, errs
-	}
-	var fresh []*ctask
-	for _, i := range pending {
-		job := jobs[i]
-		key := farm.Key(job.Workload, job.Point)
-		if t, ok := c.inflight[key]; ok {
-			c.bump(func(s *coStats) { s.coalesced++ })
-			tasks[i] = t
-			continue
-		}
-		t := &ctask{job: job, key: key, done: make(chan struct{})}
-		c.inflight[key] = t
-		tasks[i] = t
-		fresh = append(fresh, t)
-		c.bump(func(s *coStats) { s.misses++ })
-	}
-	byBin := map[string][]*ctask{}
-	var order []string
-	for _, t := range fresh {
-		bk := farm.BinaryKey(t.job.Workload, t.job.Point)
-		if _, ok := byBin[bk]; !ok {
-			order = append(order, bk)
-		}
-		byBin[bk] = append(byBin[bk], t)
-	}
-	for _, bk := range order {
-		ts := byBin[bk]
-		g := &cgroup{
-			w: ts[0].job.Workload, tasks: ts, ctx: ctx,
-			lastWorker: -1, finished: make(chan struct{}),
-			leaseSeqs: map[int64]struct{}{},
-			onWorkers: map[int]int{},
-		}
-		c.queue = append(c.queue, &dispatchReq{g: g})
+	for _, g := range groups {
+		c.queue = append(c.queue, &dispatchReq{g: &cgroup{
+			Group:      g,
+			lastWorker: -1,
+			finished:   make(chan struct{}),
+			leaseSeqs:  map[int64]struct{}{},
+			onWorkers:  map[int]int{},
+		}})
 	}
 	c.mu.Unlock()
 	c.cond.Broadcast()
-
-	for _, i := range pending {
-		t := tasks[i]
-		select {
-		case <-t.done:
-			res[i], errs[i] = t.res, t.err
-		case <-ctx.Done():
-			errs[i] = ctx.Err()
-		}
-	}
-	return res, errs
 }
 
 // Drain stops leasing new groups and waits for in-flight leases to finish,
@@ -594,11 +442,10 @@ func (c *Coordinator) Drain(ctx context.Context) error {
 // Close stops the scheduler, cancels outstanding leases, fails queued
 // waiters and closes the store (flushing a final checkpoint when durable).
 func (c *Coordinator) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if !c.Shut() {
 		return nil
 	}
+	c.mu.Lock()
 	c.closed = true
 	for _, cancel := range c.leaseCancels {
 		cancel()
@@ -613,151 +460,67 @@ func (c *Coordinator) Close() error {
 	for c.leases > 0 {
 		c.cond.Wait()
 	}
-	queued := c.queue
 	c.queue = nil
-	for _, req := range queued {
-		c.finishGroupLocked(req.g, nil, nil, errClosed)
-	}
 	c.mu.Unlock()
+	// Whatever is still in flight was queued, or is waiting out a probe
+	// delay; nothing will lease it now.
+	c.Abandon()
 	// Last chance to fold the fleet's partitioned caches into the durable
 	// checkpoint; workers already gone were marked dead by their failed
 	// leases and are skipped, so this costs at most one pull round.
 	ctx, cancel := context.WithTimeout(context.Background(), c.pull)
 	c.PullDeltas(ctx)
 	cancel()
-	return c.store.Close()
+	return c.Store().Close()
 }
 
-// finishGroupLocked delivers the outcome of a group exactly once: the first
-// finisher (primary lease, hedge twin, or a shutdown path) wins and later
-// finishers see done and drop their copy — the single-flight dedup that
-// makes hedging safe. results/errs are per-task when non-nil; groupErr
-// applies to every task otherwise. Persisting happens here too, so a result
-// reaches the journal before any waiter observes it. Caller holds c.mu.
-func (c *Coordinator) finishGroupLocked(g *cgroup, results []farm.Result, errs []error, groupErr error) {
-	if g.done {
-		return
-	}
+// settleLocked marks the group as having its outcome: the first to settle
+// (primary lease, hedge twin) wins, and a later finisher sees done and drops
+// its copy. The caller delivers the outcome to the planner once it has
+// released c.mu. Caller holds c.mu.
+func (c *Coordinator) settleLocked(g *cgroup) {
 	g.done = true
 	close(g.finished)
-	// Cancel the group's other outstanding leases (a losing hedge twin, a
-	// straggler at shutdown): their workers stop measuring dead work.
+	// Cancel the group's other outstanding leases (a losing hedge twin):
+	// their workers stop measuring dead work.
 	for seq := range g.leaseSeqs {
 		if cancel, ok := c.leaseCancels[seq]; ok {
 			cancel()
 		}
 	}
-	for _, t := range g.tasks {
-		delete(c.inflight, t.key)
-	}
-	var okCount, failCount, budgetCount, instrSum int64
-	for i, t := range g.tasks {
-		var err error
-		switch {
-		case groupErr != nil:
-			err = groupErr
-		case errs != nil:
-			err = errs[i]
-		}
-		if err == nil && results != nil {
-			t.res = results[i]
-			okCount++
-			instrSum += results[i].Instructions
-			if perr := c.store.Put(
-				farm.Entry(t.key, t.res.Cycles),
-				farm.Entry(farm.EnergyKey(t.key), t.res.Energy),
-			); perr != nil {
-				c.logf("dist: store append for %s failed: %v", t.key, perr)
-			}
-		} else {
-			t.err = err
-			failCount++
-			if farm.Classify(err) == farm.ClassBudget {
-				budgetCount++
-			}
-		}
-	}
-	shared := int64(0)
-	if len(g.tasks) > 1 {
-		shared = okCount
-	}
-	c.bump(func(s *coStats) {
-		s.groups++
-		s.sims += okCount
-		s.instrs += instrSum
-		s.traceShared += shared
-		s.fails += failCount
-		s.budget += budgetCount
-	})
-	for _, t := range g.tasks {
-		close(t.done)
-	}
 }
 
 // Stats snapshots the coordinator's counters, in the same shape the
-// in-process farm reports so /metrics and the harness log work unchanged.
-// The fleet view (membership, slots, in-flight) is captured under mu and
-// the counters under one statMu acquisition, so each group of fields is
-// internally tear-free. Workers counts every worker ever seen (the
-// PerWorker slice keeps departed workers, flagged Removed, so their history
-// survives); compile-cache counters stay zero because compilation happens
-// worker-side.
+// in-process farm reports so /metrics and the harness log work unchanged:
+// the planner's layer plus the dispatch plane's. The fleet view (membership,
+// slots, in-flight) is captured under mu and the counters under one
+// acquisition of the stats lock, so each group of fields is internally
+// tear-free. Workers counts every worker ever seen (the PerWorker slice
+// keeps departed workers, flagged Removed, so their history survives).
 func (c *Coordinator) Stats() farm.Stats {
-	type wmeta struct {
-		addr            string
-		slots, inflight int
-		removed         bool
-	}
 	c.mu.Lock()
-	metas := make([]wmeta, len(c.workers))
+	fleet := make([]farm.WorkerStats, len(c.workers))
 	live := int64(0)
 	for i, w := range c.workers {
-		metas[i] = wmeta{addr: w.addr, slots: w.slots, inflight: w.inflight, removed: w.removed}
+		fleet[i] = farm.WorkerStats{Addr: w.addr, Slots: int64(w.slots), InFlight: int64(w.inflight), Removed: w.removed}
 		if w.live && !w.removed {
 			live++
 		}
 	}
 	c.mu.Unlock()
 
-	// Registration appends stat-array entries while holding both locks, so
-	// the arrays here are at least as long as the fleet snapshot above.
-	c.statMu.Lock()
-	st := farm.Stats{
-		Workers:         len(metas),
-		CacheHits:       c.st.hits,
-		CacheMisses:     c.st.misses,
-		Coalesced:       c.st.coalesced,
-		SimsExecuted:    c.st.sims,
-		InstrsSimulated: c.st.instrs,
-		Failures:        c.st.fails,
-		BudgetOverruns:  c.st.budget,
-		TraceSharedSims: c.st.traceShared,
-		BinaryGroups:    c.st.groups,
-
-		GroupsDispatched:    c.st.dispatched,
-		GroupsHedged:        c.st.hedged,
-		GroupsRequeued:      c.st.requeued,
-		WorkersLive:         live,
-		WorkerLocalHits:     c.st.localHits,
-		StoreMerges:         c.st.merges,
-		StoreMergeConflicts: c.st.mergeConflicts,
-	}
-	st.PerWorker = make([]farm.WorkerStats, len(metas))
-	for i, m := range metas {
-		st.PerWorker[i] = farm.WorkerStats{
-			Addr:      m.addr,
-			Jobs:      c.st.workerJobs[i],
-			Busy:      time.Duration(c.st.workerBusyNanos[i]),
-			Slots:     int64(m.slots),
-			InFlight:  int64(m.inflight),
-			Groups:    c.st.workerGroups[i],
-			LocalHits: c.st.workerLocalHits[i],
-			Removed:   m.removed,
+	// Registration grows perWorker while holding both locks, so it is at
+	// least as long as the fleet snapshot above.
+	return c.Snapshot(func(st *farm.Stats) {
+		st.Workers = len(fleet)
+		st.DispatchStats = c.disp
+		st.WorkersLive = live
+		for i := range fleet {
+			pw := c.perWorker[i]
+			fleet[i].Jobs, fleet[i].Busy, fleet[i].Groups, fleet[i].LocalHits = pw.Jobs, pw.Busy, pw.Groups, pw.LocalHits
 		}
-	}
-	c.statMu.Unlock()
-	st.WallTime = time.Since(c.start)
-	return st
+		st.PerWorker = fleet
+	})
 }
 
 // Interface assertions: the coordinator is a drop-in measurement backend.

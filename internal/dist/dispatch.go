@@ -44,14 +44,14 @@ func (c *Coordinator) scheduler() {
 		c.leases++
 		seq := c.leaseSeq
 		c.leaseSeq++
-		lctx, cancel := context.WithCancel(req.g.ctx)
+		lctx, cancel := context.WithCancel(req.g.Ctx)
 		c.leaseCancels[seq] = cancel
 		req.g.leaseSeqs[seq] = struct{}{}
 		hedge := req.hedge
-		c.bump(func(s *coStats) {
-			s.dispatched++
+		c.Count(func() {
+			c.disp.GroupsDispatched++
 			if hedge {
-				s.hedged++
+				c.disp.GroupsHedged++
 			}
 		})
 		c.mu.Unlock()
@@ -84,7 +84,7 @@ func (c *Coordinator) takeDispatchableLocked() (*dispatchReq, int) {
 		}
 		if req.hedge {
 			c.queue = append(c.queue[:i], c.queue[i+1:]...)
-			c.logf("dist: dropping hedge for %s group: no spare capacity", req.g.w.Key())
+			c.logf("dist: dropping hedge for %s group: no spare capacity", req.g.Workload().Key())
 			continue
 		}
 		return nil, -1
@@ -125,7 +125,7 @@ func (c *Coordinator) pickWorkerLocked(g *cgroup, hedge bool) int {
 // hedgeTimer re-queues a group for a second lease if it is still running
 // once its primary lease outlives the hedging threshold (~p95 of completed
 // group latencies, floored at HedgeMin). The first lease to finish wins via
-// finishGroupLocked; the loser's context is cancelled there.
+// settleLocked; the loser's context is cancelled there.
 func (c *Coordinator) hedgeTimer(g *cgroup) {
 	if c.hedgeMin < 0 {
 		return
@@ -151,7 +151,7 @@ func (c *Coordinator) hedgeTimer(g *cgroup) {
 		}
 		g.hedged = true
 		c.queue = append(c.queue, &dispatchReq{g: g, hedge: true})
-		c.logf("dist: hedging %s group of %d after %s", g.w.Key(), len(g.tasks), delay.Round(time.Millisecond))
+		c.logf("dist: hedging %s group of %d after %s", g.Workload().Key(), len(g.Tasks), delay.Round(time.Millisecond))
 		c.mu.Unlock()
 		c.cond.Broadcast()
 		return
@@ -174,9 +174,8 @@ func (c *Coordinator) queuedPrimariesLocked() bool {
 // lease latencies, floored at HedgeMin; before enough groups completed to
 // estimate a tail, the floor alone applies.
 func (c *Coordinator) hedgeDelay() time.Duration {
-	c.statMu.Lock()
-	lats := append([]float64(nil), c.st.latencies...)
-	c.statMu.Unlock()
+	var lats []float64
+	c.Count(func() { lats = append(lats, c.latencies...) })
 	if len(lats) < 3 {
 		return c.hedgeMin
 	}
@@ -195,12 +194,15 @@ func (c *Coordinator) hedgeDelay() time.Duration {
 const probeDelay = 250 * time.Millisecond
 
 // runLease executes one lease end to end: stream the group from the worker,
-// then either deliver the merged results (first finisher wins) or classify
-// the lease failure — requeue on worker death or lease expiry, fail the
-// group once the attempt budget is spent, stand down silently if a hedge
-// twin is still running. wasLive records whether the worker looked healthy
-// at dispatch time: failures on an already-suspect worker don't spend the
-// group's attempt budget as long as healthier workers exist.
+// then either settle the group with the merged results (first finisher wins)
+// or classify the lease failure — requeue on worker death or lease expiry,
+// fail the group once the attempt budget is spent, stand down silently if a
+// hedge twin is still running. The decision is taken under c.mu; the outcome
+// reaches the planner after c.mu is released, and the lease counts as
+// unwound (for Drain and Close) only once the planner has it. wasLive
+// records whether the worker looked healthy at dispatch time: failures on an
+// already-suspect worker don't spend the group's attempt budget as long as
+// healthier workers exist.
 // The workerRef is passed in (rather than re-indexed) because the worker
 // slice header mutates under mu as registrations append; the ref itself is
 // stable for the coordinator's lifetime.
@@ -217,63 +219,82 @@ func (c *Coordinator) runLease(g *cgroup, w *workerRef, wi int, seq int64, ctx c
 	delete(g.leaseSeqs, seq)
 	w.inflight--
 	g.leases--
-	c.leases--
 	if g.onWorkers[wi]--; g.onWorkers[wi] <= 0 {
 		delete(g.onWorkers, wi)
 	}
 	w.live = err == nil || ctx.Err() != nil // a cancelled lease says nothing about health
-	c.bump(func(s *coStats) {
-		s.workerJobs[wi]++
-		s.workerBusyNanos[wi] += busy.Nanoseconds()
+	c.Count(func() {
+		pw := &c.perWorker[wi]
+		pw.Jobs++
+		pw.Busy += busy
 		if err == nil {
-			s.workerGroups[wi]++
-			s.workerLocalHits[wi] += int64(localHits)
-			s.localHits += int64(localHits)
-			s.latencies = append(s.latencies, busy.Seconds())
-			if len(s.latencies) > 512 {
-				s.latencies = append(s.latencies[:0], s.latencies[256:]...)
+			pw.Groups++
+			pw.LocalHits += int64(localHits)
+			c.disp.WorkerLocalHits += int64(localHits)
+			c.latencies = append(c.latencies, busy.Seconds())
+			if len(c.latencies) > 512 {
+				c.latencies = append(c.latencies[:0], c.latencies[256:]...)
 			}
 		}
 	})
 
+	// settled: this lease decides the group's outcome — the streamed results,
+	// or failure for every task when the group fails as a whole.
+	settled := false
+	var failure error
 	switch {
 	case g.done:
-		// A hedge twin already delivered (or shutdown failed the group);
-		// this copy is discarded — the dedup that makes hedging exactly-once.
+		// A hedge twin already settled the group; this copy is discarded —
+		// the dedup that makes hedging exactly-once.
 	case err == nil:
-		c.finishGroupLocked(g, results, errs, nil)
-	case g.ctx.Err() != nil:
+		c.settleLocked(g)
+		settled = true
+	case g.Ctx.Err() != nil:
 		// The submitting caller is gone; no point retrying for nobody.
-		c.finishGroupLocked(g, nil, nil, g.ctx.Err())
+		c.settleLocked(g)
+		settled, failure = true, g.Ctx.Err()
 	case g.leases > 0:
 		// A twin lease is still running; let it race to the finish.
 		c.logf("dist: lease on %s failed (%v), twin still running", w.addr, err)
 	case c.closed:
-		c.finishGroupLocked(g, nil, nil, errClosed)
+		c.settleLocked(g)
+		settled, failure = true, farm.ErrClosed
 	case c.draining:
 		// Drain expired this lease: requeue so the group is visibly
 		// abandoned-but-unlost; Close fails its waiters.
 		g.attempts++
 		c.requeueLocked(g, 0)
-		c.logf("dist: drain requeued %s group of %d", g.w.Key(), len(g.tasks))
+		c.logf("dist: drain requeued %s group of %d", g.Workload().Key(), len(g.Tasks))
 	case !wasLive && c.anyLiveLocked():
 		// A fast failure on a worker that was already suspect, with
 		// healthier workers around: redispatch after a probe delay and keep
 		// the attempt budget for failures that carry information.
 		c.requeueLocked(g, probeDelay)
 		c.logf("dist: requeued %s group of %d after probe of suspect %s: %v",
-			g.w.Key(), len(g.tasks), w.addr, err)
+			g.Workload().Key(), len(g.Tasks), w.addr, err)
 	case g.attempts+1 >= c.maxAttempts:
 		g.attempts++
-		c.finishGroupLocked(g, nil, nil, fmt.Errorf("dist: group failed after %d leases: %w", g.attempts, err))
+		c.settleLocked(g)
+		settled, failure = true, fmt.Errorf("dist: group failed after %d leases: %w", g.attempts, err)
 	default:
 		g.attempts++
 		c.requeueLocked(g, 0)
 		c.logf("dist: requeued %s group of %d after lease failure on %s: %v",
-			g.w.Key(), len(g.tasks), w.addr, err)
+			g.Workload().Key(), len(g.Tasks), w.addr, err)
 	}
 	c.mu.Unlock()
-	c.cond.Broadcast()
+	c.cond.Broadcast() // a slot is free
+
+	switch {
+	case failure != nil:
+		c.Fail(g.Group, failure)
+	case settled:
+		c.Complete(g.Group, results, errs)
+	}
+	c.mu.Lock()
+	c.leases--
+	c.mu.Unlock()
+	c.cond.Broadcast() // Drain and Close wait for leases to unwind
 }
 
 // anyLiveLocked reports whether some active worker still looks healthy.
@@ -287,26 +308,19 @@ func (c *Coordinator) anyLiveLocked() bool {
 }
 
 // requeueLocked puts g back on the dispatch queue, immediately or after a
-// delay. A delayed requeue that lands after Close fails the group's waiters
-// instead of stranding them (Close already flushed the queue by then).
+// delay. A group still waiting out its delay when the coordinator closes is
+// failed by Close, not requeued.
 func (c *Coordinator) requeueLocked(g *cgroup, delay time.Duration) {
-	c.bump(func(s *coStats) { s.requeued++ })
+	c.Count(func() { c.disp.GroupsRequeued++ })
 	if delay <= 0 {
 		c.queue = append(c.queue, &dispatchReq{g: g})
 		return
 	}
 	time.AfterFunc(delay, func() {
 		c.mu.Lock()
-		if g.done {
-			c.mu.Unlock()
-			return
+		if !g.done && !c.closed {
+			c.queue = append(c.queue, &dispatchReq{g: g})
 		}
-		if c.closed {
-			c.finishGroupLocked(g, nil, nil, errClosed)
-			c.mu.Unlock()
-			return
-		}
-		c.queue = append(c.queue, &dispatchReq{g: g})
 		c.mu.Unlock()
 		c.cond.Broadcast()
 	})
@@ -320,8 +334,8 @@ func (c *Coordinator) requeueLocked(g *cgroup, delay time.Duration) {
 func (c *Coordinator) streamGroup(ctx context.Context, base string, g *cgroup, seq int64) (_ []farm.Result, _ []error, localHits int, err error) {
 	body, err := json.Marshal(GroupRequest{
 		Lease:    fmt.Sprintf("l%d", seq),
-		Workload: toWire(g.w),
-		Points:   wirePoints(g.tasks),
+		Workload: toWire(g.Workload()),
+		Points:   wirePoints(g.Tasks),
 	})
 	if err != nil {
 		return nil, nil, 0, err
@@ -359,8 +373,8 @@ func (c *Coordinator) streamGroup(ctx context.Context, base string, g *cgroup, s
 		}
 	}()
 
-	results := make([]farm.Result, len(g.tasks))
-	errs := make([]error, len(g.tasks))
+	results := make([]farm.Result, len(g.Tasks))
+	errs := make([]error, len(g.Tasks))
 	got := 0
 	expire := time.NewTimer(c.lease)
 	defer expire.Stop()
@@ -374,8 +388,8 @@ func (c *Coordinator) streamGroup(ctx context.Context, base string, g *cgroup, s
 			switch {
 			case l.Heartbeat:
 			case l.Done:
-				if got != len(g.tasks) {
-					return nil, nil, 0, fmt.Errorf("dist: incomplete group from %s: %d/%d results", base, got, len(g.tasks))
+				if got != len(g.Tasks) {
+					return nil, nil, 0, fmt.Errorf("dist: incomplete group from %s: %d/%d results", base, got, len(g.Tasks))
 				}
 				return results, errs, l.LocalHits, nil
 			case l.Result:

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -274,24 +275,36 @@ func TestCoalescingAndStoreHits(t *testing.T) {
 // TestBackendInterchangeable pins the satellite seam: code written against
 // farm.Backend runs identically over the in-process farm and the
 // coordinator. (The compile-time assertions live next to each type; this
-// exercises the swap at runtime through one code path.)
+// exercises the swap at runtime through one code path.) The batch mixes two
+// shared-binary groups, two points alone with their binaries and an in-batch
+// duplicate, then repeats, so every planner counter moves — and since the
+// planner is one piece of code in front of both planes, its layer of the
+// stats must come out equal field by field.
 func TestBackendInterchangeable(t *testing.T) {
-	w := workloads.MustGet("179.art", workloads.Train)
-	points := randomPoints(6, 2)
+	w := distTestWorkload()
+	w.Parse()
+	points := sweepPoints(2, 3) // the sweep unrolls; plain O2 and O3 are binaries of their own
+	points = append(points,
+		doe.JoinPoint(doe.FromOptions(compiler.O2()), doe.FromConfig(sim.DefaultConfig())),
+		doe.JoinPoint(doe.FromOptions(compiler.O3()), doe.FromConfig(sim.Constrained())))
+	points = append(points, points[0])
 
-	run := func(backend farm.Backend) []float64 {
+	run := func(backend farm.Backend) ([]float64, farm.PlannerStats) {
 		t.Helper()
 		defer backend.Close()
 		got, err := backend.MeasureBatch(context.Background(), w, points, farm.Cycles)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return got
+		if _, err := backend.MeasureBatch(context.Background(), w, points, farm.Energy); err != nil {
+			t.Fatal(err)
+		}
+		return got, backend.Stats().PlannerStats
 	}
 
-	local := run(farm.New(farm.Options{Workers: 2, Measure: stubMeasure(nil, 0)}))
+	local, localStats := run(farm.New(farm.Options{Workers: 2}))
 
-	wk := NewWorker(WorkerOptions{Workers: 2, Measure: stubMeasure(nil, 0), Heartbeat: 10 * time.Millisecond})
+	wk := NewWorker(WorkerOptions{Workers: 2, Heartbeat: 10 * time.Millisecond})
 	ts := httptest.NewServer(wk.Handler())
 	defer ts.Close()
 	defer wk.Close()
@@ -299,12 +312,21 @@ func TestBackendInterchangeable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist := run(co)
+	dist, distStats := run(co)
 
 	for i := range points {
 		if local[i] != dist[i] {
 			t.Fatalf("backend divergence at %d: local %v dist %v", i, local[i], dist[i])
 		}
+	}
+	lv, dv := reflect.ValueOf(localStats), reflect.ValueOf(distStats)
+	for i := 0; i < lv.NumField(); i++ {
+		if l, d := lv.Field(i).Int(), dv.Field(i).Int(); l != d {
+			t.Errorf("planner stats diverge on %s: local %d, dist %d", lv.Type().Field(i).Name, l, d)
+		}
+	}
+	if localStats.BinaryGroups != 2 || localStats.TraceSharedSims != 6 || localStats.Coalesced != 1 {
+		t.Errorf("batch did not exercise the planner as intended: %+v", localStats)
 	}
 }
 

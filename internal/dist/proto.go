@@ -146,10 +146,10 @@ func (l GroupLine) result() (farm.Result, error) {
 }
 
 // wirePoints flattens doe points for JSON.
-func wirePoints(jobs []*ctask) [][]int64 {
-	pts := make([][]int64, len(jobs))
-	for i, t := range jobs {
-		pts[i] = []int64(t.job.Point)
+func wirePoints(tasks []*farm.Task) [][]int64 {
+	pts := make([][]int64, len(tasks))
+	for i, t := range tasks {
+		pts[i] = []int64(t.Job.Point)
 	}
 	return pts
 }

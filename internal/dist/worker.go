@@ -48,12 +48,11 @@ type WorkerOptions struct {
 // journaled locally, served back instantly on repeat leases and shipped to
 // the coordinator as deltas via GET /v1/store.
 type Worker struct {
-	farm  *farm.Farm
-	store *farm.Store
-	boot  string // identifies this process lifetime; store cursors are scoped to it
-	hb    time.Duration
-	log   io.Writer
-	mux   *http.ServeMux
+	farm *farm.Farm
+	boot string // identifies this process lifetime; store cursors are scoped to it
+	hb   time.Duration
+	log  io.Writer
+	mux  *http.ServeMux
 
 	groups atomic.Int64
 	start  time.Time
@@ -61,19 +60,14 @@ type Worker struct {
 
 // NewWorker builds a worker over a fresh local farm.
 func NewWorker(opts WorkerOptions) *Worker {
-	store := opts.Store
-	if store == nil {
-		store = farm.MemStore()
-	}
 	w := &Worker{
 		farm: farm.New(farm.Options{
 			Workers:   opts.Workers,
 			Measure:   opts.Measure,
 			MaxInstrs: opts.MaxInstrs,
-			Store:     store,
+			Store:     opts.Store,
 			Log:       opts.Log,
 		}),
-		store: store,
 		boot:  fmt.Sprintf("%d-%d", os.Getpid(), time.Now().UnixNano()),
 		hb:    opts.Heartbeat,
 		log:   opts.Log,
@@ -125,26 +119,18 @@ func (w *Worker) handleGroup(rw http.ResponseWriter, r *http.Request) {
 	jobs := jobsFromWire(&req)
 	w.logf("worker: lease %s: %s, %d points", req.Lease, jobs[0].Workload.Key(), len(jobs))
 
-	// Count up front how many points the local store already answers; the
-	// farm would serve them as cache hits anyway, but its counters are
-	// process-global, and the coordinator wants an exact per-group number
-	// for the done line.
-	localHits := 0
-	for _, j := range jobs {
-		key := farm.Key(j.Workload, j.Point)
-		if _, _, ok := w.store.Get2(key, farm.EnergyKey(key)); ok {
-			localHits++
-		}
-	}
-
 	type outcome struct {
 		res  []farm.Result
 		errs []error
+		// localHits is how many points the local store answered: the farm's
+		// counters are process-global, and the coordinator wants an exact
+		// per-group number for the done line.
+		localHits int
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, errs := w.farm.DoJobs(r.Context(), jobs)
-		done <- outcome{res, errs}
+		res, errs, hits := w.farm.Run(r.Context(), jobs)
+		done <- outcome{res, errs, hits}
 	}()
 
 	rw.Header().Set("Content-Type", "application/x-ndjson")
@@ -175,7 +161,7 @@ func (w *Worker) handleGroup(rw http.ResponseWriter, r *http.Request) {
 				}
 				enc.Encode(line)
 			}
-			enc.Encode(GroupLine{Done: true, LocalHits: localHits})
+			enc.Encode(GroupLine{Done: true, LocalHits: out.localHits})
 			flush()
 			w.groups.Add(1)
 			return
@@ -198,7 +184,7 @@ func (w *Worker) handleStore(rw http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("boot") != w.boot {
 		cursor = 0
 	}
-	entries, next := w.store.Since(cursor)
+	entries, next := w.farm.Store().Since(cursor)
 	rw.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(rw).Encode(StoreDelta{Boot: w.boot, Next: next, Entries: entries})
 }

@@ -13,10 +13,12 @@ import (
 // (internal/dist) both satisfy it, so swapping one plane for the other is a
 // construction-time decision — no exp or serve call site changes.
 //
-// Implementations must preserve the farm's semantics: results keyed by
-// point and order-independent (bit-for-bit reproducible), single-flight
-// deduplication of concurrent requests for the same point, and a
-// caller-visible durable Store that Checkpoint flushes.
+// Both get Do, DoJobs, Measure, MeasureBatch and Store from an embedded
+// *Planner, which is what keeps the farm's semantics the same on either
+// plane: results keyed by point and order-independent (bit-for-bit
+// reproducible), single-flight deduplication of concurrent requests for the
+// same point, and a caller-visible durable Store that Checkpoint flushes.
+// Stats, Checkpoint and Close are each backend's own.
 type Backend interface {
 	// Do runs one job, deduplicated against concurrent requests.
 	Do(ctx context.Context, job Job) (Result, error)
@@ -28,8 +30,9 @@ type Backend interface {
 	// every experiment path calls.
 	Measure(ctx context.Context, w workloads.Workload, p doe.Point, resp Response) (float64, error)
 	MeasureBatch(ctx context.Context, w workloads.Workload, points []doe.Point, resp Response) ([]float64, error)
-	// Store exposes the backend's result store. For the distributed plane
-	// the store is coordinator-owned: workers are stateless measurers.
+	// Store exposes the backend's result store. On the distributed plane it
+	// is the coordinator's: every streamed result is journaled here, and each
+	// worker's own journaled store is merged into it on Checkpoint and Close.
 	Store() *Store
 	// Stats snapshots the backend's instrumentation counters tear-free.
 	Stats() Stats

@@ -131,11 +131,11 @@ func (f *Farm) compileCached(w workloads.Workload, p doe.Point) (*isa.Program, s
 		}
 		return prog, nil
 	})
-	f.bump(func(s *counters) {
+	f.Count(func() {
 		if hit {
-			s.compileHits++
+			f.pool.CompileCacheHits++
 		} else {
-			s.compileMisses++
+			f.pool.CompileCacheMisses++
 		}
 	})
 	return prog, cfg, err
@@ -164,12 +164,12 @@ func (f *Farm) cachedExecutor(ctx context.Context, job Job) (Result, error) {
 		}
 		// One critical section per sampled sim: hits+misses == sampled in
 		// every Stats snapshot.
-		f.bump(func(s *counters) {
-			s.sampledSims++
+		f.Count(func() {
+			f.pool.SampledSims++
 			if hit {
-				s.ckptHits++
+				f.pool.WarmCkptHits++
 			} else {
-				s.ckptMisses++
+				f.pool.WarmCkptMisses++
 			}
 		})
 		return Result{
@@ -182,10 +182,10 @@ func (f *Farm) cachedExecutor(ctx context.Context, job Job) (Result, error) {
 	if err != nil {
 		return Result{}, &SimError{Workload: job.Workload.Key(), Budget: sim.IsBudget(err), Err: err}
 	}
-	f.bump(func(s *counters) {
-		s.blocksTranslated += es.BlocksTranslated
-		s.translatedInstrs += es.TranslatedInstrs
-		s.slowPathEntries += es.SlowPathEntries
+	f.Count(func() {
+		f.pool.BlocksTranslated += es.BlocksTranslated
+		f.pool.TranslatedInstrs += es.TranslatedInstrs
+		f.pool.SlowPathEntries += es.SlowPathEntries
 	})
 	return Result{
 		Cycles:       float64(st.Cycles),
@@ -194,188 +194,42 @@ func (f *Farm) cachedExecutor(ctx context.Context, job Job) (Result, error) {
 	}, nil
 }
 
-// group is the batch-planner output one worker executes: tasks that share a
-// binary. The first task carries the group through the queue; the others
-// wait on their done channels like any coalesced caller.
-type group struct {
-	w     workloads.Workload
-	tasks []*task
-}
-
-// DoJobs runs a batch of jobs through the cache, single-flight and
-// worker-pool layers, returning one result and one error per job in input
-// order. Unlike per-job Do calls it sees the whole batch at once, so jobs
-// that compile to the same binary are planned into one group: the worker
-// compiles once (through the binary cache) and runs one shared functional
-// interpretation feeding a timing consumer per point (sim.SimulateMany),
-// bit-for-bit identical to independent simulations. Grouping only applies
-// with the default executor — a custom Measure owns the whole pipeline, so
-// its batches degrade to per-job execution.
-func (f *Farm) DoJobs(ctx context.Context, jobs []Job) ([]Result, []error) {
-	res := make([]Result, len(jobs))
-	errs := make([]error, len(jobs))
-	tasks := make([]*task, len(jobs))
-	pending := make([]int, 0, len(jobs)) // indices not served by the store
-
-	for i, job := range jobs {
-		key := Key(job.Workload, job.Point)
-		if c, e, ok := f.store.Get2(key, EnergyKey(key)); ok {
-			f.bump(func(s *counters) { s.hits++ })
-			res[i] = Result{Cycles: c, Energy: e}
-			continue
-		}
-		pending = append(pending, i)
-	}
-	if len(pending) == 0 {
-		return res, errs
-	}
-
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		for _, i := range pending {
-			errs[i] = errFarmClosed
-		}
-		return res, errs
-	}
-	var fresh []*task // newly created tasks, first-seen order
-	for _, i := range pending {
-		job := jobs[i]
-		key := Key(job.Workload, job.Point)
-		if t, ok := f.inflight[key]; ok {
-			f.bump(func(s *counters) { s.coalesced++ })
-			tasks[i] = t
-			continue
-		}
-		t := &task{job: job, key: key, ctx: ctx, done: make(chan struct{})}
-		f.inflight[key] = t
-		tasks[i] = t
-		fresh = append(fresh, t)
-		f.bump(func(s *counters) { s.misses++ })
-	}
-	if f.grouping {
-		byBin := map[string][]*task{}
-		var order []string
-		for _, t := range fresh {
-			bk := BinaryKey(t.job.Workload, t.job.Point)
-			if _, ok := byBin[bk]; !ok {
-				order = append(order, bk)
-			}
-			byBin[bk] = append(byBin[bk], t)
-		}
-		for _, bk := range order {
-			ts := byBin[bk]
-			if len(ts) > 1 {
-				ts[0].group = &group{w: ts[0].job.Workload, tasks: ts}
-			}
-			f.queue = append(f.queue, ts[0]) // group members ride the leader
-			f.cond.Signal()
-		}
-	} else {
-		f.queue = append(f.queue, fresh...)
-		for range fresh {
-			f.cond.Signal()
-		}
-	}
-	f.mu.Unlock()
-
-	for _, i := range pending {
-		t := tasks[i]
-		select {
-		case <-t.done:
-			res[i], errs[i] = t.res, t.err
-		case <-ctx.Done():
-			errs[i] = ctx.Err()
-		}
-	}
-	return res, errs
-}
-
-// runGroup executes one shared-binary group: compile once, interpret once,
-// one timing consumer per point. Errors fan out to every member — a group
-// failure is classified exactly like the per-job path (compile failures
-// permanent, budget overruns ClassBudget), and the group path performs no
-// transient retries because neither compile nor simulation can fail
-// transiently (store IO retries live in persist).
-func (f *Farm) runGroup(lead *task) {
-	g := lead.group
-	tasks := g.tasks
-	results := make([]Result, len(tasks))
-	errs := make([]error, len(tasks))
+// simulateShared executes one shared-binary group: compile once, interpret
+// once, one timing consumer per point. Errors fan out to every member — a
+// group failure is classified exactly like the per-job path (compile
+// failures permanent, budget overruns ClassBudget), and the group path
+// performs no transient retries because neither compile nor simulation can
+// fail transiently (store IO retries live in the planner's persist).
+func (f *Farm) simulateShared(g *Group, results []Result, errs []error) {
+	f.Count(func() { f.dispatched++ })
 	fail := func(err error) {
 		for i := range errs {
 			errs[i] = err
 		}
 	}
-
-	if cerr := lead.ctx.Err(); cerr != nil {
+	if cerr := g.Ctx.Err(); cerr != nil {
 		fail(cerr)
-	} else if prog, _, err := f.compileCached(g.w, lead.job.Point); err != nil {
+		return
+	}
+	prog, _, err := f.compileCached(g.Workload(), g.Tasks[0].Job.Point)
+	if err != nil {
 		fail(err)
-	} else {
-		cfgs := make([]sim.Config, len(tasks))
-		for i, t := range tasks {
-			cfgs[i] = doe.ToConfig(t.job.Point)
-		}
-		stats, serr := sim.SimulateManyOpt(prog, cfgs, f.maxInstrs, sim.BatchOptions{MaxConsumers: f.maxConsumers})
-		if serr != nil {
-			fail(&SimError{Workload: g.w.Key(), Budget: sim.IsBudget(serr), Err: serr})
-		} else {
-			for i, st := range stats {
-				results[i] = Result{
-					Cycles:       float64(st.Cycles),
-					Energy:       st.Energy,
-					Instructions: st.Instructions,
-				}
-			}
-		}
+		return
 	}
-
-	// One critical section for the whole group: a Stats snapshot always
-	// sees the group's sims, instrs and shared-trace count move together.
-	var okCount, failCount, budgetCount, instrSum int64
-	for i := range tasks {
-		if errs[i] == nil {
-			okCount++
-			instrSum += results[i].Instructions
-		} else {
-			failCount++
-			if Classify(errs[i]) == ClassBudget {
-				budgetCount++
-			}
+	cfgs := make([]sim.Config, len(g.Tasks))
+	for i, t := range g.Tasks {
+		cfgs[i] = doe.ToConfig(t.Job.Point)
+	}
+	stats, serr := sim.SimulateMany(prog, cfgs, f.maxInstrs)
+	if serr != nil {
+		fail(&SimError{Workload: g.Workload().Key(), Budget: sim.IsBudget(serr), Err: serr})
+		return
+	}
+	for i, st := range stats {
+		results[i] = Result{
+			Cycles:       float64(st.Cycles),
+			Energy:       st.Energy,
+			Instructions: st.Instructions,
 		}
-	}
-	f.bump(func(s *counters) {
-		s.groups++
-		s.dispatched++
-		s.sims += okCount
-		s.instrs += instrSum
-		s.traceShared += okCount
-		s.fails += failCount
-		s.budgetOverruns += budgetCount
-	})
-	if errs[0] != nil {
-		switch Classify(errs[0]) {
-		case ClassBudget:
-			f.logf("farm: %s: %v", g.w.Key(), errs[0])
-		case ClassPermanent:
-			f.logf("farm: %s: permanent failure (group of %d): %v", g.w.Key(), len(tasks), errs[0])
-		}
-	}
-	for i, t := range tasks {
-		if errs[i] == nil {
-			if perr := f.persist(t.key, results[i]); perr != nil {
-				f.logf("farm: store append for %s failed: %v", t.key, perr)
-			}
-		}
-	}
-	f.mu.Lock()
-	for _, t := range tasks {
-		delete(f.inflight, t.key)
-	}
-	f.mu.Unlock()
-	for i, t := range tasks {
-		t.res, t.err = results[i], errs[i]
-		close(t.done)
 	}
 }

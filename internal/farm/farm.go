@@ -1,18 +1,27 @@
 // Package farm is the measurement-execution engine of the reproduction: it
 // accepts (workload, design-point) jobs and runs the compile+simulate
-// pipeline for them on a bounded worker pool. Three properties make it the
-// single path every measurement takes:
+// pipeline for them. It is built as planner + executor.
 //
+// The Planner is the single path every measurement takes, whichever plane
+// simulates it:
+//
+//   - a durable result store (Store): completed measurements are journaled
+//     as they finish and checkpointed via temp-file + atomic rename, staying
+//     read-compatible with the original measurements-*.json cache format;
 //   - single-flight deduplication: two callers asking for the same point
 //     trigger one execution, with the second caller waiting on the first's
 //     result (the pre-farm harness dropped its lock during simulation and
 //     silently duplicated concurrent work);
-//   - a durable result store (Store): completed measurements are journaled
-//     as they finish and checkpointed via temp-file + atomic rename, staying
-//     read-compatible with the original measurements-*.json cache format;
-//   - bounded retry with error classification and context cancellation:
-//     compile errors fail fast, budget overruns are reported, transient
-//     store IO retries, and a cancelled context drains workers cleanly.
+//   - batch planning: new points that compile to one binary form a group, so
+//     an executor compiles once and interprets once for all of them;
+//   - exactly-once completion with bounded retry of transient store IO.
+//
+// Behind it sits an executor that turns planned groups into results. This
+// package has the local one, Farm: a bounded worker pool with a binary
+// cache, error classification (compile errors fail fast, budget overruns are
+// reported, transient failures retry) and context cancellation that drains
+// workers cleanly. internal/dist has the other, a lease scheduler over
+// remote workers.
 //
 // Results are keyed by point and order-independent, so a parallel run is
 // bit-for-bit identical to a serial one (DESIGN.md decision 7).
@@ -20,16 +29,13 @@ package farm
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"runtime"
 	"sync"
 	"time"
 
-	"repro/internal/doe"
 	"repro/internal/smarts"
-	"repro/internal/workloads"
 )
 
 // Options configures a Farm.
@@ -49,12 +55,6 @@ type Options struct {
 	// RetryDelay is the base backoff between transient retries, growing
 	// linearly with the attempt (0 = 10ms).
 	RetryDelay time.Duration
-	// BinaryCacheSize bounds the compiled-binary cache used by the default
-	// executor and the batch planner (0 = 256 binaries).
-	BinaryCacheSize int
-	// MaxConsumers caps the timing consumers sharing one functional
-	// interpretation in a batch group (0 = sim's default of 16).
-	MaxConsumers int
 	// Sampler, when non-nil, switches the default executor from detailed
 	// simulation to SMARTS sampled measurement backed by warm-state
 	// checkpoints: repeat measurements of one binary under configurations
@@ -64,143 +64,79 @@ type Options struct {
 	// the checkpoint store plays the same role across batches, not just
 	// within one.
 	Sampler *smarts.Sampler
-	// CheckpointCap bounds the warm-checkpoint store in sets
-	// (0 = smarts.DefaultStoreCap). Only used when Sampler is set.
-	CheckpointCap int
 	// Log receives progress and recovery lines; nil silences them.
 	Log io.Writer
 }
 
-// Farm is a concurrent measurement farm. Create with New, submit with
-// Measure or MeasureBatch, and Close when done to flush the store.
-type Farm struct {
-	opts    Options
-	workers int
-	retries int
-	delay   time.Duration
-	measure MeasureFunc
-	store   *Store
+// binaryCacheSize bounds the compiled-binary LRU, in binaries.
+const binaryCacheSize = 256
 
-	// Batch machinery: binary cache, compile hook (swappable in tests) and
-	// the grouping switch, enabled only with the default executor — a custom
-	// Measure owns the whole pipeline, so the planner can't split it.
-	bins         *binaryCache
-	compile      compileFn
-	grouping     bool
-	maxInstrs    int64
-	maxConsumers int
+// Farm is the in-process measurement backend: a Planner in front of a
+// bounded worker pool. Create with New, submit with Measure, MeasureBatch or
+// DoJobs, and Close when done to flush the store.
+type Farm struct {
+	*Planner
+	workers int
+	measure MeasureFunc
+
+	// Compile machinery of the default executor: binary cache and compile
+	// hook (swappable in tests).
+	bins      *binaryCache
+	compile   compileFn
+	maxInstrs int64
 
 	// Sampled-measurement plane: non-nil sampler selects SMARTS estimates
 	// served through the warm-checkpoint store instead of detailed runs.
 	sampler *smarts.Sampler
 	ckpts   *smarts.Store
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	queue    []*task
-	inflight map[string]*task
-	closed   bool
-	wg       sync.WaitGroup
+	mu      sync.Mutex
+	cond    *sync.Cond
+	queue   []*Group
+	stopped bool
+	wg      sync.WaitGroup
 
-	start time.Time
-	// statMu guards every instrumentation counter. A single mutex (rather
-	// than per-counter atomics) lets Stats take one consistent snapshot:
-	// counters that move together (sims and instrs, misses and queue
-	// growth) can never be observed torn mid-update.
-	statMu sync.Mutex
-	st     counters
+	// Pool-layer counters, guarded by the planner's stats lock (Count).
+	pool       PoolStats
+	dispatched int64
+	perWorker  []WorkerStats
 }
-
-// counters is the farm's instrumentation state; all fields are guarded by
-// Farm.statMu and updated in one critical section per logical event.
-type counters struct {
-	hits, misses, coalesced        int64
-	sims, instrs                   int64
-	retried, budgetOverruns, fails int64
-	compileHits, compileMisses     int64
-	traceShared, groups            int64
-	dispatched, hedged, requeued   int64
-	// Translated-engine counters (detailed mode, ungrouped sims).
-	blocksTranslated, translatedInstrs, slowPathEntries int64
-	// Sampled-mode counters: every sampled sim is either a checkpoint
-	// replay (hit) or a full build run (miss), so hits+misses == sampled.
-	sampledSims, ckptHits, ckptMisses int64
-	workerBusyNanos                   []int64
-	workerJobs                        []int64
-}
-
-// task is one in-flight execution; all callers for the same key share it.
-type task struct {
-	job Job
-	key string
-	// ctx is the first submitter's context: cancellation of the original
-	// caller cancels the shared execution (later joiners still bail on
-	// their own contexts while waiting).
-	ctx  context.Context
-	done chan struct{}
-	res  Result
-	err  error
-	// group, when non-nil, marks this task as the leader of a shared-binary
-	// batch group; the worker executes the whole group in one pass.
-	group *group
-}
-
-// errFarmClosed rejects work submitted after Close.
-var errFarmClosed = errors.New("farm: closed")
 
 // New starts a farm with opts.Workers workers. The pool runs until Close.
 func New(opts Options) *Farm {
 	f := &Farm{
-		opts:     opts,
-		workers:  opts.Workers,
-		retries:  opts.MaxRetries,
-		delay:    opts.RetryDelay,
-		measure:  opts.Measure,
-		store:    opts.Store,
-		inflight: map[string]*task{},
-		start:    time.Now(),
+		workers:   opts.Workers,
+		measure:   opts.Measure,
+		bins:      newBinaryCache(binaryCacheSize),
+		compile:   defaultCompile,
+		maxInstrs: opts.MaxInstrs,
+		sampler:   opts.Sampler,
 	}
 	if f.workers <= 0 {
 		f.workers = runtime.GOMAXPROCS(0)
 	}
-	switch {
-	case f.retries == 0:
-		f.retries = 3
-	case f.retries < 0:
-		f.retries = 0
-	}
-	if f.delay == 0 {
-		f.delay = 10 * time.Millisecond
-	}
-	f.maxInstrs = opts.MaxInstrs
 	if f.maxInstrs == 0 {
 		f.maxInstrs = 500_000_000
 	}
-	f.maxConsumers = opts.MaxConsumers
-	cacheSize := opts.BinaryCacheSize
-	if cacheSize <= 0 {
-		cacheSize = 256
-	}
-	f.bins = newBinaryCache(cacheSize)
-	f.compile = defaultCompile
-	f.sampler = opts.Sampler
 	if f.sampler != nil {
-		f.ckpts = smarts.NewStore(opts.CheckpointCap)
+		f.ckpts = smarts.NewStore(smarts.DefaultStoreCap)
 	}
+	// Grouping only applies with the default detailed executor. A custom
+	// Measure owns the whole pipeline, so the planner can't split it; and
+	// shared-trace grouping and checkpointed sampling are alternative
+	// amortization schemes for the same redundancy (one binary, many
+	// configurations), where the checkpoint store wins because it also spans
+	// batches and retries.
+	grouping := f.measure == nil && f.sampler == nil
 	if f.measure == nil {
 		f.measure = f.cachedExecutor
-		// Shared-trace grouping and checkpointed sampling are alternative
-		// amortization schemes for the same redundancy (one binary, many
-		// configurations); in sampled mode the checkpoint store wins because
-		// it also spans batches and retries.
-		f.grouping = f.sampler == nil
 	}
-	if f.store == nil {
-		f.store = MemStore()
-	}
+	f.Planner = NewPlanner(opts, grouping, f.execute)
 	f.cond = sync.NewCond(&f.mu)
-	f.st.workerBusyNanos = make([]int64, f.workers)
-	f.st.workerJobs = make([]int64, f.workers)
+	f.perWorker = make([]WorkerStats, f.workers)
+	for i := range f.perWorker {
+		f.perWorker[i].Slots = 1
+	}
 	f.wg.Add(f.workers)
 	for i := 0; i < f.workers; i++ {
 		go f.worker(i)
@@ -208,193 +144,84 @@ func New(opts Options) *Farm {
 	return f
 }
 
-// bump applies one counter update atomically with respect to Stats.
-func (f *Farm) bump(update func(*counters)) {
-	f.statMu.Lock()
-	update(&f.st)
-	f.statMu.Unlock()
-}
-
-func (f *Farm) logf(format string, args ...interface{}) {
-	if f.opts.Log != nil {
-		fmt.Fprintf(f.opts.Log, format+"\n", args...)
-	}
-}
-
-// Store exposes the farm's result store (for checkpointing and inspection).
-func (f *Farm) Store() *Store { return f.store }
-
-// Measure returns the requested response of workload w at point p, executing
-// the compile+simulate pipeline at most once per distinct point regardless
-// of how many goroutines ask. It blocks until the result is available or ctx
-// is cancelled.
-func (f *Farm) Measure(ctx context.Context, w workloads.Workload, p doe.Point, resp Response) (float64, error) {
-	res, err := f.Do(ctx, Job{Workload: w, Point: p})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Value(res), nil
-}
-
-// Do runs one job through the cache, single-flight and worker-pool layers
-// and returns its full result.
-func (f *Farm) Do(ctx context.Context, job Job) (Result, error) {
-	key := Key(job.Workload, job.Point)
-	if c, e, ok := f.store.Get2(key, EnergyKey(key)); ok {
-		f.bump(func(s *counters) { s.hits++ })
-		return Result{Cycles: c, Energy: e}, nil
-	}
+// execute is the farm's executor: queue the planned groups for the pool.
+func (f *Farm) execute(groups []*Group) {
 	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return Result{}, errFarmClosed
-	}
-	t, shared := f.inflight[key]
-	if shared {
-		f.bump(func(s *counters) { s.coalesced++ })
-	} else {
-		t = &task{job: job, key: key, ctx: ctx, done: make(chan struct{})}
-		f.inflight[key] = t
-		f.queue = append(f.queue, t)
-		f.bump(func(s *counters) { s.misses++ })
+	f.queue = append(f.queue, groups...)
+	for range groups {
 		f.cond.Signal()
 	}
 	f.mu.Unlock()
-	select {
-	case <-t.done:
-		return t.res, t.err
-	case <-ctx.Done():
-		return Result{}, ctx.Err()
-	}
-}
-
-// MeasureBatch measures w at every point, saturating the worker pool, and
-// returns the responses in input order. The batch goes through DoJobs, so
-// points sharing a binary are planned into shared-trace groups. On failure
-// it returns the error of the earliest failing point (by input index),
-// matching the serial path's error selection so parallel and serial runs
-// are indistinguishable.
-func (f *Farm) MeasureBatch(ctx context.Context, w workloads.Workload, points []doe.Point, resp Response) ([]float64, error) {
-	jobs := make([]Job, len(points))
-	for i, p := range points {
-		jobs[i] = Job{Workload: w, Point: p}
-	}
-	res, errs := f.DoJobs(ctx, jobs)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	out := make([]float64, len(points))
-	for i := range res {
-		out[i] = resp.Value(res[i])
-	}
-	return out, nil
 }
 
 func (f *Farm) worker(id int) {
 	defer f.wg.Done()
 	for {
 		f.mu.Lock()
-		for len(f.queue) == 0 && !f.closed {
+		for len(f.queue) == 0 && !f.stopped {
 			f.cond.Wait()
 		}
 		if len(f.queue) == 0 {
-			// Closed with an empty queue: the pool has drained.
+			// Stopped with an empty queue: the pool has drained.
 			f.mu.Unlock()
 			return
 		}
-		t := f.queue[0]
+		g := f.queue[0]
 		f.queue = f.queue[1:]
 		f.mu.Unlock()
 		start := time.Now()
-		f.run(t)
-		busy := time.Since(start).Nanoseconds()
-		f.bump(func(s *counters) {
-			s.workerBusyNanos[id] += busy
-			s.workerJobs[id]++
+		f.run(g)
+		busy := time.Since(start)
+		f.Count(func() {
+			f.perWorker[id].Busy += busy
+			f.perWorker[id].Jobs++
 		})
 	}
 }
 
-// run executes one task with the retry policy and publishes the result.
-// Group leaders execute the whole shared-binary group instead.
-func (f *Farm) run(t *task) {
-	if t.group != nil {
-		f.runGroup(t)
-		return
-	}
-	res, err := f.attempt(t)
-	if err == nil {
-		// One critical section for the pair: a Stats snapshot always sees
-		// sims and instrs move together.
-		f.bump(func(s *counters) {
-			s.sims++
-			s.instrs += res.Instructions
-		})
-		if perr := f.persist(t.key, res); perr != nil {
-			// The measurement itself is valid; a store that stays broken
-			// past its retries costs durability, not correctness.
-			f.logf("farm: store append for %s failed: %v", t.key, perr)
-		}
+// run executes one group and hands the outcome to the planner. A lone task
+// goes through the measure function under the retry policy; tasks sharing a
+// binary go through one shared interpretation.
+func (f *Farm) run(g *Group) {
+	results := make([]Result, len(g.Tasks))
+	errs := make([]error, len(g.Tasks))
+	if len(g.Tasks) == 1 {
+		results[0], errs[0] = f.attempt(g.Ctx, g.Tasks[0].Job)
 	} else {
-		budget := Classify(err) == ClassBudget
-		f.bump(func(s *counters) {
-			s.fails++
-			if budget {
-				s.budgetOverruns++
-			}
-		})
+		f.simulateShared(g, results, errs)
+	}
+	// A shared group fails as a whole, so its first error speaks for it.
+	if err := errs[0]; err != nil {
 		switch Classify(err) {
 		case ClassBudget:
-			f.logf("farm: %s: %v", t.job.Workload.Key(), err)
+			f.logf("farm: %s: %v", g.Workload().Key(), err)
 		case ClassPermanent:
-			f.logf("farm: %s: permanent failure: %v", t.job.Workload.Key(), err)
+			f.logf("farm: %s: permanent failure (%d points): %v", g.Workload().Key(), len(g.Tasks), err)
 		}
 	}
-	f.mu.Lock()
-	delete(f.inflight, t.key)
-	f.mu.Unlock()
-	t.res, t.err = res, err
-	close(t.done)
+	f.Complete(g, results, errs)
 }
 
 // attempt runs the measurement, retrying transient failures with linear
 // backoff up to the retry budget, and honouring cancellation between tries.
-func (f *Farm) attempt(t *task) (Result, error) {
-	var res Result
-	var err error
+func (f *Farm) attempt(ctx context.Context, job Job) (Result, error) {
 	for try := 0; ; try++ {
-		if cerr := t.ctx.Err(); cerr != nil {
+		if cerr := ctx.Err(); cerr != nil {
 			return Result{}, cerr
 		}
-		res, err = f.measure(t.ctx, t.job)
+		res, err := f.measure(ctx, job)
 		if err == nil || Classify(err) != ClassTransient || try >= f.retries {
 			return res, err
 		}
-		f.bump(func(s *counters) { s.retried++ })
+		f.Count(func() { f.st.Retries++ })
 		f.logf("farm: %s: transient failure (attempt %d/%d): %v",
-			t.job.Workload.Key(), try+1, f.retries, err)
+			job.Workload.Key(), try+1, f.retries, err)
 		select {
-		case <-t.ctx.Done():
-			return Result{}, t.ctx.Err()
+		case <-ctx.Done():
+			return Result{}, ctx.Err()
 		case <-time.After(f.delay * time.Duration(try+1)):
 		}
 	}
-}
-
-// persist journals both responses of a result, retrying transient IO.
-func (f *Farm) persist(key string, res Result) error {
-	var err error
-	for try := 0; try <= f.retries; try++ {
-		err = f.store.Put(Entry(key, res.Cycles), Entry(EnergyKey(key), res.Energy))
-		if err == nil || Classify(err) != ClassTransient {
-			return err
-		}
-		f.bump(func(s *counters) { s.retried++ })
-		time.Sleep(f.delay * time.Duration(try+1))
-	}
-	return err
 }
 
 // Checkpoint flushes the result store to its durable checkpoint file.
@@ -403,15 +230,15 @@ func (f *Farm) Checkpoint() error { return f.store.Checkpoint() }
 // Close drains the queue, stops the workers and closes the store (flushing
 // a final checkpoint when durable). The farm rejects new work afterwards.
 func (f *Farm) Close() error {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
+	if !f.Shut() {
 		return nil
 	}
-	f.closed = true
+	f.mu.Lock()
+	f.stopped = true
 	f.cond.Broadcast()
 	f.mu.Unlock()
 	f.wg.Wait()
+	f.Abandon()
 	return f.store.Close()
 }
 
@@ -440,30 +267,56 @@ type WorkerStats struct {
 	Removed bool
 }
 
-// Stats is a snapshot of the farm's instrumentation counters.
-type Stats struct {
-	Workers         int
+// PlannerStats are the counters of the layer both planes share: store
+// lookup, single-flight, grouping and completion. They mean the same thing
+// whether the simulations ran in this process or on remote workers.
+type PlannerStats struct {
 	CacheHits       int64 // requests served from the result store
 	CacheMisses     int64 // requests that became executions
 	Coalesced       int64 // requests that joined an in-flight execution
 	SimsExecuted    int64
 	InstrsSimulated int64
-	Retries         int64
-	BudgetOverruns  int64
-	Failures        int64
-	// Batch-sharing counters: binary-cache traffic, simulations served by
-	// the shared-trace path, and shared-binary groups executed.
+	// Retries counts transient failures retried: journal appends on either
+	// plane, plus measurement attempts in the local pool.
+	Retries        int64
+	BudgetOverruns int64
+	Failures       int64
+	// BinaryGroups counts completed groups of two or more points, the ones
+	// whose points shared one compile and one functional interpretation;
+	// TraceSharedSims counts their successful points. A point alone with its
+	// binary moves neither.
+	TraceSharedSims int64
+	BinaryGroups    int64
+}
+
+// PoolStats are the counters of the local worker pool's default executor:
+// binary-cache traffic and the engine tiers. They stay zero on a
+// coordinator, whose compiles and simulations happen worker-side.
+type PoolStats struct {
 	CompileCacheHits   int64
 	CompileCacheMisses int64
-	TraceSharedSims    int64
-	BinaryGroups       int64
-	// Dispatch-plane counters. GroupsDispatched counts every lease of a
-	// shared-binary group to an executor (locally: one per group run;
-	// distributed: one per worker lease, so hedges and requeue re-leases
-	// count again). GroupsHedged counts straggler re-dispatches,
-	// GroupsRequeued counts leases abandoned after worker death or drain,
-	// and WorkersLive is the executors currently believed healthy (for the
-	// in-process farm that is simply the pool size).
+	// The translated-engine trio moves only for ungrouped detailed sims
+	// (grouped sims ride the shared-trace path); the checkpoint trio moves
+	// only in sampled mode, where WarmCkptHits+WarmCkptMisses == SampledSims
+	// holds in every snapshot.
+	BlocksTranslated int64 // static blocks translated across executed sims
+	TranslatedInstrs int64 // dynamic instructions retired via translated blocks
+	SlowPathEntries  int64 // translated-engine falls back to the fused loop
+	SampledSims      int64 // sims measured by SMARTS sampling
+	WarmCkptHits     int64 // sampled sims served by warm-checkpoint replay
+	WarmCkptMisses   int64 // sampled sims that built a checkpoint set
+}
+
+// DispatchStats are the counters of the plane that places groups on
+// executors.
+type DispatchStats struct {
+	// GroupsDispatched counts handovers of a group to an executor: in the
+	// local pool one per shared-binary group run, on the coordinator one per
+	// worker lease of any group, so hedges and requeue re-leases count again.
+	// GroupsHedged counts straggler re-dispatches, GroupsRequeued counts
+	// leases abandoned after worker death or drain, and WorkersLive is the
+	// executors currently believed healthy (for the in-process farm that is
+	// simply the pool size).
 	GroupsDispatched int64
 	GroupsHedged     int64
 	GroupsRequeued   int64
@@ -476,18 +329,17 @@ type Stats struct {
 	WorkerLocalHits     int64
 	StoreMerges         int64
 	StoreMergeConflicts int64
-	// Engine-tier counters. The translated-engine trio moves only for
-	// ungrouped detailed sims (grouped sims ride the shared-trace path);
-	// the checkpoint trio moves only in sampled mode, where
-	// WarmCkptHits+WarmCkptMisses == SampledSims holds in every snapshot.
-	BlocksTranslated int64 // static blocks translated across executed sims
-	TranslatedInstrs int64 // dynamic instructions retired via translated blocks
-	SlowPathEntries  int64 // translated-engine falls back to the fused loop
-	SampledSims      int64 // sims measured by SMARTS sampling
-	WarmCkptHits     int64 // sampled sims served by warm-checkpoint replay
-	WarmCkptMisses   int64 // sampled sims that built a checkpoint set
-	WallTime         time.Duration
-	PerWorker        []WorkerStats
+}
+
+// Stats is a snapshot of a backend's instrumentation counters, one embedded
+// struct per layer.
+type Stats struct {
+	Workers int
+	PlannerStats
+	PoolStats
+	DispatchStats
+	WallTime  time.Duration
+	PerWorker []WorkerStats
 }
 
 // Utilization is the mean fraction of wall time the workers spent executing
@@ -517,44 +369,11 @@ func (s Stats) String() string {
 // together are seen together: InstrsSimulated always corresponds to exactly
 // SimsExecuted completed simulations, never a torn in-between state.
 func (f *Farm) Stats() Stats {
-	f.statMu.Lock()
-	st := Stats{
-		Workers:         f.workers,
-		CacheHits:       f.st.hits,
-		CacheMisses:     f.st.misses,
-		Coalesced:       f.st.coalesced,
-		SimsExecuted:    f.st.sims,
-		InstrsSimulated: f.st.instrs,
-		Retries:         f.st.retried,
-		BudgetOverruns:  f.st.budgetOverruns,
-		Failures:        f.st.fails,
-
-		CompileCacheHits:   f.st.compileHits,
-		CompileCacheMisses: f.st.compileMisses,
-		TraceSharedSims:    f.st.traceShared,
-		BinaryGroups:       f.st.groups,
-
-		GroupsDispatched: f.st.dispatched,
-		GroupsHedged:     f.st.hedged,
-		GroupsRequeued:   f.st.requeued,
-		WorkersLive:      int64(f.workers),
-
-		BlocksTranslated: f.st.blocksTranslated,
-		TranslatedInstrs: f.st.translatedInstrs,
-		SlowPathEntries:  f.st.slowPathEntries,
-		SampledSims:      f.st.sampledSims,
-		WarmCkptHits:     f.st.ckptHits,
-		WarmCkptMisses:   f.st.ckptMisses,
-	}
-	st.PerWorker = make([]WorkerStats, f.workers)
-	for i := range st.PerWorker {
-		st.PerWorker[i] = WorkerStats{
-			Jobs:  f.st.workerJobs[i],
-			Busy:  time.Duration(f.st.workerBusyNanos[i]),
-			Slots: 1,
-		}
-	}
-	f.statMu.Unlock()
-	st.WallTime = time.Since(f.start)
-	return st
+	return f.Snapshot(func(st *Stats) {
+		st.Workers = f.workers
+		st.PoolStats = f.pool
+		st.GroupsDispatched = f.dispatched
+		st.WorkersLive = int64(f.workers)
+		st.PerWorker = append([]WorkerStats(nil), f.perWorker...)
+	})
 }
