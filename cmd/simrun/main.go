@@ -39,7 +39,7 @@ func main() {
 		unroll  = flag.Bool("unroll", false, "additionally enable -funroll-loops")
 		cfgName = flag.String("config", "typical", "configuration: constrained|typical|aggressive")
 		useSam  = flag.Bool("smarts", false, "use SMARTS sampled simulation")
-		engine  = flag.String("engine", sim.EngineBB, "simulation engine: feed|fused|bb (all bit-identical)")
+		engine  = flag.String("engine", sim.EngineBB, "simulation engine, all bit-identical: feed (reference), fused (chunk producer + chunk timing kernel in one goroutine), bb (translated blocks; sim.Simulate's tier)")
 		workers = flag.Int("workers", 1, "with -smarts: pool this many offset-shifted sample sets, drawn concurrently (0 = GOMAXPROCS)")
 		trace   = flag.Int64("trace", 0, "print pipeline timing for the first N instructions")
 		budget  = flag.Int64("max-instrs", 2_000_000_000, "instruction budget")

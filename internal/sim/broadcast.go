@@ -64,35 +64,20 @@ func (b *TraceBroadcaster) Release(ck *TraceChunk) {
 	}
 }
 
-// Broadcast runs the single functional pass: it interprets exe until halt,
-// fault, or the instruction budget, broadcasting full chunks to every
-// consumer, then closes the consumer channels. A partial chunk in flight
-// when an error occurs is discarded — consumers never see instructions from
-// a failed execution prefix beyond the last complete chunk, and the caller
-// discards their results anyway. Budget overruns surface as a typed fault
-// (IsBudget reports true) exactly as in the fused single-config loop.
+// Broadcast runs the single functional pass: it fills chunks from exe until
+// halt, fault, or the instruction budget, broadcasting each to every
+// consumer, then closes the consumer channels. When the producer faults,
+// every consumer has been sent exactly the exe.Count instructions that
+// executed before the faulting one — the last chunk short, the faulting
+// instruction never — which is what runFused's inline CPU has timed at the
+// same point; callers discard the consumers' results on error. Budget
+// overruns surface as a typed fault (IsBudget reports true).
 func (b *TraceBroadcaster) Broadcast(exe *Executor, maxInstrs int64) error {
-	var prodErr error
-	for !exe.Halted {
+	var err error
+	for err == nil && !exe.Halted {
 		ck := <-b.free
-		ck.N = 0
-		for ck.N < TraceChunkSize && !exe.Halted {
-			if exe.Count >= maxInstrs {
-				prodErr = budgetFault(exe.PC, maxInstrs)
-				break
-			}
-			entry, ok, err := exe.Step()
-			if err != nil {
-				prodErr = err
-				break
-			}
-			if !ok {
-				break
-			}
-			ck.Ents[ck.N] = entry
-			ck.N++
-		}
-		if ck.N == 0 || prodErr != nil {
+		ck.N, err = exe.fillChunk(ck.Ents[:], maxInstrs)
+		if ck.N == 0 {
 			b.free <- ck
 			break
 		}
@@ -104,5 +89,5 @@ func (b *TraceBroadcaster) Broadcast(exe *Executor, maxInstrs int64) error {
 	for k := range b.outs {
 		close(b.outs[k])
 	}
-	return prodErr
+	return err
 }

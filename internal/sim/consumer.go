@@ -2,19 +2,21 @@ package sim
 
 import "repro/internal/isa"
 
-// feedChunkFused drives the timing model over one chunk of committed trace
-// entries. It is the timing half of runFused, verbatim, with the functional
-// execute replaced by the entry's recorded (PC, Addr, Taken): every hot
-// scalar is loaded into locals at chunk entry and flushed back at chunk
-// exit, so the per-instruction cost matches the fused loop and the
-// load/flush overhead amortizes over TraceChunkSize instructions. A CPU fed
-// the same committed stream through this path produces bit-for-bit the same
-// statistics as runFused — TestSimulateManyMatchesSimulate holds the two in
-// lockstep. Like runFused, it bypasses the Trace hook; SimulateMany's
-// private CPUs never have one.
-func (c *CPU) feedChunkFused(dec *DecodedProgram, ents []TraceEntry) {
+// feedChunk is the chunk timing kernel: it drives the out-of-order timing
+// model over one chunk of committed trace entries, reading each entry's
+// recorded (PC, Addr, Taken) against the decoded table. Every hot scalar
+// (fetch/commit cursors, bus state, energy, the running cycle count,
+// functional-unit next-free times) is loaded into locals at chunk entry and
+// flushed back at chunk exit, so the compiler keeps them in registers across
+// the chunk and the load/flush cost amortizes over its length. It is the
+// only timing consumer behind runFused and SimulateMany; CPU.feed is the
+// readable reference it is held bit-for-bit equal to (TestFusedMatchesFeed,
+// TestSimulateManyMatchesSimulate, the goldens). It bypasses the Trace hook;
+// the private CPUs of its callers never have one.
+func (c *CPU) feedChunk(dec *DecodedProgram, ents []TraceEntry) {
 	meta := dec.meta
 
+	// Timing-model hot scalars, flushed back at chunk exit.
 	issueWidth := c.cfg.IssueWidth
 	dlat := int64(c.cfg.DCacheLat)
 	l2lat := int64(c.cfg.L2Lat)
@@ -37,6 +39,8 @@ func (c *CPU) feedChunkFused(dec *DecodedProgram, ents []TraceEntry) {
 	il1, dl1, l2 := c.IL1, c.DL1, c.L2
 	bp := c.BP
 
+	// Functional-unit next-free times, copied to the stack: the per-class
+	// slices in CPU cost a header load plus a pointer chase per instruction.
 	var fuState [isa.NumFUClasses][fuMaxUnits]int64
 	var fuLen [isa.NumFUClasses]int
 	for cl := range c.fu {
@@ -48,6 +52,9 @@ func (c *CPU) feedChunkFused(dec *DecodedProgram, ents []TraceEntry) {
 		copy(fuState[cl][:], c.fu[cl])
 	}
 
+	// L1 probe state hoisted out of the Cache structs. The IL1 is
+	// direct-mapped by construction (NewCPU), so its probe needs no MRU
+	// indirection at all.
 	il1Valid, il1Tags, il1Mask := il1.valid, il1.tags, il1.setMask
 	il1Acc := il1.Accesses
 	dl1Valid, dl1Tags, dl1Mru := dl1.valid, dl1.tags, dl1.mru

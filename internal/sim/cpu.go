@@ -387,21 +387,12 @@ func instrSources(in *isa.Instr) (uint8, uint8) {
 }
 
 // Simulate runs prog to completion (bounded by maxInstrs) under the given
-// configuration and returns the statistics. The run goes through the fused
-// interpreter+timing loop: the executor's decoded metadata table is shared
-// with the timing model and no dynamic instruction is ever re-decoded.
+// configuration and returns the statistics. It runs the tier the farm runs
+// for a lone point — the basic-block translated engine, whose slow path is
+// runFused; every engine returns bit-for-bit the same Stats.
 func Simulate(prog *isa.Program, cfg Config, maxInstrs int64) (Stats, error) {
-	if err := cfg.Validate(); err != nil {
-		return Stats{}, err
-	}
-	exe := NewExecutor(prog)
-	cpu := NewCPU(cfg)
-	if err := runFused(exe, cpu, maxInstrs); err != nil {
-		return Stats{}, err
-	}
-	st := cpu.Stats()
-	st.ExitValue = exe.Regs[isa.RegRV]
-	return st, nil
+	st, _, err := SimulateEngine(prog, cfg, maxInstrs, EngineBB)
+	return st, err
 }
 
 // Energy accounting (arbitrary units, roughly proportional to nanojoules on

@@ -16,77 +16,50 @@ const fuMaxUnits = 8
 // loop (isa.NumRegs is a power of two).
 const regIdxMask = isa.NumRegs - 1
 
-// runFused is the fused interpreter + timing loop behind Simulate: one pass
-// that executes each instruction functionally and immediately retires it
-// through the timing model, with every hot scalar (fetch/commit cursors, bus
-// state, energy, the running cycle count, functional-unit next-free times)
-// held in locals so the compiler can keep them in registers or on the stack
-// across the whole run. It is semantically identical to Step + feed per
-// instruction — the golden determinism test and TestFusedMatchesFeed hold
-// the two paths bit-for-bit equal — but avoids two function calls, a
-// TraceEntry copy, and a few dozen memory round-trips per dynamic
-// instruction.
-//
-// The fused loop does not emit TraceEvents; Simulate only uses it when no
-// tracer is attached (its private CPU never has one).
+// fusedChunkSize is the length of runFused's chunk buffer: small enough to
+// live on the stack and stay in the L1 data cache between the producer's
+// writes and the consumer's reads.
+const fusedChunkSize = 256
+
+// runFused is the fused engine: the chunk producer and the chunk timing
+// kernel composed in the calling goroutine over one reusable buffer —
+// SimulateMany with one consumer and no channels. It is the slow path of
+// runTranslated and the EngineFused tier; the golden determinism test and
+// TestFusedMatchesFeed hold it bit-for-bit equal to Step + feed per
+// instruction. On a fault the CPU has been fed exactly the exe.Count
+// instructions that executed before the faulting one (see fillChunk); it
+// emits no TraceEvents.
 func runFused(exe *Executor, cpu *CPU, maxInstrs int64) error {
-	meta := exe.dec.meta
-	r := &exe.Regs
-	mem := exe.Mem
-	pc := exe.PC
-	count := exe.Count
-	count0 := count
-	halted := exe.Halted
-
-	// Timing-model hot scalars, flushed back on every exit path.
-	issueWidth := cpu.cfg.IssueWidth
-	dlat := int64(cpu.cfg.DCacheLat)
-	l2lat := int64(cpu.cfg.L2Lat)
-	memlat := int64(cpu.cfg.MemLat)
-	fetchCycle := cpu.fetchCycle
-	fetchCount := cpu.fetchCount
-	lastLine := cpu.lastLine
-	ruuPos := cpu.ruuPos
-	busFree := cpu.busFree
-	lastCommitCycle := cpu.lastCommitCycle
-	commitsThisCyc := cpu.commitsThisCyc
-	energy := cpu.stats.Energy
-	cycles := cpu.stats.Cycles
-	instructions := cpu.stats.Instructions
-	branchCount := cpu.stats.Branches
-	mispredicts := cpu.stats.Mispredicts
-	regReady := &cpu.regReady
-	commitRing := cpu.commitRing
-	issueRing := &cpu.issueRing
-	il1, dl1, l2 := cpu.IL1, cpu.DL1, cpu.L2
-	bp := cpu.BP
-
-	// Functional-unit next-free times, copied to the stack: the per-class
-	// slices in CPU cost a header load plus a pointer chase per instruction.
-	var fuState [isa.NumFUClasses][fuMaxUnits]int64
-	var fuLen [isa.NumFUClasses]int
-	for cl := range cpu.fu {
-		n := len(cpu.fu[cl])
-		if n > fuMaxUnits {
-			n = fuMaxUnits // unreachable: documented for the bounds checker
+	var buf [fusedChunkSize]TraceEntry
+	for !exe.Halted {
+		n, err := exe.fillChunk(buf[:], maxInstrs)
+		cpu.feedChunk(exe.dec, buf[:n])
+		if err != nil {
+			return err
 		}
-		fuLen[cl] = n
-		copy(fuState[cl][:], cpu.fu[cl])
 	}
+	return nil
+}
 
-	// L1 probe state hoisted out of the Cache structs. The IL1 is
-	// direct-mapped by construction (NewCPU), so its probe needs no MRU
-	// indirection at all.
-	il1Valid, il1Tags, il1Mask := il1.valid, il1.tags, il1.setMask
-	il1Acc := il1.Accesses
-	dl1Valid, dl1Tags, dl1Mru := dl1.valid, dl1.tags, dl1.mru
-	dl1Mask, dl1Assoc := dl1.setMask, dl1.assoc
-	dl1Acc := dl1.Accesses
-
-	var err error
+// fillChunk is the one functional producer behind runFused, SimulateMany
+// and smarts.RunParallel: it executes up to len(ents) instructions — the
+// same semantics as that many Step calls under Run's budget check, with pc,
+// count and the decoded table held in locals — and records each in ents.
+// It returns early on halt (the halt instruction is the last entry), when
+// the budget is exhausted (a typed budget fault, IsBudget reports true) or
+// on a fault. The faulting instruction is never recorded and never
+// executed: ents[:n] holds exactly the instructions before it, and PC and
+// Count are left at the faulting instruction, as Step leaves them.
+func (e *Executor) fillChunk(ents []TraceEntry, maxInstrs int64) (n int, err error) {
+	meta := e.dec.meta
+	r := &e.Regs
+	mem := e.Mem
+	pc := e.PC
+	count := e.Count
+	halted := e.Halted
 
 loop:
-	for !halted {
+	for n < len(ents) && !halted {
 		if count >= maxInstrs {
 			err = budgetFault(pc, maxInstrs)
 			break
@@ -100,7 +73,6 @@ loop:
 		var addr uint64
 		taken := false
 
-		// --- Functional execute (mirrors Executor.Step exactly) ---
 		switch m.op {
 		case isa.OpNop:
 		case isa.OpAdd:
@@ -200,230 +172,20 @@ loop:
 			nextPC = int32(r[isa.RegRA])
 		case isa.OpHalt:
 			halted = true
-			exe.Halted = true
+			e.Halted = true
 			nextPC = pc
 		default:
 			err = &ErrFault{PC: pc, Msg: fmt.Sprintf("unknown opcode %d", m.op)}
 			break loop
 		}
 		r[isa.RegZero] = 0 // r0 stays hardwired even if targeted
-
-		// --- Timing model (mirrors CPU.feed exactly) ---
-		instructions++
-
-		// Fetch. The IL1 is direct-mapped: way 0 is the only (and thus MRU)
-		// way, so the probe is two loads.
-		if m.line != lastLine {
-			lastLine = m.line
-			energy += energyIL1
-			il1Acc++
-			line := m.pcByte >> 6
-			set := int(line & il1Mask)
-			if !(il1Valid[set] && il1Tags[set] == line) && !il1.accessSlow(line, set, set) {
-				var stall int64
-				energy += energyL2
-				if l2.Access(m.pcByte) {
-					stall = l2lat
-				} else {
-					energy += energyDRAM
-					when := fetchCycle + l2lat
-					start := when
-					if busFree > start {
-						start = busFree
-					}
-					busFree = start + busOccupancy
-					stall = l2lat + memlat + (start - when)
-				}
-				fetchCycle += stall
-				fetchCount = 0
-			}
-		}
-		if fetchCount >= issueWidth {
-			fetchCycle++
-			fetchCount = 0
-		}
-
-		// Dispatch: need a free RUU slot.
-		dispatch := fetchCycle
-		if slotFree := commitRing[ruuPos]; slotFree > dispatch {
-			dispatch = slotFree
-			fetchCycle = dispatch
-			fetchCount = 0
-		}
-		fetchCount++
-
-		// Issue: operands, functional unit, issue bandwidth. regReady[RegZero]
-		// is invariantly 0 (never written), so unused source slots read it
-		// harmlessly and the RegZero guards disappear.
-		ready := dispatch + 1
-		if v := regReady[m.src1&regIdxMask]; v > ready {
-			ready = v
-		}
-		if v := regReady[m.src2&regIdxMask]; v > ready {
-			ready = v
-		}
-		units := fuState[m.fu][:fuLen[m.fu]]
-		best := 0
-		switch len(units) {
-		case 1:
-		case 2:
-			if units[1] < units[0] {
-				best = 1
-			}
-		case 4:
-			// Tournament argmin, ties to the lower index — same pick as the
-			// linear scan with a shorter dependency chain.
-			a, b := 0, 2
-			if units[1] < units[0] {
-				a = 1
-			}
-			if units[3] < units[2] {
-				b = 3
-			}
-			if units[b] < units[a] {
-				best = b
-			} else {
-				best = a
-			}
-		default:
-			for u := 1; u < len(units); u++ {
-				if units[u] < units[best] {
-					best = u
-				}
-			}
-		}
-		if units[best] > ready {
-			ready = units[best]
-		}
-		issue := ready
-		for {
-			slot := issue & (issueRingSize - 1)
-			v := issueRing[slot]
-			if v>>issueCountBits != issue {
-				issueRing[slot] = issue<<issueCountBits | 1
-				break
-			}
-			if int(v&issueCountMask) < issueWidth {
-				issueRing[slot] = v + 1
-				break
-			}
-			issue++
-		}
-		occupy := int64(1)
-		if m.flags&flagUnpipelined != 0 {
-			occupy = m.lat
-		}
-		units[best] = issue + occupy
-
-		// Execute latency.
-		var lat int64
-		if m.flags&(flagLoad|flagStoreLike) != 0 {
-			energy += energyDL1
-			dl1Acc++
-			line := addr >> 6
-			set := int(line & dl1Mask)
-			based := set * dl1Assoc
-			mw := based + int(dl1Mru[set])
-			if (dl1Valid[mw] && dl1Tags[mw] == line) || dl1.accessSlow(line, set, based) {
-				lat = dlat
-			} else {
-				energy += energyL2
-				if l2.Access(addr) {
-					lat = dlat + l2lat
-				} else {
-					energy += energyDRAM
-					when := issue + dlat + l2lat
-					start := when
-					if busFree > start {
-						start = busFree
-					}
-					busFree = start + busOccupancy
-					lat = dlat + l2lat + memlat + (start - when)
-				}
-			}
-			if m.flags&flagStoreLike != 0 {
-				lat = 1 // fills the hierarchy; store buffer hides latency
-			}
-		} else {
-			lat = m.lat
-		}
-		done := issue + lat
-		energy += m.energy
-
-		if m.dest != isa.RegZero {
-			regReady[m.dest&regIdxMask] = done
-		}
-
-		// Control flow.
-		if m.flags&flagBranch != 0 {
-			branchCount++
-			correct := bp.Update(pc, taken)
-			if !correct {
-				mispredicts++
-				energy += energyMispredict
-				redirect := done + redirectPenalty
-				if redirect > fetchCycle {
-					fetchCycle = redirect
-				}
-				fetchCount = 0
-			} else if taken {
-				// Correctly predicted taken: the fetch group still ends.
-				fetchCount = issueWidth
-			}
-		} else if m.flags&flagControl != 0 {
-			// Unconditional transfers: perfect target prediction, but the
-			// fetch group ends.
-			fetchCount = issueWidth
-		}
-
-		// Commit: in order, width per cycle. (done+1 <= lastCommitCycle is
-		// exactly the case where the clamped commit cycle equals the last
-		// one, so the two comparisons of the feed path fold into one.)
-		commit := done + 1
-		if commit <= lastCommitCycle {
-			commit = lastCommitCycle
-			commitsThisCyc++
-			if commitsThisCyc > issueWidth {
-				commit++
-				commitsThisCyc = 1
-			}
-		} else {
-			commitsThisCyc = 1
-		}
-		lastCommitCycle = commit
-		commitRing[ruuPos] = commit
-		ruuPos++
-		if ruuPos == len(commitRing) {
-			ruuPos = 0
-		}
-
-		if commit > cycles {
-			cycles = commit
-		}
-
+		ents[n] = TraceEntry{PC: pc, NextPC: nextPC, Addr: addr, Taken: taken}
+		n++
 		pc = nextPC
 		count++
 	}
 
-	exe.PC = pc
-	exe.Count = count
-	cpu.fetchCycle = fetchCycle
-	cpu.fetchCount = fetchCount
-	cpu.lastLine = lastLine
-	cpu.ruuPos = ruuPos
-	cpu.busFree = busFree
-	cpu.lastCommitCycle = lastCommitCycle
-	cpu.commitsThisCyc = commitsThisCyc
-	cpu.stats.Energy = energy
-	cpu.stats.Cycles = cycles
-	cpu.stats.Instructions = instructions
-	cpu.stats.Branches = branchCount
-	cpu.stats.Mispredicts = mispredicts
-	cpu.seq += count - count0 // one feed per executed instruction
-	il1.Accesses = il1Acc
-	dl1.Accesses = dl1Acc
-	for cl := range cpu.fu {
-		copy(cpu.fu[cl], fuState[cl][:fuLen[cl]])
-	}
-	return err
+	e.PC = pc
+	e.Count = count
+	return n, err
 }

@@ -6,19 +6,11 @@ import (
 	"repro/internal/isa"
 )
 
-// defaultMaxConsumers bounds how many timing consumers share one broadcast
-// pass. Each consumer owns a full CPU (caches, predictor, rings); past a
-// point more consumers per pass costs cache footprint without saving
-// functional work, so very large batches run in rounds.
-const defaultMaxConsumers = 16
-
-// BatchOptions tunes SimulateManyOpt.
-type BatchOptions struct {
-	// MaxConsumers caps the timing consumers attached to one broadcast
-	// pass; larger batches run in ceil(len(cfgs)/MaxConsumers) functional
-	// passes. 0 means 16.
-	MaxConsumers int
-}
+// maxConsumers bounds how many timing consumers share one broadcast pass.
+// Each consumer owns a full CPU (caches, predictor, rings); past a point
+// more consumers per pass costs cache footprint without saving functional
+// work, so very large batches run in rounds.
+const maxConsumers = 16
 
 // SimulateMany runs prog to completion under each configuration, sharing
 // one functional interpretation across all of them: the committed trace is
@@ -26,28 +18,17 @@ type BatchOptions struct {
 // own caches, branch predictor and energy accumulators. Results are
 // bit-for-bit identical to len(cfgs) independent Simulate calls — the
 // functional stream does not depend on the configuration — at roughly
-// 1/len(cfgs) of the interpretation cost.
+// 1/len(cfgs) of the interpretation cost. Batches larger than maxConsumers
+// run in rounds; a round of one is a plain Simulate.
 func SimulateMany(prog *isa.Program, cfgs []Config, maxInstrs int64) ([]Stats, error) {
-	return SimulateManyOpt(prog, cfgs, maxInstrs, BatchOptions{})
-}
-
-// SimulateManyOpt is SimulateMany with explicit batch options.
-func SimulateManyOpt(prog *isa.Program, cfgs []Config, maxInstrs int64, opt BatchOptions) ([]Stats, error) {
 	for _, cfg := range cfgs {
 		if err := cfg.Validate(); err != nil {
 			return nil, err
 		}
 	}
-	maxConsumers := opt.MaxConsumers
-	if maxConsumers <= 0 {
-		maxConsumers = defaultMaxConsumers
-	}
 	out := make([]Stats, len(cfgs))
 	for lo := 0; lo < len(cfgs); lo += maxConsumers {
-		hi := lo + maxConsumers
-		if hi > len(cfgs) {
-			hi = len(cfgs)
-		}
+		hi := min(lo+maxConsumers, len(cfgs))
 		if hi-lo == 1 {
 			st, err := Simulate(prog, cfgs[lo], maxInstrs)
 			if err != nil {
@@ -81,7 +62,7 @@ func simulateRound(prog *isa.Program, cfgs []Config, maxInstrs int64, out []Stat
 			defer wg.Done()
 			cpu := cpus[k]
 			for ck := range b.Out(k) {
-				cpu.feedChunkFused(dec, ck.Ents[:ck.N])
+				cpu.feedChunk(dec, ck.Ents[:ck.N])
 				b.Release(ck)
 			}
 		}(k)

@@ -47,17 +47,22 @@ func TestSimulateManyMatchesSimulate(t *testing.T) {
 	}
 }
 
-// TestSimulateManyRounds pins the MaxConsumers split: a batch larger than
-// the consumer cap runs in rounds (including a final single-config round
-// that degrades to Simulate) and must still match the unsplit results.
+// TestSimulateManyRounds pins the consumer-cap split: a batch of 17
+// configurations runs as one broadcast round of 16 plus a last round of one
+// (which degrades to Simulate) and must still match independent runs.
 func TestSimulateManyRounds(t *testing.T) {
-	cfgs := manyConfigs()
+	base := manyConfigs()
+	cfgs := make([]sim.Config, 17)
+	for k := range cfgs {
+		cfgs[k] = base[k%len(base)]
+		cfgs[k].MemLat += k // distinct timing per slot, so a misplaced result shows
+	}
 	w := workloads.MustGet("179.art", workloads.Train)
 	prog, _, err := compiler.Compile(w.Parse(), compiler.O2())
 	if err != nil {
 		t.Fatal(err)
 	}
-	split, err := sim.SimulateManyOpt(prog, cfgs, 500_000_000, sim.BatchOptions{MaxConsumers: 3})
+	split, err := sim.SimulateMany(prog, cfgs, 500_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}

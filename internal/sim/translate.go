@@ -7,8 +7,9 @@ import (
 )
 
 // Simulation engines. Feed is the original Step+FeedDecoded reference loop,
-// Fused the single-pass interpreter+timing loop (the Simulate default), BB
-// the basic-block translated engine layered on top of the fused slow path.
+// Fused the chunk producer and chunk timing kernel composed in one goroutine
+// (runFused), BB the basic-block translated engine layered on top of the
+// fused slow path — the Simulate default and the tier the farm runs.
 const (
 	EngineFeed  = "feed"
 	EngineFused = "fused"
@@ -37,23 +38,28 @@ func SimulateEngine(prog *isa.Program, cfg Config, maxInstrs int64, engine strin
 	exe := NewExecutor(prog)
 	cpu := NewCPU(cfg)
 	var es EngineStats
-	var err error
-	switch engine {
-	case EngineFeed:
-		err = runFeed(exe, cpu, maxInstrs)
-	case EngineFused:
-		err = runFused(exe, cpu, maxInstrs)
-	case EngineBB:
-		err = runTranslated(exe, cpu, maxInstrs, &es)
-	default:
-		return Stats{}, EngineStats{}, fmt.Errorf("sim: unknown engine %q", engine)
-	}
-	if err != nil {
+	if err := runEngine(exe, cpu, maxInstrs, engine, &es); err != nil {
 		return Stats{}, es, err
 	}
 	st := cpu.Stats()
 	st.ExitValue = exe.Regs[isa.RegRV]
 	return st, es, nil
+}
+
+// runEngine drives exe through cpu on the named engine. After a fault every
+// engine returns the same error and leaves exe.PC and exe.Count at the
+// faulting instruction; how much of the executed prefix cpu has timed by then
+// is the engine's own business, and callers discard its Stats.
+func runEngine(exe *Executor, cpu *CPU, maxInstrs int64, engine string, es *EngineStats) error {
+	switch engine {
+	case EngineFeed:
+		return runFeed(exe, cpu, maxInstrs)
+	case EngineFused:
+		return runFused(exe, cpu, maxInstrs)
+	case EngineBB:
+		return runTranslated(exe, cpu, maxInstrs, es)
+	}
+	return fmt.Errorf("sim: unknown engine %q", engine)
 }
 
 // runFeed is the reference two-call path: one Step and one FeedDecoded per
@@ -861,7 +867,9 @@ outer:
 		continue
 
 	fault:
-		// Mid-block fault: i instructions of this block completed.
+		// Mid-block fault: i instructions of this block completed and pc
+		// stops at the faulting one, as in every other engine.
+		pc = p
 		count += int64(i)
 		instructions += int64(i)
 		es.TranslatedInstrs += int64(i) - int64(b.n)
