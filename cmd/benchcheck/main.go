@@ -10,8 +10,11 @@
 //	    the same-run bb/fused wall-clock ratio (a floor just under parity:
 //	    the translated engine must never be slower than the chunk
 //	    composition that would replace it, with a small allowance for
-//	    host jitter), and on a hard 2x floor for the warm-checkpoint hit
-//	    speedup (the ratio is same-process, so it holds on any host).
+//	    host jitter), on a hard 2x floor for the warm-checkpoint hit
+//	    speedup and a hard 1x floor for the SMARTS detailed/sampled ratio
+//	    (both ratios are same-process and single-threaded, so they hold on
+//	    any host), and on the sampled estimate's relative error, which is
+//	    deterministic and may not exceed the baseline's.
 //
 //	go test -run '^$' -bench 'SimulatorThroughput$|TranslatedThroughput$|SMARTSSpeedup$|WarmCheckpointSpeedup$' -benchtime=1x . |
 //	    go run ./cmd/benchcheck -baseline BENCH_sim.json -out BENCH_sim.json
@@ -76,10 +79,11 @@ type SimNumbers struct {
 	// faster than the chunk composition it would be replaced by.
 	BBVsFusedX float64 `json:"bb_vs_fused_x"`
 	// SMARTSSpeedupX is the detailed/sampled wall-clock ratio from
-	// BenchmarkSMARTSSpeedup.
+	// BenchmarkSMARTSSpeedup, held above minSMARTSSpeedup.
 	SMARTSSpeedupX float64 `json:"smarts_speedup_x"`
 	// SMARTSRelErrPct is the sampled estimate's relative error (%) from
-	// the same benchmark.
+	// the same benchmark: a correctness number, deterministic, gated at the
+	// baseline's value.
 	SMARTSRelErrPct float64 `json:"smarts_est_relerr_pct"`
 	// WarmCkptHitSpeedupX is the build/replay wall-clock ratio of a
 	// warm-checkpoint hit from BenchmarkWarmCheckpointSpeedup.
@@ -190,6 +194,12 @@ func main() {
 	}
 }
 
+// minSMARTSSpeedup is the floor on smarts_speedup_x: a sampled run that
+// costs more than the detailed run it replaces has no reason to exist. Both
+// sides of the ratio run single-threaded in one process, so the floor does
+// not depend on the host's core count and is not a flag.
+const minSMARTSSpeedup = 1.0
+
 func checkSim(lines []benchLine, baselinePath, outPath string, maxRegress, minBBSpeedup, minCkptSpeedup float64) {
 	cur := &SimNumbers{}
 	var haveThroughput, haveBB, haveSMARTS, haveCkpt bool
@@ -230,9 +240,17 @@ func checkSim(lines []benchLine, baselinePath, outPath string, maxRegress, minBB
 		fatal(fmt.Errorf("benchcheck: warm-checkpoint hit speedup %.2fx below floor %.1fx",
 			cur.WarmCkptHitSpeedupX, minCkptSpeedup))
 	}
+	if cur.SMARTSSpeedupX < minSMARTSSpeedup {
+		fatal(fmt.Errorf("benchcheck: SMARTS sampled run %.2fx of the detailed run, below floor %.1fx",
+			cur.SMARTSSpeedupX, minSMARTSSpeedup))
+	}
 	if base.InstrsPerSec <= 0 {
 		fmt.Println("benchcheck: no baseline, skipping regression check")
 		return
+	}
+	if cur.SMARTSRelErrPct > base.SMARTSRelErrPct {
+		fatal(fmt.Errorf("benchcheck: SMARTS estimate error %.4g%% above baseline %.4g%%",
+			cur.SMARTSRelErrPct, base.SMARTSRelErrPct))
 	}
 	ratio := cur.InstrsPerSec / base.InstrsPerSec
 	fmt.Printf("benchcheck: throughput %.2fx of baseline (%.3g instrs/sec)\n", ratio, base.InstrsPerSec)

@@ -44,7 +44,10 @@ type Options struct {
 	Workers int
 	// Store holds completed measurements; nil means a fresh MemStore.
 	Store *Store
-	// Measure executes jobs; nil means Executor(MaxInstrs).
+	// Measure executes jobs; nil means the farm's own executor — compiles
+	// served by the shared binary cache, and (in detailed mode) points
+	// that share a binary grouped onto one sim.SimulateMany pass. A
+	// non-nil Measure owns the whole pipeline and turns grouping off.
 	Measure MeasureFunc
 	// MaxInstrs is the per-simulation instruction budget for the default
 	// executor (0 = 500M).

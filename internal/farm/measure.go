@@ -69,11 +69,14 @@ func Key(w workloads.Workload, p doe.Point) string {
 // EnergyKey is the store key of the energy response for a job key.
 func EnergyKey(jobKey string) string { return jobKey + "|energy" }
 
-// Executor returns the default MeasureFunc: compile the workload at the
-// point's compiler settings, then simulate on the point's microarchitecture
-// under the given instruction budget (0 means 500M, guarding miscompiled
-// infinite loops). Errors are wrapped for Classify: compile failures are
-// permanent, budget overruns report as ClassBudget.
+// Executor returns the uncached serial MeasureFunc. It is not what a nil
+// Options.Measure runs (that is the farm's own executor, with the binary
+// cache and grouping); it is the plain form tests and benchmarks compare
+// that executor against: compile the workload at the point's compiler
+// settings, then simulate on the point's microarchitecture under the given
+// instruction budget (0 means 500M, guarding miscompiled infinite loops).
+// Errors are wrapped for Classify: compile failures are permanent, budget
+// overruns report as ClassBudget.
 func Executor(maxInstrs int64) MeasureFunc {
 	if maxInstrs == 0 {
 		maxInstrs = 500_000_000

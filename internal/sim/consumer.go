@@ -2,18 +2,20 @@ package sim
 
 import "repro/internal/isa"
 
-// feedChunk is the chunk timing kernel: it drives the out-of-order timing
+// FeedChunk is the chunk timing kernel: it drives the out-of-order timing
 // model over one chunk of committed trace entries, reading each entry's
 // recorded (PC, Addr, Taken) against the decoded table. Every hot scalar
 // (fetch/commit cursors, bus state, energy, the running cycle count,
 // functional-unit next-free times) is loaded into locals at chunk entry and
 // flushed back at chunk exit, so the compiler keeps them in registers across
-// the chunk and the load/flush cost amortizes over its length. It is the
-// only timing consumer behind runFused and SimulateMany; CPU.feed is the
-// readable reference it is held bit-for-bit equal to (TestFusedMatchesFeed,
+// the chunk and the load/flush cost amortizes over its length; a chunk may
+// be cut anywhere, down to one entry, without changing a bit of the state
+// it leaves. It is the only timing consumer behind runFused, SimulateMany
+// and the detailed regions of package smarts; CPU.feed is the readable
+// reference it is held bit-for-bit equal to (TestFusedMatchesFeed,
 // TestSimulateManyMatchesSimulate, the goldens). It bypasses the Trace hook;
 // the private CPUs of its callers never have one.
-func (c *CPU) feedChunk(dec *DecodedProgram, ents []TraceEntry) {
+func (c *CPU) FeedChunk(dec *DecodedProgram, ents []TraceEntry) {
 	meta := dec.meta
 
 	// Timing-model hot scalars, flushed back at chunk exit.
@@ -279,4 +281,31 @@ func (c *CPU) feedChunk(dec *DecodedProgram, ents []TraceEntry) {
 	for cl := range c.fu {
 		copy(c.fu[cl], fuState[cl][:fuLen[cl]])
 	}
+}
+
+// WarmChunk is SMARTS functional warming between detailed windows: it runs
+// a chunk's instruction fetches and data accesses through the cache
+// hierarchy and its branches through the predictor, and moves nothing else
+// — no cycle, no instruction count, no energy. Like FeedChunk it may be cut
+// anywhere.
+func (c *CPU) WarmChunk(dec *DecodedProgram, ents []TraceEntry) {
+	meta := dec.meta
+	lastLine := c.lastLine
+	for i := range ents {
+		e := &ents[i]
+		m := &meta[e.PC]
+		if m.line != lastLine {
+			lastLine = m.line
+			if !c.IL1.Access(m.pcByte) {
+				c.L2.Access(m.pcByte)
+			}
+		}
+		if m.flags&(flagLoad|flagStoreLike) != 0 && !c.DL1.Access(e.Addr) {
+			c.L2.Access(e.Addr)
+		}
+		if m.flags&flagBranch != 0 {
+			c.BP.Update(e.PC, e.Taken)
+		}
+	}
+	c.lastLine = lastLine
 }

@@ -336,31 +336,6 @@ func (c *CPU) ResetTiming() {
 	c.stats = Stats{}
 }
 
-// WarmFeed updates caches and branch predictor state without advancing the
-// timing model — SMARTS functional warming between detailed windows.
-func (c *CPU) WarmFeed(in *isa.Instr, entry TraceEntry) {
-	m := decodeInstr(in, entry.PC)
-	c.warmFeed(&m, entry)
-}
-
-// WarmFeedDecoded is WarmFeed against a pre-decoded program.
-func (c *CPU) WarmFeedDecoded(d *DecodedProgram, entry TraceEntry) {
-	c.warmFeed(&d.meta[entry.PC], entry)
-}
-
-func (c *CPU) warmFeed(m *instrMeta, entry TraceEntry) {
-	if m.line != c.lastLine {
-		c.lastLine = m.line
-		c.iAccess(m.pcByte, 0)
-	}
-	if m.flags&(flagLoad|flagStoreLike) != 0 {
-		c.dAccess(entry.Addr, 0)
-	}
-	if m.flags&flagBranch != 0 {
-		c.BP.Update(entry.PC, entry.Taken)
-	}
-}
-
 // Stats returns a snapshot of the accumulated statistics, including cache
 // and predictor counters.
 func (c *CPU) Stats() Stats {

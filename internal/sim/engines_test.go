@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/isa"
@@ -212,7 +211,7 @@ func TestEnginesAgree(t *testing.T) {
 }
 
 // TestFaultDeliversExecutedPrefix states what a timing consumer has seen
-// when the producer faults, for both users of fillChunk: exactly the
+// when the producer faults, for both forms of Trace: exactly the
 // Executor.Count instructions that executed before the faulting one — whole
 // chunks and then a short one — and never the faulting instruction itself.
 // (Callers still discard the consumers' Stats on error.)
@@ -238,30 +237,22 @@ func TestFaultDeliversExecutedPrefix(t *testing.T) {
 	err := runFused(exe, cpu, 1<<40)
 	check("runFused", exe, err, cpu.Stats().Instructions)
 
-	const consumers = 3
 	exe = NewExecutor(prog)
-	b := NewTraceBroadcaster(consumers)
-	var seen [consumers]int64
-	var wg sync.WaitGroup
-	for k := 0; k < consumers; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			for ck := range b.Out(k) {
-				for _, e := range ck.Ents[:ck.N] {
-					if e.PC == faultPC {
-						t.Errorf("consumer %d was sent the faulting instruction", k)
-					}
-				}
-				seen[k] += int64(ck.N)
-				b.Release(ck)
-			}
-		}(k)
-	}
-	err = b.Broadcast(exe, 1<<40)
-	wg.Wait()
+	var seen [3]int64
+	var consumers []func([]TraceEntry)
 	for k := range seen {
-		check(fmt.Sprintf("Broadcast consumer %d", k), exe, err, seen[k])
+		consumers = append(consumers, func(ents []TraceEntry) {
+			for _, e := range ents {
+				if e.PC == faultPC {
+					t.Errorf("consumer %d was sent the faulting instruction", k)
+				}
+			}
+			seen[k] += int64(len(ents))
+		})
+	}
+	err = exe.Trace(1<<40, consumers...)
+	for k := range seen {
+		check(fmt.Sprintf("Trace consumer %d", k), exe, err, seen[k])
 	}
 }
 

@@ -16,35 +16,25 @@ const fuMaxUnits = 8
 // loop (isa.NumRegs is a power of two).
 const regIdxMask = isa.NumRegs - 1
 
-// fusedChunkSize is the length of runFused's chunk buffer: small enough to
-// live on the stack and stay in the L1 data cache between the producer's
-// writes and the consumer's reads.
-const fusedChunkSize = 256
-
-// runFused is the fused engine: the chunk producer and the chunk timing
-// kernel composed in the calling goroutine over one reusable buffer —
-// SimulateMany with one consumer and no channels. It is the slow path of
-// runTranslated and the EngineFused tier; the golden determinism test and
-// TestFusedMatchesFeed hold it bit-for-bit equal to Step + feed per
-// instruction. On a fault the CPU has been fed exactly the exe.Count
-// instructions that executed before the faulting one (see fillChunk); it
-// emits no TraceEvents.
+// runFused is the fused engine: Trace with the chunk timing kernel as its
+// one consumer — SimulateMany with one config and no channels. It is the
+// slow path of runTranslated and the EngineFused tier; the golden
+// determinism test and TestFusedMatchesFeed hold it bit-for-bit equal to
+// Step + feed per instruction. It emits no TraceEvents.
+//
+// Kept out of line: inlined into runTranslated, whose one-way slow path it
+// is, the closure costs that function's hot loop ~25 % in register pressure
+// (BenchmarkSimulatorThroughput, min of 25: 24–28 ms → 32–35 ms).
+//
+//go:noinline
 func runFused(exe *Executor, cpu *CPU, maxInstrs int64) error {
-	var buf [fusedChunkSize]TraceEntry
-	for !exe.Halted {
-		n, err := exe.fillChunk(buf[:], maxInstrs)
-		cpu.feedChunk(exe.dec, buf[:n])
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return exe.Trace(maxInstrs, func(ents []TraceEntry) { cpu.FeedChunk(exe.dec, ents) })
 }
 
-// fillChunk is the one functional producer behind runFused, SimulateMany
-// and smarts.RunParallel: it executes up to len(ents) instructions — the
-// same semantics as that many Step calls under Run's budget check, with pc,
-// count and the decoded table held in locals — and records each in ents.
+// fillChunk is the functional producer behind Trace: it executes up to
+// len(ents) instructions — the same semantics as that many Step calls under
+// Run's budget check, with pc, count and the decoded table held in locals —
+// and records each in ents.
 // It returns early on halt (the halt instruction is the last entry), when
 // the budget is exhausted (a typed budget fault, IsBudget reports true) or
 // on a fault. The faulting instruction is never recorded and never

@@ -1,12 +1,8 @@
 package sim
 
-import (
-	"sync"
+import "repro/internal/isa"
 
-	"repro/internal/isa"
-)
-
-// maxConsumers bounds how many timing consumers share one broadcast pass.
+// maxConsumers bounds how many timing consumers share one Trace pass.
 // Each consumer owns a full CPU (caches, predictor, rings); past a point
 // more consumers per pass costs cache footprint without saving functional
 // work, so very large batches run in rounds.
@@ -44,32 +40,18 @@ func SimulateMany(prog *isa.Program, cfgs []Config, maxInstrs int64) ([]Stats, e
 	return out, nil
 }
 
-// simulateRound runs one broadcast pass: a single functional interpretation
-// of prog feeding len(cfgs) timing consumers.
+// simulateRound runs one Trace pass: a single functional interpretation of
+// prog feeding len(cfgs) timing consumers.
 func simulateRound(prog *isa.Program, cfgs []Config, maxInstrs int64, out []Stats) error {
 	exe := NewExecutor(prog)
-	dec := exe.Decoded()
 	cpus := make([]*CPU, len(cfgs))
+	consumers := make([]func([]TraceEntry), len(cfgs))
 	for k := range cpus {
-		cpus[k] = NewCPU(cfgs[k])
+		cpu := NewCPU(cfgs[k])
+		cpus[k] = cpu
+		consumers[k] = func(ents []TraceEntry) { cpu.FeedChunk(exe.dec, ents) }
 	}
-
-	b := NewTraceBroadcaster(len(cfgs))
-	var wg sync.WaitGroup
-	for k := range cpus {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			cpu := cpus[k]
-			for ck := range b.Out(k) {
-				cpu.feedChunk(dec, ck.Ents[:ck.N])
-				b.Release(ck)
-			}
-		}(k)
-	}
-	err := b.Broadcast(exe, maxInstrs)
-	wg.Wait()
-	if err != nil {
+	if err := exe.Trace(maxInstrs, consumers...); err != nil {
 		return err
 	}
 	exit := exe.Regs[isa.RegRV]

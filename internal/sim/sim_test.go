@@ -396,8 +396,8 @@ func TestTimingRUUMatters(t *testing.T) {
 
 func TestWarmFeedTouchesCachesNotTiming(t *testing.T) {
 	cpu := NewCPU(DefaultConfig())
-	in := isa.Instr{Op: isa.OpLoad, Rd: 11, Rs1: 12}
-	cpu.WarmFeed(&in, TraceEntry{PC: 0, Addr: isa.GlobalBase})
+	dec := Decode(&isa.Program{Instrs: []isa.Instr{{Op: isa.OpLoad, Rd: 11, Rs1: 12}}})
+	cpu.WarmChunk(dec, []TraceEntry{{PC: 0, Addr: isa.GlobalBase}})
 	st := cpu.Stats()
 	if st.DL1Accesses != 1 {
 		t.Fatal("warm feed should access dcache")

@@ -22,7 +22,7 @@ import (
 // every detailed region, and any retry or nearby-configuration measurement
 // replays just the detailed regions (warmup + window) against restored warm
 // state, skipping the functional gaps entirely. The replay reuses the same
-// sampleState machine, so its windows are bit-for-bit the windows a full
+// sampleState.feedChunk, so its windows are bit-for-bit the windows a full
 // rewarming run would produce; only Result.FunctionalInstrs differs, and
 // that difference is the speedup.
 
@@ -49,10 +49,10 @@ type CheckpointSet struct {
 // Replay reproduces the sampled estimate for cfg from the checkpoints
 // alone: for each detailed region it restores the warm state into a fresh
 // timing context and re-feeds the recorded trace slice through the same
-// sampleState machine a full run drives. cfg must share the set's
-// WarmGeometry (the store's key guarantees it). The returned Result is
-// bit-for-bit identical to a full rewarming Run except FunctionalInstrs,
-// which counts only the replayed instructions.
+// feedChunk a full run drives. cfg must share the set's WarmGeometry (the
+// store's key guarantees it). The returned Result is bit-for-bit identical
+// to a full rewarming Run except FunctionalInstrs, which counts only the
+// replayed instructions.
 func (cs *CheckpointSet) Replay(cfg sim.Config) *Result {
 	state := newSampleState(cs.sampler, cfg, cs.dec)
 	var fed int64
@@ -60,11 +60,9 @@ func (cs *CheckpointSet) Replay(cfg sim.Config) *Result {
 		rg := &cs.regions[ri]
 		state.cpu.RestoreWarm(rg.warm)
 		state.phase = rg.phase
-		for _, e := range rg.ents {
-			state.feed(e)
-		}
-		// Close a window truncated by program end; complete regions have
-		// already flushed (window completion or the region's last entry).
+		state.feedChunk(rg.ents)
+		// Close a window truncated by program end and leave detail, so the
+		// next region starts from a fresh pipeline.
 		state.flush()
 		fed += int64(len(rg.ents))
 	}
@@ -79,51 +77,21 @@ func (cs *CheckpointSet) Replay(cfg sim.Config) *Result {
 }
 
 // buildCheckpoints runs the program once with full functional warming —
-// exactly the Run loop — while capturing a warm snapshot at every detailed
-// region entry and the region's trace entries. It returns the run's Result
-// and the captured set; the set is nil when the program was too short to
-// produce any window (the caller falls back to full detail, like Run).
+// exactly Run's drive — with the sampling state recording a warm snapshot
+// at every detailed region entry and the region's trace entries. It returns
+// the run's Result and the captured set; the set is nil when the program
+// was too short to produce any window (the Result is then the exact
+// full-detail one, like Run's).
 func buildCheckpoints(prog *isa.Program, cfg sim.Config, s Sampler, maxInstrs int64) (*Result, *CheckpointSet, error) {
-	exe := sim.NewExecutor(prog)
-	dec := exe.Decoded()
-	state := newSampleState(s, cfg, dec)
-	set := &CheckpointSet{dec: dec, sampler: s, geom: cfg.WarmGeometry()}
-
-	for !exe.Halted {
-		if exe.Count >= maxInstrs {
-			return nil, nil, ErrBudget
-		}
-		entry, ok, err := exe.Step()
-		if err != nil {
-			return nil, nil, err
-		}
-		if !ok {
-			break
-		}
-		phase := state.phase
-		detailed, measured := state.classifyAdvance()
-		if detailed {
-			if !state.inDetail {
-				// Region entry: the warm state the detailed window will
-				// start from, snapshotted before the instruction feeds.
-				set.regions = append(set.regions, regionCheckpoint{
-					phase: phase,
-					warm:  state.cpu.SnapshotWarm(),
-				})
-			}
-			cur := &set.regions[len(set.regions)-1]
-			cur.ents = append(cur.ents, entry)
-		}
-		state.apply(entry, detailed, measured)
+	set := &CheckpointSet{sampler: s, geom: cfg.WarmGeometry()}
+	results, err := drive(prog, cfg, []Sampler{s}, maxInstrs, set)
+	if err != nil {
+		return nil, nil, err
 	}
-	res, ok := state.result(exe.Count, exe.Regs[isa.RegRV])
-	if !ok {
-		r, err := fallbackDetailed(prog, cfg, maxInstrs)
-		return r, nil, err
+	if results[0].Windows == 0 {
+		set = nil
 	}
-	res.FunctionalInstrs = exe.Count
-	set.instrs, set.exit = exe.Count, exe.Regs[isa.RegRV]
-	return res, set, nil
+	return results[0], set, nil
 }
 
 // storeKey identifies a checkpoint set: program content, sampler, warm

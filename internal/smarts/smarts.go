@@ -10,7 +10,6 @@ package smarts
 import (
 	"errors"
 	"math"
-	"sync"
 
 	"repro/internal/isa"
 	"repro/internal/sim"
@@ -73,17 +72,19 @@ type Result struct {
 	FunctionalInstrs int64
 }
 
-// sampleState is the per-offset sampling state machine: it classifies each
-// instruction of the committed stream as functional-warming, detailed
-// warmup, or measured, drives one timing model accordingly, and collects
-// the per-window CPI samples. Run drives one instance inline; RunParallel
-// drives one per worker off a shared functional trace. Both paths go
-// through the same feed method, so a given (program, config, sampler)
-// yields bit-for-bit identical windows either way.
+// sampleState is the per-offset sampling state machine: it cuts the
+// committed stream into runs of functional-warming, detailed-warmup and
+// measured instructions, drives one timing model accordingly, and collects
+// the per-window CPI samples. Every driver — Run, RunParallel, the
+// checkpoint builder and CheckpointSet.Replay — feeds it through feedChunk,
+// and sim.CPU's chunk kernels may be cut anywhere, so a given (program,
+// config, sampler) yields bit-for-bit identical windows whichever driver
+// runs it and however the trace is chunked.
 type sampleState struct {
 	s   Sampler
 	cpu *sim.CPU
 	dec *sim.DecodedProgram
+	rec *CheckpointSet // when non-nil, records every detailed region
 
 	cpis          []float64
 	epis          []float64 // per-window energy per instruction
@@ -93,82 +94,90 @@ type sampleState struct {
 	windowInstrs  int64
 
 	// Division-free classification: phase is the instruction index modulo
-	// the sampling period, and the measured window is phase in
-	// [mStart, mEnd). The old per-instruction i/WindowSize and /Interval
-	// divisions cost more than a cache probe; an incremental wrap is two
-	// compares.
+	// the sampling period; the measured window is phase in [mStart, mEnd)
+	// and detailed warmup is [wStart, mStart), wrapping across the period
+	// boundary when wStart is negative.
 	phase  int64
 	period int64
+	wStart int64
 	mStart int64
 	mEnd   int64
 }
 
 func newSampleState(s Sampler, cfg sim.Config, dec *sim.DecodedProgram) *sampleState {
+	period := s.WindowSize * s.Interval
+	mStart := s.Offset * s.WindowSize
 	return &sampleState{
 		s:      s,
 		cpu:    sim.NewCPU(cfg),
 		dec:    dec,
-		period: s.WindowSize * s.Interval,
-		mStart: s.Offset * s.WindowSize,
-		mEnd:   (s.Offset + 1) * s.WindowSize,
+		period: period,
+		// A warmup of period-WindowSize or more makes everything detailed.
+		wStart: mStart - max(0, min(s.Warmup, period-s.WindowSize)),
+		mStart: mStart,
+		mEnd:   mStart + s.WindowSize,
 	}
 }
 
-// feed advances the state machine by one committed instruction.
-func (t *sampleState) feed(entry sim.TraceEntry) {
-	detailed, measured := t.classifyAdvance()
-	t.apply(entry, detailed, measured)
-}
-
-// classifyAdvance classifies the next instruction — measured iff its phase
-// lies in the detailed window; detailed (but unmeasured) iff within Warmup
-// instructions before the next detailed window, wrapping across the period
-// boundary — and advances the phase counter. Split from apply so the
-// checkpoint builder can observe the classification of an instruction
-// before its state transition happens.
-func (t *sampleState) classifyAdvance() (detailed, measured bool) {
+// span classifies the instruction at the current phase — measured iff in
+// the detailed window; detailed (but unmeasured) iff within Warmup
+// instructions before the next window — and reports how many instructions
+// from here on share that classification, capped at the period end so a
+// warmup that wraps the boundary is two spans.
+func (t *sampleState) span() (detailed, measured bool, n int64) {
 	ph := t.phase
-	if ph >= t.mStart && ph < t.mEnd {
-		detailed, measured = true, true
-	} else if t.s.Warmup > 0 {
-		d := t.mStart - ph
-		if d <= 0 {
-			d += t.period
-		}
-		if d <= t.s.Warmup {
-			detailed = true
-		}
+	switch wrap := t.wStart + t.period; {
+	case ph >= wrap:
+		return true, false, t.period - ph
+	case ph >= t.mEnd:
+		return false, false, min(wrap, t.period) - ph
+	case ph >= t.mStart:
+		return true, true, t.mEnd - ph
+	case ph >= t.wStart:
+		return true, false, t.mStart - ph
 	}
-	if t.phase++; t.phase == t.period {
-		t.phase = 0
-	}
-	return detailed, measured
+	return false, false, t.wStart - ph
 }
 
-// apply performs the state transition for one classified instruction.
-func (t *sampleState) apply(entry sim.TraceEntry, detailed, measured bool) {
-	if detailed {
-		if !t.inDetail {
-			// Fresh pipeline over the warmed microarch state.
-			t.cpu.ResetTiming()
-			t.inDetail = true
-			t.measureStart = -1
-		}
-		if measured && t.measureStart < 0 {
-			st := t.cpu.Stats()
-			t.measureStart = st.Cycles
-			t.measureStartE = st.Energy
-		}
-		t.cpu.FeedDecoded(t.dec, entry)
-		if measured {
-			t.windowInstrs++
-			if t.windowInstrs == t.s.WindowSize {
-				t.flush()
+// feedChunk advances the state machine over one chunk of the committed
+// trace, cutting it at the sampler's phase boundaries: one call into
+// sim.CPU.WarmChunk or FeedChunk per run of like-classified instructions.
+func (t *sampleState) feedChunk(ents []sim.TraceEntry) {
+	for len(ents) > 0 {
+		detailed, measured, n := t.span()
+		run := ents[:min(n, int64(len(ents)))]
+		ents = ents[len(run):]
+		if !detailed {
+			t.cpu.WarmChunk(t.dec, run)
+		} else {
+			if !t.inDetail {
+				if t.rec != nil {
+					// Region entry: the warm state the detailed region
+					// starts from, snapshotted before anything feeds.
+					t.rec.regions = append(t.rec.regions, regionCheckpoint{phase: t.phase, warm: t.cpu.SnapshotWarm()})
+				}
+				// Fresh pipeline over the warmed microarch state.
+				t.cpu.ResetTiming()
+				t.inDetail = true
+			}
+			if t.rec != nil {
+				cur := &t.rec.regions[len(t.rec.regions)-1]
+				cur.ents = append(cur.ents, run...)
+			}
+			if measured && t.windowInstrs == 0 {
+				st := t.cpu.Stats()
+				t.measureStart, t.measureStartE = st.Cycles, st.Energy
+			}
+			t.cpu.FeedChunk(t.dec, run)
+			if measured {
+				if t.windowInstrs += int64(len(run)); t.windowInstrs == t.s.WindowSize {
+					t.flush()
+				}
 			}
 		}
-	} else {
-		t.flush()
-		t.cpu.WarmFeedDecoded(t.dec, entry)
+		if t.phase += int64(len(run)); t.phase == t.period {
+			t.phase = 0
+		}
 	}
 }
 
@@ -235,36 +244,7 @@ var ErrBudget = errors.New("smarts: instruction budget exceeded")
 // Run simulates prog under cfg with systematic sampling and returns the
 // cycle estimate. maxInstrs bounds the run.
 func Run(prog *isa.Program, cfg sim.Config, s Sampler, maxInstrs int64) (*Result, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	exe := sim.NewExecutor(prog)
-	state := newSampleState(s, cfg, exe.Decoded())
-
-	for !exe.Halted {
-		if exe.Count >= maxInstrs {
-			return nil, ErrBudget
-		}
-		entry, ok, err := exe.Step()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		state.feed(entry)
-	}
-	res, ok := state.result(exe.Count, exe.Regs[isa.RegRV])
-	if !ok {
-		// Program shorter than one sampling period: fall back to the
-		// detailed simulation of everything we executed.
-		return fallbackDetailed(prog, cfg, maxInstrs)
-	}
-	res.FunctionalInstrs = exe.Count
-	return res, nil
+	return RunParallel(prog, cfg, s, maxInstrs, 1)
 }
 
 // RunParallel draws `workers` independent sample sets concurrently — each
@@ -273,82 +253,85 @@ func Run(prog *isa.Program, cfg sim.Config, s Sampler, maxInstrs int64) (*Result
 // mean CPI has ~workers× the sample count of a single Run, tightening the
 // confidence interval.
 //
-// The program is executed functionally exactly once: a sim.TraceBroadcaster
-// interprets it and broadcasts the committed-instruction trace in reference
-// counted chunks to one timing worker per offset, each owning its own
-// caches and branch predictor. Workers apply backpressure through the
-// bounded chunk pool, so memory stays constant regardless of program
-// length, and the per-offset window populations are bit-for-bit identical
-// to what `workers` separate Runs would produce. workers is clamped to
-// s.Interval (offsets must be distinct) and workers <= 1 degrades to Run.
+// The program is executed functionally exactly once: sim.Executor.Trace
+// hands the committed-instruction trace to one sampling state per offset,
+// each owning its own caches and branch predictor, so the per-offset window
+// populations are bit-for-bit identical to what `workers` separate Runs
+// would produce. workers is clamped to [1, s.Interval] (offsets must be
+// distinct); one worker is Run, in the calling goroutine.
 func RunParallel(prog *isa.Program, cfg sim.Config, s Sampler, maxInstrs int64, workers int) (*Result, error) {
-	if int64(workers) > s.Interval {
-		workers = int(s.Interval)
-	}
-	if workers <= 1 {
-		return Run(prog, cfg, s, maxInstrs)
-	}
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-
-	exe := sim.NewExecutor(prog)
-	dec := exe.Decoded()
-
-	// Per-worker sampling state, offsets strided across the interval.
+	// Offsets strided across the interval.
+	workers = max(1, min(workers, int(s.Interval)))
 	stride := s.Interval / int64(workers)
-	states := make([]*sampleState, workers)
-	for k := range states {
-		sk := s
-		sk.Offset = (s.Offset + int64(k)*stride) % s.Interval
-		states[k] = newSampleState(sk, cfg, dec)
+	samplers := make([]Sampler, workers)
+	for k := range samplers {
+		samplers[k] = s
+		samplers[k].Offset = (s.Offset + int64(k)*stride) % s.Interval
 	}
-
-	b := sim.NewTraceBroadcaster(workers)
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			state := states[k]
-			for ck := range b.Out(k) {
-				for i := 0; i < ck.N; i++ {
-					state.feed(ck.Ents[i])
-				}
-				b.Release(ck)
-			}
-		}(k)
+	results, err := drive(prog, cfg, samplers, maxInstrs, nil)
+	if err != nil {
+		return nil, err
 	}
+	return pool(results), nil
+}
 
-	// Producer: the single functional pass.
-	prodErr := b.Broadcast(exe, maxInstrs)
-	wg.Wait()
-	if prodErr != nil {
-		if sim.IsBudget(prodErr) {
+// drive is the one sampled run: a single sim.Executor.Trace pass over prog
+// feeding one sampleState per sampler, the first of which records its
+// detailed regions into rec when rec is non-nil. It returns one Result per
+// sampler, or the single exact Result of fallbackDetailed when the program
+// is shorter than one sampling period (Windows == 0, rec left incomplete).
+func drive(prog *isa.Program, cfg sim.Config, samplers []Sampler, maxInstrs int64, rec *CheckpointSet) ([]*Result, error) {
+	exe := sim.NewExecutor(prog)
+	states := make([]*sampleState, len(samplers))
+	consumers := make([]func([]sim.TraceEntry), len(samplers))
+	for k, s := range samplers {
+		states[k] = newSampleState(s, cfg, exe.Decoded())
+		consumers[k] = states[k].feedChunk
+	}
+	states[0].rec = rec
+	if err := exe.Trace(maxInstrs, consumers...); err != nil {
+		if sim.IsBudget(err) {
 			return nil, ErrBudget
 		}
-		return nil, prodErr
+		return nil, err
 	}
-
-	results := make([]*Result, workers)
+	instrs, exit := exe.Count, exe.Regs[isa.RegRV]
+	results := make([]*Result, len(states))
 	for k, state := range states {
-		r, ok := state.result(exe.Count, exe.Regs[isa.RegRV])
+		r, ok := state.result(instrs, exit)
 		if !ok {
-			// A run shorter than one sampling period is exact in full
-			// detail; return that directly.
-			return fallbackDetailed(prog, cfg, maxInstrs)
+			r, err := fallbackDetailed(prog, cfg, maxInstrs)
+			return []*Result{r}, err
 		}
+		r.FunctionalInstrs = instrs // the single shared pass
 		results[k] = r
 	}
+	if rec != nil {
+		rec.dec, rec.instrs, rec.exit = exe.Decoded(), instrs, exit
+	}
+	return results, nil
+}
 
-	// Pool the window populations: weighted mean and total variance
-	// (within + between run means) over all windows.
+// pool folds per-offset window populations into one estimate: weighted mean
+// and total variance (within + between run means) over all windows. A lone
+// population is returned as it is.
+func pool(results []*Result) *Result {
+	if len(results) == 1 {
+		return results[0]
+	}
 	var n float64
 	var sum, sumSq, sumE float64
-	pooled := &Result{Instructions: results[0].Instructions, ExitValue: results[0].ExitValue}
+	pooled := &Result{
+		Instructions:     results[0].Instructions,
+		ExitValue:        results[0].ExitValue,
+		FunctionalInstrs: results[0].FunctionalInstrs,
+	}
 	for _, r := range results {
 		w := float64(r.Windows)
 		n += w
@@ -365,8 +348,7 @@ func RunParallel(prog *isa.Program, cfg sim.Config, s Sampler, maxInstrs int64, 
 	pooled.EstimatedCycles = pooled.MeanCPI * float64(pooled.Instructions)
 	pooled.MeanEPI = sumE / n
 	pooled.EstimatedEnergy = pooled.MeanEPI * float64(pooled.Instructions)
-	pooled.FunctionalInstrs = exe.Count // the single shared pass
-	return pooled, nil
+	return pooled
 }
 
 // RunToConfidence repeatedly increases sampling density (halving the
