@@ -640,38 +640,26 @@ func BenchmarkDOptimal(b *testing.B) {
 	b.ReportMetric(fastT.Seconds()*1e3, "fast-ms")
 }
 
-// BenchmarkCrossValidate times 5-fold CV of a MARS fitter serially and on
-// the full worker pool; the two estimates must agree bit-for-bit.
+// BenchmarkCrossValidate times 5-fold CV of a MARS fitter on the full
+// worker pool; TestCrossValidateParallelMatchesSerial pins parallel ≡ serial.
 func BenchmarkCrossValidate(b *testing.B) {
 	data := analyticsData(150, 67)
 	fit := func(d *model.Dataset) (model.Model, error) {
 		return model.FitMARS(d, model.MARSOptions{Workers: 1})
 	}
-	var serialT, parT time.Duration
+	var parT time.Duration
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
-		serial, err := model.CrossValidateParallel(data, 5, 1, 1, fit)
-		if err != nil {
-			b.Fatal(err)
-		}
-		serialT = time.Since(start)
-		start = time.Now()
-		parallel, err := model.CrossValidateParallel(data, 5, 1, 0, fit)
-		if err != nil {
+		if _, err := model.CrossValidateParallel(data, 5, 1, 0, fit); err != nil {
 			b.Fatal(err)
 		}
 		parT = time.Since(start)
-		if serial != parallel {
-			b.Fatalf("parallel CV %v diverged from serial %v", parallel, serial)
-		}
 	}
-	b.ReportMetric(serialT.Seconds()/parT.Seconds(), "speedup-x")
 	b.ReportMetric(parT.Seconds()*1e3, "par-ms")
 }
 
-// BenchmarkGASearch times the GA with batched parallel fitness against the
-// serial path on an RBF surrogate; the search trajectory is identical, so
-// the best point must match exactly.
+// BenchmarkGASearch times the GA with batched parallel fitness on an RBF
+// surrogate; TestOptimizeParallelMatchesSerial pins parallel ≡ serial.
 func BenchmarkGASearch(b *testing.B) {
 	data := analyticsData(150, 73)
 	m, err := model.FitRBF(data, model.RBFOptions{Kernel: model.Multiquadric})
@@ -679,29 +667,12 @@ func BenchmarkGASearch(b *testing.B) {
 		b.Fatal(err)
 	}
 	prob := search.Problem{Space: doe.JointSpace(), Model: m}
-	opts := search.GAOptions{Population: 60, Generations: 30}
-	run := func(w int) (*search.Result, time.Duration) {
-		o := opts
-		o.Workers = w
-		start := time.Now()
-		res := search.Optimize(prob, o, rand.New(rand.NewSource(7)))
-		return res, time.Since(start)
-	}
-	var serialT, parT time.Duration
+	var parT time.Duration
 	for i := 0; i < b.N; i++ {
-		serial, st := run(1)
-		parallel, pt := run(0)
-		serialT, parT = st, pt
-		if serial.Predicted != parallel.Predicted {
-			b.Fatalf("parallel GA %v diverged from serial %v", parallel.Predicted, serial.Predicted)
-		}
-		for j := range serial.Point {
-			if serial.Point[j] != parallel.Point[j] {
-				b.Fatal("parallel GA selected a different point")
-			}
-		}
+		start := time.Now()
+		search.Optimize(prob, search.GAOptions{Population: 60, Generations: 30}, rand.New(rand.NewSource(7)))
+		parT = time.Since(start)
 	}
-	b.ReportMetric(serialT.Seconds()/parT.Seconds(), "speedup-x")
 	b.ReportMetric(parT.Seconds()*1e3, "par-ms")
 }
 

@@ -97,9 +97,7 @@ type ModelNumbers struct {
 	DOptimalMs       float64 `json:"doptimal_ms"`
 	DOptimalSpeedupX float64 `json:"doptimal_speedup_x"`
 	CrossValMs       float64 `json:"crossval_ms"`
-	CrossValSpeedupX float64 `json:"crossval_speedup_x"`
 	GASearchMs       float64 `json:"ga_ms"`
-	GASpeedupX       float64 `json:"ga_speedup_x"`
 	// FeatureExtractMs is the cold feature-extraction wall clock over the
 	// full seed suite from BenchmarkFeatureExtract.
 	FeatureExtractMs float64 `json:"feature_extract_ms"`
@@ -274,11 +272,9 @@ func checkModel(lines []benchLine, baselinePath, outPath string, maxRegress, min
 			have++
 		case strings.HasPrefix(l.name, "BenchmarkCrossValidate"):
 			cur.CrossValMs = l.metrics["par-ms"]
-			cur.CrossValSpeedupX = l.metrics["speedup-x"]
 			have++
 		case strings.HasPrefix(l.name, "BenchmarkGASearch"):
 			cur.GASearchMs = l.metrics["par-ms"]
-			cur.GASpeedupX = l.metrics["speedup-x"]
 			have++
 		case strings.HasPrefix(l.name, "BenchmarkFeatureExtract"):
 			cur.FeatureExtractMs = l.metrics["extract-ms"]
@@ -291,10 +287,9 @@ func checkModel(lines []benchLine, baselinePath, outPath string, maxRegress, min
 
 	base := &ModelNumbers{}
 	writeAndLoadBaseline(cur, base, baselinePath, outPath)
-	fmt.Printf("benchcheck: mars %.0fms, doptimal %.0fms (%.1fx vs ref), cv %.0fms (%.2fx), ga %.0fms (%.2fx), features %.0fms\n",
+	fmt.Printf("benchcheck: mars %.0fms, doptimal %.0fms (%.1fx vs ref), cv %.0fms, ga %.0fms, features %.0fms\n",
 		cur.FitMARSMs, cur.DOptimalMs, cur.DOptimalSpeedupX,
-		cur.CrossValMs, cur.CrossValSpeedupX, cur.GASearchMs, cur.GASpeedupX,
-		cur.FeatureExtractMs)
+		cur.CrossValMs, cur.GASearchMs, cur.FeatureExtractMs)
 	if cur.DOptimalSpeedupX < minDOptSpeedup {
 		fatal(fmt.Errorf("benchcheck: doptimal incremental speedup %.2fx below floor %.1fx",
 			cur.DOptimalSpeedupX, minDOptSpeedup))
@@ -304,8 +299,7 @@ func checkModel(lines []benchLine, baselinePath, outPath string, maxRegress, min
 		return
 	}
 	// Wall-clock gates: a stage is a regression when it got slower than the
-	// baseline by more than max-regress. (The CV/GA speedup-x ratios are
-	// core-count dependent, so they are recorded but not gated.)
+	// baseline by more than max-regress.
 	stages := []struct {
 		name      string
 		cur, base float64

@@ -9,7 +9,6 @@ import (
 	"repro/internal/farm"
 	"repro/internal/features"
 	"repro/internal/model"
-	"repro/internal/par"
 	"repro/internal/workloads"
 )
 
@@ -139,44 +138,15 @@ func (h *Harness) BuildCrossDataset(ws []workloads.Workload, pointsPer int) (*Cr
 // and the two-factor interaction expansion's 1200+ terms would need more
 // rows than realistic corpora provide. MARS and RBF-RT discover
 // feature x flag interactions natively, which is precisely what
-// cross-program generalization needs them for. mo tunes both the standalone
-// MARS fit and the RBF-RT detrending pass (zero value = package defaults);
-// LOPO sweeps cap the term budget through it to keep folds affordable.
+// cross-program generalization needs them for. mo tunes the one MARS fit
+// that is both the "mars" model and the RBF-RT trend (zero value = package
+// defaults); LOPO sweeps cap the term budget through it to keep folds
+// affordable.
 func FitCrossModels(train *model.Dataset, workers int, mo model.MARSOptions) (map[string]model.Model, error) {
 	if mo.Workers == 0 {
 		mo.Workers = workers
 	}
-	var (
-		lin, mars, rbf model.Model
-		errs           [3]error
-	)
-	par.Do(workers,
-		func() {
-			m, err := model.FitLinear(train, doe.ExpandLinear)
-			lin, errs[0] = m, err
-		},
-		func() {
-			m, err := model.FitMARS(model.LogDataset(train), mo)
-			if err == nil {
-				mars = model.LogModel{Inner: m}
-			}
-			errs[1] = err
-		},
-		func() {
-			hy, err := model.FitHybridRBF(model.LogDataset(train),
-				mo, model.RBFOptions{Kernel: model.Multiquadric})
-			if err == nil {
-				rbf = model.LogModel{Inner: hy}
-			}
-			errs[2] = err
-		},
-	)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return map[string]model.Model{"linear": lin, "mars": mars, "rbf": rbf}, nil
+	return fitModels(train, workers, doe.ExpandLinear, mo, false, model.FitMARS)
 }
 
 // LOPOOptions configures the leave-one-program-out run.

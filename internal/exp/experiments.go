@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/linalg"
 	"repro/internal/model"
+	"repro/internal/par"
 	"repro/internal/workloads"
 )
 
@@ -98,49 +99,102 @@ type Fig5Point struct {
 
 // Fig5 reproduces Figure 5: RBF test error (mean ± sigma over resampled
 // training subsets) as a function of training set size, per program.
-func (s *Study) Fig5() (string, map[string][]Fig5Point) {
+func (s *Study) Fig5() (string, map[string][]Fig5Point) { return s.fig5(FitRBF) }
+
+// fig5 is Fig5 with the fitter as a parameter (FitRBF outside tests). It
+// draws every subsample serially, so the generator streams do not depend on
+// the worker count, fits each distinct dataset once on the pool, and
+// assembles the rows in draw order. A draw of the whole pool is the pool
+// itself: its repeats share one error, and that one comes from the study's
+// own "rbf" model where there is one, the same fit FitRBF would repeat.
+func (s *Study) fig5(fit func(*model.Dataset) (model.Model, error)) (string, map[string][]Fig5Point) {
 	const repeats = 4
-	out := map[string][]Fig5Point{}
-	t := newTable("Figure 5: RBF model error vs training set size (mean ± sigma)")
-	t.row("Benchmark-Input", "Size", "Mean err %", "Sigma")
+	h := s.Harness
+	type fitTask struct {
+		data, test *model.Dataset
+		m          model.Model // already fitted when non-nil
+		err        error
+		testErr    float64
+	}
+	type draw struct {
+		program            string
+		size, repeat, task int
+	}
+	var tasks []fitTask
+	var draws []draw
 	for _, pd := range s.Programs {
-		pool := pd.Train
-		rng := s.Harness.rngFor("fig5-" + pd.Workload.Key())
-		var sizes []int
-		for f := 1; f <= 4; f++ {
-			sizes = append(sizes, pool.Len()*f/4)
+		pool, key := pd.Train, pd.Workload.Key()
+		rng := h.rngFor("fig5-" + key)
+		taskOf := map[*model.Dataset]int{}
+		if m := s.Models[key]["rbf"]; m != nil {
+			taskOf[pool] = len(tasks)
+			tasks = append(tasks, fitTask{test: pd.Test, m: m})
 		}
-		for _, size := range sizes {
+		for f := 1; f <= 4; f++ {
+			size := pool.Len() * f / 4
 			if size < 10 {
 				continue
 			}
-			var errs []float64
 			for r := 0; r < repeats; r++ {
-				sub := subsample(pool, size, rng)
-				m, err := FitRBF(sub)
+				sub, err := subsample(pool, size, rng)
 				if err != nil {
+					h.logf("fig5: %s size %d repeat %d dropped: %v", key, size, r, err)
 					continue
 				}
-				errs = append(errs, model.TestError(m, pd.Test))
+				ti, seen := taskOf[sub]
+				if !seen {
+					ti = len(tasks)
+					taskOf[sub] = ti
+					tasks = append(tasks, fitTask{data: sub, test: pd.Test})
+				}
+				draws = append(draws, draw{key, size, r, ti})
 			}
-			if len(errs) == 0 {
+		}
+	}
+	par.For(len(tasks), h.Workers, func(i int) {
+		t := &tasks[i]
+		if t.m == nil {
+			if t.m, t.err = fit(t.data); t.err != nil {
+				return
+			}
+		}
+		t.testErr = model.TestError(t.m, t.test)
+	})
+
+	out := map[string][]Fig5Point{}
+	t := newTable("Figure 5: RBF model error vs training set size (mean ± sigma)")
+	t.row("Benchmark-Input", "Size", "Mean err %", "Sigma")
+	for i := 0; i < len(draws); {
+		key, size := draws[i].program, draws[i].size
+		var errs []float64
+		for ; i < len(draws) && draws[i].program == key && draws[i].size == size; i++ {
+			ft := tasks[draws[i].task]
+			if ft.err != nil {
+				h.logf("fig5: %s size %d repeat %d dropped: %v", key, size, draws[i].repeat, ft.err)
 				continue
 			}
-			p := Fig5Point{
-				Size:    size,
-				MeanErr: linalg.Mean(errs),
-				StdErr:  linalg.StdDev(errs),
-			}
-			out[pd.Workload.Key()] = append(out[pd.Workload.Key()], p)
-			t.row(pd.Workload.Key(), fmt.Sprint(size), f2(p.MeanErr), f2(p.StdErr))
+			errs = append(errs, ft.testErr)
 		}
+		if len(errs) == 0 {
+			h.logf("fig5: %s size %d has no fit left and is missing from the curve", key, size)
+			continue
+		}
+		p := Fig5Point{
+			Size:    size,
+			MeanErr: linalg.Mean(errs),
+			StdErr:  linalg.StdDev(errs),
+		}
+		out[key] = append(out[key], p)
+		t.row(key, fmt.Sprint(size), f2(p.MeanErr), f2(p.StdErr))
 	}
 	return t.String(), out
 }
 
-func subsample(d *model.Dataset, size int, rng interface{ Perm(int) []int }) *model.Dataset {
+// subsample draws size rows of d without replacement; the whole of d is d
+// itself, with no draw.
+func subsample(d *model.Dataset, size int, rng interface{ Perm(int) []int }) (*model.Dataset, error) {
 	if size >= d.Len() {
-		return d
+		return d, nil
 	}
 	idx := rng.Perm(d.Len())[:size]
 	xs := make([][]float64, size)
@@ -149,8 +203,7 @@ func subsample(d *model.Dataset, size int, rng interface{ Perm(int) []int }) *mo
 		xs[i] = d.X[j]
 		ys[i] = d.Y[j]
 	}
-	sub, _ := model.NewDataset(xs, ys)
-	return sub
+	return model.NewDataset(xs, ys)
 }
 
 // Fig6Pair is one (actual, predicted) test point.
@@ -224,14 +277,17 @@ func (s *Study) Table4(topPerProgram int) (string, map[string][]Table4Cell) {
 		topPerProgram = 10
 	}
 	space := s.Harness.Space()
+	effects := make([][]model.Effect, len(s.Programs))
+	par.For(len(s.Programs), s.Harness.Workers, func(i int) {
+		pd := s.Programs[i]
+		effects[i] = model.TopEffects(s.Models[pd.Workload.Key()]["mars-raw"], space, pd.Train.X, topPerProgram)
+	})
 	perProg := map[string]map[string]float64{}
 	rowOrder := []string{}
 	rowMax := map[string]float64{}
-	for _, pd := range s.Programs {
-		m := s.Models[pd.Workload.Key()]["mars-raw"]
-		effects := model.TopEffects(m, space, pd.Train.X, topPerProgram)
+	for i, pd := range s.Programs {
 		cells := map[string]float64{}
-		for _, e := range effects {
+		for _, e := range effects[i] {
 			cells[e.Label()] = e.Value
 			if a := math.Abs(e.Value); a > rowMax[e.Label()] {
 				if rowMax[e.Label()] == 0 {

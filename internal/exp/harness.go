@@ -349,48 +349,66 @@ func FitRBF(data *model.Dataset) (model.Model, error) {
 	return model.LogModel{Inner: hy}, nil
 }
 
-// FitAll fits the three modeling techniques of the paper on one dataset:
-// linear regression with two-factor interactions on the raw response, MARS
-// on the log response, and the hybrid RBF-RT network on the log response.
+// FitAll fits the paper's three modeling techniques on one dataset and
+// returns four models: "linear" (two-factor interactions, raw response),
+// "mars" (log response), "rbf" (the hybrid RBF-RT network on the log
+// response, whose trend is the "mars" fit itself, not a second one) and
+// "mars-raw" (MARS on the raw response, for Table 4's effects in cycles).
 // It is FitAllParallel at the default worker count.
 func FitAll(data *model.Dataset) (map[string]model.Model, error) {
 	return FitAllParallel(data, 0)
 }
 
-// FitAllParallel is FitAll with the four independent model fits run
-// concurrently on up to workers goroutines (0 = GOMAXPROCS). Each fit only
-// reads the shared dataset, so the fitted models are identical to a serial
-// run; errors are reported with the serial path's priority (linear first).
+// FitAllParallel is FitAll on up to workers goroutines (0 = GOMAXPROCS).
+// The fits only read the shared dataset, so the fitted models are identical
+// to a serial run; errors are reported with the serial path's priority
+// (linear, mars, rbf, mars-raw).
 func FitAllParallel(data *model.Dataset, workers int) (map[string]model.Model, error) {
+	return fitModels(data, workers, doe.ExpandInteractions,
+		model.MARSOptions{Workers: workers}, true, model.FitMARS)
+}
+
+// fitModels is the fit schedule behind FitAllParallel and FitCrossModels:
+// the linear baseline ‖ MARS on the log response, then the RBF-RT residual
+// network on that fit as its trend ‖ MARS on the raw response when raw is
+// set. MARS therefore runs once per distinct dataset. Sharing the trend
+// changes no bit: FitRBF's own trend differs from it only in
+// MARSOptions.Workers, which FitMARS's result does not depend on. fitMARS
+// is model.FitMARS outside tests.
+func fitModels(data *model.Dataset, workers int, linear doe.Expansion, mo model.MARSOptions, raw bool,
+	fitMARS func(*model.Dataset, model.MARSOptions) (*model.MARSModel, error)) (map[string]model.Model, error) {
 	var (
 		lin, mars, rbf, marsRaw model.Model
-		errs                    [4]error
+		errs                    [4]error // in reporting order
 	)
-	par.Do(workers,
+	tasks := []func(){
+		func() { lin, errs[0] = model.FitLinear(data, linear) },
 		func() {
-			m, err := model.FitLinear(data, doe.ExpandInteractions)
-			lin, errs[0] = m, err
-		},
-		func() {
-			m, err := model.FitMARS(model.LogDataset(data), model.MARSOptions{Workers: workers})
-			if err == nil {
-				mars = model.LogModel{Inner: m}
+			logData := model.LogDataset(data)
+			trend, err := fitMARS(logData, mo)
+			if errs[1] = err; err != nil {
+				return
 			}
-			errs[1] = err
+			mars = model.LogModel{Inner: trend}
+			hy, err := model.FitHybridOnTrend(logData, trend, model.RBFOptions{Kernel: model.Multiquadric})
+			if errs[2] = err; err != nil {
+				return
+			}
+			rbf = model.LogModel{Inner: hy}
 		},
-		func() { rbf, errs[2] = FitRBF(data) },
-		func() {
-			// Raw-scale MARS for coefficient interpretation (Table 4
-			// reports effects in cycles).
-			marsRaw, errs[3] = model.FitMARS(data, model.MARSOptions{Workers: workers})
-		},
-	)
+	}
+	if raw {
+		tasks = append(tasks, func() { marsRaw, errs[3] = fitMARS(data, mo) })
+	}
+	par.Do(workers, tasks...)
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	return map[string]model.Model{
-		"linear": lin, "mars": mars, "rbf": rbf, "mars-raw": marsRaw,
-	}, nil
+	models := map[string]model.Model{"linear": lin, "mars": mars, "rbf": rbf}
+	if raw {
+		models["mars-raw"] = marsRaw
+	}
+	return models, nil
 }

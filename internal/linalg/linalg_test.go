@@ -304,3 +304,70 @@ func TestVectorHelpers(t *testing.T) {
 		t.Fatal("Dist2")
 	}
 }
+
+// primalRidge is the Cols×Cols form of RidgeLeastSquares, the only one
+// there was before the dual form: the oracle the dual is compared with.
+func primalRidge(a *Matrix, b []float64, lambda float64) ([]float64, error) {
+	g := a.Gram()
+	for i := 0; i < g.Rows; i++ {
+		g.Set(i, i, g.At(i, i)+lambda)
+	}
+	return Solve(g, a.T().MulVec(b))
+}
+
+func randomSystem(rows, cols int, seed int64) (*Matrix, []float64) {
+	rng := rand.New(rand.NewSource(seed))
+	a := NewMatrix(rows, cols)
+	for i := range a.Data {
+		a.Data[i] = rng.NormFloat64()
+	}
+	b := make([]float64, rows)
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	return a, b
+}
+
+// Wide systems take the dual form; the fitted values A·x must be those of
+// the primal form, which is the same estimator.
+func TestRidgeDualMatchesPrimal(t *testing.T) {
+	for _, shape := range [][2]int{{10, 40}, {28, 326}} {
+		a, b := randomSystem(shape[0], shape[1], int64(shape[1]))
+		dual, err := RidgeLeastSquares(a, b, 1e-8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		primal, err := primalRidge(a, b, 1e-8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(dual) != a.Cols {
+			t.Fatalf("%dx%d: %d coefficients", a.Rows, a.Cols, len(dual))
+		}
+		pd, pp := a.MulVec(dual), a.MulVec(primal)
+		for i := range pd {
+			if math.Abs(pd[i]-pp[i]) > 1e-6*math.Max(1, math.Abs(pp[i])) {
+				t.Fatalf("%dx%d row %d: dual predicts %v, primal %v", a.Rows, a.Cols, i, pd[i], pp[i])
+			}
+		}
+	}
+}
+
+// Every MARS and RBF solve has Rows ≥ Cols; that path must not move by a
+// bit. The vector is what the commit before the dual form returned (amd64).
+func TestRidgeTallSystemUnchanged(t *testing.T) {
+	a, b := randomSystem(12, 5, 16)
+	x, err := RidgeLeastSquares(a, b, 1e-8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []uint64{
+		0xbfd6d9ece13ea9e5, 0xbfc6d5566b51b675, 0xbfe1012f3dbcfecb,
+		0xbfd3c0af18397868, 0x3fd6cc8e99f3b863,
+	}
+	for i, w := range want {
+		if got := math.Float64bits(x[i]); got != w {
+			t.Fatalf("x[%d] = %#x (%v), want %#x", i, got, x[i], w)
+		}
+	}
+}

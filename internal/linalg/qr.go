@@ -124,10 +124,25 @@ func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
 }
 
 // RidgeLeastSquares solves (AᵀA + λI) x = Aᵀ b. λ > 0 guarantees a solution
-// even for rank-deficient A.
+// even for rank-deficient A. A with fewer rows than columns is solved in
+// the dual form, x = Aᵀα with (AAᵀ + λI) α = b: the same minimiser, since
+// (AᵀA + λI)⁻¹Aᵀ = Aᵀ(AAᵀ + λI)⁻¹, from a Rows×Rows system instead of a
+// Cols×Cols one whose rank is at most Rows anyway.
 func RidgeLeastSquares(a *Matrix, b []float64, lambda float64) ([]float64, error) {
 	if len(b) != a.Rows {
 		return nil, errors.New("linalg: ridge dimension mismatch")
+	}
+	if a.Rows < a.Cols {
+		at := a.T()
+		k := at.Gram() // AAᵀ
+		for i := 0; i < k.Rows; i++ {
+			k.Set(i, i, k.At(i, i)+lambda)
+		}
+		alpha, err := Solve(k, b)
+		if err != nil {
+			return nil, err
+		}
+		return at.MulVec(alpha), nil
 	}
 	g := a.Gram()
 	for i := 0; i < g.Rows; i++ {

@@ -51,12 +51,22 @@ type HybridRBFModel struct {
 }
 
 // FitHybridRBF fits the trend-plus-residual network on data (typically
-// log-transformed via LogDataset).
+// log-transformed via LogDataset): FitMARS for the trend, then
+// FitHybridOnTrend for the residual network.
 func FitHybridRBF(data *Dataset, marsOpt MARSOptions, rbfOpt RBFOptions) (*HybridRBFModel, error) {
 	trend, err := FitMARS(data, marsOpt)
 	if err != nil {
 		return nil, err
 	}
+	return FitHybridOnTrend(data, trend, rbfOpt)
+}
+
+// FitHybridOnTrend is the residual half of FitHybridRBF: it fits the
+// regression-tree RBF network on what trend leaves unexplained of data. A
+// caller that already holds the MARS fit of data (exp.FitAllParallel's
+// "mars" model) passes it in and does not fit it again; the returned model
+// keeps the pointer.
+func FitHybridOnTrend(data *Dataset, trend *MARSModel, rbfOpt RBFOptions) (*HybridRBFModel, error) {
 	resid := make([]float64, data.Len())
 	for i, x := range data.X {
 		resid[i] = data.Y[i] - trend.Predict(x)
