@@ -1,6 +1,7 @@
-// loadgen drives an empiricod instance with a mixed prediction workload and
-// reports serving latency percentiles, throughput and error rate — the
-// numbers the serve SLO gate runs on.
+// loadgen drives an empiricod instance with a mixed prediction workload,
+// reports serving latency percentiles, throughput and error rate, and is the
+// serve SLO gate: it exits 1 when the run's p99 latency or error rate breaks
+// the SLO (sloP99Ms, sloErrRate).
 //
 // Two loop modes:
 //
@@ -15,12 +16,10 @@
 // since a replica answers it 503 by design and a writer answers it at
 // simulation speed, not serving speed.
 //
-// Output: a human line plus a `go test -bench`-shaped line on stdout that
-// cmd/benchcheck -set serve parses, and optionally the full JSON report via
-// -out:
+// Output: a human line on stderr and optionally the full JSON report via
+// -out (written before the SLO verdict, so a failing run leaves its numbers):
 //
-//	loadgen -addr http://127.0.0.1:8081 -duration 10s -conns 8 |
-//	    go run ./cmd/benchcheck -set serve -baseline BENCH_serve.json
+//	loadgen -addr http://127.0.0.1:8081 -duration 10s -conns 8 -out serve_report.json
 package main
 
 import (
@@ -57,7 +56,16 @@ type config struct {
 	quiet     bool
 }
 
-// Report is the JSON document -out writes; BENCH_serve.json gates a subset.
+// The serving SLO. Hard caps rather than comparisons against a recorded run:
+// a warm replica answers predict and rank from memory in single-digit
+// milliseconds on any host, so a p99 past a quarter second or more than one
+// request in a hundred failing is a defect, not noise.
+const (
+	sloP99Ms   = 250.0
+	sloErrRate = 0.01
+)
+
+// Report is the JSON document -out writes.
 type Report struct {
 	Mode        string           `json:"mode"` // "closed" or "open"
 	DurationSec float64          `json:"duration_sec"`
@@ -115,9 +123,23 @@ func main() {
 			"loadgen: %s loop, %d requests in %.1fs: %.0f req/s, p50 %.2fms p95 %.2fms p99 %.2fms, %.2f%% errors\n",
 			rep.Mode, rep.Requests, rep.DurationSec, rep.RPS, rep.P50Ms, rep.P95Ms, rep.P99Ms, 100*rep.ErrRate)
 	}
-	// The benchcheck-parseable line: "<value> <unit>" pairs after the count.
-	fmt.Printf("BenchmarkServeLoadgen 1 %d ns/op %.2f rps %.4f p50-ms %.4f p95-ms %.4f p99-ms %.6f err-rate\n",
-		int64(rep.DurationSec*1e9), rep.RPS, rep.P50Ms, rep.P95Ms, rep.P99Ms, rep.ErrRate)
+	if err := checkSLO(rep); err != nil {
+		fatal(err)
+	}
+}
+
+// checkSLO holds a report against the serving SLO. A run that completed no
+// request measured nothing and fails too.
+func checkSLO(rep *Report) error {
+	switch {
+	case rep.Requests == 0:
+		return fmt.Errorf("loadgen: no request completed in the measured window")
+	case rep.P99Ms > sloP99Ms:
+		return fmt.Errorf("loadgen: p99 %.2fms above SLO cap %gms", rep.P99Ms, sloP99Ms)
+	case rep.ErrRate > sloErrRate:
+		return fmt.Errorf("loadgen: error rate %.4f above SLO cap %g", rep.ErrRate, sloErrRate)
+	}
+	return nil
 }
 
 // parseMix turns "predict=0.9,rank=0.1" into normalized endpoint weights.

@@ -73,6 +73,22 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+func TestCheckSLO(t *testing.T) {
+	ok := &Report{Requests: 1000, P99Ms: sloP99Ms, ErrRate: sloErrRate}
+	if err := checkSLO(ok); err != nil {
+		t.Fatalf("report at the caps rejected: %v", err)
+	}
+	for name, rep := range map[string]*Report{
+		"slow p99":    {Requests: 1000, P99Ms: sloP99Ms + 1},
+		"errors":      {Requests: 1000, ErrRate: 2 * sloErrRate},
+		"no requests": {},
+	} {
+		if err := checkSLO(rep); err == nil {
+			t.Errorf("%s: accepted %+v", name, rep)
+		}
+	}
+}
+
 // TestRunAgainstStubServer drives the full closed loop briefly against a
 // stub endpoint set and checks the report is coherent.
 func TestRunAgainstStubServer(t *testing.T) {

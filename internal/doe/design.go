@@ -113,7 +113,8 @@ func (o DOptions) withDefaults(n, fixed int) DOptions {
 //
 // The exchange loop is incremental: every candidate's variance d(x) = xᵀDx
 // is cached and updated in O(k) per swap, so a sweep costs O(n·Nc·k + k³)
-// instead of the O(n·Nc·k²) of the textbook loop (see DOptimalRef).
+// instead of the O(n·Nc·k²) of the textbook loop (DOptimalRef, the test
+// oracle in ref_test.go).
 func DOptimal(space *Space, n int, rng *rand.Rand, opt DOptions) *Design {
 	return dOptimal(space, nil, n, rng, opt)
 }
@@ -125,8 +126,8 @@ func AugmentDOptimal(space *Space, existing []Point, nAdd int, rng *rand.Rand, o
 	return dOptimal(space, existing, nAdd, rng, opt)
 }
 
-// exchangeState is the shared setup of the incremental and reference
-// Fedorov loops: candidate pool, expanded rows, and the initial selection.
+// exchangeState is the shared setup of the incremental Fedorov loop and its
+// test oracle: candidate pool, expanded rows, and the initial selection.
 type exchangeState struct {
 	cands    []Point
 	crows    [][]float64
@@ -320,75 +321,4 @@ func dOptimal(space *Space, fixed []Point, n int, rng *rand.Rand, opt DOptions) 
 		}
 	}
 	return st.design(space, fixed, opt)
-}
-
-// DOptimalRef is the pre-incremental Fedorov exchange loop: it recomputes
-// every candidate's variance with a full O(k²) quadratic form per position
-// and clones the dispersion matrix on each Sherman–Morrison update. It is
-// retained as the reference implementation — equivalence tests compare its
-// selections against DOptimal's, and BenchmarkDOptimal reports the
-// incremental loop's speedup over it.
-func DOptimalRef(space *Space, n int, rng *rand.Rand, opt DOptions) *Design {
-	opt = opt.withDefaults(n, 0)
-	st := newExchangeState(space, nil, n, rng, opt)
-	k, crows, cands := st.k, st.crows, st.cands
-
-	for sweep := 0; sweep < opt.MaxSweeps; sweep++ {
-		d := st.computeD()
-		improved := false
-		for si, out := range st.sel {
-			xj := crows[out]
-			dj := quad(d, xj, xj, k)
-			bestDelta, bestC := 1e-9, -1
-			for ci := range cands {
-				if st.inDesign[ci] {
-					continue
-				}
-				x := crows[ci]
-				dx := quad(d, x, x, k)
-				dxj := quad(d, x, xj, k)
-				delta := dx - (dx*dj - dxj*dxj) - dj
-				if delta > bestDelta {
-					bestDelta, bestC = delta, ci
-				}
-			}
-			if bestC < 0 {
-				continue
-			}
-			d = smUpdate(d, crows[bestC], +1, k)
-			d = smUpdate(d, xj, -1, k)
-			st.inDesign[out] = false
-			st.inDesign[bestC] = true
-			st.sel[si] = bestC
-			improved = true
-		}
-		if !improved {
-			break
-		}
-	}
-	return st.design(space, nil, opt)
-}
-
-// smUpdate applies the Sherman–Morrison update for adding (sign=+1) or
-// removing (sign=-1) row x from the information matrix: given D=(XᵀX)⁻¹,
-// returns (XᵀX ± xxᵀ)⁻¹ as a fresh matrix. Only the reference loop uses
-// it; the incremental loop updates in place.
-func smUpdate(d *linalg.Matrix, x []float64, sign float64, k int) *linalg.Matrix {
-	dx := d.MulVec(x)
-	denom := 1.0
-	for i := range x {
-		denom += sign * x[i] * dx[i]
-	}
-	if denom == 0 {
-		return d // degenerate; next sweep recomputes from scratch
-	}
-	out := d.Clone()
-	scale := sign / denom
-	for i := 0; i < k; i++ {
-		oi := out.Row(i)
-		for j := 0; j < k; j++ {
-			oi[j] -= scale * dx[i] * dx[j]
-		}
-	}
-	return out
 }

@@ -3,7 +3,6 @@ package farm
 import (
 	"container/list"
 	"context"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"sync"
@@ -12,7 +11,6 @@ import (
 	"repro/internal/doe"
 	"repro/internal/isa"
 	"repro/internal/sim"
-	"repro/internal/smarts"
 	"repro/internal/workloads"
 )
 
@@ -142,9 +140,8 @@ func (f *Farm) compileCached(w workloads.Workload, p doe.Point) (*isa.Program, s
 }
 
 // cachedExecutor is the farm's default MeasureFunc: Executor with the
-// compile stage served by the shared binary cache. Detailed mode simulates
-// through the basic-block translated engine; sampled mode (Options.Sampler)
-// produces a SMARTS estimate through the warm-checkpoint store.
+// compile stage served by the shared binary cache, simulating through the
+// basic-block translated engine.
 func (f *Farm) cachedExecutor(ctx context.Context, job Job) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
@@ -155,28 +152,6 @@ func (f *Farm) cachedExecutor(ctx context.Context, job Job) (Result, error) {
 	}
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
-	}
-	if f.sampler != nil {
-		res, hit, err := smarts.RunCheckpointed(f.ckpts, prog, cfg, *f.sampler, f.maxInstrs)
-		if err != nil {
-			budget := errors.Is(err, smarts.ErrBudget) || sim.IsBudget(err)
-			return Result{}, &SimError{Workload: job.Workload.Key(), Budget: budget, Err: err}
-		}
-		// One critical section per sampled sim: hits+misses == sampled in
-		// every Stats snapshot.
-		f.Count(func() {
-			f.pool.SampledSims++
-			if hit {
-				f.pool.WarmCkptHits++
-			} else {
-				f.pool.WarmCkptMisses++
-			}
-		})
-		return Result{
-			Cycles:       res.EstimatedCycles,
-			Energy:       res.EstimatedEnergy,
-			Instructions: res.Instructions,
-		}, nil
 	}
 	st, es, err := sim.SimulateEngine(prog, cfg, f.maxInstrs, sim.EngineBB)
 	if err != nil {

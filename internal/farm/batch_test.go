@@ -334,12 +334,9 @@ func TestBatchStatsConsistentUnderLoad(t *testing.T) {
 	}
 	// The Constrained points are singletons (no other task shares their
 	// binary), so they run through the translated engine and its counters
-	// must have moved; sampled-mode counters must not.
+	// must have moved.
 	if st.BlocksTranslated == 0 || st.TranslatedInstrs == 0 {
 		t.Fatalf("singleton sims did not use the translated engine: %+v", st)
-	}
-	if st.SampledSims != 0 || st.WarmCkptHits != 0 || st.WarmCkptMisses != 0 {
-		t.Fatalf("sampled counters moved in a detailed farm: %+v", st)
 	}
 }
 

@@ -34,8 +34,6 @@ import (
 	"runtime"
 	"sync"
 	"time"
-
-	"repro/internal/smarts"
 )
 
 // Options configures a Farm.
@@ -45,9 +43,9 @@ type Options struct {
 	// Store holds completed measurements; nil means a fresh MemStore.
 	Store *Store
 	// Measure executes jobs; nil means the farm's own executor — compiles
-	// served by the shared binary cache, and (in detailed mode) points
-	// that share a binary grouped onto one sim.SimulateMany pass. A
-	// non-nil Measure owns the whole pipeline and turns grouping off.
+	// served by the shared binary cache, and points that share a binary
+	// grouped onto one sim.SimulateMany pass. A non-nil Measure owns the
+	// whole pipeline and turns grouping off.
 	Measure MeasureFunc
 	// MaxInstrs is the per-simulation instruction budget for the default
 	// executor (0 = 500M).
@@ -58,15 +56,6 @@ type Options struct {
 	// RetryDelay is the base backoff between transient retries, growing
 	// linearly with the attempt (0 = 10ms).
 	RetryDelay time.Duration
-	// Sampler, when non-nil, switches the default executor from detailed
-	// simulation to SMARTS sampled measurement backed by warm-state
-	// checkpoints: repeat measurements of one binary under configurations
-	// sharing a warm geometry replay only the detailed regions. Sampled
-	// results are estimates, so the farm's result store must not be shared
-	// with a detailed farm. Shared-trace grouping is disabled in this mode —
-	// the checkpoint store plays the same role across batches, not just
-	// within one.
-	Sampler *smarts.Sampler
 	// Log receives progress and recovery lines; nil silences them.
 	Log io.Writer
 }
@@ -88,11 +77,6 @@ type Farm struct {
 	compile   compileFn
 	maxInstrs int64
 
-	// Sampled-measurement plane: non-nil sampler selects SMARTS estimates
-	// served through the warm-checkpoint store instead of detailed runs.
-	sampler *smarts.Sampler
-	ckpts   *smarts.Store
-
 	mu      sync.Mutex
 	cond    *sync.Cond
 	queue   []*Group
@@ -113,7 +97,6 @@ func New(opts Options) *Farm {
 		bins:      newBinaryCache(binaryCacheSize),
 		compile:   defaultCompile,
 		maxInstrs: opts.MaxInstrs,
-		sampler:   opts.Sampler,
 	}
 	if f.workers <= 0 {
 		f.workers = runtime.GOMAXPROCS(0)
@@ -121,16 +104,9 @@ func New(opts Options) *Farm {
 	if f.maxInstrs == 0 {
 		f.maxInstrs = 500_000_000
 	}
-	if f.sampler != nil {
-		f.ckpts = smarts.NewStore(smarts.DefaultStoreCap)
-	}
-	// Grouping only applies with the default detailed executor. A custom
-	// Measure owns the whole pipeline, so the planner can't split it; and
-	// shared-trace grouping and checkpointed sampling are alternative
-	// amortization schemes for the same redundancy (one binary, many
-	// configurations), where the checkpoint store wins because it also spans
-	// batches and retries.
-	grouping := f.measure == nil && f.sampler == nil
+	// Grouping only applies with the default executor. A custom Measure owns
+	// the whole pipeline, so the planner can't split it.
+	grouping := f.measure == nil
 	if f.measure == nil {
 		f.measure = f.cachedExecutor
 	}
@@ -298,16 +274,11 @@ type PlannerStats struct {
 type PoolStats struct {
 	CompileCacheHits   int64
 	CompileCacheMisses int64
-	// The translated-engine trio moves only for ungrouped detailed sims
-	// (grouped sims ride the shared-trace path); the checkpoint trio moves
-	// only in sampled mode, where WarmCkptHits+WarmCkptMisses == SampledSims
-	// holds in every snapshot.
+	// The translated-engine trio moves only for ungrouped sims (grouped
+	// sims ride the shared-trace path).
 	BlocksTranslated int64 // static blocks translated across executed sims
 	TranslatedInstrs int64 // dynamic instructions retired via translated blocks
 	SlowPathEntries  int64 // translated-engine falls back to the fused loop
-	SampledSims      int64 // sims measured by SMARTS sampling
-	WarmCkptHits     int64 // sampled sims served by warm-checkpoint replay
-	WarmCkptMisses   int64 // sampled sims that built a checkpoint set
 }
 
 // DispatchStats are the counters of the plane that places groups on

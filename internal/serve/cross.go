@@ -1,10 +1,10 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync"
 
 	"repro/internal/doe"
 	"repro/internal/exp"
@@ -21,7 +21,8 @@ import (
 // program, zero farm dispatches once the cross models are resident. The
 // cross models are trained once per scale, on first request, over the seed
 // suite plus a wlgen corpus; concurrent first requests single-flight into
-// one training run, like the per-workload registry.
+// one training run through the per-workload registry's entry shape
+// (regEntry).
 
 // Defaults for the cross-model training corpus.
 const (
@@ -41,44 +42,40 @@ type CrossArtifacts struct {
 	Rows   int
 }
 
-// crossEntry single-flights one scale's cross-model training.
-type crossEntry struct {
-	once sync.Once
-	art  *CrossArtifacts
-	err  error
-}
-
 // crossFor returns the scale's cross artifacts, training them on first use.
-// The second return reports whether this request was answered from cache.
-// Failed training is not cached: the entry is dropped so a later request
-// retries.
-func (s *Server) crossFor(scaleName string) (*CrossArtifacts, bool, error) {
+// The second return reports whether this request was answered from cache
+// (true even when it joined a training run already in flight). As in
+// Registry.Get, ctx bounds only this caller's wait: training runs in its own
+// goroutine under a background context, because its result is shared with
+// every other waiter and with future requests. Failed training is not cached:
+// the entry is dropped so a later request retries.
+func (s *Server) crossFor(ctx context.Context, scaleName string) (*CrossArtifacts, bool, error) {
 	key := s.resolveScale(scaleName)
 	s.crossMu.Lock()
 	e, ok := s.cross[key]
-	if !ok {
-		e = &crossEntry{}
-		s.cross[key] = e
-	}
-	s.crossMu.Unlock()
-	hit := true
-	e.once.Do(func() {
-		hit = false
-		s.crossFits.Add(1)
-		e.art, e.err = s.trainCross(key)
-	})
-	if hit {
-		s.crossHits.Add(1)
-	}
-	if e.err != nil {
-		s.crossMu.Lock()
-		if s.cross[key] == e {
-			delete(s.cross, key)
-		}
+	if ok {
 		s.crossMu.Unlock()
-		return nil, false, e.err
+		s.crossHits.Add(1)
+		return e.wait(ctx)
 	}
-	return e.art, hit, nil
+	e = &regEntry[*CrossArtifacts]{ready: make(chan struct{})}
+	s.cross[key] = e
+	s.crossMu.Unlock()
+
+	s.crossFits.Add(1)
+	go func() {
+		e.art, e.err = s.trainCross(key)
+		if e.err != nil {
+			s.crossMu.Lock()
+			if s.cross[key] == e {
+				delete(s.cross, key)
+			}
+			s.crossMu.Unlock()
+		}
+		close(e.ready)
+	}()
+	art, _, err := e.wait(ctx)
+	return art, false, err
 }
 
 // trainCross builds the pooled dataset (seed suite + generated corpus) on
@@ -179,7 +176,7 @@ func (s *Server) handlePredictProgram(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	art, cached, err := s.crossFor(req.Scale)
+	art, cached, err := s.crossFor(r.Context(), req.Scale)
 	if err != nil {
 		writeErr(w, statusFor(err), "cross train: "+err.Error())
 		return

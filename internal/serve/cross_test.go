@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -8,8 +9,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/farm"
 	"repro/internal/features"
@@ -20,19 +23,30 @@ import (
 // stub, so tests can pin exactly how many farm dispatches each request costs.
 func crossTestServer(t *testing.T, executions *atomic.Int64) (*Server, *httptest.Server) {
 	t.Helper()
+	return crossTestServerWith(t, countingMeasure(executions))
+}
+
+// countingMeasure is a deterministic stand-in for compile+simulate that
+// counts its calls.
+func countingMeasure(executions *atomic.Int64) farm.MeasureFunc {
+	return func(ctx context.Context, job farm.Job) (farm.Result, error) {
+		executions.Add(1)
+		c := 1000.0 + 2.0*float64(len(job.Workload.Source))
+		for i, v := range job.Point {
+			c += float64(i%7+1) * math.Abs(float64(v)) * 0.05
+		}
+		return farm.Result{Cycles: c, Energy: c / 2, Instructions: 1000}, nil
+	}
+}
+
+func crossTestServerWith(t *testing.T, measure farm.MeasureFunc) (*Server, *httptest.Server) {
+	t.Helper()
 	features.ClearCache()
 	srv := New(Options{
 		Scale:           "quick",
 		CrossCorpusSize: 4,
 		CrossPointsPer:  3,
-		Measure: func(ctx context.Context, job farm.Job) (farm.Result, error) {
-			executions.Add(1)
-			c := 1000.0 + 2.0*float64(len(job.Workload.Source))
-			for i, v := range job.Point {
-				c += float64(i%7+1) * math.Abs(float64(v)) * 0.05
-			}
-			return farm.Result{Cycles: c, Energy: c / 2, Instructions: 1000}, nil
-		},
+		Measure:         measure,
 	})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
@@ -118,6 +132,85 @@ func TestPredictProgramZeroDispatchAfterTraining(t *testing.T) {
 	}
 	if out2.Fingerprint == out.Fingerprint {
 		t.Error("distinct programs share a fingerprint")
+	}
+}
+
+// TestPredictProgramWaiterHonoursContext pins that a /v1/predict-program
+// caller waits for cross-model training only as long as its own request
+// lives: with training blocked inside the measurement stub, the request that
+// started it and one that joined it both return 499 as soon as their contexts
+// are cancelled, the training they left behind still completes exactly once,
+// and the next request is answered from the resident models.
+func TestPredictProgramWaiterHonoursContext(t *testing.T) {
+	var executions atomic.Int64
+	counting := countingMeasure(&executions)
+	started, release := make(chan struct{}), make(chan struct{})
+	var startOnce, releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	srv, ts := crossTestServerWith(t, func(ctx context.Context, job farm.Job) (farm.Result, error) {
+		startOnce.Do(func() { close(started) })
+		<-release
+		return counting(ctx, job)
+	})
+	t.Cleanup(unblock) // registered after the server's: runs first, so Close can drain
+
+	body, err := json.Marshal(PredictProgramRequest{Source: wlgen.Generate(777).Source, Points: testPoints(2, 5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	codes := make(chan int, 2)
+	serve := func() {
+		req := httptest.NewRequest("POST", "/v1/predict-program", bytes.NewReader(body)).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, req)
+		codes <- rec.Code
+	}
+	go serve() // starts the training run
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("training never reached the measurement stub")
+	}
+	go serve() // joins it (or, rarely, is still extracting features: same outcome)
+	cancel()
+	for i := 0; i < 2; i++ {
+		select {
+		case code := <-codes:
+			if code != 499 {
+				t.Errorf("cancelled waiter answered %d, want 499", code)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("cancelled waiter still blocked on cross-model training")
+		}
+	}
+	if n := srv.inFlight.Load(); n != 0 {
+		t.Errorf("%d in-flight slots still held by cancelled waiters", n)
+	}
+
+	unblock()
+	resp := postJSON(t, ts.URL+"/v1/predict-program", PredictProgramRequest{
+		Source: wlgen.Generate(778).Source,
+		Points: testPoints(2, 5),
+	})
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("request after the abandoned training: status %d: %s", resp.StatusCode, b)
+	}
+	var out PredictProgramResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if !out.Cached {
+		t.Error("request after the abandoned training started a second one")
+	}
+	if fits := srv.crossFits.Load(); fits != 1 {
+		t.Errorf("%d cross-model training runs, want 1", fits)
+	}
+	if got, want := executions.Load(), int64((7+4)*3); got != want {
+		t.Errorf("training dispatched %d sims, want %d", got, want)
 	}
 }
 

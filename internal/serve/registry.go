@@ -134,16 +134,18 @@ type Registry struct {
 	log      io.Writer
 
 	mu      sync.Mutex
-	entries map[string]*regEntry
+	entries map[string]*regEntry[*Artifacts]
 	order   []string // LRU order: least recently used first
 	stats   RegistryStats
 }
 
-// regEntry is one cached (possibly still-training) artifact set. Waiters
-// hold the pointer, so eviction never invalidates an in-progress lookup.
-type regEntry struct {
+// regEntry is one cached (possibly still-training) artifact set: the
+// package's one single-flight shape, under the registry (*Artifacts) and the
+// per-scale cross-program models (*CrossArtifacts). Waiters hold the pointer,
+// so eviction never invalidates an in-progress lookup.
+type regEntry[T any] struct {
 	ready chan struct{} // closed when art/err are set
-	art   *Artifacts
+	art   T
 	err   error
 }
 
@@ -166,7 +168,7 @@ func NewRegistry(trainer Trainer, maxEntries int) *Registry {
 	if maxEntries <= 0 {
 		maxEntries = 8
 	}
-	return &Registry{trainer: trainer, max: maxEntries, entries: map[string]*regEntry{}}
+	return &Registry{trainer: trainer, max: maxEntries, entries: map[string]*regEntry[*Artifacts]{}}
 }
 
 // UseStore attaches an artifact store. In read-only mode the registry never
@@ -204,7 +206,7 @@ func (r *Registry) Get(ctx context.Context, w workloads.Workload, scale string) 
 		r.mu.Unlock()
 		return e.wait(ctx)
 	}
-	e = &regEntry{ready: make(chan struct{})}
+	e = &regEntry[*Artifacts]{ready: make(chan struct{})}
 	r.entries[key] = e
 	r.order = append(r.order, key)
 	r.stats.Misses++
@@ -314,7 +316,7 @@ func (r *Registry) Reload() (loaded, skipped int, err error) {
 // replacing any ready entry under the same key (copy-on-write: the old
 // entry stays valid for goroutines holding it) but never an in-flight one.
 func (r *Registry) install(key string, art *Artifacts) {
-	e := &regEntry{ready: make(chan struct{}), art: art}
+	e := &regEntry[*Artifacts]{ready: make(chan struct{}), art: art}
 	close(e.ready)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -334,12 +336,13 @@ func (r *Registry) install(key string, art *Artifacts) {
 }
 
 // wait blocks until the entry is trained or ctx expires.
-func (e *regEntry) wait(ctx context.Context) (*Artifacts, bool, error) {
+func (e *regEntry[T]) wait(ctx context.Context) (T, bool, error) {
 	select {
 	case <-e.ready:
 		return e.art, true, e.err
 	case <-ctx.Done():
-		return nil, false, ctx.Err()
+		var none T
+		return none, false, ctx.Err()
 	}
 }
 

@@ -110,7 +110,7 @@ type Server struct {
 	closed    bool
 
 	crossMu   sync.Mutex
-	cross     map[string]*crossEntry // per-scale cross-program models
+	cross     map[string]*regEntry[*CrossArtifacts] // per-scale cross-program models
 	crossFits atomic.Int64
 	crossHits atomic.Int64
 
@@ -142,7 +142,7 @@ func New(opts Options) *Server {
 		maxFlight: int64(opts.MaxInFlight),
 		start:     time.Now(),
 		harnesses: map[string]*exp.Harness{},
-		cross:     map[string]*crossEntry{},
+		cross:     map[string]*regEntry[*CrossArtifacts]{},
 	}
 	trainer := opts.Trainer
 	if trainer == nil {
@@ -849,9 +849,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		emit("blocks_translated_total", st.BlocksTranslated)
 		emit("translated_instrs_total", st.TranslatedInstrs)
 		emit("slow_path_entries_total", st.SlowPathEntries)
-		emit("sampled_sims_total", st.SampledSims)
-		emit("warm_ckpt_hits_total", st.WarmCkptHits)
-		emit("warm_ckpt_misses_total", st.WarmCkptMisses)
 	}
 }
 

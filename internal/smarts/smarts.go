@@ -43,7 +43,11 @@ func (s Sampler) validate() error {
 	return nil
 }
 
-// DefaultSampler returns the paper's sampling parameters.
+// DefaultSampler returns the paper's sampling parameters, sized for SPEC runs
+// of billions of instructions. On this repository's workloads (1–9 M
+// instructions) it draws a handful of windows and the estimate is off by
+// multiples; accuracy_test.go records what each sampling density gives at
+// that length.
 func DefaultSampler() Sampler {
 	return Sampler{WindowSize: 1000, Interval: 1000}
 }
