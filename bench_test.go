@@ -13,14 +13,15 @@
 // measurement cache, so reported times reflect modeling/search cost rather
 // than simulation.
 //
-// Seven benchmarks are also CI's performance gate. Each measures a ratio of
+// Eight benchmarks are also CI's performance gate. Each measures a ratio of
 // two runs inside one process, holds it against a named floor constant
 // declared beside it, and fails itself (b.Fatalf) when the ratio falls below:
 // TranslatedThroughput, WarmCheckpointSpeedup, SMARTSSpeedup,
 // MeasureBatchShared, DistributedSweep and HeterogeneousSweep here, DOptimal
-// in internal/doe beside its reference loop. Run them all once:
+// in internal/doe and FitMARSForward in internal/model, each beside its
+// reference loop. Run them all once:
 //
-//	go test -run '^$' -bench 'TranslatedThroughput$|WarmCheckpointSpeedup$|SMARTSSpeedup$|MeasureBatchShared$|DistributedSweep$|HeterogeneousSweep$|BenchmarkDOptimal$' -benchtime=1x . ./internal/doe
+//	go test -run '^$' -bench 'TranslatedThroughput$|WarmCheckpointSpeedup$|SMARTSSpeedup$|MeasureBatchShared$|DistributedSweep$|HeterogeneousSweep$|BenchmarkDOptimal$|BenchmarkFitMARSForward$' -benchtime=1x . ./internal/doe ./internal/model
 //
 // Every other benchmark is a plain benchmark nothing parses; absolute
 // wall-clock numbers are recorded by benchmark/ against BENCHMARK.json.
@@ -607,10 +608,11 @@ func analyticsData(n int, seed int64) *model.Dataset {
 	return d
 }
 
-// BenchmarkFitMARS times a full MARS fit (parallel forward pass +
-// Cholesky drop-one backward pruning) on a 200-point joint-space dataset.
+// BenchmarkFitMARS times a full MARS fit (parallel incremental forward pass
+// + Cholesky drop-one backward pruning) on a 200-point joint-space dataset.
 func BenchmarkFitMARS(b *testing.B) {
 	data := analyticsData(200, 61)
+	b.ReportAllocs()
 	var terms int
 	for i := 0; i < b.N; i++ {
 		m, err := model.FitMARS(data, model.MARSOptions{})

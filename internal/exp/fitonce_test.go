@@ -332,3 +332,28 @@ func TestTable4ParallelMatchesSerial(t *testing.T) {
 		}
 	}
 }
+
+// TestFitAllRefusesNonFiniteResponse: a zero response passes the linear fit
+// (raw scale) and is refused where LogDataset turned it into −Inf; a NaN
+// response is refused by the linear fit first — the serial path's priority
+// (linear, mars, rbf, mars-raw) at any worker count.
+func TestFitAllRefusesNonFiniteResponse(t *testing.T) {
+	st := sharedStudy(t)
+	train := st.Programs[0].Train
+	for _, c := range []struct {
+		y    float64
+		want string
+	}{{0, "mars fit: row 5"}, {math.NaN(), "linear fit: row 5"}} {
+		ys := append([]float64{}, train.Y...)
+		ys[5] = c.y
+		data, err := model.NewDataset(train.X, ys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			if _, err := FitAllParallel(data, workers); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("response %v, workers %d: error %v, want one containing %q", c.y, workers, err, c.want)
+			}
+		}
+	}
+}

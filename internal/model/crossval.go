@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"repro/internal/par"
 )
@@ -97,15 +98,21 @@ func abs(v float64) float64 {
 	return v
 }
 
-// SelectByCV picks the fitting procedure with the lowest k-fold CV error.
-// Returns the winning name, its refit-on-everything model, and the per-name
-// CV scores.
+// SelectByCV picks the fitting procedure with the lowest k-fold CV error;
+// on equal scores the lexicographically first name wins, so the choice does
+// not follow map order. Returns the winning name, its refit-on-everything
+// model, and the per-name CV scores.
 func SelectByCV(data *Dataset, k int, seed int64,
 	fitters map[string]func(*Dataset) (Model, error)) (string, Model, map[string]float64, error) {
+	names := make([]string, 0, len(fitters))
+	for name := range fitters {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	scores := map[string]float64{}
 	bestName := ""
-	for name, fit := range fitters {
-		score, err := CrossValidate(data, k, seed, fit)
+	for _, name := range names {
+		score, err := CrossValidate(data, k, seed, fitters[name])
 		if err != nil {
 			continue
 		}

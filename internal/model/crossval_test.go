@@ -2,6 +2,8 @@ package model
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/doe"
@@ -75,5 +77,61 @@ func TestCrossValidateDeterministic(t *testing.T) {
 	b, _ := CrossValidate(data, 4, 7, marsFitter)
 	if a != b {
 		t.Fatal("same seed must give same CV estimate")
+	}
+}
+
+// On equal CV scores the winner must not follow Go's map order: three names
+// bound to one fitter returned a/b/c 149/29/22 times over 200 calls before
+// the names were sorted.
+func TestSelectByCVTieIsLexicographic(t *testing.T) {
+	data := synth(24, 3, 36, nonlinearTruth, 0.3)
+	fitters := map[string]func(*Dataset) (Model, error){"c": linFitter, "a": linFitter, "b": linFitter}
+	for i := 0; i < 100; i++ {
+		name, _, scores, err := SelectByCV(data, 3, 1, fitters)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name != "a" {
+			t.Fatalf("call %d selected %q (scores %v), want the first name of the tie", i, name, scores)
+		}
+	}
+}
+
+// A response LogDataset cannot transform is refused by every fitter with an
+// error naming the row — not fitted into −Inf coefficients — and inside
+// cross-validation that refusal is one more degenerate fold: skipped, and
+// the estimate comes from the folds that hold the row out.
+func TestNonFiniteDataIsRefused(t *testing.T) {
+	data := synth(40, 3, 37, func(x []float64) float64 { return 100 + 5*x[1] }, 0.1)
+	data.Y[7] = 0
+	logged := LogDataset(data)
+	if _, err := FitMARS(logged, MARSOptions{}); err == nil || !strings.Contains(err.Error(), "row 7") {
+		t.Errorf("FitMARS on a −Inf response: %v, want an error naming row 7", err)
+	}
+	if _, err := FitRBF(logged, RBFOptions{}); err == nil || !strings.Contains(err.Error(), "row 7") {
+		t.Errorf("FitRBF on a −Inf response: %v, want an error naming row 7", err)
+	}
+	if _, err := FitLinear(logged, doe.ExpandLinear); err == nil || !strings.Contains(err.Error(), "row 7") {
+		t.Errorf("FitLinear on a −Inf response: %v, want an error naming row 7", err)
+	}
+	data.X[3][2] = math.NaN()
+	if _, err := FitMARS(data, MARSOptions{}); err == nil || !strings.Contains(err.Error(), "row 3: coordinate 2") {
+		t.Errorf("FitMARS on a NaN coordinate: %v, want an error naming row 3, coordinate 2", err)
+	}
+	data.X[3][2] = 0
+
+	logMARS := func(d *Dataset) (Model, error) {
+		m, err := FitMARS(LogDataset(d), MARSOptions{Workers: 1})
+		if err != nil {
+			return nil, err
+		}
+		return LogModel{Inner: m}, nil
+	}
+	serial, err := CrossValidateParallel(data, 4, 1, 1, logMARS)
+	if err != nil || math.IsNaN(serial) || math.IsInf(serial, 0) {
+		t.Fatalf("CV over a dataset with one zero response: %v, %v; want the held-out fold's estimate", serial, err)
+	}
+	if parallel, _ := CrossValidateParallel(data, 4, 1, 4, logMARS); parallel != serial {
+		t.Fatalf("CV estimate %v at 4 workers, %v at 1", parallel, serial)
 	}
 }

@@ -27,7 +27,9 @@ func (m LogModel) PredictScratch(x, scratch []float64) float64 {
 }
 
 // LogDataset returns a copy of d with the response log-transformed.
-// Responses must be positive.
+// Responses must be positive: one that is not becomes −Inf or NaN here, and
+// the fitter handed the result (FitMARS, FitRBF, FitLinear) refuses it with
+// an error naming the row.
 func LogDataset(d *Dataset) *Dataset {
 	ys := make([]float64, len(d.Y))
 	for i, y := range d.Y {

@@ -110,11 +110,83 @@ func (o MARSOptions) withDefaults(dim, n int) MARSOptions {
 
 // FitMARS runs Friedman's two-phase algorithm: a greedy forward pass adding
 // hinge-pair bases that most reduce residual error, then a backward pruning
-// pass deleting bases while the GCV criterion improves.
+// pass deleting bases while the GCV criterion improves. A non-finite
+// coordinate or response is an error naming its row.
 func FitMARS(data *Dataset, opt MARSOptions) (*MARSModel, error) {
-	n, dim := data.Len(), data.Dim()
-	opt = opt.withDefaults(dim, n)
+	if err := checkFinite(data); err != nil {
+		return nil, fmt.Errorf("model: mars fit: %w", err)
+	}
+	opt = opt.withDefaults(data.Dim(), data.Len())
+	bases, cols, _ := marsForward(data, opt, marsCacheBytes)
+	return marsBackward(data, opt, bases, cols)
+}
 
+// marsCacheBytes bounds what one forward pass retains of its candidates'
+// orthogonalised hinge pairs, 16·n bytes each (up to 140 MB unbounded at the
+// cross-program shape). First come, first cached — the oldest are rescored
+// most often; a candidate past the bound is scored by the same function from
+// its raw hinge pair in worker scratch, to the same bits.
+const marsCacheBytes = 64 << 20
+
+// marsCand is one (parent, variable, knot) candidate of the forward pass.
+// o holds its two hinge columns (o[:n] and o[n:]) orthogonalised against
+// q[:nq] and left un-normalised, so that a later step continues the same
+// Gram–Schmidt over q[nq:]. o is nil for a candidate past the cache bound,
+// which starts over from its raw pair every time.
+type marsCand struct {
+	parent, v int
+	t         float64
+	o         []float64
+	nq        int
+}
+
+// score returns the squared residual projection the candidate's hinge pair
+// captures beyond the orthonormal span q. The pair is projected off q[c.nq:]
+// only — q[:c.nq] is already out of it, by the operations a projection from
+// scratch performs in the same order, so the gain has the same bits. w is
+// 4·n values of scratch the caller owns.
+func (c *marsCand) score(data *Dataset, pcol []float64, q [][]float64, r, w []float64) float64 {
+	n := len(r)
+	o, from := c.o, c.nq
+	if o == nil {
+		o, from = w[2*n:], 0
+	}
+	c.nq = len(q)
+	o1, o2 := o[:n], o[n:]
+	if from == 0 {
+		hingeCols(o1, o2, data, pcol, c.v, c.t)
+	}
+	deflate(o1, q[from:])
+	deflate(o2, q[from:])
+
+	// Normalise and deflate in scratch: the stored pair stays extendable.
+	gain := 0.0
+	s2 := o2
+	if n1 := linalg.Norm2(o1); n1 > 1e-10 {
+		s1 := w[:n]
+		for i, x := range o1 {
+			s1[i] = x / n1
+		}
+		p := linalg.Dot(s1, r)
+		gain += p * p
+		p = linalg.Dot(s1, o2)
+		s2 = w[n : 2*n]
+		for i, x := range o2 {
+			s2[i] = x - p*s1[i]
+		}
+	}
+	if n2 := linalg.Norm2(s2); n2 > 1e-10 {
+		p := linalg.Dot(s2, r) / n2
+		gain += p * p
+	}
+	return gain
+}
+
+// marsForward is the greedy forward pass: it returns the bases, their
+// columns over the data and the candidates it scored, caching up to budget
+// bytes of them (marsCacheBytes outside tests).
+func marsForward(data *Dataset, opt MARSOptions, budget int) ([]Basis, [][]float64, []marsCand) {
+	n, dim := data.Len(), data.Dim()
 	bases := []Basis{{}} // intercept
 	cols := [][]float64{constCol(n)}
 
@@ -122,7 +194,8 @@ func FitMARS(data *Dataset, opt MARSOptions) (*MARSModel, error) {
 	var q [][]float64
 	r := append([]float64{}, data.Y...)
 	pushColumn := func(c []float64) {
-		qc := orthogonalize(c, q)
+		qc := append([]float64{}, c...)
+		deflate(qc, q)
 		nrm := linalg.Norm2(qc)
 		if nrm < 1e-10 {
 			return
@@ -139,50 +212,60 @@ func FitMARS(data *Dataset, opt MARSOptions) (*MARSModel, error) {
 	pushColumn(cols[0])
 
 	knotsFor := knotTable(data, opt.MaxKnots)
+	workers := par.Workers(opt.Workers)
+	scratch := make([]float64, workers*4*n)
 
+	// The candidate list is append-only: a (parent, var, knot) candidate
+	// never leaves, and new parents join bases at the end, so appending
+	// their candidates keeps the list in the serial scan order the winner
+	// selection below relies on. bases[:listed] have theirs in it.
+	var cands []marsCand
+	listed := 0
 	for len(bases) < opt.MaxTerms {
-		// Enumerate all (parent, var, knot) candidates in the serial scan
-		// order, score them on the worker pool (each gain depends only on
-		// the shared read-only q/r state), then pick the first strict
-		// maximum — exactly the serial selection, at any worker count.
-		type cand struct {
-			parent int
-			v      int
-			t      float64
-		}
-		var cands []cand
-		for pi, parent := range bases {
-			if parent.degree() >= opt.MaxDegree {
+		for ; listed < len(bases); listed++ {
+			if bases[listed].degree() >= opt.MaxDegree {
 				continue
 			}
 			for v := 0; v < dim; v++ {
-				if parent.usesVar(v) {
+				if bases[listed].usesVar(v) {
 					continue
 				}
 				for _, t := range knotsFor[v] {
-					cands = append(cands, cand{pi, v, t})
+					c := marsCand{parent: listed, v: v, t: t}
+					if budget >= 16*n {
+						budget -= 16 * n
+						c.o = make([]float64, 2*n)
+					}
+					cands = append(cands, c)
 				}
 			}
 		}
+		// Score on the worker pool — a gain depends only on the candidate's
+		// own columns and the shared read-only q/r — then pick the first
+		// strict maximum: the serial selection at any worker count. Worker w
+		// takes every workers-th candidate, which spreads the new (costliest)
+		// ones at the tail.
 		gains := make([]float64, len(cands))
-		par.For(len(cands), opt.Workers, func(i int) {
-			c := cands[i]
-			c1, c2 := hingeCols(data, cols[c.parent], c.v, c.t)
-			gains[i] = pairGain(c1, c2, q, r)
+		par.For(workers, workers, func(w int) {
+			ws := scratch[w*4*n : (w+1)*4*n]
+			for i := w; i < len(cands); i += workers {
+				c := &cands[i]
+				gains[i] = c.score(data, cols[c.parent], q, r, ws)
+			}
 		})
-		best, bestGain := cand{}, 1e-9
-		bestI := -1
+		bestI, bestGain := -1, 1e-9
 		for i, g := range gains {
 			if g > bestGain {
-				best, bestGain, bestI = cands[i], g, i
+				bestI, bestGain = i, g
 			}
 		}
 		if bestI < 0 {
 			break
 		}
+		best := cands[bestI]
 		parent := bases[best.parent]
-		pcol := cols[best.parent]
-		c1, c2 := hingeCols(data, pcol, best.v, best.t)
+		c1, c2 := make([]float64, n), make([]float64, n)
+		hingeCols(c1, c2, data, cols[best.parent], best.v, best.t)
 		b1 := Basis{Factors: append(append([]Hinge{}, parent.Factors...), Hinge{best.v, best.t, true})}
 		b2 := Basis{Factors: append(append([]Hinge{}, parent.Factors...), Hinge{best.v, best.t, false})}
 		bases = append(bases, b1, b2)
@@ -190,7 +273,12 @@ func FitMARS(data *Dataset, opt MARSOptions) (*MARSModel, error) {
 		pushColumn(c1)
 		pushColumn(c2)
 	}
+	return bases, cols, cands
+}
 
+// marsBackward prunes the forward pass's bases by GCV and refits the winners.
+func marsBackward(data *Dataset, opt MARSOptions, bases []Basis, cols [][]float64) (*MARSModel, error) {
+	n := data.Len()
 	// Backward pruning by GCV, on a cached column Gram instead of one full
 	// least-squares refit per (level, dropped term). The Gram G = XᵀX and
 	// moment vector Xᵀy over all forward-pass columns are computed once
@@ -375,66 +463,32 @@ func knotTable(data *Dataset, maxKnots int) [][]float64 {
 	return out
 }
 
-func hingeCols(data *Dataset, pcol []float64, v int, t float64) ([]float64, []float64) {
-	n := data.Len()
-	c1 := make([]float64, n)
-	c2 := make([]float64, n)
-	for i := 0; i < n; i++ {
-		if pcol[i] == 0 {
-			continue
-		}
-		d := data.X[i][v] - t
-		if d > 0 {
-			c1[i] = pcol[i] * d
-		} else if d < 0 {
-			c2[i] = -pcol[i] * d
-		}
-	}
-	return c1, c2
-}
-
-// orthogonalize returns c minus its projection onto the orthonormal set q.
-func orthogonalize(c []float64, q [][]float64) []float64 {
-	out := append([]float64{}, c...)
-	for _, qi := range q {
-		p := linalg.Dot(qi, out)
+// hingeCols fills c1 and c2 with the hinge pair pcol·(x_v − t)₊ and
+// pcol·(t − x_v)₊ over the data.
+func hingeCols(c1, c2 []float64, data *Dataset, pcol []float64, v int, t float64) {
+	for i, p := range pcol {
+		c1[i], c2[i] = 0, 0
 		if p == 0 {
 			continue
 		}
-		for i := range out {
-			out[i] -= p * qi[i]
+		if d := data.X[i][v] - t; d > 0 {
+			c1[i] = p * d
+		} else if d < 0 {
+			c2[i] = -p * d
 		}
 	}
-	return out
 }
 
-// pairGain scores adding the hinge pair: the squared residual projection
-// captured by the two columns after orthogonalization against the current
-// span.
-func pairGain(c1, c2 []float64, q [][]float64, r []float64) float64 {
-	gain := 0.0
-	q1 := orthogonalize(c1, q)
-	n1 := linalg.Norm2(q1)
-	if n1 > 1e-10 {
-		for i := range q1 {
-			q1[i] /= n1
+// deflate subtracts from c, in place and in turn, its projection onto each
+// of the orthonormal directions qs (modified Gram–Schmidt).
+func deflate(c []float64, qs [][]float64) {
+	for _, qi := range qs {
+		p := linalg.Dot(qi, c)
+		if p == 0 {
+			continue
 		}
-		p := linalg.Dot(q1, r)
-		gain += p * p
-	} else {
-		q1 = nil
-	}
-	q2 := orthogonalize(c2, q)
-	if q1 != nil {
-		p := linalg.Dot(q1, q2)
-		for i := range q2 {
-			q2[i] -= p * q1[i]
+		for i := range c {
+			c[i] -= p * qi[i]
 		}
 	}
-	n2 := linalg.Norm2(q2)
-	if n2 > 1e-10 {
-		p := linalg.Dot(q2, r) / n2
-		gain += p * p
-	}
-	return gain
 }

@@ -86,6 +86,24 @@ func NewDataset(x [][]float64, y []float64) (*Dataset, error) {
 	return &Dataset{X: x, Y: y}, nil
 }
 
+// checkFinite returns an error naming the first row of d that holds a NaN or
+// infinite coordinate or response. The fitters call it before touching the
+// data: least squares on such a row does not fail, it returns non-finite
+// coefficients with a nil error.
+func checkFinite(d *Dataset) error {
+	for i, x := range d.X {
+		if y := d.Y[i]; math.IsNaN(y) || math.IsInf(y, 0) {
+			return fmt.Errorf("row %d: response is %v", i, y)
+		}
+		for j, v := range x {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("row %d: coordinate %d is %v", i, j, v)
+			}
+		}
+	}
+	return nil
+}
+
 // Dim returns the number of predictor variables.
 func (d *Dataset) Dim() int { return len(d.X[0]) }
 
@@ -187,8 +205,12 @@ type LinearModel struct {
 
 // FitLinear estimates a linear model by least squares (QR, with a ridge
 // fallback when the expanded design matrix is rank-deficient, as it
-// necessarily is when samples < terms).
+// necessarily is when samples < terms). A non-finite coordinate or response
+// is an error naming its row.
 func FitLinear(data *Dataset, exp doe.Expansion) (*LinearModel, error) {
+	if err := checkFinite(data); err != nil {
+		return nil, fmt.Errorf("model: linear fit: %w", err)
+	}
 	rows := make([][]float64, data.Len())
 	for i, x := range data.X {
 		rows[i] = doe.ExpandCoded(x, exp)

@@ -70,8 +70,12 @@ func (o RBFOptions) withDefaults() RBFOptions {
 // each leaf centroid becomes a neuron center (Orr's regression-tree method),
 // radii derive from inter-center spacing, output weights come from a
 // penalized least-squares solve, and the BIC criterion (paper Equation 9)
-// selects among tree granularities to avoid overfitting.
+// selects among tree granularities to avoid overfitting. A non-finite
+// coordinate or response is an error naming its row.
 func FitRBF(data *Dataset, opt RBFOptions) (*RBFModel, error) {
+	if err := checkFinite(data); err != nil {
+		return nil, fmt.Errorf("model: rbf fit: %w", err)
+	}
 	opt = opt.withDefaults()
 	var best *RBFModel
 	for _, leaf := range opt.LeafSizes {
