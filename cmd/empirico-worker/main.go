@@ -48,7 +48,6 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":9101", "listen address")
 		workers     = flag.Int("workers", 0, "local farm workers (0 = GOMAXPROCS)")
-		maxInstrs   = flag.Int64("max-instrs", 0, "per-simulation instruction budget (0 = 500M; must match the coordinator's)")
 		heartbeat   = flag.Duration("heartbeat", 0, "interval between heartbeat lines while measuring (0 = 500ms)")
 		storePath   = flag.String("store", "", "journaled worker-local store path (empty = in-memory only)")
 		coordinator = flag.String("coordinator", "", "coordinator control URL to register with (empty = static fleet membership)")
@@ -59,7 +58,6 @@ func main() {
 
 	opts := dist.WorkerOptions{
 		Workers:   *workers,
-		MaxInstrs: *maxInstrs,
 		Heartbeat: *heartbeat,
 	}
 	if !*quiet {

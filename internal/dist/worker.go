@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/doe"
 	"repro/internal/farm"
 )
 
@@ -19,10 +20,6 @@ type WorkerOptions struct {
 	// also the slot budget a worker advertises when it registers with a
 	// coordinator.
 	Workers int
-	// MaxInstrs bounds each simulation (0 = the farm default of 500M).
-	// Coordinators and workers must agree on the budget for bit-identical
-	// results; both default to the same constant.
-	MaxInstrs int64
 	// Heartbeat is the interval between heartbeat lines while a group
 	// measures (0 = 500ms). It must be well under the coordinator's lease
 	// timeout.
@@ -39,6 +36,13 @@ type WorkerOptions struct {
 	// Log receives progress lines; nil silences them.
 	Log io.Writer
 }
+
+// maxGroupBody bounds a /v1/group request body, as serve bounds its own: a
+// group is one workload's source and some hundreds of 25-value points.
+const maxGroupBody = 8 << 20
+
+// jointVars is the arity of a leased point.
+var jointVars = doe.JointSpace().NumVars()
 
 // Worker wraps a local farm behind the group-lease API. Scheduling, dedup
 // and cross-worker durability stay coordinator-side, so a worker can be
@@ -62,11 +66,10 @@ type Worker struct {
 func NewWorker(opts WorkerOptions) *Worker {
 	w := &Worker{
 		farm: farm.New(farm.Options{
-			Workers:   opts.Workers,
-			Measure:   opts.Measure,
-			MaxInstrs: opts.MaxInstrs,
-			Store:     opts.Store,
-			Log:       opts.Log,
+			Workers: opts.Workers,
+			Measure: opts.Measure,
+			Store:   opts.Store,
+			Log:     opts.Log,
 		}),
 		boot:  fmt.Sprintf("%d-%d", os.Getpid(), time.Now().UnixNano()),
 		hb:    opts.Heartbeat,
@@ -108,6 +111,7 @@ func (w *Worker) logf(format string, args ...interface{}) {
 // read deadline expires the lease.
 func (w *Worker) handleGroup(rw http.ResponseWriter, r *http.Request) {
 	var req GroupRequest
+	r.Body = http.MaxBytesReader(rw, r.Body, maxGroupBody)
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		http.Error(rw, "bad request body: "+err.Error(), http.StatusBadRequest)
 		return
@@ -115,6 +119,17 @@ func (w *Worker) handleGroup(rw http.ResponseWriter, r *http.Request) {
 	if len(req.Points) == 0 {
 		http.Error(rw, "empty group", http.StatusBadRequest)
 		return
+	}
+	// The planner slices each point by the joint space's layout (doe.ToConfig
+	// under farm.BinaryKey) on a goroutine net/http cannot recover a panic of,
+	// so a point of the wrong arity must not get that far. Ranges are not
+	// checked: Fig3 sweeps the unroll factor from below the box the models
+	// are fitted over, and a worker measures what the coordinator keyed.
+	for i, p := range req.Points {
+		if len(p) != jointVars {
+			http.Error(rw, fmt.Sprintf("point %d has %d values, want %d", i, len(p), jointVars), http.StatusBadRequest)
+			return
+		}
 	}
 	jobs := jobsFromWire(&req)
 	w.logf("worker: lease %s: %s, %d points", req.Lease, jobs[0].Workload.Key(), len(jobs))

@@ -31,15 +31,8 @@ func (e Expansion) NumTerms(k int) int {
 // ExpandCoded maps coded coordinates to a regression row: intercept, main
 // effects, and (for ExpandInteractions) products x_i*x_j with i < j.
 func ExpandCoded(coded []float64, e Expansion) []float64 {
-	return ExpandCodedInto(coded, e, make([]float64, 0, e.NumTerms(len(coded))))
-}
-
-// ExpandCodedInto is ExpandCoded appending into dst[:0] (grown if needed),
-// for callers that reuse a row buffer across evaluations. The arithmetic is
-// identical, so results are bit-for-bit those of ExpandCoded.
-func ExpandCodedInto(coded []float64, e Expansion, dst []float64) []float64 {
 	k := len(coded)
-	row := dst[:0]
+	row := make([]float64, 0, e.NumTerms(k))
 	row = append(row, 1)
 	row = append(row, coded...)
 	if e == ExpandInteractions {

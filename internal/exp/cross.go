@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -75,12 +74,11 @@ func (h *Harness) CrossDesign(w workloads.Workload, n int) []doe.Point {
 }
 
 // BuildCrossDataset extracts features for every workload and measures its
-// per-program design, pooling everything into one dataset. All jobs are
-// prefetched through the farm in a single batch first, so the measurement
-// plane's batch planner groups points sharing a binary and the worker pool
-// stays saturated across programs; the per-program assembly pass then reads
-// pure cache hits. Interrupted builds resume from the durable store when
-// the harness has a CacheDir.
+// per-program design, pooling everything into one dataset. All jobs go to
+// the farm as a single batch, so the measurement plane's batch planner groups
+// points sharing a binary and the worker pool stays saturated across
+// programs; the rows are assembled from that batch's answer. Interrupted
+// builds resume from the durable store when the harness has a CacheDir.
 func (h *Harness) BuildCrossDataset(ws []workloads.Workload, pointsPer int) (*CrossDataset, error) {
 	if len(ws) == 0 {
 		return nil, fmt.Errorf("exp: cross dataset needs at least one workload")
@@ -103,21 +101,20 @@ func (h *Harness) BuildCrossDataset(ws []workloads.Workload, pointsPer int) (*Cr
 			jobs = append(jobs, farm.Job{Workload: w, Point: p})
 		}
 	}
-	h.logf("cross dataset: %d programs x %d points, prefetching %d jobs",
+	h.logf("cross dataset: %d programs x %d points, measuring %d jobs",
 		len(ws), pointsPer, len(jobs))
-	h.Prefetch(jobs)
+	measured, err := h.measureAll(jobs)
+	if err != nil {
+		return nil, err
+	}
 
-	var xs [][]float64
-	var ys []float64
-	for i, w := range ws {
-		vals, err := h.Farm().MeasureBatch(context.Background(), w, cd.Points[i], farm.Cycles)
-		if err != nil {
-			return nil, fmt.Errorf("exp: measuring %s: %w", w.Key(), err)
-		}
+	xs := make([][]float64, 0, len(jobs))
+	ys := make([]float64, 0, len(jobs))
+	for i := range ws {
 		start := len(xs)
-		for j, p := range cd.Points[i] {
+		for _, p := range cd.Points[i] {
 			xs = append(xs, CrossRow(cd.Features[i], h.Space().Code(p)))
-			ys = append(ys, vals[j])
+			ys = append(ys, measured[len(ys)].Cycles) // rows are in job order
 		}
 		cd.Spans = append(cd.Spans, [2]int{start, len(xs)})
 	}

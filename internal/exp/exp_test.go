@@ -208,6 +208,11 @@ func TestFig3SmallSweep(t *testing.T) {
 	if !strings.Contains(txt, "linear@8KB") {
 		t.Fatal("fig3 format")
 	}
+	// One pass: the grid is read from the batch's answer, not re-asked for
+	// point by point from the store the batch has just filled.
+	if st := h.FarmStats(); st.CacheMisses != 35 || st.CacheHits != 0 {
+		t.Errorf("fig3 on a fresh store: %d misses, %d hits, want 35 and 0", st.CacheMisses, st.CacheHits)
+	}
 	// The unrolling response must be non-monotone at some icache size:
 	// moderate unrolling beats none, extreme unrolling is worse than the
 	// minimum (the paper's headline shape).

@@ -325,20 +325,3 @@ func (s *Study) Table4(topPerProgram int) (string, map[string][]Table4Cell) {
 	}
 	return t.String(), out
 }
-
-// EffectDirections summarizes, for the named variable, the per-program main
-// effect from the MARS model — used by tests to check qualitative structure
-// (e.g. microarchitectural parameters dominate compiler flags).
-func (s *Study) EffectDirections(varName string) map[string]float64 {
-	space := s.Harness.Space()
-	vi := space.Index(varName)
-	out := map[string]float64{}
-	if vi < 0 {
-		return out
-	}
-	for _, pd := range s.Programs {
-		m := s.Models[pd.Workload.Key()]["mars-raw"]
-		out[pd.Workload.Key()] = model.MainEffect(m, pd.Train.X, vi)
-	}
-	return out
-}

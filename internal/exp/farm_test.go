@@ -153,12 +153,13 @@ func TestJournalSurvivesWithoutSaveCache(t *testing.T) {
 	}
 }
 
-// TestPrefetchFailureDoesNotPoisonKey asserts the error path of Prefetch: a
-// job that fails during the prefetch pass must not leave its dedup key in a
-// state where a later Measure for the same point gets the stale error (or,
-// worse, hangs). Failures are not persisted to the store and the in-flight
-// entry is removed on completion, so the retry must re-execute and succeed.
-func TestPrefetchFailureDoesNotPoisonKey(t *testing.T) {
+// TestFailedJobDoesNotPoisonKey asserts the error path of a batch through the
+// harness's Measure seam: a job that fails in DoJobs reports its error in its
+// slot and must not leave its dedup key in a state where a later Measure for
+// the same point gets the stale error (or, worse, hangs). Failures are not
+// persisted to the store and the in-flight entry is removed on completion, so
+// the retry must re-execute and succeed.
+func TestFailedJobDoesNotPoisonKey(t *testing.T) {
 	var fail atomic.Bool
 	fail.Store(true)
 	var executions atomic.Int64
@@ -176,18 +177,24 @@ func TestPrefetchFailureDoesNotPoisonKey(t *testing.T) {
 	p := doe.JoinPoint(doe.FromOptions(compiler.O2()), doe.FromConfig(sim.DefaultConfig()))
 	jobs := []farm.Job{{Workload: w, Point: p}}
 
-	h.Prefetch(jobs) // errors deliberately dropped
+	var ce *farm.CompileError
+	if _, errs := h.Farm().DoJobs(context.Background(), jobs); !errors.As(errs[0], &ce) {
+		t.Fatalf("failed job reported %v, want the injected compile error", errs[0])
+	}
 	if n := executions.Load(); n != 1 {
-		t.Fatalf("prefetch ran %d executions, want 1", n)
+		t.Fatalf("the batch ran %d executions, want 1", n)
 	}
 	if st := h.FarmStats(); st.Failures != 1 {
-		t.Fatalf("prefetch failure not counted: %+v", st)
+		t.Fatalf("failure not counted: %+v", st)
+	}
+	if n := h.Farm().Store().Len(); n != 0 {
+		t.Fatalf("failed job left %d entries in the store", n)
 	}
 
 	fail.Store(false)
 	v, err := h.MeasureCycles(w, p)
 	if err != nil {
-		t.Fatalf("measure after failed prefetch: %v", err)
+		t.Fatalf("measure after the failed batch: %v", err)
 	}
 	if v != 42 {
 		t.Fatalf("measure got %v, want 42", v)

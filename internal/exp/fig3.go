@@ -50,25 +50,22 @@ func (h *Harness) Fig3() (string, *Fig3Result, error) {
 		return doe.JoinPoint(doe.FromOptions(opts), doe.FromConfig(cfg))
 	}
 
-	// Run the whole sweep through the farm in parallel, then assemble the
-	// grid from the store in sweep order.
+	// The whole sweep is one batch: the farm runs it in parallel and answers
+	// in sweep order.
+	res := &Fig3Result{LinearPred8KB: map[int]float64{}}
 	var jobs []farm.Job
 	for _, ic := range icaches {
 		for _, uf := range factors {
 			jobs = append(jobs, farm.Job{Workload: w, Point: sweepPoint(uf, ic)})
+			res.Cells = append(res.Cells, Fig3Cell{UnrollTimes: uf, ICacheKB: ic})
 		}
 	}
-	h.Prefetch(jobs)
-
-	res := &Fig3Result{LinearPred8KB: map[int]float64{}}
-	for _, ic := range icaches {
-		for _, uf := range factors {
-			cycles, err := h.MeasureCycles(w, sweepPoint(uf, ic))
-			if err != nil {
-				return "", nil, err
-			}
-			res.Cells = append(res.Cells, Fig3Cell{UnrollTimes: uf, ICacheKB: ic, Cycles: cycles})
-		}
+	measured, err := h.measureAll(jobs)
+	if err != nil {
+		return "", nil, err
+	}
+	for i := range res.Cells {
+		res.Cells[i].Cycles = measured[i].Cycles
 	}
 
 	// Fit a simple linear model cycles ~ b0 + b1*uf + b2*log2(icache) on

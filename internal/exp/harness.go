@@ -11,6 +11,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sync"
 
@@ -76,10 +77,6 @@ type Harness struct {
 	// Log receives progress lines; nil silences them.
 	Log io.Writer
 
-	// MaxInstrs bounds each simulation (guards miscompiled infinite
-	// loops). Zero means the default of 500M.
-	MaxInstrs int64
-
 	// Workers bounds the measurement farm's concurrency AND the analytics
 	// side (model fitting, cross-validation folds, Fedorov exchange scans,
 	// GA fitness batches). Zero means runtime.GOMAXPROCS(0); one
@@ -100,9 +97,11 @@ type Harness struct {
 	// exactly as the local farm would.
 	MakeBackend func(opts farm.Options) farm.Backend
 
-	mu    sync.Mutex
-	farm  farm.Backend
-	space *doe.Space
+	mu       sync.Mutex
+	farm     farm.Backend
+	borrowed bool            // farm belongs to the harness AtScale was called on
+	merged   map[string]bool // scales whose cache file AtScale has read into the store
+	space    *doe.Space
 }
 
 // NewHarness returns a harness at the given scale with seed 1.
@@ -131,8 +130,8 @@ func (h *Harness) cachePath() string {
 // Farm returns the harness's measurement backend — the in-process farm, or
 // whatever MakeBackend builds (the distributed coordinator) — creating it
 // (and loading the durable store when CacheDir is set) on first use.
-// Configuration fields (CacheDir, Workers, MaxInstrs, Log, MakeBackend)
-// must be set before the first measurement.
+// Configuration fields (CacheDir, Workers, Log, MakeBackend) must be set
+// before the first measurement.
 func (h *Harness) Farm() farm.Backend {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -151,11 +150,10 @@ func (h *Harness) Farm() farm.Backend {
 		}
 	}
 	opts := farm.Options{
-		Workers:   h.Workers,
-		Store:     store,
-		Measure:   h.Measure,
-		MaxInstrs: h.MaxInstrs,
-		Log:       h.Log,
+		Workers: h.Workers,
+		Store:   store,
+		Measure: h.Measure,
+		Log:     h.Log,
 	}
 	if h.MakeBackend != nil {
 		h.farm = h.MakeBackend(opts)
@@ -163,6 +161,46 @@ func (h *Harness) Farm() farm.Backend {
 		h.farm = farm.New(opts)
 	}
 	return h.farm
+}
+
+// AtScale returns a harness that runs sc's designs and GA sizes on h's
+// measurement plane: the same backend, hence the same workers, binary cache
+// and store. Measurement keys carry no scale, so a plane per scale would hold
+// the same points twice and simulate them twice. The first call for a scale
+// reads that scale's cache file, when CacheDir has one from a run at that
+// scale, into the shared store, so a warm directory stays warm. The plane
+// stays h's: Close on the returned harness does nothing, and SaveCache
+// checkpoints the shared store into h's file.
+func (h *Harness) AtScale(sc Scale) *Harness {
+	b := &Harness{Scale: sc, Seed: h.Seed, CacheDir: h.CacheDir, Log: h.Log, Workers: h.Workers,
+		farm: h.Farm(), borrowed: true, space: h.Space()}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.CacheDir == "" || sc.Name == h.Scale.Name || h.merged[sc.Name] {
+		return b
+	}
+	if h.merged == nil {
+		h.merged = map[string]bool{}
+	}
+	h.merged[sc.Name] = true
+	if _, err := os.Stat(b.cachePath()); err != nil {
+		return b
+	}
+	old, err := farm.Open(b.cachePath(), h.Log)
+	if err != nil {
+		h.logf("cache %s unreadable (scale %s starts cold): %v", b.cachePath(), sc.Name, err)
+		return b
+	}
+	entries, _ := old.Since(0)
+	added, _, err := b.farm.Store().Merge(entries)
+	if cerr := old.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		h.logf("cache %s: %v", b.cachePath(), err)
+	}
+	h.logf("cache %s: %d of %d entries new to the store", b.cachePath(), added, len(entries))
+	return b
 }
 
 // Drain asks the backend to stop admitting work to executors and to finish
@@ -193,26 +231,26 @@ func (h *Harness) FarmStats() farm.Stats {
 
 // SaveCache checkpoints the measurement store if CacheDir is set: the full
 // map is written to a temp file and atomically renamed over the checkpoint,
-// then the journal is truncated, so a crash never loses or corrupts it.
+// then the journal is truncated, so a crash never loses or corrupts it. A
+// harness that has measured nothing has nothing to save.
 func (h *Harness) SaveCache() error {
-	if h.CacheDir == "" {
-		h.mu.Lock()
-		created := h.farm != nil
-		h.mu.Unlock()
-		if !created {
-			return nil
-		}
-	}
-	return h.Farm().Checkpoint()
-}
-
-// Close drains the farm's workers and flushes the store. The harness
-// rejects new measurements afterwards.
-func (h *Harness) Close() error {
 	h.mu.Lock()
 	f := h.farm
 	h.mu.Unlock()
 	if f == nil {
+		return nil
+	}
+	return f.Checkpoint()
+}
+
+// Close drains the farm's workers and flushes the store. The harness
+// rejects new measurements afterwards. A harness from AtScale borrows its
+// farm and closes nothing.
+func (h *Harness) Close() error {
+	h.mu.Lock()
+	f := h.farm
+	h.mu.Unlock()
+	if f == nil || h.borrowed {
 		return nil
 	}
 	return f.Close()
@@ -277,14 +315,18 @@ func (h *Harness) BuildDataset(w workloads.Workload, points []doe.Point) (*model
 	return model.NewDataset(xs, ys)
 }
 
-// Prefetch submits measurement jobs to the farm and waits for all of them,
-// warming the result store so a subsequent serial pass is pure cache hits.
-// The jobs go through the farm's batch planner, so points sharing a binary
-// (Table 7's per-march sweeps at fixed flags) are compiled and interpreted
-// once. Errors are deliberately dropped: the serial pass re-requests every
-// point and reports failures in its own deterministic (input) order.
-func (h *Harness) Prefetch(jobs []farm.Job) {
-	_, _ = h.Farm().DoJobs(context.Background(), jobs)
+// measureAll measures jobs as one batch — the planner groups the ones that
+// share a binary, and the pool runs groups in parallel — and returns one
+// result per job in input order, or the error of the earliest failing job by
+// input index: the one a serial loop over the same list stops at.
+func (h *Harness) measureAll(jobs []farm.Job) ([]farm.Result, error) {
+	res, errs := h.Farm().DoJobs(context.Background(), jobs)
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("exp: measuring %s: %w", jobs[i].Workload.Key(), err)
+		}
+	}
+	return res, nil
 }
 
 // FitModels measures the training design for w (warm-started from the

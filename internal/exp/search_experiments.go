@@ -186,8 +186,8 @@ func (s *Study) Fig7(results []SearchResult, configs []NamedConfig) (string, []S
 		wlByKey[pd.Workload.Key()] = pd.Workload
 	}
 
-	// Warm the farm in parallel; the loop below then reads the store and
-	// keeps its deterministic row order and error selection.
+	// The three measurements of every cell go to the farm as one batch.
+	var cells []SearchResult
 	var jobs []farm.Job
 	for _, r := range results {
 		w, ok := wlByKey[r.Program]
@@ -195,39 +195,24 @@ func (s *Study) Fig7(results []SearchResult, configs []NamedConfig) (string, []S
 			continue
 		}
 		march := doe.FromConfig(cfgByName[r.Config])
+		cells = append(cells, r)
 		jobs = append(jobs,
 			farm.Job{Workload: w, Point: doe.JoinPoint(doe.FromOptions(compiler.O2()), march)},
 			farm.Job{Workload: w, Point: doe.JoinPoint(doe.FromOptions(compiler.O3()), march)},
 			farm.Job{Workload: w, Point: r.Point},
 		)
 	}
-	s.Harness.Prefetch(jobs)
+	measured, err := s.Harness.measureAll(jobs)
+	if err != nil {
+		return "", nil, err
+	}
 
 	var rows []SpeedupRow
 	t := newTable("Figure 7: speedup over -O2 at model-prescribed settings")
 	t.row("Benchmark-Input", "Config", "Predicted", "Actual", "O3 actual")
-	for _, r := range results {
-		w, ok := wlByKey[r.Program]
-		if !ok {
-			continue
-		}
-		cfg := cfgByName[r.Config]
-		march := doe.FromConfig(cfg)
-		o2Point := doe.JoinPoint(doe.FromOptions(compiler.O2()), march)
-		o3Point := doe.JoinPoint(doe.FromOptions(compiler.O3()), march)
-
-		o2Cycles, err := s.Harness.MeasureCycles(w, o2Point)
-		if err != nil {
-			return "", nil, err
-		}
-		o3Cycles, err := s.Harness.MeasureCycles(w, o3Point)
-		if err != nil {
-			return "", nil, err
-		}
-		gaCycles, err := s.Harness.MeasureCycles(w, r.Point)
-		if err != nil {
-			return "", nil, err
-		}
+	for i, r := range cells {
+		o2Point := jobs[3*i].Point
+		o2Cycles, o3Cycles, gaCycles := measured[3*i].Cycles, measured[3*i+1].Cycles, measured[3*i+2].Cycles
 		m := s.Models[r.Program]["rbf"]
 		predO2 := m.Predict(s.Harness.Space().Code(o2Point))
 		row := SpeedupRow{
@@ -266,11 +251,13 @@ func (s *Study) Table7(results []SearchResult, configs []NamedConfig) (string, [
 		cfgByName[nc.Name] = nc.Config
 	}
 
+	// Every ref workload is resolved before anything is measured; the two
+	// measurements of every cell then go to the farm as one batch.
 	var jobs []farm.Job
 	for _, r := range results {
 		w, err := workloads.Get(strings.SplitN(r.Program, "-", 2)[0], workloads.Ref)
 		if err != nil {
-			continue
+			return "", nil, err
 		}
 		march := doe.FromConfig(cfgByName[r.Config])
 		jobs = append(jobs,
@@ -278,28 +265,15 @@ func (s *Study) Table7(results []SearchResult, configs []NamedConfig) (string, [
 			farm.Job{Workload: w, Point: doe.JoinPoint(r.Point[:doe.NumCompilerVars], march)},
 		)
 	}
-	s.Harness.Prefetch(jobs)
+	measured, err := s.Harness.measureAll(jobs)
+	if err != nil {
+		return "", nil, err
+	}
 
 	speedups := map[string]map[string]float64{}
 	var progOrder []string
-	for _, r := range results {
-		w, err := workloads.Get(strings.SplitN(r.Program, "-", 2)[0], workloads.Ref)
-		if err != nil {
-			return "", nil, err
-		}
-		cfg := cfgByName[r.Config]
-		march := doe.FromConfig(cfg)
-		o2Point := doe.JoinPoint(doe.FromOptions(compiler.O2()), march)
-		gaPoint := doe.JoinPoint(r.Point[:doe.NumCompilerVars], march)
-
-		o2Cycles, err := s.Harness.MeasureCycles(w, o2Point)
-		if err != nil {
-			return "", nil, err
-		}
-		gaCycles, err := s.Harness.MeasureCycles(w, gaPoint)
-		if err != nil {
-			return "", nil, err
-		}
+	for i, r := range results {
+		o2Cycles, gaCycles := measured[2*i].Cycles, measured[2*i+1].Cycles
 		if speedups[r.Program] == nil {
 			speedups[r.Program] = map[string]float64{}
 			progOrder = append(progOrder, r.Program)

@@ -17,15 +17,6 @@ func (m LogModel) Predict(x []float64) float64 { return math.Exp(m.Inner.Predict
 // Name implements Model.
 func (m LogModel) Name() string { return m.Inner.Name() + "-log" }
 
-// ScratchLen implements ScratchPredictor by forwarding to the inner model
-// (0 when it does not allocate).
-func (m LogModel) ScratchLen() int { return ScratchLen(m.Inner) }
-
-// PredictScratch implements ScratchPredictor.
-func (m LogModel) PredictScratch(x, scratch []float64) float64 {
-	return math.Exp(PredictWith(m.Inner, x, scratch))
-}
-
 // LogDataset returns a copy of d with the response log-transformed.
 // Responses must be positive: one that is not becomes −Inf or NaN here, and
 // the fitter handed the result (FitMARS, FitRBF, FitLinear) refuses it with

@@ -31,38 +31,6 @@ type Model interface {
 	Name() string
 }
 
-// ScratchPredictor is implemented by models whose Predict must otherwise
-// allocate per call (the linear model's term expansion). PredictScratch
-// evaluates the model reusing scratch (at least ScratchLen values of
-// capacity) and returns a value bit-identical to Predict. The service's
-// predict hot path pools scratch buffers per request so replica serving is
-// allocation-light.
-type ScratchPredictor interface {
-	Model
-	// ScratchLen is the scratch capacity PredictScratch needs.
-	ScratchLen() int
-	// PredictScratch is Predict with caller-owned scratch space.
-	PredictScratch(x, scratch []float64) float64
-}
-
-// ScratchLen returns the scratch capacity needed to evaluate m through
-// PredictWith (0 when m's Predict does not allocate).
-func ScratchLen(m Model) int {
-	if sp, ok := m.(ScratchPredictor); ok {
-		return sp.ScratchLen()
-	}
-	return 0
-}
-
-// PredictWith evaluates m at x, routing through PredictScratch when the
-// model supports it. The result is bit-identical to m.Predict(x).
-func PredictWith(m Model, x, scratch []float64) float64 {
-	if sp, ok := m.(ScratchPredictor); ok {
-		return sp.PredictScratch(x, scratch)
-	}
-	return m.Predict(x)
-}
-
 // Dataset pairs coded design points with measured responses.
 type Dataset struct {
 	X []([]float64) // coded points, all the same length
@@ -225,9 +193,28 @@ func FitLinear(data *Dataset, exp doe.Expansion) (*LinearModel, error) {
 	return m, nil
 }
 
-// Predict implements Model.
+// Predict implements Model. It adds intercept, main effects and interaction
+// products against Coef in doe.ExpandCoded's term order without building the
+// row. Term for term these are the operations of linalg.Dot over the expanded
+// row — each product x[i]*x[j] is rounded to a float64 before it meets its
+// coefficient, as it is when stored in a row — so the result has the same
+// bits, on targets that fuse multiply-add included.
 func (m *LinearModel) Predict(x []float64) float64 {
-	return linalg.Dot(doe.ExpandCoded(x, m.Expansion), m.Coef)
+	c := m.Coef
+	s := 0 + c[0] // Dot starts at +0, which an intercept of −0 does not survive
+	for i, v := range x {
+		s += v * c[1+i]
+	}
+	if m.Expansion == doe.ExpandInteractions {
+		t := 1 + len(x)
+		for i := range x {
+			for j := i + 1; j < len(x); j++ {
+				s += float64(x[i]*x[j]) * c[t]
+				t++
+			}
+		}
+	}
+	return s
 }
 
 // Name implements Model.
@@ -235,12 +222,3 @@ func (m *LinearModel) Name() string { return "linear" }
 
 // NumParams returns the number of fitted coefficients.
 func (m *LinearModel) NumParams() int { return len(m.Coef) }
-
-// ScratchLen implements ScratchPredictor: one slot per expanded term.
-func (m *LinearModel) ScratchLen() int { return len(m.Coef) }
-
-// PredictScratch implements ScratchPredictor, expanding into scratch
-// instead of a fresh row.
-func (m *LinearModel) PredictScratch(x, scratch []float64) float64 {
-	return linalg.Dot(doe.ExpandCodedInto(x, m.Expansion, scratch), m.Coef)
-}

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/doe"
+	"repro/internal/linalg"
 )
 
 // synth generates a dataset from a known function over k coded variables.
@@ -82,6 +83,44 @@ func TestLinearRecoversInteraction(t *testing.T) {
 	}
 	if e := TestError(m0, test); e < 5 {
 		t.Fatalf("main-effects model should be poor on interaction: %v%%", e)
+	}
+}
+
+// TestLinearPredictInPlace holds Predict, which adds the terms against Coef
+// without building the row, to the bits of the definition it replaces —
+// linalg.Dot over doe.ExpandCoded's row — for both expansions, and to zero
+// allocations. The last probe makes every term −0: Dot's sum starts at +0 and
+// stays there, and a sum started at the intercept would come out −0.
+func TestLinearPredictInPlace(t *testing.T) {
+	const k, probes = 25, 10000
+	for _, e := range []doe.Expansion{doe.ExpandLinear, doe.ExpandInteractions} {
+		rng := rand.New(rand.NewSource(int64(e) + 7))
+		m := &LinearModel{Expansion: e, Coef: make([]float64, e.NumTerms(k))}
+		x := make([]float64, k)
+		for p := 0; p < probes; p++ {
+			for i := range m.Coef {
+				m.Coef[i] = rng.NormFloat64() * math.Exp(6*rng.NormFloat64())
+			}
+			for i := range x {
+				x[i] = 2*rng.Float64() - 1
+			}
+			if p == probes-1 {
+				for i := range m.Coef {
+					m.Coef[i] = math.Copysign(0, -1)
+				}
+				for i := range x {
+					x[i] = 0.5
+				}
+			}
+			want := linalg.Dot(doe.ExpandCoded(x, e), m.Coef)
+			if got := m.Predict(x); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("expansion %d, probe %d: Predict = %x, Dot over the expanded row = %x",
+					e, p, math.Float64bits(got), math.Float64bits(want))
+			}
+		}
+		if n := testing.AllocsPerRun(100, func() { m.Predict(x) }); n != 0 {
+			t.Errorf("expansion %d: Predict allocates %v times per call, want 0", e, n)
+		}
 	}
 }
 

@@ -45,13 +45,6 @@ type Artifacts struct {
 	Models   map[string]model.Model
 	TrainX   [][]float64
 
-	// planOnce/scratch cache the predict hot path's expansion plan: the
-	// scratch capacity any of this artifact's models needs. Computed once
-	// when the artifact enters the registry (fit or load), so per-request
-	// work is a pool fetch, never a plan walk.
-	planOnce sync.Once
-	scratch  int
-
 	// ranks memoizes the full effect ranking per model kind, computed on
 	// first use under rankMu (concurrent first requests wait for the one
 	// computation). The memo lives and dies with the entry: a reload, or a
@@ -72,19 +65,6 @@ func (a *Artifacts) Model(kind string) (model.Model, error) {
 		return nil, fmt.Errorf("serve: unknown model kind %q", kind)
 	}
 	return m, nil
-}
-
-// scratchLen returns (computing on first use) the pooled-buffer capacity
-// the predict hot path needs to evaluate any of this artifact's models.
-func (a *Artifacts) scratchLen() int {
-	a.planOnce.Do(func() {
-		for _, m := range a.Models {
-			if n := model.ScratchLen(m); n > a.scratch {
-				a.scratch = n
-			}
-		}
-	})
-	return a.scratch
 }
 
 // ranking returns every main effect and two-factor interaction of the kind's
@@ -214,12 +194,8 @@ func (r *Registry) Get(ctx context.Context, w workloads.Workload, scale string) 
 	r.mu.Unlock()
 
 	go func() {
-		art, err := r.resolve(w, scale)
-		if art != nil {
-			art.scratchLen() // precompute the predict expansion plan
-		}
-		e.art, e.err = art, err
-		if err != nil {
+		e.art, e.err = r.resolve(w, scale)
+		if e.err != nil {
 			// A failed resolution must not be cached: drop the entry so the
 			// next request retries instead of replaying a stale error.
 			r.mu.Lock()
@@ -300,7 +276,6 @@ func (r *Registry) Reload() (loaded, skipped int, err error) {
 		return 0, skipped, err
 	}
 	for _, la := range arts {
-		la.Art.scratchLen() // precompute the predict expansion plan
 		r.install(regKey(la.Art.Workload, la.Scale), la.Art)
 		loaded++
 	}

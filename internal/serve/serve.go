@@ -36,8 +36,6 @@ type Options struct {
 	// Workers bounds the measurement farm and analytics concurrency
 	// (0 = GOMAXPROCS).
 	Workers int
-	// MaxInstrs bounds each simulation (0 = the farm default of 500M).
-	MaxInstrs int64
 	// TrainPoints, when > 0, overrides every scale's training-design size —
 	// the smoke-test knob that keeps first-request training cheap.
 	TrainPoints int
@@ -73,14 +71,15 @@ type Options struct {
 	// Log receives harness/farm progress lines; nil silences them.
 	Log io.Writer
 
-	// MakeBackend, when non-nil, replaces the in-process farm on every
-	// harness the server creates — cmd/empiricod passes the distributed
-	// coordinator's factory here when -workers-addrs is set, turning the
-	// daemon into the coordinator of a worker fleet.
+	// MakeBackend, when non-nil, builds the server's measurement plane in
+	// place of the in-process farm; it is called at most once — cmd/empiricod
+	// passes the distributed coordinator's factory here when -workers-addrs
+	// or -control-addr is set, turning the daemon into the coordinator of a
+	// worker fleet.
 	MakeBackend func(opts farm.Options) farm.Backend
 
-	// Measure, when non-nil, replaces the compile+simulate executor on
-	// every harness the server creates (test seam).
+	// Measure, when non-nil, replaces the plane's compile+simulate executor
+	// (test seam).
 	Measure farm.MeasureFunc
 	// Trainer, when non-nil, replaces the harness-backed model trainer
 	// (test seam).
@@ -105,9 +104,8 @@ type Server struct {
 	start     time.Time
 	mux       *http.ServeMux
 
-	mu        sync.Mutex
-	harnesses map[string]*exp.Harness
-	closed    bool
+	plane  *exp.Harness // owns the one measurement plane (harnessFor)
+	closed atomic.Bool
 
 	crossMu   sync.Mutex
 	cross     map[string]*regEntry[*CrossArtifacts] // per-scale cross-program models
@@ -118,11 +116,24 @@ type Server struct {
 	rankMisses atomic.Int64 // rankings computed
 }
 
-// jointSpace validates measure requests; a Space is immutable once built.
-var jointSpace = doe.JointSpace()
+// jointSpace validates measure requests and marchSpace a search's frozen
+// block; a Space is immutable once built.
+var (
+	jointSpace = doe.JointSpace()
+	marchSpace = doe.MicroarchSpace()
+)
 
-// New builds a server. No harness or model exists until the first request
-// that needs one.
+// maxSearchPopulation and maxSearchGenerations bound a /v1/search request.
+// The GA allocates its whole population before it first looks at the request
+// context, so an unbounded size is an unbounded allocation. 1024 is ≈13× and
+// ≈17× what the paper scale runs (80 and 60).
+const (
+	maxSearchPopulation  = 1024
+	maxSearchGenerations = 1024
+)
+
+// New builds a server. No farm or model exists until the first request that
+// needs one.
 func New(opts Options) *Server {
 	if opts.Scale == "" {
 		opts.Scale = "default"
@@ -141,9 +152,12 @@ func New(opts Options) *Server {
 		metrics:   NewMetrics(),
 		maxFlight: int64(opts.MaxInFlight),
 		start:     time.Now(),
-		harnesses: map[string]*exp.Harness{},
 		cross:     map[string]*regEntry[*CrossArtifacts]{},
 	}
+	own, _ := s.scaleFor("") // an unknown Scale is refused request by request, by the same call
+	s.plane = exp.NewHarness(own)
+	s.plane.CacheDir, s.plane.Workers, s.plane.Log = opts.CacheDir, opts.Workers, opts.Log
+	s.plane.Measure, s.plane.MakeBackend = opts.Measure, opts.MakeBackend
 	trainer := opts.Trainer
 	if trainer == nil {
 		trainer = s.harnessTrainer
@@ -263,36 +277,30 @@ func (s *Server) scaleFor(name string) (exp.Scale, error) {
 	return sc, nil
 }
 
-// harnessFor returns the shared harness for a scale, creating it on first
-// use. Harnesses (and so their farms and durable stores) are per scale,
-// matching the on-disk cache layout (measurements-<scale>.json).
+// harnessFor returns the harness a request at the named scale runs on. A
+// daemon has one measurement plane — the farm or the coordinator MakeBackend
+// builds, its store and its control listener — owned by the harness at the
+// daemon's own scale and built by the first measurement. Measurement keys
+// carry no scale, so a request at another scale gets a harness that borrows
+// that plane for its designs and GA sizes (exp.Harness.AtScale): /v1/measure
+// and every scale's training see the same points, and none is simulated twice.
 func (s *Server) harnessFor(scaleName string) (*exp.Harness, error) {
 	sc, err := s.scaleFor(scaleName)
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return nil, fmt.Errorf("serve: server closed")
 	}
-	if h, ok := s.harnesses[sc.Name]; ok {
-		return h, nil
+	if sc.Name == s.plane.Scale.Name {
+		return s.plane, nil
 	}
-	h := exp.NewHarness(sc)
-	h.CacheDir = s.opts.CacheDir
-	h.Workers = s.opts.Workers
-	h.MaxInstrs = s.opts.MaxInstrs
-	h.Log = s.opts.Log
-	h.Measure = s.opts.Measure
-	h.MakeBackend = s.opts.MakeBackend
-	s.harnesses[sc.Name] = h
-	return h, nil
+	return s.plane.AtScale(sc), nil
 }
 
 // harnessTrainer is the production Trainer: fit every model kind on the
-// training design measured through the scale's harness (and so warm-started
-// from the durable store when CacheDir is set).
+// scale's training design measured on the server's plane (and so
+// warm-started from the durable store when CacheDir is set).
 func (s *Server) harnessTrainer(ctx context.Context, w workloads.Workload, scale string) (*Artifacts, error) {
 	h, err := s.harnessFor(scale)
 	if err != nil {
@@ -306,7 +314,7 @@ func (s *Server) harnessTrainer(ctx context.Context, w workloads.Workload, scale
 }
 
 // farmBatch is the production BatchFunc: one farm.MeasureBatch on the
-// default scale's harness.
+// server's plane.
 func (s *Server) farmBatch(ctx context.Context, w workloads.Workload, pts []doe.Point, resp farm.Response) ([]float64, error) {
 	h, err := s.harnessFor("")
 	if err != nil {
@@ -321,47 +329,20 @@ func (s *Server) farmBatch(ctx context.Context, w workloads.Workload, pts []doe.
 // Shutdown and Close, so SIGTERM never abandons a lease mid-flight without
 // first giving it a chance to land in the store. With the in-process farm
 // this is a no-op — its Close drains internally.
-func (s *Server) Drain(ctx context.Context) error {
-	s.mu.Lock()
-	hs := make([]*exp.Harness, 0, len(s.harnesses))
-	for _, h := range s.harnesses {
-		hs = append(hs, h)
-	}
-	s.mu.Unlock()
-	var first error
-	for _, h := range hs {
-		if err := h.Drain(ctx); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
+func (s *Server) Drain(ctx context.Context) error { return s.plane.Drain(ctx) }
 
-// Close checkpoints and drains every harness farm. Call after the HTTP
+// Close checkpoints and drains the measurement plane. Call after the HTTP
 // listener has stopped accepting (http.Server.Shutdown), so no handler is
 // mid-measurement.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if s.closed.Swap(true) {
 		return nil
 	}
-	s.closed = true
-	hs := make([]*exp.Harness, 0, len(s.harnesses))
-	for _, h := range s.harnesses {
-		hs = append(hs, h)
+	err := s.plane.SaveCache()
+	if cerr := s.plane.Close(); err == nil {
+		err = cerr
 	}
-	s.mu.Unlock()
-	var first error
-	for _, h := range hs {
-		if err := h.SaveCache(); err != nil && first == nil {
-			first = err
-		}
-		if err := h.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return err
 }
 
 // ---- request/response types ----
@@ -484,20 +465,14 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 // path.
 const predictSerialMax = 256
 
-// predictPool recycles the coding and spline-expansion buffers of the
-// predict hot path, so steady-state point traffic allocates only the
-// response slice.
-var predictPool = sync.Pool{New: func() any { return new(predictBuf) }}
-
-type predictBuf struct {
-	coded   []float64
-	scratch []float64
-}
+// predictPool recycles the coded point of the predict hot path, so
+// steady-state point traffic allocates only the response slice.
+var predictPool = sync.Pool{New: func() any { return new([]float64) }}
 
 // predictAll evaluates m at raw points. Small batches run serially over one
-// pooled buffer pair; large batches code up front and fan out. Both paths
-// run the identical coding and expansion arithmetic, so predictions are
-// bit-identical regardless of which one a request takes.
+// pooled coded point; large batches code up front and fan out. Both paths
+// run the identical coding arithmetic and the same m.Predict, so predictions
+// are bit-identical regardless of which one a request takes.
 func (s *Server) predictAll(art *Artifacts, m model.Model, raw [][]int64) ([]float64, error) {
 	if len(raw) > predictSerialMax {
 		coded, err := codePoints(art.Space, raw)
@@ -506,22 +481,16 @@ func (s *Server) predictAll(art *Artifacts, m model.Model, raw [][]int64) ([]flo
 		}
 		return model.PredictAllParallel(m, coded, s.opts.Workers), nil
 	}
-	buf := predictPool.Get().(*predictBuf)
-	defer predictPool.Put(buf)
-	if n := art.Space.NumVars(); cap(buf.coded) < n {
-		buf.coded = make([]float64, 0, n)
-	}
-	if n := art.scratchLen(); cap(buf.scratch) < n {
-		buf.scratch = make([]float64, 0, n)
-	}
+	coded := predictPool.Get().(*[]float64)
+	defer predictPool.Put(coded)
 	preds := make([]float64, len(raw))
 	for i, rp := range raw {
 		p := doe.Point(rp)
 		if err := art.Space.Validate(p); err != nil {
 			return nil, fmt.Errorf("point %d: %w", i, err)
 		}
-		buf.coded = art.Space.CodeInto(p, buf.coded)
-		preds[i] = model.PredictWith(m, buf.coded, buf.scratch)
+		*coded = art.Space.CodeInto(p, *coded)
+		preds[i] = m.Predict(*coded)
 	}
 	return preds, nil
 }
@@ -596,9 +565,15 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if len(march) == 0 {
 		march = doe.FromConfig(sim.DefaultConfig())
 	}
-	if len(march) != doe.MicroarchSpace().NumVars() {
-		writeErr(w, http.StatusBadRequest,
-			fmt.Sprintf("march has %d values, want %d", len(march), doe.MicroarchSpace().NumVars()))
+	// An out-of-range value (0 in a log2-coded variable, say) codes to NaN or
+	// ±Inf, which the JSON stream cannot carry.
+	if err := marchSpace.Validate(doe.Point(march)); err != nil {
+		writeErr(w, http.StatusBadRequest, "march: "+err.Error())
+		return
+	}
+	if req.Population > maxSearchPopulation || req.Generations > maxSearchGenerations {
+		writeErr(w, http.StatusBadRequest, fmt.Sprintf("population %d or generations %d above the limit of %d and %d",
+			req.Population, req.Generations, maxSearchPopulation, maxSearchGenerations))
 		return
 	}
 	scaleName := s.resolveScale(req.Scale)
@@ -793,22 +768,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "# TYPE empiricod_coalescer_pending_batches gauge")
 	fmt.Fprintf(w, "empiricod_coalescer_pending_batches %d\n", s.coalescer.Pending())
 
-	// Farm gauges, one block per scale harness that has run measurements.
-	s.mu.Lock()
-	names := make([]string, 0, len(s.harnesses))
-	for name := range s.harnesses {
-		names = append(names, name)
-	}
-	hs := make(map[string]*exp.Harness, len(names))
-	for _, n := range names {
-		hs[n] = s.harnesses[n]
-	}
-	s.mu.Unlock()
-	for _, name := range sortedKeys(hs) {
-		st := hs[name].FarmStats()
-		if st.Workers == 0 {
-			continue
-		}
+	// Farm gauges: one block, for the server's one plane, once it has run
+	// measurements. The scale label is the daemon's.
+	name := s.plane.Scale.Name
+	if st := s.plane.FarmStats(); st.Workers > 0 {
 		emit := func(metric string, v int64) {
 			fmt.Fprintf(w, "empiricod_farm_%s{scale=%q} %d\n", metric, name, v)
 		}
