@@ -19,7 +19,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -28,7 +27,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/doe"
 	"repro/internal/exp"
-	"repro/internal/farm"
 	"repro/internal/model"
 	"repro/internal/wlgen"
 	"repro/internal/workloads"
@@ -68,28 +66,7 @@ func main() {
 	if !*quiet {
 		h.Log = os.Stderr
 	}
-	if *waddrs != "" || *ctrlAddr != "" {
-		var addrs []string
-		if *waddrs != "" {
-			addrs = strings.Split(*waddrs, ",")
-		}
-		h.MakeBackend = func(fo farm.Options) farm.Backend {
-			c, err := dist.New(dist.Options{Addrs: addrs, Dynamic: *ctrlAddr != "", Store: fo.Store, Log: fo.Log})
-			if err != nil {
-				fatal(err)
-			}
-			if *ctrlAddr != "" {
-				// The control listener lives as long as the process; workers
-				// register and deregister against it while experiments run.
-				go func() {
-					if err := http.ListenAndServe(*ctrlAddr, c.Handler()); err != nil {
-						fmt.Fprintln(os.Stderr, "empirico: control listener:", err)
-					}
-				}()
-			}
-			return c
-		}
-	}
+	h.MakeBackend = dist.BackendFactory("empirico", *waddrs, *ctrlAddr, fatal)
 	defer func() {
 		if st := h.FarmStats(); st.Workers > 0 && !*quiet {
 			fmt.Fprintln(os.Stderr, st)

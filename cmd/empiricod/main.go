@@ -10,7 +10,7 @@
 //
 //	POST /v1/predict   batch model predictions at raw design points
 //	POST /v1/predict-program  cross-model predictions for raw MiniC source
-//	POST /v1/measure   ground truth (compile + simulate), coalesced
+//	POST /v1/measure   ground truth (compile + simulate), shared in the planner
 //	POST /v1/search    GA flag search, streamed generation-by-generation
 //	GET  /v1/rank      significant-term ranking of the fitted model
 //	POST /v1/reload    rescan the artifact directory (also on SIGHUP)
@@ -41,7 +41,6 @@ import (
 	"time"
 
 	"repro/internal/dist"
-	"repro/internal/farm"
 	"repro/internal/serve"
 )
 
@@ -92,28 +91,13 @@ func main() {
 	if !*quiet {
 		opts.Log = os.Stderr
 	}
-	if *waddrs != "" || *ctrlAddr != "" {
-		var addrs []string
+	opts.MakeBackend = dist.BackendFactory("empiricod", *waddrs, *ctrlAddr, fatal)
+	if opts.MakeBackend != nil && !*quiet {
+		static := 0
 		if *waddrs != "" {
-			addrs = strings.Split(*waddrs, ",")
+			static = strings.Count(*waddrs, ",") + 1
 		}
-		opts.MakeBackend = func(fo farm.Options) farm.Backend {
-			c, err := dist.New(dist.Options{Addrs: addrs, Dynamic: *ctrlAddr != "", Store: fo.Store, Log: fo.Log})
-			if err != nil {
-				fatal(err)
-			}
-			if *ctrlAddr != "" {
-				go func() {
-					if err := http.ListenAndServe(*ctrlAddr, c.Handler()); err != nil {
-						fmt.Fprintln(os.Stderr, "empiricod: control listener:", err)
-					}
-				}()
-			}
-			return c
-		}
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "empiricod: sharding measurements across workers (%d static, control %s)\n", len(addrs), *ctrlAddr)
-		}
+		fmt.Fprintf(os.Stderr, "empiricod: sharding measurements across workers (%d static, control %s)\n", static, *ctrlAddr)
 	}
 	srv := serve.New(opts)
 	handler := srv.Handler()

@@ -7,7 +7,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"strings"
 	"time"
+
+	"repro/internal/farm"
 )
 
 // Handler returns the coordinator's control API, served on whatever
@@ -26,6 +30,33 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("DELETE /v1/register", c.handleDeregister)
 	mux.HandleFunc("GET /v1/workers", c.handleWorkers)
 	return mux
+}
+
+// BackendFactory turns a command's -workers-addrs and -control-addr values
+// into its harness's MakeBackend hook: a coordinator over the comma-separated
+// static addresses, elastic when a control address is given, whose control
+// API is served there for the life of the process. It returns nil when
+// neither is set, which leaves the in-process farm in place. A coordinator
+// that cannot be built goes to fatal; prog prefixes the listener's error line.
+func BackendFactory(prog, workersAddrs, controlAddr string, fatal func(error)) func(farm.Options) farm.Backend {
+	if workersAddrs == "" && controlAddr == "" {
+		return nil
+	}
+	addrs := strings.FieldsFunc(workersAddrs, func(r rune) bool { return r == ',' })
+	return func(fo farm.Options) farm.Backend {
+		c, err := New(Options{Addrs: addrs, Dynamic: controlAddr != "", Store: fo.Store, Log: fo.Log})
+		if err != nil {
+			fatal(err)
+		}
+		if controlAddr != "" {
+			go func() {
+				if err := http.ListenAndServe(controlAddr, c.Handler()); err != nil {
+					fmt.Fprintln(os.Stderr, prog+": control listener:", err)
+				}
+			}()
+		}
+		return c
+	}
 }
 
 func (c *Coordinator) handleRegister(rw http.ResponseWriter, r *http.Request) {

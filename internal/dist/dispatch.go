@@ -55,6 +55,9 @@ func (c *Coordinator) scheduler() {
 			}
 		})
 		c.mu.Unlock()
+		// The first lease freezes the group, which later batches could add to
+		// while it queued; a hedge or a requeue finds it frozen.
+		c.Start(req.g.Group)
 		go c.runLease(req.g, w, wi, seq, lctx, wasLive)
 		if !hedge {
 			go c.hedgeTimer(req.g)
@@ -250,7 +253,8 @@ func (c *Coordinator) runLease(g *cgroup, w *workerRef, wi int, seq int64, ctx c
 		c.settleLocked(g)
 		settled = true
 	case g.Ctx.Err() != nil:
-		// The submitting caller is gone; no point retrying for nobody.
+		// Every caller waiting on the group is gone; no point retrying for
+		// nobody.
 		c.settleLocked(g)
 		settled, failure = true, g.Ctx.Err()
 	case g.leases > 0:

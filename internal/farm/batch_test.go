@@ -2,6 +2,7 @@ package farm
 
 import (
 	"context"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -233,6 +234,80 @@ func TestGroupCompileFailureNoPoison(t *testing.T) {
 			t.Errorf("point %d after retry: (%v, %v) != serial (%v, %v)",
 				i, res[i].Cycles, res[i].Energy, ref.Cycles, ref.Energy)
 		}
+	}
+}
+
+// TestCallersShareOneGroup is the sharing every caller of the planner gets:
+// seven callers, one point each on one binary, arrive while the farm's only
+// worker is held inside another compile. Their tasks meet in one open group,
+// which the worker compiles once and interprets once when it gets there, and
+// every caller's values are the serial executor's, bit for bit.
+func TestCallersShareOneGroup(t *testing.T) {
+	w := tinyWorkload()
+	blocker := jointPoint(compiler.O3(), sim.Constrained())
+	points := make([]doe.Point, 7)
+	for i := range points {
+		cfg := sim.DefaultConfig()
+		cfg.MemLat = 60 + 10*i
+		points[i] = jointPoint(compiler.O2(), cfg)
+	}
+
+	f := New(Options{Workers: 1})
+	defer f.Close()
+	gate := make(chan struct{})
+	entered := make(chan struct{})
+	var shared atomic.Int64 // compiles of the seven points' binary
+	f.compile = func(cw workloads.Workload, p doe.Point, cfg sim.Config) (*isa.Program, error) {
+		if BinaryKey(cw, p) == BinaryKey(w, blocker) {
+			close(entered)
+			<-gate
+		} else {
+			shared.Add(1)
+		}
+		return defaultCompile(cw, p, cfg)
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if _, err := f.Do(context.Background(), Job{Workload: w, Point: blocker}); err != nil {
+			t.Error(err)
+		}
+	}()
+	<-entered // the one worker is busy
+	got := make([]Result, len(points))
+	for i, p := range points {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, errs := f.DoJobs(context.Background(), []Job{{Workload: w, Point: p}})
+			if errs[0] != nil {
+				t.Error(errs[0])
+			}
+			got[i] = res[0]
+		}()
+	}
+	awaitPlanned(t, f.Planner, int64(1+len(points)))
+	close(gate)
+	wg.Wait()
+
+	serial := Executor(0)
+	for i, p := range points {
+		want, err := serial(context.Background(), Job{Workload: w, Point: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got[i].Cycles) != math.Float64bits(want.Cycles) ||
+			math.Float64bits(got[i].Energy) != math.Float64bits(want.Energy) {
+			t.Errorf("caller %d: shared (%v, %v) != serial (%v, %v)", i, got[i].Cycles, got[i].Energy, want.Cycles, want.Energy)
+		}
+	}
+	if n := shared.Load(); n != 1 {
+		t.Errorf("%d compiles of the shared binary, want 1", n)
+	}
+	if st := f.Stats(); st.BinaryGroups != 1 || st.TraceSharedSims != 7 || st.SimsExecuted != 8 {
+		t.Errorf("groups=%d shared=%d sims=%d, want 1/7/8", st.BinaryGroups, st.TraceSharedSims, st.SimsExecuted)
 	}
 }
 

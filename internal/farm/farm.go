@@ -13,7 +13,8 @@
 //     result (the pre-farm harness dropped its lock during simulation and
 //     silently duplicated concurrent work);
 //   - batch planning: new points that compile to one binary form a group, so
-//     an executor compiles once and interprets once for all of them;
+//     an executor compiles once and interprets once for all of them, and a
+//     group stays open to later batches until an executor starts it;
 //   - exactly-once completion with bounded retry of transient store IO.
 //
 // Behind it sits an executor that turns planned groups into results. This
@@ -148,6 +149,7 @@ func (f *Farm) worker(id int) {
 		g := f.queue[0]
 		f.queue = f.queue[1:]
 		f.mu.Unlock()
+		f.Start(g) // while it waited here, later batches could still add to it
 		start := time.Now()
 		f.run(g)
 		busy := time.Since(start)

@@ -102,6 +102,51 @@ func TestSingleFlightDedup(t *testing.T) {
 	}
 }
 
+// TestConcurrentBatchesExecuteOnce submits the same points from two callers
+// at once, over and over: whichever of the two a point's completion falls
+// between, the other must find it in flight or in the store — the two checks
+// are made under one hold of the planner's lock — and never execute it again.
+func TestConcurrentBatchesExecuteOnce(t *testing.T) {
+	w := workloads.MustGet("179.art", workloads.Train)
+	points := doe.JointSpace().LatinHypercube(30, rand.New(rand.NewSource(11)))
+	jobs := make([]Job, len(points))
+	for i, p := range points {
+		jobs[i] = Job{Workload: w, Point: p}
+	}
+	for round := 0; round < 200; round++ {
+		var executions atomic.Int64
+		f := New(Options{
+			Workers: 4,
+			Measure: func(ctx context.Context, job Job) (Result, error) {
+				executions.Add(1)
+				return Result{Cycles: pointValue(job.Point), Energy: 1, Instructions: 1}, nil
+			},
+		})
+		var wg sync.WaitGroup
+		for c := 0; c < 2; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, errs := f.DoJobs(context.Background(), jobs)
+				for i, err := range errs {
+					if err != nil || res[i].Cycles != pointValue(points[i]) {
+						t.Errorf("round %d, job %d: (%v, %v)", round, i, res[i].Cycles, err)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		st := f.Stats()
+		f.Close()
+		if n := executions.Load(); n != int64(len(points)) {
+			t.Fatalf("round %d: %d executions for %d points submitted twice", round, n, len(points))
+		}
+		if n := st.CacheHits + st.Coalesced + st.CacheMisses; n != int64(2*len(points)) {
+			t.Fatalf("round %d: %d requests classified, want %d: %+v", round, n, 2*len(points), st)
+		}
+	}
+}
+
 func TestTransientRetrySucceeds(t *testing.T) {
 	var attempts atomic.Int64
 	f := New(Options{

@@ -28,16 +28,25 @@ type Task struct {
 	err   error
 }
 
-// Group is what an executor receives: freshly planned tasks that compile to
-// one binary (a single task when nothing in the batch shares its binary, or
-// when the planner does not group).
+// Group is what an executor receives: new tasks that compile to one binary
+// (a single task when nothing shares its binary, or when the planner does not
+// group). Until the executor calls Start the group is open: a new task of a
+// later batch that needs the same binary is added to it, whoever submits it.
 type Group struct {
+	// Tasks is final once Start has returned; an executor reads it only then.
 	Tasks []*Task
-	// Ctx is the first submitter's context: its cancellation fails the
-	// group, while later joiners bail on their own contexts while waiting.
+	// Ctx is the planner's own context for the group, never a caller's. It is
+	// cancelled when the last request waiting on any of the group's tasks has
+	// left — nobody wants the outcome, so stop and do not retry — and when the
+	// group completes, which stops a losing hedge twin.
 	Ctx context.Context
 
-	completed bool // guarded by Planner.mu
+	cancel context.CancelFunc
+	bin    string // the key under which Planner.open holds the group while open
+
+	// guarded by Planner.mu
+	waiting   int // jobs of Run calls that have not left the group's tasks
+	completed bool
 }
 
 // Workload is the workload every task of the group measures.
@@ -48,11 +57,12 @@ func (g *Group) Workload() workloads.Workload { return g.Tasks[0].Job.Workload }
 // grouping, waiting, completion and the counters of all five. A backend
 // embeds a *Planner and supplies the other half, an executor.
 //
-// An executor receives each batch's new groups and owes every one of them
-// exactly one outcome through Complete or Fail. It may assume the groups are
-// deduplicated (no task of theirs is in the store or already running) and
-// that completion is idempotent — a second outcome for a group, such as a
-// losing hedge twin's, is dropped.
+// An executor receives each batch's new groups, calls Start on a group when
+// it begins work on it, and owes every group exactly one outcome through
+// Complete or Fail. It may assume the groups are deduplicated (no task of
+// theirs is in the store or already running) and that completion is
+// idempotent — a second outcome for a group, such as a losing hedge twin's,
+// is dropped.
 //
 // Lock order: an executor's own dispatch lock, then Planner.mu, then the
 // stats lock. The planner calls the executor with none of them held.
@@ -66,7 +76,8 @@ type Planner struct {
 	start    time.Time
 
 	mu       sync.Mutex
-	inflight map[string]*Task
+	inflight map[string]*Task  // by Key: tasks a request may still join
+	open     map[string]*Group // by BinaryKey: groups no executor has started
 	closed   bool
 
 	// statMu guards the planner's counters and, through Count and Snapshot,
@@ -91,6 +102,7 @@ func NewPlanner(opts Options, grouping bool, execute func([]*Group)) *Planner {
 		log:      opts.Log,
 		start:    time.Now(),
 		inflight: map[string]*Task{},
+		open:     map[string]*Group{},
 	}
 	if p.store == nil {
 		p.store = MemStore()
@@ -188,68 +200,66 @@ func (p *Planner) DoJobs(ctx context.Context, jobs []Job) ([]Result, []error) {
 }
 
 // Run is DoJobs that also reports how many of the jobs the store answered.
-// Each job is a store hit, a joiner of a task already running (here or in an
-// earlier batch), or a new task; new tasks are grouped by BinaryKey in
-// first-seen order and handed to the executor.
+// Every job is classified under one hold of the lock: it joins a task already
+// in flight (planned here or by an earlier batch), else is answered by the
+// store, else becomes a new task. Complete journals a result before it takes
+// the task off the in-flight map, so a point that finishes meanwhile is found
+// by one check or the other and never executed twice. A new task joins the
+// open group of its BinaryKey, or opens one; groups opened here go to the
+// executor in first-seen order.
 func (p *Planner) Run(ctx context.Context, jobs []Job) (res []Result, errs []error, hits int) {
 	res = make([]Result, len(jobs))
 	errs = make([]error, len(jobs))
-	tasks := make([]*Task, len(jobs))
+	tasks := make([]*Task, len(jobs)) // nil where there is nothing to wait for
 	keys := make([]string, len(jobs))
-	pending := make([]int, 0, len(jobs)) // indices not served by the store
 	for i, job := range jobs {
 		keys[i] = Key(job.Workload, job.Point)
-		if c, e, ok := p.store.Get2(keys[i], EnergyKey(keys[i])); ok {
-			res[i] = Result{Cycles: c, Energy: e}
-			continue
-		}
-		pending = append(pending, i)
-	}
-	hits = len(jobs) - len(pending)
-	if hits > 0 {
-		p.Count(func() { p.st.CacheHits += int64(hits) })
-	}
-	if len(pending) == 0 {
-		return res, errs, hits
 	}
 
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		for _, i := range pending {
-			errs[i] = ErrClosed
-		}
-		return res, errs, hits
-	}
 	var groups []*Group
-	byBin := map[string]*Group{}
 	var joined, fresh int64
-	for _, i := range pending {
-		if t, ok := p.inflight[keys[i]]; ok {
+	p.mu.Lock()
+	for i, job := range jobs {
+		// A task whose group has lost its last waiter is doomed: not joined.
+		if t := p.inflight[keys[i]]; t != nil && t.group.Ctx.Err() == nil {
 			tasks[i] = t
+			t.group.waiting++
 			joined++
 			continue
 		}
-		t := &Task{Job: jobs[i], Key: keys[i], done: make(chan struct{})}
+		if c, e, ok := p.store.Get2(keys[i], EnergyKey(keys[i])); ok {
+			res[i] = Result{Cycles: c, Energy: e}
+			hits++
+			continue
+		}
+		if p.closed {
+			errs[i] = ErrClosed
+			continue
+		}
+		t := &Task{Job: job, Key: keys[i], done: make(chan struct{})}
 		p.inflight[t.Key] = t
 		tasks[i] = t
 		fresh++
 		bin := t.Key // ungrouped: nothing shares a task's group
 		if p.grouping {
-			bin = BinaryKey(t.Job.Workload, t.Job.Point)
+			bin = BinaryKey(job.Workload, job.Point)
 		}
-		g := byBin[bin]
-		if g == nil {
-			g = &Group{Ctx: ctx}
-			byBin[bin] = g
+		g := p.open[bin]
+		if g == nil || g.Ctx.Err() != nil {
+			g = &Group{bin: bin}
+			g.Ctx, g.cancel = context.WithCancel(context.Background())
+			p.open[bin] = g
 			groups = append(groups, g)
 		}
 		t.group = g
+		g.waiting++
 		g.Tasks = append(g.Tasks, t)
 	}
-	// Counted before the tasks can run, so no snapshot ever shows more
-	// completions than misses.
+	// Counted before the lock is released, and so before Start can hand the
+	// new tasks to an executor: no snapshot ever shows more completions than
+	// misses.
 	p.Count(func() {
+		p.st.CacheHits += int64(hits)
 		p.st.Coalesced += joined
 		p.st.CacheMisses += fresh
 	})
@@ -258,8 +268,10 @@ func (p *Planner) Run(ctx context.Context, jobs []Job) (res []Result, errs []err
 		p.execute(groups)
 	}
 
-	for _, i := range pending {
-		t := tasks[i]
+	for i, t := range tasks {
+		if t == nil {
+			continue
+		}
 		select {
 		case <-t.done:
 			res[i], errs[i] = t.res, t.err
@@ -267,7 +279,39 @@ func (p *Planner) Run(ctx context.Context, jobs []Job) (res []Result, errs []err
 			errs[i] = ctx.Err()
 		}
 	}
+	if ctx.Err() != nil {
+		p.leave(tasks)
+	}
 	return res, errs, hits
+}
+
+// leave withdraws a cancelled Run call from the groups it waited on. A group
+// that loses its last waiter has its context cancelled, so the executor can
+// stop; it still owes the group an outcome, which nobody is waiting for. In a
+// group that has completed meanwhile there is nothing left to cancel.
+func (p *Planner) leave(tasks []*Task) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, t := range tasks {
+		if t != nil {
+			if t.group.waiting--; t.group.waiting == 0 {
+				t.group.cancel()
+			}
+		}
+	}
+}
+
+// Start freezes g's membership: from here on a new task that needs its binary
+// opens another group. An executor calls it when it begins work on the group
+// (a pool worker at dequeue, the lease scheduler at each lease) and sizes
+// nothing by g.Tasks before. A hedge or a requeue starts a started group
+// again, which changes nothing.
+func (p *Planner) Start(g *Group) {
+	p.mu.Lock()
+	if p.open[g.bin] == g {
+		delete(p.open, g.bin)
+	}
+	p.mu.Unlock()
 }
 
 // Complete delivers a group's outcome, one result and one error per task.
@@ -276,6 +320,11 @@ func (p *Planner) Run(ctx context.Context, jobs []Job) (res []Result, errs []err
 // critical section, and only then do the tasks leave the in-flight map and
 // their waiters wake. Complete does journal IO and may sleep between
 // retries: call it with no dispatch lock held.
+//
+// The group's results are journaled by one Put, retried as a unit. Results
+// reach their waiters whatever the journal does: Put updates memory before it
+// appends, so a group whose append still fails after its retries is served
+// from memory and costs durability only.
 func (p *Planner) Complete(g *Group, results []Result, errs []error) {
 	p.mu.Lock()
 	if g.completed {
@@ -286,6 +335,7 @@ func (p *Planner) Complete(g *Group, results []Result, errs []error) {
 	p.mu.Unlock()
 
 	var ok, instrs, failed, budget int64
+	entries := make([]KV, 0, 2*len(g.Tasks))
 	for i, t := range g.Tasks {
 		t.res, t.err = results[i], errs[i]
 		if t.err != nil {
@@ -297,10 +347,11 @@ func (p *Planner) Complete(g *Group, results []Result, errs []error) {
 		}
 		ok++
 		instrs += t.res.Instructions
-		if perr := p.persist(t.Key, t.res); perr != nil {
-			// The measurement itself is valid; a store that stays broken
-			// past its retries costs durability, not correctness.
-			p.logf("farm: store append for %s failed: %v", t.Key, perr)
+		entries = append(entries, Entry(t.Key, t.res.Cycles), Entry(EnergyKey(t.Key), t.res.Energy))
+	}
+	if ok > 0 {
+		if perr := p.persist(entries); perr != nil {
+			p.logf("farm: store append for %d points of %s failed: %v", ok, g.Workload().Key(), perr)
 		}
 	}
 	p.Count(func() {
@@ -315,12 +366,16 @@ func (p *Planner) Complete(g *Group, results []Result, errs []error) {
 	})
 	p.mu.Lock()
 	for _, t := range g.Tasks {
-		delete(p.inflight, t.Key)
+		// An abandoned group's task may have been replaced by a fresh one.
+		if p.inflight[t.Key] == t {
+			delete(p.inflight, t.Key)
+		}
 	}
 	p.mu.Unlock()
 	for _, t := range g.Tasks {
 		close(t.done)
 	}
+	g.cancel() // only now: on a task still in the map, a dead context means abandoned
 }
 
 // Fail completes every task of the group with err.
@@ -332,11 +387,11 @@ func (p *Planner) Fail(g *Group, err error) {
 	p.Complete(g, make([]Result, len(g.Tasks)), errs)
 }
 
-// persist journals both responses of a result, retrying transient IO.
-func (p *Planner) persist(key string, res Result) error {
+// persist journals a group's entries, retrying transient IO.
+func (p *Planner) persist(entries []KV) error {
 	var err error
 	for try := 0; try <= p.retries; try++ {
-		err = p.store.Put(Entry(key, res.Cycles), Entry(EnergyKey(key), res.Energy))
+		err = p.store.Put(entries...)
 		if err == nil || Classify(err) != ClassTransient {
 			return err
 		}

@@ -17,19 +17,34 @@ import (
 
 // heldExecutor is the fake behind the planner in these tests: it keeps every
 // group it is handed and completes nothing until the test says so — no pool,
-// no HTTP.
+// no HTTP. It starts each group on receipt, as an idle executor would, unless
+// the test sets hold to keep the groups open and start them itself.
 type heldExecutor struct {
+	p    *Planner
+	hold bool
+
 	mu     sync.Mutex
 	groups []*Group
 	calls  chan struct{} // one token per execute call
 }
 
-func newHeldExecutor() *heldExecutor { return &heldExecutor{calls: make(chan struct{}, 16)} }
+// newHeldPlanner builds a planner over a held executor.
+func newHeldPlanner(opts Options, grouping bool) (*heldExecutor, *Planner) {
+	// Buffered beyond any test's batch count, so execute never blocks.
+	e := &heldExecutor{calls: make(chan struct{}, 16)}
+	e.p = NewPlanner(opts, grouping, e.execute)
+	return e, e.p
+}
 
 func (e *heldExecutor) execute(groups []*Group) {
 	e.mu.Lock()
 	e.groups = append(e.groups, groups...)
 	e.mu.Unlock()
+	if !e.hold {
+		for _, g := range groups {
+			e.p.Start(g)
+		}
+	}
 	e.calls <- struct{}{}
 }
 
@@ -169,8 +184,7 @@ func TestPlannerPlansBatch(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ex := newHeldExecutor()
-			p := NewPlanner(Options{}, true, ex.execute)
+			ex, p := newHeldPlanner(Options{}, true)
 			for _, job := range jobsAt(points, tc.stored) {
 				key := Key(job.Workload, job.Point)
 				if err := p.Store().Put(Entry(key, pointValue(job.Point)), Entry(EnergyKey(key), 1)); err != nil {
@@ -244,8 +258,7 @@ func TestPlannerPlansBatch(t *testing.T) {
 // group — what a primary lease and its hedge twin would do — and requires
 // the first to be the only one waiters, store and counters ever see.
 func TestPlannerCompletionAppliedOnce(t *testing.T) {
-	ex := newHeldExecutor()
-	p := NewPlanner(Options{}, true, ex.execute)
+	ex, p := newHeldPlanner(Options{}, true)
 	points := plannerPoints()
 	done := runAsync(p, context.Background(), jobsAt(points, []int{0, 1}))
 	await(t, "the batch to reach the executor", ex.calls)
@@ -270,14 +283,88 @@ func TestPlannerCompletionAppliedOnce(t *testing.T) {
 	}
 }
 
-// TestPlannerContexts pins whose cancellation does what: a joiner cancelling
-// its own context leaves alone and the group runs on; the first submitter's
-// context is the group's, so once it is cancelled the executor fails the
-// group and a joiner with a live context sees that failure.
+// TestPlannerOpenGroups pins when a group takes a later batch's task: while no
+// executor has started it, and only when the planner groups at all. A task
+// that joins rides the group's one completion.
+func TestPlannerOpenGroups(t *testing.T) {
+	points := plannerPoints()
+	cases := []struct {
+		name     string
+		grouping bool
+		hold     bool    // the executor leaves the first batch's group open
+		groups   [][]int // what the executor holds once both batches are planned
+		want     PlannerStats
+	}{
+		{
+			name: "an open group takes a later batch's point", grouping: true, hold: true,
+			groups: [][]int{{0, 1}},
+			want:   PlannerStats{CacheMisses: 2, SimsExecuted: 2, InstrsSimulated: 20, BinaryGroups: 1, TraceSharedSims: 2},
+		},
+		{
+			name: "a started group takes nothing", grouping: true,
+			groups: [][]int{{0}, {1}},
+			want:   PlannerStats{CacheMisses: 2, SimsExecuted: 2, InstrsSimulated: 20},
+		},
+		{
+			name: "nothing joins with grouping off", hold: true,
+			groups: [][]int{{0}, {1}},
+			want:   PlannerStats{CacheMisses: 2, SimsExecuted: 2, InstrsSimulated: 20},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ex, p := newHeldPlanner(Options{}, tc.grouping)
+			ex.hold = tc.hold
+			first := runAsync(p, context.Background(), jobsAt(points, []int{0}))
+			await(t, "the first batch to reach the executor", ex.calls)
+			second := runAsync(p, context.Background(), jobsAt(points, []int{1}))
+			awaitPlanned(t, p, 2)
+			if len(tc.groups) == 2 {
+				await(t, "the second batch to reach the executor", ex.calls)
+			}
+
+			var got [][]int
+			for _, g := range ex.held() {
+				p.Start(g)
+				var members []int
+				for _, task := range g.Tasks {
+					for j, pt := range points {
+						if task.Key == Key(tinyWorkload(), pt) {
+							members = append(members, j)
+						}
+					}
+				}
+				got = append(got, members)
+				succeed(p, g)
+			}
+			if !reflect.DeepEqual(got, tc.groups) {
+				t.Fatalf("executor holds %v, want %v", got, tc.groups)
+			}
+			for i, ch := range []<-chan runOutcome{first, second} {
+				out := awaitRun(t, "a batch", ch)
+				if out.errs[0] != nil || out.res[0].Cycles != pointValue(points[i]) {
+					t.Errorf("batch %d: (%v, %v), want %v", i, out.res[0].Cycles, out.errs[0], pointValue(points[i]))
+				}
+			}
+			if n := len(ex.calls); n != 0 {
+				t.Errorf("%d more executor calls than groups", n)
+			}
+			if st := plannerStats(p); st != tc.want {
+				t.Errorf("planner stats\n got %+v\nwant %+v", st, tc.want)
+			}
+		})
+	}
+}
+
+// TestPlannerContexts pins whose cancellation does what. The group's context
+// is the planner's: a waiter that cancels leaves alone, the first submitter
+// included, and the group runs on for whoever stays. Only when the last
+// waiter has gone is the group's context cancelled, and a request arriving
+// after that plans a fresh task instead of joining the doomed one.
 func TestPlannerContexts(t *testing.T) {
-	ex := newHeldExecutor()
-	p := NewPlanner(Options{}, true, ex.execute)
-	jobs := jobsAt(plannerPoints(), []int{0, 1})
+	ex, p := newHeldPlanner(Options{}, true)
+	points := plannerPoints()
+	jobs := jobsAt(points, []int{0, 1})
 
 	firstCtx, cancelFirst := context.WithCancel(context.Background())
 	first := runAsync(p, firstCtx, jobs)
@@ -293,26 +380,64 @@ func TestPlannerContexts(t *testing.T) {
 	if out := awaitRun(t, "the leaving joiner", leaver); !errors.Is(out.errs[0], context.Canceled) {
 		t.Fatalf("leaving joiner: err = %v, want its own cancellation", out.errs[0])
 	}
-	if g.Ctx.Err() != nil {
-		t.Fatal("a joiner's cancellation reached the group's context")
-	}
-
 	cancelFirst()
 	if out := awaitRun(t, "the first submitter", first); !errors.Is(out.errs[0], context.Canceled) {
 		t.Fatalf("first submitter: err = %v, want context.Canceled", out.errs[0])
 	}
-	if g.Ctx.Err() == nil {
-		t.Fatal("the group's context outlived its first submitter's")
+	if g.Ctx.Err() != nil {
+		t.Fatal("the group's context died with a waiter still there")
 	}
-	p.Fail(g, g.Ctx.Err()) // what every executor does with a dead group
+	succeed(p, g)
 	out := awaitRun(t, "the staying joiner", stayer)
 	for i, err := range out.errs {
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("staying joiner, job %d: err = %v, want the group's failure", i, err)
+		if err != nil || out.res[i].Cycles != pointValue(points[i]) {
+			t.Errorf("staying joiner, job %d: (%v, %v), want %v", i, out.res[i].Cycles, err, pointValue(points[i]))
 		}
 	}
-	if st := plannerStats(p); st.Failures != 2 || st.Coalesced != 4 {
-		t.Errorf("failures=%d coalesced=%d, want 2/4", st.Failures, st.Coalesced)
+	if g.Ctx.Err() == nil {
+		t.Error("the group's context outlived its completion")
+	}
+
+	// Both waiters of a second group leave, one after the other.
+	lone := jobsAt(points, []int{3})
+	aCtx, cancelA := context.WithCancel(context.Background())
+	bCtx, cancelB := context.WithCancel(context.Background())
+	a := runAsync(p, aCtx, lone)
+	await(t, "the second group to reach the executor", ex.calls)
+	doomed := ex.held()[1]
+	b := runAsync(p, bCtx, lone)
+	awaitPlanned(t, p, 8)
+	cancelA()
+	awaitRun(t, "the second group's submitter", a)
+	if doomed.Ctx.Err() != nil {
+		t.Fatal("the second group's context died with a waiter still there")
+	}
+	cancelB()
+	awaitRun(t, "the second group's joiner", b)
+	if doomed.Ctx.Err() == nil {
+		t.Fatal("the group's context outlived its last waiter")
+	}
+
+	late := runAsync(p, context.Background(), lone)
+	await(t, "the late request to reach the executor", ex.calls)
+	fresh := ex.held()[2]
+	if fresh == doomed || fresh.Ctx.Err() != nil {
+		t.Fatal("a request arriving after the last waiter left joined the abandoned group")
+	}
+	// What every executor does with a dead group. It must not take the fresh
+	// task, which has the same key, off the in-flight map with its own.
+	p.Fail(doomed, doomed.Ctx.Err())
+	later := runAsync(p, context.Background(), lone)
+	awaitPlanned(t, p, 10)
+	succeed(p, fresh)
+	for name, ch := range map[string]<-chan runOutcome{"late": late, "later": later} {
+		if out := awaitRun(t, "the "+name+" request", ch); out.errs[0] != nil || out.res[0].Cycles != pointValue(points[3]) {
+			t.Errorf("%s request: (%v, %v), want %v", name, out.res[0].Cycles, out.errs[0], pointValue(points[3]))
+		}
+	}
+	want := PlannerStats{CacheMisses: 4, Coalesced: 6, SimsExecuted: 3, InstrsSimulated: 30, Failures: 1, BinaryGroups: 1, TraceSharedSims: 2}
+	if st := plannerStats(p); st != want {
+		t.Errorf("planner stats\n got %+v\nwant %+v", st, want)
 	}
 }
 
@@ -320,8 +445,7 @@ func TestPlannerContexts(t *testing.T) {
 // its groups: every waiter is failed with ErrClosed, and an outcome that
 // turns up afterwards is dropped without touching the store.
 func TestPlannerCloseFailsWaiters(t *testing.T) {
-	ex := newHeldExecutor()
-	p := NewPlanner(Options{}, true, ex.execute)
+	ex, p := newHeldPlanner(Options{}, true)
 	points := plannerPoints()
 	a := runAsync(p, context.Background(), jobsAt(points, []int{0, 1, 3}))
 	await(t, "the first batch to reach the executor", ex.calls)
@@ -352,37 +476,49 @@ func TestPlannerCloseFailsWaiters(t *testing.T) {
 }
 
 // TestPlannerRetriesTransientJournalError points the store's journal at a
-// full device: the append is retried up to the retry budget and counted, and
-// the result still reaches the waiter and the in-memory store — a broken
-// journal costs durability, not correctness.
+// full device: a group's append is one write, retried as a unit up to the
+// retry budget and counted once per try, and the results still reach the
+// waiter and the in-memory store — a broken journal costs durability, not
+// correctness.
 func TestPlannerRetriesTransientJournalError(t *testing.T) {
-	full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
-	if err != nil {
-		t.Skipf("no /dev/full to fail writes with: %v", err)
-	}
-	store, err := Open(filepath.Join(t.TempDir(), "store.json"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	store.journal.Close()
-	store.journal = full
-
-	ex := newHeldExecutor()
-	p := NewPlanner(Options{Store: store, MaxRetries: 2, RetryDelay: time.Millisecond}, true, ex.execute)
 	points := plannerPoints()
-	done := runAsync(p, context.Background(), jobsAt(points, []int{3}))
-	await(t, "the batch to reach the executor", ex.calls)
-	succeed(p, ex.held()[0])
+	for _, tc := range []struct {
+		name  string
+		batch []int
+	}{
+		{"one point", []int{3}},
+		{"a group of three", []int{0, 1, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+			if err != nil {
+				t.Skipf("no /dev/full to fail writes with: %v", err)
+			}
+			store, err := Open(filepath.Join(t.TempDir(), "store.json"), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer store.Close()
+			store.journal.Close()
+			store.journal = full
 
-	out := awaitRun(t, "the batch", done)
-	if out.errs[0] != nil || out.res[0].Cycles != pointValue(points[3]) {
-		t.Fatalf("result (%v, %v) did not survive the journal failure", out.res[0].Cycles, out.errs[0])
-	}
-	if st := plannerStats(p); st.Retries != 3 {
-		t.Errorf("Retries = %d, want 3 (one append, two retries, all failed)", st.Retries)
-	}
-	if _, ok := store.Get(Key(tinyWorkload(), points[3])); !ok {
-		t.Error("result missing from the in-memory store")
+			ex, p := newHeldPlanner(Options{Store: store, MaxRetries: 2, RetryDelay: time.Millisecond}, true)
+			done := runAsync(p, context.Background(), jobsAt(points, tc.batch))
+			await(t, "the batch to reach the executor", ex.calls)
+			succeed(p, ex.held()[0])
+
+			out := awaitRun(t, "the batch", done)
+			for i, j := range tc.batch {
+				if out.errs[i] != nil || out.res[i].Cycles != pointValue(points[j]) {
+					t.Errorf("result (%v, %v) did not survive the journal failure", out.res[i].Cycles, out.errs[i])
+				}
+				if _, ok := store.Get(Key(tinyWorkload(), points[j])); !ok {
+					t.Errorf("point %d missing from the in-memory store", j)
+				}
+			}
+			if st := plannerStats(p); st.Retries != 3 {
+				t.Errorf("Retries = %d, want 3 (one append, two retries, all failed)", st.Retries)
+			}
+		})
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/doe"
 	"repro/internal/farm"
 	"repro/internal/workloads"
 )
@@ -222,6 +223,38 @@ func TestSearchRejectsUncheckedInput(t *testing.T) {
 		lines := strings.Split(strings.TrimSpace(string(body)), "\n")
 		if last := lines[len(lines)-1]; !strings.Contains(last, tc.want) {
 			t.Errorf("%s: last line %q does not contain %q", tc.name, last, tc.want)
+		}
+	}
+}
+
+// TestMeasureBoundsItsWork: /v1/measure refuses a request of more points than
+// maxMeasurePoints, whatever its size in bytes, and serves one at the limit.
+func TestMeasureBoundsItsWork(t *testing.T) {
+	srv := New(Options{
+		Scale: "quick",
+		Batch: func(ctx context.Context, w workloads.Workload, pts []doe.Point, resp farm.Response) ([]float64, error) {
+			return make([]float64, len(pts)), nil
+		},
+	})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close()
+
+	points := testPoints(maxMeasurePoints+1, 13)
+	for _, tc := range []struct {
+		name string
+		n    int
+		code int
+		want string
+	}{
+		{"points above the limit", maxMeasurePoints + 1, http.StatusBadRequest, "limit of 4096"},
+		{"points at the limit", maxMeasurePoints, http.StatusOK, `"values":[0,`},
+	} {
+		resp := postJSON(t, ts.URL+"/v1/measure", MeasureRequest{Workload: "179.art", Points: points[:tc.n]})
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.code || !strings.Contains(string(body), tc.want) {
+			t.Errorf("%s: status %d, want %d and %q (body starts %.120q)", tc.name, resp.StatusCode, tc.code, tc.want, body)
 		}
 	}
 }

@@ -95,7 +95,7 @@ func TestRankMemoComputesOnce(t *testing.T) {
 	for _, want := range []string{
 		fmt.Sprintf("empiricod_rank_cache_hits_total %d\n", callers-1),
 		"empiricod_rank_cache_misses_total 2\n",
-		"empiricod_coalescer_pending_batches 0\n",
+		"empiricod_measure_batches_total 0\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics missing %q in:\n%s", want, text)

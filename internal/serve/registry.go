@@ -2,7 +2,7 @@
 // front-end (stdlib net/http only) over the measurement farm, the simulator
 // and the empirical-model pipeline. cmd/empiricod hosts it as a daemon.
 //
-// The package provides five pieces:
+// The package provides four pieces:
 //
 //   - Registry: fitted models cached per (workload, scale) behind
 //     single-flight, so the first wave of concurrent predict requests trains
@@ -11,16 +11,13 @@
 //     (atomic-rename files), so boots warm-start from artifacts instead of
 //     refitting, reloads swap new artifacts in without downtime, and
 //     read-only replicas serve prediction traffic with no farm at all;
-//   - Coalescer: measure requests go to the farm as they arrive while it has
-//     a free worker, and concurrent requests for the same workload merge into
-//     one farm.MeasureBatch call while it has none, so an idle farm adds no
-//     wait and a busy one sees many small callers as one big batch caller;
 //   - Server: the HTTP handlers (/v1/predict, /v1/measure, /v1/search,
 //     /v1/rank, /v1/reload, /healthz, /metrics) with per-endpoint
 //     token-bucket rate limiting, max-in-flight shedding and graceful
-//     shutdown;
+//     shutdown. A measure request goes to the plane's planner as it arrives;
+//     that is where concurrent requests meet (farm.Planner), not here;
 //   - Metrics: a hand-rolled Prometheus-text exporter for request counters,
-//     latency histograms and the farm/registry/coalescer/runtime gauges.
+//     latency histograms and the farm/registry/runtime gauges.
 package serve
 
 import (

@@ -84,10 +84,15 @@ type Options struct {
 	// Trainer, when non-nil, replaces the harness-backed model trainer
 	// (test seam).
 	Trainer Trainer
-	// Batch, when non-nil, replaces the farm-backed batch measurement the
-	// coalescer dispatches to (test seam).
+	// Batch, when non-nil, replaces the plane's batch measurement behind
+	// /v1/measure (test seam).
 	Batch BatchFunc
 }
+
+// BatchFunc measures one /v1/measure request's points — in production,
+// farm.Planner.MeasureBatch on the server's plane. It must return one value
+// per point, in order.
+type BatchFunc func(ctx context.Context, w workloads.Workload, pts []doe.Point, resp farm.Response) ([]float64, error)
 
 // Server is the HTTP service over the measurement and modeling pipeline.
 // Create with New, mount Handler on an http.Server, and Close during
@@ -96,7 +101,7 @@ type Server struct {
 	opts      Options
 	registry  *Registry
 	artifacts *ArtifactStore // nil without ArtifactDir
-	coalescer *Coalescer
+	batches   atomic.Int64   // measure batches handed to the plane
 	metrics   *Metrics
 	limits    map[string]*bucket
 	inFlight  atomic.Int64
@@ -127,9 +132,16 @@ var (
 // The GA allocates its whole population before it first looks at the request
 // context, so an unbounded size is an unbounded allocation. 1024 is ≈13× and
 // ≈17× what the paper scale runs (80 and 60).
+//
+// maxMeasurePoints bounds a /v1/measure request by its work, not its bytes:
+// the 8 MiB body limit admits ≈160 000 valid points, each a compile and a
+// simulation of tens of milliseconds, and a request reaches the planner
+// whole. 4096 is ≈8× the 400 + 100 points the paper scale measures per
+// program.
 const (
 	maxSearchPopulation  = 1024
 	maxSearchGenerations = 1024
+	maxMeasurePoints     = 4096
 )
 
 // New builds a server. No farm or model exists until the first request that
@@ -188,11 +200,9 @@ func New(opts Options) *Server {
 		// checks work) but every predict reports no artifact.
 		s.registry.UseStore(nil, true, opts.Log)
 	}
-	batch := opts.Batch
-	if batch == nil {
-		batch = s.farmBatch
+	if s.opts.Batch == nil {
+		s.opts.Batch = s.farmBatch
 	}
-	s.coalescer = NewCoalescer(batch, opts.Workers)
 
 	s.limits = map[string]*bucket{}
 	s.mux = http.NewServeMux()
@@ -313,8 +323,8 @@ func (s *Server) harnessTrainer(ctx context.Context, w workloads.Workload, scale
 	return &Artifacts{Workload: w, Space: h.Space(), Models: models, TrainX: trainX}, nil
 }
 
-// farmBatch is the production BatchFunc: one farm.MeasureBatch on the
-// server's plane.
+// farmBatch is the production BatchFunc: one MeasureBatch on the server's
+// plane.
 func (s *Server) farmBatch(ctx context.Context, w workloads.Workload, pts []doe.Point, resp farm.Response) ([]float64, error) {
 	h, err := s.harnessFor("")
 	if err != nil {
@@ -519,6 +529,10 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	if req.Response == "" {
 		req.Response = "cycles"
 	}
+	if len(req.Points) > maxMeasurePoints {
+		writeErr(w, http.StatusBadRequest, fmt.Sprintf("%d points above the limit of %d", len(req.Points), maxMeasurePoints))
+		return
+	}
 	pts := make([]doe.Point, len(req.Points))
 	for i, raw := range req.Points {
 		pts[i] = doe.Point(raw)
@@ -537,7 +551,10 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
 		defer cancel()
 	}
-	vals, err := s.coalescer.Measure(ctx, wl, pts, resp)
+	// Concurrent requests meet in the plane's planner (farm.Planner.Run), on
+	// this goroutine: there is no queue and no merging here.
+	s.batches.Add(1)
+	vals, err := s.opts.Batch(ctx, wl, pts, resp)
 	if err != nil {
 		writeErr(w, statusFor(err), "measure: "+err.Error())
 		return
@@ -761,12 +778,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "empiricod_gc_pause_seconds_total %g\n", float64(ms.PauseTotalNs)/1e9)
 	fmt.Fprintf(w, "empiricod_gc_cycles_total %d\n", ms.NumGC)
 
-	fmt.Fprintln(w, "# HELP empiricod_measure_batches_total Coalesced farm batches dispatched.")
+	fmt.Fprintln(w, "# HELP empiricod_measure_batches_total Measure batches handed to the measurement plane.")
 	fmt.Fprintln(w, "# TYPE empiricod_measure_batches_total counter")
-	fmt.Fprintf(w, "empiricod_measure_batches_total %d\n", s.coalescer.Batches())
-	fmt.Fprintln(w, "# HELP empiricod_coalescer_pending_batches Merged measure batches waiting for a farm slot.")
-	fmt.Fprintln(w, "# TYPE empiricod_coalescer_pending_batches gauge")
-	fmt.Fprintf(w, "empiricod_coalescer_pending_batches %d\n", s.coalescer.Pending())
+	fmt.Fprintf(w, "empiricod_measure_batches_total %d\n", s.batches.Load())
 
 	// Farm gauges: one block, for the server's one plane, once it has run
 	// measurements. The scale label is the daemon's.

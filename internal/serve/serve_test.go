@@ -33,6 +33,34 @@ func testPoints(n int, seed int64) [][]int64 {
 	return out
 }
 
+// coalesceValue mirrors the farm-test convention: a deterministic fake
+// measurement derived from the point, so distribution can be verified.
+func coalesceValue(p doe.Point) float64 {
+	v := 1.0
+	for _, x := range p {
+		v = v*31 + float64(x)
+	}
+	return v
+}
+
+// waitPlanned blocks until the server's planner has classified n measure
+// points as store hit, new task or joiner — the event "every client has
+// arrived".
+func waitPlanned(t *testing.T, srv *Server, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st := srv.plane.FarmStats()
+		if st.CacheHits+st.CacheMisses+st.Coalesced >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("planner never classified %d points: %+v", n, st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func postJSON(t *testing.T, url string, body any) *http.Response {
 	t.Helper()
 	b, err := json.Marshal(body)
@@ -115,8 +143,8 @@ func TestPredictOneFitUnderConcurrentRequests(t *testing.T) {
 
 // TestMeasureCoalescesConcurrentClients drives the real farm (with a stub
 // compile+simulate executor) through the HTTP measure endpoint with one
-// worker: the first client's batch holds the slot, every client arriving
-// meanwhile merges into one more, and each distinct point is simulated once.
+// worker: the first client's points hold it, every client arriving meanwhile
+// meets them in the planner, and each distinct point is simulated once.
 func TestMeasureCoalescesConcurrentClients(t *testing.T) {
 	var executions atomic.Int64
 	gate := make(chan struct{})
@@ -164,11 +192,11 @@ func TestMeasureCoalescesConcurrentClients(t *testing.T) {
 	}
 	wg.Add(clients)
 	go client(0)
-	<-entered // the first client's batch occupies the farm's only worker
+	<-entered // the first client's points occupy the farm's only worker
 	for i := 1; i < clients; i++ {
 		go client(i)
 	}
-	waitPending(t, srv.coalescer, 1, clients-1)
+	waitPlanned(t, srv, 2*clients)
 	close(gate)
 	wg.Wait()
 	select {
@@ -176,11 +204,113 @@ func TestMeasureCoalescesConcurrentClients(t *testing.T) {
 		t.Fatal(msg)
 	default:
 	}
-	if n := srv.coalescer.Batches(); n != 2 {
-		t.Fatalf("%d concurrent measure clients dispatched %d farm batches, want 2", clients, n)
-	}
 	if n := executions.Load(); n != int64(len(points)) {
 		t.Fatalf("%d simulations for %d distinct points", n, len(points))
+	}
+}
+
+// TestMeasureClientsShareOneGroup sends eight one-point requests on one
+// binary (-O2 flags, eight width-4 configurations) to a one-worker daemon
+// with the real executor. The first occupies the worker; the others meet in
+// the planner's open group, so the binary is compiled once and the points
+// share interpretations — one group when the first request ran alone, two
+// when a second arrived before the worker picked it up.
+func TestMeasureClientsShareOneGroup(t *testing.T) {
+	srv := New(Options{Scale: "quick", Workers: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close()
+
+	const clients = 8
+	var wg sync.WaitGroup
+	wg.Add(clients)
+	client := func(i int) {
+		defer wg.Done()
+		cfg := sim.DefaultConfig()
+		cfg.MemLat = 60 + 10*i
+		pt := doe.JoinPoint(doe.FromOptions(compiler.O2()), doe.FromConfig(cfg))
+		resp := postJSON(t, ts.URL+"/v1/measure", MeasureRequest{Workload: "179.art", Points: [][]int64{pt}})
+		defer resp.Body.Close()
+		var mr MeasureResponse
+		if err := json.NewDecoder(resp.Body).Decode(&mr); err != nil || resp.StatusCode != http.StatusOK || len(mr.Values) != 1 || mr.Values[0] <= 0 {
+			t.Errorf("client %d: status %d, values %v, err %v", i, resp.StatusCode, mr.Values, err)
+		}
+	}
+	go client(0)
+	waitPlanned(t, srv, 1)
+	for i := 1; i < clients; i++ {
+		go client(i)
+	}
+	wg.Wait()
+	st := srv.plane.FarmStats()
+	if st.SimsExecuted != clients || st.CompileCacheMisses != 1 || st.BinaryGroups < 1 || st.BinaryGroups > 2 || st.TraceSharedSims < clients-1 {
+		t.Fatalf("sims=%d compile misses=%d groups=%d shared=%d, want %d, 1, 1 or 2, and at least %d",
+			st.SimsExecuted, st.CompileCacheMisses, st.BinaryGroups, st.TraceSharedSims, clients, clients-1)
+	}
+}
+
+// TestMeasureCancelledClientLeavesAlone has two clients ask for one point and
+// the first hang up while it runs: the second's answer is the measurement,
+// not the first's cancellation as a 499.
+func TestMeasureCancelledClientLeavesAlone(t *testing.T) {
+	gate := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	srv := New(Options{
+		Scale:   "quick",
+		Workers: 2,
+		Measure: func(ctx context.Context, job farm.Job) (farm.Result, error) {
+			entered <- struct{}{}
+			select {
+			case <-gate:
+				return farm.Result{Cycles: coalesceValue(job.Point), Energy: 1, Instructions: 1}, nil
+			case <-ctx.Done():
+				return farm.Result{}, ctx.Err()
+			}
+		},
+	})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close()
+
+	req := MeasureRequest{Workload: "179.art", Points: testPoints(1, 12)}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	gone := make(chan struct{})
+	go func() {
+		defer close(gone)
+		hr, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/measure", bytes.NewReader(body))
+		if resp, err := http.DefaultClient.Do(hr); err == nil {
+			resp.Body.Close()
+			t.Error("the cancelled client got an answer")
+		}
+	}()
+	<-entered
+	stayed := make(chan *http.Response, 1)
+	go func() { stayed <- postJSON(t, ts.URL+"/v1/measure", req) }()
+	waitPlanned(t, srv, 2)
+
+	cancel()
+	<-gone
+	// The server has seen the first client go once its request is counted.
+	deadline := time.Now().Add(10 * time.Second)
+	for !strings.Contains(string(getBody(t, ts.URL+"/metrics")), `empiricod_requests_total{endpoint="measure",code="499"} 1`) {
+		if time.Now().After(deadline) {
+			t.Fatal("the cancelled request never finished on the server")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	resp := <-stayed
+	defer resp.Body.Close()
+	var mr MeasureResponse
+	if err := json.NewDecoder(resp.Body).Decode(&mr); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("the staying client got status %d (%v), want the measurement", resp.StatusCode, err)
+	}
+	if want := coalesceValue(doe.Point(req.Points[0])); len(mr.Values) != 1 || mr.Values[0] != want {
+		t.Fatalf("the staying client got %v, want [%v]", mr.Values, want)
 	}
 }
 
