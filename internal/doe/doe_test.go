@@ -113,6 +113,27 @@ func TestCodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestValidateBoundsFlags: a flag is 0 or 1. Any other value used to pass
+// when it was below the range, and then coded to a value far outside [-1, 1]
+// and compiled as "on".
+func TestValidateBoundsFlags(t *testing.T) {
+	s := JointSpace()
+	p := s.RandomPoint(rand.New(rand.NewSource(3)))
+	i := varIndex(s, "finline-functions")
+	for _, v := range []int64{0, 1} {
+		p[i] = v
+		if err := s.Validate(p); err != nil {
+			t.Fatalf("flag = %d: %v", v, err)
+		}
+	}
+	for _, v := range []int64{-7, -1, 2} {
+		p[i] = v
+		if err := s.Validate(p); err == nil {
+			t.Fatalf("flag = %d passed validation", v)
+		}
+	}
+}
+
 func TestPropertyCodeBounds(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -147,13 +147,14 @@ func (s *Space) LatinHypercube(n int, rng *rand.Rand) []Point {
 	return pts
 }
 
-// Validate checks that a point is within range.
+// Validate checks that a point has one value per variable, each within
+// [Low, High] — for a flag, 0 or 1.
 func (s *Space) Validate(p Point) error {
 	if len(p) != len(s.Vars) {
 		return fmt.Errorf("doe: point has %d values, space has %d vars", len(p), len(s.Vars))
 	}
 	for i, v := range s.Vars {
-		if p[i] < v.Low && v.Kind != Flag || p[i] > v.High {
+		if p[i] < v.Low || p[i] > v.High {
 			return fmt.Errorf("doe: %s = %d out of range [%d, %d]", v.Name, p[i], v.Low, v.High)
 		}
 	}

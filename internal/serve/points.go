@@ -2,8 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // Points is the "points" array of a predict or measure request: raw design
@@ -19,47 +21,82 @@ type Points [][]int64
 
 // UnmarshalJSON implements json.Unmarshaler.
 func (p *Points) UnmarshalJSON(data []byte) error {
-	s := pointScanner{data: data}
-	if s.null() {
-		*p = nil
-	} else {
-		// Every value but the first follows a comma, so the count bounds the
-		// backing slice and rows are cut from it without it ever moving.
-		flat := make([]int64, 0, bytes.Count(data, []byte{','})+1)
-		rows := [][]int64{}
-		for more := s.open(); more; more = s.next() {
-			if s.null() {
-				rows = append(rows, nil)
-				continue
-			}
-			start := len(flat)
-			for more := s.open(); more; more = s.next() {
-				if s.null() {
-					flat = append(flat, 0)
-				} else {
-					flat = append(flat, s.integer())
-				}
-			}
-			rows = append(rows, flat[start:len(flat):len(flat)])
-		}
-		*p = rows
-	}
+	s := scanner{data: data}
+	*p = s.points()
 	if s.peek(); s.err == nil && s.pos < len(data) {
 		s.fail("trailing data")
 	}
 	return s.err
 }
 
-// pointScanner walks the bytes of a points array. The first failure sticks:
-// after it peek reports the end of input, so the loops above unwind without
-// checking an error at each step.
-type pointScanner struct {
+// decodePredict fills req from a /v1/predict body. A canonical body is
+// scanned once, points and all: an object whose keys are among "workload",
+// "class", "scale", "model" and "points", each spelled exactly and given
+// once, whose other values are strings of printable ASCII without escapes.
+// Any other body goes, byte for byte, to json.Unmarshal, which stays the
+// reference for key folding, unknown and repeated keys, null, escapes,
+// syntax errors and trailing bytes. FuzzPredictRequest holds the result to
+// json.Unmarshal's on whole bodies.
+func decodePredict(data []byte, req *PredictRequest) error {
+	if scanPredict(data, req) {
+		return nil
+	}
+	*req = PredictRequest{}
+	return json.Unmarshal(data, req)
+}
+
+// scanPredict is decodePredict's one pass. It reports false, with req partly
+// filled, at the first byte that is not part of a canonical body. The
+// strings it stores are copies, so req does not hold on to data.
+func scanPredict(data []byte, req *PredictRequest) bool {
+	s := scanner{data: data}
+	var seen uint8
+	for more := s.open('{', '}'); more; more = s.next('}') {
+		key := s.str()
+		if s.peek() != ':' {
+			return false
+		}
+		s.pos++
+		var bit uint8
+		var field *string
+		switch string(key) {
+		case "workload":
+			bit, field = 1, &req.Workload
+		case "class":
+			bit, field = 2, &req.Class
+		case "scale":
+			bit, field = 4, &req.Scale
+		case "model":
+			bit, field = 8, &req.Model
+		case "points":
+			bit = 16
+		default:
+			return false
+		}
+		if seen&bit != 0 {
+			return false
+		}
+		seen |= bit
+		if field != nil {
+			*field = string(s.str())
+		} else {
+			req.Points = s.points()
+		}
+	}
+	s.peek()
+	return s.err == nil && s.pos == len(data)
+}
+
+// scanner walks the bytes of a predict body or of a points array. The first
+// failure sticks: after it peek reports the end of input, so the loops above
+// unwind without checking an error at each step.
+type scanner struct {
 	data []byte
 	pos  int
 	err  error
 }
 
-func (s *pointScanner) fail(what string) {
+func (s *scanner) fail(what string) {
 	if s.err == nil {
 		s.err = fmt.Errorf("serve: points: %s at offset %d", what, s.pos)
 	}
@@ -67,7 +104,7 @@ func (s *pointScanner) fail(what string) {
 
 // peek skips whitespace and returns the next byte without consuming it, or 0
 // at the end of input or after a failure.
-func (s *pointScanner) peek() byte {
+func (s *scanner) peek() byte {
 	for ; s.err == nil && s.pos < len(s.data); s.pos++ {
 		if c := s.data[s.pos]; c != ' ' && c != '\t' && c != '\r' && c != '\n' {
 			return c
@@ -77,7 +114,7 @@ func (s *pointScanner) peek() byte {
 }
 
 // null consumes a null literal if one is next.
-func (s *pointScanner) null() bool {
+func (s *scanner) null() bool {
 	if s.peek() != 'n' || !bytes.HasPrefix(s.data[s.pos:], []byte("null")) {
 		return false
 	}
@@ -85,39 +122,90 @@ func (s *pointScanner) null() bool {
 	return true
 }
 
-// open consumes '[' and reports whether the array has a first element; an
-// empty array's ']' is consumed too.
-func (s *pointScanner) open() bool {
-	if s.peek() != '[' {
-		s.fail("want an array")
+// open consumes the opening delimiter of an array or object and reports
+// whether it has a first element; an empty one's closing delimiter is
+// consumed too.
+func (s *scanner) open(opening, closing byte) bool {
+	if s.peek() != opening {
+		s.fail(fmt.Sprintf("want '%c'", opening))
 		return false
 	}
 	s.pos++
-	if s.peek() == ']' {
+	if s.peek() == closing {
 		s.pos++
 		return false
 	}
 	return true
 }
 
-// next consumes the ',' or ']' after an element and reports whether another
-// element follows.
-func (s *pointScanner) next() bool {
+// next consumes the ',' or closing delimiter after an element and reports
+// whether another element follows.
+func (s *scanner) next(closing byte) bool {
 	switch s.peek() {
 	case ',':
 		s.pos++
 		return true
-	case ']':
+	case closing:
 		s.pos++
 	default:
-		s.fail("want ',' or ']'")
+		s.fail(fmt.Sprintf("want ',' or '%c'", closing))
 	}
 	return false
 }
 
+// str consumes a string of printable ASCII without escapes and returns its
+// bytes, which alias the input. Any other string fails, as not canonical.
+func (s *scanner) str() []byte {
+	if s.peek() != '"' {
+		s.fail("want a string")
+		return nil
+	}
+	start := s.pos + 1
+	for s.pos = start; s.pos < len(s.data); s.pos++ {
+		switch c := s.data[s.pos]; {
+		case c == '"':
+			s.pos++
+			return s.data[start : s.pos-1]
+		case c < ' ' || c > '~' || c == '\\':
+			s.fail("want printable ASCII without escapes")
+			return nil
+		}
+	}
+	s.fail("unterminated string")
+	return nil
+}
+
+// points consumes a points value: null, or an array of rows that are each
+// null or an array of integers and nulls.
+func (s *scanner) points() Points {
+	if s.null() {
+		return nil
+	}
+	// Every value but the first follows a comma, so the count bounds the
+	// backing slice and rows are cut from it without it ever moving.
+	flat := make([]int64, 0, bytes.Count(s.data[s.pos:], []byte{','})+1)
+	rows := Points{}
+	for more := s.open('[', ']'); more; more = s.next(']') {
+		if s.null() {
+			rows = append(rows, nil)
+			continue
+		}
+		start := len(flat)
+		for more := s.open('[', ']'); more; more = s.next(']') {
+			if s.null() {
+				flat = append(flat, 0)
+			} else {
+				flat = append(flat, s.integer())
+			}
+		}
+		rows = append(rows, flat[start:len(flat):len(flat)])
+	}
+	return rows
+}
+
 // integer consumes a JSON number that is an int64: -?(0|[1-9][0-9]*). A
 // fraction or exponent after it fails in next, as any other stray byte does.
-func (s *pointScanner) integer() int64 {
+func (s *scanner) integer() int64 {
 	neg := s.peek() == '-'
 	if neg {
 		s.pos++
@@ -147,4 +235,44 @@ func (s *pointScanner) integer() int64 {
 		return -int64(mag)
 	}
 	return int64(mag)
+}
+
+// appendPredictResponse appends to b the bytes json.Encoder.Encode writes for
+// PredictResponse{Model: model, Cached: cached, Predictions: preds}, with
+// preds non-nil: the trailing newline, the escaping of the model name and
+// the float format included. A NaN or an infinity, which JSON cannot carry,
+// is the error Encode returns for it.
+func appendPredictResponse(b []byte, model string, cached bool, preds []float64) ([]byte, error) {
+	name, _ := json.Marshal(model) // a string always encodes
+	b = append(b, `{"model":`...)
+	b = append(b, name...)
+	b = append(b, `,"cached":`...)
+	b = strconv.AppendBool(b, cached)
+	b = append(b, `,"predictions":[`...)
+	for i, f := range preds {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return b, &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
+		}
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendFloat(b, f)
+	}
+	return append(b, "]}\n"...), nil
+}
+
+// appendFloat appends a finite f in encoding/json's format: the shortest
+// decimal that round-trips, in exponent form below 1e-6 and from 1e21 on,
+// with a negative exponent's leading zero dropped.
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"encoding/json"
+	"io"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -47,6 +49,62 @@ func FuzzPointsDecode(f *testing.F) {
 			t.Fatalf("%q: as a field encoding/json decodes %v, PredictRequest decodes %v", body, ref.Points, req.Points)
 		}
 	})
+}
+
+// FuzzPredictRequest holds decodePredict to json.Unmarshal into
+// PredictRequest on whole /v1/predict bodies: the same accept/reject
+// decision and the same values, whether a body takes the one-pass scan or
+// falls back. The seed corpus under testdata/fuzz/FuzzPredictRequest names
+// the edges of "canonical": every key, whitespace, an upper-case key, escaped
+// keys and strings, non-ASCII and invalid UTF-8, unknown and repeated keys,
+// null in each field and as the body, non-string values, syntax errors and
+// trailing bytes.
+func FuzzPredictRequest(f *testing.F) {
+	body, err := json.Marshal(PredictRequest{Workload: "179.art", Model: "rbf", Points: testPoints(32, 1)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(body)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var want PredictRequest
+		wantErr := json.Unmarshal(data, &want)
+		var got PredictRequest
+		gotErr := decodePredict(data, &got)
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("%q: encoding/json says %v, decodePredict says %v", data, wantErr, gotErr)
+		}
+		if wantErr == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q: encoding/json decodes %+v, decodePredict decodes %+v", data, want, got)
+		}
+	})
+}
+
+// TestAppendPredictResponseMatchesEncoder: the predict answer is appended by
+// hand, so it is held to json.Encoder's bytes where the format has edges —
+// exponent form on either side of 1e-6 and 1e21, negative zero, the extremes
+// of float64, and a model name JSON escapes — and to its error for a value
+// JSON cannot carry.
+func TestAppendPredictResponseMatchesEncoder(t *testing.T) {
+	floats := []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.1, 1848455.2612345, 1e-6, 9.99999e-7, -1e-7, 1e-300,
+		1e20, 1e21, -1e21, 123456789012345678, math.MaxFloat64, math.SmallestNonzeroFloat64, 5e-324,
+	}
+	for _, name := range []string{"rbf-rt-log", `<a"b\c&>`} {
+		for _, cached := range []bool{false, true} {
+			want := encodeBody(t, PredictResponse{Model: name, Cached: cached, Predictions: floats})
+			got, err := appendPredictResponse([]byte("prefix"), name, cached, floats)
+			if err != nil || string(got) != "prefix"+string(want) {
+				t.Fatalf("model %q: appended %q (%v), encoding/json writes %q", name, got, err, want)
+			}
+		}
+	}
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		want := json.NewEncoder(io.Discard).Encode(PredictResponse{Predictions: []float64{1, f}})
+		_, err := appendPredictResponse(nil, "", false, []float64{1, f})
+		if err == nil || want == nil || err.Error() != want.Error() {
+			t.Fatalf("%v: appended with error %v, encoding/json fails with %v", f, err, want)
+		}
+	}
 }
 
 // TestPointsRowsDoNotOverlap: rows alias one backing slice, so each is cut

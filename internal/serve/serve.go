@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -437,9 +438,31 @@ type RankResponse struct {
 
 // ---- handlers ----
 
+// bodyPool recycles the buffer a predict body is read into and its answer is
+// appended to. A buffer a large request grew past maxPooledBody is dropped.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBody = 64 << 10
+
+// handlePredict reads its body once, decodes it in one pass (decodePredict)
+// and appends its answer into the same buffer. The request holds no bytes of
+// the buffer by then: its strings are copies and its points have their own
+// backing slice.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
+	buf := bodyPool.Get().(*[]byte)
+	defer func() {
+		if cap(*buf) <= maxPooledBody {
+			bodyPool.Put(buf)
+		}
+	}()
+	body := bytes.NewBuffer((*buf)[:0])
+	_, err := body.ReadFrom(r.Body)
+	*buf = body.Bytes()
 	var req PredictRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err == nil {
+		err = decodePredict(*buf, &req)
+	}
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
@@ -451,6 +474,14 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if len(req.Points) == 0 {
 		writeErr(w, http.StatusBadRequest, "no points")
 		return
+	}
+	// Checked before the registry is asked, so a malformed request never
+	// starts a fit; predictAll checks again against the artifact's own space.
+	for i, raw := range req.Points {
+		if err := jointSpace.Validate(doe.Point(raw)); err != nil {
+			writeErr(w, http.StatusBadRequest, fmt.Sprintf("point %d: %v", i, err))
+			return
+		}
 	}
 	art, cached, err := s.registry.Get(r.Context(), wl, s.resolveScale(req.Scale))
 	if err != nil {
@@ -467,7 +498,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, PredictResponse{Model: m.Name(), Cached: cached, Predictions: preds})
+	*buf, err = appendPredictResponse((*buf)[:0], m.Name(), cached, preds)
+	writeBody(w, http.StatusOK, *buf, err)
 }
 
 // predictPool recycles the coded point of the predict hot path, so
@@ -874,10 +906,25 @@ func writeResolveErr(w http.ResponseWriter, err error) {
 	writeErr(w, statusFor(err), "train: "+err.Error())
 }
 
+// writeJSON answers v encoded as JSON with code. The body is encoded before
+// the header is written, so a value JSON cannot carry (a NaN or an infinity)
+// is a 500 with an error body, not the status with no bytes.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	var buf bytes.Buffer
+	err := json.NewEncoder(&buf).Encode(v)
+	writeBody(w, code, buf.Bytes(), err)
+}
+
+// writeBody answers an encoded JSON body with code, or with a 500 naming
+// err, the error that encoding the body returned.
+func writeBody(w http.ResponseWriter, code int, body []byte, err error) {
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, "encode response: "+err.Error())
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+	w.Write(body)
 }
 
 func writeErr(w http.ResponseWriter, code int, msg string) {

@@ -7,9 +7,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -567,6 +569,165 @@ func TestBadRequests(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400", tc.name, resp.StatusCode)
+		}
+	}
+}
+
+// TestPointsOutsideTheSpaceAre400 is the wire rule for every endpoint that
+// takes a point — /v1/predict and /v1/measure over the joint space, and
+// /v1/search's march over the microarchitecture space: a row one value short
+// or long, and a value one past either bound of any variable (for a flag,
+// -1 and 2), is a 400 before any work starts, so neither the Trainer nor the
+// Batch seam is called. A valid point on each endpoint then reaches its seam.
+func TestPointsOutsideTheSpaceAre400(t *testing.T) {
+	var trains, batches atomic.Int64
+	srv := New(Options{
+		Scale:      "quick",
+		RatePerSec: 1e6,
+		RateBurst:  1e6,
+		Trainer: func(ctx context.Context, w workloads.Workload, scale string) (*Artifacts, error) {
+			trains.Add(1)
+			return stubArtifacts(w), nil
+		},
+		Batch: func(ctx context.Context, w workloads.Workload, pts []doe.Point, resp farm.Response) ([]float64, error) {
+			batches.Add(1)
+			return make([]float64, len(pts)), nil
+		},
+	})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close()
+
+	type row struct {
+		name string
+		pt   []int64
+	}
+	rows := func(space *doe.Space, valid []int64) []row {
+		out := []row{
+			{"short row", valid[:len(valid)-1]},
+			{"long row", append(slices.Clone(valid), valid[0])},
+		}
+		for i, v := range space.Vars {
+			for _, x := range []int64{v.Low - 1, v.High + 1} {
+				pt := slices.Clone(valid)
+				pt[i] = x
+				out = append(out, row{fmt.Sprintf("%s = %d", v.Name, x), pt})
+			}
+		}
+		return out
+	}
+	joint := doe.JoinPoint(doe.FromOptions(compiler.O2()), doe.FromConfig(sim.DefaultConfig()))
+	march := doe.FromConfig(sim.DefaultConfig())
+	endpoints := []struct {
+		path  string
+		rows  []row
+		valid []int64
+		req   func(pt []int64) any
+	}{
+		{"/v1/predict", rows(doe.JointSpace(), joint), joint, func(pt []int64) any {
+			return PredictRequest{Workload: "179.art", Points: [][]int64{pt}}
+		}},
+		{"/v1/measure", rows(doe.JointSpace(), joint), joint, func(pt []int64) any {
+			return MeasureRequest{Workload: "179.art", Points: [][]int64{pt}}
+		}},
+		{"/v1/search", rows(doe.MicroarchSpace(), march), march, func(pt []int64) any {
+			return SearchRequest{Workload: "179.art", March: pt, Population: 4, Generations: 1}
+		}},
+	}
+	for _, ep := range endpoints {
+		for _, r := range ep.rows {
+			resp := postJSON(t, ts.URL+ep.path, ep.req(r.pt))
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s, %s: status %d, want 400 (body %.120q)", ep.path, r.name, resp.StatusCode, body)
+			}
+		}
+	}
+	if trains.Load() != 0 || batches.Load() != 0 {
+		t.Fatalf("rejected points reached the seams: %d fits, %d batches", trains.Load(), batches.Load())
+	}
+	for _, ep := range endpoints {
+		resp := postJSON(t, ts.URL+ep.path, ep.req(ep.valid))
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s, valid point: status %d", ep.path, resp.StatusCode)
+		}
+	}
+	if trains.Load() != 1 || batches.Load() != 1 {
+		t.Fatalf("valid points: %d fits and %d batches, want 1 and 1", trains.Load(), batches.Load())
+	}
+}
+
+// TestNonFiniteAnswerIs500: a prediction or an effect that is NaN or
+// infinite cannot be written as JSON. The answer is a 500 with an error body
+// on the predict path, which appends its answer by hand, and on the rank
+// path, which goes through writeJSON — never a status with no bytes.
+func TestNonFiniteAnswerIs500(t *testing.T) {
+	srv := New(Options{
+		Scale: "quick",
+		Trainer: func(ctx context.Context, w workloads.Workload, scale string) (*Artifacts, error) {
+			art := stubArtifacts(w)
+			art.Models["rbf"] = funcModel{name: "rbf", f: func([]float64) float64 { return math.NaN() }}
+			art.Models["mars-raw"] = funcModel{name: "mars-raw", f: func([]float64) float64 { return math.Inf(1) }}
+			return art, nil
+		},
+	})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close()
+
+	check := func(what string, resp *http.Response) {
+		t.Helper()
+		defer resp.Body.Close()
+		var e struct{ Error string }
+		err := json.NewDecoder(resp.Body).Decode(&e)
+		if resp.StatusCode != http.StatusInternalServerError || err != nil || !strings.Contains(e.Error, "unsupported value") {
+			t.Fatalf("%s: status %d, error %q (%v), want 500 naming the unsupported value", what, resp.StatusCode, e.Error, err)
+		}
+	}
+	check("predict", postJSON(t, ts.URL+"/v1/predict", PredictRequest{Workload: "179.art", Points: testPoints(2, 9)}))
+	resp, err := http.Get(ts.URL + "/v1/rank?workload=179.art")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("rank", resp)
+}
+
+// TestPredictRejectsTrailingBytes: /v1/predict reads its whole body, and
+// bytes after the request object are a 400, as json.Unmarshal rules;
+// trailing whitespace is not.
+func TestPredictRejectsTrailingBytes(t *testing.T) {
+	srv := New(Options{
+		Scale: "quick",
+		Trainer: func(ctx context.Context, w workloads.Workload, scale string) (*Artifacts, error) {
+			return stubArtifacts(w), nil
+		},
+	})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close()
+
+	body := mustJSON(t, PredictRequest{Workload: "179.art", Points: testPoints(1, 10)})
+	for _, tc := range []struct {
+		tail string
+		code int
+	}{
+		{"", http.StatusOK},
+		{" \r\n\t", http.StatusOK},
+		{" junk", http.StatusBadRequest},
+		{"{}", http.StatusBadRequest},
+		{"\n" + body, http.StatusBadRequest},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/predict", "application/json", strings.NewReader(body+tc.tail))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.code {
+			t.Errorf("body followed by %q: status %d, want %d (%s)", tc.tail, resp.StatusCode, tc.code, got)
 		}
 	}
 }
