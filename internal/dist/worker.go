@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/doe"
 	"repro/internal/farm"
+	"repro/internal/lang"
 )
 
 // WorkerOptions configures a measurement worker.
@@ -130,6 +131,16 @@ func (w *Worker) handleGroup(rw http.ResponseWriter, r *http.Request) {
 			http.Error(rw, fmt.Sprintf("point %d has %d values, want %d", i, len(p), jointVars), http.StatusBadRequest)
 			return
 		}
+	}
+	// The farm parses the source on the same goroutines, with workloads.Parse,
+	// which panics on source that does not parse or check.
+	prog, err := lang.Parse(req.Workload.Source)
+	if err == nil {
+		err = lang.Check(prog)
+	}
+	if err != nil {
+		http.Error(rw, "bad source: "+err.Error(), http.StatusBadRequest)
+		return
 	}
 	jobs := jobsFromWire(&req)
 	w.logf("worker: lease %s: %s, %d points", req.Lease, jobs[0].Workload.Key(), len(jobs))

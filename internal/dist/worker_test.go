@@ -25,10 +25,11 @@ func groupBody(t testing.TB, points ...[]int64) []byte {
 	return body
 }
 
-// TestWorkerRejectsMalformedGroup posts points of the wrong arity to a worker
-// running the real executor, whose planner slices every point by the joint
-// space's layout on a goroutine net/http cannot recover a panic of: such a
-// request used to end the process. Each gets 400, and the same worker then
+// TestWorkerRejectsMalformedGroup posts points of the wrong arity, and source
+// that does not parse or check, to a worker running the real executor. Its
+// planner slices every point by the joint space's layout, and its compiler
+// parses the source, on goroutines net/http cannot recover a panic of: such
+// requests used to end the process. Each gets 400, and the same worker then
 // measures a valid group and answers /healthz.
 func TestWorkerRejectsMalformedGroup(t *testing.T) {
 	w := NewWorker(WorkerOptions{Workers: 1, Heartbeat: 20 * time.Millisecond})
@@ -47,11 +48,22 @@ func TestWorkerRejectsMalformedGroup(t *testing.T) {
 	}
 
 	valid := doe.JoinPoint(doe.FromOptions(compiler.O2()), doe.FromConfig(sim.DefaultConfig()))
+	withSource := func(src string) []byte {
+		wl := toWire(distTestWorkload())
+		wl.Source = src
+		body, err := json.Marshal(GroupRequest{Lease: "t", Workload: wl, Points: [][]int64{valid}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
 	for name, body := range map[string][]byte{
-		"short point":            groupBody(t, []int64{1, 2, 3}),
-		"long point":             groupBody(t, append(append([]int64{}, valid...), 7)),
-		"short point after good": groupBody(t, valid, valid[:doe.NumCompilerVars]),
-		"body over the bound":    append(bytes.Repeat([]byte(" "), maxGroupBody), groupBody(t, valid)...),
+		"short point":             groupBody(t, []int64{1, 2, 3}),
+		"long point":              groupBody(t, append(append([]int64{}, valid...), 7)),
+		"short point after good":  groupBody(t, valid, valid[:doe.NumCompilerVars]),
+		"body over the bound":     append(bytes.Repeat([]byte(" "), maxGroupBody), groupBody(t, valid)...),
+		"source that won't parse": withSource("int main( {"),
+		"source that won't check": withSource("int main() { return nope; }"),
 	} {
 		if code, text := post(body); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%.120q)", name, code, text)
@@ -92,7 +104,9 @@ func TestWorkerRejectsMalformedGroup(t *testing.T) {
 // planner. The seed corpus under testdata/fuzz/FuzzGroupRequest names the
 // cases that matter — a valid group, a short point, a 26-value point, a value
 // outside the modelled range (measured: ranges are the coordinator's
-// business), empty points, not JSON — and runs on every plain `go test`.
+// business), empty points, not JSON, source that does not parse — and runs on
+// every plain `go test`. TestWorkerRejectsMalformedGroup holds the last one
+// against the real executor, which the stub here never reaches.
 func FuzzGroupRequest(f *testing.F) {
 	w := NewWorker(WorkerOptions{Workers: 1, Measure: stubMeasure(nil, 0)})
 	f.Cleanup(func() { w.Close() })

@@ -1,11 +1,9 @@
 package farm
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"hash/fnv"
-	"sync"
 
 	"repro/internal/compiler"
 	"repro/internal/doe"
@@ -41,88 +39,12 @@ func defaultCompile(w workloads.Workload, p doe.Point, cfg sim.Config) (*isa.Pro
 	return prog, err
 }
 
-// binEntry is one cache slot; ready is closed once prog/err are final.
-type binEntry struct {
-	key   string
-	ready chan struct{}
-	done  bool // guarded by binaryCache.mu; set before ready closes
-	prog  *isa.Program
-	err   error
-}
-
-// binaryCache is a bounded LRU of compiled binaries with single-flight
-// builds: concurrent requests for the same key trigger one compile, with
-// later callers waiting on the first. Failed builds are removed before
-// their waiters wake, so an error is delivered to everyone who joined the
-// attempt but never poisons the cache — the next request compiles afresh.
-type binaryCache struct {
-	mu    sync.Mutex
-	cap   int
-	m     map[string]*list.Element
-	order *list.List // front = most recently used, of *binEntry
-}
-
-func newBinaryCache(capacity int) *binaryCache {
-	return &binaryCache{cap: capacity, m: map[string]*list.Element{}, order: list.New()}
-}
-
-// get returns the binary for key, building it with build on a miss. hit
-// reports whether the result came from the cache (including joining an
-// in-flight build).
-func (c *binaryCache) get(key string, build func() (*isa.Program, error)) (prog *isa.Program, hit bool, err error) {
-	c.mu.Lock()
-	if el, ok := c.m[key]; ok {
-		c.order.MoveToFront(el)
-		e := el.Value.(*binEntry)
-		c.mu.Unlock()
-		<-e.ready
-		return e.prog, true, e.err
-	}
-	e := &binEntry{key: key, ready: make(chan struct{})}
-	el := c.order.PushFront(e)
-	c.m[key] = el
-	// Evict least-recently-used completed entries; in-flight builds are
-	// skipped (their waiters hold the entry anyway), so the cache may
-	// briefly exceed cap under heavy concurrency.
-	for back := c.order.Back(); c.order.Len() > c.cap && back != nil; {
-		prev := back.Prev()
-		if be := back.Value.(*binEntry); be.done {
-			delete(c.m, be.key)
-			c.order.Remove(back)
-		}
-		back = prev
-	}
-	c.mu.Unlock()
-
-	prog, err = build()
-	c.mu.Lock()
-	e.prog, e.err = prog, err
-	e.done = true
-	if err != nil {
-		// Never cache failures: waiters already holding e still see err,
-		// but the next caller starts a fresh build.
-		if cur, ok := c.m[key]; ok && cur == el {
-			delete(c.m, key)
-			c.order.Remove(el)
-		}
-	}
-	c.mu.Unlock()
-	close(e.ready)
-	return prog, false, err
-}
-
-// len reports the number of cached (or in-flight) binaries.
-func (c *binaryCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
 // compileCached resolves a job's binary through the farm's binary cache,
-// wrapping failures as CompileError.
+// wrapping failures as CompileError. A failed compile is not cached, so the
+// next job for the binary compiles afresh.
 func (f *Farm) compileCached(w workloads.Workload, p doe.Point) (*isa.Program, sim.Config, error) {
 	cfg := doe.ToConfig(p)
-	prog, hit, err := f.bins.get(BinaryKey(w, p), func() (*isa.Program, error) {
+	prog, hit, err := f.bins.Get(context.Background(), BinaryKey(w, p), func() (*isa.Program, error) {
 		prog, cerr := f.compile(w, p, cfg)
 		if cerr != nil {
 			return nil, &CompileError{Workload: w.Key(), Err: cerr}

@@ -33,6 +33,9 @@ import (
 	"runtime"
 	"sync"
 	"time"
+
+	"repro/internal/isa"
+	"repro/internal/par"
 )
 
 // Options configures a Farm.
@@ -53,7 +56,7 @@ type Options struct {
 	Log io.Writer
 }
 
-// binaryCacheSize bounds the compiled-binary LRU, in binaries.
+// binaryCacheSize bounds the compiled-binary cache, in binaries.
 const binaryCacheSize = 256
 
 // Farm is the in-process measurement backend: a Planner in front of a
@@ -66,7 +69,7 @@ type Farm struct {
 
 	// Compile machinery of the default executor: binary cache and compile
 	// hook (swappable in tests).
-	bins      *binaryCache
+	bins      *par.Cache[string, *isa.Program]
 	compile   compileFn
 	maxInstrs int64
 
@@ -87,7 +90,7 @@ func New(opts Options) *Farm {
 	f := &Farm{
 		workers:   opts.Workers,
 		measure:   opts.Measure,
-		bins:      newBinaryCache(binaryCacheSize),
+		bins:      par.NewCache[string, *isa.Program](binaryCacheSize),
 		compile:   defaultCompile,
 		maxInstrs: opts.MaxInstrs,
 	}

@@ -22,20 +22,20 @@
 //
 // Extraction is bit-deterministic — compilation and functional
 // interpretation are sequential and seed-free — and cached process-wide by
-// program fingerprint, so a corpus pass or a serving hot path pays the
-// compile+interpret cost once per distinct source.
+// program fingerprint in a bounded par.Cache, so a corpus pass or a serving
+// hot path pays the compile+interpret cost once per distinct source.
 package features
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/compiler"
 	"repro/internal/ir"
 	"repro/internal/lang"
+	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
@@ -129,24 +129,26 @@ func Fingerprint(source string) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// cache memoizes extraction per program fingerprint. Entries are one small
-// slice each, so the cache is unbounded by design: it holds one entry per
-// distinct source the process has seen (corpus size, not traffic volume).
-var (
-	cache                  sync.Map // fingerprint -> Vector
-	cacheHits, cacheMisses atomic.Int64
-)
+// cacheSize bounds the extraction cache, in programs. The largest corpus the
+// repo runs is `empirico -exp lopo`'s default, the seven seed programs plus
+// 100 generated ones, so 256 holds any corpus pass whole. The bound is for
+// the serving path, where every distinct source a client sends to
+// /v1/predict-program would otherwise stay resident.
+const cacheSize = 256
 
-// CacheStats reports the process-wide feature-cache counters.
+// cache memoizes extraction per program fingerprint.
+var cache = par.NewCache[string, Vector](cacheSize)
+
+// CacheStats reports the process-wide feature-cache counters. A miss is an
+// extraction started.
 func CacheStats() (hits, misses int64) {
-	return cacheHits.Load(), cacheMisses.Load()
+	st := cache.Stats()
+	return st.Hits, st.Misses
 }
 
 // ClearCache empties the cache (tests and benchmarks; production code never
 // needs it — fingerprints are content-addressed).
-func ClearCache() {
-	cache.Range(func(k, _ any) bool { cache.Delete(k); return true })
-}
+func ClearCache() { cache.Clear() }
 
 // Extract returns the feature vector of w, computing it on first sight of
 // the source and serving every later request from the fingerprint cache.
@@ -158,18 +160,8 @@ func Extract(w workloads.Workload) (Vector, error) {
 // ExtractSource is Extract for raw MiniC text (the serving path, where the
 // program arrives in a request body rather than from the registry).
 func ExtractSource(source string) (Vector, error) {
-	fp := Fingerprint(source)
-	if v, ok := cache.Load(fp); ok {
-		cacheHits.Add(1)
-		return v.(Vector), nil
-	}
-	v, err := extract(source)
-	if err != nil {
-		return nil, err
-	}
-	actual, _ := cache.LoadOrStore(fp, v)
-	cacheMisses.Add(1)
-	return actual.(Vector), nil
+	v, _, err := cache.Get(context.Background(), Fingerprint(source), func() (Vector, error) { return extract(source) })
+	return v, err
 }
 
 // log2p1 is the count transform: log2(1+x) keeps zero meaningful.

@@ -1,6 +1,7 @@
 package features
 
 import (
+	"fmt"
 	"strconv"
 	"sync"
 	"testing"
@@ -96,6 +97,26 @@ func TestCacheCountsHitsAndMisses(t *testing.T) {
 	}
 	if h1-h0 < 1 {
 		t.Errorf("second extraction must count a hit (hits %d -> %d)", h0, h1)
+	}
+}
+
+// TestCacheIsBounded: the cache holds cacheSize programs, so after that many
+// other distinct sources the first one is extracted again rather than kept
+// forever.
+func TestCacheIsBounded(t *testing.T) {
+	ClearCache()
+	src := func(i int) string { return fmt.Sprintf("int main() { return %d; }", i) }
+	for i := 0; i <= cacheSize; i++ {
+		if _, err := ExtractSource(src(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, m0 := CacheStats()
+	if _, err := ExtractSource(src(0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, m1 := CacheStats(); m1 != m0+1 {
+		t.Fatalf("after %d other sources the first was served from cache (misses %d -> %d)", cacheSize, m0, m1)
 	}
 }
 

@@ -5,6 +5,9 @@
 // owns (typically its own output index), and callers combine partial
 // results in input order. That discipline is what lets the parallel
 // analytics paths stay bit-for-bit identical to their serial versions.
+//
+// Cache is the other helper: the keyed single-flight cache behind every
+// build-once-and-share in the system.
 package par
 
 import (

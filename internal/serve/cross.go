@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -20,9 +18,9 @@ import (
 // exp.FitCrossModels) — no training run, no measurement of the submitted
 // program, zero farm dispatches once the cross models are resident. The
 // cross models are trained once per scale, on first request, over the seed
-// suite plus a wlgen corpus; concurrent first requests single-flight into
-// one training run through the per-workload registry's entry shape
-// (regEntry).
+// suite plus a wlgen corpus, and kept in a par.Cache: concurrent first
+// requests share one training run, a request's context bounds only its own
+// wait, and a failed training run is not cached.
 
 // Defaults for the cross-model training corpus.
 const (
@@ -30,6 +28,10 @@ const (
 	DefaultCrossCorpusSize = 32
 	DefaultCrossPointsPer  = 6
 )
+
+// crossScales bounds the cross-model cache: one model set per scale (quick,
+// default, paper).
+const crossScales = 3
 
 // CrossArtifacts bundles the fitted cross-program models with everything
 // the predict path needs to build pooled rows.
@@ -40,42 +42,6 @@ type CrossArtifacts struct {
 	// useful in responses for capacity planning).
 	Corpus int
 	Rows   int
-}
-
-// crossFor returns the scale's cross artifacts, training them on first use.
-// The second return reports whether this request was answered from cache
-// (true even when it joined a training run already in flight). As in
-// Registry.Get, ctx bounds only this caller's wait: training runs in its own
-// goroutine under a background context, because its result is shared with
-// every other waiter and with future requests. Failed training is not cached:
-// the entry is dropped so a later request retries.
-func (s *Server) crossFor(ctx context.Context, scaleName string) (*CrossArtifacts, bool, error) {
-	key := s.resolveScale(scaleName)
-	s.crossMu.Lock()
-	e, ok := s.cross[key]
-	if ok {
-		s.crossMu.Unlock()
-		s.crossHits.Add(1)
-		return e.wait(ctx)
-	}
-	e = &regEntry[*CrossArtifacts]{ready: make(chan struct{})}
-	s.cross[key] = e
-	s.crossMu.Unlock()
-
-	s.crossFits.Add(1)
-	go func() {
-		e.art, e.err = s.trainCross(key)
-		if e.err != nil {
-			s.crossMu.Lock()
-			if s.cross[key] == e {
-				delete(s.cross, key)
-			}
-			s.crossMu.Unlock()
-		}
-		close(e.ready)
-	}()
-	art, _, err := e.wait(ctx)
-	return art, false, err
 }
 
 // trainCross builds the pooled dataset (seed suite + generated corpus) on
@@ -157,7 +123,7 @@ func (s *Server) handlePredictProgram(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req PredictProgramRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := readJSON(r, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
@@ -176,7 +142,8 @@ func (s *Server) handlePredictProgram(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	art, cached, err := s.crossFor(r.Context(), req.Scale)
+	scale := s.resolveScale(req.Scale)
+	art, cached, err := s.cross.Get(r.Context(), scale, func() (*CrossArtifacts, error) { return s.trainCross(scale) })
 	if err != nil {
 		writeErr(w, statusFor(err), "cross train: "+err.Error())
 		return

@@ -206,7 +206,7 @@ func TestPredictProgramWaiterHonoursContext(t *testing.T) {
 	if !out.Cached {
 		t.Error("request after the abandoned training started a second one")
 	}
-	if fits := srv.crossFits.Load(); fits != 1 {
+	if fits := srv.cross.Stats().Misses; fits != 1 {
 		t.Errorf("%d cross-model training runs, want 1", fits)
 	}
 	if got, want := executions.Load(), int64((7+4)*3); got != want {

@@ -4,9 +4,9 @@
 //
 // The package provides four pieces:
 //
-//   - Registry: fitted models cached per (workload, scale) behind
-//     single-flight, so the first wave of concurrent predict requests trains
-//     exactly once, with LRU eviction bounding resident models;
+//   - Registry: fitted models cached per (workload, scale) in a par.Cache,
+//     so the first wave of concurrent predict requests trains exactly once,
+//     with LRU eviction bounding resident models;
 //   - ArtifactStore: versioned on-disk persistence of every successful fit
 //     (atomic-rename files), so boots warm-start from artifacts instead of
 //     refitting, reloads swap new artifacts in without downtime, and
@@ -29,6 +29,7 @@ import (
 
 	"repro/internal/doe"
 	"repro/internal/model"
+	"repro/internal/par"
 	"repro/internal/workloads"
 )
 
@@ -89,41 +90,30 @@ func (a *Artifacts) ranking(kind string, m model.Model) (effects []RankedEffect,
 // stubs. Trainers are called outside the registry lock and may run long.
 type Trainer func(ctx context.Context, w workloads.Workload, scale string) (*Artifacts, error)
 
-// Registry caches fitted models per (workload, scale) key. Lookups are
-// single-flight: concurrent first requests for a key block on one training
-// run instead of each starting their own. Every model kind is fitted in the
-// same run (exp.FitAllParallel trains all four from one dataset), so the finer
-// (workload, scale, kind) request key resolves onto one shared cache entry.
-// Least-recently-used entries are evicted beyond MaxEntries.
+// Registry caches fitted models per (workload, scale) key in a par.Cache.
+// Lookups are single-flight: concurrent first requests for a key block on one
+// training run instead of each starting their own. Every model kind is fitted
+// in the same run (exp.FitAllParallel trains all four from one dataset), so
+// the finer (workload, scale, kind) request key resolves onto one shared cache
+// entry. Least-recently-used entries are evicted beyond MaxEntries, but never
+// one still fitting.
 //
 // With an ArtifactStore attached (UseStore), every successful fit is
 // persisted, misses try disk before training (so warm processes and
 // restarts never refit what a prior run already fitted), and Reload swaps
 // freshly persisted artifacts in copy-on-write — in-flight requests keep
-// the entry pointer they resolved, new requests see the reloaded one. In
+// the artifacts they resolved, new requests see the reloaded ones. In
 // read-only (replica) mode the trainer is never called: a miss with no
 // usable artifact fails with *NoArtifactError.
 type Registry struct {
 	trainer  Trainer
-	max      int
 	store    *ArtifactStore
 	readOnly bool
 	log      io.Writer
+	cache    *par.Cache[string, *Artifacts]
 
-	mu      sync.Mutex
-	entries map[string]*regEntry[*Artifacts]
-	order   []string // LRU order: least recently used first
-	stats   RegistryStats
-}
-
-// regEntry is one cached (possibly still-training) artifact set: the
-// package's one single-flight shape, under the registry (*Artifacts) and the
-// per-scale cross-program models (*CrossArtifacts). Waiters hold the pointer,
-// so eviction never invalidates an in-progress lookup.
-type regEntry[T any] struct {
-	ready chan struct{} // closed when art/err are set
-	art   T
-	err   error
+	mu    sync.Mutex
+	stats RegistryStats // the cache counts Cached, Hits, Misses and Evictions
 }
 
 // RegistryStats snapshots the registry's counters.
@@ -145,7 +135,7 @@ func NewRegistry(trainer Trainer, maxEntries int) *Registry {
 	if maxEntries <= 0 {
 		maxEntries = 8
 	}
-	return &Registry{trainer: trainer, max: maxEntries, entries: map[string]*regEntry[*Artifacts]{}}
+	return &Registry{trainer: trainer, cache: par.NewCache[string, *Artifacts](maxEntries)}
 }
 
 // UseStore attaches an artifact store. In read-only mode the registry never
@@ -173,39 +163,9 @@ func regKey(w workloads.Workload, scale string) string { return w.Key() + "|" + 
 // background context, because its result is shared with every other waiter
 // and with future requests — a disconnecting first client must not abort a
 // fit that others are (or will be) waiting on.
+// A failed resolution is not cached: the next request retries it.
 func (r *Registry) Get(ctx context.Context, w workloads.Workload, scale string) (*Artifacts, bool, error) {
-	key := regKey(w, scale)
-	r.mu.Lock()
-	e, ok := r.entries[key]
-	if ok {
-		r.stats.Hits++
-		r.touch(key)
-		r.mu.Unlock()
-		return e.wait(ctx)
-	}
-	e = &regEntry[*Artifacts]{ready: make(chan struct{})}
-	r.entries[key] = e
-	r.order = append(r.order, key)
-	r.stats.Misses++
-	r.evictLocked()
-	r.mu.Unlock()
-
-	go func() {
-		e.art, e.err = r.resolve(w, scale)
-		if e.err != nil {
-			// A failed resolution must not be cached: drop the entry so the
-			// next request retries instead of replaying a stale error.
-			r.mu.Lock()
-			if r.entries[key] == e {
-				delete(r.entries, key)
-				r.removeFromOrder(key)
-			}
-			r.mu.Unlock()
-		}
-		close(e.ready)
-	}()
-	art, _, err := e.wait(ctx)
-	return art, false, err
+	return r.cache.Get(ctx, regKey(w, scale), func() (*Artifacts, error) { return r.resolve(w, scale) })
 }
 
 // resolve produces the artifacts for a registry miss: disk first when a
@@ -273,7 +233,7 @@ func (r *Registry) Reload() (loaded, skipped int, err error) {
 		return 0, skipped, err
 	}
 	for _, la := range arts {
-		r.install(regKey(la.Art.Workload, la.Scale), la.Art)
+		r.cache.Put(regKey(la.Art.Workload, la.Scale), la.Art)
 		loaded++
 	}
 	r.count(func(st *RegistryStats) {
@@ -284,74 +244,12 @@ func (r *Registry) Reload() (loaded, skipped int, err error) {
 	return loaded, skipped, nil
 }
 
-// install publishes an already-resolved artifact as a ready entry,
-// replacing any ready entry under the same key (copy-on-write: the old
-// entry stays valid for goroutines holding it) but never an in-flight one.
-func (r *Registry) install(key string, art *Artifacts) {
-	e := &regEntry[*Artifacts]{ready: make(chan struct{}), art: art}
-	close(e.ready)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if old, ok := r.entries[key]; ok {
-		select {
-		case <-old.ready:
-		default:
-			return // a fit is in flight; don't shadow its fresher result
-		}
-		r.entries[key] = e
-		r.touch(key)
-		return
-	}
-	r.entries[key] = e
-	r.order = append(r.order, key)
-	r.evictLocked()
-}
-
-// wait blocks until the entry is trained or ctx expires.
-func (e *regEntry[T]) wait(ctx context.Context) (T, bool, error) {
-	select {
-	case <-e.ready:
-		return e.art, true, e.err
-	case <-ctx.Done():
-		var none T
-		return none, false, ctx.Err()
-	}
-}
-
-// touch marks key most recently used. Caller holds mu.
-func (r *Registry) touch(key string) {
-	r.removeFromOrder(key)
-	r.order = append(r.order, key)
-}
-
-func (r *Registry) removeFromOrder(key string) {
-	for i, k := range r.order {
-		if k == key {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			return
-		}
-	}
-}
-
-// evictLocked drops least-recently-used entries beyond the capacity. Caller
-// holds mu. Evicted entries stay valid for goroutines already holding them;
-// they simply stop being findable, so the next request resolves afresh —
-// from the artifact store when one is attached (eviction never deletes the
-// on-disk artifact), by retraining otherwise.
-func (r *Registry) evictLocked() {
-	for len(r.order) > r.max {
-		victim := r.order[0]
-		r.order = r.order[1:]
-		delete(r.entries, victim)
-		r.stats.Evictions++
-	}
-}
-
 // Stats snapshots the registry counters.
 func (r *Registry) Stats() RegistryStats {
+	cs := r.cache.Stats()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := r.stats
-	st.Cached = len(r.entries)
+	st.Cached, st.Hits, st.Misses, st.Evictions = cs.Len, cs.Hits, cs.Misses, cs.Evictions
 	return st
 }

@@ -128,6 +128,53 @@ func TestRegistryLRUEviction(t *testing.T) {
 	}
 }
 
+// TestRegistryNeverEvictsAFitInFlight: with room for one model, art still
+// fitting and a request for mcf arriving, a second request for art joins the
+// fit in flight instead of starting another.
+func TestRegistryNeverEvictsAFitInFlight(t *testing.T) {
+	var artFits atomic.Int64
+	release := make(chan struct{})
+	trainer := func(ctx context.Context, w workloads.Workload, scale string) (*Artifacts, error) {
+		if w.Name == "179.art" {
+			artFits.Add(1)
+			<-release
+		}
+		return stubArtifacts(w), nil
+	}
+	r := NewRegistry(trainer, 1)
+	art := workloads.MustGet("179.art", workloads.Train)
+	mcf := workloads.MustGet("181.mcf", workloads.Train)
+	first := make(chan error, 1)
+	go func() {
+		_, _, err := r.Get(context.Background(), art, "quick")
+		first <- err
+	}()
+	for artFits.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if _, _, err := r.Get(context.Background(), mcf, "quick"); err != nil {
+		t.Fatal(err)
+	}
+	second := make(chan error, 1)
+	go func() {
+		_, _, err := r.Get(context.Background(), art, "quick")
+		second <- err
+	}()
+	for st := r.Stats(); st.Hits+st.Misses < 3; st = r.Stats() {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-second; err != nil {
+		t.Fatal(err)
+	}
+	if n := artFits.Load(); n != 1 {
+		t.Fatalf("art fitted %d times, want 1", n)
+	}
+}
+
 func TestRegistryFailedTrainNotCached(t *testing.T) {
 	var fits atomic.Int64
 	var failing atomic.Bool

@@ -20,6 +20,7 @@ import (
 	"repro/internal/farm"
 	"repro/internal/features"
 	"repro/internal/model"
+	"repro/internal/par"
 	"repro/internal/search"
 	"repro/internal/sim"
 	"repro/internal/workloads"
@@ -113,10 +114,7 @@ type Server struct {
 	plane  *exp.Harness // owns the one measurement plane (harnessFor)
 	closed atomic.Bool
 
-	crossMu   sync.Mutex
-	cross     map[string]*regEntry[*CrossArtifacts] // per-scale cross-program models
-	crossFits atomic.Int64
-	crossHits atomic.Int64
+	cross *par.Cache[string, *CrossArtifacts] // cross-program models per scale
 
 	rankHits   atomic.Int64 // rank requests answered from an entry's memo
 	rankMisses atomic.Int64 // rankings computed
@@ -165,7 +163,7 @@ func New(opts Options) *Server {
 		metrics:   NewMetrics(),
 		maxFlight: int64(opts.MaxInFlight),
 		start:     time.Now(),
-		cross:     map[string]*regEntry[*CrossArtifacts]{},
+		cross:     par.NewCache[string, *CrossArtifacts](crossScales),
 	}
 	own, _ := s.scaleFor("") // an unknown Scale is refused request by request, by the same call
 	s.plane = exp.NewHarness(own)
@@ -530,7 +528,7 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req MeasureRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := readJSON(r, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
@@ -587,7 +585,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SearchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := readJSON(r, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
@@ -757,16 +755,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "# HELP empiricod_rank_cache_misses_total Effect rankings computed (first rank request per model set and kind).")
 	fmt.Fprintln(w, "# TYPE empiricod_rank_cache_misses_total counter")
 	fmt.Fprintf(w, "empiricod_rank_cache_misses_total %d\n", s.rankMisses.Load())
-	s.crossMu.Lock()
-	crossCached := len(s.cross)
-	s.crossMu.Unlock()
+	cs := s.cross.Stats()
 	fmt.Fprintln(w, "# HELP empiricod_cross_models_cached Cross-program model sets resident, one per scale.")
 	fmt.Fprintln(w, "# TYPE empiricod_cross_models_cached gauge")
-	fmt.Fprintf(w, "empiricod_cross_models_cached %d\n", crossCached)
+	fmt.Fprintf(w, "empiricod_cross_models_cached %d\n", cs.Len)
 	fmt.Fprintln(w, "# HELP empiricod_cross_fits_total Cross-program training runs started.")
 	fmt.Fprintln(w, "# TYPE empiricod_cross_fits_total counter")
-	fmt.Fprintf(w, "empiricod_cross_fits_total %d\n", s.crossFits.Load())
-	fmt.Fprintf(w, "empiricod_cross_hits_total %d\n", s.crossHits.Load())
+	fmt.Fprintf(w, "empiricod_cross_fits_total %d\n", cs.Misses)
+	fmt.Fprintf(w, "empiricod_cross_hits_total %d\n", cs.Hits)
 
 	fh, fm := features.CacheStats()
 	fmt.Fprintln(w, "# HELP empiricod_feature_cache_hits_total Feature extractions answered from the fingerprint cache.")
@@ -904,6 +900,16 @@ func writeResolveErr(w http.ResponseWriter, err error) {
 		return
 	}
 	writeErr(w, statusFor(err), "train: "+err.Error())
+}
+
+// readJSON decodes a whole request body into v. Bytes after the JSON value
+// are an error, as json.Unmarshal rules.
+func readJSON(r *http.Request, v any) error {
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(body, v)
 }
 
 // writeJSON answers v encoded as JSON with code. The body is encoded before

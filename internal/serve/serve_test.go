@@ -22,6 +22,7 @@ import (
 	"repro/internal/doe"
 	"repro/internal/farm"
 	"repro/internal/sim"
+	"repro/internal/wlgen"
 	"repro/internal/workloads"
 )
 
@@ -695,39 +696,57 @@ func TestNonFiniteAnswerIs500(t *testing.T) {
 	check("rank", resp)
 }
 
-// TestPredictRejectsTrailingBytes: /v1/predict reads its whole body, and
-// bytes after the request object are a 400, as json.Unmarshal rules;
-// trailing whitespace is not.
+// TestPredictRejectsTrailingBytes: every endpoint that takes a JSON body
+// (/v1/predict, /v1/measure, /v1/search, /v1/predict-program) reads the whole
+// body, and bytes after the request object are a 400, as json.Unmarshal
+// rules; trailing whitespace is not.
 func TestPredictRejectsTrailingBytes(t *testing.T) {
+	var executions atomic.Int64
 	srv := New(Options{
 		Scale: "quick",
 		Trainer: func(ctx context.Context, w workloads.Workload, scale string) (*Artifacts, error) {
 			return stubArtifacts(w), nil
 		},
+		Batch: func(ctx context.Context, w workloads.Workload, pts []doe.Point, resp farm.Response) ([]float64, error) {
+			return make([]float64, len(pts)), nil
+		},
+		Measure:         countingMeasure(&executions),
+		CrossCorpusSize: 1,
+		CrossPointsPer:  2,
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Close()
 
-	body := mustJSON(t, PredictRequest{Workload: "179.art", Points: testPoints(1, 10)})
-	for _, tc := range []struct {
-		tail string
-		code int
+	for _, ep := range []struct {
+		path string
+		req  any
 	}{
-		{"", http.StatusOK},
-		{" \r\n\t", http.StatusOK},
-		{" junk", http.StatusBadRequest},
-		{"{}", http.StatusBadRequest},
-		{"\n" + body, http.StatusBadRequest},
+		{"/v1/predict", PredictRequest{Workload: "179.art", Points: testPoints(1, 10)}},
+		{"/v1/measure", MeasureRequest{Workload: "179.art", Points: testPoints(1, 10)}},
+		{"/v1/search", SearchRequest{Workload: "179.art", Population: 4, Generations: 1}},
+		{"/v1/predict-program", PredictProgramRequest{Source: wlgen.Generate(1).Source, Points: testPoints(1, 10)}},
 	} {
-		resp, err := http.Post(ts.URL+"/v1/predict", "application/json", strings.NewReader(body+tc.tail))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != tc.code {
-			t.Errorf("body followed by %q: status %d, want %d (%s)", tc.tail, resp.StatusCode, tc.code, got)
+		body := mustJSON(t, ep.req)
+		for _, tc := range []struct {
+			tail string
+			code int
+		}{
+			{"", http.StatusOK},
+			{" \r\n\t", http.StatusOK},
+			{" junk", http.StatusBadRequest},
+			{"{}", http.StatusBadRequest},
+			{"\n" + body, http.StatusBadRequest},
+		} {
+			resp, err := http.Post(ts.URL+ep.path, "application/json", strings.NewReader(body+tc.tail))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.code {
+				t.Errorf("%s, body followed by %q: status %d, want %d (%.120s)", ep.path, tc.tail, resp.StatusCode, tc.code, got)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -24,6 +25,19 @@ func TestParseMemoized(t *testing.T) {
 	}
 	if ref := MustGet("179.art", Ref).Parse(); ref == first {
 		t.Fatal("distinct sources share an AST")
+	}
+}
+
+// TestParseCacheIsBounded: after parseCacheSize other distinct sources, the
+// first source's AST is no longer resident and Parse builds a fresh one.
+func TestParseCacheIsBounded(t *testing.T) {
+	w := func(i int) Workload { return Workload{Source: fmt.Sprintf("int main() { return %d; }", i)} }
+	first := w(0).Parse()
+	for i := 1; i <= parseCacheSize; i++ {
+		w(i).Parse()
+	}
+	if w(0).Parse() == first {
+		t.Fatalf("after %d other sources the first AST is still cached", parseCacheSize)
 	}
 }
 

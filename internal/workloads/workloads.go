@@ -12,10 +12,11 @@
 package workloads
 
 import (
+	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/lang"
+	"repro/internal/par"
 )
 
 // InputClass selects the input scale.
@@ -40,21 +41,26 @@ type Workload struct {
 // Key returns "name-input", e.g. "179.art-train".
 func (w Workload) Key() string { return w.Name + "-" + w.Input }
 
+// parseCacheSize bounds the parse cache, in sources. The largest corpus the
+// repo runs is `empirico -exp lopo`'s default, the seven seed programs at two
+// input classes plus 100 generated ones, so 256 holds any corpus pass whole.
+// The bound is for empirico-worker, which parses every source a coordinator
+// leases to it.
+const parseCacheSize = 256
+
 // parseCache memoizes Parse by source text: parse cost is paid once per
 // process per distinct source, and every caller shares one AST. Safe because
 // the compiler treats its input as read-only (lowering builds a fresh IR
 // program) — TestParseSharedASTImmutable pins that invariant.
-var parseCache sync.Map // source string -> *lang.Program
+var parseCache = par.NewCache[string, *lang.Program](parseCacheSize)
 
 // Parse returns the checked AST of the workload source, memoized per
 // distinct source text. It panics on error: workload sources are compiled
-// into the binary and covered by tests. Callers must not mutate the result.
+// into the binary and covered by tests, and empirico-worker checks a leased
+// source before it measures it. Callers must not mutate the result.
 func (w Workload) Parse() *lang.Program {
-	if p, ok := parseCache.Load(w.Source); ok {
-		return p.(*lang.Program)
-	}
-	p, _ := parseCache.LoadOrStore(w.Source, lang.MustParse(w.Source))
-	return p.(*lang.Program)
+	p, _, _ := parseCache.Get(context.Background(), w.Source, func() (*lang.Program, error) { return lang.MustParse(w.Source), nil })
+	return p
 }
 
 // sources builds each benchmark's MiniC source at one input class. Generated
