@@ -19,9 +19,10 @@
 // TranslatedThroughput, WarmCheckpointSpeedup, SMARTSSpeedup,
 // MeasureBatchShared, DistributedSweep and HeterogeneousSweep here, DOptimal
 // in internal/doe and FitMARSForward in internal/model, each beside its
-// reference loop. Run them all once:
+// reference loop. Run them all once, with PredictPath in internal/serve,
+// which has no floor and reports the ns/op of each step of a predict:
 //
-//	go test -run '^$' -bench 'TranslatedThroughput$|WarmCheckpointSpeedup$|SMARTSSpeedup$|MeasureBatchShared$|DistributedSweep$|HeterogeneousSweep$|BenchmarkDOptimal$|BenchmarkFitMARSForward$' -benchtime=1x . ./internal/doe ./internal/model
+//	go test -run '^$' -bench 'TranslatedThroughput$|WarmCheckpointSpeedup$|SMARTSSpeedup$|MeasureBatchShared$|DistributedSweep$|HeterogeneousSweep$|BenchmarkDOptimal$|BenchmarkFitMARSForward$|PredictPath$' -benchtime=1x . ./internal/doe ./internal/model ./internal/serve
 //
 // Every other benchmark is a plain benchmark nothing parses; absolute
 // wall-clock numbers are recorded by benchmark/ against BENCHMARK.json.
@@ -1050,5 +1051,53 @@ func BenchmarkMeasureBatchShared(b *testing.B) {
 	b.ReportMetric(float64(len(points)), "points")
 	if speedup < minSharedSpeedup {
 		b.Fatalf("grouped batch %.2fx the per-point path, below floor %.1fx", speedup, minSharedSpeedup)
+	}
+}
+
+// BenchmarkMeasureBatchSuite asks BenchmarkMeasureBatchShared's question of
+// suite programs rather than of the compile-bound synthetic 910.batch: once
+// the binary is compiled, what does sim.SimulateMany over three
+// configurations of one issue width save against three sim.Simulate calls?
+// 179.art and 181.mcf (train input, -O2) run both ways at GOMAXPROCS 1,
+// where wall time is the CPU each path spends, alternating, each timed
+// best-of-3. It has no floor: many-x is the three calls' time over
+// SimulateMany's, per program.
+func BenchmarkMeasureBatchSuite(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	base := sim.DefaultConfig()
+	cfgs := []sim.Config{base, base, base}
+	cfgs[1].DCacheKB, cfgs[1].L2Lat = 64, 16
+	cfgs[2].RUUSize, cfgs[2].L2KB, cfgs[2].MemLat = 32, 256, 150
+	const budget = 500_000_000
+	for _, name := range []string{"179.art", "181.mcf"} {
+		prog, _, err := compiler.Compile(workloads.MustGet(name, workloads.Train).Parse(), compiler.O2())
+		if err != nil {
+			b.Fatal(err)
+		}
+		var ratio float64
+		for i := 0; i < b.N; i++ {
+			many, three := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+			for r := 0; r < 3; r++ {
+				start := time.Now()
+				grouped, err := sim.SimulateMany(prog, cfgs, budget)
+				if err != nil {
+					b.Fatal(err)
+				}
+				many = min(many, time.Since(start))
+				start = time.Now()
+				for j, cfg := range cfgs {
+					st, err := sim.Simulate(prog, cfg, budget)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if st != grouped[j] {
+						b.Fatalf("%s: SimulateMany differs from Simulate at configuration %d", name, j)
+					}
+				}
+				three = min(three, time.Since(start))
+			}
+			ratio = three.Seconds() / many.Seconds()
+		}
+		b.ReportMetric(ratio, strings.TrimLeft(name, "0123456789.")+"-many-x")
 	}
 }

@@ -3,6 +3,7 @@ package doe
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -111,6 +112,72 @@ func TestCodeDecodeRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCodeIntoMatchesVarCode holds CodeInto, which codes from per-space
+// constants, to Var.Code bit for bit: every raw value in [Low, High] of every
+// joint-space variable, and variables the paper's spaces lack — log bounds
+// that are not powers of two, and bounds that coincide.
+func TestCodeIntoMatchesVarCode(t *testing.T) {
+	odd := &Space{Vars: []Var{
+		{Name: "log-odd", Kind: LogInt, Low: 3, High: 100, Levels: 4},
+		{Name: "log-fixed", Kind: LogInt, Low: 6, High: 6, Levels: 1},
+		{Name: "int-fixed", Kind: Int, Low: 7, High: 7, Levels: 1},
+		{Name: "int-wide", Kind: Int, Low: -1 << 40, High: 1<<40 + 3, Levels: 3},
+	}}
+	for _, s := range []*Space{JointSpace(), odd} {
+		p := make(Point, len(s.Vars))
+		for i, v := range s.Vars {
+			p[i] = v.Low
+		}
+		var dst []float64
+		for i, v := range s.Vars {
+			lo, hi := v.Low, v.High
+			if hi-lo > 10000 {
+				hi = lo + 10000 // and the top of the range below
+			}
+			check := func(raw int64) {
+				p[i] = raw
+				dst = s.CodeInto(p, dst)
+				if want := v.Code(raw); math.Float64bits(dst[i]) != math.Float64bits(want) {
+					t.Fatalf("%s = %d: CodeInto gives %v, Var.Code %v", v.Name, raw, dst[i], want)
+				}
+			}
+			for raw := lo; raw <= hi; raw++ {
+				check(raw)
+			}
+			for raw := max(hi+1, v.High-10000); raw <= v.High; raw++ {
+				check(raw)
+			}
+			p[i] = v.Low
+		}
+	}
+}
+
+// TestCodeIntoConcurrentFirstUse: a space's coding constants are built on
+// first use, which may come from several goroutines at once (the service
+// predicts on one shared space per artifact); every one of them must code
+// as Var.Code does.
+func TestCodeIntoConcurrentFirstUse(t *testing.T) {
+	s := JointSpace()
+	p := s.RandomPoint(rand.New(rand.NewSource(5)))
+	want := make([]float64, len(p))
+	for i, v := range s.Vars {
+		want[i] = v.Code(p[i])
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, x := range s.Code(p) {
+				if math.Float64bits(x) != math.Float64bits(want[i]) {
+					t.Errorf("%s: %v, want %v", s.Vars[i].Name, x, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestValidateBoundsFlags: a flag is 0 or 1. Any other value used to pass

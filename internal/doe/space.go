@@ -7,7 +7,9 @@ package doe
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"sync"
 
 	"repro/internal/compiler"
 	"repro/internal/sim"
@@ -88,9 +90,45 @@ func (v Var) Code(raw int64) float64 {
 }
 
 // Space is an ordered set of predictor variables; a design point assigns a
-// raw value to each.
+// raw value to each. Vars must not change once the space has coded a point.
 type Space struct {
 	Vars []Var
+
+	codingOnce sync.Once
+	coding     coder
+}
+
+// coder is what Var.Code derives from the bounds alone, per variable: the
+// low bound and the span on the variable's own scale (log2 for LogInt). A
+// variable whose bounds coincide there codes every value as 0; it is listed
+// apart so that coding the others takes no branch for it.
+type coder struct {
+	vars  []varCoder
+	fixed []int
+}
+
+type varCoder struct {
+	lo, span float64
+	log      bool
+}
+
+// coder returns the space's coder, built on first use so that a Space
+// literal needs nothing but its Vars.
+func (s *Space) coder() *coder {
+	s.codingOnce.Do(func() {
+		s.coding.vars = make([]varCoder, len(s.Vars))
+		for i, v := range s.Vars {
+			lo, hi := float64(v.Low), float64(v.High)
+			if v.Kind == LogInt {
+				lo, hi = math.Log2(lo), math.Log2(hi)
+			}
+			s.coding.vars[i] = varCoder{lo: lo, span: hi - lo, log: v.Kind == LogInt}
+			if hi == lo {
+				s.coding.fixed = append(s.coding.fixed, i)
+			}
+		}
+	})
+	return &s.coding
 }
 
 // Point is a raw-valued design point (one value per Space variable).
@@ -106,14 +144,34 @@ func (s *Space) Code(p Point) []float64 {
 
 // CodeInto is Code writing into dst (grown if needed), for callers that
 // reuse a buffer across points — the service's predict hot path. Returns
-// the slice holding the coded coordinates.
+// the slice holding the coded coordinates. Each value is Var.Code's, bit for
+// bit: the same float operations in the same order, on bounds coded once per
+// space.
 func (s *Space) CodeInto(p Point, dst []float64) []float64 {
-	if cap(dst) < len(s.Vars) {
-		dst = make([]float64, len(s.Vars))
+	c := s.coder()
+	if cap(dst) < len(c.vars) {
+		dst = make([]float64, len(c.vars))
 	}
-	dst = dst[:len(s.Vars)]
-	for i, v := range s.Vars {
-		dst[i] = v.Code(p[i])
+	dst = dst[:len(c.vars)]
+	if len(p) < len(c.vars) { // checked once, so the loop indexes p unchecked
+		panic(fmt.Sprintf("doe: point has %d values, space has %d vars", len(p), len(c.vars)))
+	}
+	for i, v := range c.vars {
+		raw := p[i]
+		x := float64(raw)
+		if v.log {
+			// math.Log2 of a power of two is its exponent, exactly; it is
+			// read off the bits, and any other value goes to math.Log2.
+			if raw > 0 && raw&(raw-1) == 0 {
+				x = float64(bits.TrailingZeros64(uint64(raw)))
+			} else {
+				x = math.Log2(x)
+			}
+		}
+		dst[i] = 2*(x-v.lo)/v.span - 1
+	}
+	for _, i := range c.fixed {
+		dst[i] = 0
 	}
 	return dst
 }

@@ -176,65 +176,103 @@ func (s *scanner) str() []byte {
 }
 
 // points consumes a points value: null, or an array of rows that are each
-// null or an array of integers and nulls.
+// null or an array of integers and nulls. Past the opening bracket it is one
+// loop over the bytes that meets whitespace, brackets, commas, nulls, signs
+// and digits inline and calls nothing per element, so the state it carries
+// stays in registers.
 func (s *scanner) points() Points {
 	if s.null() {
 		return nil
 	}
+	if s.peek() != '[' {
+		s.fail("want '['")
+		return nil
+	}
+	data := s.data[s.pos:]
 	// Every value but the first follows a comma, so the count bounds the
-	// backing slice and rows are cut from it without it ever moving.
-	flat := make([]int64, 0, bytes.Count(s.data[s.pos:], []byte{','})+1)
-	rows := Points{}
-	for more := s.open('[', ']'); more; more = s.next(']') {
-		if s.null() {
-			rows = append(rows, nil)
+	// values and rows are cut from one backing slice that never moves.
+	flat := make([]int64, bytes.Count(data, []byte{','})+1)
+	rows := make(Points, 0, bytes.Count(data, []byte{'['}))
+	n, row := 0, 0 // values in flat; where the open row starts
+	inRow := false // between a row's brackets rather than the outer array's
+	// last is the previous token: '[' an opening bracket, ',' a comma, or
+	// 'v' a value (a row, an integer or a null).
+	last := byte('[')
+	i := 1
+	for ; i < len(data); i++ {
+		c := data[i]
+		if c-'0' <= 9 && inRow && last != 'v' {
+			// An integer, -?(0|[1-9][0-9]*), whose sign is the byte before
+			// it. Nineteen digits cannot overflow the uint64 they gather in.
+			start := i
+			var mag uint64
+			for ; i < len(data) && data[i]-'0' <= 9; i++ {
+				mag = mag*10 + uint64(data[i]-'0')
+			}
+			neg := data[start-1] == '-'
+			if digits := i - start; digits > 1 && c == '0' || digits > 19 || mag > 1<<63 || !neg && mag == 1<<63 {
+				i = start
+				break
+			}
+			if neg {
+				mag = -mag
+			}
+			flat[n] = int64(mag)
+			n++
+			i-- // the loop's increment steps onto the byte after the digits
+			last = 'v'
 			continue
 		}
-		start := len(flat)
-		for more := s.open('[', ']'); more; more = s.next(']') {
-			if s.null() {
-				flat = append(flat, 0)
-			} else {
-				flat = append(flat, s.integer())
+		switch {
+		case c == ',' && last == 'v':
+			last = ','
+			continue
+		case c == ']' && last != ',':
+			if !inRow {
+				s.pos += i + 1
+				return rows
 			}
+			rows = append(rows, flat[row:n:n])
+			inRow, last = false, 'v'
+			continue
+		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
+			continue
+		case c == '-' && inRow && last != 'v' && i+1 < len(data) && data[i+1]-'0' <= 9:
+			continue // the digits read their sign back
+		case last == 'v':
+		case c == 'n' && len(data)-i >= 4 && string(data[i:i+4]) == "null":
+			if inRow {
+				flat[n] = 0
+				n++
+			} else {
+				rows = append(rows, nil)
+			}
+			i += 3
+			last = 'v'
+			continue
+		case c == '[' && !inRow:
+			inRow, row, last = true, n, '['
+			continue
 		}
-		rows = append(rows, flat[start:len(flat):len(flat)])
+		break
 	}
-	return rows
-}
-
-// integer consumes a JSON number that is an int64: -?(0|[1-9][0-9]*). A
-// fraction or exponent after it fails in next, as any other stray byte does.
-func (s *scanner) integer() int64 {
-	neg := s.peek() == '-'
-	if neg {
-		s.pos++
-	}
-	first := s.pos
-	var mag uint64
-	for ; s.pos < len(s.data); s.pos++ {
-		d := uint64(s.data[s.pos]) - '0'
-		if d > 9 {
-			break
-		}
-		if mag > (1<<63-d)/10 {
-			s.fail("value out of int64 range")
-			return 0
-		}
-		mag = mag*10 + d
-	}
+	// The loop stopped at the byte it could not take, or at the end.
+	s.pos += i
 	switch {
-	case s.pos == first:
-		s.fail("want an integer")
-	case s.data[first] == '0' && s.pos > first+1:
+	case i == len(data):
+		s.fail("unterminated array")
+	case last == 'v':
+		s.fail("want ',' or ']'")
+	case data[i] == '0' && i+1 < len(data) && data[i+1]-'0' <= 9:
 		s.fail("leading zero")
-	case !neg && mag > math.MaxInt64:
+	case data[i]-'0' <= 9:
 		s.fail("value out of int64 range")
+	case inRow:
+		s.fail("want an integer or null")
+	default:
+		s.fail("want '[' or null")
 	}
-	if neg {
-		return -int64(mag)
-	}
-	return int64(mag)
+	return nil
 }
 
 // appendPredictResponse appends to b the bytes json.Encoder.Encode writes for

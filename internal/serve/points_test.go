@@ -6,6 +6,9 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"repro/internal/model"
+	"repro/internal/workloads"
 )
 
 // FuzzPointsDecode holds Points.UnmarshalJSON to its contract: for any
@@ -105,6 +108,73 @@ func TestAppendPredictResponseMatchesEncoder(t *testing.T) {
 			t.Fatalf("%v: appended with error %v, encoding/json fails with %v", f, err, want)
 		}
 	}
+}
+
+// BenchmarkPredictPath times each step /v1/predict takes on one canonical
+// 32-point body (about 2.2 KB), one sub-benchmark a step, so this layer's
+// share of a request shows without the end-to-end benchmark: decode the body,
+// validate the points, code them, predict them with the default model kind
+// and append the answer. The model is serializableArtifacts', so the predict
+// step's absolute time is not a fitted model's.
+func BenchmarkPredictPath(b *testing.B) {
+	body, err := json.Marshal(PredictRequest{Workload: "179.art", Points: testPoints(32, 1)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	art := serializableArtifacts(workloads.MustGet("179.art", workloads.Train), 1)
+	m, err := art.Model("")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var req PredictRequest
+	if err := decodePredict(body, &req); err != nil {
+		b.Fatal(err)
+	}
+	coded := make([][]float64, len(req.Points))
+	for i, p := range req.Points {
+		coded[i] = art.Space.Code(p)
+	}
+	preds := model.PredictAll(m, coded)
+	var out []byte
+	b.Run("decode", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			var r PredictRequest
+			if err := decodePredict(body, &r); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("validate", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, p := range req.Points {
+				if err := art.Space.Validate(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("code", func(b *testing.B) {
+		var dst []float64
+		for i := 0; i < b.N; i++ {
+			for _, p := range req.Points {
+				dst = art.Space.CodeInto(p, dst)
+			}
+		}
+	})
+	b.Run("predict", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for j, x := range coded {
+				preds[j] = m.Predict(x)
+			}
+		}
+	})
+	b.Run("encode", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if out, err = appendPredictResponse(out[:0], m.Name(), true, preds); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // TestPointsRowsDoNotOverlap: rows alias one backing slice, so each is cut

@@ -4,10 +4,33 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/compiler"
 	"repro/internal/lang"
 )
+
+// TestGetBuildsSourceOnce: Get returns what the benchmark's builder makes at
+// that class, for every benchmark at both classes, and the second Get returns
+// the very string the first did, not a rebuilt copy.
+func TestGetBuildsSourceOnce(t *testing.T) {
+	builders := map[string]func(InputClass) string{
+		"164.gzip": gzipSource, "175.vpr": vprSource, "177.mesa": mesaSource, "179.art": artSource,
+		"181.mcf": mcfSource, "255.vortex": vortexSource, "256.bzip2": bzip2Source,
+	}
+	for _, name := range Names() {
+		for _, class := range []InputClass{Train, Ref} {
+			w := MustGet(name, class)
+			want := Workload{Name: name, Input: inputLabel(name, class), Class: class, Source: builders[name](class)}
+			if w != want {
+				t.Fatalf("Get(%s, %s) differs from its builder's workload", name, class)
+			}
+			if again := MustGet(name, class); unsafe.StringData(again.Source) != unsafe.StringData(w.Source) {
+				t.Fatalf("Get(%s, %s) rebuilt its source", name, class)
+			}
+		}
+	}
+}
 
 // TestParseMemoized pins the per-process parse cache: two compiles of the
 // same workload must share one AST, so the second Parse is pointer-equal to

@@ -14,6 +14,7 @@ package workloads
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"repro/internal/lang"
 	"repro/internal/par"
@@ -63,17 +64,26 @@ func (w Workload) Parse() *lang.Program {
 	return p
 }
 
-// sources builds each benchmark's MiniC source at one input class. Generated
+// sources holds each benchmark's MiniC source, built on first use and kept:
+// [0] at the train input, [1] at the ref input. Every builder reads its class
+// only as Ref or not, so [0] is the source at any class but Ref. Generated
 // programs (internal/wlgen) are not looked up by name: they travel as
 // Workload values that carry their source.
-var sources = map[string]func(InputClass) string{
-	"164.gzip":   gzipSource,
-	"175.vpr":    vprSource,
-	"177.mesa":   mesaSource,
-	"179.art":    artSource,
-	"181.mcf":    mcfSource,
-	"255.vortex": vortexSource,
-	"256.bzip2":  bzip2Source,
+var sources = map[string][2]func() string{
+	"164.gzip":   once(gzipSource),
+	"175.vpr":    once(vprSource),
+	"177.mesa":   once(mesaSource),
+	"179.art":    once(artSource),
+	"181.mcf":    once(mcfSource),
+	"255.vortex": once(vortexSource),
+	"256.bzip2":  once(bzip2Source),
+}
+
+func once(build func(InputClass) string) [2]func() string {
+	return [2]func() string{
+		sync.OnceValue(func() string { return build(Train) }),
+		sync.OnceValue(func() string { return build(Ref) }),
+	}
 }
 
 // Names lists the seven benchmarks in the paper's order.
@@ -107,17 +117,22 @@ func inputLabel(name string, class InputClass) string {
 	}
 }
 
-// Get returns the named benchmark at the given input class.
+// Get returns the named benchmark at the given input class. Its source is
+// built once per process and class, so every call returns the same string.
 func Get(name string, class InputClass) (Workload, error) {
 	src, ok := sources[name]
 	if !ok {
 		return Workload{}, fmt.Errorf("workloads: unknown benchmark %q", name)
 	}
+	built := src[0]
+	if class == Ref {
+		built = src[1]
+	}
 	return Workload{
 		Name:   name,
 		Input:  inputLabel(name, class),
 		Class:  class,
-		Source: src(class),
+		Source: built(),
 	}, nil
 }
 
