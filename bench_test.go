@@ -827,7 +827,7 @@ func BenchmarkDistributedSweep(b *testing.B) {
 			servers = append(servers, ts)
 			addrs = append(addrs, ts.URL)
 		}
-		co, err := dist.New(dist.Options{Addrs: addrs, HedgeMin: -1})
+		co, err := dist.New(dist.Options{Addrs: addrs})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -915,14 +915,14 @@ func BenchmarkHeterogeneousSweep(b *testing.B) {
 		var co *dist.Coordinator
 		var err error
 		if weighted {
-			co, err = dist.New(dist.Options{Dynamic: true, HedgeMin: -1})
+			co, err = dist.New(dist.Options{Dynamic: true})
 			if err == nil {
 				if _, err = co.Register(tsSmall.URL, 1); err == nil {
 					_, err = co.Register(tsBig.URL, 3)
 				}
 			}
 		} else {
-			co, err = dist.New(dist.Options{Addrs: []string{tsSmall.URL, tsBig.URL}, HedgeMin: -1})
+			co, err = dist.New(dist.Options{Addrs: []string{tsSmall.URL, tsBig.URL}})
 		}
 		if err != nil {
 			b.Fatal(err)

@@ -27,7 +27,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/doe"
 	"repro/internal/exp"
-	"repro/internal/model"
 	"repro/internal/wlgen"
 	"repro/internal/workloads"
 )
@@ -212,10 +211,6 @@ func runLOPO(h *exp.Harness, names []string, genSeed int64, genN, pointsPer, fol
 	res, err := h.RunLOPO(cd, exp.LOPOOptions{
 		MaxFolds: folds,
 		Baseline: baseline,
-		// Modest term budget: each fold refits all three techniques, and the
-		// pooled 49-variable space makes full-budget MARS folds expensive
-		// without improving held-out error on corpora this size.
-		MARS: model.MARSOptions{MaxTerms: 21, MaxKnots: 8},
 	})
 	if err != nil {
 		return err

@@ -40,10 +40,6 @@ type Options struct {
 	// stream before the lease expires and the group is requeued (0 = 15s).
 	// Workers heartbeat well under this.
 	LeaseTimeout time.Duration
-	// HedgeMin floors the straggler-hedging delay: a group is re-leased to
-	// a second worker once it runs past ~p95 of completed group latencies,
-	// but never sooner than this (0 = 2s; negative disables hedging).
-	HedgeMin time.Duration
 	// MaxAttempts bounds failed leases per group before the group's
 	// callers see the lease error (0 = 3).
 	MaxAttempts int
@@ -58,15 +54,14 @@ type Options struct {
 // remote workers: the embedded farm.Planner looks up, deduplicates, groups
 // and completes exactly as it does in front of the in-process pool, and the
 // coordinator adds only what placing a group on a worker takes — capacity-
-// weighted placement, lease expiry and requeue, straggler hedging and the
-// pull of worker store deltas. Callers cannot tell it apart from a local
-// farm except by throughput.
+// weighted placement, lease expiry and requeue, and the pull of worker store
+// deltas. A group is on at most one lease at a time. Callers cannot tell it
+// apart from a local farm except by throughput.
 type Coordinator struct {
 	*farm.Planner
 	opts        Options
 	client      *http.Client
 	lease       time.Duration
-	hedgeMin    time.Duration
 	maxAttempts int
 	cap         int
 
@@ -76,7 +71,7 @@ type Coordinator struct {
 	// completes a group: completion journals, and may sleep between retries.
 	mu           sync.Mutex
 	cond         *sync.Cond
-	queue        []*dispatchReq
+	queue        []*cgroup
 	workers      []*workerRef
 	leases       int // leases not yet fully unwound, completion included
 	leaseSeq     int64
@@ -92,30 +87,16 @@ type Coordinator struct {
 	// here; Stats takes the fleet view (address, slots, in-flight) from workers.
 	disp      farm.DispatchStats
 	perWorker []farm.WorkerStats
-	// latencies of recently completed group leases (seconds), the input to
-	// the p95 hedging threshold.
-	latencies []float64
 }
 
-// cgroup is one planned group on the dispatch plane, the unit of lease. The
+// cgroup is one planned group on the dispatch plane, the unit of lease: at
+// any moment it is queued, on one lease, or waiting out a probe delay. The
 // dispatch fields are guarded by Coordinator.mu.
 type cgroup struct {
 	*farm.Group
 
 	attempts   int // failed leases so far
-	leases     int // leases currently on the wire for this group
-	leaseSeqs  map[int64]struct{}
-	onWorkers  map[int]int // active leases per worker index; hedges must land elsewhere
-	hedged     bool
-	done       bool // settled: an outcome is on its way to the planner
 	lastWorker int
-	finished   chan struct{} // closed when done flips true
-}
-
-// dispatchReq is one queue entry: lease this group (again) somewhere.
-type dispatchReq struct {
-	g     *cgroup
-	hedge bool
 }
 
 // workerRef is the coordinator's view of one worker process. The worker
@@ -149,7 +130,6 @@ func New(opts Options) (*Coordinator, error) {
 		opts:         opts,
 		client:       opts.Client,
 		lease:        opts.LeaseTimeout,
-		hedgeMin:     opts.HedgeMin,
 		maxAttempts:  opts.MaxAttempts,
 		cap:          opts.MaxInFlight,
 		leaseCancels: map[int64]context.CancelFunc{},
@@ -161,9 +141,6 @@ func New(opts Options) (*Coordinator, error) {
 	}
 	if c.lease <= 0 {
 		c.lease = 15 * time.Second
-	}
-	if c.hedgeMin == 0 {
-		c.hedgeMin = 2 * time.Second
 	}
 	if c.maxAttempts <= 0 {
 		c.maxAttempts = 3
@@ -386,13 +363,7 @@ func (c *Coordinator) Checkpoint() error {
 func (c *Coordinator) execute(groups []*farm.Group) {
 	c.mu.Lock()
 	for _, g := range groups {
-		c.queue = append(c.queue, &dispatchReq{g: &cgroup{
-			Group:      g,
-			lastWorker: -1,
-			finished:   make(chan struct{}),
-			leaseSeqs:  map[int64]struct{}{},
-			onWorkers:  map[int]int{},
-		}})
+		c.queue = append(c.queue, &cgroup{Group: g, lastWorker: -1})
 	}
 	c.mu.Unlock()
 	c.cond.Broadcast()
@@ -472,22 +443,6 @@ func (c *Coordinator) Close() error {
 	c.PullDeltas(ctx)
 	cancel()
 	return c.Store().Close()
-}
-
-// settleLocked marks the group as having its outcome: the first to settle
-// (primary lease, hedge twin) wins, and a later finisher sees done and drops
-// its copy. The caller delivers the outcome to the planner once it has
-// released c.mu. Caller holds c.mu.
-func (c *Coordinator) settleLocked(g *cgroup) {
-	g.done = true
-	close(g.finished)
-	// Cancel the group's other outstanding leases (a losing hedge twin):
-	// their workers stop measuring dead work.
-	for seq := range g.leaseSeqs {
-		if cancel, ok := c.leaseCancels[seq]; ok {
-			cancel()
-		}
-	}
 }
 
 // Stats snapshots the coordinator's counters, in the same shape the

@@ -30,7 +30,7 @@ func pointValue(p doe.Point) float64 {
 }
 
 // stubMeasure is a deterministic executor stub that counts executions and
-// honours cancellation (so cancelled hedge twins unwind like the real one).
+// honours cancellation (so cancelled leases unwind like the real one).
 func stubMeasure(execs *atomic.Int64, delay time.Duration) farm.MeasureFunc {
 	return func(ctx context.Context, job farm.Job) (farm.Result, error) {
 		if execs != nil {
@@ -160,7 +160,7 @@ func TestDistributedMatchesInProcess(t *testing.T) {
 
 	p := newPlane(t,
 		[]WorkerOptions{{Workers: 2, Heartbeat: 20 * time.Millisecond}, {Workers: 2, Heartbeat: 20 * time.Millisecond}},
-		Options{HedgeMin: -1},
+		Options{},
 	)
 	cycDist, err := p.co.MeasureBatch(context.Background(), w, points, farm.Cycles)
 	if err != nil {
@@ -199,7 +199,7 @@ func TestGroupIsTheDispatchUnit(t *testing.T) {
 
 	p := newPlane(t,
 		[]WorkerOptions{{Workers: 2, Heartbeat: 20 * time.Millisecond}, {Workers: 2, Heartbeat: 20 * time.Millisecond}},
-		Options{HedgeMin: -1},
+		Options{},
 	)
 	if _, err := p.co.MeasureBatch(context.Background(), w, points, farm.Cycles); err != nil {
 		t.Fatal(err)
@@ -232,7 +232,7 @@ func TestCoalescingAndStoreHits(t *testing.T) {
 	var execs atomic.Int64
 	p := newPlane(t,
 		[]WorkerOptions{{Workers: 2, Measure: stubMeasure(&execs, 30*time.Millisecond), Heartbeat: 10 * time.Millisecond}},
-		Options{HedgeMin: -1},
+		Options{},
 	)
 	w := workloads.MustGet("179.art", workloads.Train)
 	pt := randomPoints(1, 1)[0]
@@ -308,7 +308,7 @@ func TestBackendInterchangeable(t *testing.T) {
 	ts := httptest.NewServer(wk.Handler())
 	defer ts.Close()
 	defer wk.Close()
-	co, err := New(Options{Addrs: []string{ts.URL}, HedgeMin: -1})
+	co, err := New(Options{Addrs: []string{ts.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestStatsConsistentUnderLoad(t *testing.T) {
 			{Workers: 4, Measure: stubMeasure(nil, 0), Heartbeat: 10 * time.Millisecond},
 			{Workers: 4, Measure: stubMeasure(nil, 0), Heartbeat: 10 * time.Millisecond},
 		},
-		Options{HedgeMin: -1, MaxInFlight: 4},
+		Options{MaxInFlight: 4},
 	)
 
 	stop := make(chan struct{})
@@ -367,10 +367,6 @@ func TestStatsConsistentUnderLoad(t *testing.T) {
 				st := p.co.Stats()
 				if st.InstrsSimulated != perSim*st.SimsExecuted {
 					report("torn snapshot: %d instrs for %d sims", st.InstrsSimulated, st.SimsExecuted)
-					return
-				}
-				if st.GroupsHedged > st.GroupsDispatched {
-					report("more hedges (%d) than dispatches (%d)", st.GroupsHedged, st.GroupsDispatched)
 					return
 				}
 				if st.GroupsDispatched < st.BinaryGroups {

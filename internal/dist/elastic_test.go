@@ -15,23 +15,6 @@ import (
 	"repro/internal/workloads"
 )
 
-// gatedMeasure blocks each measurement until gate closes (or the lease is
-// cancelled), then returns the deterministic stub value — a worker whose
-// service time the test controls.
-func gatedMeasure(gate chan struct{}, execs *atomic.Int64) farm.MeasureFunc {
-	return func(ctx context.Context, job farm.Job) (farm.Result, error) {
-		if execs != nil {
-			execs.Add(1)
-		}
-		select {
-		case <-gate:
-		case <-ctx.Done():
-			return farm.Result{}, ctx.Err()
-		}
-		return farm.Result{Cycles: pointValue(job.Point), Energy: 2 * pointValue(job.Point), Instructions: 1000}, nil
-	}
-}
-
 // TestRegistrationGrowsAndShrinksFleet pins dynamic membership end to end
 // through the control API: a dynamic coordinator starts with no workers and
 // queued work, a worker registering over HTTP unblocks it, a second
@@ -48,7 +31,7 @@ func TestRegistrationGrowsAndShrinksFleet(t *testing.T) {
 	defer ts2.Close()
 	defer w2.Close()
 
-	co, err := New(Options{Dynamic: true, HedgeMin: -1})
+	co, err := New(Options{Dynamic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +142,7 @@ func TestCapacityWeightedDispatch(t *testing.T) {
 	defer tsB.Close()
 	defer wb.Close()
 
-	co, err := New(Options{Dynamic: true, HedgeMin: -1})
+	co, err := New(Options{Dynamic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,66 +177,6 @@ func TestCapacityWeightedDispatch(t *testing.T) {
 	}
 }
 
-// TestHedgeRespectsSlotBudgets is the overcommit regression test: with every
-// slot in the fleet occupied, hedge timers firing must not lease (or queue)
-// a second copy of any group — a hedge that would overcommit capacity is
-// skipped outright, and freed slots go to primary work, never stale hedges.
-func TestHedgeRespectsSlotBudgets(t *testing.T) {
-	gate1, gate2 := make(chan struct{}), make(chan struct{})
-	w1 := NewWorker(WorkerOptions{Workers: 1, Measure: gatedMeasure(gate1, nil), Heartbeat: 10 * time.Millisecond})
-	ts1 := httptest.NewServer(w1.Handler())
-	defer ts1.Close()
-	defer w1.Close()
-	w2 := NewWorker(WorkerOptions{Workers: 1, Measure: gatedMeasure(gate2, nil), Heartbeat: 10 * time.Millisecond})
-	ts2 := httptest.NewServer(w2.Handler())
-	defer ts2.Close()
-	defer w2.Close()
-
-	co, err := New(Options{
-		Addrs:       []string{ts1.URL, ts2.URL},
-		MaxInFlight: 1, // one slot per worker: two in-flight groups saturate the fleet
-		HedgeMin:    30 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co.Close()
-
-	w := workloads.MustGet("179.art", workloads.Train)
-	points := sweepPoints(2, 1) // two groups, one per worker
-	batchDone := make(chan error, 1)
-	go func() {
-		_, err := co.MeasureBatch(context.Background(), w, points, farm.Cycles)
-		batchDone <- err
-	}()
-	waitForDispatch(t, co, 2)
-
-	// Both hedge timers fire into a saturated fleet and must stand down.
-	time.Sleep(150 * time.Millisecond)
-	if st := co.Stats(); st.GroupsHedged != 0 || st.GroupsDispatched != 2 {
-		t.Fatalf("saturated fleet: hedged=%d dispatched=%d, want 0/2", st.GroupsHedged, st.GroupsDispatched)
-	}
-
-	// Freeing one worker must not resurrect a hedge for the other's group:
-	// the hedge opportunity passed while the fleet was saturated.
-	close(gate2)
-	time.Sleep(100 * time.Millisecond)
-	if st := co.Stats(); st.GroupsHedged != 0 {
-		t.Fatalf("freed slot was spent on a stale hedge: hedged=%d", st.GroupsHedged)
-	}
-	close(gate1)
-	if err := <-batchDone; err != nil {
-		t.Fatal(err)
-	}
-	st := co.Stats()
-	if st.GroupsDispatched != 2 || st.GroupsHedged != 0 {
-		t.Fatalf("final: dispatched=%d hedged=%d, want 2/0", st.GroupsDispatched, st.GroupsHedged)
-	}
-	if st.SimsExecuted != int64(len(points)) {
-		t.Fatalf("sims=%d, want %d", st.SimsExecuted, len(points))
-	}
-}
-
 // TestWarmWorkerStoreSurvivesCoordinatorRestart is the tentpole acceptance
 // pin: a worker holding its own journaled store answers a repeat sweep from
 // a brand-new coordinator (which lost all coordinator-side state) with zero
@@ -278,7 +201,7 @@ func TestWarmWorkerStoreSurvivesCoordinatorRestart(t *testing.T) {
 	w := workloads.MustGet("179.art", workloads.Train)
 	points := randomPoints(8, 35)
 
-	co1, err := New(Options{Addrs: []string{ts.URL}, HedgeMin: -1})
+	co1, err := New(Options{Addrs: []string{ts.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +219,7 @@ func TestWarmWorkerStoreSurvivesCoordinatorRestart(t *testing.T) {
 
 	// Coordinator "restarts" with nothing: fresh in-memory store, no cursor
 	// state. The sweep repeats bit-identically with zero worker sims.
-	co2, err := New(Options{Addrs: []string{ts.URL}, HedgeMin: -1})
+	co2, err := New(Options{Addrs: []string{ts.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +256,7 @@ func TestWarmWorkerStoreSurvivesCoordinatorRestart(t *testing.T) {
 	ts2 := httptest.NewServer(wk2.Handler())
 	defer ts2.Close()
 	defer wk2.Close()
-	co3, err := New(Options{Addrs: []string{ts2.URL}, HedgeMin: -1})
+	co3, err := New(Options{Addrs: []string{ts2.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +290,7 @@ func TestCheckpointMergesWorkerDeltas(t *testing.T) {
 	points := randomPoints(6, 36)
 
 	// Populate the worker's local store through a first coordinator.
-	co1, err := New(Options{Addrs: []string{ts.URL}, HedgeMin: -1})
+	co1, err := New(Options{Addrs: []string{ts.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +311,7 @@ func TestCheckpointMergesWorkerDeltas(t *testing.T) {
 		}
 		return st
 	}
-	co2, err := New(Options{Addrs: []string{ts.URL}, Store: openStore(), HedgeMin: -1})
+	co2, err := New(Options{Addrs: []string{ts.URL}, Store: openStore()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +356,7 @@ func TestCheckpointMergesWorkerDeltas(t *testing.T) {
 	// Coordinator restart after the merge: journal replay restores every
 	// merged entry, and the forced full re-pull (lost cursor) changes
 	// nothing — idempotence across restarts.
-	co3, err := New(Options{Addrs: []string{ts.URL}, Store: openStore(), HedgeMin: -1})
+	co3, err := New(Options{Addrs: []string{ts.URL}, Store: openStore()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +391,7 @@ func TestWorkerKillLosesNothingJournaled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co, err := New(Options{Addrs: []string{ts.URL}, Store: st, HedgeMin: -1, PullTimeout: 200 * time.Millisecond})
+	co, err := New(Options{Addrs: []string{ts.URL}, Store: st, PullTimeout: 200 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,6 @@ func TestWorkerDeathRequeuesGroup(t *testing.T) {
 	co, err := New(Options{
 		Addrs:        []string{dead.URL, liveTS.URL},
 		LeaseTimeout: 150 * time.Millisecond,
-		HedgeMin:     -1, // isolate requeue from hedging
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -86,74 +85,40 @@ func TestWorkerDeathRequeuesGroup(t *testing.T) {
 	}
 }
 
-// TestHedgeFirstResultWins pins straggler hedging: a group stuck on a slow
-// worker is re-leased to the fast one once it outlives the hedge threshold;
-// the fast lease's results are delivered and persisted exactly once, and the
-// slow twin's lease is cancelled rather than abandoned.
-func TestHedgeFirstResultWins(t *testing.T) {
-	// The slow worker blocks until its lease context is cancelled — it can
-	// only "finish" by losing the race.
-	slowGate := make(chan struct{})
-	defer close(slowGate)
-	var slowExecs atomic.Int64
-	slow := NewWorker(WorkerOptions{
-		Workers:   2,
-		Heartbeat: 10 * time.Millisecond,
-		Measure: func(ctx context.Context, job farm.Job) (farm.Result, error) {
-			slowExecs.Add(1)
-			select {
-			case <-slowGate:
-			case <-ctx.Done():
-			}
-			return farm.Result{}, ctx.Err()
+// TestSlowGroupKeepsOneLease pins one lease per group: a group that runs
+// long on a live, heartbeating worker stays on that lease, however idle the
+// rest of the fleet. Measurements are deterministic, so a second copy could
+// only repeat the first.
+func TestSlowGroupKeepsOneLease(t *testing.T) {
+	var execs [2]atomic.Int64
+	p := newPlane(t,
+		[]WorkerOptions{
+			{Workers: 1, Measure: stubMeasure(&execs[0], 2500*time.Millisecond), Heartbeat: 10 * time.Millisecond},
+			{Workers: 1, Measure: stubMeasure(&execs[1], 2500*time.Millisecond), Heartbeat: 10 * time.Millisecond},
 		},
-	})
-	slowTS := httptest.NewServer(slow.Handler())
-	defer slowTS.Close()
-	defer slow.Close()
-
-	var fastExecs atomic.Int64
-	fast := NewWorker(WorkerOptions{Workers: 2, Measure: stubMeasure(&fastExecs, 0), Heartbeat: 10 * time.Millisecond})
-	fastTS := httptest.NewServer(fast.Handler())
-	defer fastTS.Close()
-	defer fast.Close()
-
-	co, err := New(Options{
-		Addrs:    []string{slowTS.URL, fastTS.URL}, // first lease lands on slow
-		HedgeMin: 50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co.Close()
-
-	// One shared-binary group of three points: hedging re-leases the whole
-	// group, so primary + hedge is exactly two dispatches.
+		Options{},
+	)
 	w := workloads.MustGet("179.art", workloads.Train)
-	points := sweepPoints(1, 3)
-	got, err := co.MeasureBatch(context.Background(), w, points, farm.Cycles)
+	pt := randomPoints(1, 26)[0]
+	got, err := p.co.Measure(context.Background(), w, pt, farm.Cycles)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range points {
-		if got[i] != pointValue(p) {
-			t.Fatalf("point %d: got %v want %v", i, got[i], pointValue(p))
-		}
+	if got != pointValue(pt) {
+		t.Fatalf("got %v want %v", got, pointValue(pt))
 	}
-	st := co.Stats()
-	if st.GroupsHedged != 1 {
-		t.Fatalf("groups hedged = %d, want 1", st.GroupsHedged)
+	st := p.co.Stats()
+	if st.GroupsDispatched != 1 {
+		t.Fatalf("dispatched = %d, want 1 (one lease for one group)", st.GroupsDispatched)
 	}
-	if st.GroupsDispatched != 2 {
-		t.Fatalf("dispatched = %d, want 2 (primary + hedge)", st.GroupsDispatched)
+	if st.SimsExecuted != 1 {
+		t.Fatalf("sims recorded = %d, want 1", st.SimsExecuted)
 	}
-	// Exactly-once delivery: the fast worker's results won; each point was
-	// persisted once and counted once.
-	if n := fastExecs.Load(); n != int64(len(points)) {
-		t.Fatalf("fast worker executed %d, want %d", n, len(points))
+	if n0, n1 := st.PerWorker[0].Jobs, st.PerWorker[1].Jobs; n0+n1 != 1 {
+		t.Fatalf("leases per worker = %d/%d, want one lease on one worker", n0, n1)
 	}
-	if st.SimsExecuted != int64(len(points)) {
-		t.Fatalf("sims recorded = %d, want %d — hedge results double-counted", st.SimsExecuted, len(points))
+	if n0, n1 := execs[0].Load(), execs[1].Load(); n0+n1 != 1 {
+		t.Fatalf("executions per worker = %d/%d, want 1 in all", n0, n1)
 	}
 }
 
@@ -180,7 +145,7 @@ func TestCoordinatorRestartReplaysJournal(t *testing.T) {
 		return st
 	}
 
-	co1, err := New(Options{Addrs: []string{ts.URL}, Store: openStore(), HedgeMin: -1})
+	co1, err := New(Options{Addrs: []string{ts.URL}, Store: openStore()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +158,7 @@ func TestCoordinatorRestartReplaysJournal(t *testing.T) {
 	}
 	measured := execs.Load()
 
-	co2, err := New(Options{Addrs: []string{ts.URL}, Store: openStore(), HedgeMin: -1})
+	co2, err := New(Options{Addrs: []string{ts.URL}, Store: openStore()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +194,6 @@ func TestAllWorkersDeadExhaustsAttempts(t *testing.T) {
 		Addrs:        []string{d1.URL, d2.URL},
 		LeaseTimeout: 100 * time.Millisecond,
 		MaxAttempts:  2,
-		HedgeMin:     -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +238,6 @@ func TestSuspectWorkerDoesNotBurnAttempts(t *testing.T) {
 		Addrs:       []string{goneURL, liveTS.URL},
 		MaxInFlight: 1, // keeps the live worker saturated, exposing the dead one
 		MaxAttempts: 2,
-		HedgeMin:    -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -312,7 +275,7 @@ func TestErrorClassSurvivesTheWire(t *testing.T) {
 	defer ts.Close()
 	defer wk.Close()
 
-	co, err := New(Options{Addrs: []string{ts.URL}, HedgeMin: -1})
+	co, err := New(Options{Addrs: []string{ts.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +307,7 @@ func TestDrainWaitsThenRequeues(t *testing.T) {
 	t.Run("in-flight lease finishes", func(t *testing.T) {
 		p := newPlane(t,
 			[]WorkerOptions{{Workers: 1, Measure: stubMeasure(nil, 100*time.Millisecond), Heartbeat: 10 * time.Millisecond}},
-			Options{HedgeMin: -1},
+			Options{},
 		)
 		w := workloads.MustGet("179.art", workloads.Train)
 		points := sweepPoints(1, 2) // one group, one lease
@@ -386,7 +349,7 @@ func TestDrainWaitsThenRequeues(t *testing.T) {
 					return farm.Result{}, ctx.Err()
 				},
 			}},
-			Options{HedgeMin: -1},
+			Options{},
 		)
 		w := workloads.MustGet("179.art", workloads.Train)
 		done := make(chan error, 1)

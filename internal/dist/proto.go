@@ -21,13 +21,10 @@
 // against per-worker slot budgets) so heterogeneous fleets get load
 // proportional to capacity.
 //
-// Failure handling lives entirely on the coordinator: a lease whose result
-// stream goes silent past the lease timeout expires and the group is
-// requeued to another worker; a group that exceeds ~p95 of completed group
-// latencies is hedged (re-leased to a second worker that is not already
-// leasing it, only when the fleet has spare capacity, first result wins
-// through the coordinator's single-flight dedup); per-worker slot budgets
-// provide backpressure.
+// Failure handling lives entirely on the coordinator: a group is on one
+// lease at a time; a lease whose result stream goes silent past the lease
+// timeout expires and the group is requeued to another worker; per-worker
+// slot budgets provide backpressure.
 package dist
 
 import (
@@ -65,8 +62,8 @@ func (ww WireWorkload) Workload() workloads.Workload {
 // carries the same compiler subvector and issue width, so the worker's own
 // batch planner compiles once and interprets once for the whole group.
 type GroupRequest struct {
-	// Lease identifies this lease in worker logs; retries and hedges of
-	// the same group carry distinct lease IDs.
+	// Lease identifies this lease in worker logs; each requeue of the same
+	// group carries a new lease ID.
 	Lease    string       `json:"lease"`
 	Workload WireWorkload `json:"workload"`
 	Points   [][]int64    `json:"points"`

@@ -192,8 +192,8 @@ func (w *Worker) handleGroup(rw http.ResponseWriter, r *http.Request) {
 			w.groups.Add(1)
 			return
 		case <-r.Context().Done():
-			// The coordinator hung up (lease cancelled after a hedge won,
-			// or drain): DoJobs sees the same context and unwinds.
+			// The coordinator hung up (lease cancelled by drain or close, or
+			// its callers left): DoJobs sees the same context and unwinds.
 			<-done
 			return
 		}

@@ -131,14 +131,13 @@ func (h *Harness) BuildCrossDataset(ws []workloads.Workload, pointsPer int) (*Cr
 // 25 design variables), and the two-factor interaction expansion's 1200+
 // terms would need more rows than realistic corpora provide. MARS and
 // RBF-RT discover feature x flag interactions natively, which is precisely what
-// cross-program generalization needs them for. mo tunes the one MARS fit
-// that is both the "mars" model and the RBF-RT trend (zero value = package
-// defaults); LOPO sweeps cap the term budget through it to keep folds
-// affordable.
-func FitCrossModels(train *model.Dataset, workers int, mo model.MARSOptions) (map[string]model.Model, error) {
-	if mo.Workers == 0 {
-		mo.Workers = workers
-	}
+// cross-program generalization needs them for. The one MARS fit that is
+// both the "mars" model and the RBF-RT trend runs on a modest term budget,
+// the same for LOPO folds and for serving: the package default (99 forward
+// bases in 49 variables) outgrows pools of a few hundred rows, where every
+// pruned subset's GCV is infinite and the backward pass keeps them all.
+func FitCrossModels(train *model.Dataset, workers int) (map[string]model.Model, error) {
+	mo := model.MARSOptions{MaxTerms: 21, MaxKnots: 8, Workers: workers}
 	return fitModels(train, workers, doe.ExpandLinear, mo, false, model.FitMARS)
 }
 
@@ -152,8 +151,6 @@ type LOPOOptions struct {
 	// program's own rows (75/25 split, feature block dropped) — the
 	// "what if we had measured it" reference the cross model competes with.
 	Baseline bool
-	// MARS tunes the MARS fits inside each fold (see FitCrossModels).
-	MARS model.MARSOptions
 }
 
 // LOPORow is one held-out program's evaluation: prediction error (mean
@@ -195,7 +192,7 @@ func (h *Harness) RunLOPO(cd *CrossDataset, opts LOPOOptions) (*LOPOResult, erro
 		if err != nil {
 			return nil, err
 		}
-		ms, err := FitCrossModels(train, h.Workers, opts.MARS)
+		ms, err := FitCrossModels(train, h.Workers)
 		if err != nil {
 			return nil, fmt.Errorf("exp: lopo fold %s: %w", w.Key(), err)
 		}

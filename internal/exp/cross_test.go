@@ -9,7 +9,6 @@ import (
 	"repro/internal/doe"
 	"repro/internal/farm"
 	"repro/internal/features"
-	"repro/internal/model"
 	"repro/internal/wlgen"
 	"repro/internal/workloads"
 )
@@ -106,7 +105,6 @@ func TestLOPOEndToEndOnGeneratedCorpus(t *testing.T) {
 
 	res, err := h.RunLOPO(cd, LOPOOptions{
 		MaxFolds: 3,
-		MARS:     model.MARSOptions{MaxTerms: 10, MaxKnots: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +141,6 @@ func TestLOPOBaselineFitsWithEnoughRows(t *testing.T) {
 	res, err := h.RunLOPO(cd, LOPOOptions{
 		MaxFolds: 1,
 		Baseline: true,
-		MARS:     model.MARSOptions{MaxTerms: 8, MaxKnots: 4},
 	})
 	if err != nil {
 		t.Fatal(err)

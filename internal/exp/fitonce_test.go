@@ -73,7 +73,7 @@ func TestFitAllSharesTrend(t *testing.T) {
 		xs = append(xs, h.Space().Code(p))
 	}
 	rbfOpt := model.RBFOptions{Kernel: model.Multiquadric}
-	capped := model.MARSOptions{MaxTerms: 9}
+	capped := model.MARSOptions{MaxTerms: 21, MaxKnots: 8}
 	trendOf := func(ms map[string]model.Model) (trend, mars *model.MARSModel) {
 		return ms["rbf"].(model.LogModel).Inner.(*model.HybridRBFModel).Trend,
 			ms["mars"].(model.LogModel).Inner.(*model.MARSModel)
@@ -112,7 +112,7 @@ func TestFitAllSharesTrend(t *testing.T) {
 			if trend, inner := trendOf(ms); trend != inner {
 				t.Fatalf("%s: FitAllParallel fitted the trend apart from the mars model", what)
 			}
-			cs, err := FitCrossModels(data, workers, capped)
+			cs, err := FitCrossModels(data, workers)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -62,8 +62,7 @@ func (f *Farm) compileCached(w workloads.Workload, p doe.Point) (*isa.Program, s
 }
 
 // cachedExecutor is the farm's default MeasureFunc: Executor with the
-// compile stage served by the shared binary cache, simulating through the
-// basic-block translated engine.
+// compile stage served by the shared binary cache.
 func (f *Farm) cachedExecutor(ctx context.Context, job Job) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
@@ -75,15 +74,10 @@ func (f *Farm) cachedExecutor(ctx context.Context, job Job) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	st, es, err := sim.SimulateEngine(prog, cfg, f.maxInstrs, sim.EngineBB)
+	st, err := sim.Simulate(prog, cfg, f.maxInstrs)
 	if err != nil {
 		return Result{}, &SimError{Workload: job.Workload.Key(), Budget: sim.IsBudget(err), Err: err}
 	}
-	f.Count(func() {
-		f.pool.BlocksTranslated += es.BlocksTranslated
-		f.pool.TranslatedInstrs += es.TranslatedInstrs
-		f.pool.SlowPathEntries += es.SlowPathEntries
-	})
 	return Result{
 		Cycles:       float64(st.Cycles),
 		Energy:       st.Energy,

@@ -252,11 +252,6 @@ type PlannerStats struct {
 type PoolStats struct {
 	CompileCacheHits   int64
 	CompileCacheMisses int64
-	// The translated-engine trio moves only for ungrouped sims (grouped
-	// sims ride the shared-trace path).
-	BlocksTranslated int64 // static blocks translated across executed sims
-	TranslatedInstrs int64 // dynamic instructions retired via translated blocks
-	SlowPathEntries  int64 // translated-engine falls back to the fused loop
 }
 
 // DispatchStats are the counters of the plane that places groups on
@@ -264,15 +259,16 @@ type PoolStats struct {
 type DispatchStats struct {
 	// GroupsDispatched counts handovers of a group to an executor: in the
 	// local pool one per shared-binary group run, on the coordinator one per
-	// worker lease of any group, so hedges and requeue re-leases count again.
-	// GroupsHedged counts straggler re-dispatches, GroupsRequeued counts
-	// leases abandoned after worker death or drain, and WorkersLive is the
-	// executors currently believed healthy (for the in-process farm that is
-	// simply the pool size).
+	// worker lease of any group, so requeue re-leases count again.
+	// GroupsRequeued counts leases abandoned after worker death or drain, and
+	// WorkersLive is the executors currently believed healthy (for the
+	// in-process farm that is simply the pool size).
 	GroupsDispatched int64
-	GroupsHedged     int64
 	GroupsRequeued   int64
 	WorkersLive      int64
+	// GroupsHedged is always 0: the coordinator leases a group to one worker
+	// at a time. The benchmark module's march report still reads it.
+	GroupsHedged int64
 	// Elastic-plane counters. WorkerLocalHits totals the points remote
 	// workers answered from their own journaled stores (zero in-process);
 	// StoreMerges counts worker-delta pulls merged into the coordinator's

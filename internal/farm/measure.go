@@ -94,7 +94,7 @@ func Executor(maxInstrs int64) MeasureFunc {
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
-		st, _, err := sim.SimulateEngine(prog, cfg, maxInstrs, sim.EngineBB)
+		st, err := sim.Simulate(prog, cfg, maxInstrs)
 		if err != nil {
 			// The typed Budget flag, never the message text: a rewording of
 			// the fault message must not silently uncount a budget overrun.

@@ -38,7 +38,7 @@ type Group struct {
 	// Ctx is the planner's own context for the group, never a caller's. It is
 	// cancelled when the last request waiting on any of the group's tasks has
 	// left — nobody wants the outcome, so stop and do not retry — and when the
-	// group completes, which stops a losing hedge twin.
+	// group completes.
 	Ctx context.Context
 
 	cancel context.CancelFunc
@@ -61,8 +61,8 @@ func (g *Group) Workload() workloads.Workload { return g.Tasks[0].Job.Workload }
 // it begins work on it, and owes every group exactly one outcome through
 // Complete or Fail. It may assume the groups are deduplicated (no task of
 // theirs is in the store or already running) and that completion is
-// idempotent — a second outcome for a group, such as a losing hedge twin's,
-// is dropped.
+// idempotent — a second outcome for a group, such as a lease's that finishes
+// after Abandon failed the group, is dropped.
 //
 // Lock order: an executor's own dispatch lock, then Planner.mu, then the
 // stats lock. The planner calls the executor with none of them held.
@@ -290,8 +290,8 @@ func (p *Planner) leave(tasks []*Task) {
 // Start freezes g's membership: from here on a new task that needs its binary
 // opens another group. An executor calls it when it begins work on the group
 // (a pool worker at dequeue, the lease scheduler at each lease) and sizes
-// nothing by g.Tasks before. A hedge or a requeue starts a started group
-// again, which changes nothing.
+// nothing by g.Tasks before. A requeue starts a started group again, which
+// changes nothing.
 func (p *Planner) Start(g *Group) {
 	p.mu.Lock()
 	if p.open[g.bin] == g {

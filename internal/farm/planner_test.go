@@ -255,7 +255,7 @@ func TestPlannerPlansBatch(t *testing.T) {
 }
 
 // TestPlannerCompletionAppliedOnce delivers two different outcomes for one
-// group — what a primary lease and its hedge twin would do — and requires
+// group — what a lease finishing after Abandon would do — and requires
 // the first to be the only one waiters, store and counters ever see.
 func TestPlannerCompletionAppliedOnce(t *testing.T) {
 	ex, p := newHeldPlanner(Options{}, true)

@@ -50,17 +50,15 @@ type RBFOptions struct {
 	// LeafSizes are the regression-tree minimum leaf sizes tried; the
 	// network with the best BIC wins. Default {4, 8, 16}.
 	LeafSizes []int
-	// RadiusScale multiplies the nearest-center distance to set each
-	// neuron's radius (default 2).
-	RadiusScale float64
 }
+
+// radiusScale multiplies the nearest-center distance to set each neuron's
+// radius.
+const radiusScale = 2
 
 func (o RBFOptions) withDefaults() RBFOptions {
 	if len(o.LeafSizes) == 0 {
 		o.LeafSizes = []int{4, 8, 16}
-	}
-	if o.RadiusScale == 0 {
-		o.RadiusScale = 2
 	}
 	return o
 }
@@ -100,7 +98,7 @@ func FitRBF(data *Dataset, opt RBFOptions) (*RBFModel, error) {
 func fitRBFWithCenters(data *Dataset, centers [][]float64, opt RBFOptions) (*RBFModel, error) {
 	n := data.Len()
 	m := &RBFModel{Kernel: opt.Kernel, Centers: centers}
-	m.Radii = radiiFor(centers, opt.RadiusScale)
+	m.Radii = radiiFor(centers)
 
 	rows := make([][]float64, n)
 	for i, x := range data.X {
@@ -138,9 +136,9 @@ func (m *RBFModel) Name() string { return "rbf-rt" }
 // NumParams returns the number of trained weights.
 func (m *RBFModel) NumParams() int { return len(m.W) }
 
-// radiiFor sets each center's σ to scale × its nearest-neighbor distance
-// (falling back to 1 for a single center).
-func radiiFor(centers [][]float64, scale float64) []float64 {
+// radiiFor sets each center's σ to radiusScale × its nearest-neighbor
+// distance (falling back to 1 for a single center).
+func radiiFor(centers [][]float64) []float64 {
 	radii := make([]float64, len(centers))
 	for i := range centers {
 		nearest := math.Inf(1)
@@ -155,7 +153,7 @@ func radiiFor(centers [][]float64, scale float64) []float64 {
 		if math.IsInf(nearest, 1) || nearest == 0 {
 			radii[i] = 1
 		} else {
-			radii[i] = scale * math.Sqrt(nearest)
+			radii[i] = radiusScale * math.Sqrt(nearest)
 		}
 		if radii[i] < 1e-3 {
 			radii[i] = 1e-3

@@ -25,18 +25,19 @@ type Problem struct {
 	Frozen map[int]int64
 }
 
-// GAOptions tunes the genetic algorithm.
-//
-// The zero value of every field means "use the default", so an explicit
-// zero rate cannot be expressed directly: pass a negative CrossRate or
-// MutRate to request a true zero (no crossover / no mutation).
+// The GA's breeding operators are fixed.
+const (
+	tournamentSize = 3    // contestants per parent selection
+	crossRate      = 0.5  // per-gene probability of taking parent B
+	mutRate        = 0.08 // per-gene mutation probability
+	elite          = 2    // individuals carried over unchanged
+)
+
+// GAOptions tunes the genetic algorithm. The zero value of a size means
+// "use the default".
 type GAOptions struct {
-	Population  int     // default 60
-	Generations int     // default 40
-	Tournament  int     // default 3
-	CrossRate   float64 // per-gene probability of taking parent B (default 0.5; negative = explicit 0)
-	MutRate     float64 // per-gene mutation probability (default 0.08; negative = explicit 0)
-	Elite       int     // individuals carried over unchanged (default 2)
+	Population  int // default 60
+	Generations int // default 40
 	// Workers bounds the fitness-evaluation concurrency (0 = GOMAXPROCS,
 	// 1 = serial). The search trajectory is identical for every value:
 	// all randomness is drawn on the breeding goroutine in a fixed order,
@@ -56,24 +57,6 @@ func (o GAOptions) withDefaults() GAOptions {
 	}
 	if o.Generations == 0 {
 		o.Generations = 40
-	}
-	if o.Tournament == 0 {
-		o.Tournament = 3
-	}
-	switch {
-	case o.CrossRate == 0:
-		o.CrossRate = 0.5
-	case o.CrossRate < 0:
-		o.CrossRate = 0
-	}
-	switch {
-	case o.MutRate == 0:
-		o.MutRate = 0.08
-	case o.MutRate < 0:
-		o.MutRate = 0
-	}
-	if o.Elite == 0 {
-		o.Elite = 2
 	}
 	return o
 }
@@ -138,7 +121,7 @@ func OptimizeCtx(ctx context.Context, p Problem, opt GAOptions, rng *rand.Rand) 
 
 	tournament := func() doe.Point {
 		wi := rng.Intn(len(pop))
-		for t := 1; t < opt.Tournament; t++ {
+		for t := 1; t < tournamentSize; t++ {
 			c := rng.Intn(len(pop))
 			if fit[c] < fit[wi] {
 				wi = c
@@ -154,19 +137,19 @@ func OptimizeCtx(ctx context.Context, p Problem, opt GAOptions, rng *rand.Rand) 
 		next := make([]doe.Point, 0, opt.Population)
 		// Elitism: carry the best individuals forward.
 		order := sortedByFitness(fit)
-		for e := 0; e < opt.Elite && e < len(order); e++ {
+		for e := 0; e < elite && e < len(order); e++ {
 			next = append(next, append(doe.Point{}, pop[order[e]]...))
 		}
 		for len(next) < opt.Population {
 			a, b := tournament(), tournament()
 			child := make(doe.Point, k)
 			for g := 0; g < k; g++ {
-				if rng.Float64() < opt.CrossRate {
+				if rng.Float64() < crossRate {
 					child[g] = b[g]
 				} else {
 					child[g] = a[g]
 				}
-				if rng.Float64() < opt.MutRate {
+				if rng.Float64() < mutRate {
 					levels := p.Space.Vars[g].LevelValues()
 					child[g] = levels[rng.Intn(len(levels))]
 				}

@@ -76,32 +76,3 @@ func insertionSortedByFitness(fit []float64) []int {
 	}
 	return idx
 }
-
-// The zero value of every GAOptions field means "default"; negative rates
-// are the explicit-zero sentinel.
-func TestGAOptionsExplicitZeroRates(t *testing.T) {
-	def := GAOptions{}.withDefaults()
-	if def.CrossRate != 0.5 || def.MutRate != 0.08 {
-		t.Fatalf("defaults = %+v", def)
-	}
-	zero := GAOptions{CrossRate: -1, MutRate: -1}.withDefaults()
-	if zero.CrossRate != 0 || zero.MutRate != 0 {
-		t.Fatalf("explicit zero = %+v", zero)
-	}
-	set := GAOptions{CrossRate: 0.3, MutRate: 0.2}.withDefaults()
-	if set.CrossRate != 0.3 || set.MutRate != 0.2 {
-		t.Fatalf("explicit values overwritten: %+v", set)
-	}
-
-	// Behavioral check: with crossover and mutation both explicitly off,
-	// children are copies of tournament winners, so every individual ever
-	// seen is from the initial population.
-	s := smallSpace()
-	m := funcModel{func(x []float64) float64 { return x[2] + x[3] }}
-	res := optimize(Problem{Space: s, Model: m},
-		GAOptions{Population: 8, Generations: 5, CrossRate: -1, MutRate: -1},
-		rand.New(rand.NewSource(5)))
-	if res == nil || res.Evals != 8*6 {
-		t.Fatalf("unexpected result: %+v", res)
-	}
-}

@@ -76,7 +76,7 @@ func (s *Server) trainCross(scaleName string) (*CrossArtifacts, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cross dataset: %w", err)
 	}
-	models, err := exp.FitCrossModels(cd.Data, s.opts.Workers, model.MARSOptions{})
+	models, err := exp.FitCrossModels(cd.Data, s.opts.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("cross fit: %w", err)
 	}

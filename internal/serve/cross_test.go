@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/farm"
 	"repro/internal/features"
+	"repro/internal/model"
 	"repro/internal/wlgen"
 )
 
@@ -211,6 +212,36 @@ func TestPredictProgramWaiterHonoursContext(t *testing.T) {
 	}
 	if got, want := executions.Load(), int64((7+4)*3); got != want {
 		t.Errorf("training dispatched %d sims, want %d", got, want)
+	}
+}
+
+// TestServedCrossMARSIsPruned pins the served cross model to the term budget
+// LOPO evaluates: on a pool of 120 rows in 49 variables the package-default
+// budget would keep every forward basis with an infinite GCV, so the "mars"
+// model (also the RBF-RT trend) must stay within 21 bases and score finite.
+func TestServedCrossMARSIsPruned(t *testing.T) {
+	var executions atomic.Int64
+	features.ClearCache()
+	srv := New(Options{
+		Scale:           "quick",
+		CrossCorpusSize: 13, // 7 seeds + 13 generated programs, 6 points each
+		CrossPointsPer:  6,
+		Measure:         countingMeasure(&executions),
+	})
+	defer srv.Close()
+	art, err := srv.trainCross("quick")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if art.Rows < 120 {
+		t.Fatalf("pool has %d rows, want at least 120", art.Rows)
+	}
+	mars := art.Models["mars"].(model.LogModel).Inner.(*model.MARSModel)
+	if n := len(mars.Bases); n > 21 {
+		t.Errorf("served mars keeps %d bases, want at most 21", n)
+	}
+	if math.IsInf(mars.GCVScore, 0) || math.IsNaN(mars.GCVScore) {
+		t.Errorf("served mars GCV = %v, want finite", mars.GCVScore)
 	}
 }
 

@@ -816,7 +816,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		emit("trace_shared_sims_total", st.TraceSharedSims)
 		emit("binary_groups_total", st.BinaryGroups)
 		emit("groups_dispatched_total", st.GroupsDispatched)
-		emit("groups_hedged_total", st.GroupsHedged)
 		emit("groups_requeued_total", st.GroupsRequeued)
 		emit("workers_live", st.WorkersLive)
 		emit("worker_local_hits_total", st.WorkerLocalHits)
@@ -837,9 +836,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			emitW("groups_total", pw.Groups)
 			emitW("local_hits_total", pw.LocalHits)
 		}
-		emit("blocks_translated_total", st.BlocksTranslated)
-		emit("translated_instrs_total", st.TranslatedInstrs)
-		emit("slow_path_entries_total", st.SlowPathEntries)
 	}
 }
 

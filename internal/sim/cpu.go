@@ -362,9 +362,9 @@ func instrSources(in *isa.Instr) (uint8, uint8) {
 }
 
 // Simulate runs prog to completion (bounded by maxInstrs) under the given
-// configuration and returns the statistics. It runs the tier the farm runs
-// for a lone point — the basic-block translated engine, whose slow path is
-// runFused; every engine returns bit-for-bit the same Stats.
+// configuration and returns the statistics. It is where production picks the
+// engine: the basic-block translated engine, whose slow path is runFused;
+// every engine returns bit-for-bit the same Stats.
 func Simulate(prog *isa.Program, cfg Config, maxInstrs int64) (Stats, error) {
 	st, _, err := SimulateEngine(prog, cfg, maxInstrs, EngineBB)
 	return st, err
