@@ -46,7 +46,6 @@ import (
 	"repro/internal/doe"
 	"repro/internal/exp"
 	"repro/internal/farm"
-	"repro/internal/features"
 	"repro/internal/model"
 	"repro/internal/search"
 	"repro/internal/sim"
@@ -623,25 +622,6 @@ func BenchmarkFitMARS(b *testing.B) {
 		terms = m.NumParams()
 	}
 	b.ReportMetric(float64(terms), "terms")
-}
-
-// BenchmarkFeatureExtract times cold feature extraction (parse → check →
-// optimize → link → functional profile) across the full seed suite — the
-// per-program cost /v1/predict-program pays on a fingerprint-cache miss.
-func BenchmarkFeatureExtract(b *testing.B) {
-	var coldT time.Duration
-	for i := 0; i < b.N; i++ {
-		features.ClearCache()
-		start := time.Now()
-		for _, name := range workloads.Names() {
-			if _, err := features.Extract(workloads.MustGet(name, workloads.Train)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		coldT = time.Since(start)
-	}
-	b.ReportMetric(coldT.Seconds()*1e3, "extract-ms")
-	b.ReportMetric(coldT.Seconds()*1e3/float64(len(workloads.Names())), "per-program-ms")
 }
 
 // BenchmarkCrossValidate times 5-fold CV of a MARS fitter on the full

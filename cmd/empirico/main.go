@@ -9,7 +9,6 @@
 //	empirico -exp table3 -scale quick    # model accuracy comparison
 //	empirico -exp all -programs 179.art,181.mcf
 //	empirico -exp table7 -cache .empirico-cache
-//	empirico -exp lopo -gen 100 -folds 8 # cross-program generalization
 //
 // Experiments sharing measurements reuse them within a run, and across runs
 // when -cache is set.
@@ -27,13 +26,12 @@ import (
 	"repro/internal/dist"
 	"repro/internal/doe"
 	"repro/internal/exp"
-	"repro/internal/wlgen"
 	"repro/internal/workloads"
 )
 
 func main() {
 	var (
-		expName  = flag.String("exp", "all", "experiment: space|fig3|table3|table4|fig5|fig6|table6|fig7|table7|lopo|all")
+		expName  = flag.String("exp", "all", "experiment: space|fig3|table3|table4|fig5|fig6|table6|fig7|table7|all")
 		scale    = flag.String("scale", "default", "scale: quick|default|paper")
 		programs = flag.String("programs", "", "comma-separated benchmark subset (default: all seven)")
 		seed     = flag.Int64("seed", 1, "random seed for designs and search")
@@ -43,14 +41,6 @@ func main() {
 		waddrs   = flag.String("workers-addrs", "", "comma-separated empirico-worker addresses; measurements shard across them instead of running in-process (results identical)")
 		ctrlAddr = flag.String("control-addr", "", "serve the coordinator control API (worker register/deregister) on this address; implies an elastic fleet, usable with an empty -workers-addrs")
 		quiet    = flag.Bool("q", false, "suppress progress output")
-
-		// -exp lopo only: leave-one-program-out over the seed suite plus a
-		// generated corpus.
-		genN     = flag.Int("gen", 100, "lopo: wlgen programs added to the seed suite")
-		genSeed  = flag.Int64("gen-seed", 7, "lopo: wlgen corpus seed")
-		lopoPts  = flag.Int("points", 6, "lopo: measured joint points per program")
-		folds    = flag.Int("folds", 0, "lopo: held-out programs evaluated (0 = all)")
-		baseline = flag.Bool("baseline", false, "lopo: also fit per-program baselines on the held-out programs' own rows")
 	)
 	flag.Parse()
 
@@ -95,11 +85,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Println(txt)
-		return
-	case "lopo":
-		if err := runLOPO(h, names, *genSeed, *genN, *lopoPts, *folds, *baseline); err != nil {
-			fatal(err)
-		}
 		return
 	}
 	if !needStudy[*expName] {
@@ -184,39 +169,6 @@ func main() {
 			fatal(err)
 		}
 	}
-}
-
-// runLOPO builds the pooled cross-program dataset (seed suite — or the
-// -programs subset — plus a generated corpus) and evaluates how well models
-// fitted on every other program predict each held-out one.
-func runLOPO(h *exp.Harness, names []string, genSeed int64, genN, pointsPer, folds int, baseline bool) error {
-	if len(names) == 0 {
-		names = workloads.Names()
-	}
-	ws := make([]workloads.Workload, 0, len(names)+genN)
-	for _, name := range names {
-		w, err := workloads.Get(name, workloads.Train)
-		if err != nil {
-			return err
-		}
-		ws = append(ws, w)
-	}
-	for _, p := range wlgen.Corpus(genSeed, genN) {
-		ws = append(ws, p.Workload())
-	}
-	cd, err := h.BuildCrossDataset(ws, pointsPer)
-	if err != nil {
-		return err
-	}
-	res, err := h.RunLOPO(cd, exp.LOPOOptions{
-		MaxFolds: folds,
-		Baseline: baseline,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Println(res.LOPOTable())
-	return nil
 }
 
 func printSpaces() {

@@ -9,7 +9,6 @@
 // Endpoints:
 //
 //	POST /v1/predict   batch model predictions at raw design points
-//	POST /v1/predict-program  cross-model predictions for raw MiniC source
 //	POST /v1/measure   ground truth (compile + simulate), shared in the planner
 //	POST /v1/search    GA flag search, streamed generation-by-generation
 //	GET  /v1/rank      significant-term ranking of the fitted model
@@ -63,10 +62,6 @@ func main() {
 		waddrs   = flag.String("workers-addrs", "", "comma-separated empirico-worker addresses; measurements shard across them instead of running in-process")
 		ctrlAddr = flag.String("control-addr", "", "serve the coordinator control API (worker register/deregister) on this address; implies an elastic fleet, usable with an empty -workers-addrs")
 		quiet    = flag.Bool("q", false, "suppress progress output")
-
-		crossSeed = flag.Int64("cross-seed", 0, "predict-program: wlgen corpus seed (0 = default)")
-		crossN    = flag.Int("cross-corpus", 0, "predict-program: wlgen programs added to the seed suite (0 = default)")
-		crossPts  = flag.Int("cross-points", 0, "predict-program: measured joint points per corpus program (0 = default)")
 	)
 	flag.Parse()
 
@@ -74,19 +69,16 @@ func main() {
 		fatal(fmt.Errorf("-replica requires -artifacts"))
 	}
 	opts := serve.Options{
-		Scale:           *scale,
-		CacheDir:        *cacheDir,
-		Workers:         *workers,
-		TrainPoints:     *train,
-		MaxModels:       *models,
-		ArtifactDir:     *artDir,
-		Replica:         *replica,
-		RatePerSec:      *rate,
-		RateBurst:       *burst,
-		MaxInFlight:     *inflight,
-		CrossCorpusSeed: *crossSeed,
-		CrossCorpusSize: *crossN,
-		CrossPointsPer:  *crossPts,
+		Scale:       *scale,
+		CacheDir:    *cacheDir,
+		Workers:     *workers,
+		TrainPoints: *train,
+		MaxModels:   *models,
+		ArtifactDir: *artDir,
+		Replica:     *replica,
+		RatePerSec:  *rate,
+		RateBurst:   *burst,
+		MaxInFlight: *inflight,
 	}
 	if !*quiet {
 		opts.Log = os.Stderr

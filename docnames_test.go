@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -51,8 +52,126 @@ func TestDocNamesResolve(t *testing.T) {
 					t.Errorf("%s:%d: %s names %s.%s, which type %s has no method or field %s", doc, line, code, typ, name, typ, name)
 				}
 			}
+			checkFlags(t, doc, line, strings.Trim(code, "`"))
+		}
+		for _, cl := range fencedLines(string(text)) {
+			checkFlags(t, doc, cl.line, cl.text)
 		}
 	}
+}
+
+// command matches a command line of this repo's tools: `go run ./cmd/<name>`
+// or the bare (or path-qualified) binary name, followed by its arguments.
+var command = regexp.MustCompile(`^(?:go run \./cmd/([\w-]+)|(?:[\w./-]*/)?(empirico-worker|empiricod|empirico|simrun|minicc|plotfigs|loadgen))(?:\s|$)`)
+
+// listSep splits a shell line into its commands: pipelines, lists,
+// background jobs and redirections each end one.
+var listSep = regexp.MustCompile(`&&|\|\||[|;&>]`)
+
+// cmdFlags caches each command's declared flags; nil for a command with no
+// main.go.
+var cmdFlags = map[string]map[string]bool{}
+
+// checkFlags holds one command line to its command: every -flag after a
+// repo command must be declared by a flag.* call in cmd/<name>/main.go.
+func checkFlags(t *testing.T, doc string, line int, text string) {
+	t.Helper()
+	if i := strings.Index(text, "#"); i >= 0 {
+		text = text[:i]
+	}
+	for _, part := range listSep.Split(text, -1) {
+		part = strings.TrimPrefix(strings.TrimSpace(part), "$ ")
+		m := command.FindStringSubmatch(part)
+		if m == nil {
+			continue
+		}
+		name := m[1] + m[2]
+		flags, ok := cmdFlags[name]
+		if !ok {
+			flags = declaredFlags(filepath.Join("cmd", name, "main.go"))
+			cmdFlags[name] = flags
+		}
+		if flags == nil {
+			t.Errorf("%s:%d: %q runs %s, which has no cmd/%s/main.go", doc, line, part, name, name)
+			continue
+		}
+		for _, arg := range strings.Fields(part[len(m[0]):]) {
+			f := strings.TrimLeft(arg, "-")
+			if dashes := len(arg) - len(f); dashes == 0 || dashes > 2 || f == "" || !isLetter(f[0]) {
+				continue // an operand, a value, or a negative number
+			}
+			f, _, _ = strings.Cut(f, "=")
+			if !flags[f] {
+				t.Errorf("%s:%d: %q passes -%s, which %s does not declare", doc, line, part, f, name)
+			}
+		}
+	}
+}
+
+func isLetter(c byte) bool { return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' }
+
+// declaredFlags returns the names of the flags a command's main.go declares
+// with flag.* calls: the first string literal argument of each. It returns
+// nil when the file does not parse or does not exist.
+func declaredFlags(path string) map[string]bool {
+	f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+	if err != nil {
+		return nil
+	}
+	out := map[string]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+			return true
+		}
+		for _, arg := range call.Args {
+			if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if name, err := strconv.Unquote(lit.Value); err == nil {
+					out[name] = true
+				}
+				break
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// codeLine is one logical line of a fenced code block, backslash
+// continuations joined, with the file line it starts on.
+type codeLine struct {
+	line int
+	text string
+}
+
+// fencedLines returns the logical lines of the text's fenced code blocks.
+func fencedLines(text string) []codeLine {
+	var out []codeLine
+	fenced, cont := false, false
+	for i, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			fenced, cont = !fenced, false
+			continue
+		}
+		if !fenced {
+			continue
+		}
+		body := strings.TrimSuffix(line, "\\")
+		if cont {
+			out[len(out)-1].text += " " + strings.TrimSpace(body)
+		} else {
+			out = append(out, codeLine{i + 1, strings.TrimSpace(body)})
+		}
+		cont = len(body) < len(line)
+	}
+	return out
 }
 
 // withoutFences blanks the lines of fenced code blocks (shell sessions,

@@ -44,7 +44,7 @@ func TestLinkCallToUnknownFunction(t *testing.T) {
 		{Op: ir.OpRet, X: v},
 	}
 	p := &ir.Program{Funcs: []*ir.Func{f}}
-	alloc := AllocateWithPriority(f, true, PriorityFrequency)
+	alloc := Allocate(f, true)
 	mf, err := GenFunc(f, alloc, true, map[string]int64{})
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestGenFuncRejectsTooManyArgs(t *testing.T) {
 		ir.Instr{Op: ir.OpCall, Dst: dst, Sym: "f", Args: args},
 		ir.Instr{Op: ir.OpRet, X: dst},
 	)
-	alloc := AllocateWithPriority(f, true, PriorityFrequency)
+	alloc := Allocate(f, true)
 	if _, err := GenFunc(f, alloc, true, map[string]int64{}); err == nil {
 		t.Fatal("expected too-many-args error")
 	}

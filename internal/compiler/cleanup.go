@@ -82,18 +82,6 @@ func evalBinop(op ir.Op, x, y int64) (int64, bool) {
 	return 0, false
 }
 
-func isPow2(v int64) (uint, bool) {
-	if v <= 0 || v&(v-1) != 0 {
-		return 0, false
-	}
-	var k uint
-	for v > 1 {
-		v >>= 1
-		k++
-	}
-	return k, true
-}
-
 // foldConstants evaluates pure ops with constant operands and applies
 // algebraic identities.
 func foldConstants(f *ir.Func) bool {

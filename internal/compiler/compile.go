@@ -53,7 +53,7 @@ func Compile(src *lang.Program, opts Options) (*isa.Program, *Stats, error) {
 	stats := &Stats{IRInstrs: p.InstrCount()}
 	var mfs []*MachineFunc
 	for _, f := range p.Funcs {
-		alloc := AllocateWithPriority(f, opts.OmitFramePointer, opts.SpillPriority)
+		alloc := Allocate(f, opts.OmitFramePointer)
 		stats.SpillSlots += alloc.NumSlots
 		mf, err := GenFunc(f, alloc, opts.OmitFramePointer, globals)
 		if err != nil {
@@ -82,9 +82,8 @@ func CompileSource(src string, opts Options) (*isa.Program, *Stats, error) {
 }
 
 // OptimizeIR applies the IR-level passes of opts to an already-lowered
-// program: the optimization half of Compile, which tools (minicc -dump-ir)
-// and the feature extractor call to inspect the IR every measured binary is
-// built from.
+// program: the optimization half of Compile, which minicc -dump-ir calls to
+// show the IR every measured binary is built from.
 func OptimizeIR(p *ir.Program, opts Options) {
 	opts = opts.withDefaults()
 	CleanupProgram(p)

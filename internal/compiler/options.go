@@ -36,11 +36,6 @@ type Options struct {
 	// configuration compiler builds. It does not change correctness, only
 	// the scheduler's resource model.
 	TargetIssueWidth int
-
-	// SpillPriority selects the register allocator's spill-cost function —
-	// an extension demonstrating the paper's categorical-variable encoding
-	// (Section 2.2); it is not part of the modeled Table 1 space.
-	SpillPriority SpillPriority
 }
 
 // Defaults for the numeric heuristics (the paper's "default O3" row in

@@ -390,7 +390,7 @@ int main() {
 
 func TestAllocateRespectsRegisterBudget(t *testing.T) {
 	_, f := lowerAndClean(t, loopSumSrc, "main")
-	alloc := AllocateWithPriority(f, true, PriorityFrequency)
+	alloc := Allocate(f, true)
 	seen := map[int16]bool{}
 	for _, r := range alloc.Reg {
 		if r < 0 {
@@ -408,7 +408,7 @@ func TestAllocateRespectsRegisterBudget(t *testing.T) {
 		}
 	}
 	// With FP kept, r3 must never be allocated.
-	alloc2 := AllocateWithPriority(f, false, PriorityFrequency)
+	alloc2 := Allocate(f, false)
 	for _, r := range alloc2.Reg {
 		if r == 3 {
 			t.Fatal("frame pointer allocated while in use")
@@ -448,7 +448,7 @@ int main() {
 	return c + d + a + b;
 }`
 	_, f := lowerAndClean(t, src, "main")
-	alloc := AllocateWithPriority(f, true, PriorityFrequency)
+	alloc := Allocate(f, true)
 	lv := ir.ComputeLiveness(f)
 	for _, b := range f.Blocks {
 		live := liveAcross(f, lv, b)

@@ -7,38 +7,6 @@ import (
 	"repro/internal/isa"
 )
 
-// SpillPriority selects the spill-cost function the allocator uses to pick
-// victims — a categorical compiler parameter in the sense of the paper's
-// Section 2.2 ("a set of priority functions can be represented by a single
-// categorical variable"). The default matches gcc-style frequency weighting.
-type SpillPriority uint8
-
-const (
-	// PriorityFrequency weighs an interval by the estimated execution
-	// frequency of its uses: spill cold values first.
-	PriorityFrequency SpillPriority = iota
-	// PrioritySpan weighs an interval inversely by its length: spill
-	// long-lived values first, freeing a register for longer.
-	PrioritySpan
-	// PriorityDensity weighs by frequency per unit length (use density):
-	// spill values that occupy a register long but earn little.
-	PriorityDensity
-	// NumSpillPriorities counts the alternatives.
-	NumSpillPriorities
-)
-
-func (p SpillPriority) String() string {
-	switch p {
-	case PriorityFrequency:
-		return "frequency"
-	case PrioritySpan:
-		return "span"
-	case PriorityDensity:
-		return "density"
-	}
-	return "spill-priority?"
-}
-
 // Allocation is the result of register allocation for one function: every
 // virtual register is mapped to either a physical register or a spill slot.
 type Allocation struct {
@@ -76,11 +44,11 @@ type interval struct {
 	weight     float64 // spill cost estimate: Σ freq of touching blocks
 }
 
-// AllocateWithPriority performs linear-scan register allocation over f,
-// choosing spill victims by prio. Block order follows f.Blocks. The
-// returned allocation covers every virtual register that is ever live;
-// registers never touched map to (-1, -1).
-func AllocateWithPriority(f *ir.Func, omitFP bool, prio SpillPriority) *Allocation {
+// Allocate performs linear-scan register allocation over f, choosing spill
+// victims by the estimated execution frequency of their uses. Block order
+// follows f.Blocks. The returned allocation covers every virtual register
+// that is ever live; registers never touched map to (-1, -1).
+func Allocate(f *ir.Func, omitFP bool) *Allocation {
 	n := f.NumValues()
 	alloc := &Allocation{
 		Reg:  make([]int16, n),
@@ -95,16 +63,6 @@ func AllocateWithPriority(f *ir.Func, omitFP bool, prio SpillPriority) *Allocati
 	ivals := buildIntervals(f, lv)
 	if len(ivals) == 0 {
 		return alloc
-	}
-	// Re-weight intervals per the selected priority function.
-	for i := range ivals {
-		length := float64(ivals[i].end-ivals[i].start) + 1
-		switch prio {
-		case PrioritySpan:
-			ivals[i].weight = 1e9 / length
-		case PriorityDensity:
-			ivals[i].weight = ivals[i].weight / length
-		}
 	}
 	pool := allocatableRegs(omitFP)
 

@@ -61,8 +61,8 @@ func (d *Design) Matrix() *linalg.Matrix {
 	return linalg.FromRows(rows)
 }
 
-// LogDet returns log det(XᵀX) of the design's information matrix.
-func (d *Design) LogDet() float64 { return linalg.LogDetGram(d.Matrix()) }
+// logDet returns log det(XᵀX) of the design's information matrix.
+func (d *Design) logDet() float64 { return linalg.LogDetGram(d.Matrix()) }
 
 // DOptions tunes the Fedorov exchange search.
 type DOptions struct {

@@ -251,7 +251,7 @@ func TestDOptimalBeatsRandom(t *testing.T) {
 	if len(des.Points) != n {
 		t.Fatalf("design size %d, want %d", len(des.Points), n)
 	}
-	dOptDet := des.LogDet()
+	dOptDet := des.logDet()
 
 	// Average random designs of the same size.
 	sum, trials := 0.0, 10
@@ -260,7 +260,7 @@ func TestDOptimalBeatsRandom(t *testing.T) {
 		for j := 0; j < n; j++ {
 			r.Points = append(r.Points, s.RandomPoint(rng))
 		}
-		sum += r.LogDet()
+		sum += r.logDet()
 	}
 	randDet := sum / float64(trials)
 	if dOptDet <= randDet {
@@ -297,7 +297,7 @@ func TestAugmentKeepsExistingPoints(t *testing.T) {
 			}
 		}
 	}
-	if aug.LogDet() <= base.LogDet() {
+	if aug.logDet() <= base.logDet() {
 		t.Error("adding points should increase information")
 	}
 }

@@ -74,7 +74,7 @@ func TestDOptimalLogDetNonDecreasingAcrossSweeps(t *testing.T) {
 	for _, sweeps := range []int{-1, 1, 2, 4} {
 		des := DOptimal(s, 20, rand.New(rand.NewSource(23)),
 			DOptions{Expansion: ExpandLinear, MaxSweeps: sweeps})
-		ld := des.LogDet()
+		ld := des.logDet()
 		if ld < prev-1e-6 {
 			t.Fatalf("logdet decreased at MaxSweeps=%d: %.6f -> %.6f", sweeps, prev, ld)
 		}
@@ -99,7 +99,7 @@ func TestAugmentDOptimalLogDetNonDecreasingAcrossSweeps(t *testing.T) {
 				}
 			}
 		}
-		ld := aug.LogDet()
+		ld := aug.logDet()
 		if ld < prev-1e-6 {
 			t.Fatalf("logdet decreased at MaxSweeps=%d: %.6f -> %.6f", sweeps, prev, ld)
 		}
@@ -116,7 +116,7 @@ func TestDOptimalMatchesReferenceQuality(t *testing.T) {
 	opt := DOptions{Expansion: ExpandLinear, MaxSweeps: 4}
 	fast := DOptimal(s, 30, rand.New(rand.NewSource(37)), opt)
 	ref := DOptimalRef(s, 30, rand.New(rand.NewSource(37)), opt)
-	lf, lr := fast.LogDet(), ref.LogDet()
+	lf, lr := fast.logDet(), ref.logDet()
 	if math.Abs(lf-lr) > 0.01*math.Abs(lr)+1e-6 {
 		t.Fatalf("incremental logdet %.4f vs reference %.4f", lf, lr)
 	}

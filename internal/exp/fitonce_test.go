@@ -72,8 +72,6 @@ func TestFitAllSharesTrend(t *testing.T) {
 	for _, p := range h.Space().LatinHypercube(200, h.rngFor("probe")) {
 		xs = append(xs, h.Space().Code(p))
 	}
-	rbfOpt := model.RBFOptions{Kernel: model.Multiquadric}
-	capped := model.MARSOptions{MaxTerms: 21, MaxKnots: 8}
 	trendOf := func(ms map[string]model.Model) (trend, mars *model.MARSModel) {
 		return ms["rbf"].(model.LogModel).Inner.(*model.HybridRBFModel).Trend,
 			ms["mars"].(model.LogModel).Inner.(*model.MARSModel)
@@ -92,14 +90,6 @@ func TestFitAllSharesTrend(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cmars, err := model.FitMARS(logData, capped)
-		if err != nil {
-			t.Fatal(err)
-		}
-		crbf, err := model.FitHybridRBF(logData, capped, rbfOpt)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, workers := range []int{1, 2, 4} {
 			what := fmt.Sprintf("%s workers=%d", pd.Workload.Key(), workers)
 			ms, err := FitAllParallel(data, workers)
@@ -112,18 +102,6 @@ func TestFitAllSharesTrend(t *testing.T) {
 			if trend, inner := trendOf(ms); trend != inner {
 				t.Fatalf("%s: FitAllParallel fitted the trend apart from the mars model", what)
 			}
-			cs, err := FitCrossModels(data, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(cs) != 3 {
-				t.Fatalf("%s: FitCrossModels returned %d models", what, len(cs))
-			}
-			sameBits(t, what+" cross mars", cs["mars"], model.LogModel{Inner: cmars}, xs)
-			sameBits(t, what+" cross rbf", cs["rbf"], model.LogModel{Inner: crbf}, xs)
-			if trend, inner := trendOf(cs); trend != inner {
-				t.Fatalf("%s: FitCrossModels fitted the trend apart from the mars model", what)
-			}
 		}
 	}
 
@@ -135,14 +113,11 @@ func TestFitAllSharesTrend(t *testing.T) {
 		calls.Add(1)
 		return model.FitMARS(d, mo)
 	}
-	for _, raw := range []bool{true, false} {
-		calls.Store(0)
-		if _, err := fitModels(data, 2, doe.ExpandLinear, model.MARSOptions{}, raw, counting); err != nil {
-			t.Fatal(err)
-		}
-		if want := map[bool]int64{true: 2, false: 1}[raw]; calls.Load() != want {
-			t.Fatalf("raw=%v: %d MARS fits, want %d", raw, calls.Load(), want)
-		}
+	if _, err := fitModels(data, 2, counting); err != nil {
+		t.Fatal(err)
+	}
+	if calls.Load() != 2 {
+		t.Fatalf("%d MARS fits, want 2", calls.Load())
 	}
 	errLog, errRaw := errors.New("log fit failed"), errors.New("raw fit failed")
 	failing := func(failLog bool) func(*model.Dataset, model.MARSOptions) (*model.MARSModel, error) {
@@ -157,10 +132,10 @@ func TestFitAllSharesTrend(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 4} {
-		if _, err := fitModels(data, workers, doe.ExpandLinear, model.MARSOptions{}, true, failing(true)); !errors.Is(err, errLog) {
+		if _, err := fitModels(data, workers, failing(true)); !errors.Is(err, errLog) {
 			t.Fatalf("workers=%d: both fits failed, got %v, want the log fit's error", workers, err)
 		}
-		if _, err := fitModels(data, workers, doe.ExpandLinear, model.MARSOptions{}, true, failing(false)); !errors.Is(err, errRaw) {
+		if _, err := fitModels(data, workers, failing(false)); !errors.Is(err, errRaw) {
 			t.Fatalf("workers=%d: raw fit failed, got %v", workers, err)
 		}
 	}

@@ -401,25 +401,24 @@ func FitRBF(data *model.Dataset) (model.Model, error) {
 // errors are reported with the serial path's priority (linear, mars, rbf,
 // mars-raw).
 func FitAllParallel(data *model.Dataset, workers int) (map[string]model.Model, error) {
-	return fitModels(data, workers, doe.ExpandInteractions,
-		model.MARSOptions{Workers: workers}, true, model.FitMARS)
+	return fitModels(data, workers, model.FitMARS)
 }
 
-// fitModels is the fit schedule behind FitAllParallel and FitCrossModels:
-// the linear baseline ‖ MARS on the log response, then the RBF-RT residual
-// network on that fit as its trend ‖ MARS on the raw response when raw is
-// set. MARS therefore runs once per distinct dataset. Sharing the trend
-// changes no bit: FitRBF's own trend differs from it only in
-// MARSOptions.Workers, which FitMARS's result does not depend on. fitMARS
-// is model.FitMARS outside tests.
-func fitModels(data *model.Dataset, workers int, linear doe.Expansion, mo model.MARSOptions, raw bool,
+// fitModels is the fit schedule behind FitAllParallel: the linear baseline ‖
+// MARS on the log response, then the RBF-RT residual network on that fit as
+// its trend ‖ MARS on the raw response. MARS therefore runs once per
+// distinct dataset. Sharing the trend changes no bit: FitRBF's own trend
+// differs from it only in MARSOptions.Workers, which FitMARS's result does
+// not depend on. fitMARS is model.FitMARS outside tests.
+func fitModels(data *model.Dataset, workers int,
 	fitMARS func(*model.Dataset, model.MARSOptions) (*model.MARSModel, error)) (map[string]model.Model, error) {
 	var (
 		lin, mars, rbf, marsRaw model.Model
 		errs                    [4]error // in reporting order
 	)
-	tasks := []func(){
-		func() { lin, errs[0] = model.FitLinear(data, linear) },
+	mo := model.MARSOptions{Workers: workers}
+	par.Do(workers,
+		func() { lin, errs[0] = model.FitLinear(data, doe.ExpandInteractions) },
 		func() {
 			logData := model.LogDataset(data)
 			trend, err := fitMARS(logData, mo)
@@ -433,19 +432,12 @@ func fitModels(data *model.Dataset, workers int, linear doe.Expansion, mo model.
 			}
 			rbf = model.LogModel{Inner: hy}
 		},
-	}
-	if raw {
-		tasks = append(tasks, func() { marsRaw, errs[3] = fitMARS(data, mo) })
-	}
-	par.Do(workers, tasks...)
+		func() { marsRaw, errs[3] = fitMARS(data, mo) },
+	)
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	models := map[string]model.Model{"linear": lin, "mars": mars, "rbf": rbf}
-	if raw {
-		models["mars-raw"] = marsRaw
-	}
-	return models, nil
+	return map[string]model.Model{"linear": lin, "mars": mars, "rbf": rbf, "mars-raw": marsRaw}, nil
 }

@@ -273,7 +273,7 @@ func TestPlannerCompletionAppliedOnce(t *testing.T) {
 		if out.errs[i] != nil || out.res[i].Cycles != pointValue(pt) {
 			t.Errorf("job %d: (%v, %v), want the first outcome %v", i, out.res[i].Cycles, out.errs[i], pointValue(pt))
 		}
-		if v, _ := p.Store().Get(Key(tinyWorkload(), pt)); v != pointValue(pt) {
+		if v, _ := p.Store().get(Key(tinyWorkload(), pt)); v != pointValue(pt) {
 			t.Errorf("store holds %v for point %d, want the first outcome %v", v, i, pointValue(pt))
 		}
 	}
@@ -512,7 +512,7 @@ func TestPlannerRetriesTransientJournalError(t *testing.T) {
 				if out.errs[i] != nil || out.res[i].Cycles != pointValue(points[j]) {
 					t.Errorf("result (%v, %v) did not survive the journal failure", out.res[i].Cycles, out.errs[i])
 				}
-				if _, ok := store.Get(Key(tinyWorkload(), points[j])); !ok {
+				if _, ok := store.get(Key(tinyWorkload(), points[j])); !ok {
 					t.Errorf("point %d missing from the in-memory store", j)
 				}
 			}

@@ -123,8 +123,8 @@ func (s *Store) replayJournal() error {
 	return sc.Err()
 }
 
-// Get returns the stored value for key.
-func (s *Store) Get(key string) (float64, bool) {
+// get returns the stored value for key.
+func (s *Store) get(key string) (float64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	v, ok := s.m[key]
@@ -236,8 +236,8 @@ func (s *Store) Len() int {
 	return len(s.m)
 }
 
-// Snapshot returns a copy of the store contents (for tests and reporting).
-func (s *Store) Snapshot() map[string]float64 {
+// snapshot returns a copy of the store contents.
+func (s *Store) snapshot() map[string]float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make(map[string]float64, len(s.m))

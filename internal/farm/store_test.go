@@ -41,7 +41,7 @@ func TestStoreCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if v, ok := s2.Get("a"); !ok || v != 1.5 {
+	if v, ok := s2.get("a"); !ok || v != 1.5 {
 		t.Fatalf("reopened store: %v %v", v, ok)
 	}
 }
@@ -65,10 +65,10 @@ func TestStoreJournalSurvivesCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if v, ok := s2.Get("k1"); !ok || v != 10 {
+	if v, ok := s2.get("k1"); !ok || v != 10 {
 		t.Fatalf("journal replay lost k1: %v %v", v, ok)
 	}
-	if v, ok := s2.Get("k2"); !ok || v != 20 {
+	if v, ok := s2.get("k2"); !ok || v != 20 {
 		t.Fatalf("journal replay lost k2: %v %v", v, ok)
 	}
 }
@@ -98,7 +98,7 @@ func TestStoreRecoversFromCorruptCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if v, ok := s2.Get("fresh"); !ok || v != 3 {
+	if v, ok := s2.get("fresh"); !ok || v != 3 {
 		t.Fatalf("post-recovery checkpoint lost data: %v %v", v, ok)
 	}
 }
@@ -115,10 +115,10 @@ func TestStoreToleratesTruncatedJournalLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if v, ok := s.Get("good"); !ok || v != 42 {
+	if v, ok := s.get("good"); !ok || v != 42 {
 		t.Fatalf("intact journal line lost: %v %v", v, ok)
 	}
-	if _, ok := s.Get("torn"); ok {
+	if _, ok := s.get("torn"); ok {
 		t.Fatal("torn journal line must not be replayed")
 	}
 }
@@ -152,7 +152,7 @@ func TestStoreCheckpointTruncatesJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if v, ok := s2.Get("y"); !ok || v != 2 {
+	if v, ok := s2.get("y"); !ok || v != 2 {
 		t.Fatalf("post-checkpoint journal entry lost: %v %v", v, ok)
 	}
 }
@@ -168,7 +168,7 @@ func TestMemStoreNoFiles(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := s.Get("a"); !ok || v != 1 {
+	if v, ok := s.get("a"); !ok || v != 1 {
 		t.Fatalf("mem store lost value: %v %v", v, ok)
 	}
 }
@@ -199,10 +199,10 @@ func TestCheckpointCrashBeforeRenameRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := s2.Get("a"); !ok || v != 1 {
+	if v, ok := s2.get("a"); !ok || v != 1 {
 		t.Fatalf("journal replay lost a: %v %v", v, ok)
 	}
-	if v, ok := s2.Get("b"); !ok || v != 2 {
+	if v, ok := s2.get("b"); !ok || v != 2 {
 		t.Fatalf("journal replay lost b: %v %v", v, ok)
 	}
 	if err := s2.Checkpoint(); err != nil {
@@ -288,7 +288,7 @@ func TestStoreMergeIdempotentAndLastWriteWins(t *testing.T) {
 	if err != nil || added != 0 || conflicts != 1 {
 		t.Fatalf("conflicting merge: added=%d conflicts=%d err=%v", added, conflicts, err)
 	}
-	if v, _ := dst.Get("a"); v != 9 {
+	if v, _ := dst.get("a"); v != 9 {
 		t.Fatalf("conflict did not overwrite: a = %v", v)
 	}
 	if err := dst.Close(); err != nil {
@@ -301,10 +301,10 @@ func TestStoreMergeIdempotentAndLastWriteWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if v, _ := re.Get("a"); v != 9 {
+	if v, _ := re.get("a"); v != 9 {
 		t.Fatalf("reopened merged store: a = %v, want 9", v)
 	}
-	if v, _ := re.Get("b"); v != 2 {
+	if v, _ := re.get("b"); v != 2 {
 		t.Fatalf("reopened merged store: b = %v, want 2", v)
 	}
 }
@@ -335,8 +335,8 @@ func TestStoreSinceMergeShipsWholeStore(t *testing.T) {
 	if added, conflicts, err := dst.Merge(delta); err != nil || added != 2 || conflicts != 0 {
 		t.Fatalf("merge of reopened store: added=%d conflicts=%d err=%v", added, conflicts, err)
 	}
-	want := src.Snapshot()
-	got := dst.Snapshot()
+	want := src.snapshot()
+	got := dst.snapshot()
 	if len(got) != len(want) {
 		t.Fatalf("merged %d entries, want %d", len(got), len(want))
 	}

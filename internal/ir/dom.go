@@ -171,8 +171,7 @@ func FindLoops(f *Func, dom *DomTree) []*Loop {
 
 // BlockLoopDepths returns the loop-nesting depth of every block of f: 0 for
 // blocks outside any loop, otherwise the depth of the innermost containing
-// loop (1 = outermost). Static profile estimation and the program-feature
-// extractor (internal/features) share it.
+// loop (1 = outermost). Static profile estimation uses it.
 func BlockLoopDepths(f *Func, loops []*Loop) map[*Block]int {
 	depth := make(map[*Block]int, len(f.Blocks))
 	for _, l := range loops {

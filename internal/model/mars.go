@@ -112,8 +112,8 @@ func FitMARS(data *Dataset, opt MARSOptions) (*MARSModel, error) {
 }
 
 // marsCacheBytes bounds what one forward pass retains of its candidates'
-// orthogonalised hinge pairs, 16·n bytes each (up to 140 MB unbounded at the
-// cross-program shape). First come, first cached — the oldest are rescored
+// orthogonalised hinge pairs, 16·n bytes each (up to 140 MB unbounded at 234
+// rows in 49 variables). First come, first cached — the oldest are rescored
 // most often; a candidate past the bound is scored by the same function from
 // its raw hinge pair in worker scratch, to the same bits.
 const marsCacheBytes = 64 << 20

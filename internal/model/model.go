@@ -78,42 +78,6 @@ func (d *Dataset) Dim() int { return len(d.X[0]) }
 // Len returns the number of samples.
 func (d *Dataset) Len() int { return len(d.X) }
 
-// Subset returns the dataset restricted to the given row indices, in the
-// given order. Rows are shared, not copied — subsets are views, so
-// leave-one-program-out folds over a pooled dataset cost only the index
-// slices.
-func (d *Dataset) Subset(idx []int) (*Dataset, error) {
-	xs := make([][]float64, len(idx))
-	ys := make([]float64, len(idx))
-	for i, j := range idx {
-		if j < 0 || j >= d.Len() {
-			return nil, fmt.Errorf("model: subset index %d out of range [0, %d)", j, d.Len())
-		}
-		xs[i] = d.X[j]
-		ys[i] = d.Y[j]
-	}
-	return NewDataset(xs, ys)
-}
-
-// Columns returns the dataset restricted to the given predictor columns, in
-// the given order. Responses are shared; rows are rebuilt. The
-// leave-one-program-out baseline uses it to drop the feature block (constant
-// within one program, hence singular in a per-program fit).
-func (d *Dataset) Columns(cols []int) (*Dataset, error) {
-	xs := make([][]float64, d.Len())
-	for i, x := range d.X {
-		row := make([]float64, len(cols))
-		for k, c := range cols {
-			if c < 0 || c >= len(x) {
-				return nil, fmt.Errorf("model: column index %d out of range [0, %d)", c, len(x))
-			}
-			row[k] = x[c]
-		}
-		xs[i] = row
-	}
-	return NewDataset(xs, d.Y)
-}
-
 // PredictAll evaluates m at every point of xs.
 func PredictAll(m Model, xs [][]float64) []float64 {
 	out := make([]float64, len(xs))

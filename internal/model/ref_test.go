@@ -301,8 +301,8 @@ func TestFitMARSMatchesRef(t *testing.T) {
 	}
 }
 
-// At the cross-program shape (serve/cross.go: 234 rows × 49 variables,
-// default options: 99 terms) the cache stays inside its bound and the fit
+// At 234 rows × 49 variables (default options: 99 terms), wider than any
+// per-program fit, the cache stays inside its bound and the fit
 // equals one that caches nothing. The uncached fit costs what the reference
 // does, so -short stops both after 21 terms.
 func TestFitMARSCacheBounded(t *testing.T) {

@@ -8,7 +8,7 @@ import (
 
 // Cache is a keyed single-flight cache with a bounded LRU: the one rule for
 // everything the system builds once and shares (compiled binaries, fitted
-// models, feature vectors, parsed sources).
+// models, parsed sources).
 //
 //   - Each key is built once. Callers that arrive while the build runs join
 //     it, and count as hits.
@@ -101,14 +101,6 @@ func (c *Cache[K, V]) Put(key K, v V) {
 		c.remove(el)
 	}
 	c.insert(e)
-}
-
-// Clear drops every entry. Builds in flight still answer their waiters.
-func (c *Cache[K, V]) Clear() {
-	c.mu.Lock()
-	clear(c.m)
-	c.lru.Init()
-	c.mu.Unlock()
 }
 
 // Stats snapshots the counters.

@@ -18,9 +18,7 @@ import (
 	"repro/internal/doe"
 	"repro/internal/exp"
 	"repro/internal/farm"
-	"repro/internal/features"
 	"repro/internal/model"
-	"repro/internal/par"
 	"repro/internal/search"
 	"repro/internal/sim"
 	"repro/internal/workloads"
@@ -63,13 +61,6 @@ type Options struct {
 	// MaxInFlight bounds concurrently handled requests; excess requests are
 	// shed with 429 (0 = 256).
 	MaxInFlight int
-	// CrossCorpusSeed, CrossCorpusSize and CrossPointsPer shape the
-	// cross-program training pool behind /v1/predict-program: the seed suite
-	// plus CrossCorpusSize wlgen programs from CrossCorpusSeed, each measured
-	// at CrossPointsPer joint points. Zero values take the package defaults.
-	CrossCorpusSeed int64
-	CrossCorpusSize int
-	CrossPointsPer  int
 	// Log receives harness/farm progress lines; nil silences them.
 	Log io.Writer
 
@@ -113,8 +104,6 @@ type Server struct {
 
 	plane  *exp.Harness // owns the one measurement plane (harnessFor)
 	closed atomic.Bool
-
-	cross *par.Cache[string, *CrossArtifacts] // cross-program models per scale
 
 	rankHits   atomic.Int64 // rank requests answered from an entry's memo
 	rankMisses atomic.Int64 // rankings computed
@@ -163,7 +152,6 @@ func New(opts Options) *Server {
 		metrics:   NewMetrics(),
 		maxFlight: int64(opts.MaxInFlight),
 		start:     time.Now(),
-		cross:     par.NewCache[string, *CrossArtifacts](crossScales),
 	}
 	own, _ := s.scaleFor("") // an unknown Scale is refused request by request, by the same call
 	s.plane = exp.NewHarness(own)
@@ -206,7 +194,6 @@ func New(opts Options) *Server {
 	s.limits = map[string]*bucket{}
 	s.mux = http.NewServeMux()
 	s.route("POST /v1/predict", "predict", s.handlePredict)
-	s.route("POST /v1/predict-program", "predict-program", s.handlePredictProgram)
 	s.route("POST /v1/measure", "measure", s.handleMeasure)
 	s.route("POST /v1/search", "search", s.handleSearch)
 	s.route("GET /v1/rank", "rank", s.handleRank)
@@ -755,23 +742,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "# HELP empiricod_rank_cache_misses_total Effect rankings computed (first rank request per model set and kind).")
 	fmt.Fprintln(w, "# TYPE empiricod_rank_cache_misses_total counter")
 	fmt.Fprintf(w, "empiricod_rank_cache_misses_total %d\n", s.rankMisses.Load())
-	cs := s.cross.Stats()
-	fmt.Fprintln(w, "# HELP empiricod_cross_models_cached Cross-program model sets resident, one per scale.")
-	fmt.Fprintln(w, "# TYPE empiricod_cross_models_cached gauge")
-	fmt.Fprintf(w, "empiricod_cross_models_cached %d\n", cs.Len)
-	fmt.Fprintln(w, "# HELP empiricod_cross_fits_total Cross-program training runs started.")
-	fmt.Fprintln(w, "# TYPE empiricod_cross_fits_total counter")
-	fmt.Fprintf(w, "empiricod_cross_fits_total %d\n", cs.Misses)
-	fmt.Fprintf(w, "empiricod_cross_hits_total %d\n", cs.Hits)
-
-	fh, fm := features.CacheStats()
-	fmt.Fprintln(w, "# HELP empiricod_feature_cache_hits_total Feature extractions answered from the fingerprint cache.")
-	fmt.Fprintln(w, "# TYPE empiricod_feature_cache_hits_total counter")
-	fmt.Fprintf(w, "empiricod_feature_cache_hits_total %d\n", fh)
-	fmt.Fprintln(w, "# HELP empiricod_feature_cache_misses_total Feature extractions that ran the full pipeline.")
-	fmt.Fprintln(w, "# TYPE empiricod_feature_cache_misses_total counter")
-	fmt.Fprintf(w, "empiricod_feature_cache_misses_total %d\n", fm)
-
 	fmt.Fprintln(w, "# HELP empiricod_artifact_loads_total Model artifacts loaded from disk (boot, lazy miss, reload).")
 	fmt.Fprintln(w, "# TYPE empiricod_artifact_loads_total counter")
 	fmt.Fprintf(w, "empiricod_artifact_loads_total %d\n", rs.Loads)

@@ -22,7 +22,6 @@ import (
 	"repro/internal/doe"
 	"repro/internal/farm"
 	"repro/internal/sim"
-	"repro/internal/wlgen"
 	"repro/internal/workloads"
 )
 
@@ -697,8 +696,7 @@ func TestNonFiniteAnswerIs500(t *testing.T) {
 }
 
 // TestPredictRejectsTrailingBytes: every endpoint that takes a JSON body
-// (/v1/predict, /v1/measure, /v1/search, /v1/predict-program) reads the whole
-// body, and bytes after the request object are a 400, as json.Unmarshal
+// (/v1/predict, /v1/measure, /v1/search) reads the whole body, and bytes after the request object are a 400, as json.Unmarshal
 // rules; trailing whitespace is not.
 func TestPredictRejectsTrailingBytes(t *testing.T) {
 	var executions atomic.Int64
@@ -710,9 +708,7 @@ func TestPredictRejectsTrailingBytes(t *testing.T) {
 		Batch: func(ctx context.Context, w workloads.Workload, pts []doe.Point, resp farm.Response) ([]float64, error) {
 			return make([]float64, len(pts)), nil
 		},
-		Measure:         countingMeasure(&executions),
-		CrossCorpusSize: 1,
-		CrossPointsPer:  2,
+		Measure: countingMeasure(&executions),
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -725,7 +721,6 @@ func TestPredictRejectsTrailingBytes(t *testing.T) {
 		{"/v1/predict", PredictRequest{Workload: "179.art", Points: testPoints(1, 10)}},
 		{"/v1/measure", MeasureRequest{Workload: "179.art", Points: testPoints(1, 10)}},
 		{"/v1/search", SearchRequest{Workload: "179.art", Population: 4, Generations: 1}},
-		{"/v1/predict-program", PredictProgramRequest{Source: wlgen.Generate(1).Source, Points: testPoints(1, 10)}},
 	} {
 		body := mustJSON(t, ep.req)
 		for _, tc := range []struct {
@@ -793,5 +788,18 @@ func TestServerCloseCheckpointsFarm(t *testing.T) {
 	}
 	if executions.Load() != 1 {
 		t.Fatalf("checkpointed measurement re-simulated: %d executions", executions.Load())
+	}
+}
+
+// countingMeasure is a deterministic stand-in for compile+simulate that
+// counts its calls.
+func countingMeasure(executions *atomic.Int64) farm.MeasureFunc {
+	return func(ctx context.Context, job farm.Job) (farm.Result, error) {
+		executions.Add(1)
+		c := 1000.0 + 2.0*float64(len(job.Workload.Source))
+		for i, v := range job.Point {
+			c += float64(i%7+1) * math.Abs(float64(v)) * 0.05
+		}
+		return farm.Result{Cycles: c, Energy: c / 2, Instructions: 1000}, nil
 	}
 }

@@ -1,26 +1,20 @@
-// Package wlgen generates synthetic MiniC workloads from seeded,
-// parameterized kernel templates. The cross-program models of ROADMAP item 3
-// need far more than the seven seed benchmarks to learn how program features
-// modulate flag and microarchitecture response, and wlgen supplies that
-// corpus: six template families — stencils, hash joins, string matching,
-// sparse algebra, state machines and tree walks — each instantiated with
-// randomized sizes, constants and structure, so every program has a distinct
-// feature vector while staying simulator-friendly.
+// Package wlgen generates synthetic MiniC programs from seeded,
+// parameterized kernel templates: six families — stencils, hash joins,
+// string matching, sparse algebra, state machines and tree walks — each
+// instantiated with randomized sizes, constants and structure. The
+// simulator's FuzzEnginesAgree draws its programs from Generate.
 //
-// Generation is strictly deterministic: a corpus is a pure function of
-// (seed, n), byte-identical across runs, machines and Go versions (the
-// frozen math/rand generator), and Corpus(seed, n) is a prefix of
-// Corpus(seed, m) for n < m. Every emitted program is semantically valid,
+// Generation is strictly deterministic: a program is a pure function of its
+// seed, byte-identical across runs, machines and Go versions (the frozen
+// math/rand generator). Every emitted program is semantically valid,
 // terminates, and computes the same result under every compiler
-// configuration — properties the package test pins over a corpus of seeds.
+// configuration — properties the package test pins over 52 seeds.
 package wlgen
 
 import (
 	"fmt"
 	"math/rand"
 	"strings"
-
-	"repro/internal/workloads"
 )
 
 // Program is one generated workload: a kernel template instantiated at one
@@ -28,23 +22,11 @@ import (
 type Program struct {
 	Name     string // e.g. "gen.stencil-5851f42d4c957f2d"
 	Template string // template family name
-	Seed     int64  // the per-program seed that reproduces it
 	Source   string // MiniC source text
 }
 
-// Workload wraps the program for the measurement pipeline. Generated
-// programs have a single input scale, labeled "gen".
-func (p Program) Workload() workloads.Workload {
-	return workloads.Workload{
-		Name:   p.Name,
-		Input:  "gen",
-		Class:  workloads.Train,
-		Source: p.Source,
-	}
-}
-
-// splitmix64 whitens seeds so that nearby corpus seeds and indices produce
-// unrelated parameter draws.
+// splitmix64 whitens seeds so that nearby seeds produce unrelated parameter
+// draws.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -60,29 +42,8 @@ func Generate(seed int64) Program {
 	return Program{
 		Name:     fmt.Sprintf("gen.%s-%016x", t.name, uint64(seed)),
 		Template: t.name,
-		Seed:     seed,
 		Source:   t.gen(rng),
 	}
-}
-
-// Corpus generates n programs from one corpus seed. Per-program seeds are
-// derived index-independently, so Corpus(seed, n) is byte-identical across
-// calls and a prefix of any larger corpus with the same seed.
-func Corpus(seed int64, n int) []Program {
-	out := make([]Program, n)
-	for i := range out {
-		out[i] = Generate(int64(splitmix64(uint64(seed) ^ uint64(i)*0x9e3779b97f4a7c15)))
-	}
-	return out
-}
-
-// TemplateNames lists the template families in their fixed selection order.
-func TemplateNames() []string {
-	out := make([]string, len(templates))
-	for i, t := range templates {
-		out[i] = t.name
-	}
-	return out
 }
 
 // template is one kernel family: a name and a parameterized source emitter.

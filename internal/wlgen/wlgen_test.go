@@ -10,46 +10,44 @@ import (
 	"repro/internal/sim"
 )
 
-func TestCorpusDeterministicAndPrefixStable(t *testing.T) {
-	a := Corpus(42, 64)
-	b := Corpus(42, 64)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("program %d not byte-identical across generations", i)
+func TestGenerateDeterministic(t *testing.T) {
+	distinct := map[string]bool{}
+	for seed := int64(0); seed < 64; seed++ {
+		a, b := Generate(seed), Generate(seed)
+		if a != b {
+			t.Fatalf("seed %d: program not byte-identical across calls", seed)
 		}
+		distinct[a.Source] = true
 	}
-	prefix := Corpus(42, 16)
-	for i := range prefix {
-		if prefix[i] != a[i] {
-			t.Fatalf("Corpus(seed, 16)[%d] != Corpus(seed, 64)[%d]: corpora must be prefix-stable", i, i)
-		}
-	}
-	other := Corpus(43, 64)
-	same := 0
-	for i := range a {
-		if a[i].Source == other[i].Source {
-			same++
-		}
-	}
-	if same == len(a) {
-		t.Error("different corpus seeds produced identical corpora")
+	if len(distinct) < 60 {
+		t.Errorf("64 seeds produced only %d distinct programs", len(distinct))
 	}
 }
 
-func TestCorpusCoversEveryTemplate(t *testing.T) {
+func TestGenerateCoversEveryTemplate(t *testing.T) {
 	seen := map[string]int{}
-	for _, p := range Corpus(7, 120) {
-		seen[p.Template]++
+	for seed := int64(0); seed < 120; seed++ {
+		seen[Generate(seed).Template]++
 	}
-	for _, name := range TemplateNames() {
-		if seen[name] == 0 {
-			t.Errorf("template %q never drawn across 120 programs", name)
+	for _, tp := range templates {
+		if seen[tp.name] == 0 {
+			t.Errorf("template %q never drawn across seeds 0-119", tp.name)
 		}
 	}
+}
+
+// conformanceSeeds returns the n seeds the conformance test draws: whitened
+// indices, so the programs are spread over every template.
+func conformanceSeeds(n int) []int64 {
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = int64(splitmix64(20070308 ^ uint64(i)*0x9e3779b97f4a7c15))
+	}
+	return out
 }
 
 // TestGeneratedProgramsValidAndConformant is the wlgen validity property
-// test: over a corpus of 52 seeds, every generated program parses, passes
+// test: over 52 seeds, every generated program parses, passes
 // semantic checking, compiles cleanly at O0, O3 and a random point of the
 // paper's 14-variable compiler space, computes the same result under all
 // three configurations, stays inside the intended dynamic-size band, and
@@ -58,8 +56,8 @@ func TestCorpusCoversEveryTemplate(t *testing.T) {
 func TestGeneratedProgramsValidAndConformant(t *testing.T) {
 	space := &doe.Space{Vars: doe.CompilerVars()}
 	rng := rand.New(rand.NewSource(1))
-	for i, p := range Corpus(20070308, 52) {
-		p := p
+	for i, seed := range conformanceSeeds(52) {
+		p := Generate(seed)
 		// Draw randomness outside the parallel subtest: rng is not
 		// goroutine-safe.
 		opts := doe.ToOptions(space.RandomPoint(rng), 4)

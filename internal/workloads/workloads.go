@@ -42,11 +42,9 @@ type Workload struct {
 // Key returns "name-input", e.g. "179.art-train".
 func (w Workload) Key() string { return w.Name + "-" + w.Input }
 
-// parseCacheSize bounds the parse cache, in sources. The largest corpus the
-// repo runs is `empirico -exp lopo`'s default, the seven seed programs at two
-// input classes plus 100 generated ones, so 256 holds any corpus pass whole.
-// The bound is for empirico-worker, which parses every source a coordinator
-// leases to it.
+// parseCacheSize bounds the parse cache, in sources. The seven seed programs
+// at two input classes are 14; the bound is for empirico-worker, which parses
+// every source a coordinator leases to it.
 const parseCacheSize = 256
 
 // parseCache memoizes Parse by source text: parse cost is paid once per
@@ -66,9 +64,7 @@ func (w Workload) Parse() *lang.Program {
 
 // sources holds each benchmark's MiniC source, built on first use and kept:
 // [0] at the train input, [1] at the ref input. Every builder reads its class
-// only as Ref or not, so [0] is the source at any class but Ref. Generated
-// programs (internal/wlgen) are not looked up by name: they travel as
-// Workload values that carry their source.
+// only as Ref or not, so [0] is the source at any class but Ref.
 var sources = map[string][2]func() string{
 	"164.gzip":   once(gzipSource),
 	"175.vpr":    once(vprSource),
