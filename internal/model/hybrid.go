@@ -17,6 +17,13 @@ func (m LogModel) Predict(x []float64) float64 { return math.Exp(m.Inner.Predict
 // Name implements Model.
 func (m LogModel) Name() string { return m.Inner.Name() + "-log" }
 
+// ReadsVar forwards the inner model's answer; an inner model that cannot
+// tell reads every variable.
+func (m LogModel) ReadsVar(v int) bool {
+	r, ok := m.Inner.(varReader)
+	return !ok || r.ReadsVar(v)
+}
+
 // LogDataset returns a copy of d with the response log-transformed.
 // Responses must be positive: one that is not becomes −Inf or NaN here, and
 // the fitter handed the result (FitMARS, FitRBF, FitLinear) refuses it with

@@ -112,20 +112,26 @@ func FitMARS(data *Dataset, opt MARSOptions) (*MARSModel, error) {
 }
 
 // marsCacheBytes bounds what one forward pass retains of its candidates'
-// orthogonalised hinge pairs, 16·n bytes each (up to 140 MB unbounded at 234
-// rows in 49 variables). First come, first cached — the oldest are rescored
-// most often; a candidate past the bound is scored by the same function from
-// its raw hinge pair in worker scratch, to the same bits.
+// orthogonalised hinge pairs, a slot of 16·n bytes each (up to 140 MB
+// unbounded at 234 rows in 49 variables). First come, first cached — the
+// oldest are rescored most often; a candidate past the bound is scored by the
+// same function from its raw hinge pair in worker scratch, to the same bits.
 const marsCacheBytes = 64 << 20
 
 // marsCand is one (parent, variable, knot) candidate of the forward pass.
-// o holds its two hinge columns (o[:n] and o[n:]) orthogonalised against
-// q[:nq] and left un-normalised, so that a later step continues the same
-// Gram–Schmidt over q[nq:]. o is nil for a candidate past the cache bound,
-// which starts over from its raw pair every time.
+// z1 and z2 mark a hinge column, (x_v − t)₊ and (t − x_v)₊, that is zero on
+// every row. A zero column stays zero under every projection (its dot with
+// any direction is +0, which deflate skips) and adds exactly 0 to the gain,
+// so it is neither stored, deflated nor scored; a candidate whose columns are
+// both zero scores 0, can never win, and is not listed at all.
+// o holds its nonzero hinge columns (the first, then the second when both
+// are) orthogonalised against q[:nq] and left un-normalised, so that a later
+// step continues the same Gram–Schmidt over q[nq:]. o is nil for a candidate
+// past the cache bound, which starts over from its raw pair every time.
 type marsCand struct {
 	parent, v int
 	t         float64
+	z1, z2    bool
 	o         []float64
 	nq        int
 }
@@ -133,40 +139,59 @@ type marsCand struct {
 // score returns the squared residual projection the candidate's hinge pair
 // captures beyond the orthonormal span q. The pair is projected off q[c.nq:]
 // only — q[:c.nq] is already out of it, by the operations a projection from
-// scratch performs in the same order, so the gain has the same bits. w is
-// 4·n values of scratch the caller owns.
+// scratch performs in the same order, so the gain has the same bits. The
+// loops below fuse sums that linalg.Dot and linalg.Norm2 would take one at a
+// time; each keeps its own accumulator and index order. w is 4·n values of
+// scratch the caller owns.
 func (c *marsCand) score(data *Dataset, pcol []float64, q [][]float64, r, w []float64) float64 {
 	n := len(r)
 	o, from := c.o, c.nq
 	if o == nil {
 		o, from = w[2*n:], 0
+		hingeCols(o[:n], o[n:], data, pcol, c.v, c.t)
 	}
 	c.nq = len(q)
-	o1, o2 := o[:n], o[n:]
-	if from == 0 {
-		hingeCols(o1, o2, data, pcol, c.v, c.t)
+	var o1, o2 []float64
+	if !c.z1 {
+		o1 = o[:n]
 	}
-	deflate(o1, q[from:])
-	deflate(o2, q[from:])
+	if !c.z2 {
+		o2 = o[len(o)-n:]
+	}
+	n1 := deflate(o1, o2, q[from:])
 
-	// Normalise and deflate in scratch: the stored pair stays extendable.
+	// Normalise o1 into scratch s1 and take s2 = o2 − (s1·o2)·s1 element by
+	// element as its sums need it: the stored pair stays extendable.
 	gain := 0.0
-	s2 := o2
-	if n1 := linalg.Norm2(o1); n1 > 1e-10 {
-		s1 := w[:n]
-		for i, x := range o1 {
-			s1[i] = x / n1
+	var p2 float64
+	var s1 []float64
+	if n1 > 1e-10 {
+		var pr float64
+		if o2 == nil {
+			for i, x := range o1 {
+				pr += x / n1 * r[i]
+			}
+		} else {
+			s1 = w[:n]
+			for i, x := range o1 {
+				s := x / n1
+				s1[i] = s
+				pr += s * r[i]
+				p2 += s * o2[i]
+			}
 		}
-		p := linalg.Dot(s1, r)
-		gain += p * p
-		p = linalg.Dot(s1, o2)
-		s2 = w[n : 2*n]
-		for i, x := range o2 {
-			s2[i] = x - p*s1[i]
-		}
+		gain += pr * pr
 	}
-	if n2 := linalg.Norm2(s2); n2 > 1e-10 {
-		p := linalg.Dot(s2, r) / n2
+	var nn, pr float64
+	for i, x := range o2 {
+		if s1 != nil {
+			x -= p2 * s1[i]
+		}
+		nn += x * x
+		pr += x * r[i]
+	}
+	if n2 := math.Sqrt(nn); n2 > 1e-10 {
+		p := pr / n2
 		gain += p * p
 	}
 	return gain
@@ -185,8 +210,7 @@ func marsForward(data *Dataset, opt MARSOptions, budget int) ([]Basis, [][]float
 	r := append([]float64{}, data.Y...)
 	pushColumn := func(c []float64) {
 		qc := append([]float64{}, c...)
-		deflate(qc, q)
-		nrm := linalg.Norm2(qc)
+		nrm := deflate(qc, nil, q)
 		if nrm < 1e-10 {
 			return
 		}
@@ -205,12 +229,13 @@ func marsForward(data *Dataset, opt MARSOptions, budget int) ([]Basis, [][]float
 	workers := par.Workers(opt.Workers)
 	scratch := make([]float64, workers*4*n)
 
-	// The candidate list is append-only: a (parent, var, knot) candidate
-	// never leaves, and new parents join bases at the end, so appending
-	// their candidates keeps the list in the serial scan order the winner
-	// selection below relies on. bases[:listed] have theirs in it.
+	// The candidate list is append-only: a listed (parent, var, knot)
+	// candidate never leaves, and new parents join bases at the end, so
+	// appending their candidates keeps the list in the serial scan order the
+	// winner selection below relies on. bases[:listed] have theirs in it.
 	var cands []marsCand
 	listed := 0
+	raw := make([]float64, 2*n)
 	for len(bases) < opt.MaxTerms {
 		for ; listed < len(bases); listed++ {
 			if bases[listed].degree() >= opt.MaxDegree {
@@ -222,9 +247,20 @@ func marsForward(data *Dataset, opt MARSOptions, budget int) ([]Basis, [][]float
 				}
 				for _, t := range knotsFor[v] {
 					c := marsCand{parent: listed, v: v, t: t}
+					c.z1, c.z2 = hingeCols(raw[:n], raw[n:], data, cols[listed], v, t)
+					if c.z1 && c.z2 {
+						continue
+					}
 					if budget >= 16*n {
 						budget -= 16 * n
-						c.o = make([]float64, 2*n)
+						switch {
+						case c.z1:
+							c.o = append([]float64(nil), raw[n:]...)
+						case c.z2:
+							c.o = append([]float64(nil), raw[:n]...)
+						default:
+							c.o = append([]float64(nil), raw...)
+						}
 					}
 					cands = append(cands, c)
 				}
@@ -409,6 +445,16 @@ func (m *MARSModel) Predict(x []float64) float64 {
 // Name implements Model.
 func (m *MARSModel) Name() string { return "mars" }
 
+// ReadsVar reports whether any basis has a hinge on variable v.
+func (m *MARSModel) ReadsVar(v int) bool {
+	for _, b := range m.Bases {
+		if b.usesVar(v) {
+			return true
+		}
+	}
+	return false
+}
+
 // NumParams returns the number of basis coefficients.
 func (m *MARSModel) NumParams() int { return len(m.Coef) }
 
@@ -454,8 +500,10 @@ func knotTable(data *Dataset, maxKnots int) [][]float64 {
 }
 
 // hingeCols fills c1 and c2 with the hinge pair pcol·(x_v − t)₊ and
-// pcol·(t − x_v)₊ over the data.
-func hingeCols(c1, c2 []float64, data *Dataset, pcol []float64, v int, t float64) {
+// pcol·(t − x_v)₊ over the data, and reports which of the two is zero on
+// every row.
+func hingeCols(c1, c2 []float64, data *Dataset, pcol []float64, v int, t float64) (z1, z2 bool) {
+	z1, z2 = true, true
 	for i, p := range pcol {
 		c1[i], c2[i] = 0, 0
 		if p == 0 {
@@ -463,22 +511,60 @@ func hingeCols(c1, c2 []float64, data *Dataset, pcol []float64, v int, t float64
 		}
 		if d := data.X[i][v] - t; d > 0 {
 			c1[i] = p * d
+			z1 = z1 && c1[i] == 0
 		} else if d < 0 {
 			c2[i] = -p * d
+			z2 = z2 && c2[i] == 0
 		}
 	}
+	return z1, z2
 }
 
-// deflate subtracts from c, in place and in turn, its projection onto each
-// of the orthonormal directions qs (modified Gram–Schmidt).
-func deflate(c []float64, qs [][]float64) {
+// deflate subtracts from a and b, in place and in turn, their projections
+// onto each of the orthonormal directions qs (modified Gram–Schmidt), reading
+// each direction once for both; a nil column is left out (not both). It
+// returns linalg.Norm2(a) of the result, summed in the last pass that updates
+// a when there is one.
+func deflate(a, b []float64, qs [][]float64) float64 {
+	aa, fresh := 0.0, false
 	for _, qi := range qs {
-		p := linalg.Dot(qi, c)
-		if p == 0 {
-			continue
+		var pa, pb float64
+		switch {
+		case a == nil:
+			pb = linalg.Dot(qi, b)
+		case b == nil:
+			pa = linalg.Dot(qi, a)
+		default:
+			for i, x := range qi {
+				pa += x * a[i]
+				pb += x * b[i]
+			}
 		}
-		for i := range c {
-			c[i] -= p * qi[i]
+		fresh = false
+		switch {
+		case pa != 0 && pb != 0:
+			aa, fresh = 0, true
+			for i, x := range qi {
+				y := a[i] - pa*x
+				a[i] = y
+				aa += y * y
+				b[i] -= pb * x
+			}
+		case pa != 0:
+			aa, fresh = 0, true
+			for i, x := range qi {
+				y := a[i] - pa*x
+				a[i] = y
+				aa += y * y
+			}
+		case pb != 0:
+			for i, x := range qi {
+				b[i] -= pb * x
+			}
 		}
 	}
+	if !fresh {
+		return linalg.Norm2(a)
+	}
+	return math.Sqrt(aa)
 }

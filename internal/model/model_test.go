@@ -257,6 +257,64 @@ func TestEffectsOnKnownLinearModel(t *testing.T) {
 	}
 }
 
+// opaqueModel hides every method of the model but Model's own, ReadsVar
+// among them.
+type opaqueModel struct{ Model }
+
+// countingModel counts Predict calls and forwards ReadsVar.
+type countingModel struct {
+	m     *MARSModel
+	calls *int
+}
+
+func (c countingModel) Predict(x []float64) float64 { *c.calls++; return c.m.Predict(x) }
+func (c countingModel) Name() string                { return c.m.Name() }
+func (c countingModel) ReadsVar(v int) bool         { return c.m.ReadsVar(v) }
+
+// AllEffects skips what a MARS model cannot see, and what it skips is what
+// the full computation would have returned: the same effects in the same
+// order, bit for bit, from fewer Predict calls.
+func TestAllEffectsSkipsUnreadVars(t *testing.T) {
+	data := doptData(28, 5)
+	mars, err := FitMARS(data, MARSOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	space := doe.JointSpace()
+	unread := 0
+	for v := range space.Vars {
+		if !mars.ReadsVar(v) {
+			unread++
+		}
+	}
+	if unread == 0 {
+		t.Fatalf("the model reads all %d variables; nothing to skip", space.NumVars())
+	}
+	for _, tc := range []struct {
+		name string
+		wrap func(Model) Model
+	}{
+		{"mars", func(m Model) Model { return m }},
+		{"mars-log", func(m Model) Model { return LogModel{Inner: m} }},
+	} {
+		var skipped, full int
+		got := AllEffects(tc.wrap(countingModel{mars, &skipped}), space, data.X)
+		want := AllEffects(tc.wrap(opaqueModel{countingModel{mars, &full}}), space, data.X)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d effects, want %d", tc.name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Label() != want[i].Label() || math.Float64bits(got[i].Value) != math.Float64bits(want[i].Value) {
+				t.Fatalf("%s: effect %d is %s = %v, want %s = %v", tc.name, i, got[i].Label(), got[i].Value, want[i].Label(), want[i].Value)
+			}
+		}
+		if skipped >= full {
+			t.Fatalf("%s: %d Predict calls with ReadsVar, %d without", tc.name, skipped, full)
+		}
+		t.Logf("%s: %d unread variables, %d Predict calls instead of %d", tc.name, unread, skipped, full)
+	}
+}
+
 func TestPropertyLinearInterpolatesTraining(t *testing.T) {
 	// With more samples than terms and zero noise, training error ≈ 0 for
 	// responses that truly are linear.

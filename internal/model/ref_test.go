@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/doe"
 	"repro/internal/linalg"
 	"repro/internal/par"
 )
@@ -197,6 +198,25 @@ func refData(n, dim int, seed int64) *Dataset {
 	return &Dataset{X: xs, Y: ys}
 }
 
+// doptData codes a D-optimal design over the joint space at n points, the
+// data the sweeps fit, and puts a response with hinges, products and noise on
+// it. Its eleven two-level variables put their only knot at the low level,
+// so the (t − x)₊ column of every candidate on them is zero, and a pair won
+// on one of them adds a zero basis, whose own candidates are zero throughout.
+func doptData(n int, seed int64) *Dataset {
+	space := doe.JointSpace()
+	rng := rand.New(rand.NewSource(seed))
+	des := doe.DOptimal(space, n, rng, doe.DOptions{Expansion: doe.ExpandLinear, MaxSweeps: 8, Workers: 1})
+	xs := make([][]float64, n)
+	ys := make([]float64, n)
+	for i, p := range des.Points {
+		x := space.Code(p)
+		xs[i] = x
+		ys[i] = 10 + 2*x[24] + 1.5*math.Max(0, -x[18]) + x[1]*x[14] + 0.8*x[6] + 0.5*x[24]*x[21] + 0.2*rng.NormFloat64()
+	}
+	return &Dataset{X: xs, Y: ys}
+}
+
 // fitMARSBudget is FitMARS with the forward pass's cache bound set by the
 // test; it also returns how many candidates the pass cached and how many it
 // scored from scratch.
@@ -240,6 +260,7 @@ func TestFitMARSMatchesRef(t *testing.T) {
 	type shape struct {
 		n, dim int
 		opt    MARSOptions
+		dopt   bool // doptData instead of refData; dim is the joint space's
 	}
 	var shapes []shape
 	for _, n := range []int{12, 28, 120, 200} {
@@ -251,17 +272,24 @@ func TestFitMARSMatchesRef(t *testing.T) {
 			if n >= 120 {
 				opt.MaxTerms = 13
 			}
-			shapes = append(shapes, shape{n, dim, opt})
+			shapes = append(shapes, shape{n, dim, opt, false})
 		}
 	}
 	shapes = append(shapes,
-		shape{28, 6, MARSOptions{MaxDegree: 1}},
-		shape{120, 6, MARSOptions{MaxDegree: 3}},
-		shape{28, 25, MARSOptions{MaxDegree: 3, MaxKnots: 3}},
-		shape{120, 25, MARSOptions{MaxTerms: 31}},
+		shape{28, 6, MARSOptions{MaxDegree: 1}, false},
+		shape{120, 6, MARSOptions{MaxDegree: 3}, false},
+		shape{28, 25, MARSOptions{MaxDegree: 3, MaxKnots: 3}, false},
+		shape{120, 25, MARSOptions{MaxTerms: 31}, false},
+		shape{28, 25, MARSOptions{}, true},
+		shape{56, 25, MARSOptions{}, true},
+		shape{56, 25, MARSOptions{MaxDegree: 3}, true},
 	)
 	for si, s := range shapes {
 		data := refData(s.n, s.dim, int64(100+si))
+		if s.dopt {
+			data = doptData(s.n, 5)
+			checkZeroColumns(t, data, s.opt, s.opt.MaxDegree == 3)
+		}
 		want, err := fitMARSRef(data, s.opt)
 		if err != nil {
 			t.Fatal(err)
@@ -301,6 +329,42 @@ func TestFitMARSMatchesRef(t *testing.T) {
 	}
 }
 
+// checkZeroColumns fails unless the forward pass on data took its
+// zero-column path: some listed candidate has one zero hinge column, none has
+// two, and, when zeroParent is set, a degree-2 basis is zero on every row and
+// so lists no candidate of its own.
+func checkZeroColumns(t *testing.T, data *Dataset, opt MARSOptions, zeroParent bool) {
+	t.Helper()
+	opt = opt.withDefaults(data.Dim(), data.Len())
+	bases, cols, cands := marsForward(data, opt, marsCacheBytes)
+	oneZero := 0
+	children := make([]int, len(bases))
+	for _, c := range cands {
+		if c.z1 && c.z2 {
+			t.Fatalf("candidate (%d, %d, %v) listed with both columns zero", c.parent, c.v, c.t)
+		}
+		if c.z1 || c.z2 {
+			oneZero++
+		}
+		children[c.parent]++
+	}
+	if oneZero == 0 {
+		t.Fatalf("n=%d: no candidate has a zero hinge column", data.Len())
+	}
+	if !zeroParent {
+		return
+	}
+	for i, b := range bases {
+		if b.degree() == 2 && linalg.Norm2(cols[i]) == 0 {
+			if children[i] != 0 {
+				t.Fatalf("zero basis %d lists %d candidates", i, children[i])
+			}
+			return
+		}
+	}
+	t.Fatalf("n=%d degree=%d: no degree-2 basis is zero on every row", data.Len(), opt.MaxDegree)
+}
+
 // At 234 rows × 49 variables (default options: 99 terms), wider than any
 // per-program fit, the cache stays inside its bound and the fit
 // equals one that caches nothing. The uncached fit costs what the reference
@@ -337,10 +401,13 @@ const minMARSForwardSpeedup = 2.0
 
 // BenchmarkFitMARSForward times a MARS fit at the paper's scale (200 points
 // × 25 variables) with the reference forward pass and with the incremental
-// one, and gates the ratio.
+// one, and gates the ratio. It also reports, with no floor, what one serial
+// fit on a 28-point D-optimal design (a sweep's training set) costs.
 func BenchmarkFitMARSForward(b *testing.B) {
 	data := refData(200, 25, 3)
-	var refT, fastT time.Duration
+	sweep := doptData(28, 5)
+	const sweepFits = 50
+	var refT, fastT, sweepT time.Duration
 	var cached, uncached int
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
@@ -359,6 +426,13 @@ func BenchmarkFitMARSForward(b *testing.B) {
 		if err := sameMARSBits(fast, ref); err != nil {
 			b.Fatal(err)
 		}
+		start = time.Now()
+		for j := 0; j < sweepFits; j++ {
+			if _, err := FitMARS(sweep, MARSOptions{Workers: 1}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		sweepT = time.Since(start) / sweepFits
 	}
 	speedup := refT.Seconds() / fastT.Seconds()
 	b.ReportMetric(refT.Seconds()*1e3, "ref-ms")
@@ -366,6 +440,7 @@ func BenchmarkFitMARSForward(b *testing.B) {
 	b.ReportMetric(speedup, "forward-x")
 	b.ReportMetric(float64(cached), "cands-cached")
 	b.ReportMetric(float64(uncached), "cands-from-scratch")
+	b.ReportMetric(sweepT.Seconds()*1e6, "sweep-fit-us")
 	if speedup < minMARSForwardSpeedup {
 		b.Fatalf("incremental forward pass %.2fx the reference, below floor %.1fx", speedup, minMARSForwardSpeedup)
 	}
