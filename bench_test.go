@@ -20,9 +20,10 @@
 // MeasureBatchShared, DistributedSweep and HeterogeneousSweep here, DOptimal
 // in internal/doe and FitMARSForward in internal/model, each beside its
 // reference loop. Run them all once, with PredictPath in internal/serve,
-// which has no floor and reports the ns/op of each step of a predict:
+// which has no floor and reports the ns/op of each step of a predict, and
+// GASearch here, which has none either and reports the GA's wall time:
 //
-//	go test -run '^$' -bench 'TranslatedThroughput$|WarmCheckpointSpeedup$|SMARTSSpeedup$|MeasureBatchShared$|DistributedSweep$|HeterogeneousSweep$|BenchmarkDOptimal$|BenchmarkFitMARSForward$|PredictPath$' -benchtime=1x . ./internal/doe ./internal/model ./internal/serve
+//	go test -run '^$' -bench 'TranslatedThroughput$|WarmCheckpointSpeedup$|SMARTSSpeedup$|MeasureBatchShared$|DistributedSweep$|HeterogeneousSweep$|BenchmarkDOptimal$|BenchmarkFitMARSForward$|PredictPath$|BenchmarkGASearch$' -benchtime=1x . ./internal/doe ./internal/model ./internal/serve
 //
 // Every other benchmark is a plain benchmark nothing parses; absolute
 // wall-clock numbers are recorded by benchmark/ against BENCHMARK.json.
@@ -642,22 +643,40 @@ func BenchmarkCrossValidate(b *testing.B) {
 	b.ReportMetric(parT.Seconds()*1e3, "par-ms")
 }
 
-// BenchmarkGASearch times the GA with batched parallel fitness on an RBF
-// surrogate; TestOptimizeParallelMatchesSerial pins parallel ≡ serial.
+// BenchmarkGASearch times the GA, which scores its population on the calling
+// goroutine, at two sizes, with no floor: population 60 × 30 generations on
+// an RBF network (ga-ms), and the benchmark sweep's search, population 24 ×
+// 12 generations over the compiler block on a hybrid RBF-RT model fitted to
+// 28 points, averaged over 50 searches (ga-us). TestOptimizeMatchesRef in
+// internal/search pins the trajectory to the reference loop's.
 func BenchmarkGASearch(b *testing.B) {
 	data := analyticsData(150, 73)
 	m, err := model.FitRBF(data, model.RBFOptions{Kernel: model.Multiquadric})
 	if err != nil {
 		b.Fatal(err)
 	}
-	prob := search.Problem{Space: doe.JointSpace(), Model: m}
-	var parT time.Duration
+	hybrid, err := exp.FitRBF(analyticsData(28, 79))
+	if err != nil {
+		b.Fatal(err)
+	}
+	space := doe.JointSpace()
+	prob := search.Problem{Space: space, Model: m}
+	march := doe.FromConfig(sim.DefaultConfig())
+	const sweepRuns = 50
+	var bigT, sweepT time.Duration
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
 		search.OptimizeCtx(context.Background(), prob, search.GAOptions{Population: 60, Generations: 30}, rand.New(rand.NewSource(7)))
-		parT = time.Since(start)
+		bigT = time.Since(start)
+		start = time.Now()
+		for r := 0; r < sweepRuns; r++ {
+			search.FindCompilerSettingsCtx(context.Background(), space, hybrid, march,
+				search.GAOptions{Population: 24, Generations: 12}, rand.New(rand.NewSource(int64(r))))
+		}
+		sweepT = time.Since(start) / sweepRuns
 	}
-	b.ReportMetric(parT.Seconds()*1e3, "par-ms")
+	b.ReportMetric(bigT.Seconds()*1e3, "ga-ms")
+	b.ReportMetric(sweepT.Seconds()*1e6, "ga-us")
 }
 
 // minSMARTSSpeedup is the floor on BenchmarkSMARTSSpeedup's speedup-x: a

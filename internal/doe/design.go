@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"repro/internal/linalg"
-	"repro/internal/par"
 )
 
 // Expansion selects the regression model whose information matrix the
@@ -76,11 +75,6 @@ type DOptions struct {
 	// is returned unimproved).
 	MaxSweeps int
 	Expansion Expansion
-	// Workers bounds the exchange scan and variance-update concurrency
-	// (0 = GOMAXPROCS, 1 = serial). The selected design is bit-for-bit
-	// identical for every value: per-candidate deltas depend only on
-	// shared read-only state and the winner is taken in candidate order.
-	Workers int
 }
 
 func (o DOptions) withDefaults(n, fixed int) DOptions {
@@ -216,6 +210,58 @@ func quad(d *linalg.Matrix, x, y []float64, k int) float64 {
 	return s
 }
 
+// dot4 returns the dot products of a with r0, r1, r2 and r3 in one pass
+// over a. Each sum has its own accumulator and runs in index order from +0,
+// so each has linalg.Dot's bits.
+func dot4(a, r0, r1, r2, r3 []float64) (s0, s1, s2, s3 float64) {
+	r0, r1, r2, r3 = r0[:len(a)], r1[:len(a)], r2[:len(a)], r3[:len(a)]
+	for j, aj := range a {
+		s0 += r0[j] * aj
+		s1 += r1[j] * aj
+		s2 += r2[j] * aj
+		s3 += r3[j] * aj
+	}
+	return
+}
+
+// quad4 returns xᵀDx for four rows in one pass over D's rows. Each form
+// skips the rows its own x is zero on and sums in quad's order, so each has
+// quad's bits.
+func quad4(d *linalg.Matrix, x0, x1, x2, x3 []float64, k int) (q0, q1, q2, q3 float64) {
+	for i := 0; i < k; i++ {
+		a0, a1, a2, a3 := x0[i], x1[i], x2[i], x3[i]
+		if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
+			continue
+		}
+		t0, t1, t2, t3 := dot4(d.Row(i)[:k], x0, x1, x2, x3)
+		if a0 != 0 {
+			q0 += a0 * t0
+		}
+		if a1 != 0 {
+			q1 += a1 * t1
+		}
+		if a2 != 0 {
+			q2 += a2 * t2
+		}
+		if a3 != 0 {
+			q3 += a3 * t3
+		}
+	}
+	return
+}
+
+// dotRows sets out[i] = Dot(rows[i], u) for every row, four rows per pass
+// over u.
+func dotRows(rows [][]float64, u, out []float64) {
+	i := 0
+	for ; i+4 <= len(rows); i += 4 {
+		out[i], out[i+1], out[i+2], out[i+3] = dot4(u, rows[i], rows[i+1], rows[i+2], rows[i+3])
+	}
+	for ; i < len(rows); i++ {
+		out[i] = linalg.Dot(rows[i], u)
+	}
+}
+
 func dOptimal(space *Space, fixed []Point, n int, rng *rand.Rand, opt DOptions) *Design {
 	opt = opt.withDefaults(n, len(fixed))
 	st := newExchangeState(space, fixed, n, rng, opt)
@@ -225,14 +271,23 @@ func dOptimal(space *Space, fixed []Point, n int, rng *rand.Rand, opt DOptions) 
 	// inner scan is O(k) per candidate instead of O(k²).
 	dvals := make([]float64, len(cands))
 	var d *linalg.Matrix
+	drows := make([][]float64, k)
 	refresh := func() {
 		d = st.computeD()
-		par.For(len(cands), opt.Workers, func(ci int) {
+		for i := range drows {
+			drows[i] = d.Row(i)
+		}
+		ci := 0
+		for ; ci+4 <= len(cands); ci += 4 {
+			dvals[ci], dvals[ci+1], dvals[ci+2], dvals[ci+3] = quad4(d, crows[ci], crows[ci+1], crows[ci+2], crows[ci+3], k)
+		}
+		for ; ci < len(cands); ci++ {
 			dvals[ci] = quad(d, crows[ci], crows[ci], k)
-		})
+		}
 	}
 
-	u := make([]float64, k) // scratch: D·x of the row being swapped in/out
+	u := make([]float64, k)          // scratch: D·x of the row being swapped in/out
+	w := make([]float64, len(cands)) // scratch: yᵀDx for every candidate y
 	// applyUpdate folds row x into D by an in-place Sherman–Morrison
 	// rank-one update (sign +1 adds the row, −1 removes it) and refreshes
 	// every cached variance in O(k) each:
@@ -243,56 +298,44 @@ func dOptimal(space *Space, fixed []Point, n int, rng *rand.Rand, opt DOptions) 
 	// Returns false on a degenerate denominator (caller recomputes from
 	// scratch).
 	applyUpdate := func(x []float64, sign float64) bool {
-		for i := 0; i < k; i++ {
-			u[i] = linalg.Dot(d.Row(i), x)
-		}
+		dotRows(drows, x, u)
 		denom := 1 + sign*linalg.Dot(x, u)
 		if math.Abs(denom) < 1e-12 {
 			return false
 		}
 		scale := sign / denom
-		par.For(k, opt.Workers, func(i int) {
+		for i, di := range drows {
 			if u[i] == 0 {
-				return
+				continue
 			}
-			di := d.Row(i)
 			s := scale * u[i]
 			for j := 0; j < k; j++ {
 				di[j] -= s * u[j]
 			}
-		})
-		par.For(len(cands), opt.Workers, func(ci int) {
-			w := linalg.Dot(crows[ci], u)
-			dvals[ci] -= scale * w * w
-		})
+		}
+		dotRows(crows, u, w)
+		for ci, wc := range w {
+			dvals[ci] -= scale * wc * wc
+		}
 		return true
 	}
 
-	deltas := make([]float64, len(cands))
 	for sweep := 0; sweep < opt.MaxSweeps; sweep++ {
 		refresh() // fresh each sweep: bounds SM drift
 		improved := false
 		for si, out := range st.sel {
 			xj := crows[out]
-			for i := 0; i < k; i++ {
-				u[i] = linalg.Dot(d.Row(i), xj)
-			}
+			dotRows(drows, xj, u)
 			dj := dvals[out]
-			par.For(len(cands), opt.Workers, func(ci int) {
-				if st.inDesign[ci] {
-					return
-				}
-				dx := dvals[ci]
-				dxj := linalg.Dot(crows[ci], u)
-				deltas[ci] = dx - (dx*dj - dxj*dxj) - dj
-			})
+			dotRows(crows, u, w)
 			bestDelta, bestC := 1e-9, -1
-			for ci := range cands {
+			for ci, dxj := range w {
 				if st.inDesign[ci] {
 					continue
 				}
-				if deltas[ci] > bestDelta {
-					bestDelta, bestC = deltas[ci], ci
+				dx := dvals[ci]
+				if delta := dx - (dx*dj - dxj*dxj) - dj; delta > bestDelta {
+					bestDelta, bestC = delta, ci
 				}
 			}
 			if bestC < 0 {

@@ -90,7 +90,8 @@ func (v Var) Code(raw int64) float64 {
 }
 
 // Space is an ordered set of predictor variables; a design point assigns a
-// raw value to each. Vars must not change once the space has coded a point.
+// raw value to each. Vars must not change once the space has coded or drawn
+// a point.
 type Space struct {
 	Vars []Var
 
@@ -101,10 +102,12 @@ type Space struct {
 // coder is what Var.Code derives from the bounds alone, per variable: the
 // low bound and the span on the variable's own scale (log2 for LogInt). A
 // variable whose bounds coincide there codes every value as 0; it is listed
-// apart so that coding the others takes no branch for it.
+// apart so that coding the others takes no branch for it. levels holds each
+// variable's LevelValues, computed once for every draw that reads them.
 type coder struct {
-	vars  []varCoder
-	fixed []int
+	vars   []varCoder
+	fixed  []int
+	levels [][]int64
 }
 
 type varCoder struct {
@@ -117,7 +120,9 @@ type varCoder struct {
 func (s *Space) coder() *coder {
 	s.codingOnce.Do(func() {
 		s.coding.vars = make([]varCoder, len(s.Vars))
+		s.coding.levels = make([][]int64, len(s.Vars))
 		for i, v := range s.Vars {
+			s.coding.levels[i] = v.LevelValues()
 			lo, hi := float64(v.Low), float64(v.High)
 			if v.Kind == LogInt {
 				lo, hi = math.Log2(lo), math.Log2(hi)
@@ -176,11 +181,14 @@ func (s *Space) CodeInto(p Point, dst []float64) []float64 {
 	return dst
 }
 
+// Levels returns variable i's level grid, Vars[i].LevelValues() computed
+// once per space. The slice is shared: callers must not modify it.
+func (s *Space) Levels(i int) []int64 { return s.coder().levels[i] }
+
 // RandomPoint draws each variable uniformly from its levels.
 func (s *Space) RandomPoint(rng *rand.Rand) Point {
 	p := make(Point, len(s.Vars))
-	for i, v := range s.Vars {
-		levels := v.LevelValues()
+	for i, levels := range s.coder().levels {
 		p[i] = levels[rng.Intn(len(levels))]
 	}
 	return p
@@ -193,8 +201,7 @@ func (s *Space) LatinHypercube(n int, rng *rand.Rand) []Point {
 	for i := range pts {
 		pts[i] = make(Point, len(s.Vars))
 	}
-	for d, v := range s.Vars {
-		levels := v.LevelValues()
+	for d, levels := range s.coder().levels {
 		perm := rng.Perm(n)
 		for i := 0; i < n; i++ {
 			// Stratum perm[i] of n maps onto the level grid.

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -96,6 +97,33 @@ func TestDesignsAreDeterministic(t *testing.T) {
 	}
 	if len(h1.TestDesign()) != tinyScale.TestPoints {
 		t.Fatal("test design size")
+	}
+}
+
+// TrainDesign runs the exchange once per harness: a second call returns the
+// memoized slice itself, and a change of seed or size builds a new design.
+func TestTrainDesignMemoized(t *testing.T) {
+	h := NewHarness(tinyScale)
+	a, b := h.TrainDesign(), h.TrainDesign()
+	if &a[0] != &b[0] {
+		t.Fatal("second TrainDesign call rebuilt the design")
+	}
+	if cap(a) != len(a) {
+		t.Fatalf("memoized design has spare capacity %d > %d: an append would write into it", cap(a), len(a))
+	}
+	h.Seed = 2
+	c := h.TrainDesign()
+	if &c[0] == &a[0] {
+		t.Fatal("TrainDesign kept the design of another seed")
+	}
+	other := NewHarness(tinyScale)
+	other.Seed = 2
+	if !reflect.DeepEqual(c, other.TrainDesign()) {
+		t.Fatal("re-seeded harness built a different design from a fresh one")
+	}
+	h.Scale.TrainPoints++
+	if d := h.TrainDesign(); len(d) != tinyScale.TrainPoints+1 {
+		t.Fatalf("design of %d points after TrainPoints grew to %d", len(d), tinyScale.TrainPoints+1)
 	}
 }
 

@@ -78,10 +78,10 @@ type Harness struct {
 	Log io.Writer
 
 	// Workers bounds the measurement farm's concurrency AND the analytics
-	// side (model fitting, cross-validation folds, Fedorov exchange scans,
-	// GA fitness batches). Zero means runtime.GOMAXPROCS(0); one
-	// reproduces the serial path. Every analytics result is bit-for-bit
-	// identical for any value.
+	// side (model fitting, cross-validation folds, Fig 5's fits, Table 4's
+	// rankings). Zero means runtime.GOMAXPROCS(0); one reproduces the
+	// serial path. Every analytics result is bit-for-bit identical for any
+	// value.
 	Workers int
 
 	// Measure, when non-nil, replaces the farm's compile+simulate executor
@@ -102,6 +102,17 @@ type Harness struct {
 	borrowed bool            // farm belongs to the harness AtScale was called on
 	merged   map[string]bool // scales whose cache file AtScale has read into the store
 	space    *doe.Space
+
+	designMu sync.Mutex
+	train    trainDesign
+}
+
+// trainDesign is a memoized TrainDesign and what it was built from.
+type trainDesign struct {
+	points    int
+	expansion doe.Expansion
+	seed      int64
+	pts       []doe.Point
 }
 
 // NewHarness returns a harness at the given scale with seed 1.
@@ -280,11 +291,20 @@ func (h *Harness) rngFor(purpose string) *rand.Rand {
 
 // TrainDesign returns the D-optimal training design for one program (shared
 // across programs in the paper; we also share it, keyed only by the scale
-// and seed, so measurements amortize).
+// and seed, so measurements amortize). The exchange runs once per harness
+// for a (TrainPoints, DesignExpansion, Seed): later calls return the same
+// slice, which callers must not modify.
 func (h *Harness) TrainDesign() []doe.Point {
-	des := doe.DOptimal(h.Space(), h.Scale.TrainPoints, h.rngFor("train-design"),
-		doe.DOptions{Expansion: h.Scale.DesignExpansion, MaxSweeps: 8, Workers: h.Workers})
-	return des.Points
+	h.designMu.Lock()
+	defer h.designMu.Unlock()
+	d := &h.train
+	if d.pts == nil || d.points != h.Scale.TrainPoints || d.expansion != h.Scale.DesignExpansion || d.seed != h.Seed {
+		des := doe.DOptimal(h.Space(), h.Scale.TrainPoints, h.rngFor("train-design"),
+			doe.DOptions{Expansion: h.Scale.DesignExpansion, MaxSweeps: 8})
+		pts := des.Points[:len(des.Points):len(des.Points)] // an append copies
+		*d = trainDesign{points: h.Scale.TrainPoints, expansion: h.Scale.DesignExpansion, seed: h.Seed, pts: pts}
+	}
+	return d.pts
 }
 
 // TestDesign returns the independently generated test set.

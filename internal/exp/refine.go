@@ -28,7 +28,7 @@ func (h *Harness) RefineToAccuracy(w workloads.Workload, targetErrPct float64,
 	}
 	rng := h.rngFor("refine-" + w.Key())
 	design := doe.DOptimal(h.Space(), initial, rng,
-		doe.DOptions{Expansion: h.Scale.DesignExpansion, MaxSweeps: 6, Workers: h.Workers})
+		doe.DOptions{Expansion: h.Scale.DesignExpansion, MaxSweeps: 6})
 	points := design.Points
 
 	fitter := func(d *model.Dataset) (model.Model, error) { return FitRBF(d) }
@@ -58,7 +58,7 @@ func (h *Harness) RefineToAccuracy(w workloads.Workload, targetErrPct float64,
 			return m, points, history, nil
 		}
 		aug := doe.AugmentDOptimal(h.Space(), points, step, rng,
-			doe.DOptions{Expansion: h.Scale.DesignExpansion, MaxSweeps: 4, Workers: h.Workers})
+			doe.DOptions{Expansion: h.Scale.DesignExpansion, MaxSweeps: 4})
 		points = aug.Points
 	}
 }

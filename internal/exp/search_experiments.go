@@ -97,7 +97,6 @@ func (s *Study) SearchSettingsCtx(ctx context.Context, configs []NamedConfig) ([
 				search.GAOptions{
 					Population:  s.Harness.Scale.GAPopulation,
 					Generations: s.Harness.Scale.GAGenerations,
-					Workers:     s.Harness.Workers,
 				}, rng)
 			if err != nil {
 				return nil, err

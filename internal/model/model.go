@@ -17,15 +17,14 @@ import (
 
 	"repro/internal/doe"
 	"repro/internal/linalg"
-	"repro/internal/par"
 )
 
 // Model predicts the response at a coded design point.
 type Model interface {
 	// Predict returns the estimated response at coded coordinates x. A
 	// fitted model is immutable, so Predict must be (and all models in
-	// this package are) safe for concurrent use — PredictAllParallel and
-	// the GA's batched fitness evaluation rely on it.
+	// this package are) safe for concurrent use — the service's concurrent
+	// predict requests and Table 4's parallel rankings rely on it.
 	Predict(x []float64) float64
 	// Name identifies the technique ("linear", "mars", "rbf-rt").
 	Name() string
@@ -84,17 +83,6 @@ func PredictAll(m Model, xs [][]float64) []float64 {
 	for i, x := range xs {
 		out[i] = m.Predict(x)
 	}
-	return out
-}
-
-// PredictAllParallel evaluates m at every point of xs on up to workers
-// goroutines (0 = GOMAXPROCS). Each output index is computed independently,
-// so the result is identical to PredictAll at any worker count.
-func PredictAllParallel(m Model, xs [][]float64, workers int) []float64 {
-	out := make([]float64, len(xs))
-	par.For(len(xs), workers, func(i int) {
-		out[i] = m.Predict(xs[i])
-	})
 	return out
 }
 

@@ -315,6 +315,48 @@ func TestAllEffectsSkipsUnreadVars(t *testing.T) {
 	}
 }
 
+// A *MARSModel's effects come from its basis terms, formed once per
+// background point; behind a wrapper that hides the concrete type they come
+// from Predict. The two must give the same effects in the same order, bit
+// for bit, on D-optimal fits shaped like the benchmark's and on random ones.
+func TestAllEffectsMARSTermsMatchPredict(t *testing.T) {
+	space := doe.JointSpace()
+	var fits []*Dataset
+	for seed := int64(1); seed <= 3; seed++ {
+		fits = append(fits, doptData(28, seed))
+	}
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(100 + seed))
+		v := rng.Perm(space.NumVars())[:6]
+		c := make([]float64, 6)
+		for i := range c {
+			c[i] = 10 * rng.NormFloat64()
+		}
+		knot := 2*rng.Float64() - 1
+		f := func(x []float64) float64 {
+			return 500 + c[0]*x[v[0]] + c[1]*math.Max(0, x[v[1]]-knot) + c[2]*x[v[2]]*x[v[3]] +
+				c[3]*math.Max(0, knot-x[v[4]])*x[v[5]] + c[4]*x[v[5]]
+		}
+		fits = append(fits, synth(30+10*int(seed), space.NumVars(), seed, f, 0.5))
+	}
+	for fi, data := range fits {
+		mars, err := FitMARS(data, MARSOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := AllEffects(mars, space, data.X)
+		want := AllEffects(opaqueModel{mars}, space, data.X)
+		if len(got) != len(want) {
+			t.Fatalf("fit %d: %d effects, want %d", fi, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Label() != want[i].Label() || math.Float64bits(got[i].Value) != math.Float64bits(want[i].Value) {
+				t.Fatalf("fit %d (%d bases): effect %d is %s = %v, want %s = %v", fi, len(mars.Bases), i, got[i].Label(), got[i].Value, want[i].Label(), want[i].Value)
+			}
+		}
+	}
+}
+
 func TestPropertyLinearInterpolatesTraining(t *testing.T) {
 	// With more samples than terms and zero noise, training error ≈ 0 for
 	// responses that truly are linear.

@@ -68,23 +68,3 @@ func TestCrossValidateParallelMatchesSerial(t *testing.T) {
 		t.Fatalf("CrossValidate %v != CrossValidateParallel(..., 1, ...) %v", wrapped, serial)
 	}
 }
-
-func TestPredictAllParallelMatchesSerial(t *testing.T) {
-	data := synth(120, 4, 47, nonlinearTruth, 0.3)
-	m, err := FitMARS(data, MARSOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := PredictAll(m, data.X)
-	for _, w := range []int{0, 1, 3, 16} {
-		got := PredictAllParallel(m, data.X, w)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: length %d", w, len(got))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: prediction %d: %v != %v", w, i, got[i], want[i])
-			}
-		}
-	}
-}

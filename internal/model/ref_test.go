@@ -206,7 +206,7 @@ func refData(n, dim int, seed int64) *Dataset {
 func doptData(n int, seed int64) *Dataset {
 	space := doe.JointSpace()
 	rng := rand.New(rand.NewSource(seed))
-	des := doe.DOptimal(space, n, rng, doe.DOptions{Expansion: doe.ExpandLinear, MaxSweeps: 8, Workers: 1})
+	des := doe.DOptimal(space, n, rng, doe.DOptions{Expansion: doe.ExpandLinear, MaxSweeps: 8})
 	xs := make([][]float64, n)
 	ys := make([]float64, n)
 	for i, p := range des.Points {

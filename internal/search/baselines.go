@@ -54,7 +54,7 @@ func HillClimb(p Problem, evals int, rng *rand.Rand) *Result {
 				if _, frozen := p.Frozen[vi]; frozen {
 					continue
 				}
-				for _, lv := range p.Space.Vars[vi].LevelValues() {
+				for _, lv := range p.Space.Levels(vi) {
 					if lv == cur[vi] {
 						continue
 					}

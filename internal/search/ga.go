@@ -38,10 +38,8 @@ const (
 type GAOptions struct {
 	Population  int // default 60
 	Generations int // default 40
-	// Workers bounds the fitness-evaluation concurrency (0 = GOMAXPROCS,
-	// 1 = serial). The search trajectory is identical for every value:
-	// all randomness is drawn on the breeding goroutine in a fixed order,
-	// and workers only evaluate the (immutable) model in batch.
+	// Workers is unused: the GA scores its population on the calling
+	// goroutine. It stays because benchmark/sweep_layers.go sets it.
 	Workers int
 	// Progress, when non-nil, is called after each generation's fitness
 	// evaluation (gen 0 is the initial population) with the best point and
@@ -68,6 +66,12 @@ type Result struct {
 	Evals     int
 }
 
+// gene is one frozen variable: its index and raw value.
+type gene struct {
+	i int
+	v int64
+}
+
 // OptimizeCtx runs the GA and returns the best design point found (raw
 // values), minimizing the model's predicted response. It checks ctx between
 // generations: a cancelled context (a disconnected search client, Ctrl-C)
@@ -78,36 +82,37 @@ func OptimizeCtx(ctx context.Context, p Problem, opt GAOptions, rng *rand.Rand) 
 	opt = opt.withDefaults()
 	k := p.Space.NumVars()
 
+	// Each frozen gene writes its own index, so the map's order is moot.
+	frozen := make([]gene, 0, len(p.Frozen))
+	for i, v := range p.Frozen {
+		frozen = append(frozen, gene{i, v})
+	}
 	clamp := func(pt doe.Point) {
-		for i, v := range p.Frozen {
-			pt[i] = v
+		for _, g := range frozen {
+			pt[g.i] = g.v
 		}
-	}
-	newRandom := func() doe.Point {
-		pt := p.Space.RandomPoint(rng)
-		clamp(pt)
-		return pt
-	}
-	// Fitness is evaluated in batch: the whole population is coded and
-	// predicted on the worker pool via PredictAllParallel. Predictions
-	// write only their own index, so the scores — and therefore the whole
-	// search — are identical at any worker count.
-	evals := 0
-	evalInto := func(pop []doe.Point, fit []float64) {
-		coded := make([][]float64, len(pop))
-		for i, pt := range pop {
-			coded[i] = p.Space.Code(pt)
-		}
-		copy(fit, model.PredictAllParallel(p.Model, coded, opt.Workers))
-		evals += len(pop)
 	}
 
+	// Two generations' worth of rows: children are bred from pop into
+	// next, and the two swap.
 	pop := make([]doe.Point, opt.Population)
-	fit := make([]float64, opt.Population)
+	next := make([]doe.Point, opt.Population)
 	for i := range pop {
-		pop[i] = newRandom()
+		pop[i] = p.Space.RandomPoint(rng)
+		clamp(pop[i])
+		next[i] = make(doe.Point, k)
 	}
-	evalInto(pop, fit)
+	coded := make([][]float64, opt.Population)
+	fit := make([]float64, opt.Population)
+	evals := 0
+	score := func() {
+		for i, pt := range pop {
+			coded[i] = p.Space.CodeInto(pt, coded[i])
+			fit[i] = p.Model.Predict(coded[i])
+		}
+		evals += len(pop)
+	}
+	score()
 
 	bestI := argmin(fit)
 	best := append(doe.Point{}, pop[bestI]...)
@@ -134,35 +139,33 @@ func OptimizeCtx(ctx context.Context, p Problem, opt GAOptions, rng *rand.Rand) 
 		if err := ctx.Err(); err != nil {
 			return &Result{Point: best, Predicted: bestFit, Evals: evals}, err
 		}
-		next := make([]doe.Point, 0, opt.Population)
 		// Elitism: carry the best individuals forward.
 		order := sortedByFitness(fit)
-		for e := 0; e < elite && e < len(order); e++ {
-			next = append(next, append(doe.Point{}, pop[order[e]]...))
+		nElite := min(elite, len(order))
+		for e := 0; e < nElite; e++ {
+			copy(next[e], pop[order[e]])
 		}
-		for len(next) < opt.Population {
+		for _, child := range next[nElite:] {
 			a, b := tournament(), tournament()
-			child := make(doe.Point, k)
-			for g := 0; g < k; g++ {
+			for g := range child {
 				if rng.Float64() < crossRate {
 					child[g] = b[g]
 				} else {
 					child[g] = a[g]
 				}
 				if rng.Float64() < mutRate {
-					levels := p.Space.Vars[g].LevelValues()
+					levels := p.Space.Levels(g)
 					child[g] = levels[rng.Intn(len(levels))]
 				}
 			}
 			clamp(child)
-			next = append(next, child)
 		}
-		pop = next
-		evalInto(pop, fit)
+		pop, next = next, pop
+		score()
 		for i := range pop {
 			if fit[i] < bestFit {
 				bestFit = fit[i]
-				best = append(doe.Point{}, pop[i]...)
+				copy(best, pop[i])
 			}
 		}
 		report(gen + 1)

@@ -5,35 +5,6 @@ import (
 	"testing"
 )
 
-// Workers only parallelize the batched fitness evaluation; all randomness is
-// consumed on the breeding goroutine in a fixed order, so the search
-// trajectory — and the final point — must be identical at any worker count.
-func TestOptimizeParallelMatchesSerial(t *testing.T) {
-	s := smallSpace()
-	m := funcModel{func(x []float64) float64 {
-		return 100 - 5*x[0] + 7*x[1] - 3*x[2] + 4*x[3]*x[3]
-	}}
-	run := func(w int) *Result {
-		return optimize(Problem{Space: s, Model: m},
-			GAOptions{Workers: w}, rand.New(rand.NewSource(11)))
-	}
-	serial := run(1)
-	for _, w := range []int{0, 2, 4} {
-		parallel := run(w)
-		for i := range serial.Point {
-			if parallel.Point[i] != serial.Point[i] {
-				t.Fatalf("workers=%d: point %v != serial %v", w, parallel.Point, serial.Point)
-			}
-		}
-		if parallel.Predicted != serial.Predicted {
-			t.Fatalf("workers=%d: predicted %v != serial %v", w, parallel.Predicted, serial.Predicted)
-		}
-		if parallel.Evals != serial.Evals {
-			t.Fatalf("workers=%d: evals %d != serial %d", w, parallel.Evals, serial.Evals)
-		}
-	}
-}
-
 // sortedByFitness must order ascending and keep index order on ties — the
 // contract the elitism step relied on with the old stable insertion sort.
 func TestSortedByFitnessStableOnTies(t *testing.T) {

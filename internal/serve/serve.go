@@ -612,7 +612,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	opt := searchOptions(req, sc, s.opts.Workers)
+	opt := searchOptions(req, sc)
 	seed := req.Seed
 	if seed == 0 {
 		seed = 1
@@ -903,11 +903,10 @@ func writeErr(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, map[string]string{"error": msg})
 }
 
-func searchOptions(req SearchRequest, sc exp.Scale, workers int) search.GAOptions {
+func searchOptions(req SearchRequest, sc exp.Scale) search.GAOptions {
 	opt := search.GAOptions{
 		Population:  req.Population,
 		Generations: req.Generations,
-		Workers:     workers,
 	}
 	if opt.Population <= 0 {
 		opt.Population = sc.GAPopulation
