@@ -257,9 +257,9 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 const minBBVsFused = 0.97
 
 // BenchmarkTranslatedThroughput compares the basic-block translated engine
-// against the fused engine — the chunk producer and chunk timing kernel
-// composed in one goroutine, which is what would run in its place if the bb
-// tier were deleted — on the same program and configuration, checking
+// against the fused engine — the trace pump (Executor.Trace) feeding the
+// reference timing model (CPU.FeedDecoded) in one goroutine, which is what
+// would run in its place if the bb tier were deleted — on the same program and configuration, checking
 // bit-exactness and gating the same-run fused/bb wall-clock ratio, the number
 // the verdict on the bb tier needs. Each engine is timed best-of-3 to keep a
 // single scheduling hiccup from deciding the ratio.
@@ -725,40 +725,6 @@ func BenchmarkSMARTSSpeedup(b *testing.B) {
 	}
 }
 
-// BenchmarkSMARTSParallel measures what the shared trace saves: one
-// functional pass handed to 4 offset workers, against the 4 independent
-// sequential Runs at the same strided offsets whose window populations it
-// pools. On one core the ratio is the functional interpretation not
-// repeated; further cores add the overlap of the workers' warming.
-func BenchmarkSMARTSParallel(b *testing.B) {
-	w := workloads.MustGet("181.mcf", workloads.Ref)
-	prog, _, err := compiler.Compile(w.Parse(), compiler.O2())
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := sim.DefaultConfig()
-	s := smarts.Sampler{WindowSize: 1000, Interval: 50}
-	const workers = 4
-	var seq, par time.Duration
-	for i := 0; i < b.N; i++ {
-		start := time.Now()
-		for k := int64(0); k < workers; k++ {
-			sk := s
-			sk.Offset = k * (s.Interval / workers)
-			if _, err := smarts.Run(prog, cfg, sk, 2_000_000_000); err != nil {
-				b.Fatal(err)
-			}
-		}
-		seq = time.Since(start)
-		start = time.Now()
-		if _, err := smarts.RunParallel(prog, cfg, s, 2_000_000_000, workers); err != nil {
-			b.Fatal(err)
-		}
-		par = time.Since(start)
-	}
-	b.ReportMetric(seq.Seconds()/par.Seconds(), "vs-sequential-runs-x")
-}
-
 // distSweepPoints builds the distributed benchmark batch: nFlags distinct
 // compiler vectors crossed with perFlag microarchitecture variants, so the
 // coordinator plans it into exactly nFlags shared-binary groups.
@@ -957,7 +923,7 @@ func BenchmarkHeterogeneousSweep(b *testing.B) {
 	}
 }
 
-// batchWorkloadSource generates the shared-trace benchmark workload: many
+// batchWorkloadSource generates the shared-binary benchmark workload: many
 // mid-sized functions so O3 inlining and unrolling make compilation the
 // dominant cost, with a short dynamic run (~110k committed instructions).
 // That is the shape the batch planner exploits — a Table-7 sweep recompiles
@@ -1010,14 +976,14 @@ func batchSweep() []doe.Point {
 }
 
 // minSharedSpeedup is the floor on shared-x. It holds on any host because the
-// win is eliminated CPU work — one compile and one functional interpretation
-// for twelve points instead of twelve, of which the per-point path's four
-// workers overlap at most four — so fewer cores only widen it.
+// win is eliminated CPU work — one compile for twelve points instead of
+// twelve, of which the per-point path's four workers overlap at most four —
+// so fewer cores only widen it.
 const minSharedSpeedup = 2.0
 
 // BenchmarkMeasureBatchShared compares a fixed-flags/varying-microarch batch
-// (the Table 7 shape) on the grouped farm — compile once, interpret once,
-// one timing consumer per config — against the pre-grouping path that
+// (the Table 7 shape) on the grouped farm — compile once, then
+// sim.SimulateMany over the twelve configurations — against the path that
 // compiles and fully simulates every point independently. Both farms run
 // cold (no store, empty binary cache) with four workers; the gated ratio is
 // the farm's headline number.
@@ -1034,7 +1000,7 @@ func BenchmarkMeasureBatchShared(b *testing.B) {
 		}
 		elapsed := time.Since(start)
 		if st := f.Stats(); opts.Measure == nil && st.BinaryGroups == 0 {
-			b.Fatal("grouped farm formed no shared-trace groups")
+			b.Fatal("grouped farm formed no shared-binary groups")
 		}
 		return elapsed
 	}
@@ -1050,53 +1016,5 @@ func BenchmarkMeasureBatchShared(b *testing.B) {
 	b.ReportMetric(float64(len(points)), "points")
 	if speedup < minSharedSpeedup {
 		b.Fatalf("grouped batch %.2fx the per-point path, below floor %.1fx", speedup, minSharedSpeedup)
-	}
-}
-
-// BenchmarkMeasureBatchSuite asks BenchmarkMeasureBatchShared's question of
-// suite programs rather than of the compile-bound synthetic 910.batch: once
-// the binary is compiled, what does sim.SimulateMany over three
-// configurations of one issue width save against three sim.Simulate calls?
-// 179.art and 181.mcf (train input, -O2) run both ways at GOMAXPROCS 1,
-// where wall time is the CPU each path spends, alternating, each timed
-// best-of-3. It has no floor: many-x is the three calls' time over
-// SimulateMany's, per program.
-func BenchmarkMeasureBatchSuite(b *testing.B) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	base := sim.DefaultConfig()
-	cfgs := []sim.Config{base, base, base}
-	cfgs[1].DCacheKB, cfgs[1].L2Lat = 64, 16
-	cfgs[2].RUUSize, cfgs[2].L2KB, cfgs[2].MemLat = 32, 256, 150
-	const budget = 500_000_000
-	for _, name := range []string{"179.art", "181.mcf"} {
-		prog, _, err := compiler.Compile(workloads.MustGet(name, workloads.Train).Parse(), compiler.O2())
-		if err != nil {
-			b.Fatal(err)
-		}
-		var ratio float64
-		for i := 0; i < b.N; i++ {
-			many, three := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
-			for r := 0; r < 3; r++ {
-				start := time.Now()
-				grouped, err := sim.SimulateMany(prog, cfgs, budget)
-				if err != nil {
-					b.Fatal(err)
-				}
-				many = min(many, time.Since(start))
-				start = time.Now()
-				for j, cfg := range cfgs {
-					st, err := sim.Simulate(prog, cfg, budget)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if st != grouped[j] {
-						b.Fatalf("%s: SimulateMany differs from Simulate at configuration %d", name, j)
-					}
-				}
-				three = min(three, time.Since(start))
-			}
-			ratio = three.Seconds() / many.Seconds()
-		}
-		b.ReportMetric(ratio, strings.TrimLeft(name, "0123456789.")+"-many-x")
 	}
 }

@@ -39,8 +39,7 @@ func main() {
 		unroll  = flag.Bool("unroll", false, "additionally enable -funroll-loops")
 		cfgName = flag.String("config", "typical", "configuration: constrained|typical|aggressive")
 		useSam  = flag.Bool("smarts", false, "use SMARTS sampled simulation")
-		engine  = flag.String("engine", sim.EngineBB, "simulation engine, all bit-identical: feed (reference), fused (chunk producer + chunk timing kernel in one goroutine), bb (translated blocks; sim.Simulate's tier)")
-		workers = flag.Int("workers", 1, "with -smarts: pool this many offset-shifted sample sets, drawn concurrently (0 = GOMAXPROCS)")
+		engine  = flag.String("engine", sim.EngineBB, "simulation engine, all bit-identical: feed (reference), fused (chunk producer feeding the reference timing model in one goroutine), bb (translated blocks; sim.Simulate's tier)")
 		trace   = flag.Int64("trace", 0, "print pipeline timing for the first N instructions")
 		budget  = flag.Int64("max-instrs", 2_000_000_000, "instruction budget")
 
@@ -171,15 +170,11 @@ func main() {
 	}
 
 	if *useSam {
-		n := *workers
-		if n <= 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		res, err := smarts.RunParallel(bin, cfg, smarts.DefaultSampler(), *budget, n)
+		res, err := smarts.Run(bin, cfg, smarts.DefaultSampler(), *budget)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("%s on %s (SMARTS, %d sample sets)\n", name, *cfgName, n)
+		fmt.Printf("%s on %s (SMARTS)\n", name, *cfgName)
 		fmt.Printf("  estimated cycles: %.0f\n", res.EstimatedCycles)
 		fmt.Printf("  instructions:     %d\n", res.Instructions)
 		fmt.Printf("  mean CPI:         %.3f (99.7%% CI ±%.2f%%)\n", res.MeanCPI, 100*res.RelCI997)

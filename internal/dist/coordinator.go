@@ -359,7 +359,7 @@ func (c *Coordinator) Checkpoint() error {
 
 // execute is the coordinator's executor: queue the planned groups for
 // lease. The whole group goes to a single worker, so its points share one
-// compile and one functional interpretation there.
+// compile there.
 func (c *Coordinator) execute(groups []*farm.Group) {
 	c.mu.Lock()
 	for _, g := range groups {

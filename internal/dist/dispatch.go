@@ -245,6 +245,7 @@ func (c *Coordinator) streamGroup(ctx context.Context, base string, g *cgroup, s
 
 	results := make([]farm.Result, len(g.Tasks))
 	errs := make([]error, len(g.Tasks))
+	seen := make([]bool, len(g.Tasks)) // a repeated index must not stand in for a missing one
 	got := 0
 	expire := time.NewTimer(c.lease)
 	defer expire.Stop()
@@ -266,6 +267,10 @@ func (c *Coordinator) streamGroup(ctx context.Context, base string, g *cgroup, s
 				if l.Index < 0 || l.Index >= len(results) {
 					return nil, nil, 0, fmt.Errorf("dist: result index %d out of range from %s", l.Index, base)
 				}
+				if seen[l.Index] {
+					return nil, nil, 0, fmt.Errorf("dist: duplicate result index %d from %s", l.Index, base)
+				}
+				seen[l.Index] = true
 				results[l.Index], errs[l.Index] = l.result()
 				got++
 			}

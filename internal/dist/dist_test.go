@@ -221,7 +221,7 @@ func TestGroupIsTheDispatchUnit(t *testing.T) {
 		t.Fatalf("workers formed %d binary groups, want %d: sharing broke in transit", workerGroups, nGroups)
 	}
 	if workerShared == 0 {
-		t.Fatal("no trace-shared simulations on the workers: compile-once/interpret-once lost")
+		t.Fatal("no shared-binary simulations on the workers: compile-once lost")
 	}
 }
 

@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -178,6 +179,46 @@ func TestCoordinatorRestartReplaysJournal(t *testing.T) {
 	st := co2.Stats()
 	if st.GroupsDispatched != 0 || st.CacheHits != int64(len(points)) {
 		t.Fatalf("restart went to the wire: dispatched=%d hits=%d", st.GroupsDispatched, st.CacheHits)
+	}
+}
+
+// TestDuplicateResultFailsTheLease: a worker whose stream repeats a result
+// index in place of a missing one has not completed the group. The lease
+// fails and the group is requeued to an honest worker, rather than the
+// missing point completing with zero cycles and no error.
+func TestDuplicateResultFailsTheLease(t *testing.T) {
+	liar := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		rw.Header().Set("Content-Type", "application/x-ndjson")
+		io.WriteString(rw, `{"result":true,"i":0,"cycles":1}`+"\n"+`{"result":true,"i":0,"cycles":1}`+"\n"+`{"done":true}`+"\n")
+	}))
+	defer liar.Close()
+
+	var execs atomic.Int64
+	live := NewWorker(WorkerOptions{Workers: 2, Measure: stubMeasure(&execs, 0), Heartbeat: 10 * time.Millisecond})
+	liveTS := httptest.NewServer(live.Handler())
+	defer liveTS.Close()
+	defer live.Close()
+
+	// The liar is listed first, so the group's first lease lands on it.
+	co, err := New(Options{Addrs: []string{liar.URL, liveTS.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+
+	w := workloads.MustGet("179.art", workloads.Train)
+	points := sweepPoints(1, 2) // one shared-binary group of two points
+	got, err := co.MeasureBatch(context.Background(), w, points, farm.Cycles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range points {
+		if got[i] != pointValue(p) {
+			t.Errorf("point %d: got %v want %v", i, got[i], pointValue(p))
+		}
+	}
+	if st := co.Stats(); st.GroupsRequeued == 0 || st.GroupsDispatched < 2 {
+		t.Errorf("dispatched=%d requeued=%d: the lying lease was accepted", st.GroupsDispatched, st.GroupsRequeued)
 	}
 }
 

@@ -3,9 +3,9 @@
 //
 // The dispatch unit is a shared-binary group, not a point: the coordinator
 // plans batches into farm.BinaryKey groups exactly as farm.DoJobs does and
-// leases whole groups to workers, so the compile-once/interpret-once
-// sharing of the batch planner survives distribution (a group split across
-// workers would recompile and re-interpret per shard). Workers wrap a local
+// leases whole groups to workers, so the compile-once sharing of the batch
+// planner survives distribution (a group split across workers would
+// recompile per shard). Workers wrap a local
 // farm over an optionally journaled worker-local store: a worker that
 // already measured a group answers from its own cache with zero
 // simulations, and the coordinator pulls each worker's store delta on
@@ -60,7 +60,7 @@ func (ww WireWorkload) Workload() workloads.Workload {
 
 // GroupRequest leases one shared-binary group to a worker: every point
 // carries the same compiler subvector and issue width, so the worker's own
-// batch planner compiles once and interprets once for the whole group.
+// batch planner compiles once for the whole group.
 type GroupRequest struct {
 	// Lease identifies this lease in worker logs; each requeue of the same
 	// group carries a new lease ID.

@@ -23,7 +23,7 @@ type Backend interface {
 	// Do runs one job, deduplicated against concurrent requests.
 	Do(ctx context.Context, job Job) (Result, error)
 	// DoJobs runs a batch, planning jobs that share a binary into
-	// compile-once/interpret-once groups; one result and one error per
+	// compile-once groups; one result and one error per
 	// job, in input order.
 	DoJobs(ctx context.Context, jobs []Job) ([]Result, []error)
 	// Measure and MeasureBatch are the response-selecting conveniences

@@ -85,8 +85,8 @@ func (f *Farm) cachedExecutor(ctx context.Context, job Job) (Result, error) {
 	}, nil
 }
 
-// simulateShared executes one shared-binary group: compile once, interpret
-// once, one timing consumer per point. Errors fan out to every member, typed
+// simulateShared executes one shared-binary group: compile once, then
+// sim.SimulateMany over the points' configurations. Errors fan out to every member, typed
 // exactly as on the per-job path (CompileError, SimError with its Budget
 // flag).
 func (f *Farm) simulateShared(g *Group, results []Result, errs []error) {

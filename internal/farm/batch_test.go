@@ -242,7 +242,7 @@ func TestGroupCompileFailureNoPoison(t *testing.T) {
 // TestCallersShareOneGroup is the sharing every caller of the planner gets:
 // seven callers, one point each on one binary, arrive while the farm's only
 // worker is held inside another compile. Their tasks meet in one open group,
-// which the worker compiles once and interprets once when it gets there, and
+// which the worker compiles once when it gets there, and
 // every caller's values are the serial executor's, bit for bit.
 func TestCallersShareOneGroup(t *testing.T) {
 	w := tinyWorkload()

@@ -13,8 +13,8 @@
 //     result (the pre-farm harness dropped its lock during simulation and
 //     silently duplicated concurrent work);
 //   - batch planning: new points that compile to one binary form a group, so
-//     an executor compiles once and interprets once for all of them, and a
-//     group stays open to later batches until an executor starts it;
+//     an executor compiles once for all of them, and a group stays open to
+//     later batches until an executor starts it;
 //   - exactly-once completion with bounded retry of transient store IO.
 //
 // Behind it sits an executor that turns planned groups into results. This
@@ -46,8 +46,9 @@ type Options struct {
 	Store *Store
 	// Measure executes jobs; nil means the farm's own executor — compiles
 	// served by the shared binary cache, and points that share a binary
-	// grouped onto one sim.SimulateMany pass. A non-nil Measure owns the
-	// whole pipeline and turns grouping off.
+	// compiled once and simulated together by one sim.SimulateMany call, one
+	// sim.Simulate per point. A non-nil Measure owns the whole pipeline and
+	// turns grouping off.
 	Measure MeasureFunc
 	// MaxInstrs is the per-simulation instruction budget for the default
 	// executor (0 = 500M).
@@ -157,7 +158,7 @@ func (f *Farm) worker(id int) {
 
 // run executes one group, once, and hands the outcome to the planner. A lone
 // task goes through the measure function; tasks sharing a binary go through
-// one shared interpretation. Neither is retried: a compile and a simulation
+// simulateShared. Neither is retried: a compile and a simulation
 // are deterministic, so a failed measurement fails again.
 func (f *Farm) run(g *Group) {
 	results := make([]Result, len(g.Tasks))
@@ -239,7 +240,7 @@ type PlannerStats struct {
 	BudgetOverruns int64
 	Failures       int64
 	// BinaryGroups counts completed groups of two or more points, the ones
-	// whose points shared one compile and one functional interpretation;
+	// whose points shared one compile;
 	// TraceSharedSims counts their successful points. A point alone with its
 	// binary moves neither.
 	TraceSharedSims int64

@@ -148,7 +148,7 @@ func (p *Planner) Measure(ctx context.Context, w workloads.Workload, pt doe.Poin
 
 // MeasureBatch measures w at every point and returns the responses in input
 // order. The batch goes through DoJobs, so points sharing a binary are
-// planned into shared-trace groups. On failure it returns the error of the
+// planned into shared-binary groups. On failure it returns the error of the
 // earliest failing point (by input index), matching the serial path's error
 // selection so parallel and serial runs are indistinguishable.
 func (p *Planner) MeasureBatch(ctx context.Context, w workloads.Workload, points []doe.Point, resp Response) ([]float64, error) {
@@ -178,8 +178,7 @@ func (p *Planner) Do(ctx context.Context, job Job) (Result, error) {
 
 // DoJobs runs a batch of jobs, returning one result and one error per job in
 // input order. It sees the whole batch at once, so jobs that compile to the
-// same binary are planned into one group for the executor to compile once
-// and interpret once.
+// same binary are planned into one group for the executor to compile once.
 func (p *Planner) DoJobs(ctx context.Context, jobs []Job) ([]Result, []error) {
 	res, errs, _ := p.Run(ctx, jobs)
 	return res, errs

@@ -1,7 +1,7 @@
 package farm
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -58,6 +58,8 @@ func Open(path string, logTo io.Writer) (*Store, error) {
 		if err := json.Unmarshal(data, &s.m); err != nil {
 			s.logf("farm: cache %s is corrupt (%v); starting fresh", path, err)
 			s.m = map[string]float64{}
+		} else if s.m == nil {
+			s.m = map[string]float64{} // a checkpoint of `null`
 		}
 	} else if !os.IsNotExist(err) {
 		return nil, err
@@ -69,11 +71,26 @@ func Open(path string, logTo io.Writer) (*Store, error) {
 	for k := range s.m {
 		s.order = append(s.order, k)
 	}
-	if err := s.replayJournal(); err != nil {
+	valid, size, err := s.replayJournal()
+	if err != nil {
 		return nil, err
 	}
 	j, err := os.OpenFile(s.journalPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
+		return nil, err
+	}
+	// The next append must start a line of its own: cut the journal back to
+	// its replayed prefix and end that prefix's last line. Appended after a
+	// torn or unterminated line, the next record would join it, and the next
+	// replay would drop it and everything after it.
+	if len(valid) < size {
+		err = j.Truncate(int64(len(valid)))
+	}
+	if n := len(valid); err == nil && n > 0 && valid[n-1] != '\n' {
+		_, err = j.Write([]byte{'\n'})
+	}
+	if err != nil {
+		j.Close()
 		return nil, err
 	}
 	s.journal = j
@@ -88,39 +105,39 @@ func (s *Store) logf(format string, args ...interface{}) {
 	}
 }
 
-func (s *Store) replayJournal() error {
-	f, err := os.Open(s.journalPath())
+// replayJournal applies the journal over the loaded checkpoint, line by
+// line, up to the first line that does not parse: a torn final write from a
+// crash. Anything after it is untrustworthy, so replay stops there rather
+// than resync. It returns the replayed prefix of the journal and the
+// journal's full size.
+func (s *Store) replayJournal() (valid []byte, size int, err error) {
+	data, err := os.ReadFile(s.journalPath())
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil
+			return nil, 0, nil
 		}
-		return err
+		return nil, 0, err
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	replayed, bad := 0, 0
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
+	replayed, bad, good := 0, 0, 0
+	for good < len(data) {
+		line, _, _ := bytes.Cut(data[good:], []byte{'\n'})
+		if len(line) > 0 {
+			var e KV
+			if err := json.Unmarshal(line, &e); err != nil {
+				bad++
+				break
+			}
+			s.m[e.K] = e.V
+			s.order = append(s.order, e.K)
+			replayed++
 		}
-		var e KV
-		if err := json.Unmarshal(line, &e); err != nil {
-			// A torn final write from a crash; anything after it is
-			// untrustworthy, so stop here rather than resync.
-			bad++
-			break
-		}
-		s.m[e.K] = e.V
-		s.order = append(s.order, e.K)
-		replayed++
+		good = min(good+len(line)+1, len(data))
 	}
 	s.pending = replayed
 	if replayed > 0 || bad > 0 {
 		s.logf("farm: journal replay: %d entries recovered, %d corrupt lines dropped", replayed, bad)
 	}
-	return sc.Err()
+	return data[:good], len(data), nil
 }
 
 // get returns the stored value for key.

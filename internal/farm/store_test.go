@@ -1,7 +1,10 @@
 package farm
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
@@ -120,6 +123,35 @@ func TestStoreToleratesTruncatedJournalLine(t *testing.T) {
 	}
 	if _, ok := s.get("torn"); ok {
 		t.Fatal("torn journal line must not be replayed")
+	}
+}
+
+// TestStoreSurvivesTwoCrashes: a store reopened over a torn journal line
+// must not append its next record onto that line, or a second crash before
+// a checkpoint loses the record on the next replay.
+func TestStoreSurvivesTwoCrashes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "measurements-test.json")
+	journal := `{"k":"a","v":1}` + "\n" + `{"k":"b","v` // first crash mid-write
+	if err := os.WriteFile(path+".journal", []byte(journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(Entry("c", 3)); err != nil {
+		t.Fatal(err)
+	}
+	s.journal.Close() // second crash: no checkpoint
+	s2, err := Open(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	for k, want := range map[string]float64{"a": 1, "c": 3} {
+		if v, ok := s2.get(k); !ok || v != want {
+			t.Errorf("%s after the second crash: %v %v, want %v", k, v, ok, want)
+		}
 	}
 }
 
@@ -345,4 +377,83 @@ func TestStoreSinceMergeShipsWholeStore(t *testing.T) {
 			t.Fatalf("key %s: merged %v, want %v", k, got[k], v)
 		}
 	}
+}
+
+// FuzzJournalReplay opens a store over an arbitrary checkpoint and journal.
+// Open must neither fail nor panic; the entries it recovers from the journal
+// must be exactly the journal's leading run of lines that parse, over the
+// checkpoint; and a Put after Open must survive a crash before the next
+// checkpoint, along with everything recovered. Explore with
+// `go test ./internal/farm -run '^$' -fuzz FuzzJournalReplay`.
+func FuzzJournalReplay(f *testing.F) {
+	rec := func(k string, v float64) string { return fmt.Sprintf(`{"k":%q,"v":%v}`+"\n", k, v) }
+	good := rec("a", 1) + rec("b", 2) + rec("c", 3)
+	flipped := []byte(good)
+	flipped[len(rec("a", 1))+3] ^= 0x40                      // bit flip in the second record
+	f.Add([]byte(nil), []byte(good+`{"k":"d","v`))           // torn tail
+	f.Add([]byte(nil), flipped)                              // bit flip
+	f.Add([]byte(nil), []byte(good+rec("b", 2)+rec("d", 4))) // duplicated record
+	f.Add([]byte(`{"a":1,"b":2,"c":3,"d":4}`), []byte(good)) // checkpoint newer than its journal
+	f.Add([]byte(`null`), []byte(good+`{"k":"e","v":5}`))    // null checkpoint, unterminated last line
+	f.Fuzz(func(t *testing.T, ckpt, journal []byte) {
+		path := filepath.Join(t.TempDir(), "measurements-fuzz.json")
+		if len(ckpt) > 0 {
+			if err := os.WriteFile(path, ckpt, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(path+".journal", journal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		// The oracle: the checkpoint if it parses, then the leading run of
+		// journal lines that parse, in order.
+		want := map[string]float64{}
+		if json.Unmarshal(ckpt, &want) != nil || want == nil {
+			want = map[string]float64{}
+		}
+		nCkpt := len(want)
+		var lines []KV
+		for _, line := range bytes.Split(journal, []byte{'\n'}) {
+			if len(line) == 0 {
+				continue
+			}
+			var e KV
+			if json.Unmarshal(line, &e) != nil {
+				break
+			}
+			lines = append(lines, e)
+			want[e.K] = e.V
+		}
+
+		s, err := Open(path, nil)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		if got := s.order[nCkpt:]; len(got) != len(lines) {
+			t.Fatalf("recovered %d journal entries, want the %d leading valid lines", len(got), len(lines))
+		}
+		for i, e := range lines {
+			if s.order[nCkpt+i] != e.K {
+				t.Fatalf("journal entry %d: key %q, want %q", i, s.order[nCkpt+i], e.K)
+			}
+		}
+		if !maps.Equal(s.m, want) {
+			t.Fatalf("recovered %v, want %v", s.m, want)
+		}
+
+		if err := s.Put(Entry("fuzz-put", 42)); err != nil {
+			t.Fatal(err)
+		}
+		s.journal.Close() // crash: no checkpoint
+		want["fuzz-put"] = 42
+		s2, err := Open(path, nil)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		defer s2.Close()
+		if !maps.Equal(s2.m, want) {
+			t.Fatalf("after a Put and a crash: %v, want %v", s2.m, want)
+		}
+	})
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"repro/internal/isa"
+	"repro/internal/par"
 )
 
 // CPU is the trace-fed timing model of an out-of-order superscalar core.
@@ -368,6 +369,25 @@ func instrSources(in *isa.Instr) (uint8, uint8) {
 func Simulate(prog *isa.Program, cfg Config, maxInstrs int64) (Stats, error) {
 	st, _, err := SimulateEngine(prog, cfg, maxInstrs, EngineBB)
 	return st, err
+}
+
+// SimulateMany runs prog to completion under each configuration: Simulate
+// per configuration, spread over GOMAXPROCS goroutines. Results are
+// bit-for-bit identical to len(cfgs) sequential Simulate calls; on error it
+// returns the error of the lowest-index configuration that failed, and no
+// results.
+func SimulateMany(prog *isa.Program, cfgs []Config, maxInstrs int64) ([]Stats, error) {
+	out := make([]Stats, len(cfgs))
+	errs := make([]error, len(cfgs))
+	par.For(len(cfgs), 0, func(i int) {
+		out[i], errs[i] = Simulate(prog, cfgs[i], maxInstrs)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // Energy accounting (arbitrary units, roughly proportional to nanojoules on

@@ -82,9 +82,9 @@ func runOutcome(t *testing.T, prog *isa.Program, cfg Config, budget int64, engin
 	return o
 }
 
-// TestEnginesAgree holds every engine and SimulateMany (a round of one, a
-// broadcast round, and 16 + a last round of one) to the feed reference on
-// faults and on chunk and budget boundaries: the same error type, faulting
+// TestEnginesAgree holds every engine and SimulateMany (one, two and 17
+// configurations) to the feed reference on faults and on chunk and budget
+// boundaries: the same error type, faulting
 // PC and Budget flag and the same Executor.PC/Count, or on success the same
 // Stats and ExitValue.
 func TestEnginesAgree(t *testing.T) {
@@ -128,8 +128,8 @@ func TestEnginesAgree(t *testing.T) {
 			{Op: isa.OpAddi, Rd: isa.RegRV, Rs1: isa.RegRV, Imm: 7},
 		}, 10, lowLoad...), budget: big, wantErr: true, wantPC: 14, wantSlow: true},
 	}
-	long := runs(nil, 3*TraceChunkSize, halt)
-	for _, size := range []int64{fusedChunkSize, TraceChunkSize} {
+	long := runs(nil, 3*4096, halt)
+	for _, size := range []int64{fusedChunkSize, 4096} {
 		for _, k := range []int64{1, 2} {
 			for _, d := range []int64{-1, 0, 1} {
 				n := k*size + d
@@ -211,12 +211,12 @@ func TestEnginesAgree(t *testing.T) {
 }
 
 // TestFaultDeliversExecutedPrefix states what a timing consumer has seen
-// when the producer faults, for both forms of Trace: exactly the
-// Executor.Count instructions that executed before the faulting one — whole
-// chunks and then a short one — and never the faulting instruction itself.
-// (Callers still discard the consumers' Stats on error.)
+// when the producer faults: exactly the Executor.Count instructions that
+// executed before the faulting one — whole chunks and then a short one —
+// and never the faulting instruction itself. (Callers still discard the
+// consumer's Stats on error.)
 func TestFaultDeliversExecutedPrefix(t *testing.T) {
-	const before = TraceChunkSize + fusedChunkSize + 17
+	const before = 4096 + fusedChunkSize + 17
 	prog := runs(nil, before, isa.Instr{Op: isa.OpStore, Rs1: isa.RegZero, Rs2: 11, Imm: 16})
 	faultPC := int32(len(prog.Instrs) - 1)
 	check := func(name string, exe *Executor, err error, seen int64) {
@@ -238,22 +238,16 @@ func TestFaultDeliversExecutedPrefix(t *testing.T) {
 	check("runFused", exe, err, cpu.Stats().Instructions)
 
 	exe = NewExecutor(prog)
-	var seen [3]int64
-	var consumers []func([]TraceEntry)
-	for k := range seen {
-		consumers = append(consumers, func(ents []TraceEntry) {
-			for _, e := range ents {
-				if e.PC == faultPC {
-					t.Errorf("consumer %d was sent the faulting instruction", k)
-				}
+	var seen int64
+	err = exe.Trace(1<<40, func(ents []TraceEntry) {
+		for _, e := range ents {
+			if e.PC == faultPC {
+				t.Errorf("consumer was sent the faulting instruction")
 			}
-			seen[k] += int64(len(ents))
-		})
-	}
-	err = exe.Trace(1<<40, consumers...)
-	for k := range seen {
-		check(fmt.Sprintf("Trace consumer %d", k), exe, err, seen[k])
-	}
+		}
+		seen += int64(len(ents))
+	})
+	check("Trace", exe, err, seen)
 }
 
 // TestFillChunkMatchesStep pins the producer to the reference interpreter

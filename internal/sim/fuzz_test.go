@@ -36,7 +36,7 @@ func sameFault(a, b error) bool {
 // with `go test ./internal/sim -run '^$' -fuzz FuzzEnginesAgree`.
 func FuzzEnginesAgree(f *testing.F) {
 	f.Add(int64(0), uint8(0), uint32(1<<31))
-	f.Add(int64(4), uint8(3), uint32(sim.TraceChunkSize))
+	f.Add(int64(4), uint8(3), uint32(4096))
 	cfgList := fuzzConfigs()
 	f.Fuzz(func(t *testing.T, seed int64, cfg uint8, budget uint32) {
 		src := wlgen.Generate(seed).Source

@@ -14,12 +14,11 @@ func manyConfigs() []sim.Config {
 	return []sim.Config{sim.DefaultConfig(), sim.Aggressive(), sim.Constrained(), narrow}
 }
 
-// TestSimulateManyMatchesSimulate is the tentpole identity test: one shared
-// functional interpretation feeding a timing consumer per configuration
-// must be bit-for-bit equal — cycles, energy, exit value, every counter —
-// to independent Simulate runs, for a 3-workload × 4-config grid. Run under
-// -race this also exercises the chunk hand-off between the producer and
-// the concurrent consumers.
+// TestSimulateManyMatchesSimulate is SimulateMany's identity test: the
+// batch must be bit-for-bit equal — cycles, energy, exit value, every
+// counter — to independent Simulate runs, in configuration order, for a
+// 3-workload × 4-config grid. Run under -race this also exercises the
+// concurrent per-configuration runs.
 func TestSimulateManyMatchesSimulate(t *testing.T) {
 	cfgs := manyConfigs()
 	for _, name := range []string{"179.art", "181.mcf", "164.gzip"} {
@@ -47,37 +46,7 @@ func TestSimulateManyMatchesSimulate(t *testing.T) {
 	}
 }
 
-// TestSimulateManyRounds pins the consumer-cap split: a batch of 17
-// configurations runs as one broadcast round of 16 plus a last round of one
-// (which degrades to Simulate) and must still match independent runs.
-func TestSimulateManyRounds(t *testing.T) {
-	base := manyConfigs()
-	cfgs := make([]sim.Config, 17)
-	for k := range cfgs {
-		cfgs[k] = base[k%len(base)]
-		cfgs[k].MemLat += k // distinct timing per slot, so a misplaced result shows
-	}
-	w := workloads.MustGet("179.art", workloads.Train)
-	prog, _, err := compiler.Compile(w.Parse(), compiler.O2())
-	if err != nil {
-		t.Fatal(err)
-	}
-	split, err := sim.SimulateMany(prog, cfgs, 500_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, cfg := range cfgs {
-		solo, err := sim.Simulate(prog, cfg, 500_000_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if split[k] != solo {
-			t.Errorf("cfg %d:\nsplit %+v\nsolo  %+v", k, split[k], solo)
-		}
-	}
-}
-
-// TestSimulateManyBudget pins the typed budget fault on the shared path.
+// TestSimulateManyBudget pins the typed budget fault on the batch path.
 func TestSimulateManyBudget(t *testing.T) {
 	w := workloads.MustGet("179.art", workloads.Train)
 	prog, _, err := compiler.Compile(w.Parse(), compiler.O2())

@@ -7,9 +7,9 @@ import (
 )
 
 // Simulation engines. Feed is the original Step+FeedDecoded reference loop,
-// Fused the chunk producer and chunk timing kernel composed in one goroutine
-// (runFused), BB the basic-block translated engine layered on top of the
-// fused slow path — the Simulate default and the tier the farm runs.
+// Fused the chunk producer feeding the same reference timing model in one
+// goroutine (runFused), BB the basic-block translated engine layered on top
+// of the fused slow path — the Simulate default and the tier the farm runs.
 const (
 	EngineFeed  = "feed"
 	EngineFused = "fused"

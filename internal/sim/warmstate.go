@@ -141,3 +141,30 @@ func (c Config) WarmGeometry() WarmGeometry {
 		BPredSize:   c.BPredSize,
 	}
 }
+
+// WarmChunk is SMARTS functional warming between detailed windows: it runs
+// a chunk's instruction fetches and data accesses through the cache
+// hierarchy and its branches through the predictor, and moves nothing else
+// — no cycle, no instruction count, no energy. A chunk may be cut anywhere
+// without changing the state it leaves.
+func (c *CPU) WarmChunk(dec *DecodedProgram, ents []TraceEntry) {
+	meta := dec.meta
+	lastLine := c.lastLine
+	for i := range ents {
+		e := &ents[i]
+		m := &meta[e.PC]
+		if m.line != lastLine {
+			lastLine = m.line
+			if !c.IL1.Access(m.pcByte) {
+				c.L2.Access(m.pcByte)
+			}
+		}
+		if m.flags&(flagLoad|flagStoreLike) != 0 && !c.DL1.Access(e.Addr) {
+			c.L2.Access(e.Addr)
+		}
+		if m.flags&flagBranch != 0 {
+			c.BP.Update(e.PC, e.Taken)
+		}
+	}
+	c.lastLine = lastLine
+}

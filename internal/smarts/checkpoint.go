@@ -84,14 +84,14 @@ func (cs *CheckpointSet) Replay(cfg sim.Config) *Result {
 // full-detail one, like Run's).
 func buildCheckpoints(prog *isa.Program, cfg sim.Config, s Sampler, maxInstrs int64) (*Result, *CheckpointSet, error) {
 	set := &CheckpointSet{sampler: s, geom: cfg.WarmGeometry()}
-	results, err := drive(prog, cfg, []Sampler{s}, maxInstrs, set)
+	res, err := drive(prog, cfg, s, maxInstrs, set)
 	if err != nil {
 		return nil, nil, err
 	}
-	if results[0].Windows == 0 {
+	if res.Windows == 0 {
 		set = nil
 	}
-	return results[0], set, nil
+	return res, set, nil
 }
 
 // storeKey identifies a checkpoint set: program content, sampler, warm

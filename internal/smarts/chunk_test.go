@@ -84,17 +84,16 @@ func TestSpanMatchesPerInstructionRule(t *testing.T) {
 }
 
 // TestFeedChunkIsChunkSizeInvariant feeds one recorded trace through
-// feedChunk in chunks of 1 (the per-instruction walk through the same
-// kernels), 7, 256 and TraceChunkSize, and requires the same samples, the
-// same window count and the same recorded regions — entry phase, warm
-// snapshot and trace slice — every time.
+// feedChunk in chunks of 1 (the per-instruction walk), 7, 256 and 4096, and
+// requires the same samples, the same window count and the same recorded
+// regions — entry phase, warm snapshot and trace slice — every time.
 func TestFeedChunkIsChunkSizeInvariant(t *testing.T) {
 	exe := sim.NewExecutor(countedLoop(1500, halt))
 	var trace []sim.TraceEntry
 	if err := exe.Trace(1<<40, func(ents []sim.TraceEntry) { trace = append(trace, ents...) }); err != nil {
 		t.Fatal(err)
 	}
-	if int64(len(trace)) != exe.Count || len(trace) < 2*sim.TraceChunkSize {
+	if int64(len(trace)) != exe.Count || len(trace) < 2*4096 {
 		t.Fatalf("recorded %d entries of %d executed", len(trace), exe.Count)
 	}
 	cfg := sim.DefaultConfig()
@@ -102,7 +101,7 @@ func TestFeedChunkIsChunkSizeInvariant(t *testing.T) {
 
 	for _, s := range edgeSamplers {
 		var ref *sampleState
-		for _, size := range []int{1, 7, 256, sim.TraceChunkSize} {
+		for _, size := range []int{1, 7, 256, 4096} {
 			st := newSampleState(s, cfg, exe.Decoded())
 			st.rec = &CheckpointSet{}
 			for rest := trace; len(rest) > 0; {
@@ -140,51 +139,36 @@ func TestFeedChunkIsChunkSizeInvariant(t *testing.T) {
 	}
 }
 
-// TestOneDriveBehindEveryEntryPoint: Run, RunParallel with one worker, and
-// each per-offset population of a three-worker shared-trace run are the
-// same Result, and the three-worker estimate is the pool of exactly those.
+// TestOneDriveBehindEveryEntryPoint: at each offset, Run and a checkpoint
+// build are the same Result, and a checkpoint replay is that Result too but
+// for FunctionalInstrs, which counts only the replayed instructions.
 func TestOneDriveBehindEveryEntryPoint(t *testing.T) {
 	prog := countedLoop(5000, halt)
 	cfg := sim.DefaultConfig()
-	s := Sampler{WindowSize: 200, Interval: 9, Offset: 1, Warmup: 40}
 	const budget = 1 << 30
-
-	single, err := Run(prog, cfg, s, budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, err := RunParallel(prog, cfg, s, budget, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(single, one) {
-		t.Errorf("RunParallel(1) = %+v, Run = %+v", one, single)
-	}
-
-	samplers := make([]Sampler, 3)
-	for k := range samplers {
-		samplers[k] = s
-		samplers[k].Offset = s.Offset + int64(k)*(s.Interval/3)
-	}
-	shared, err := drive(prog, cfg, samplers, budget, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, sk := range samplers {
-		alone, err := Run(prog, cfg, sk, budget)
+	store := NewStore(0)
+	for _, off := range []int64{1, 4, 7} {
+		s := Sampler{WindowSize: 200, Interval: 9, Offset: off, Warmup: 40}
+		single, err := Run(prog, cfg, s, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if alone.Windows == 0 || !reflect.DeepEqual(shared[k], alone) {
-			t.Errorf("offset %d: shared-trace population %+v, Run %+v", sk.Offset, shared[k], alone)
+		if single.Windows == 0 || single.FunctionalInstrs != single.Instructions {
+			t.Fatalf("offset %d: Run = %+v, want windows from one functional pass", off, single)
 		}
-	}
-	pooled, err := RunParallel(prog, cfg, s, budget, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := pool(shared); !reflect.DeepEqual(pooled, want) {
-		t.Errorf("RunParallel(3) = %+v, pool of its populations = %+v", pooled, want)
+		built, hit, err := RunCheckpointed(store, prog, cfg, s, budget)
+		if err != nil || hit || !reflect.DeepEqual(built, single) {
+			t.Errorf("offset %d: checkpoint build = %+v (hit=%v, %v), Run = %+v", off, built, hit, err, single)
+		}
+		replayed, hit, err := RunCheckpointed(store, prog, cfg, s, budget)
+		if err != nil || !hit {
+			t.Fatalf("offset %d: replay hit=%v, %v", off, hit, err)
+		}
+		want := *single
+		want.FunctionalInstrs = replayed.FunctionalInstrs
+		if !reflect.DeepEqual(*replayed, want) || replayed.FunctionalInstrs >= single.FunctionalInstrs {
+			t.Errorf("offset %d: replay = %+v, Run = %+v", off, replayed, single)
+		}
 	}
 }
 
@@ -193,9 +177,8 @@ func TestOneDriveBehindEveryEntryPoint(t *testing.T) {
 func entryPoints(prog *isa.Program, s Sampler, maxInstrs int64) map[string]error {
 	cfg := sim.DefaultConfig()
 	_, runErr := Run(prog, cfg, s, maxInstrs)
-	_, parErr := RunParallel(prog, cfg, s, maxInstrs, 3)
 	_, _, ckptErr := RunCheckpointed(NewStore(0), prog, cfg, s, maxInstrs)
-	return map[string]error{"Run": runErr, "RunParallel": parErr, "RunCheckpointed": ckptErr}
+	return map[string]error{"Run": runErr, "RunCheckpointed": ckptErr}
 }
 
 // TestBudgetAtChunkBoundaries: a run that needs more instructions than its
@@ -207,7 +190,7 @@ func TestBudgetAtChunkBoundaries(t *testing.T) {
 	const length = 6*2000 + 5
 	s := Sampler{WindowSize: 100, Interval: 5, Warmup: 20}
 	budgets := []int64{length - 1}
-	for _, c := range []int64{256, sim.TraceChunkSize} {
+	for _, c := range []int64{256, 4096} {
 		for k := int64(1); k <= 2; k++ {
 			budgets = append(budgets, k*c-1, k*c, k*c+1)
 		}

@@ -70,20 +70,20 @@ type Result struct {
 	EstimatedEnergy float64
 	// FunctionalInstrs counts the instructions executed functionally to
 	// drive warming and sampling. Run executes the program once, so it
-	// equals Instructions; RunParallel shares a single functional trace
-	// across all workers, so it also equals Instructions — rather than
-	// workers× it — which is the point of the shared-trace design.
+	// equals Instructions; a checkpoint replay counts only the replayed
+	// instructions.
 	FunctionalInstrs int64
 }
 
-// sampleState is the per-offset sampling state machine: it cuts the
-// committed stream into runs of functional-warming, detailed-warmup and
-// measured instructions, drives one timing model accordingly, and collects
-// the per-window CPI samples. Every driver — Run, RunParallel, the
-// checkpoint builder and CheckpointSet.Replay — feeds it through feedChunk,
-// and sim.CPU's chunk kernels may be cut anywhere, so a given (program,
-// config, sampler) yields bit-for-bit identical windows whichever driver
-// runs it and however the trace is chunked.
+// sampleState is the sampling state machine: it cuts the committed stream
+// into runs of functional-warming, detailed-warmup and measured
+// instructions, drives one timing model accordingly, and collects the
+// per-window CPI samples. Every driver — Run, the checkpoint builder and
+// CheckpointSet.Replay — feeds it through feedChunk. Detailed instructions
+// go to sim.CPU.FeedDecoded one by one and warming runs to
+// sim.CPU.WarmChunk, which may be cut anywhere, so a given (program, config,
+// sampler) yields bit-for-bit identical windows whichever driver runs it
+// and however the trace is chunked.
 type sampleState struct {
 	s   Sampler
 	cpu *sim.CPU
@@ -145,7 +145,8 @@ func (t *sampleState) span() (detailed, measured bool, n int64) {
 
 // feedChunk advances the state machine over one chunk of the committed
 // trace, cutting it at the sampler's phase boundaries: one call into
-// sim.CPU.WarmChunk or FeedChunk per run of like-classified instructions.
+// sim.CPU.WarmChunk per run of functionally warmed instructions, one
+// sim.CPU.FeedDecoded per detailed one.
 func (t *sampleState) feedChunk(ents []sim.TraceEntry) {
 	for len(ents) > 0 {
 		detailed, measured, n := t.span()
@@ -172,7 +173,9 @@ func (t *sampleState) feedChunk(ents []sim.TraceEntry) {
 				st := t.cpu.Stats()
 				t.measureStart, t.measureStartE = st.Cycles, st.Energy
 			}
-			t.cpu.FeedChunk(t.dec, run)
+			for i := range run {
+				t.cpu.FeedDecoded(t.dec, run[i])
+			}
 			if measured {
 				if t.windowInstrs += int64(len(run)); t.windowInstrs == t.s.WindowSize {
 					t.flush()
@@ -246,113 +249,43 @@ func fallbackDetailed(prog *isa.Program, cfg sim.Config, maxInstrs int64) (*Resu
 var ErrBudget = errors.New("smarts: instruction budget exceeded")
 
 // Run simulates prog under cfg with systematic sampling and returns the
-// cycle estimate. maxInstrs bounds the run.
+// cycle estimate. maxInstrs bounds the run. More windows — a tighter
+// confidence interval — come from a smaller Interval.
 func Run(prog *isa.Program, cfg sim.Config, s Sampler, maxInstrs int64) (*Result, error) {
-	return RunParallel(prog, cfg, s, maxInstrs, 1)
-}
-
-// RunParallel draws `workers` independent sample sets concurrently — each
-// with a distinct window offset, the mechanism SMARTS prescribes for
-// independent draws — and pools their windows into one estimate. The pooled
-// mean CPI has ~workers× the sample count of a single Run, tightening the
-// confidence interval.
-//
-// The program is executed functionally exactly once: sim.Executor.Trace
-// hands the committed-instruction trace to one sampling state per offset,
-// each owning its own caches and branch predictor, so the per-offset window
-// populations are bit-for-bit identical to what `workers` separate Runs
-// would produce. workers is clamped to [1, s.Interval] (offsets must be
-// distinct); one worker is Run, in the calling goroutine.
-func RunParallel(prog *isa.Program, cfg sim.Config, s Sampler, maxInstrs int64, workers int) (*Result, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// Offsets strided across the interval.
-	workers = max(1, min(workers, int(s.Interval)))
-	stride := s.Interval / int64(workers)
-	samplers := make([]Sampler, workers)
-	for k := range samplers {
-		samplers[k] = s
-		samplers[k].Offset = (s.Offset + int64(k)*stride) % s.Interval
-	}
-	results, err := drive(prog, cfg, samplers, maxInstrs, nil)
-	if err != nil {
-		return nil, err
-	}
-	return pool(results), nil
+	return drive(prog, cfg, s, maxInstrs, nil)
 }
 
 // drive is the one sampled run: a single sim.Executor.Trace pass over prog
-// feeding one sampleState per sampler, the first of which records its
-// detailed regions into rec when rec is non-nil. It returns one Result per
-// sampler, or the single exact Result of fallbackDetailed when the program
-// is shorter than one sampling period (Windows == 0, rec left incomplete).
-func drive(prog *isa.Program, cfg sim.Config, samplers []Sampler, maxInstrs int64, rec *CheckpointSet) ([]*Result, error) {
+// feeding one sampleState, which records its detailed regions into rec when
+// rec is non-nil. When the program is shorter than one sampling period it
+// returns the exact Result of fallbackDetailed (Windows == 0, rec left
+// incomplete).
+func drive(prog *isa.Program, cfg sim.Config, s Sampler, maxInstrs int64, rec *CheckpointSet) (*Result, error) {
 	exe := sim.NewExecutor(prog)
-	states := make([]*sampleState, len(samplers))
-	consumers := make([]func([]sim.TraceEntry), len(samplers))
-	for k, s := range samplers {
-		states[k] = newSampleState(s, cfg, exe.Decoded())
-		consumers[k] = states[k].feedChunk
-	}
-	states[0].rec = rec
-	if err := exe.Trace(maxInstrs, consumers...); err != nil {
+	state := newSampleState(s, cfg, exe.Decoded())
+	state.rec = rec
+	if err := exe.Trace(maxInstrs, state.feedChunk); err != nil {
 		if sim.IsBudget(err) {
 			return nil, ErrBudget
 		}
 		return nil, err
 	}
 	instrs, exit := exe.Count, exe.Regs[isa.RegRV]
-	results := make([]*Result, len(states))
-	for k, state := range states {
-		r, ok := state.result(instrs, exit)
-		if !ok {
-			r, err := fallbackDetailed(prog, cfg, maxInstrs)
-			return []*Result{r}, err
-		}
-		r.FunctionalInstrs = instrs // the single shared pass
-		results[k] = r
+	r, ok := state.result(instrs, exit)
+	if !ok {
+		return fallbackDetailed(prog, cfg, maxInstrs)
 	}
+	r.FunctionalInstrs = instrs
 	if rec != nil {
 		rec.dec, rec.instrs, rec.exit = exe.Decoded(), instrs, exit
 	}
-	return results, nil
-}
-
-// pool folds per-offset window populations into one estimate: weighted mean
-// and total variance (within + between run means) over all windows. A lone
-// population is returned as it is.
-func pool(results []*Result) *Result {
-	if len(results) == 1 {
-		return results[0]
-	}
-	var n float64
-	var sum, sumSq, sumE float64
-	pooled := &Result{
-		Instructions:     results[0].Instructions,
-		ExitValue:        results[0].ExitValue,
-		FunctionalInstrs: results[0].FunctionalInstrs,
-	}
-	for _, r := range results {
-		w := float64(r.Windows)
-		n += w
-		sum += w * r.MeanCPI
-		sumSq += w * (r.StdCPI*r.StdCPI + r.MeanCPI*r.MeanCPI)
-		sumE += w * r.MeanEPI
-		pooled.Windows += r.Windows
-	}
-	pooled.MeanCPI = sum / n
-	pooled.StdCPI = math.Sqrt(sumSq/n - pooled.MeanCPI*pooled.MeanCPI)
-	if pooled.MeanCPI > 0 {
-		pooled.RelCI997 = 3 * pooled.StdCPI / (math.Sqrt(n) * pooled.MeanCPI)
-	}
-	pooled.EstimatedCycles = pooled.MeanCPI * float64(pooled.Instructions)
-	pooled.MeanEPI = sumE / n
-	pooled.EstimatedEnergy = pooled.MeanEPI * float64(pooled.Instructions)
-	return pooled
+	return r, nil
 }
 
 func meanStd(xs []float64) (float64, float64) {

@@ -156,88 +156,3 @@ func TestWarmupReducesBias(t *testing.T) {
 			100*errOf(cold.EstimatedCycles), 100*errOf(warm.EstimatedCycles))
 	}
 }
-
-func TestRunParallelSingleFunctionalPass(t *testing.T) {
-	prog, _, err := compiler.CompileSource(loopSrc, compiler.O2())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := sim.DefaultConfig()
-	s := Sampler{WindowSize: 200, Interval: 40}
-	single, err := Run(prog, cfg, s, 100_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if single.FunctionalInstrs != single.Instructions {
-		t.Fatalf("Run executed %d functional instrs for %d committed",
-			single.FunctionalInstrs, single.Instructions)
-	}
-	pooled, err := RunParallel(prog, cfg, s, 100_000_000, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The shared-trace design's defining property: 4 workers, but the
-	// program is interpreted exactly once (not 4×).
-	if pooled.FunctionalInstrs != pooled.Instructions {
-		t.Fatalf("RunParallel executed %d functional instrs for %d committed; want a single pass",
-			pooled.FunctionalInstrs, pooled.Instructions)
-	}
-	// Each worker's window population must be bit-identical to a
-	// standalone Run at the same offset; spot-check via the pooled mean of
-	// per-offset Runs.
-	stride := s.Interval / 4
-	var n, sum float64
-	for k := int64(0); k < 4; k++ {
-		sk := s
-		sk.Offset = k * stride
-		r, err := Run(prog, cfg, sk, 100_000_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n += float64(r.Windows)
-		sum += float64(r.Windows) * r.MeanCPI
-	}
-	if got := sum / n; got != pooled.MeanCPI {
-		t.Fatalf("shared-trace pooled CPI %v != per-offset Run pooled CPI %v", pooled.MeanCPI, got)
-	}
-}
-
-func TestRunParallelPoolsWindows(t *testing.T) {
-	prog, _, err := compiler.CompileSource(loopSrc, compiler.O2())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := sim.DefaultConfig()
-	s := Sampler{WindowSize: 200, Interval: 40}
-	single, err := Run(prog, cfg, s, 100_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pooled, err := RunParallel(prog, cfg, s, 100_000_000, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pooled.Windows <= single.Windows {
-		t.Fatalf("pooling did not add windows: %d vs %d", pooled.Windows, single.Windows)
-	}
-	rel := math.Abs(pooled.EstimatedCycles-single.EstimatedCycles) / single.EstimatedCycles
-	if rel > 0.10 {
-		t.Fatalf("pooled estimate drifted %.1f%% from single-offset run", 100*rel)
-	}
-	// Deterministic: the same call yields the same pooled estimate.
-	again, err := RunParallel(prog, cfg, s, 100_000_000, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.EstimatedCycles != pooled.EstimatedCycles || again.Windows != pooled.Windows {
-		t.Fatal("RunParallel not deterministic")
-	}
-	// workers <= 1 degrades to Run exactly.
-	one, err := RunParallel(prog, cfg, s, 100_000_000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if one.EstimatedCycles != single.EstimatedCycles {
-		t.Fatal("workers=1 must match Run")
-	}
-}
