@@ -196,11 +196,8 @@ func (c *Coordinator) requeueLocked(g *cgroup, delay time.Duration) {
 	})
 }
 
-// streamGroup posts one group to a worker and consumes its ndjson stream.
-// Every line — heartbeat or result — renews the lease; silence past the
-// lease timeout means the worker died mid-group (crash, kill -9, network
-// partition) and the lease expires. localHits reports how many of the
-// group's points the worker answered from its own journaled store.
+// streamGroup posts one group to a worker and consumes its ndjson stream
+// with readLeaseStream.
 func (c *Coordinator) streamGroup(ctx context.Context, base string, g *cgroup, seq int64) (_ []farm.Result, _ []error, localHits int, err error) {
 	body, err := json.Marshal(GroupRequest{
 		Lease:    fmt.Sprintf("l%d", seq),
@@ -225,10 +222,40 @@ func (c *Coordinator) streamGroup(ctx context.Context, base string, g *cgroup, s
 		return nil, nil, 0, fmt.Errorf("dist: worker %s: %s: %s", base, resp.Status, bytes.TrimSpace(msg))
 	}
 
+	return readLeaseStream(ctx, resp.Body, len(g.Tasks), c.lease, base)
+}
+
+// StreamError is a lease whose ndjson stream broke the protocol: a result
+// index out of range or repeated, a measured result without a positive cycle
+// count, or a done line before every result or with a local-hit count outside
+// [0, tasks]. Such a lease fails like any other, so its group goes to another
+// lease, and nothing it streamed reaches a caller or the dispatch stats.
+type StreamError struct {
+	Worker string
+	Msg    string
+}
+
+func (e *StreamError) Error() string {
+	return fmt.Sprintf("dist: stream from %s: %s", e.Worker, e.Msg)
+}
+
+// readLeaseStream consumes one lease's ndjson stream from body: heartbeat
+// lines, one result line per task in any order, then a done line. Every line
+// renews the lease; silence past lease means the worker died mid-group
+// (crash, kill -9, network partition) and the lease expires. It returns the
+// results only when every task got exactly one, and a *StreamError when the
+// stream breaks the protocol. localHits reports how many of the group's
+// points the worker answered from its own journaled store.
+func readLeaseStream(ctx context.Context, body io.Reader, tasks int, lease time.Duration, worker string) (_ []farm.Result, _ []error, localHits int, err error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel() // releases the decoder once this returns
+	breach := func(format string, args ...any) error {
+		return &StreamError{Worker: worker, Msg: fmt.Sprintf(format, args...)}
+	}
 	lines := make(chan GroupLine)
 	readErr := make(chan error, 1)
 	go func() {
-		dec := json.NewDecoder(resp.Body)
+		dec := json.NewDecoder(body)
 		for {
 			var l GroupLine
 			if derr := dec.Decode(&l); derr != nil {
@@ -243,11 +270,11 @@ func (c *Coordinator) streamGroup(ctx context.Context, base string, g *cgroup, s
 		}
 	}()
 
-	results := make([]farm.Result, len(g.Tasks))
-	errs := make([]error, len(g.Tasks))
-	seen := make([]bool, len(g.Tasks)) // a repeated index must not stand in for a missing one
+	results := make([]farm.Result, tasks)
+	errs := make([]error, tasks)
+	seen := make([]bool, tasks) // a repeated index must not stand in for a missing one
 	got := 0
-	expire := time.NewTimer(c.lease)
+	expire := time.NewTimer(lease)
 	defer expire.Stop()
 	for {
 		select {
@@ -255,29 +282,35 @@ func (c *Coordinator) streamGroup(ctx context.Context, base string, g *cgroup, s
 			if !expire.Stop() {
 				<-expire.C
 			}
-			expire.Reset(c.lease)
+			expire.Reset(lease)
 			switch {
 			case l.Heartbeat:
 			case l.Done:
-				if got != len(g.Tasks) {
-					return nil, nil, 0, fmt.Errorf("dist: incomplete group from %s: %d/%d results", base, got, len(g.Tasks))
+				if got != tasks {
+					return nil, nil, 0, breach("incomplete group: %d/%d results", got, tasks)
+				}
+				if l.LocalHits < 0 || l.LocalHits > tasks {
+					return nil, nil, 0, breach("%d local hits in a group of %d", l.LocalHits, tasks)
 				}
 				return results, errs, l.LocalHits, nil
 			case l.Result:
-				if l.Index < 0 || l.Index >= len(results) {
-					return nil, nil, 0, fmt.Errorf("dist: result index %d out of range from %s", l.Index, base)
+				if l.Index < 0 || l.Index >= tasks {
+					return nil, nil, 0, breach("result index %d out of range", l.Index)
 				}
 				if seen[l.Index] {
-					return nil, nil, 0, fmt.Errorf("dist: duplicate result index %d from %s", l.Index, base)
+					return nil, nil, 0, breach("duplicate result index %d", l.Index)
+				}
+				if l.Error == "" && !(l.Cycles > 0) {
+					return nil, nil, 0, breach("result %d measured %v cycles", l.Index, l.Cycles)
 				}
 				seen[l.Index] = true
 				results[l.Index], errs[l.Index] = l.result()
 				got++
 			}
 		case rerr := <-readErr:
-			return nil, nil, 0, fmt.Errorf("dist: worker %s stream: %w", base, rerr)
+			return nil, nil, 0, fmt.Errorf("dist: worker %s stream: %w", worker, rerr)
 		case <-expire.C:
-			return nil, nil, 0, fmt.Errorf("dist: lease expired: no line from %s in %s", base, c.lease)
+			return nil, nil, 0, fmt.Errorf("dist: lease expired: no line from %s in %s", worker, lease)
 		case <-ctx.Done():
 			return nil, nil, 0, ctx.Err()
 		}

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -220,6 +221,81 @@ func TestDuplicateResultFailsTheLease(t *testing.T) {
 	if st := co.Stats(); st.GroupsRequeued == 0 || st.GroupsDispatched < 2 {
 		t.Errorf("dispatched=%d requeued=%d: the lying lease was accepted", st.GroupsDispatched, st.GroupsRequeued)
 	}
+}
+
+// TestCorruptNumbersFailTheLease: a worker whose stream reports a measured
+// point without a positive cycle count, or a done line whose local-hit count
+// is outside [0, tasks], has not delivered the group. The lease fails with a
+// StreamError and the group is requeued to an honest worker; neither the
+// bogus cycles nor the bogus hits reach a caller or the dispatch stats.
+func TestCorruptNumbersFailTheLease(t *testing.T) {
+	good := `{"result":true,"i":0,"cycles":1}` + "\n" + `{"result":true,"i":1,"cycles":1}` + "\n"
+	for _, tc := range []struct{ name, stream string }{
+		{"zero cycles", `{"result":true,"i":0,"cycles":1}` + "\n" + `{"result":true,"i":1}` + "\n" + `{"done":true}` + "\n"},
+		{"negative cycles", `{"result":true,"i":0,"cycles":-5}` + "\n" + `{"result":true,"i":1,"cycles":1}` + "\n" + `{"done":true}` + "\n"},
+		{"hits above tasks", good + `{"done":true,"local_hits":3}` + "\n"},
+		{"negative hits", good + `{"done":true,"local_hits":-1}` + "\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			liar := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+				rw.Header().Set("Content-Type", "application/x-ndjson")
+				io.WriteString(rw, tc.stream)
+			}))
+			defer liar.Close()
+			var execs atomic.Int64
+			live := NewWorker(WorkerOptions{Workers: 2, Measure: stubMeasure(&execs, 0), Heartbeat: 10 * time.Millisecond})
+			liveTS := httptest.NewServer(live.Handler())
+			defer liveTS.Close()
+			defer live.Close()
+
+			logs := &lockedLog{}
+			co, err := New(Options{Addrs: []string{liar.URL, liveTS.URL}, Log: logs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer co.Close()
+
+			w := workloads.MustGet("179.art", workloads.Train)
+			points := sweepPoints(1, 2) // one shared-binary group of two points
+			got, err := co.MeasureBatch(context.Background(), w, points, farm.Cycles)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range points {
+				if got[i] != pointValue(p) {
+					t.Errorf("point %d: got %v want %v", i, got[i], pointValue(p))
+				}
+			}
+			st := co.Stats()
+			if st.GroupsRequeued == 0 || st.GroupsDispatched < 2 {
+				t.Errorf("dispatched=%d requeued=%d: the corrupt lease was accepted", st.GroupsDispatched, st.GroupsRequeued)
+			}
+			if st.WorkerLocalHits != 0 {
+				t.Errorf("worker local hits %d, want 0 from the honest worker", st.WorkerLocalHits)
+			}
+			if log := logs.String(); !strings.Contains(log, "dist: stream from "+liar.URL) {
+				t.Errorf("no stream error logged for the liar:\n%s", log)
+			}
+		})
+	}
+}
+
+// lockedLog is an io.Writer the coordinator's goroutines may share.
+type lockedLog struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *lockedLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
 }
 
 // TestAllWorkersDeadExhaustsAttempts bounds the retry loop: with every

@@ -3,7 +3,9 @@ package model
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/linalg"
 	"repro/internal/par"
@@ -107,7 +109,7 @@ func FitMARS(data *Dataset, opt MARSOptions) (*MARSModel, error) {
 		return nil, fmt.Errorf("model: mars fit: %w", err)
 	}
 	opt = opt.withDefaults(data.Dim(), data.Len())
-	bases, cols, _ := marsForward(data, opt, marsCacheBytes)
+	bases, cols, _ := marsForward(data, opt, marsCacheBytes, nil)
 	return marsBackward(data, opt, bases, cols)
 }
 
@@ -125,32 +127,47 @@ const marsCacheBytes = 64 << 20
 // so it is neither stored, deflated nor scored; a candidate whose columns are
 // both zero scores 0, can never win, and is not listed at all.
 // o holds its nonzero hinge columns (the first, then the second when both
-// are) orthogonalised against q[:nq] and left un-normalised, so that a later
-// step continues the same Gram–Schmidt over q[nq:]. o is nil for a candidate
-// past the cache bound, which starts over from its raw pair every time.
+// are) orthogonalised against q[:nq], nq being its scoring unit's, and left
+// un-normalised, so that a later step continues the same Gram–Schmidt over
+// q[nq:]. o is nil for a candidate past the cache bound, which starts over
+// from its raw pair every time.
 type marsCand struct {
 	parent, v int
 	t         float64
 	z1, z2    bool
 	o         []float64
-	nq        int
+}
+
+// marsState is what candidate scoring reads of the forward pass: the data by
+// variable, the bases' columns with the rows each is nonzero on, the
+// orthonormal span q and the residual r. Scoring only reads it.
+type marsState struct {
+	xcol [][]float64 // xcol[v][i] is data.X[i][v]
+	cols [][]float64
+	nz   [][]int32 // nz[b] lists the rows where cols[b] is nonzero
+	q    [][]float64
+	r    []float64
+}
+
+// hinge fills c1 and c2 with candidate (parent, v, t)'s hinge pair.
+func (s *marsState) hinge(c1, c2 []float64, parent, v int, t float64) (z1, z2 bool) {
+	return hingeCols(c1, c2, s.xcol[v], s.cols[parent], s.nz[parent], t)
 }
 
 // score returns the squared residual projection the candidate's hinge pair
-// captures beyond the orthonormal span q. The pair is projected off q[c.nq:]
-// only — q[:c.nq] is already out of it, by the operations a projection from
+// captures beyond the orthonormal span q. The pair is projected off q[nq:]
+// only — q[:nq] is already out of it, by the operations a projection from
 // scratch performs in the same order, so the gain has the same bits. The
 // loops below fuse sums that linalg.Dot and linalg.Norm2 would take one at a
 // time; each keeps its own accumulator and index order. w is 4·n values of
 // scratch the caller owns.
-func (c *marsCand) score(data *Dataset, pcol []float64, q [][]float64, r, w []float64) float64 {
-	n := len(r)
-	o, from := c.o, c.nq
+func (c *marsCand) score(s *marsState, nq int, w []float64) float64 {
+	n := len(s.r)
+	o := c.o
 	if o == nil {
-		o, from = w[2*n:], 0
-		hingeCols(o[:n], o[n:], data, pcol, c.v, c.t)
+		o, nq = w[2*n:], 0
+		s.hinge(o[:n], o[n:], c.parent, c.v, c.t)
 	}
-	c.nq = len(q)
 	var o1, o2 []float64
 	if !c.z1 {
 		o1 = o[:n]
@@ -158,10 +175,14 @@ func (c *marsCand) score(data *Dataset, pcol []float64, q [][]float64, r, w []fl
 	if !c.z2 {
 		o2 = o[len(o)-n:]
 	}
-	n1 := deflate(o1, o2, q[from:])
+	return pairTail(o1, o2, deflate(o1, o2, s.q[nq:]), s.r, w)
+}
 
-	// Normalise o1 into scratch s1 and take s2 = o2 − (s1·o2)·s1 element by
-	// element as its sums need it: the stored pair stays extendable.
+// pairTail is the gain of a hinge pair already deflated off q, given n1, the
+// norm of o1: it normalises o1 into scratch s1 (in w, which a pair with both
+// columns needs) and takes s2 = o2 − (s1·o2)·s1 element by element as its
+// sums need it, so the stored pair stays extendable.
+func pairTail(o1, o2 []float64, n1 float64, r, w []float64) float64 {
 	gain := 0.0
 	var p2 float64
 	var s1 []float64
@@ -172,7 +193,7 @@ func (c *marsCand) score(data *Dataset, pcol []float64, q [][]float64, r, w []fl
 				pr += x / n1 * r[i]
 			}
 		} else {
-			s1 = w[:n]
+			s1 = w[:len(o1)]
 			for i, x := range o1 {
 				s := x / n1
 				s1[i] = s
@@ -197,86 +218,172 @@ func (c *marsCand) score(data *Dataset, pcol []float64, q [][]float64, r, w []fl
 	return gain
 }
 
+// marsWork is the memory a forward pass works in. It goes back to a pool
+// when the pass ends, so the next fit reuses it: a fit the size of an
+// earlier one allocates nothing for its candidates' columns.
+type marsWork struct {
+	// arena holds cached candidates' columns. A full block is replaced by a
+	// larger one, never moved, so the columns already in it stay put.
+	arena          []float64
+	xs, raw, gains []float64
+	scratch        []float64
+	units          []laneGroup
+	round          []int32
+}
+
+var marsWorkPool = sync.Pool{New: func() any { return new(marsWork) }}
+
+// marsArenaBlock is the smallest arena block, in float64s (256 KB).
+const marsArenaBlock = 32 << 10
+
+// alloc returns m values at the end of the arena. When the current block is
+// full it starts a new one, twice as large but no larger than limit, the
+// values the pass may still cache: the blocks one pass allocates stay within
+// its cache bound.
+func (wk *marsWork) alloc(m, limit int) []float64 {
+	if cap(wk.arena)-len(wk.arena) < m {
+		size := min(max(2*cap(wk.arena), marsArenaBlock), limit)
+		wk.arena = make([]float64, 0, max(size, m))
+	}
+	k := len(wk.arena)
+	wk.arena = wk.arena[:k+m]
+	return wk.arena[k : k+m : k+m]
+}
+
+// reuse returns buf with length m, reallocated only when it is too short.
+func reuse[T any](buf []T, m int) []T {
+	return slices.Grow(buf[:0], m)[:m]
+}
+
 // marsForward is the greedy forward pass: it returns the bases, their
 // columns over the data and the candidates it scored, caching up to budget
-// bytes of them (marsCacheBytes outside tests).
-func marsForward(data *Dataset, opt MARSOptions, budget int) ([]Basis, [][]float64, []marsCand) {
+// bytes of them (marsCacheBytes outside tests). The candidates' cached
+// columns live in pooled memory that the next fit may overwrite. onStep,
+// when not nil, sees every step's state, candidates and scoring units just
+// before they are scored.
+func marsForward(data *Dataset, opt MARSOptions, budget int, onStep func(*marsState, []marsCand, []laneGroup)) ([]Basis, [][]float64, []marsCand) {
 	n, dim := data.Len(), data.Dim()
+	wk := marsWorkPool.Get().(*marsWork)
+	defer marsWorkPool.Put(wk)
+	wk.arena = wk.arena[:0]
+
 	bases := []Basis{{}} // intercept
-	cols := [][]float64{constCol(n)}
+	s := &marsState{xcol: make([][]float64, dim), r: append([]float64{}, data.Y...)}
+	wk.xs = reuse(wk.xs, dim*n)
+	for v := range s.xcol {
+		xv := wk.xs[v*n : (v+1)*n : (v+1)*n]
+		for i, x := range data.X {
+			xv[i] = x[v]
+		}
+		s.xcol[v] = xv
+	}
+	addCol := func(c []float64) {
+		var nz []int32
+		for i, x := range c {
+			if x != 0 {
+				nz = append(nz, int32(i))
+			}
+		}
+		s.cols = append(s.cols, c)
+		s.nz = append(s.nz, nz)
+	}
+	addCol(constCol(n))
 
 	// Orthonormal span Q and current residual for fast candidate scoring.
-	var q [][]float64
-	r := append([]float64{}, data.Y...)
 	pushColumn := func(c []float64) {
 		qc := append([]float64{}, c...)
-		nrm := deflate(qc, nil, q)
+		nrm := deflate(qc, nil, s.q)
 		if nrm < 1e-10 {
 			return
 		}
 		for i := range qc {
 			qc[i] /= nrm
 		}
-		proj := linalg.Dot(qc, r)
-		for i := range r {
-			r[i] -= proj * qc[i]
+		proj := linalg.Dot(qc, s.r)
+		for i := range s.r {
+			s.r[i] -= proj * qc[i]
 		}
-		q = append(q, qc)
+		s.q = append(s.q, qc)
 	}
-	pushColumn(cols[0])
+	pushColumn(s.cols[0])
 
 	knotsFor := knotTable(data, opt.MaxKnots)
+	perParent := 0 // candidates a parent can list at most
+	for _, ks := range knotsFor {
+		perParent += len(ks)
+	}
 	workers := par.Workers(opt.Workers)
-	scratch := make([]float64, workers*4*n)
+	wk.scratch = reuse(wk.scratch, workers*4*n)
+	wk.raw = reuse(wk.raw, 2*n)
+	raw := wk.raw
 
 	// The candidate list is append-only: a listed (parent, var, knot)
 	// candidate never leaves, and new parents join bases at the end, so
 	// appending their candidates keeps the list in the serial scan order the
 	// winner selection below relies on. bases[:listed] have theirs in it.
+	// The scoring units are append-only too: a parent's candidates join
+	// units of their own when it is listed, and every unit is scored at
+	// every step, so its members keep sharing one nq.
 	var cands []marsCand
+	units := wk.units[:0]
 	listed := 0
-	raw := make([]float64, 2*n)
 	for len(bases) < opt.MaxTerms {
 		for ; listed < len(bases); listed++ {
 			if bases[listed].degree() >= opt.MaxDegree {
 				continue
 			}
+			cands = slices.Grow(cands, perParent)
+			round := wk.round[:0]
 			for v := 0; v < dim; v++ {
 				if bases[listed].usesVar(v) {
 					continue
 				}
 				for _, t := range knotsFor[v] {
 					c := marsCand{parent: listed, v: v, t: t}
-					c.z1, c.z2 = hingeCols(raw[:n], raw[n:], data, cols[listed], v, t)
-					if c.z1 && c.z2 {
+					if budget < 16*n {
+						c.z1, c.z2 = s.hinge(raw[:n], raw[n:], listed, v, t)
+						if !c.z1 || !c.z2 {
+							units = append(units, laneGroup{n: 1, i: [4]int32{int32(len(cands))}})
+							cands = append(cands, c)
+						}
 						continue
 					}
-					if budget >= 16*n {
-						budget -= 16 * n
-						switch {
-						case c.z1:
-							c.o = append([]float64(nil), raw[n:]...)
-						case c.z2:
-							c.o = append([]float64(nil), raw[:n]...)
-						default:
-							c.o = append([]float64(nil), raw...)
-						}
+					o := wk.alloc(2*n, budget/8)
+					c.z1, c.z2 = s.hinge(o[:n], o[n:], listed, v, t)
+					switch {
+					case c.z1 && c.z2:
+						wk.arena = wk.arena[:len(wk.arena)-2*n]
+						continue
+					case c.z1:
+						copy(o, o[n:])
+						fallthrough
+					case c.z2:
+						wk.arena = wk.arena[:len(wk.arena)-n]
+						o = o[:n:n]
 					}
+					c.o = o
+					budget -= 16 * n
+					round = append(round, int32(len(cands)))
 					cands = append(cands, c)
 				}
 			}
+			units = appendLaneGroups(units, cands, round)
+			wk.round = round
 		}
 		// Score on the worker pool — a gain depends only on the candidate's
-		// own columns and the shared read-only q/r — then pick the first
+		// own columns and the shared read-only state — then pick the first
 		// strict maximum: the serial selection at any worker count. Worker w
-		// takes every workers-th candidate, which spreads the new (costliest)
+		// takes every workers-th unit, which spreads the new (costliest)
 		// ones at the tail.
-		gains := make([]float64, len(cands))
+		if onStep != nil {
+			onStep(s, cands, units)
+		}
+		gains := reuse(wk.gains, len(cands))
+		wk.gains = gains
 		par.For(workers, workers, func(w int) {
-			ws := scratch[w*4*n : (w+1)*4*n]
-			for i := w; i < len(cands); i += workers {
-				c := &cands[i]
-				gains[i] = c.score(data, cols[c.parent], q, r, ws)
+			ws := wk.scratch[w*4*n : (w+1)*4*n]
+			for u := w; u < len(units); u += workers {
+				units[u].score(cands, s, ws, gains)
 			}
 		})
 		bestI, bestGain := -1, 1e-9
@@ -291,15 +398,17 @@ func marsForward(data *Dataset, opt MARSOptions, budget int) ([]Basis, [][]float
 		best := cands[bestI]
 		parent := bases[best.parent]
 		c1, c2 := make([]float64, n), make([]float64, n)
-		hingeCols(c1, c2, data, cols[best.parent], best.v, best.t)
+		s.hinge(c1, c2, best.parent, best.v, best.t)
 		b1 := Basis{Factors: append(append([]Hinge{}, parent.Factors...), Hinge{best.v, best.t, true})}
 		b2 := Basis{Factors: append(append([]Hinge{}, parent.Factors...), Hinge{best.v, best.t, false})}
 		bases = append(bases, b1, b2)
-		cols = append(cols, c1, c2)
+		addCol(c1)
+		addCol(c2)
 		pushColumn(c1)
 		pushColumn(c2)
 	}
-	return bases, cols, cands
+	wk.units = units
+	return bases, s.cols, cands
 }
 
 // marsBackward prunes the forward pass's bases by GCV and refits the winners.
@@ -472,8 +581,8 @@ func constCol(n int) []float64 {
 func knotTable(data *Dataset, maxKnots int) [][]float64 {
 	dim := data.Dim()
 	out := make([][]float64, dim)
+	vals := make([]float64, data.Len())
 	for v := 0; v < dim; v++ {
-		vals := make([]float64, data.Len())
 		for i, x := range data.X {
 			vals[i] = x[v]
 		}
@@ -500,16 +609,16 @@ func knotTable(data *Dataset, maxKnots int) [][]float64 {
 }
 
 // hingeCols fills c1 and c2 with the hinge pair pcol·(x_v − t)₊ and
-// pcol·(t − x_v)₊ over the data, and reports which of the two is zero on
-// every row.
-func hingeCols(c1, c2 []float64, data *Dataset, pcol []float64, v int, t float64) (z1, z2 bool) {
+// pcol·(t − x_v)₊ over the data, given xv, variable v by row, and nz, the
+// rows where pcol is nonzero (both columns are zero on every other row), and
+// reports which of the two is zero on every row.
+func hingeCols(c1, c2, xv, pcol []float64, nz []int32, t float64) (z1, z2 bool) {
+	clear(c1)
+	clear(c2)
 	z1, z2 = true, true
-	for i, p := range pcol {
-		c1[i], c2[i] = 0, 0
-		if p == 0 {
-			continue
-		}
-		if d := data.X[i][v] - t; d > 0 {
+	for _, i := range nz {
+		p := pcol[i]
+		if d := xv[i] - t; d > 0 {
 			c1[i] = p * d
 			z1 = z1 && c1[i] == 0
 		} else if d < 0 {

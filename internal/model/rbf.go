@@ -3,7 +3,7 @@ package model
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/linalg"
 )
@@ -167,13 +167,14 @@ func radiiFor(centers [][]float64) []float64 {
 // each leaf centroid.
 func treeCenters(data *Dataset, minLeaf int) [][]float64 {
 	var leaves [][]int
+	sc := newSplitScratch(data.Len())
 	var split func(idx []int)
 	split = func(idx []int) {
 		if len(idx) < 2*minLeaf {
 			leaves = append(leaves, idx)
 			return
 		}
-		v, thresh, ok := bestSplit(data, idx, minLeaf)
+		v, thresh, ok := bestSplit(data, idx, minLeaf, sc)
 		if !ok {
 			leaves = append(leaves, idx)
 			return
@@ -222,34 +223,63 @@ func treeCenters(data *Dataset, minLeaf int) [][]float64 {
 	return centers
 }
 
+// splitPair is one row of a tree node on one variable.
+type splitPair struct {
+	x, y float64
+}
+
+// splitScratch is bestSplit's working memory, sized for the whole dataset
+// once per tree and reused by every node and variable.
+type splitScratch struct {
+	pairs     []splitPair
+	sum, sum2 []float64
+}
+
+func newSplitScratch(n int) *splitScratch {
+	return &splitScratch{make([]splitPair, n), make([]float64, n+1), make([]float64, n+1)}
+}
+
+// sortPairs orders pairs by x. slices.SortFunc runs the same generated
+// pdqsort as sort.Slice and consults its comparison only as cmp(a, b) < 0,
+// which here is a.x < b.x, sort.Slice's less: pairs end in sort.Slice's
+// permutation, ties included — and bestSplit's prefix sums over tied rows
+// depend on it.
+func sortPairs(pairs []splitPair) {
+	slices.SortFunc(pairs, func(a, b splitPair) int {
+		switch {
+		case a.x < b.x:
+			return -1
+		case a.x > b.x:
+			return 1
+		}
+		return 0
+	})
+}
+
 // bestSplit finds the axis-aligned split minimizing total child SSE.
-func bestSplit(data *Dataset, idx []int, minLeaf int) (int, float64, bool) {
+func bestSplit(data *Dataset, idx []int, minLeaf int, sc *splitScratch) (int, float64, bool) {
 	dim := data.Dim()
 	bestV, bestT, bestSSE, found := 0, 0.0, math.Inf(1), false
 
-	type pair struct {
-		x, y float64
+	n := len(idx)
+	pairs, sum, sum2 := sc.pairs[:n], sc.sum[:n+1], sc.sum2[:n+1]
+	// Prefix sums for O(1) SSE of [a, b).
+	sseRange := func(a, b int) float64 {
+		c := float64(b - a)
+		if c == 0 {
+			return 0
+		}
+		s := sum[b] - sum[a]
+		return (sum2[b] - sum2[a]) - s*s/c
 	}
 	for v := 0; v < dim; v++ {
-		pairs := make([]pair, len(idx))
 		for i, ix := range idx {
-			pairs[i] = pair{data.X[ix][v], data.Y[ix]}
+			pairs[i] = splitPair{data.X[ix][v], data.Y[ix]}
 		}
-		sort.Slice(pairs, func(a, b int) bool { return pairs[a].x < pairs[b].x })
-		// Prefix sums for O(1) SSE of [0,i) and [i,n).
-		n := len(pairs)
-		sum, sum2 := make([]float64, n+1), make([]float64, n+1)
+		sortPairs(pairs)
 		for i, p := range pairs {
 			sum[i+1] = sum[i] + p.y
 			sum2[i+1] = sum2[i] + p.y*p.y
-		}
-		sseRange := func(a, b int) float64 { // [a, b)
-			c := float64(b - a)
-			if c == 0 {
-				return 0
-			}
-			s := sum[b] - sum[a]
-			return (sum2[b] - sum2[a]) - s*s/c
 		}
 		for i := minLeaf; i <= n-minLeaf; i++ {
 			if pairs[i-1].x == pairs[i].x {

@@ -218,11 +218,11 @@ func doptData(n int, seed int64) *Dataset {
 }
 
 // fitMARSBudget is FitMARS with the forward pass's cache bound set by the
-// test; it also returns how many candidates the pass cached and how many it
-// scored from scratch.
-func fitMARSBudget(data *Dataset, opt MARSOptions, budget int) (m *MARSModel, cached, uncached int, err error) {
+// test, and onStep passed to it; it also returns how many candidates the pass
+// cached and how many it scored from scratch.
+func fitMARSBudget(data *Dataset, opt MARSOptions, budget int, onStep func(*marsState, []marsCand, []laneGroup)) (m *MARSModel, cached, uncached int, err error) {
 	opt = opt.withDefaults(data.Dim(), data.Len())
-	bases, cols, cands := marsForward(data, opt, budget)
+	bases, cols, cands := marsForward(data, opt, budget, onStep)
 	for _, c := range cands {
 		if c.o != nil {
 			cached++
@@ -250,12 +250,82 @@ func sameMARSBits(a, b *MARSModel) error {
 	return nil
 }
 
+// laneCover checks every step's scoring units and records which kinds the
+// forward pass formed.
+type laneCover struct {
+	t     *testing.T
+	sizes [5]int // units of cached candidates by member count
+	mixed bool   // some step scored full groups from two nq and of two shapes
+}
+
+// step fails unless every candidate is in exactly one unit, members come in
+// enumeration order, a full group's members are cached and share a parent
+// and a shape, and a full group scores each member to the bits score gives
+// it alone. It scores copies; the pass's own columns are left as they were.
+func (lc *laneCover) step(s *marsState, cands []marsCand, units []laneGroup) {
+	lc.t.Helper()
+	n := len(s.r)
+	w := make([]float64, 4*n)
+	in := make([]int, len(cands))
+	nqs, shapes := map[int]bool{}, map[int]bool{}
+	for _, u := range units {
+		first := &cands[u.i[0]]
+		for k, i := range u.i[:u.n] {
+			in[i]++
+			c := &cands[i]
+			if k > 0 && i <= u.i[k-1] {
+				lc.t.Fatalf("unit %v out of enumeration order", u.i[:u.n])
+			}
+			if u.n == 4 && (c.o == nil || c.parent != first.parent || c.shape() != first.shape()) {
+				lc.t.Fatalf("full group %v mixes parents, shapes or uncached candidates", u.i)
+			}
+		}
+		if first.o == nil {
+			continue
+		}
+		lc.sizes[u.n]++
+		if u.n != 4 {
+			continue
+		}
+		nqs[u.nq], shapes[first.shape()] = true, true
+		lanes, alone := groupCopy(cands, u), groupCopy(cands, u)
+		g := laneGroup{n: 4, nq: u.nq, i: [4]int32{0, 1, 2, 3}}
+		var gains [4]float64
+		g.score(lanes, s, w, gains[:])
+		for k, i := range u.i {
+			if want := alone[k].score(s, u.nq, w); math.Float64bits(gains[k]) != math.Float64bits(want) {
+				lc.t.Fatalf("candidate %d: lane gain %v, alone %v", i, gains[k], want)
+			}
+		}
+	}
+	for i, k := range in {
+		if k != 1 {
+			lc.t.Fatalf("candidate %d is in %d units", i, k)
+		}
+	}
+	lc.mixed = lc.mixed || len(nqs) > 1 && len(shapes) > 1
+}
+
+// groupCopy returns the members of the full group u, with fresh columns.
+func groupCopy(cands []marsCand, u laneGroup) []marsCand {
+	out := make([]marsCand, 4)
+	for k, i := range u.i {
+		out[k] = cands[i]
+		out[k].o = append([]float64(nil), cands[i].o...)
+	}
+	return out
+}
+
 // The incremental forward pass performs, per candidate, the projections the
 // reference performs, in the same order on the same values; it only stops
-// repeating those of earlier steps. So the fitted model must equal the
-// reference's bit for bit — at the default cache bound, with no cache at all
-// (every candidate scored from its raw hinge pair in scratch), with room for
-// exactly one candidate (both paths in one fit), and at any worker count.
+// repeating those of earlier steps. Scoring four candidates in one loop gives
+// each lane its own accumulators and its candidate's own operations. So the
+// fitted model must equal the reference's bit for bit — at the default cache
+// bound, with no cache at all (every candidate scored from its raw hinge pair
+// in scratch), with room for exactly one candidate (both paths in one fit),
+// and at any worker count, including one that splits the units unevenly. The
+// shapes between them form lane groups of one to four members, and steps
+// that score full groups of both shapes from two nq.
 func TestFitMARSMatchesRef(t *testing.T) {
 	type shape struct {
 		n, dim int
@@ -284,6 +354,7 @@ func TestFitMARSMatchesRef(t *testing.T) {
 		shape{56, 25, MARSOptions{}, true},
 		shape{56, 25, MARSOptions{MaxDegree: 3}, true},
 	)
+	lc := &laneCover{t: t}
 	for si, s := range shapes {
 		data := refData(s.n, s.dim, int64(100+si))
 		if s.dopt {
@@ -294,16 +365,20 @@ func TestFitMARSMatchesRef(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for wi, workers := range []int{1, 2, 8} {
+		for wi, workers := range []int{1, 2, 3, 8} {
 			for bi, budget := range []int{marsCacheBytes, 0, 16 * s.n} {
-				// The full product on the small shapes, its diagonal on
-				// the rest: the three bounds still meet the three counts.
-				if s.n*s.dim > 28*25 && wi != bi {
+				// The full product on the small shapes, a diagonal on the
+				// rest: the three bounds still meet the four counts.
+				if s.n*s.dim > 28*25 && wi%3 != bi {
 					continue
 				}
 				opt := s.opt
 				opt.Workers = workers
-				got, cached, uncached, err := fitMARSBudget(data, opt, budget)
+				var onStep func(*marsState, []marsCand, []laneGroup)
+				if workers == 1 {
+					onStep = lc.step
+				}
+				got, cached, uncached, err := fitMARSBudget(data, opt, budget, onStep)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -316,6 +391,10 @@ func TestFitMARSMatchesRef(t *testing.T) {
 				}
 			}
 		}
+	}
+	t.Logf("cached units by size %v", lc.sizes[1:])
+	if lc.sizes[1] == 0 || lc.sizes[2] == 0 || lc.sizes[3] == 0 || lc.sizes[4] == 0 || !lc.mixed {
+		t.Fatalf("cached units by size %v, full groups of two shapes from two nq in one step: %v", lc.sizes[1:], lc.mixed)
 	}
 	// The exported entry point is the default bound.
 	data := refData(28, 6, 7)
@@ -336,7 +415,7 @@ func TestFitMARSMatchesRef(t *testing.T) {
 func checkZeroColumns(t *testing.T, data *Dataset, opt MARSOptions, zeroParent bool) {
 	t.Helper()
 	opt = opt.withDefaults(data.Dim(), data.Len())
-	bases, cols, cands := marsForward(data, opt, marsCacheBytes)
+	bases, cols, cands := marsForward(data, opt, marsCacheBytes, nil)
 	oneZero := 0
 	children := make([]int, len(bases))
 	for _, c := range cands {
@@ -375,11 +454,11 @@ func TestFitMARSCacheBounded(t *testing.T) {
 	if testing.Short() {
 		opt.MaxTerms = 21
 	}
-	want, _, _, err := fitMARSBudget(data, opt, 0)
+	want, _, _, err := fitMARSBudget(data, opt, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, cached, uncached, err := fitMARSBudget(data, opt, marsCacheBytes)
+	got, cached, uncached, err := fitMARSBudget(data, opt, marsCacheBytes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,12 +481,13 @@ const minMARSForwardSpeedup = 2.0
 // BenchmarkFitMARSForward times a MARS fit at the paper's scale (200 points
 // × 25 variables) with the reference forward pass and with the incremental
 // one, and gates the ratio. It also reports, with no floor, what one serial
-// fit on a 28-point D-optimal design (a sweep's training set) costs.
+// fit on a 28-point D-optimal design (a sweep's training set) costs, and one
+// serial FitHybridRBF (MARS trend plus RBF-RT residual) on the same design.
 func BenchmarkFitMARSForward(b *testing.B) {
 	data := refData(200, 25, 3)
 	sweep := doptData(28, 5)
 	const sweepFits = 50
-	var refT, fastT, sweepT time.Duration
+	var refT, fastT, sweepT, rbfT time.Duration
 	var cached, uncached int
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
@@ -418,7 +498,7 @@ func BenchmarkFitMARSForward(b *testing.B) {
 		}
 		start = time.Now()
 		var fast *MARSModel
-		fast, cached, uncached, err = fitMARSBudget(data, MARSOptions{}, marsCacheBytes)
+		fast, cached, uncached, err = fitMARSBudget(data, MARSOptions{}, marsCacheBytes, nil)
 		fastT = time.Since(start)
 		if err != nil {
 			b.Fatal(err)
@@ -433,6 +513,13 @@ func BenchmarkFitMARSForward(b *testing.B) {
 			}
 		}
 		sweepT = time.Since(start) / sweepFits
+		start = time.Now()
+		for j := 0; j < sweepFits; j++ {
+			if _, err := FitHybridRBF(sweep, MARSOptions{Workers: 1}, RBFOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		rbfT = time.Since(start) / sweepFits
 	}
 	speedup := refT.Seconds() / fastT.Seconds()
 	b.ReportMetric(refT.Seconds()*1e3, "ref-ms")
@@ -441,6 +528,7 @@ func BenchmarkFitMARSForward(b *testing.B) {
 	b.ReportMetric(float64(cached), "cands-cached")
 	b.ReportMetric(float64(uncached), "cands-from-scratch")
 	b.ReportMetric(sweepT.Seconds()*1e6, "sweep-fit-us")
+	b.ReportMetric(rbfT.Seconds()*1e6, "sweep-rbf-us")
 	if speedup < minMARSForwardSpeedup {
 		b.Fatalf("incremental forward pass %.2fx the reference, below floor %.1fx", speedup, minMARSForwardSpeedup)
 	}
