@@ -2,8 +2,6 @@ package farm
 
 import (
 	"context"
-	"fmt"
-	"hash/fnv"
 
 	"repro/internal/compiler"
 	"repro/internal/doe"
@@ -19,15 +17,12 @@ import (
 // Two jobs with equal binary keys compile to the same *isa.Program, and
 // therefore produce the same committed-instruction stream; only the timing
 // differs. The version tag is shared with Key so semantic changes
-// invalidate both identities together.
+// invalidate both identities together. The hashed text is Key's prefix
+// `v3|<workload>|<source>|`, then `w<issue width>|`, then each compiler
+// value and a comma.
 func BinaryKey(w workloads.Workload, p doe.Point) string {
-	cfg := doe.ToConfig(p)
-	h := fnv.New64a()
-	fmt.Fprintf(h, "v3|%s|%s|w%d|", w.Key(), w.Source, cfg.IssueWidth)
-	for _, v := range p[:doe.NumCompilerVars] {
-		fmt.Fprintf(h, "%d,", v)
-	}
-	return fmt.Sprintf("%s|bin%x", w.Key(), h.Sum64())
+	h := sourceHash(w).str("w").int(int64(doe.ToConfig(p).IssueWidth)).str("|")
+	return keyString(w, "|bin", h.ints(p[:doe.NumCompilerVars]))
 }
 
 // compileFn builds the binary for a job; the Farm's instance defaults to

@@ -2,11 +2,11 @@ package farm
 
 import (
 	"context"
-	"fmt"
-	"hash/fnv"
+	"strconv"
 
 	"repro/internal/compiler"
 	"repro/internal/doe"
+	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
@@ -56,14 +56,76 @@ type MeasureFunc func(ctx context.Context, job Job) (Result, error)
 // (`<workload>|<fnv64a of version-tag, workload source and point>`), so
 // existing cache files stay valid. The source text participates so workload
 // edits — and the version tag so compiler/simulator semantic changes —
-// invalidate stale measurements.
+// invalidate stale measurements. The hashed text is
+// `v3|<workload>|<source>|` then each point value and a comma, as "%d,"
+// prints it; the state after the source comes from sourceHash.
 func Key(w workloads.Workload, p doe.Point) string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "v3|%s|%s|", w.Key(), w.Source)
-	for _, v := range p {
-		fmt.Fprintf(h, "%d,", v)
+	return keyString(w, "|", sourceHash(w).ints(p))
+}
+
+// fnv64a is the running state of a 64-bit FNV-1a hash, the hash of Key and
+// BinaryKey; it is what hash/fnv's New64a computes, held as a value so a
+// prefix's state can be kept and resumed.
+type fnv64a uint64
+
+const (
+	fnvOffset fnv64a = 14695981039346656037
+	fnvPrime  fnv64a = 1099511628211
+)
+
+func (h fnv64a) str(s string) fnv64a {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ fnv64a(s[i])) * fnvPrime
 	}
-	return fmt.Sprintf("%s|%x", w.Key(), h.Sum64())
+	return h
+}
+
+// int hashes v in decimal, as "%d" prints it.
+func (h fnv64a) int(v int64) fnv64a {
+	var buf [20]byte
+	for _, c := range strconv.AppendInt(buf[:0], v, 10) {
+		h = (h ^ fnv64a(c)) * fnvPrime
+	}
+	return h
+}
+
+// ints hashes each value in decimal followed by a comma.
+func (h fnv64a) ints(vs []int64) fnv64a {
+	for _, v := range vs {
+		h = (h.int(v) ^ ',') * fnvPrime
+	}
+	return h
+}
+
+// sourceID is a workload's identity in the prefix memo: its key's parts and
+// its source text.
+type sourceID struct{ name, input, source string }
+
+// sourceCacheSize bounds the prefix memo, in sources. As with the workloads
+// parse cache, the seven programs at two input classes are 14; the bound is
+// for empirico-worker, which keys every source a coordinator leases to it.
+const sourceCacheSize = 256
+
+var sourceCache = par.NewCache[sourceID, fnv64a](sourceCacheSize)
+
+// sourceHash returns the hash state after `v3|<workload>|<source>|`, the
+// prefix Key and BinaryKey share. A source is kilobytes long and a point is
+// tens of bytes, so the state is memoized per workload and source.
+func sourceHash(w workloads.Workload) fnv64a {
+	h, _, _ := sourceCache.Get(context.Background(), sourceID{w.Name, w.Input, w.Source}, func() (fnv64a, error) {
+		return fnvOffset.str("v3|").str(w.Key()).str("|").str(w.Source).str("|"), nil
+	})
+	return h
+}
+
+// keyString formats `<workload><sep><hash in hex>` with one allocation.
+func keyString(w workloads.Workload, sep string, h fnv64a) string {
+	var buf [96]byte
+	b := append(buf[:0], w.Name...)
+	b = append(b, '-')
+	b = append(b, w.Input...)
+	b = append(b, sep...)
+	return string(strconv.AppendUint(b, uint64(h), 16))
 }
 
 // EnergyKey is the store key of the energy response for a job key.

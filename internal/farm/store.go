@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 )
 
@@ -45,21 +46,20 @@ func MemStore() *Store {
 }
 
 // Open loads (or creates) a durable store at path. A corrupt or truncated
-// checkpoint is logged and discarded — the store starts fresh rather than
-// silently serving a partial cache — and journal replay tolerates a
-// truncated final line from a crashed writer. Progress messages go to
-// logTo when non-nil.
+// checkpoint (readCheckpoint) is logged and discarded — the store starts
+// fresh rather than silently serving a partial cache — and journal replay
+// stops at a truncated final line from a crashed writer. Progress messages
+// go to logTo when non-nil.
 func Open(path string, logTo io.Writer) (*Store, error) {
 	s := &Store{path: path, m: map[string]float64{}, log: logTo}
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, err
 	}
 	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &s.m); err != nil {
+		if m, err := readCheckpoint(data); err != nil {
 			s.logf("farm: cache %s is corrupt (%v); starting fresh", path, err)
-			s.m = map[string]float64{}
-		} else if s.m == nil {
-			s.m = map[string]float64{} // a checkpoint of `null`
+		} else {
+			s.m = m
 		}
 	} else if !os.IsNotExist(err) {
 		return nil, err
@@ -68,6 +68,7 @@ func Open(path string, logTo io.Writer) (*Store, error) {
 	// can ship its whole contents as one delta from cursor 0. Map iteration
 	// order is arbitrary, which is why cursors are only meaningful within one
 	// store lifetime (Boot below).
+	s.order = make([]string, 0, len(s.m))
 	for k := range s.m {
 		s.order = append(s.order, k)
 	}
@@ -106,9 +107,9 @@ func (s *Store) logf(format string, args ...interface{}) {
 }
 
 // replayJournal applies the journal over the loaded checkpoint, line by
-// line, up to the first line that does not parse: a torn final write from a
-// crash. Anything after it is untrustworthy, so replay stops there rather
-// than resync. It returns the replayed prefix of the journal and the
+// line, up to the first line that is not a record (readRecord): a torn final
+// write from a crash, or a damaged line. Anything after it is
+// untrustworthy, so replay stops there rather than resync. It returns the replayed prefix of the journal and the
 // journal's full size.
 func (s *Store) replayJournal() (valid []byte, size int, err error) {
 	data, err := os.ReadFile(s.journalPath())
@@ -122,8 +123,8 @@ func (s *Store) replayJournal() (valid []byte, size int, err error) {
 	for good < len(data) {
 		line, _, _ := bytes.Cut(data[good:], []byte{'\n'})
 		if len(line) > 0 {
-			var e KV
-			if err := json.Unmarshal(line, &e); err != nil {
+			e, ok := readRecord(line)
+			if !ok {
 				bad++
 				break
 			}
@@ -352,4 +353,161 @@ func (s *Store) Close() error {
 		s.journal = nil
 	}
 	return err
+}
+
+// readCheckpoint parses a checkpoint: a JSON object whose every value is a
+// number, or null. The text Checkpoint writes is read directly (scanner);
+// any other JSON goes through encoding/json, under the same rule.
+func readCheckpoint(data []byte) (map[string]float64, error) {
+	if m, ok := scanCheckpoint(data); ok {
+		return m, nil
+	}
+	var raw map[string]any
+	if err := json.Unmarshal(data, &raw); err != nil {
+		return nil, err
+	}
+	m := make(map[string]float64, len(raw))
+	for k, v := range raw {
+		f, ok := v.(float64)
+		if !ok {
+			return nil, fmt.Errorf("the value of %q is not a number", k)
+		}
+		m[k] = f
+	}
+	return m, nil
+}
+
+// readRecord parses one journal line. A record is a JSON object with exactly
+// the members k, a string, and v, a number; a repeated member counts once,
+// at its last value, as encoding/json reads it. The text Put writes is read
+// directly (scanner); any other JSON goes through encoding/json.
+func readRecord(line []byte) (KV, bool) {
+	if e, ok := scanRecord(line); ok {
+		return e, true
+	}
+	var raw map[string]any
+	if json.Unmarshal(line, &raw) != nil || len(raw) != 2 {
+		return KV{}, false
+	}
+	k, okK := raw["k"].(string)
+	v, okV := raw["v"].(float64)
+	return KV{K: k, V: v}, okK && okV
+}
+
+// scanCheckpoint reads the checkpoint text json.Marshal writes for the
+// store's map. ok is false for any other text, valid JSON or not.
+func scanCheckpoint(data []byte) (m map[string]float64, ok bool) {
+	sc := scanner{b: data}
+	if !sc.lit("{") {
+		return nil, false
+	}
+	m = make(map[string]float64, bytes.Count(data, []byte{','})+1)
+	if sc.lit("}") {
+		return m, sc.done()
+	}
+	for {
+		k, ok := sc.str()
+		if !ok || !sc.lit(":") {
+			return nil, false
+		}
+		if m[k], ok = sc.num(); !ok {
+			return nil, false
+		}
+		if sc.lit("}") {
+			return m, sc.done()
+		}
+		if !sc.lit(",") {
+			return nil, false
+		}
+	}
+}
+
+// scanRecord reads the journal line json.Marshal writes for a KV. ok is
+// false for any other text, valid JSON or not.
+func scanRecord(line []byte) (e KV, ok bool) {
+	sc := scanner{b: line}
+	if !sc.lit(`{"k":`) {
+		return e, false
+	}
+	if e.K, ok = sc.str(); !ok || !sc.lit(`,"v":`) {
+		return e, false
+	}
+	if e.V, ok = sc.num(); !ok || !sc.lit("}") {
+		return e, false
+	}
+	return e, sc.done()
+}
+
+// scanner reads the subset of JSON that json.Marshal writes for the store's
+// records: no whitespace, strings of printable ASCII with no escapes, and
+// numbers, which it parses as encoding/json does. Every method reports false
+// on text outside the subset.
+type scanner struct {
+	b []byte
+	i int
+}
+
+func (sc *scanner) done() bool { return sc.i == len(sc.b) }
+
+// lit consumes s.
+func (sc *scanner) lit(s string) bool {
+	if !bytes.HasPrefix(sc.b[sc.i:], []byte(s)) {
+		return false
+	}
+	sc.i += len(s)
+	return true
+}
+
+// str consumes a quoted string of printable ASCII other than the quote and
+// the backslash.
+func (sc *scanner) str() (string, bool) {
+	if !sc.lit(`"`) {
+		return "", false
+	}
+	for j := sc.i; j < len(sc.b); j++ {
+		switch c := sc.b[j]; {
+		case c == '"':
+			s := string(sc.b[sc.i:j])
+			sc.i = j + 1
+			return s, true
+		case c < 0x20 || c > 0x7e || c == '\\':
+			return "", false
+		}
+	}
+	return "", false
+}
+
+// num consumes a number in JSON's grammar,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and parses it with
+// strconv.ParseFloat, as encoding/json does; out of range is not a number.
+func (sc *scanner) num() (float64, bool) {
+	start := sc.i
+	sc.lit("-")
+	if !sc.lit("0") && !sc.digits() {
+		return 0, false
+	}
+	if sc.lit(".") && !sc.digits() {
+		return 0, false
+	}
+	if sc.lit("e") || sc.lit("E") {
+		if !sc.lit("+") {
+			sc.lit("-")
+		}
+		if !sc.digits() {
+			return 0, false
+		}
+	}
+	v, err := strconv.ParseFloat(string(sc.b[start:sc.i]), 64)
+	return v, err == nil
+}
+
+// digits consumes one or more decimal digits.
+func (sc *scanner) digits() bool {
+	j := sc.i
+	for j < len(sc.b) && '0' <= sc.b[j] && sc.b[j] <= '9' {
+		j++
+	}
+	ok := j > sc.i
+	sc.i = j
+	return ok
 }

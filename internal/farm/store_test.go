@@ -2,12 +2,20 @@ package farm
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"maps"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
+
+	"repro/internal/doe"
+	"repro/internal/workloads"
 )
 
 func TestStoreCheckpointRoundTrip(t *testing.T) {
@@ -151,6 +159,112 @@ func TestStoreSurvivesTwoCrashes(t *testing.T) {
 	for k, want := range map[string]float64{"a": 1, "c": 3} {
 		if v, ok := s2.get(k); !ok || v != want {
 			t.Errorf("%s after the second crash: %v %v, want %v", k, v, ok, want)
+		}
+	}
+}
+
+// TestStoreRejectsDamagedRecords: encoding/json ignores unknown fields and
+// null, so a damaged record would load as a zero. A journal line that is not
+// exactly a string k and a number v ends the replay as a torn line does, and
+// a checkpoint value that is not a number makes the checkpoint corrupt.
+func TestStoreRejectsDamagedRecords(t *testing.T) {
+	open := func(t *testing.T, ckpt, journal string) *Store {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "measurements-test.json")
+		if ckpt != "" {
+			if err := os.WriteFile(path, []byte(ckpt), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(path+".journal", []byte(journal), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s
+	}
+	ok := `{"k":"a","v":1}` + "\n"
+	for _, damaged := range []string{
+		`{"k":"b","6":2}`, // one bit flipped in "v"
+		`{"v":3}`,
+		`{"k":null,"v":3}`,
+		`{"k":"b","v":null}`,
+		`{"k":"b","v":"2"}`,
+		`{"k":"b","v":2,"x":0}`,
+		`{"K":"b","v":2}`,
+		`["b",2]`,
+	} {
+		s := open(t, "", ok+damaged+"\n"+`{"k":"c","v":3}`+"\n")
+		if want := map[string]float64{"a": 1}; !maps.Equal(s.m, want) {
+			t.Errorf("journal line %s: recovered %v, want %v", damaged, s.m, want)
+		}
+	}
+	for _, ckpt := range []string{`{"a":null,"b":1}`, `{"a":"1"}`, `{"a":{}}`, `{"a":true}`, `{"a":1e400}`} {
+		if s := open(t, ckpt, ok); !maps.Equal(s.m, map[string]float64{"a": 1}) {
+			t.Errorf("checkpoint %s: loaded %v, want it discarded", ckpt, s.m)
+		}
+	}
+	// Valid JSON in another shape than the store writes still reads.
+	s := open(t, `{ "x" : -0.5e1 , "\u0079":2, "x":1 }`, "\t{\"v\": 1e2, \"k\": \"z\"}\r\n"+ok)
+	if want := map[string]float64{"x": 1, "y": 2, "z": 100, "a": 1}; !maps.Equal(s.m, want) {
+		t.Errorf("canonical-equivalent store: %v, want %v", s.m, want)
+	}
+}
+
+// TestStoreReadsWhatItWritesDirectly: every checkpoint and journal line the
+// store writes is in the shape the scanner reads, and it reads the values
+// json.Unmarshal reads, bit for bit.
+func TestStoreReadsWhatItWritesDirectly(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	vals := []float64{0, math.Copysign(0, -1), 1, -1, 5e-324, math.MaxFloat64, -math.MaxFloat64,
+		1e21, 1e20, 1e-6, 1e-7, 123456789, 0.1, 2.5e-300}
+	for range 200 {
+		vals = append(vals, rng.NormFloat64()*math.Pow(10, float64(rng.Intn(40)-20)),
+			float64(rng.Int63n(1<<53)), math.Float64frombits(rng.Uint64()&^(0x7ff<<52)|uint64(rng.Intn(0x7ff))<<52))
+	}
+	job := testJob(1)
+	path := filepath.Join(t.TempDir(), "measurements-test.json")
+	s, err := Open(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{}
+	for i, v := range vals {
+		k := fmt.Sprintf("%s#%d", EnergyKey(Key(job.Workload, job.Point)), i)
+		want[k] = v
+		if err := s.Put(Entry(k, v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	journal, err := os.ReadFile(path + ".journal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range bytes.Split(bytes.TrimSuffix(journal, []byte{'\n'}), []byte{'\n'}) {
+		e, ok := scanRecord(line)
+		var ref KV
+		if err := json.Unmarshal(line, &ref); err != nil || !ok || e.K != ref.K ||
+			math.Float64bits(e.V) != math.Float64bits(ref.V) {
+			t.Fatalf("journal line %s: scanned %v %v, json %v %v", line, e, ok, ref, err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ckpt, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, ok := scanCheckpoint(ckpt)
+	if !ok || len(m) != len(want) {
+		t.Fatalf("checkpoint not read directly: ok %v, %d of %d entries", ok, len(m), len(want))
+	}
+	for k, v := range want {
+		if math.Float64bits(m[k]) != math.Float64bits(v) {
+			t.Fatalf("%s: scanned %v, wrote %v", k, m[k], v)
 		}
 	}
 }
@@ -381,8 +495,8 @@ func TestStoreSinceMergeShipsWholeStore(t *testing.T) {
 
 // FuzzJournalReplay opens a store over an arbitrary checkpoint and journal.
 // Open must neither fail nor panic; the entries it recovers from the journal
-// must be exactly the journal's leading run of lines that parse, over the
-// checkpoint; and a Put after Open must survive a crash before the next
+// must be exactly the journal's leading run of records, over the checkpoint
+// when it holds only numbers; and a Put after Open must survive a crash before the next
 // checkpoint, along with everything recovered. Explore with
 // `go test ./internal/farm -run '^$' -fuzz FuzzJournalReplay`.
 func FuzzJournalReplay(f *testing.F) {
@@ -395,6 +509,20 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add([]byte(nil), []byte(good+rec("b", 2)+rec("d", 4))) // duplicated record
 	f.Add([]byte(`{"a":1,"b":2,"c":3,"d":4}`), []byte(good)) // checkpoint newer than its journal
 	f.Add([]byte(`null`), []byte(good+`{"k":"e","v":5}`))    // null checkpoint, unterminated last line
+	// At the edges of the direct read: each falls to encoding/json, or is
+	// not a record.
+	f.Add([]byte(`{ "a" : 1 }`), []byte(`{"k": "b", "v": 2}`+"\n"+` {"k":"c","v":3}`+"\n"+rec("d", 4)))   // whitespace
+	f.Add([]byte(`{"\u0061":1,"\"":2}`), []byte(`{"k":"\u00e9\n","v":2}`+"\n"+rec("d", 4)))               // escaped keys
+	f.Add([]byte(`{"é":1}`), []byte(`{"k":"ü","v":2}`+"\n"+"{\"k\":\"\xff\xfe\",\"v\":3}\n"+rec("d", 4))) // non-ASCII and invalid UTF-8
+	f.Add([]byte(`{"a":-0}`), []byte(`{"k":"b","v":-0}`+"\n"+rec("d", 4)))                                // -0
+	f.Add([]byte(`{"a":1e400}`), []byte(good+`{"k":"b","v":1e400}`+"\n"+rec("d", 4)))                     // out of range
+	f.Add([]byte(`{"a":01}`), []byte(good+`{"k":"b","v":01}`+"\n"+rec("d", 4)))                           // leading zero
+	f.Add([]byte(`{"a":1,"a":2}`), []byte(`{"k":"b","k":"c","v":2}`+"\n"+`{"k":"d","v":1,"v":4}`+"\n"))   // duplicate keys
+	f.Add([]byte(`{}`), []byte(`{}`+"\n"+rec("d", 4)))                                                    // {}
+	f.Add([]byte(`{"a":1,}`), []byte(good+`{"k":"b","v":2,}`+"\n"+rec("d", 4)))                           // trailing comma
+	f.Add([]byte(nil), []byte(`{"v":2,"k":"b"}`+"\n"+rec("d", 4)))                                        // v before k
+	f.Add([]byte(`{"a":1,"b":{"c":2}}`), []byte(good+`{"k":"b","v":2,"x":0}`+"\n"+rec("d", 4)))           // extra field
+	f.Add([]byte(`{"a":null}`), []byte(good+`{"k":"b","6":2}`+"\n"+rec("d", 4)))                          // null value, flipped "v"
 	f.Fuzz(func(t *testing.T, ckpt, journal []byte) {
 		path := filepath.Join(t.TempDir(), "measurements-fuzz.json")
 		if len(ckpt) > 0 {
@@ -406,11 +534,21 @@ func FuzzJournalReplay(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		// The oracle: the checkpoint if it parses, then the leading run of
-		// journal lines that parse, in order.
+		// The oracle, by encoding/json: the checkpoint if it parses as an
+		// object of numbers (or null), then the leading run of journal lines
+		// that parse as an object of exactly a string k and a number v, in
+		// order.
 		want := map[string]float64{}
-		if json.Unmarshal(ckpt, &want) != nil || want == nil {
-			want = map[string]float64{}
+		var top map[string]any
+		if json.Unmarshal(ckpt, &top) == nil {
+			for k, v := range top {
+				f, ok := v.(float64)
+				if !ok {
+					clear(want)
+					break
+				}
+				want[k] = f
+			}
 		}
 		nCkpt := len(want)
 		var lines []KV
@@ -418,12 +556,17 @@ func FuzzJournalReplay(f *testing.F) {
 			if len(line) == 0 {
 				continue
 			}
-			var e KV
-			if json.Unmarshal(line, &e) != nil {
+			var rec map[string]any
+			if json.Unmarshal(line, &rec) != nil || len(rec) != 2 {
 				break
 			}
-			lines = append(lines, e)
-			want[e.K] = e.V
+			k, okK := rec["k"].(string)
+			v, okV := rec["v"].(float64)
+			if !okK || !okV {
+				break
+			}
+			lines = append(lines, KV{K: k, V: v})
+			want[k] = v
 		}
 
 		s, err := Open(path, nil)
@@ -456,4 +599,80 @@ func FuzzJournalReplay(f *testing.F) {
 			t.Fatalf("after a Put and a crash: %v, want %v", s2.m, want)
 		}
 	})
+}
+
+var keySink string
+
+// BenchmarkStoreHit answers a sweep's points from a reopened store: the warm
+// path of every rerun from a cache. The store is sweep-sized: 68 points in
+// the checkpoint and 18 in the journal, both responses each, over 179.art
+// and 181.mcf. Each iteration opens it (open-us), keys its 86 points
+// (key-ns per key), and answers them through Planner.DoJobs (hit-ns per
+// point). There is no floor.
+func BenchmarkStoreHit(b *testing.B) {
+	var jobs []Job
+	for i, name := range []string{"179.art", "181.mcf"} {
+		w := workloads.MustGet(name, workloads.Train)
+		for _, p := range doe.JointSpace().LatinHypercube(43, rand.New(rand.NewSource(int64(i+1)))) {
+			jobs = append(jobs, Job{Workload: w, Point: p})
+		}
+	}
+	dir := b.TempDir()
+	path := filepath.Join(dir, "measurements-bench.json")
+	s, err := Open(path, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i, j := range jobs {
+		if i == 68 {
+			if err := s.Checkpoint(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		k := Key(j.Workload, j.Point)
+		if err := s.Put(Entry(k, float64(1_000_000+i*7919)), Entry(EnergyKey(k), 1e6/float64(i+3))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	s.journal.Close() // the journal keeps its 18 points
+	ckpt, err := os.ReadFile(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	journal, err := os.ReadFile(path + ".journal")
+	if err != nil {
+		b.Fatal(err)
+	}
+
+	ctx := context.Background()
+	var openNS, keyNS, hitNS int64
+	b.ResetTimer()
+	for range b.N {
+		if os.WriteFile(path, ckpt, 0o644) != nil || os.WriteFile(path+".journal", journal, 0o644) != nil {
+			b.Fatal("rewriting the store")
+		}
+		t0 := time.Now()
+		s, err := Open(path, nil)
+		openNS += time.Since(t0).Nanoseconds()
+		if err != nil {
+			b.Fatal(err)
+		}
+		t0 = time.Now()
+		for _, j := range jobs {
+			keySink = Key(j.Workload, j.Point)
+		}
+		keyNS += time.Since(t0).Nanoseconds()
+		p := NewPlanner(Options{Store: s}, false, func([]*Group) { b.Fatal("a stored point was executed") })
+		t0 = time.Now()
+		_, errs := p.DoJobs(ctx, jobs)
+		hitNS += time.Since(t0).Nanoseconds()
+		if err := errors.Join(errs...); err != nil {
+			b.Fatal(err)
+		}
+		s.journal.Close() // no checkpoint: the next iteration reads the same files
+	}
+	n := float64(b.N)
+	b.ReportMetric(float64(openNS)/n/1e3, "open-us")
+	b.ReportMetric(float64(keyNS)/n/float64(len(jobs)), "key-ns")
+	b.ReportMetric(float64(hitNS)/n/float64(len(jobs)), "hit-ns")
 }
