@@ -60,6 +60,40 @@ func TestDocNamesResolve(t *testing.T) {
 	}
 }
 
+// TestInternalPackagesHaveImporters fails when a package under internal/ has
+// no importer outside its own directory among the module's non-test files:
+// a package that only tests reach is test code in production. benchmark/ is
+// a module of its own, so its imports do not count.
+func TestInternalPackagesHaveImporters(t *testing.T) {
+	const module = "repro/"
+	pkgs, imported := map[string]bool{}, map[string]bool{}
+	fset := token.NewFileSet()
+	for _, path := range moduleFiles(t) {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		if strings.HasPrefix(dir, "internal/") {
+			pkgs[dir] = true
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			if dep, ok := strings.CutPrefix(p, module); ok && dep != dir {
+				imported[dep] = true
+			}
+		}
+	}
+	for dir := range pkgs {
+		if !imported[dir] {
+			t.Errorf("%s: no non-test file of the module outside it imports it", dir)
+		}
+	}
+}
+
 // command matches a command line of this repo's tools: `go run ./cmd/<name>`
 // or the bare (or path-qualified) binary name, followed by its arguments.
 var command = regexp.MustCompile(`^(?:go run \./cmd/([\w-]+)|(?:[\w./-]*/)?(empirico-worker|empiricod|empirico|simrun|minicc|plotfigs|loadgen))(?:\s|$)`)
@@ -233,8 +267,29 @@ func typeName(x ast.Expr) string {
 	return ""
 }
 
-// moduleDecls parses every Go file of the module (benchmark/ is a module of
-// its own) into its decls.
+// moduleFiles returns the paths of the module's Go files, test files
+// included (benchmark/ is a module of its own).
+func moduleFiles(t *testing.T) []string {
+	var paths []string
+	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if e.IsDir() && path != "." && (strings.HasPrefix(e.Name(), ".") || e.Name() == "testdata" || e.Name() == "benchmark") {
+			return filepath.SkipDir
+		}
+		if !e.IsDir() && strings.HasSuffix(path, ".go") {
+			paths = append(paths, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return paths
+}
+
+// moduleDecls parses every Go file of the module into its decls.
 func moduleDecls(t *testing.T) decls {
 	d := decls{names: map[string]map[string]bool{}, members: map[string]map[string]bool{}, embeds: map[string][]string{}}
 	member := func(typ, name string) {
@@ -244,22 +299,10 @@ func moduleDecls(t *testing.T) decls {
 		d.members[typ][name] = true
 	}
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if e.IsDir() {
-			if path != "." && (strings.HasPrefix(e.Name(), ".") || e.Name() == "testdata" || e.Name() == "benchmark") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
+	for _, path := range moduleFiles(t) {
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
 		pkg := strings.TrimSuffix(f.Name.Name, "_test")
 		if d.names[pkg] == nil {
@@ -310,10 +353,6 @@ func moduleDecls(t *testing.T) decls {
 				}
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	return d
 }

@@ -60,9 +60,6 @@ func (d *Design) Matrix() *linalg.Matrix {
 	return linalg.FromRows(rows)
 }
 
-// logDet returns log det(XᵀX) of the design's information matrix.
-func (d *Design) logDet() float64 { return linalg.LogDetGram(d.Matrix()) }
-
 // DOptions tunes the Fedorov exchange search.
 type DOptions struct {
 	// Candidates is the LHS candidate-pool size (default 10x the design

@@ -11,6 +11,9 @@ import (
 	"repro/internal/linalg"
 )
 
+// logDet returns log det(XᵀX) of the design's information matrix.
+func (d *Design) logDet() float64 { return linalg.LogDetGram(d.Matrix()) }
+
 // Regression test: a candidate pool smaller than the design size used to
 // panic in the initial selection (rng.Perm(len(cands))[:n]); it must now be
 // clamped up to n.

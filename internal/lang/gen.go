@@ -27,6 +27,7 @@ type generator struct {
 	depth  int
 	loops  int
 	inLoop int // current loop nesting (calls are only generated outside loops)
+	nvars  int // fresh names so far: per program, so the text is a function of the rng
 
 	// protected marks live loop induction variables: they may be read but
 	// never reassigned, which keeps every generated loop terminating.
@@ -46,7 +47,8 @@ type genFunc struct {
 func (g *generator) program() string {
 	nArrays := 1 + g.rng.Intn(3)
 	for i := 0; i < nArrays; i++ {
-		a := genArray{name: fmt.Sprintf("arr%d", i), size: 16 << g.rng.Intn(4)}
+		// 16 to 4096 words: the largest (32 KB) spills a small data cache.
+		a := genArray{name: fmt.Sprintf("arr%d", i), size: 16 << (2 * g.rng.Intn(5))}
 		g.arrays = append(g.arrays, a)
 		fmt.Fprintf(&g.sb, "int %s[%d];\n", a.name, a.size)
 	}
@@ -117,11 +119,9 @@ func (g *generator) emitMain() {
 	g.sb.WriteString("}\n")
 }
 
-var genCounter int
-
 func (g *generator) fresh() string {
-	genCounter++
-	return fmt.Sprintf("v%d", genCounter)
+	g.nvars++
+	return fmt.Sprintf("v%d", g.nvars)
 }
 
 func (g *generator) line(s string) {

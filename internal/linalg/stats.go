@@ -14,8 +14,9 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Variance returns the population variance of xs.
-func Variance(xs []float64) float64 {
+// StdDev returns the population standard deviation of xs (0 for empty
+// input).
+func StdDev(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
@@ -25,11 +26,8 @@ func Variance(xs []float64) float64 {
 		d := x - m
 		s += d * d
 	}
-	return s / float64(len(xs))
+	return math.Sqrt(s / float64(len(xs)))
 }
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // SSE returns the sum of squared differences Σ(pred−actual)².
 func SSE(pred, actual []float64) float64 {

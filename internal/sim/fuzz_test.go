@@ -2,11 +2,12 @@ package sim_test
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"repro/internal/compiler"
+	"repro/internal/lang"
 	"repro/internal/sim"
-	"repro/internal/wlgen"
 )
 
 // fuzzConfigs is the fixed configuration list FuzzEnginesAgree indexes.
@@ -28,18 +29,20 @@ func sameFault(a, b error) bool {
 	return *fa == *fb
 }
 
-// FuzzEnginesAgree generates a MiniC program from the seed, compiles it at
-// -O2 and -O3, and requires feed ≡ fused ≡ bb ≡ SimulateMany on a pair of
-// configurations under the given instruction budget — Stats and ExitValue
-// when the run halts, the fault (budget overruns included) when it does not.
-// The committed corpus under testdata/fuzz runs as a plain test; explore
-// with `go test ./internal/sim -run '^$' -fuzz FuzzEnginesAgree`.
+// FuzzEnginesAgree generates a MiniC program from the seed with
+// lang.GenProgram, whose arrays reach 32 KB and so spill the tiny
+// configuration's 8 KB data cache, compiles it at -O2 and -O3, and requires
+// feed ≡ fused ≡ bb ≡ SimulateMany on a pair of configurations under the
+// given instruction budget — Stats and ExitValue when the run halts, the
+// fault (budget overruns included) when it does not. The committed corpus
+// under testdata/fuzz runs as a plain test; explore with
+// `go test ./internal/sim -run '^$' -fuzz FuzzEnginesAgree`.
 func FuzzEnginesAgree(f *testing.F) {
 	f.Add(int64(0), uint8(0), uint32(1<<31))
 	f.Add(int64(4), uint8(3), uint32(4096))
 	cfgList := fuzzConfigs()
 	f.Fuzz(func(t *testing.T, seed int64, cfg uint8, budget uint32) {
-		src := wlgen.Generate(seed).Source
+		src := lang.GenProgram(rand.New(rand.NewSource(seed)))
 		cfgs := []sim.Config{cfgList[int(cfg)%len(cfgList)], cfgList[(int(cfg)+1)%len(cfgList)]}
 		maxInstrs := int64(budget)
 		for _, opts := range []compiler.Options{compiler.O2(), compiler.O3()} {
