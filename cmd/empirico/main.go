@@ -70,11 +70,6 @@ func main() {
 		names = strings.Split(*programs, ",")
 	}
 
-	needStudy := map[string]bool{
-		"table3": true, "table4": true, "fig5": true, "fig6": true,
-		"table6": true, "fig7": true, "table7": true, "all": true,
-	}
-
 	switch *expName {
 	case "space":
 		printSpaces()
@@ -86,8 +81,8 @@ func main() {
 		}
 		fmt.Println(txt)
 		return
-	}
-	if !needStudy[*expName] {
+	case "table3", "table4", "fig5", "fig6", "table6", "fig7", "table7", "all":
+	default:
 		fatal(fmt.Errorf("empirico: unknown experiment %q", *expName))
 	}
 
@@ -98,18 +93,15 @@ func main() {
 	report := exp.NewReport(study)
 
 	show := func(name string) bool { return *expName == "all" || *expName == name }
-	// Ctrl-C cancels the GA between generations (instead of hanging until
-	// every remaining generation finishes); a second signal kills outright.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	// One GA search serves Table 6, Figure 7 and Table 7. Ctrl-C cancels it
+	// between generations instead of hanging until every remaining
+	// generation finishes; a second signal kills outright.
 	var searchResults []exp.SearchResult
-	ensureSearch := func() {
-		if searchResults == nil {
-			var err error
-			searchResults, err = study.SearchSettingsCtx(ctx, nil)
-			if err != nil {
-				fatal(err)
-			}
+	if show("table6") || show("fig7") || show("table7") {
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		defer stop()
+		if searchResults, err = study.SearchSettingsCtx(ctx, nil); err != nil {
+			fatal(err)
 		}
 	}
 
@@ -134,12 +126,10 @@ func main() {
 		fmt.Println(txt)
 	}
 	if show("table6") {
-		ensureSearch()
 		report.AddSearch(searchResults)
 		fmt.Println(exp.Table6(searchResults, h.Space()))
 	}
 	if show("fig7") {
-		ensureSearch()
 		txt, rows, err := study.Fig7(searchResults, nil)
 		if err != nil {
 			fatal(err)
@@ -148,7 +138,6 @@ func main() {
 		fmt.Println(txt)
 	}
 	if show("table7") {
-		ensureSearch()
 		txt, rows, err := study.Table7(searchResults, nil)
 		if err != nil {
 			fatal(err)
@@ -163,6 +152,9 @@ func main() {
 		}
 		report.Fig3 = res
 		fmt.Println(txt)
+	}
+	if !*quiet {
+		fmt.Fprintln(os.Stderr, study.Stages)
 	}
 	if *jsonPath != "" {
 		if err := report.Write(*jsonPath); err != nil {

@@ -2,6 +2,7 @@ package repro_test
 
 import (
 	"go/ast"
+	"go/build"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -16,18 +17,24 @@ import (
 // TestDocNamesResolve holds the prose to the code: every backticked
 // `pkg.Name` in DESIGN.md, README.md and EXPERIMENTS.md whose pkg is a package
 // of this module must name a declaration of that package, a method included,
-// test files included; and every backticked `Type.Member` whose Type is an
+// test files included; every backticked `Type.Member` whose Type is an
 // exported type declared in the module must name a method or field of that
-// type, one promoted from an embedded type included. Names of other packages
-// (the standard library's) are not checked, nor are snake_case names, which
-// are the benchmark ledger's metrics (`sim.bb_minstr_per_s`), nor selectors
-// after the first. A type name that several packages declare may name a
-// member of any of them.
+// type, one promoted from an embedded type included; and every backticked
+// bare exported name (`RunStudy`, `Fig7()`) must be declared somewhere in the
+// module, as itself or as a benchmark (`AblationUnroll` is
+// `BenchmarkAblationUnroll`), or in a standard-library package the module
+// imports (`Float64bits`). Names of other packages (the standard library's)
+// are not checked, nor are snake_case names, which are the benchmark
+// ledger's metrics (`sim.bb_minstr_per_s`), nor all-caps words (`POST`,
+// `GOMAXPROCS`), nor selectors after the first. A type name that several
+// packages declare may name a member of any of them.
 func TestDocNamesResolve(t *testing.T) {
 	mod := moduleDecls(t)
+	var std map[string]bool
 	span := regexp.MustCompile("`[^`]+`")
 	ref := regexp.MustCompile(`(?:^|[^\w/.])([a-z][a-z0-9]*)\.([A-Za-z]\w*)`)
 	member := regexp.MustCompile(`(?:^|[^\w/.])([A-Z]\w*)\.([A-Za-z]\w*)`)
+	bare := regexp.MustCompile("^`([A-Z]\\w*)(?:\\(.*\\))?`$")
 	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
@@ -50,6 +57,15 @@ func TestDocNamesResolve(t *testing.T) {
 				typ, name := m[1], m[2]
 				if _, ok := mod.members[typ]; ok && !mod.hasMember(typ, name, map[string]bool{}) {
 					t.Errorf("%s:%d: %s names %s.%s, which type %s has no method or field %s", doc, line, code, typ, name, typ, name)
+				}
+			}
+			if m := bare.FindStringSubmatch(code); m != nil && m[1] != strings.ToUpper(m[1]) &&
+				!mod.all[m[1]] && !mod.all["Benchmark"+m[1]] {
+				if std == nil {
+					std = stdNames(t)
+				}
+				if !std[m[1]] {
+					t.Errorf("%s:%d: %s names %s, which neither the module nor the standard library it imports declares", doc, line, code, m[1])
 				}
 			}
 			checkFlags(t, doc, line, strings.Trim(code, "`"))
@@ -232,6 +248,7 @@ type decls struct {
 	names   map[string]map[string]bool
 	members map[string]map[string]bool
 	embeds  map[string][]string
+	all     map[string]bool // every name above, whatever declares it
 }
 
 // hasMember reports whether typ, or a type it embeds, has a method or field
@@ -291,12 +308,14 @@ func moduleFiles(t *testing.T) []string {
 
 // moduleDecls parses every Go file of the module into its decls.
 func moduleDecls(t *testing.T) decls {
-	d := decls{names: map[string]map[string]bool{}, members: map[string]map[string]bool{}, embeds: map[string][]string{}}
+	d := decls{names: map[string]map[string]bool{}, members: map[string]map[string]bool{},
+		embeds: map[string][]string{}, all: map[string]bool{}}
 	member := func(typ, name string) {
 		if d.members[typ] == nil {
 			d.members[typ] = map[string]bool{}
 		}
 		d.members[typ][name] = true
+		d.all[name] = true
 	}
 	fset := token.NewFileSet()
 	for _, path := range moduleFiles(t) {
@@ -312,6 +331,7 @@ func moduleDecls(t *testing.T) decls {
 			switch decl := decl.(type) {
 			case *ast.FuncDecl:
 				d.names[pkg][decl.Name.Name] = true
+				d.all[decl.Name.Name] = true
 				if decl.Recv != nil {
 					member(typeName(decl.Recv.List[0].Type), decl.Name.Name)
 				}
@@ -321,6 +341,7 @@ func moduleDecls(t *testing.T) decls {
 					case *ast.TypeSpec:
 						typ := spec.Name.Name
 						d.names[pkg][typ] = true
+						d.all[typ] = true
 						if !ast.IsExported(typ) {
 							continue
 						}
@@ -348,6 +369,7 @@ func moduleDecls(t *testing.T) decls {
 					case *ast.ValueSpec:
 						for _, n := range spec.Names {
 							d.names[pkg][n.Name] = true
+							d.all[n.Name] = true
 						}
 					}
 				}
@@ -355,4 +377,38 @@ func moduleDecls(t *testing.T) decls {
 		}
 	}
 	return d
+}
+
+// stdNames returns the package-level names that the standard-library
+// packages the module imports declare in their non-test files.
+func stdNames(t *testing.T) map[string]bool {
+	names, seen := map[string]bool{}, map[string]bool{}
+	fset := token.NewFileSet()
+	for _, path := range moduleFiles(t) {
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			if seen[p] {
+				continue
+			}
+			seen[p] = true
+			pkg, err := build.Import(p, "", 0)
+			if err != nil || !pkg.Goroot {
+				continue
+			}
+			for _, name := range pkg.GoFiles {
+				f, err := parser.ParseFile(fset, filepath.Join(pkg.Dir, name), nil, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for n := range f.Scope.Objects {
+					names[n] = true
+				}
+			}
+		}
+	}
+	return names
 }

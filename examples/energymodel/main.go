@@ -7,12 +7,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
 
-	"repro/internal/doe"
 	"repro/internal/exp"
+	"repro/internal/farm"
 	"repro/internal/model"
 	"repro/internal/workloads"
 )
@@ -33,37 +34,31 @@ func main() {
 	space := h.Space()
 	train := h.TrainDesign()
 	test := h.TestDesign()
-
-	build := func(points []doe.Point, measure func(workloads.Workload, doe.Point) (float64, error)) *model.Dataset {
-		xs := make([][]float64, len(points))
-		ys := make([]float64, len(points))
-		for i, p := range points {
-			y, err := measure(w, p)
-			if err != nil {
-				log.Fatal(err)
-			}
-			xs[i] = space.Code(p)
-			ys[i] = y
-		}
-		d, err := model.NewDataset(xs, ys)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return d
+	pts := append(train[:len(train):len(train)], test...)
+	xs := make([][]float64, len(pts))
+	for i, p := range pts {
+		xs[i] = space.Code(p)
 	}
 
 	fmt.Printf("measuring %d+%d points of %s for cycles and energy...\n",
 		len(train), len(test), w.Key())
 
 	for _, resp := range []struct {
-		name    string
-		measure func(workloads.Workload, doe.Point) (float64, error)
+		name string
+		resp farm.Response
 	}{
-		{"cycles", h.MeasureCycles},
-		{"energy", h.MeasureEnergy},
+		{"cycles", farm.Cycles},
+		{"energy", farm.Energy},
 	} {
-		trainDS := build(train, resp.measure)
-		testDS := build(test, resp.measure)
+		// One batch per response: the farm plans the points that share a
+		// binary together, and the energy batch is answered from the
+		// results the cycles batch stored.
+		ys, err := h.Farm().MeasureBatch(context.Background(), w, pts, resp.resp)
+		if err != nil {
+			log.Fatal(err)
+		}
+		trainDS := &model.Dataset{X: xs[:len(train)], Y: ys[:len(train)]}
+		testDS := &model.Dataset{X: xs[len(train):], Y: ys[len(train):]}
 		m, err := exp.FitRBF(trainDS)
 		if err != nil {
 			log.Fatal(err)

@@ -25,7 +25,7 @@ func main() {
 	// Small-but-useful scale so the example runs in a couple of minutes;
 	// use exp.Default or exp.Paper for tighter models.
 	scale := exp.Scale{
-		Name: "example", TrainPoints: 60, TestPoints: 15,
+		Name: "example", TrainPoints: 60, // no test set: the search needs none
 		GAPopulation: 40, GAGenerations: 25,
 	}
 	h := exp.NewHarness(scale)

@@ -20,7 +20,7 @@ func main() {
 		benchName = os.Args[1]
 	}
 
-	scale := exp.Scale{Name: "example", TrainPoints: 80, TestPoints: 15}
+	scale := exp.Scale{Name: "example", TrainPoints: 80} // no test set: the effects need none
 	h := exp.NewHarness(scale)
 	h.Log = os.Stderr
 

@@ -1,12 +1,14 @@
 package exp
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/compiler"
 	"repro/internal/doe"
+	"repro/internal/farm"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
@@ -33,11 +35,11 @@ func TestMeasureCyclesCachesAndIsDeterministic(t *testing.T) {
 	h := NewHarness(tinyScale)
 	w := workloads.MustGet("179.art", workloads.Train)
 	p := doe.JoinPoint(doe.FromOptions(compiler.O2()), doe.FromConfig(sim.DefaultConfig()))
-	a, err := h.MeasureCycles(w, p)
+	a, err := h.Farm().Measure(context.Background(), w, p, farm.Cycles)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := h.MeasureCycles(w, p)
+	b, err := h.Farm().Measure(context.Background(), w, p, farm.Cycles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +48,7 @@ func TestMeasureCyclesCachesAndIsDeterministic(t *testing.T) {
 	}
 
 	h2 := NewHarness(tinyScale)
-	c, err := h2.MeasureCycles(w, p)
+	c, err := h2.Farm().Measure(context.Background(), w, p, farm.Cycles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +63,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	h.CacheDir = dir
 	w := workloads.MustGet("256.bzip2", workloads.Train)
 	p := doe.JoinPoint(doe.FromOptions(compiler.O0()), doe.FromConfig(sim.Constrained()))
-	a, err := h.MeasureCycles(w, p)
+	a, err := h.Farm().Measure(context.Background(), w, p, farm.Cycles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +74,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	// directly, but the value must round-trip).
 	h2 := NewHarness(tinyScale)
 	h2.CacheDir = dir
-	b, err := h2.MeasureCycles(w, p)
+	b, err := h2.Farm().Measure(context.Background(), w, p, farm.Cycles)
 	if err != nil {
 		t.Fatal(err)
 	}

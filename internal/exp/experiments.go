@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"time"
 
+	"repro/internal/farm"
 	"repro/internal/linalg"
 	"repro/internal/model"
 	"repro/internal/par"
@@ -19,10 +21,44 @@ type Study struct {
 	Programs []*ProgramData
 	// Models maps program key -> technique ("linear"/"mars"/"rbf") -> model.
 	Models map[string]map[string]model.Model
+	// Stages is the pipeline's own clock, filled in as the study's stages run.
+	Stages Stages
 }
 
-// RunStudy measures train/test data and fits all three model families for
-// the named programs (nil means the full seven-benchmark suite).
+// Stage is one stage's wall seconds and the simulations the plane ran in them.
+type Stage struct {
+	Seconds float64
+	Sims    int64
+}
+
+func (s Stage) String() string { return fmt.Sprintf("%.3fs (%d sims)", s.Seconds, s.Sims) }
+
+// Stages times the paper's pipeline (its Figure 1 loop) stage by stage:
+// RunStudy fills Design, Measure and Fit, SearchSettingsCtx fills Search, and
+// Fig7 and Table7 fill Confirm. A stage that runs again adds to its entry.
+// String is the line empirico prints on stderr.
+type Stages struct{ Design, Measure, Fit, Search, Confirm Stage }
+
+func (s Stages) String() string {
+	return fmt.Sprintf("stages: design %v, measure %v, fit %v, search %v, confirm %v",
+		s.Design, s.Measure, s.Fit, s.Search, s.Confirm)
+}
+
+// clock starts a run of stage st; the func it returns ends the run, adding
+// its wall time and the simulations the harness's plane ran meanwhile.
+func (h *Harness) clock(st *Stage) func() {
+	sims, t0 := h.FarmStats().SimsExecuted, time.Now()
+	return func() {
+		st.Seconds += time.Since(t0).Seconds()
+		st.Sims += h.FarmStats().SimsExecuted - sims
+	}
+}
+
+// RunStudy runs the paper's pipeline up to the models for the named programs
+// (nil means the full seven-benchmark suite). It resolves every workload,
+// draws the training and test designs, measures every program's points as
+// one farm batch, and fits all three model families on each program's
+// training set. A Scale with TestPoints 0 draws and measures no test set.
 func (h *Harness) RunStudy(names []string, class workloads.InputClass) (*Study, error) {
 	if names == nil {
 		names = workloads.Names()
@@ -33,20 +69,46 @@ func (h *Harness) RunStudy(names []string, class workloads.InputClass) (*Study, 
 		if err != nil {
 			return nil, err
 		}
-		pd, err := h.Collect(w)
+		st.Programs = append(st.Programs, &ProgramData{Workload: w})
+	}
+	stop := h.clock(&st.Stages.Design)
+	train, test := h.TrainDesign(), h.TestDesign()
+	stop()
+
+	stop = h.clock(&st.Stages.Measure)
+	pts := append(train[:len(train):len(train)], test...)
+	var jobs []farm.Job
+	for _, pd := range st.Programs {
+		for _, p := range pts {
+			jobs = append(jobs, farm.Job{Workload: pd.Workload, Point: p})
+		}
+	}
+	res, err := h.measureAll(fmt.Sprintf("%d programs × (%d train + %d test)", len(st.Programs), len(train), len(test)), jobs)
+	if err != nil {
+		return nil, err
+	}
+	for i, pd := range st.Programs {
+		rs := res[i*len(pts):]
+		pd.TrainPoints = train
+		if pd.Train, err = h.dataset(train, rs); err == nil && len(test) > 0 {
+			pd.TestPoints = test
+			pd.Test, err = h.dataset(test, rs[len(train):])
+		}
 		if err != nil {
 			return nil, err
 		}
+	}
+	h.checkpoint()
+	stop()
+
+	defer h.clock(&st.Stages.Fit)()
+	for _, pd := range st.Programs {
 		ms, err := FitAllParallel(pd.Train, h.Workers)
 		if err != nil {
-			return nil, fmt.Errorf("exp: %s: %w", w.Key(), err)
+			return nil, fmt.Errorf("exp: %s: %w", pd.Workload.Key(), err)
 		}
-		st.Programs = append(st.Programs, pd)
-		st.Models[w.Key()] = ms
-		h.logf("%s: fitted linear/mars/rbf", w.Key())
-	}
-	if err := h.SaveCache(); err != nil {
-		h.logf("cache save failed: %v", err)
+		st.Models[pd.Workload.Key()] = ms
+		h.logf("%s: fitted linear/mars/rbf", pd.Workload.Key())
 	}
 	return st, nil
 }

@@ -60,7 +60,7 @@ func (h *Harness) Fig3() (string, *Fig3Result, error) {
 			res.Cells = append(res.Cells, Fig3Cell{UnrollTimes: uf, ICacheKB: ic})
 		}
 	}
-	measured, err := h.measureAll(jobs)
+	measured, err := h.measureAll("fig3", jobs)
 	if err != nil {
 		return "", nil, err
 	}
@@ -103,9 +103,7 @@ func (h *Harness) Fig3() (string, *Fig3Result, error) {
 		cells = append(cells, f2(res.LinearPred8KB[uf]/1e6))
 		t.row(cells...)
 	}
-	if err := h.SaveCache(); err != nil {
-		h.logf("cache save failed: %v", err)
-	}
+	h.checkpoint()
 	return t.String(), res, nil
 }
 

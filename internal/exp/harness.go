@@ -214,15 +214,19 @@ func (h *Harness) AtScale(sc Scale) *Harness {
 	return b
 }
 
+// backend is the measurement backend if one has been built, nil otherwise.
+func (h *Harness) backend() farm.Backend {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.farm
+}
+
 // Drain asks the backend to stop admitting work to executors and to finish
 // (or requeue) in-flight work within ctx. Only backends with remote leases
 // implement it — the in-process farm drains in Close — so for local farms
 // this is a no-op.
 func (h *Harness) Drain(ctx context.Context) error {
-	h.mu.Lock()
-	f := h.farm
-	h.mu.Unlock()
-	if d, ok := f.(farm.Drainer); ok {
+	if d, ok := h.backend().(farm.Drainer); ok {
 		return d.Drain(ctx)
 	}
 	return nil
@@ -231,9 +235,7 @@ func (h *Harness) Drain(ctx context.Context) error {
 // FarmStats snapshots the measurement farm's instrumentation counters. A
 // zero Stats (Workers == 0) means no measurement has run yet.
 func (h *Harness) FarmStats() farm.Stats {
-	h.mu.Lock()
-	f := h.farm
-	h.mu.Unlock()
+	f := h.backend()
 	if f == nil {
 		return farm.Stats{}
 	}
@@ -245,41 +247,30 @@ func (h *Harness) FarmStats() farm.Stats {
 // then the journal is truncated, so a crash never loses or corrupts it. A
 // harness that has measured nothing has nothing to save.
 func (h *Harness) SaveCache() error {
-	h.mu.Lock()
-	f := h.farm
-	h.mu.Unlock()
+	f := h.backend()
 	if f == nil {
 		return nil
 	}
 	return f.Checkpoint()
 }
 
+// checkpoint is SaveCache for a run that goes on without durability when
+// the save fails: the failure is logged, not returned.
+func (h *Harness) checkpoint() {
+	if err := h.SaveCache(); err != nil {
+		h.logf("cache save failed: %v", err)
+	}
+}
+
 // Close drains the farm's workers and flushes the store. The harness
 // rejects new measurements afterwards. A harness from AtScale borrows its
 // farm and closes nothing.
 func (h *Harness) Close() error {
-	h.mu.Lock()
-	f := h.farm
-	h.mu.Unlock()
+	f := h.backend()
 	if f == nil || h.borrowed {
 		return nil
 	}
 	return f.Close()
-}
-
-// MeasureCycles compiles workload w at the compiler settings in joint-space
-// point p and simulates it on the microarchitecture in p, returning the
-// execution time in cycles. Results are memoized in the farm's store and
-// concurrent requests for the same point coalesce into one execution.
-func (h *Harness) MeasureCycles(w workloads.Workload, p doe.Point) (float64, error) {
-	return h.Farm().Measure(context.Background(), w, p, farm.Cycles)
-}
-
-// MeasureEnergy is MeasureCycles for the activity-based energy estimate —
-// the paper notes the methodology applies unchanged to responses such as
-// power consumption.
-func (h *Harness) MeasureEnergy(w workloads.Workload, p doe.Point) (float64, error) {
-	return h.Farm().Measure(context.Background(), w, p, farm.Energy)
 }
 
 // rngFor derives a deterministic sub-generator for a named purpose.
@@ -317,54 +308,44 @@ func (h *Harness) TestDesign() []doe.Point {
 // bit-identical regardless of worker count: values are keyed by point and
 // assembled in input order.
 func (h *Harness) BuildDataset(w workloads.Workload, points []doe.Point) (*model.Dataset, error) {
-	before := h.Farm().Stats()
-	ys, err := h.Farm().MeasureBatch(context.Background(), w, points, farm.Cycles)
-	if err != nil {
-		return nil, fmt.Errorf("exp: %w", err)
-	}
-	xs := make([][]float64, len(points))
+	jobs := make([]farm.Job, len(points))
 	for i, p := range points {
-		xs[i] = h.Space().Code(p)
+		jobs[i] = farm.Job{Workload: w, Point: p}
 	}
-	after := h.Farm().Stats()
-	h.logf("  %s: %d points measured (%d simulated, %d cached, %d coalesced)",
-		w.Key(), len(points),
-		after.SimsExecuted-before.SimsExecuted,
-		after.CacheHits-before.CacheHits,
-		after.Coalesced-before.Coalesced)
+	res, err := h.measureAll(w.Key(), jobs)
+	if err != nil {
+		return nil, err
+	}
+	return h.dataset(points, res)
+}
+
+// dataset codes points and pairs them with their measured cycles.
+func (h *Harness) dataset(points []doe.Point, res []farm.Result) (*model.Dataset, error) {
+	xs := make([][]float64, len(points))
+	ys := make([]float64, len(points))
+	for i, p := range points {
+		xs[i], ys[i] = h.Space().Code(p), res[i].Cycles
+	}
 	return model.NewDataset(xs, ys)
 }
 
 // measureAll measures jobs as one batch — the planner groups the ones that
 // share a binary, and the pool runs groups in parallel — and returns one
 // result per job in input order, or the error of the earliest failing job by
-// input index: the one a serial loop over the same list stops at.
-func (h *Harness) measureAll(jobs []farm.Job) ([]farm.Result, error) {
+// input index: the one a serial loop over the same list stops at. It logs
+// how the plane answered the batch, under the name what.
+func (h *Harness) measureAll(what string, jobs []farm.Job) ([]farm.Result, error) {
+	before := h.Farm().Stats()
 	res, errs := h.Farm().DoJobs(context.Background(), jobs)
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("exp: measuring %s: %w", jobs[i].Workload.Key(), err)
 		}
 	}
+	after := h.Farm().Stats()
+	h.logf("  %s: %d points measured (%d simulated, %d cached, %d coalesced)", what, len(jobs),
+		after.SimsExecuted-before.SimsExecuted, after.CacheHits-before.CacheHits, after.Coalesced-before.Coalesced)
 	return res, nil
-}
-
-// FitModels measures the training design for w (warm-started from the
-// durable store when CacheDir is set — points already measured by a previous
-// run or process cost nothing) and fits all model kinds on it. It returns
-// the fitted models keyed by kind ("linear", "mars", "rbf", "mars-raw")
-// plus the coded training matrix, which effect ranking uses as background
-// points. This is the model registry's training hook (internal/serve).
-func (h *Harness) FitModels(w workloads.Workload) (map[string]model.Model, [][]float64, error) {
-	ds, err := h.BuildDataset(w, h.TrainDesign())
-	if err != nil {
-		return nil, nil, err
-	}
-	models, err := FitAllParallel(ds, h.Workers)
-	if err != nil {
-		return nil, nil, err
-	}
-	return models, ds.X, nil
 }
 
 // ProgramData bundles the train/test measurements for one program.
@@ -374,29 +355,6 @@ type ProgramData struct {
 	TestPoints  []doe.Point
 	Train       *model.Dataset
 	Test        *model.Dataset
-}
-
-// Collect measures train and test sets for a workload.
-func (h *Harness) Collect(w workloads.Workload) (*ProgramData, error) {
-	h.logf("%s: measuring %d train + %d test points",
-		w.Key(), h.Scale.TrainPoints, h.Scale.TestPoints)
-	trainPts := h.TrainDesign()
-	testPts := h.TestDesign()
-	train, err := h.BuildDataset(w, trainPts)
-	if err != nil {
-		return nil, err
-	}
-	test, err := h.BuildDataset(w, testPts)
-	if err != nil {
-		return nil, err
-	}
-	return &ProgramData{
-		Workload:    w,
-		TrainPoints: trainPts,
-		TestPoints:  testPts,
-		Train:       train,
-		Test:        test,
-	}, nil
 }
 
 // FitRBF fits the harness's reference "RBF-RT" model: the spline-detrended

@@ -87,6 +87,7 @@ func (s *Study) SearchSettingsCtx(ctx context.Context, configs []NamedConfig) ([
 	if configs == nil {
 		configs = NamedConfigs()
 	}
+	defer s.Harness.clock(&s.Stages.Search)()
 	var out []SearchResult
 	for _, pd := range s.Programs {
 		m := s.Models[pd.Workload.Key()]["rbf"]
@@ -158,6 +159,19 @@ func Table6(results []SearchResult, space *doe.Space) string {
 	return t.String()
 }
 
+// marchesByName returns the microarchitecture block of each configuration
+// (NamedConfigs when configs is nil) by name.
+func marchesByName(configs []NamedConfig) map[string]doe.Point {
+	if configs == nil {
+		configs = NamedConfigs()
+	}
+	out := map[string]doe.Point{}
+	for _, nc := range configs {
+		out[nc.Name] = doe.FromConfig(nc.Config)
+	}
+	return out
+}
+
 // SpeedupRow is one program × configuration speedup measurement (Figure 7).
 type SpeedupRow struct {
 	Program string
@@ -173,13 +187,7 @@ type SpeedupRow struct {
 // configuration. It reuses the search results and performs the three
 // measurements per cell.
 func (s *Study) Fig7(results []SearchResult, configs []NamedConfig) (string, []SpeedupRow, error) {
-	if configs == nil {
-		configs = NamedConfigs()
-	}
-	cfgByName := map[string]sim.Config{}
-	for _, nc := range configs {
-		cfgByName[nc.Name] = nc.Config
-	}
+	marches := marchesByName(configs)
 	wlByKey := map[string]workloads.Workload{}
 	for _, pd := range s.Programs {
 		wlByKey[pd.Workload.Key()] = pd.Workload
@@ -193,7 +201,7 @@ func (s *Study) Fig7(results []SearchResult, configs []NamedConfig) (string, []S
 		if !ok {
 			continue
 		}
-		march := doe.FromConfig(cfgByName[r.Config])
+		march := marches[r.Config]
 		cells = append(cells, r)
 		jobs = append(jobs,
 			farm.Job{Workload: w, Point: doe.JoinPoint(doe.FromOptions(compiler.O2()), march)},
@@ -201,7 +209,7 @@ func (s *Study) Fig7(results []SearchResult, configs []NamedConfig) (string, []S
 			farm.Job{Workload: w, Point: r.Point},
 		)
 	}
-	measured, err := s.Harness.measureAll(jobs)
+	measured, err := s.confirm(jobs)
 	if err != nil {
 		return "", nil, err
 	}
@@ -224,10 +232,18 @@ func (s *Study) Fig7(results []SearchResult, configs []NamedConfig) (string, []S
 		rows = append(rows, row)
 		t.row(row.Program, row.Config, f2(row.PredictedGA), f2(row.ActualGA), f2(row.ActualO3))
 	}
-	if err := s.Harness.SaveCache(); err != nil {
-		s.Harness.logf("cache save failed: %v", err)
-	}
 	return t.String(), rows, nil
+}
+
+// confirm measures a search's confirmation jobs as one batch on the Confirm
+// stage's clock and checkpoints the store.
+func (s *Study) confirm(jobs []farm.Job) ([]farm.Result, error) {
+	defer s.Harness.clock(&s.Stages.Confirm)()
+	res, err := s.Harness.measureAll("confirm", jobs)
+	if err == nil {
+		s.Harness.checkpoint()
+	}
+	return res, err
 }
 
 // Table7Row is one profile-guided speedup result.
@@ -242,13 +258,7 @@ type Table7Row struct {
 // models (and GA settings) come from the train input; the speedup is
 // measured on the ref input — testing whether train-input models transfer.
 func (s *Study) Table7(results []SearchResult, configs []NamedConfig) (string, []Table7Row, error) {
-	if configs == nil {
-		configs = NamedConfigs()
-	}
-	cfgByName := map[string]sim.Config{}
-	for _, nc := range configs {
-		cfgByName[nc.Name] = nc.Config
-	}
+	marches := marchesByName(configs)
 
 	// Every ref workload is resolved before anything is measured; the two
 	// measurements of every cell then go to the farm as one batch.
@@ -258,13 +268,13 @@ func (s *Study) Table7(results []SearchResult, configs []NamedConfig) (string, [
 		if err != nil {
 			return "", nil, err
 		}
-		march := doe.FromConfig(cfgByName[r.Config])
+		march := marches[r.Config]
 		jobs = append(jobs,
 			farm.Job{Workload: w, Point: doe.JoinPoint(doe.FromOptions(compiler.O2()), march)},
 			farm.Job{Workload: w, Point: doe.JoinPoint(r.Point[:doe.NumCompilerVars], march)},
 		)
 	}
-	measured, err := s.Harness.measureAll(jobs)
+	measured, err := s.confirm(jobs)
 	if err != nil {
 		return "", nil, err
 	}
@@ -301,9 +311,6 @@ func (s *Study) Table7(results []SearchResult, configs []NamedConfig) (string, [
 	}
 	if n := float64(len(rows)); n > 0 {
 		t.row("Average", f2(sums.Constrained/n), f2(sums.Typical/n), f2(sums.Aggressive/n))
-	}
-	if err := s.Harness.SaveCache(); err != nil {
-		s.Harness.logf("cache save failed: %v", err)
 	}
 	return t.String(), rows, nil
 }

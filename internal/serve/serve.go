@@ -258,18 +258,17 @@ func (w *statusWriter) Flush() {
 }
 
 // scaleFor resolves a request's scale name (empty means the server default)
-// with the TrainPoints override applied.
+// with the TrainPoints override applied. A daemon fits on the training design
+// alone, so its scales draw no test set.
 func (s *Server) scaleFor(name string) (exp.Scale, error) {
-	if name == "" {
-		name = s.opts.Scale
-	}
-	sc, err := exp.ScaleByName(name)
+	sc, err := exp.ScaleByName(s.resolveScale(name))
 	if err != nil {
 		return exp.Scale{}, err
 	}
 	if s.opts.TrainPoints > 0 {
 		sc.TrainPoints = s.opts.TrainPoints
 	}
+	sc.TestPoints = 0
 	return sc, nil
 }
 
@@ -294,19 +293,18 @@ func (s *Server) harnessFor(scaleName string) (*exp.Harness, error) {
 	return s.plane.AtScale(sc), nil
 }
 
-// harnessTrainer is the production Trainer: fit every model kind on the
-// scale's training design measured on the server's plane (and so
-// warm-started from the durable store when CacheDir is set).
+// harnessTrainer is the production Trainer: RunStudy for one workload on the
+// server's plane, so warm-started from the durable store when CacheDir is set.
 func (s *Server) harnessTrainer(ctx context.Context, w workloads.Workload, scale string) (*Artifacts, error) {
 	h, err := s.harnessFor(scale)
 	if err != nil {
 		return nil, err
 	}
-	models, trainX, err := h.FitModels(w)
+	st, err := h.RunStudy([]string{w.Name}, w.Class)
 	if err != nil {
 		return nil, err
 	}
-	return &Artifacts{Workload: w, Space: h.Space(), Models: models, TrainX: trainX}, nil
+	return &Artifacts{Workload: w, Space: h.Space(), Models: st.Models[w.Key()], TrainX: st.Programs[0].Train.X}, nil
 }
 
 // farmBatch is the production BatchFunc: one MeasureBatch on the server's
@@ -723,48 +721,29 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.metrics.WriteProm(w)
 
-	fmt.Fprintln(w, "# HELP empiricod_in_flight Requests currently being handled.")
-	fmt.Fprintln(w, "# TYPE empiricod_in_flight gauge")
-	fmt.Fprintf(w, "empiricod_in_flight %d\n", s.inFlight.Load())
+	metric(w, "empiricod_in_flight", "gauge", "Requests currently being handled.", s.inFlight.Load())
 
 	rs := s.registry.Stats()
-	fmt.Fprintln(w, "# HELP empiricod_models_cached Fitted model sets resident in the registry.")
-	fmt.Fprintln(w, "# TYPE empiricod_models_cached gauge")
-	fmt.Fprintf(w, "empiricod_models_cached %d\n", rs.Cached)
-	fmt.Fprintln(w, "# HELP empiricod_model_fits_total Training runs started.")
-	fmt.Fprintln(w, "# TYPE empiricod_model_fits_total counter")
-	fmt.Fprintf(w, "empiricod_model_fits_total %d\n", rs.Fits)
+	metric(w, "empiricod_models_cached", "gauge", "Fitted model sets resident in the registry.", rs.Cached)
+	metric(w, "empiricod_model_fits_total", "counter", "Training runs started.", rs.Fits)
 	fmt.Fprintf(w, "empiricod_model_registry_hits_total %d\n", rs.Hits)
 	fmt.Fprintf(w, "empiricod_model_registry_evictions_total %d\n", rs.Evictions)
-	fmt.Fprintln(w, "# HELP empiricod_rank_cache_hits_total Rank requests answered from a cached ranking.")
-	fmt.Fprintln(w, "# TYPE empiricod_rank_cache_hits_total counter")
-	fmt.Fprintf(w, "empiricod_rank_cache_hits_total %d\n", s.rankHits.Load())
-	fmt.Fprintln(w, "# HELP empiricod_rank_cache_misses_total Effect rankings computed (first rank request per model set and kind).")
-	fmt.Fprintln(w, "# TYPE empiricod_rank_cache_misses_total counter")
-	fmt.Fprintf(w, "empiricod_rank_cache_misses_total %d\n", s.rankMisses.Load())
-	fmt.Fprintln(w, "# HELP empiricod_artifact_loads_total Model artifacts loaded from disk (boot, lazy miss, reload).")
-	fmt.Fprintln(w, "# TYPE empiricod_artifact_loads_total counter")
-	fmt.Fprintf(w, "empiricod_artifact_loads_total %d\n", rs.Loads)
+	metric(w, "empiricod_rank_cache_hits_total", "counter", "Rank requests answered from a cached ranking.", s.rankHits.Load())
+	metric(w, "empiricod_rank_cache_misses_total", "counter",
+		"Effect rankings computed (first rank request per model set and kind).", s.rankMisses.Load())
+	metric(w, "empiricod_artifact_loads_total", "counter", "Model artifacts loaded from disk (boot, lazy miss, reload).", rs.Loads)
 	fmt.Fprintf(w, "empiricod_artifact_persists_total %d\n", rs.Persists)
 	fmt.Fprintf(w, "empiricod_artifact_corrupt_total %d\n", rs.Corrupt)
 	fmt.Fprintf(w, "empiricod_artifact_reloads_total %d\n", rs.Reloads)
 
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	fmt.Fprintln(w, "# HELP empiricod_goroutines Live goroutines.")
-	fmt.Fprintln(w, "# TYPE empiricod_goroutines gauge")
-	fmt.Fprintf(w, "empiricod_goroutines %d\n", runtime.NumGoroutine())
-	fmt.Fprintln(w, "# HELP empiricod_heap_inuse_bytes Bytes in in-use heap spans.")
-	fmt.Fprintln(w, "# TYPE empiricod_heap_inuse_bytes gauge")
-	fmt.Fprintf(w, "empiricod_heap_inuse_bytes %d\n", ms.HeapInuse)
-	fmt.Fprintln(w, "# HELP empiricod_gc_pause_seconds_total Cumulative stop-the-world GC pause.")
-	fmt.Fprintln(w, "# TYPE empiricod_gc_pause_seconds_total counter")
-	fmt.Fprintf(w, "empiricod_gc_pause_seconds_total %g\n", float64(ms.PauseTotalNs)/1e9)
+	metric(w, "empiricod_goroutines", "gauge", "Live goroutines.", runtime.NumGoroutine())
+	metric(w, "empiricod_heap_inuse_bytes", "gauge", "Bytes in in-use heap spans.", ms.HeapInuse)
+	metric(w, "empiricod_gc_pause_seconds_total", "counter", "Cumulative stop-the-world GC pause.", float64(ms.PauseTotalNs)/1e9)
 	fmt.Fprintf(w, "empiricod_gc_cycles_total %d\n", ms.NumGC)
 
-	fmt.Fprintln(w, "# HELP empiricod_measure_batches_total Measure batches handed to the measurement plane.")
-	fmt.Fprintln(w, "# TYPE empiricod_measure_batches_total counter")
-	fmt.Fprintf(w, "empiricod_measure_batches_total %d\n", s.batches.Load())
+	metric(w, "empiricod_measure_batches_total", "counter", "Measure batches handed to the measurement plane.", s.batches.Load())
 
 	// Farm gauges: one block, for the server's one plane, once it has run
 	// measurements. The scale label is the daemon's.
@@ -810,6 +789,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // ---- helpers ----
+
+// metric writes one Prometheus sample with its HELP and TYPE lines.
+func metric(w io.Writer, name, typ, help string, v any) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %v\n", name, help, name, typ, name, v)
+}
 
 // resolveScale maps an empty request scale to the server default.
 func (s *Server) resolveScale(name string) string {
