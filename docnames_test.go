@@ -76,6 +76,83 @@ func TestDocNamesResolve(t *testing.T) {
 	}
 }
 
+// TestDesignCoversEveryPackage holds DESIGN.md's structure to the tree: every
+// directory under internal/ with non-test Go files has exactly one
+// "### internal/<pkg>" section, no such section names a directory without
+// them, every one of those sections and the "### cmd" section backticks at
+// least one test, fuzz or benchmark name (TestDocNamesResolve fails on a name
+// nothing declares), and the "### cmd" section names every cmd/<name> that
+// has a main.go. A section runs from its heading to the next heading.
+func TestDesignCoversEveryPackage(t *testing.T) {
+	text, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	heading := regexp.MustCompile(`^### (internal/\S+|cmd)\s*$`)
+	testName := regexp.MustCompile("`(?:Test|Fuzz|Benchmark)[A-Z]\\w*`")
+	sections := map[string][]string{}
+	var cur string
+	for _, line := range strings.Split(withoutFences(string(text)), "\n") {
+		if strings.HasPrefix(line, "#") {
+			cur = ""
+			if m := heading.FindStringSubmatch(line); m != nil {
+				cur = m[1]
+				sections[cur] = append(sections[cur], "")
+			}
+			continue
+		}
+		if cur != "" {
+			bodies := sections[cur]
+			bodies[len(bodies)-1] += line + "\n"
+		}
+	}
+
+	pkgs := map[string]bool{}
+	err = filepath.WalkDir("internal", func(path string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if e.IsDir() && e.Name() == "testdata" {
+			return filepath.SkipDir
+		}
+		if !e.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+			pkgs[filepath.ToSlash(filepath.Dir(path))] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pkg := range pkgs {
+		if len(sections[pkg]) != 1 {
+			t.Errorf("DESIGN.md has %d sections \"### %s\", want 1", len(sections[pkg]), pkg)
+		}
+	}
+	if len(sections["cmd"]) != 1 {
+		t.Fatalf("DESIGN.md has %d sections \"### cmd\", want 1", len(sections["cmd"]))
+	}
+	for name, bodies := range sections {
+		if name != "cmd" && !pkgs[name] {
+			t.Errorf("DESIGN.md: section \"### %s\" names no package with non-test Go files", name)
+		}
+		for _, body := range bodies {
+			if !testName.MatchString(body) {
+				t.Errorf("DESIGN.md: section \"### %s\" backticks no test, fuzz or benchmark name", name)
+			}
+		}
+	}
+	mains, err := filepath.Glob("cmd/*/main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range mains {
+		cmd := filepath.ToSlash(filepath.Dir(m))
+		if !regexp.MustCompile(regexp.QuoteMeta(cmd) + `(?:[^\w-]|$)`).MatchString(sections["cmd"][0]) {
+			t.Errorf("DESIGN.md: section \"### cmd\" does not name %s", cmd)
+		}
+	}
+}
+
 // TestInternalPackagesHaveImporters fails when a package under internal/ has
 // no importer outside its own directory among the module's non-test files:
 // a package that only tests reach is test code in production. benchmark/ is

@@ -59,28 +59,29 @@ func BackendFactory(prog, workersAddrs, controlAddr string, fatal func(error)) f
 	}
 }
 
+// maxControlBody bounds a register or deregister body. A request is
+// {"addr","slots"}; an unbounded decode would let one POST register a worker
+// with an address of any length.
+const maxControlBody = 64 << 10
+
 func (c *Coordinator) handleRegister(rw http.ResponseWriter, r *http.Request) {
-	var req RegisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Addr == "" {
-		http.Error(rw, "bad register body", http.StatusBadRequest)
-		return
-	}
-	n, err := c.Register(req.Addr, req.Slots)
-	if err != nil {
-		http.Error(rw, err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	rw.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(rw).Encode(RegisterResponse{OK: true, Workers: n})
+	c.handleControl(rw, r, func(req RegisterRequest) (int, error) { return c.Register(req.Addr, req.Slots) })
 }
 
 func (c *Coordinator) handleDeregister(rw http.ResponseWriter, r *http.Request) {
+	c.handleControl(rw, r, func(req RegisterRequest) (int, error) { return c.Deregister(req.Addr) })
+}
+
+// handleControl decodes a bounded RegisterRequest, applies it to the fleet
+// and answers with the fleet size.
+func (c *Coordinator) handleControl(rw http.ResponseWriter, r *http.Request, apply func(RegisterRequest) (int, error)) {
 	var req RegisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Addr == "" {
-		http.Error(rw, "bad deregister body", http.StatusBadRequest)
+	body := http.MaxBytesReader(rw, r.Body, maxControlBody)
+	if err := json.NewDecoder(body).Decode(&req); err != nil || req.Addr == "" {
+		http.Error(rw, "bad control body", http.StatusBadRequest)
 		return
 	}
-	n, err := c.Deregister(req.Addr)
+	n, err := apply(req)
 	if err != nil {
 		http.Error(rw, err.Error(), http.StatusServiceUnavailable)
 		return

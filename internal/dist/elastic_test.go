@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -125,6 +126,34 @@ func TestRegistrationGrowsAndShrinksFleet(t *testing.T) {
 	}
 	if removed != 1 {
 		t.Fatalf("%d workers flagged removed, want 1: %+v", removed, st.PerWorker)
+	}
+}
+
+// TestControlBodiesAreBounded pins the control API's body bound: a register
+// or deregister body past maxControlBody is a 4xx and leaves the fleet as it
+// was, where an unbounded decode registered a worker with a 9 MiB address.
+func TestControlBodiesAreBounded(t *testing.T) {
+	co, err := New(Options{Dynamic: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	control := httptest.NewServer(co.Handler())
+	defer control.Close()
+	body := []byte(`{"addr":"` + strings.Repeat("a", 9<<20) + `"}`)
+	for _, method := range []string{http.MethodPost, http.MethodDelete} {
+		req, _ := http.NewRequest(method, control.URL+"/v1/register", bytes.NewReader(body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+			t.Errorf("%s of a 9 MiB body: %s, want 4xx", method, resp.Status)
+		}
+	}
+	if st := co.Stats(); len(st.PerWorker) != 0 || st.WorkersLive != 0 {
+		t.Fatalf("fleet changed: %d workers, %d live", len(st.PerWorker), st.WorkersLive)
 	}
 }
 

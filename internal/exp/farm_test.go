@@ -16,7 +16,7 @@ import (
 )
 
 // TestParallelBuildDatasetBitIdentical is the farm's determinism guarantee
-// (DESIGN.md decision 7): a parallel BuildDataset must produce a dataset
+// (DESIGN.md, "internal/farm"): a parallel BuildDataset must produce a dataset
 // bit-for-bit identical to the serial path, because results are keyed by
 // point and assembly is in input order. Run under -race this also exercises
 // the farm's synchronization on real measurement work.

@@ -56,35 +56,13 @@ func (f *Farm) compileCached(w workloads.Workload, p doe.Point) (*isa.Program, s
 	return prog, cfg, err
 }
 
-// cachedExecutor is the farm's default MeasureFunc: Executor with the
-// compile stage served by the shared binary cache.
-func (f *Farm) cachedExecutor(ctx context.Context, job Job) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	prog, cfg, err := f.compileCached(job.Workload, job.Point)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	st, err := sim.Simulate(prog, cfg, f.maxInstrs)
-	if err != nil {
-		return Result{}, &SimError{Workload: job.Workload.Key(), Budget: sim.IsBudget(err), Err: err}
-	}
-	return Result{
-		Cycles:       float64(st.Cycles),
-		Energy:       st.Energy,
-		Instructions: st.Instructions,
-	}, nil
-}
-
-// simulateShared executes one shared-binary group: compile once, then
-// sim.SimulateMany over the points' configurations. Errors fan out to every member, typed
-// exactly as on the per-job path (CompileError, SimError with its Budget
+// simulateGroup is the farm's default executor for one group, a lone task
+// being a group of one: compile once through the binary cache, then
+// sim.SimulateMany over the points' configurations (which runs a lone
+// configuration's sim.Simulate inline). Errors fan out to every member,
+// typed as Executor types them (CompileError, SimError with its Budget
 // flag).
-func (f *Farm) simulateShared(g *Group, results []Result, errs []error) {
+func (f *Farm) simulateGroup(g *Group, results []Result, errs []error) {
 	f.Count(func() { f.dispatched++ })
 	fail := func(err error) {
 		for i := range errs {
@@ -98,6 +76,10 @@ func (f *Farm) simulateShared(g *Group, results []Result, errs []error) {
 	prog, _, err := f.compileCached(g.Workload(), g.Tasks[0].Job.Point)
 	if err != nil {
 		fail(err)
+		return
+	}
+	if cerr := g.Ctx.Err(); cerr != nil {
+		fail(cerr)
 		return
 	}
 	cfgs := make([]sim.Config, len(g.Tasks))

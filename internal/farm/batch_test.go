@@ -162,6 +162,38 @@ func TestMeasureBatchGroupedMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestLoneTaskIsAGroupOfOne pins the default executor's one path: a point
+// alone with its binary runs as a group of one, its Result equal to
+// Executor's bit for bit, and it counts as a dispatched group, while the
+// sharing counters (groups of two or more) stay put.
+func TestLoneTaskIsAGroupOfOne(t *testing.T) {
+	w := tinyWorkload()
+	job := Job{Workload: w, Point: jointPoint(compiler.O3(), sim.Constrained())}
+	want, err := Executor(0)(context.Background(), job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := New(Options{Workers: 2})
+	defer f.Close()
+	got, err := f.Do(context.Background(), job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(got.Cycles) != math.Float64bits(want.Cycles) ||
+		math.Float64bits(got.Energy) != math.Float64bits(want.Energy) ||
+		got.Instructions != want.Instructions {
+		t.Errorf("lone task %+v, Executor %+v", got, want)
+	}
+	st := f.Stats()
+	if st.GroupsDispatched != 1 || st.CompileCacheMisses != 1 || st.SimsExecuted != 1 {
+		t.Errorf("dispatched=%d compiles=%d sims=%d, want 1/1/1",
+			st.GroupsDispatched, st.CompileCacheMisses, st.SimsExecuted)
+	}
+	if st.BinaryGroups != 0 || st.TraceSharedSims != 0 {
+		t.Errorf("a lone point moved the sharing counters: groups=%d shared=%d", st.BinaryGroups, st.TraceSharedSims)
+	}
+}
+
 // TestGroupCompileFailureNoPoison injects one compile failure into a
 // shared-binary group: every member of the group reports the permanent
 // error, other work in the batch is unaffected, and the failure is not
@@ -335,7 +367,7 @@ func TestCustomMeasureDisablesGrouping(t *testing.T) {
 		t.Errorf("measure calls = %d, want 10 unique points", got)
 	}
 	st := f.Stats()
-	if st.BinaryGroups != 0 || st.TraceSharedSims != 0 || st.CompileCacheMisses != 0 {
+	if st.BinaryGroups != 0 || st.TraceSharedSims != 0 || st.CompileCacheMisses != 0 || st.GroupsDispatched != 0 {
 		t.Errorf("sharing counters moved under a custom executor: %+v", st)
 	}
 }

@@ -24,7 +24,7 @@
 // internal/dist has the other, a lease scheduler over remote workers.
 //
 // Results are keyed by point and order-independent, so a parallel run is
-// bit-for-bit identical to a serial one (DESIGN.md decision 7).
+// bit-for-bit identical to a serial one (DESIGN.md, "internal/farm").
 package farm
 
 import (
@@ -66,7 +66,7 @@ const binaryCacheSize = 256
 type Farm struct {
 	*Planner
 	workers int
-	measure MeasureFunc
+	measure MeasureFunc // Options.Measure; nil runs the default executor, simulateGroup
 
 	// Compile machinery of the default executor: binary cache and compile
 	// hook (swappable in tests).
@@ -103,11 +103,7 @@ func New(opts Options) *Farm {
 	}
 	// Grouping only applies with the default executor. A custom Measure owns
 	// the whole pipeline, so the planner can't split it.
-	grouping := f.measure == nil
-	if f.measure == nil {
-		f.measure = f.cachedExecutor
-	}
-	f.Planner = NewPlanner(opts, grouping, f.execute)
+	f.Planner = NewPlanner(opts, f.measure == nil, f.execute)
 	f.cond = sync.NewCond(&f.mu)
 	f.perWorker = make([]WorkerStats, f.workers)
 	for i := range f.perWorker {
@@ -156,16 +152,17 @@ func (f *Farm) worker(id int) {
 	}
 }
 
-// run executes one group, once, and hands the outcome to the planner. A lone
-// task goes through the measure function; tasks sharing a binary go through
-// simulateShared. Neither is retried: a compile and a simulation
-// are deterministic, so a failed measurement fails again.
+// run executes one group, once, and hands the outcome to the planner. The
+// default executor runs every group through simulateGroup; a custom Measure
+// (whose groups are single tasks) is called per task. Neither is retried: a
+// compile and a simulation are deterministic, so a failed measurement fails
+// again.
 func (f *Farm) run(g *Group) {
 	results := make([]Result, len(g.Tasks))
 	errs := make([]error, len(g.Tasks))
 	switch {
-	case len(g.Tasks) > 1:
-		f.simulateShared(g, results, errs)
+	case f.measure == nil:
+		f.simulateGroup(g, results, errs)
 	case g.Ctx.Err() != nil:
 		errs[0] = g.Ctx.Err()
 	default:
@@ -259,8 +256,9 @@ type PoolStats struct {
 // executors.
 type DispatchStats struct {
 	// GroupsDispatched counts handovers of a group to an executor: in the
-	// local pool one per shared-binary group run, on the coordinator one per
-	// worker lease of any group, so requeue re-leases count again.
+	// local pool one per group the default executor runs, a lone point
+	// included (a custom Measure moves it not at all), on the coordinator
+	// one per worker lease of any group, so requeue re-leases count again.
 	// GroupsRequeued counts leases abandoned after worker death or drain, and
 	// WorkersLive is the executors currently believed healthy (for the
 	// in-process farm that is simply the pool size).

@@ -286,34 +286,10 @@ func (s *Store) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	tmp := s.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, s.path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	// The temp file's contents are synced above, but the rename itself is
-	// only durable once the directory entry reaches disk; without this a
-	// crash right after Rename can resurrect the old checkpoint — after the
-	// journal below has already been truncated, losing the delta.
-	if err := syncDir(filepath.Dir(s.path)); err != nil {
+	// Without the directory fsync inside WriteFileAtomic a crash right after
+	// the rename could resurrect the old checkpoint — after the journal below
+	// has already been truncated, losing the delta.
+	if err := WriteFileAtomic(s.path, data); err != nil {
 		return err
 	}
 	if s.journal != nil {
@@ -328,9 +304,32 @@ func (s *Store) Checkpoint() error {
 	return nil
 }
 
-// syncDir fsyncs a directory so a just-renamed file is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
+// WriteFileAtomic replaces path with data so that a reader, or a crash,
+// sees the old file or the new one, never a partial write: it writes
+// path + ".tmp", fsyncs it, renames it over path and fsyncs the directory,
+// so the rename itself is durable. Every error is returned, and a failed
+// write removes the temp file. One writer per path at a time.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	d, err := os.Open(filepath.Dir(path))
 	if err != nil {
 		return err
 	}

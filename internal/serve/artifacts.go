@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"repro/internal/doe"
+	"repro/internal/farm"
 	"repro/internal/model"
 	"repro/internal/workloads"
 )
@@ -155,30 +156,8 @@ func (s *ArtifactStore) Save(art *Artifacts, scale string) error {
 		return fmt.Errorf("serve: marshal artifact: %w", err)
 	}
 
-	final := s.Path(art.Workload, scale)
-	tmp, err := os.CreateTemp(s.dir, ".artifact-*")
-	if err != nil {
-		return fmt.Errorf("serve: artifact temp: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
+	if err := farm.WriteFileAtomic(s.Path(art.Workload, scale), data); err != nil {
 		return fmt.Errorf("serve: artifact write: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("serve: artifact sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("serve: artifact close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		return fmt.Errorf("serve: artifact rename: %w", err)
-	}
-	// Fsync the directory so the rename itself survives a crash.
-	if d, err := os.Open(s.dir); err == nil {
-		d.Sync()
-		d.Close()
 	}
 	return nil
 }
@@ -259,11 +238,12 @@ type Loaded struct {
 	Scale string
 }
 
-// LoadAll scans the directory and decodes every artifact. Undecodable files
-// are reported through skip (when non-nil) and skipped — a corrupt artifact
-// must never abort a boot or a reload — and the count of skips is returned
-// alongside the successfully loaded set.
-func (s *ArtifactStore) LoadAll(skip func(path string, err error)) ([]Loaded, int, error) {
+// LoadAll scans the directory and decodes every artifact (every
+// *.model.json; a leftover temp file of an interrupted Save is not one).
+// Undecodable files are logged and skipped — a corrupt artifact must never
+// abort a boot or a reload — and the count of skips is returned alongside
+// the successfully loaded set.
+func (s *ArtifactStore) LoadAll() ([]Loaded, int, error) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return nil, 0, fmt.Errorf("serve: artifact scan: %w", err)
@@ -275,15 +255,11 @@ func (s *ArtifactStore) LoadAll(skip func(path string, err error)) ([]Loaded, in
 		if ent.IsDir() || !strings.HasSuffix(name, ".model.json") {
 			continue
 		}
-		path := filepath.Join(s.dir, name)
 		// The scale is authoritative in the fingerprint, not the filename.
-		art, fp, err := s.loadPath(path, strings.TrimSuffix(name, ".model.json"))
+		art, fp, err := s.loadPath(filepath.Join(s.dir, name), strings.TrimSuffix(name, ".model.json"))
 		if err != nil {
 			skipped++
 			s.logf("artifact skip: %v", err)
-			if skip != nil {
-				skip(path, err)
-			}
 			continue
 		}
 		out = append(out, Loaded{Art: art, Scale: fp.Scale})

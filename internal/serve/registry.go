@@ -228,7 +228,7 @@ func (r *Registry) Reload() (loaded, skipped int, err error) {
 	if r.store == nil {
 		return 0, 0, fmt.Errorf("serve: no artifact store attached")
 	}
-	arts, skipped, err := r.store.LoadAll(nil)
+	arts, skipped, err := r.store.LoadAll()
 	if err != nil {
 		return 0, skipped, err
 	}
