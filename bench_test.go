@@ -620,7 +620,7 @@ func BenchmarkFitMARS(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		terms = m.NumParams()
+		terms = len(m.Coef)
 	}
 	b.ReportMetric(float64(terms), "terms")
 }

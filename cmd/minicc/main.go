@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/compiler"
 	"repro/internal/doe"
@@ -41,6 +42,9 @@ func main() {
 		fatal(err)
 	}
 	opts, err := buildOptions(*level, *unroll, *width, *flagsStr)
+	if err == nil {
+		err = opts.Validate() // before -dump-ir's OptimizeIR, as Compile does
+	}
 	if err != nil {
 		fatal(err)
 	}
@@ -134,7 +138,7 @@ func buildOptions(level string, unroll bool, width int, flagsStr string) (compil
 	}
 	if flagsStr != "" {
 		var vals []int64
-		for _, part := range splitComma(flagsStr) {
+		for _, part := range strings.Split(flagsStr, ",") {
 			var v int64
 			if _, err := fmt.Sscanf(part, "%d", &v); err != nil {
 				return opts, fmt.Errorf("minicc: bad -flags entry %q", part)
@@ -151,20 +155,6 @@ func buildOptions(level string, unroll bool, width int, flagsStr string) (compil
 	}
 	opts.TargetIssueWidth = width
 	return opts, nil
-}
-
-func splitComma(s string) []string {
-	var out []string
-	cur := ""
-	for _, r := range s {
-		if r == ',' {
-			out = append(out, cur)
-			cur = ""
-			continue
-		}
-		cur += string(r)
-	}
-	return append(out, cur)
 }
 
 func fatal(err error) {

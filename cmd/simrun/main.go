@@ -20,8 +20,10 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 
 	"repro/internal/compiler"
+	"repro/internal/exp"
 	"repro/internal/isa"
 	"repro/internal/lang"
 	"repro/internal/sim"
@@ -55,17 +57,12 @@ func main() {
 	)
 	flag.Parse()
 
-	var cfg sim.Config
-	switch *cfgName {
-	case "constrained":
-		cfg = sim.Constrained()
-	case "typical":
-		cfg = sim.DefaultConfig()
-	case "aggressive":
-		cfg = sim.Aggressive()
-	default:
+	configs := exp.NamedConfigs()
+	i := slices.IndexFunc(configs, func(nc exp.NamedConfig) bool { return nc.Name == *cfgName })
+	if i < 0 {
 		fatal(fmt.Errorf("simrun: unknown config %q", *cfgName))
 	}
+	cfg := configs[i].Config
 	if *issueWidth != 0 {
 		cfg.IssueWidth = *issueWidth
 	}
@@ -83,6 +80,9 @@ func main() {
 	}
 	if *ruu != 0 {
 		cfg.RUUSize = *ruu
+	}
+	if err := cfg.Validate(); err != nil { // -trace builds its CPU directly
+		fatal(err)
 	}
 
 	var bin *isa.Program

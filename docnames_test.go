@@ -3,8 +3,10 @@ package repro_test
 import (
 	"go/ast"
 	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -184,6 +186,75 @@ func TestInternalPackagesHaveImporters(t *testing.T) {
 		if !imported[dir] {
 			t.Errorf("%s: no non-test file of the module outside it imports it", dir)
 		}
+	}
+}
+
+// TestCIMatchesDesign holds ci.yml to what DESIGN.md and the code say it
+// runs: the gate command in DESIGN.md's Gates section is the bench job's
+// "gate benchmarks" command (whitespace normalised, `| tee bench.out`
+// dropped), and the fuzz step runs exactly the module's Fuzz targets, each
+// in its own package.
+func TestCIMatchesDesign(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ci, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, gates, _ := strings.Cut(string(design), "\n## Gates\n")
+	var doc string
+	for _, l := range fencedLines(gates) {
+		if strings.HasPrefix(l.text, "go test ") && strings.Contains(l.text, " -bench ") {
+			doc = strings.Join(strings.Fields(l.text), " ")
+			break
+		}
+	}
+	// The step's folded scalar: the lines indented under its `run: >`.
+	_, step, _ := strings.Cut(string(ci), "- name: gate benchmarks\n")
+	_, step, _ = strings.Cut(step, "run: >\n")
+	var run []string
+	for _, l := range strings.Split(step, "\n") {
+		if !strings.HasPrefix(l, "          ") {
+			break
+		}
+		run = append(run, l)
+	}
+	gate := strings.Join(strings.Fields(strings.ReplaceAll(strings.Join(run, " "), "| tee bench.out", "")), " ")
+	if doc == "" || doc != gate {
+		t.Errorf("DESIGN.md's gate command\n\t%s\nis not ci.yml's gate benchmarks step\n\t%s", doc, gate)
+	}
+
+	fuzzed := map[string]bool{} // "./pkg Fuzz..."
+	for _, m := range regexp.MustCompile(`go test (\S+) -run '\^\$' -fuzz (\w+) `).FindAllStringSubmatch(string(ci), -1) {
+		fuzzed[m[1]+" "+m[2]] = true
+	}
+	targets := map[string]bool{}
+	for _, path := range moduleFiles(t) {
+		if !strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range regexp.MustCompile(`(?m)^func (Fuzz\w+)\(`).FindAllStringSubmatch(string(src), -1) {
+			targets["./"+filepath.ToSlash(filepath.Dir(path))+" "+m[1]] = true
+		}
+	}
+	for target := range targets {
+		if !fuzzed[target] {
+			t.Errorf("ci.yml's fuzz step does not run %s", target)
+		}
+	}
+	for target := range fuzzed {
+		if !targets[target] {
+			t.Errorf("ci.yml's fuzz step runs %s, which the module does not declare", target)
+		}
+	}
+	if len(targets) == 0 {
+		t.Error("found no Fuzz targets")
 	}
 }
 
@@ -488,4 +559,198 @@ func stdNames(t *testing.T) map[string]bool {
 		}
 	}
 	return names
+}
+
+// callerAllowlist holds the exported functions and methods that keep no
+// non-test caller on purpose, each with its reason. Keys are
+// pkg.Name or pkg.Type.Method.
+var callerAllowlist = map[string]string{
+	"model.SelectByCV":             "kept for ROADMAP item 1b: CV model selection",
+	"exp.Harness.RefineToAccuracy": "kept for ROADMAP item 15: the refine-to-accuracy loop",
+	"farm.Executor":                "oracle: the per-point compile+simulate path that farm, exp and root tests hold the grouped path to",
+	"search.RandomSearch":          "kept: the GA's baseline in BenchmarkAblationSearch",
+	"search.HillClimb":             "kept: the GA's baseline in BenchmarkAblationSearch",
+	"lang.GenProgram":              "oracle input: the seeded program generator of the sim and lang fuzz targets and the compiler's differential test",
+	"smarts.Store.Stats":           "kept: the checkpoint store's counters, which golden_test.go reads",
+	"sim.Executor.Run":             "oracle: the functional interpreter that sim, compiler and workloads tests run programs on",
+	"linalg.LogDetGram":            "oracle: the D-optimal criterion that doe and linalg tests share",
+}
+
+// TestExportsHaveNonTestCallers holds DESIGN.md's caller rule for names: an
+// exported function or method declared under internal/ must be referenced by
+// some non-test file of the module or of benchmark/. It type-checks every
+// non-test package under internal/, cmd/, examples/ and benchmark/ (the
+// standard library from source), so a call through a promoted or generic
+// method counts for the method it resolves to. A method that satisfies an
+// interface declaring it (one of the module's, or error, fmt.Stringer,
+// json.Unmarshaler, http.ResponseWriter, http.Flusher, or the
+// interface{ Unwrap() error } that errors.Is and errors.As call) is called
+// through that interface and is exempt, as is callerAllowlist.
+func TestExportsHaveNonTestCallers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the module and the standard library from source")
+	}
+	fset := token.NewFileSet()
+	files := map[string][]*ast.File{} // import path -> non-test files
+	for _, root := range []string{"internal", "cmd", "examples", "benchmark"} {
+		err := filepath.WalkDir(root, func(path string, e fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if e.IsDir() && (strings.HasPrefix(e.Name(), ".") || e.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			if e.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			pkg := "repro/" + filepath.ToSlash(filepath.Dir(path))
+			files[pkg] = append(files[pkg], f)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	im := &moduleImporter{fset: fset, files: files, info: info,
+		std: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*types.Package{}}
+	for path := range files {
+		if _, err := im.Import(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A function's references from inside its own body do not count.
+	body := map[types.Object]ast.Node{}
+	for _, fs := range files {
+		for _, f := range fs {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					body[info.Defs[fd.Name]] = fd
+				}
+			}
+		}
+	}
+	used := map[types.Object]bool{}
+	for id, obj := range info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			obj = fn.Origin()
+		}
+		if n := body[obj]; n == nil || id.Pos() < n.Pos() || id.Pos() >= n.End() {
+			used[obj] = true
+		}
+	}
+
+	var ifaces []*types.Interface
+	for _, p := range im.pkgs {
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok && types.IsInterface(tn.Type()) {
+				ifaces = append(ifaces, tn.Type().Underlying().(*types.Interface))
+			}
+		}
+	}
+	for _, q := range [][2]string{{"fmt", "Stringer"}, {"encoding/json", "Unmarshaler"},
+		{"net/http", "ResponseWriter"}, {"net/http", "Flusher"}} {
+		p, err := im.Import(q[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ifaces = append(ifaces, p.Scope().Lookup(q[1]).Type().Underlying().(*types.Interface))
+	}
+	errType := types.Universe.Lookup("error").Type()
+	unwrap := types.NewFunc(token.NoPos, nil, "Unwrap", types.NewSignatureType(nil, nil, nil, nil,
+		types.NewTuple(types.NewVar(token.NoPos, nil, "", errType)), false))
+	ifaces = append(ifaces, errType.Underlying().(*types.Interface),
+		types.NewInterfaceType([]*types.Func{unwrap}, nil).Complete())
+	satisfies := func(fn *types.Func) bool {
+		recv := fn.Type().(*types.Signature).Recv().Type()
+		if ptr, ok := recv.(*types.Pointer); ok {
+			recv = ptr.Elem()
+		}
+		if types.IsInterface(recv) {
+			return false
+		}
+		for _, iface := range ifaces {
+			for i := 0; i < iface.NumMethods(); i++ {
+				if iface.Method(i).Name() == fn.Name() &&
+					(types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface)) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+
+	allowed := map[string]bool{} // allowlist entries that are uncalled exports
+	check := func(pkg, key string, fn *types.Func) {
+		if !fn.Exported() || used[fn] {
+			return
+		}
+		if _, ok := callerAllowlist[pkg+"."+key]; ok {
+			allowed[pkg+"."+key] = true
+			return
+		}
+		if fn.Type().(*types.Signature).Recv() != nil && satisfies(fn) {
+			return
+		}
+		t.Errorf("%s: %s.%s has no non-test caller", fset.Position(fn.Pos()), pkg, key)
+	}
+	for path, p := range im.pkgs {
+		if !strings.HasPrefix(path, "repro/internal/") {
+			continue
+		}
+		pkg := p.Name()
+		for _, name := range p.Scope().Names() {
+			switch obj := p.Scope().Lookup(name).(type) {
+			case *types.Func:
+				check(pkg, name, obj)
+			case *types.TypeName:
+				named, ok := obj.Type().(*types.Named)
+				if !ok {
+					continue
+				}
+				for i := 0; i < named.NumMethods(); i++ {
+					check(pkg, name+"."+named.Method(i).Name(), named.Method(i))
+				}
+				if iface, ok := named.Underlying().(*types.Interface); ok {
+					for i := 0; i < iface.NumExplicitMethods(); i++ {
+						check(pkg, name+"."+iface.ExplicitMethod(i).Name(), iface.ExplicitMethod(i))
+					}
+				}
+			}
+		}
+	}
+	for key := range callerAllowlist {
+		if !allowed[key] {
+			t.Errorf("callerAllowlist: %s is not an uncalled export; drop its entry", key)
+		}
+	}
+}
+
+// moduleImporter type-checks the module's packages from their parsed
+// non-test files and everything else through std.
+type moduleImporter struct {
+	fset  *token.FileSet
+	files map[string][]*ast.File
+	info  *types.Info
+	std   types.Importer
+	pkgs  map[string]*types.Package
+}
+
+func (im *moduleImporter) Import(path string) (*types.Package, error) {
+	if p, ok := im.pkgs[path]; ok {
+		return p, nil
+	}
+	files, ok := im.files[path]
+	if !ok {
+		return im.std.Import(path)
+	}
+	conf := types.Config{Importer: im}
+	p, err := conf.Check(path, im.fset, files, im.info)
+	im.pkgs[path] = p
+	return p, err
 }

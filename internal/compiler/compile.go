@@ -18,8 +18,12 @@ type Stats struct {
 
 // Compile runs the full pipeline on a checked MiniC program: lowering,
 // the optimization passes selected by opts (OptimizeIR), register
-// allocation, code generation, layout and linking.
+// allocation, code generation, layout and linking. Options outside
+// Validate's hard caps are a *HeuristicError before any pass runs.
 func Compile(src *lang.Program, opts Options) (*isa.Program, *Stats, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, nil, err
+	}
 	opts = opts.withDefaults()
 
 	p, err := Lower(src)

@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/lang"
@@ -398,4 +399,54 @@ int main() {
 		t.Errorf("O2 (%d cycles) should beat O0 (%d cycles)", c2, c0)
 	}
 	t.Logf("O0=%d O2=%d speedup=%.2fx", c0, c2, float64(c0)/float64(c2))
+}
+
+// TestHeuristicCaps: every numeric heuristic at its hard cap, with every
+// flag on, compiles to a program of the same result, and one above the cap
+// or below zero is a *HeuristicError naming it. The caps bound compile work
+// on points from outside the process (a worker's lease): unroll settings
+// far above them exhaust the compiler's memory.
+func TestHeuristicCaps(t *testing.T) {
+	const src = `
+int data[64];
+int sq(int x) { return x * x; }
+int main() {
+	int acc = 0;
+	for (int i = 0; i < 64; i = i + 1) {
+		data[i] = sq(i);
+	}
+	for (int i = 0; i < 63; i = i + 1) {
+		acc = acc + data[i] - data[i + 1] / 3;
+	}
+	return acc;
+}`
+	all := O3()
+	all.UnrollLoops = true
+	want := runProgram(t, src, all)
+	for _, h := range []struct {
+		name  string
+		field func(*Options) *int
+		cap   int
+	}{
+		{"max-inline-insns-auto", func(o *Options) *int { return &o.MaxInlineInsnsAuto }, maxInlineInsnsAuto},
+		{"inline-unit-growth", func(o *Options) *int { return &o.InlineUnitGrowth }, maxInlineUnitGrowth},
+		{"inline-call-cost", func(o *Options) *int { return &o.InlineCallCost }, maxInlineCallCost},
+		{"max-unroll-times", func(o *Options) *int { return &o.MaxUnrollTimes }, maxUnrollTimes},
+		{"max-unrolled-insns", func(o *Options) *int { return &o.MaxUnrolledInsns }, maxUnrolledInsns},
+	} {
+		at := all
+		*h.field(&at) = h.cap
+		if got := runProgram(t, src, at); got != want {
+			t.Errorf("%s at its cap %d: main returned %d, want %d", h.name, h.cap, got, want)
+		}
+		for _, v := range []int{h.cap + 1, -1} {
+			o := all
+			*h.field(&o) = v
+			_, _, err := CompileSource(src, o)
+			var he *HeuristicError
+			if !errors.As(err, &he) || he.Name != h.name || he.Value != v {
+				t.Errorf("%s = %d: err = %v, want a *HeuristicError naming it", h.name, v, err)
+			}
+		}
+	}
 }

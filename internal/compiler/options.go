@@ -48,6 +48,46 @@ const (
 	DefaultMaxUnrolledInsns   = 200
 )
 
+// Hard caps on the numeric heuristics. They bound compile work and code
+// size (the unroller grows a loop up to MaxUnrolledInsns, the inliner a
+// unit by InlineUnitGrowth percent), each at least 8× the largest value the
+// repository uses; they are safety limits, not Table 1's box, which Fig 3
+// leaves below.
+const (
+	maxInlineInsnsAuto  = 1500
+	maxInlineUnitGrowth = 600
+	maxInlineCallCost   = 160
+	maxUnrollTimes      = 100
+	maxUnrolledInsns    = 2500
+)
+
+// HeuristicError reports a numeric heuristic outside [0, its hard cap].
+type HeuristicError struct {
+	Name       string // the Table 1 parameter, e.g. "max-unroll-times"
+	Value, Cap int
+}
+
+func (e *HeuristicError) Error() string {
+	return fmt.Sprintf("compiler: %s = %d outside [0, %d]", e.Name, e.Value, e.Cap)
+}
+
+// Validate checks every numeric heuristic against its hard cap; 0 selects
+// the default. Compile calls it before any pass runs.
+func (o Options) Validate() error {
+	for _, h := range []HeuristicError{
+		{"max-inline-insns-auto", o.MaxInlineInsnsAuto, maxInlineInsnsAuto},
+		{"inline-unit-growth", o.InlineUnitGrowth, maxInlineUnitGrowth},
+		{"inline-call-cost", o.InlineCallCost, maxInlineCallCost},
+		{"max-unroll-times", o.MaxUnrollTimes, maxUnrollTimes},
+		{"max-unrolled-insns", o.MaxUnrolledInsns, maxUnrolledInsns},
+	} {
+		if h.Value < 0 || h.Value > h.Cap {
+			return &h
+		}
+	}
+	return nil
+}
+
 // withDefaults fills zero-valued heuristics with their defaults.
 func (o Options) withDefaults() Options {
 	if o.MaxInlineInsnsAuto == 0 {

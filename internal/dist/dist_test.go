@@ -19,6 +19,25 @@ import (
 	"repro/internal/workloads"
 )
 
+// storeLen counts the distinct keys of s.
+func storeLen(s *farm.Store) int {
+	entries, _ := s.Since(0)
+	keys := map[string]bool{}
+	for _, e := range entries {
+		keys[e.K] = true
+	}
+	return len(keys)
+}
+
+// measureOne is MeasureBatch on one point.
+func measureOne(b farm.Backend, w workloads.Workload, p doe.Point, resp farm.Response) (float64, error) {
+	v, err := b.MeasureBatch(context.Background(), w, []doe.Point{p}, resp)
+	if err != nil {
+		return 0, err
+	}
+	return v[0], nil
+}
+
 // pointValue derives a deterministic fake measurement from a point so stub
 // executors behave like the real (deterministic) pipeline.
 func pointValue(p doe.Point) float64 {
@@ -245,7 +264,7 @@ func TestCoalescingAndStoreHits(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			vals[i], errs[i] = p.co.Measure(context.Background(), w, pt, farm.Cycles)
+			vals[i], errs[i] = measureOne(p.co, w, pt, farm.Cycles)
 		}(i)
 	}
 	wg.Wait()
@@ -260,7 +279,7 @@ func TestCoalescingAndStoreHits(t *testing.T) {
 	if n := execs.Load(); n != 1 {
 		t.Fatalf("%d executions for %d concurrent callers of one point", n, callers)
 	}
-	if _, err := p.co.Measure(context.Background(), w, pt, farm.Energy); err != nil {
+	if _, err := measureOne(p.co, w, pt, farm.Energy); err != nil {
 		t.Fatal(err)
 	}
 	st := p.co.Stats()
@@ -470,7 +489,7 @@ func TestCoordinatorClosedRejectsWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := workloads.MustGet("179.art", workloads.Train)
-	if _, err := co.Measure(context.Background(), w, randomPoints(1, 3)[0], farm.Cycles); err == nil {
+	if _, err := measureOne(co, w, randomPoints(1, 3)[0], farm.Cycles); err == nil {
 		t.Fatal("expected error from closed coordinator")
 	}
 }

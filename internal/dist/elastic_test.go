@@ -354,7 +354,7 @@ func TestCheckpointMergesWorkerDeltas(t *testing.T) {
 	if st.StoreMergeConflicts != 0 {
 		t.Fatalf("identical values counted as conflicts: %d", st.StoreMergeConflicts)
 	}
-	if n := co2.Store().Len(); n != 2*len(points) {
+	if n := storeLen(co2.Store()); n != 2*len(points) {
 		t.Fatalf("merged store has %d entries, want %d (cycles+energy per point)", n, 2*len(points))
 	}
 	got, err := co2.MeasureBatch(context.Background(), w, points, farm.Cycles)
@@ -390,7 +390,7 @@ func TestCheckpointMergesWorkerDeltas(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer co3.Close()
-	if n := co3.Store().Len(); n != 2*len(points) {
+	if n := storeLen(co3.Store()); n != 2*len(points) {
 		t.Fatalf("restart lost merged entries: %d, want %d", n, 2*len(points))
 	}
 	if err := co3.Checkpoint(); err != nil {
@@ -400,7 +400,7 @@ func TestCheckpointMergesWorkerDeltas(t *testing.T) {
 	if st.StoreMergeConflicts != 0 {
 		t.Fatalf("re-merge after restart produced conflicts: %d", st.StoreMergeConflicts)
 	}
-	if n := co3.Store().Len(); n != 2*len(points) {
+	if n := storeLen(co3.Store()); n != 2*len(points) {
 		t.Fatalf("re-merge changed the store: %d entries, want %d", n, 2*len(points))
 	}
 }

@@ -102,7 +102,7 @@ func TestSlowGroupKeepsOneLease(t *testing.T) {
 	)
 	w := workloads.MustGet("179.art", workloads.Train)
 	pt := randomPoints(1, 26)[0]
-	got, err := p.co.Measure(context.Background(), w, pt, farm.Cycles)
+	got, err := measureOne(p.co, w, pt, farm.Cycles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestAllWorkersDeadExhaustsAttempts(t *testing.T) {
 	defer co.Close()
 
 	w := workloads.MustGet("179.art", workloads.Train)
-	_, err = co.Measure(context.Background(), w, randomPoints(1, 24)[0], farm.Cycles)
+	_, err = measureOne(co, w, randomPoints(1, 24)[0], farm.Cycles)
 	if err == nil {
 		t.Fatal("expected failure with every worker dead")
 	}
@@ -399,7 +399,7 @@ func TestErrorClassSurvivesTheWire(t *testing.T) {
 	defer co.Close()
 
 	w := workloads.MustGet("179.art", workloads.Train)
-	_, err = co.Measure(context.Background(), w, randomPoints(1, 25)[0], farm.Cycles)
+	_, err = measureOne(co, w, randomPoints(1, 25)[0], farm.Cycles)
 	if err == nil {
 		t.Fatal("expected remote budget error")
 	}
@@ -471,7 +471,7 @@ func TestDrainWaitsThenRequeues(t *testing.T) {
 		w := workloads.MustGet("179.art", workloads.Train)
 		done := make(chan error, 1)
 		go func() {
-			_, err := p.co.Measure(context.Background(), w, randomPoints(1, 27)[0], farm.Cycles)
+			_, err := measureOne(p.co, w, randomPoints(1, 27)[0], farm.Cycles)
 			done <- err
 		}()
 		waitForDispatch(t, p.co, 1)

@@ -123,9 +123,11 @@ func (w *Worker) handleGroup(rw http.ResponseWriter, r *http.Request) {
 	}
 	// The planner slices each point by the joint space's layout (doe.ToConfig
 	// under farm.BinaryKey) on a goroutine net/http cannot recover a panic of,
-	// so a point of the wrong arity must not get that far. Ranges are not
-	// checked: Fig3 sweeps the unroll factor from below the box the models
-	// are fitted over, and a worker measures what the coordinator keyed.
+	// so a point of the wrong arity must not get that far. The box the models
+	// are fitted over is not checked (Fig3 sweeps unroll below it; a worker
+	// measures what the coordinator keyed), but hard caps are: a point above
+	// compiler.Options.Validate's or sim.Config.Validate's fails as its own
+	// error line before anything is sized by it.
 	for i, p := range req.Points {
 		if len(p) != jointVars {
 			http.Error(rw, fmt.Sprintf("point %d has %d values, want %d", i, len(p), jointVars), http.StatusBadRequest)

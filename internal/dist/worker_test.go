@@ -98,15 +98,80 @@ func TestWorkerRejectsMalformedGroup(t *testing.T) {
 	}
 }
 
+// TestWorkerFailsPointsAboveCaps leases a worker running the real executor
+// one point above the compiler's unroll caps and one whose L1D is above the
+// simulator's cache cap: the compiler refuses the first before any pass, the
+// simulator the second before it allocates. Each point streams an error
+// line, the stream ends with done, and the same worker then measures a
+// valid group. Without the caps, far larger values exhaust the process's
+// memory; these two are the cheapest that cross them.
+func TestWorkerFailsPointsAboveCaps(t *testing.T) {
+	w := NewWorker(WorkerOptions{Workers: 1, Heartbeat: 20 * time.Millisecond})
+	ts := httptest.NewServer(w.Handler())
+	defer w.Close()
+	defer ts.Close()
+	lines := func(points ...[]int64) []GroupLine {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/group", "application/json", bytes.NewReader(groupBody(t, points...)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
+		}
+		var out []GroupLine
+		for dec := json.NewDecoder(resp.Body); dec.More(); {
+			var gl GroupLine
+			if err := dec.Decode(&gl); err != nil {
+				t.Fatal(err)
+			}
+			if !gl.Heartbeat {
+				out = append(out, gl)
+			}
+		}
+		if len(out) == 0 || !out[len(out)-1].Done {
+			t.Fatalf("stream does not end with done: %+v", out)
+		}
+		return out[:len(out)-1]
+	}
+
+	unroll := compiler.O2()
+	unroll.UnrollLoops, unroll.MaxUnrollTimes, unroll.MaxUnrolledInsns = true, 101, 2501
+	bigL1 := sim.DefaultConfig()
+	bigL1.DCacheKB = 1<<16 + 1
+	capped := lines(
+		doe.JoinPoint(doe.FromOptions(unroll), doe.FromConfig(sim.DefaultConfig())),
+		doe.JoinPoint(doe.FromOptions(compiler.O2()), doe.FromConfig(bigL1)),
+	)
+	want := map[int]string{0: "max-unroll-times", 1: "cache sizes"}
+	for _, gl := range capped {
+		if !gl.Result || !strings.Contains(gl.Error, want[gl.Index]) {
+			t.Errorf("point %d streamed %+v, want an error naming %q", gl.Index, gl, want[gl.Index])
+		}
+		delete(want, gl.Index)
+	}
+	if len(want) != 0 {
+		t.Errorf("no line for points %v", want)
+	}
+
+	valid := lines(doe.JoinPoint(doe.FromOptions(compiler.O2()), doe.FromConfig(sim.DefaultConfig())))
+	if len(valid) != 1 || valid[0].Error != "" || valid[0].Cycles <= 0 {
+		t.Errorf("valid group after the capped one streamed %+v", valid)
+	}
+}
+
 // FuzzGroupRequest holds the worker's lease endpoint to its contract for
 // bytes from outside the process: 200 with a stream or 400, never a panic.
 // The executor is a stub, so what runs is the decode, the checks and the
 // planner. The seed corpus under testdata/fuzz/FuzzGroupRequest names the
 // cases that matter — a valid group, a short point, a 26-value point, a value
 // outside the modelled range (measured: ranges are the coordinator's
-// business), empty points, not JSON, source that does not parse — and runs on
-// every plain `go test`. TestWorkerRejectsMalformedGroup holds the last one
-// against the real executor, which the stub here never reaches.
+// business), values above the hard caps, empty points, not JSON, source that
+// does not parse — and runs on every plain `go test`.
+// TestWorkerRejectsMalformedGroup and TestWorkerFailsPointsAboveCaps hold the
+// last and the caps against the real executor, which the stub here never
+// reaches.
 func FuzzGroupRequest(f *testing.F) {
 	w := NewWorker(WorkerOptions{Workers: 1, Measure: stubMeasure(nil, 0)})
 	f.Cleanup(func() { w.Close() })

@@ -51,15 +51,6 @@ type Design struct {
 	Expansion Expansion
 }
 
-// Matrix returns the expanded design matrix.
-func (d *Design) Matrix() *linalg.Matrix {
-	rows := make([][]float64, len(d.Points))
-	for i, p := range d.Points {
-		rows[i] = ExpandCoded(d.Space.Code(p), d.Expansion)
-	}
-	return linalg.FromRows(rows)
-}
-
 // DOptions tunes the Fedorov exchange search.
 type DOptions struct {
 	// Candidates is the LHS candidate-pool size (default 10x the design
@@ -207,20 +198,6 @@ func quad(d *linalg.Matrix, x, y []float64, k int) float64 {
 	return s
 }
 
-// dot4 returns the dot products of a with r0, r1, r2 and r3 in one pass
-// over a. Each sum has its own accumulator and runs in index order from +0,
-// so each has linalg.Dot's bits.
-func dot4(a, r0, r1, r2, r3 []float64) (s0, s1, s2, s3 float64) {
-	r0, r1, r2, r3 = r0[:len(a)], r1[:len(a)], r2[:len(a)], r3[:len(a)]
-	for j, aj := range a {
-		s0 += r0[j] * aj
-		s1 += r1[j] * aj
-		s2 += r2[j] * aj
-		s3 += r3[j] * aj
-	}
-	return
-}
-
 // quad4 returns xᵀDx for four rows in one pass over D's rows. Each form
 // skips the rows its own x is zero on and sums in quad's order, so each has
 // quad's bits.
@@ -230,7 +207,7 @@ func quad4(d *linalg.Matrix, x0, x1, x2, x3 []float64, k int) (q0, q1, q2, q3 fl
 		if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
 			continue
 		}
-		t0, t1, t2, t3 := dot4(d.Row(i)[:k], x0, x1, x2, x3)
+		t0, t1, t2, t3 := linalg.Dot4(d.Row(i)[:k], x0, x1, x2, x3)
 		if a0 != 0 {
 			q0 += a0 * t0
 		}
@@ -252,7 +229,7 @@ func quad4(d *linalg.Matrix, x0, x1, x2, x3 []float64, k int) (q0, q1, q2, q3 fl
 func dotRows(rows [][]float64, u, out []float64) {
 	i := 0
 	for ; i+4 <= len(rows); i += 4 {
-		out[i], out[i+1], out[i+2], out[i+3] = dot4(u, rows[i], rows[i+1], rows[i+2], rows[i+3])
+		out[i], out[i+1], out[i+2], out[i+3] = linalg.Dot4(u, rows[i], rows[i+1], rows[i+2], rows[i+3])
 	}
 	for ; i < len(rows); i++ {
 		out[i] = linalg.Dot(rows[i], u)

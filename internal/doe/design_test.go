@@ -11,8 +11,17 @@ import (
 	"repro/internal/linalg"
 )
 
-// logDet returns log det(XᵀX) of the design's information matrix.
-func (d *Design) logDet() float64 { return linalg.LogDetGram(d.Matrix()) }
+// logDet returns log det(XᵀX) of the design's expanded matrix X.
+func (d *Design) logDet() float64 {
+	rows := make([][]float64, len(d.Points))
+	for i, p := range d.Points {
+		rows[i] = ExpandCoded(d.Space.Code(p), d.Expansion)
+	}
+	return linalg.LogDetGram(linalg.FromRows(rows))
+}
+
+// dot4 is the exchange's four-row kernel.
+var dot4 = linalg.Dot4
 
 // Regression test: a candidate pool smaller than the design size used to
 // panic in the initial selection (rng.Perm(len(cands))[:n]); it must now be

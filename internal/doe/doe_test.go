@@ -11,6 +11,23 @@ import (
 	"repro/internal/sim"
 )
 
+// Code maps a raw value to the coded scale [-1, 1] (log-transformed first
+// for LogInt variables), as the paper prescribes for all parameters: the
+// oracle that Space.CodeInto's per-space constants are held to bit for bit.
+func (v Var) Code(raw int64) float64 {
+	var x, lo, hi float64
+	switch v.Kind {
+	case LogInt:
+		x, lo, hi = math.Log2(float64(raw)), math.Log2(float64(v.Low)), math.Log2(float64(v.High))
+	default:
+		x, lo, hi = float64(raw), float64(v.Low), float64(v.High)
+	}
+	if hi == lo {
+		return 0
+	}
+	return 2*(x-lo)/(hi-lo) - 1
+}
+
 // decode snaps coded coordinates back to the nearest raw levels: the inverse
 // of Space.Code that the round-trip test checks it against.
 func decode(s *Space, coded []float64) Point {

@@ -73,22 +73,6 @@ func dedupe(vals []int64) []int64 {
 	return out
 }
 
-// Code maps a raw value to the coded scale [-1, 1] (log-transformed first
-// for LogInt variables), as the paper prescribes for all parameters.
-func (v Var) Code(raw int64) float64 {
-	var x, lo, hi float64
-	switch v.Kind {
-	case LogInt:
-		x, lo, hi = math.Log2(float64(raw)), math.Log2(float64(v.Low)), math.Log2(float64(v.High))
-	default:
-		x, lo, hi = float64(raw), float64(v.Low), float64(v.High)
-	}
-	if hi == lo {
-		return 0
-	}
-	return 2*(x-lo)/(hi-lo) - 1
-}
-
 // Space is an ordered set of predictor variables; a design point assigns a
 // raw value to each. Vars must not change once the space has coded or drawn
 // a point.

@@ -13,6 +13,15 @@ import (
 	"repro/internal/workloads"
 )
 
+// measureOne is MeasureBatch on one point.
+func measureOne(b farm.Backend, w workloads.Workload, p doe.Point, resp farm.Response) (float64, error) {
+	v, err := b.MeasureBatch(context.Background(), w, []doe.Point{p}, resp)
+	if err != nil {
+		return 0, err
+	}
+	return v[0], nil
+}
+
 // tinyScale keeps pipeline tests fast; statistical quality is covered by the
 // benchmark harness at larger scales.
 var tinyScale = Scale{
@@ -35,11 +44,11 @@ func TestMeasureCyclesCachesAndIsDeterministic(t *testing.T) {
 	h := NewHarness(tinyScale)
 	w := workloads.MustGet("179.art", workloads.Train)
 	p := doe.JoinPoint(doe.FromOptions(compiler.O2()), doe.FromConfig(sim.DefaultConfig()))
-	a, err := h.Farm().Measure(context.Background(), w, p, farm.Cycles)
+	a, err := measureOne(h.Farm(), w, p, farm.Cycles)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := h.Farm().Measure(context.Background(), w, p, farm.Cycles)
+	b, err := measureOne(h.Farm(), w, p, farm.Cycles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +57,7 @@ func TestMeasureCyclesCachesAndIsDeterministic(t *testing.T) {
 	}
 
 	h2 := NewHarness(tinyScale)
-	c, err := h2.Farm().Measure(context.Background(), w, p, farm.Cycles)
+	c, err := measureOne(h2.Farm(), w, p, farm.Cycles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +72,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	h.CacheDir = dir
 	w := workloads.MustGet("256.bzip2", workloads.Train)
 	p := doe.JoinPoint(doe.FromOptions(compiler.O0()), doe.FromConfig(sim.Constrained()))
-	a, err := h.Farm().Measure(context.Background(), w, p, farm.Cycles)
+	a, err := measureOne(h.Farm(), w, p, farm.Cycles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +83,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	// directly, but the value must round-trip).
 	h2 := NewHarness(tinyScale)
 	h2.CacheDir = dir
-	b, err := h2.Farm().Measure(context.Background(), w, p, farm.Cycles)
+	b, err := measureOne(h2.Farm(), w, p, farm.Cycles)
 	if err != nil {
 		t.Fatal(err)
 	}

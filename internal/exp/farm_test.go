@@ -65,7 +65,7 @@ func TestConcurrentMeasureSingleExecution(t *testing.T) {
 	errs := make(chan error, callers)
 	for i := 0; i < callers; i++ {
 		go func() {
-			v, err := h.Farm().Measure(context.Background(), w, p, farm.Cycles)
+			v, err := measureOne(h.Farm(), w, p, farm.Cycles)
 			vals <- v
 			errs <- err
 		}()
@@ -102,7 +102,7 @@ func TestCorruptCacheRecovers(t *testing.T) {
 	defer h.Close()
 	w := workloads.MustGet("256.bzip2", workloads.Train)
 	p := doe.JoinPoint(doe.FromOptions(compiler.O0()), doe.FromConfig(sim.Constrained()))
-	v, err := h.Farm().Measure(context.Background(), w, p, farm.Cycles)
+	v, err := measureOne(h.Farm(), w, p, farm.Cycles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestCorruptCacheRecovers(t *testing.T) {
 	h2 := NewHarness(sc)
 	h2.CacheDir = dir
 	defer h2.Close()
-	v2, err := h2.Farm().Measure(context.Background(), w, p, farm.Cycles)
+	v2, err := measureOne(h2.Farm(), w, p, farm.Cycles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestJournalSurvivesWithoutSaveCache(t *testing.T) {
 	h.CacheDir = dir
 	w := workloads.MustGet("256.bzip2", workloads.Train)
 	p := doe.JoinPoint(doe.FromOptions(compiler.O2()), doe.FromConfig(sim.Aggressive()))
-	v, err := h.Farm().Measure(context.Background(), w, p, farm.Cycles)
+	v, err := measureOne(h.Farm(), w, p, farm.Cycles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestJournalSurvivesWithoutSaveCache(t *testing.T) {
 	h2 := NewHarness(tinyScale)
 	h2.CacheDir = dir
 	defer h2.Close()
-	v2, err := h2.Farm().Measure(context.Background(), w, p, farm.Cycles)
+	v2, err := measureOne(h2.Farm(), w, p, farm.Cycles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,12 +187,12 @@ func TestFailedJobDoesNotPoisonKey(t *testing.T) {
 	if st := h.FarmStats(); st.Failures != 1 {
 		t.Fatalf("failure not counted: %+v", st)
 	}
-	if n := h.Farm().Store().Len(); n != 0 {
-		t.Fatalf("failed job left %d entries in the store", n)
+	if e, _ := h.Farm().Store().Since(0); len(e) != 0 {
+		t.Fatalf("failed job left %d entries in the store", len(e))
 	}
 
 	fail.Store(false)
-	v, err := h.Farm().Measure(context.Background(), w, p, farm.Cycles)
+	v, err := measureOne(h.Farm(), w, p, farm.Cycles)
 	if err != nil {
 		t.Fatalf("measure after the failed batch: %v", err)
 	}
@@ -204,7 +204,7 @@ func TestFailedJobDoesNotPoisonKey(t *testing.T) {
 	}
 
 	// And the success is now cached: no third execution.
-	if _, err := h.Farm().Measure(context.Background(), w, p, farm.Cycles); err != nil {
+	if _, err := measureOne(h.Farm(), w, p, farm.Cycles); err != nil {
 		t.Fatal(err)
 	}
 	if n := executions.Load(); n != 2 {

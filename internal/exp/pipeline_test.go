@@ -13,25 +13,15 @@ import (
 )
 
 // countingBackend counts the submissions that reach the measurement plane:
-// every Do, DoJobs, Measure and MeasureBatch call is one.
+// every DoJobs and MeasureBatch call is one.
 type countingBackend struct {
 	farm.Backend
 	submissions atomic.Int64
 }
 
-func (b *countingBackend) Do(ctx context.Context, job farm.Job) (farm.Result, error) {
-	b.submissions.Add(1)
-	return b.Backend.Do(ctx, job)
-}
-
 func (b *countingBackend) DoJobs(ctx context.Context, jobs []farm.Job) ([]farm.Result, []error) {
 	b.submissions.Add(1)
 	return b.Backend.DoJobs(ctx, jobs)
-}
-
-func (b *countingBackend) Measure(ctx context.Context, w workloads.Workload, p doe.Point, resp farm.Response) (float64, error) {
-	b.submissions.Add(1)
-	return b.Backend.Measure(ctx, w, p, resp)
 }
 
 func (b *countingBackend) MeasureBatch(ctx context.Context, w workloads.Workload, pts []doe.Point, resp farm.Response) ([]float64, error) {

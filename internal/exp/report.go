@@ -3,6 +3,8 @@ package exp
 import (
 	"encoding/json"
 	"os"
+
+	"repro/internal/doe"
 )
 
 // Report is the machine-readable form of a full experiment run, written by
@@ -44,7 +46,7 @@ func (r *Report) AddSearch(results []SearchResult) {
 		r.Search = append(r.Search, SearchJSON{
 			Program:   res.Program,
 			Config:    res.Config,
-			Settings:  append([]int64{}, res.Point[:14]...),
+			Settings:  append([]int64{}, res.Point[:doe.NumCompilerVars]...),
 			Predicted: res.Predicted,
 		})
 	}

@@ -13,22 +13,18 @@ import (
 // (internal/dist) both satisfy it, so swapping one plane for the other is a
 // construction-time decision — no exp or serve call site changes.
 //
-// Both get Do, DoJobs, Measure, MeasureBatch and Store from an embedded
+// Both get DoJobs, MeasureBatch and Store from an embedded
 // *Planner, which is what keeps the farm's semantics the same on either
 // plane: results keyed by point and order-independent (bit-for-bit
 // reproducible), single-flight deduplication of concurrent requests for the
 // same point, and a caller-visible durable Store that Checkpoint flushes.
 // Stats, Checkpoint and Close are each backend's own.
 type Backend interface {
-	// Do runs one job, deduplicated against concurrent requests.
-	Do(ctx context.Context, job Job) (Result, error)
-	// DoJobs runs a batch, planning jobs that share a binary into
-	// compile-once groups; one result and one error per
-	// job, in input order.
+	// DoJobs runs a batch, deduplicated against concurrent requests and
+	// planning jobs that share a binary into compile-once groups; one
+	// result and one error per job, in input order.
 	DoJobs(ctx context.Context, jobs []Job) ([]Result, []error)
-	// Measure and MeasureBatch are the response-selecting conveniences
-	// every experiment path calls.
-	Measure(ctx context.Context, w workloads.Workload, p doe.Point, resp Response) (float64, error)
+	// MeasureBatch is DoJobs on one workload, selecting one response.
 	MeasureBatch(ctx context.Context, w workloads.Workload, points []doe.Point, resp Response) ([]float64, error)
 	// Store exposes the backend's result store. On the distributed plane it
 	// is the coordinator's: every streamed result is journaled here, and each

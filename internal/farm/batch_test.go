@@ -154,7 +154,7 @@ func TestMeasureBatchGroupedMatchesSerial(t *testing.T) {
 		c.L2Lat = 16
 		return c
 	}())
-	if _, err := f.Do(context.Background(), Job{Workload: w, Point: extra}); err != nil {
+	if _, err := doOne(f, Job{Workload: w, Point: extra}); err != nil {
 		t.Fatal(err)
 	}
 	if st := f.Stats(); st.CompileCacheHits != 1 {
@@ -175,7 +175,7 @@ func TestLoneTaskIsAGroupOfOne(t *testing.T) {
 	}
 	f := New(Options{Workers: 2})
 	defer f.Close()
-	got, err := f.Do(context.Background(), job)
+	got, err := doOne(f, job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestCallersShareOneGroup(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, err := f.Do(context.Background(), Job{Workload: w, Point: blocker}); err != nil {
+		if _, err := doOne(f, Job{Workload: w, Point: blocker}); err != nil {
 			t.Error(err)
 		}
 	}()

@@ -61,8 +61,8 @@ type Options struct {
 const binaryCacheSize = 256
 
 // Farm is the in-process measurement backend: a Planner in front of a
-// bounded worker pool. Create with New, submit with Measure, MeasureBatch or
-// DoJobs, and Close when done to flush the store.
+// bounded worker pool. Create with New, submit with MeasureBatch or DoJobs,
+// and Close when done to flush the store.
 type Farm struct {
 	*Planner
 	workers int

@@ -18,6 +18,21 @@ import (
 	"repro/internal/workloads"
 )
 
+// doOne runs one job through DoJobs.
+func doOne(b Backend, job Job) (Result, error) {
+	res, errs := b.DoJobs(context.Background(), []Job{job})
+	return res[0], errs[0]
+}
+
+// measureOne is MeasureBatch on one point.
+func measureOne(b Backend, w workloads.Workload, p doe.Point, resp Response) (float64, error) {
+	v, err := b.MeasureBatch(context.Background(), w, []doe.Point{p}, resp)
+	if err != nil {
+		return 0, err
+	}
+	return v[0], nil
+}
+
 func testJob(seed int64) Job {
 	rng := rand.New(rand.NewSource(seed))
 	return Job{
@@ -55,7 +70,7 @@ func TestSingleFlightDedup(t *testing.T) {
 	errs := make(chan error, callers)
 	for i := 0; i < callers; i++ {
 		go func() {
-			v, err := f.Measure(context.Background(), job.Workload, job.Point, Cycles)
+			v, err := measureOne(f, job.Workload, job.Point, Cycles)
 			results <- v
 			errs <- err
 		}()
@@ -92,7 +107,7 @@ func TestSingleFlightDedup(t *testing.T) {
 	}
 
 	// A later request for the same point is a store hit, not an execution.
-	if _, err := f.Measure(context.Background(), job.Workload, job.Point, Energy); err != nil {
+	if _, err := measureOne(f, job.Workload, job.Point, Energy); err != nil {
 		t.Fatal(err)
 	}
 	if st := f.Stats(); st.CacheHits != 1 {
@@ -161,7 +176,7 @@ func TestMeasureIsTriedOnce(t *testing.T) {
 		},
 	})
 	defer f.Close()
-	_, err := f.Measure(context.Background(), testJob(3).Workload, testJob(3).Point, Cycles)
+	_, err := measureOne(f, testJob(3).Workload, testJob(3).Point, Cycles)
 	var pe *fs.PathError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want the measure function's *fs.PathError", err)
@@ -182,7 +197,7 @@ func TestPermanentFailsFast(t *testing.T) {
 		},
 	})
 	defer f.Close()
-	_, err := f.Measure(context.Background(), testJob(4).Workload, testJob(4).Point, Cycles)
+	_, err := measureOne(f, testJob(4).Workload, testJob(4).Point, Cycles)
 	var ce *CompileError
 	if !errors.As(err, &ce) {
 		t.Fatalf("expected CompileError, got %v", err)
@@ -317,7 +332,7 @@ func TestExecutorBudgetClassification(t *testing.T) {
 			doe.FromConfig(sim.DefaultConfig()),
 		),
 	}
-	_, err := f.Do(context.Background(), job)
+	_, err := doOne(f, job)
 	if err == nil {
 		t.Fatal("expected budget overrun")
 	}
@@ -339,7 +354,7 @@ func TestFarmClosedRejectsWork(t *testing.T) {
 	if err := f.Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
-	if _, err := f.Do(context.Background(), testJob(7)); err == nil {
+	if _, err := doOne(f, testJob(7)); err == nil {
 		t.Fatal("expected error from closed farm")
 	}
 }

@@ -134,18 +134,6 @@ func (p *Planner) Snapshot(layer func(*Stats)) Stats {
 	return st
 }
 
-// Measure returns the requested response of workload w at point p, executing
-// the compile+simulate pipeline at most once per distinct point regardless
-// of how many goroutines ask. It blocks until the result is available or ctx
-// is cancelled.
-func (p *Planner) Measure(ctx context.Context, w workloads.Workload, pt doe.Point, resp Response) (float64, error) {
-	res, err := p.Do(ctx, Job{Workload: w, Point: pt})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Value(res), nil
-}
-
 // MeasureBatch measures w at every point and returns the responses in input
 // order. The batch goes through DoJobs, so points sharing a binary are
 // planned into shared-binary groups. On failure it returns the error of the
@@ -167,13 +155,6 @@ func (p *Planner) MeasureBatch(ctx context.Context, w workloads.Workload, points
 		out[i] = resp.Value(res[i])
 	}
 	return out, nil
-}
-
-// Do runs one job through the store, single-flight and executor layers and
-// returns its full result.
-func (p *Planner) Do(ctx context.Context, job Job) (Result, error) {
-	res, errs, _ := p.Run(ctx, []Job{job})
-	return res[0], errs[0]
 }
 
 // DoJobs runs a batch of jobs, returning one result and one error per job in

@@ -247,13 +247,6 @@ func (s *Store) Merge(entries []KV) (added, conflicts int, err error) {
 // Entry builds a journal entry; exported so callers can batch Put calls.
 func Entry(key string, v float64) KV { return KV{K: key, V: v} }
 
-// Len reports the number of stored measurements.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.m)
-}
-
 // snapshot returns a copy of the store contents.
 func (s *Store) snapshot() map[string]float64 {
 	s.mu.Lock()

@@ -18,6 +18,13 @@ import (
 	"repro/internal/workloads"
 )
 
+// Len reports the number of stored measurements.
+func (s *Store) Len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.m)
+}
+
 func TestStoreCheckpointRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "measurements-test.json")
 	s, err := Open(path, nil)

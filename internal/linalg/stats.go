@@ -65,6 +65,20 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
+// Dot4 returns a·b0, a·b1, a·b2 and a·b3 in one pass over a. Each sum has
+// its own accumulator and runs in index order from +0, so each has Dot's
+// bits. The b's must be at least len(a) long.
+func Dot4(a, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
+	b0, b1, b2, b3 = b0[:len(a)], b1[:len(a)], b2[:len(a)], b3[:len(a)]
+	for j, aj := range a {
+		s0 += aj * b0[j]
+		s1 += aj * b1[j]
+		s2 += aj * b2[j]
+		s3 += aj * b3[j]
+	}
+	return
+}
+
 // Norm2 returns the Euclidean norm of v.
 func Norm2(v []float64) float64 {
 	s := 0.0

@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -68,11 +69,7 @@ func CrossValidateParallel(data *Dataset, k int, seed int64, workers int,
 			if testY[i] == 0 {
 				continue
 			}
-			e := m.Predict(x) - testY[i]
-			if e < 0 {
-				e = -e
-			}
-			results[fold].sumErr += 100 * e / abs(testY[i])
+			results[fold].sumErr += 100 * math.Abs(m.Predict(x)-testY[i]) / math.Abs(testY[i])
 			results[fold].count++
 		}
 	})
@@ -89,13 +86,6 @@ func CrossValidateParallel(data *Dataset, k int, seed int64, workers int,
 		return 0, fmt.Errorf("model: cross-validation produced no usable folds")
 	}
 	return totalErr / float64(counted), nil
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // SelectByCV picks the fitting procedure with the lowest k-fold CV error;

@@ -92,8 +92,3 @@ func (m *HybridRBFModel) Predict(x []float64) float64 {
 
 // Name implements Model.
 func (m *HybridRBFModel) Name() string { return "rbf-rt" }
-
-// NumParams returns the total trained parameter count.
-func (m *HybridRBFModel) NumParams() int {
-	return m.Trend.NumParams() + m.Residual.NumParams()
-}

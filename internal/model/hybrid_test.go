@@ -51,7 +51,7 @@ func TestHybridRBFBeatsTrendAlone(t *testing.T) {
 	if hybrid.Name() != "rbf-rt" {
 		t.Fatal("name")
 	}
-	if hybrid.NumParams() <= trend.NumParams() {
+	if len(hybrid.Trend.Coef)+len(hybrid.Residual.W) <= len(trend.Coef) {
 		t.Fatal("hybrid should add residual parameters")
 	}
 }

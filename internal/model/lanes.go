@@ -108,7 +108,7 @@ func deflate4(a [4][]float64, qs [][]float64) (nrm [4]float64) {
 	var fresh [4]bool
 	var p0, p1, p2, p3 float64
 	if len(qs) > 0 {
-		p0, p1, p2, p3 = dot4(qs[0], a0, a1, a2, a3)
+		p0, p1, p2, p3 = linalg.Dot4(qs[0][:n], a0, a1, a2, a3)
 	}
 	for j, qi := range qs {
 		qi = qi[:n]
@@ -121,7 +121,7 @@ func deflate4(a [4][]float64, qs [][]float64) (nrm [4]float64) {
 				}
 			}
 			if !last {
-				p0, p1, p2, p3 = dot4(qs[j+1], a0, a1, a2, a3)
+				p0, p1, p2, p3 = linalg.Dot4(qs[j+1][:n], a0, a1, a2, a3)
 			}
 			continue
 		}
@@ -168,19 +168,6 @@ func deflate4(a [4][]float64, qs [][]float64) (nrm [4]float64) {
 	return nrm
 }
 
-// dot4 returns q·a0, …, q·a3, each summed in linalg.Dot's order.
-func dot4(q, a0, a1, a2, a3 []float64) (p0, p1, p2, p3 float64) {
-	q = q[:len(a0)]
-	a1, a2, a3 = a1[:len(q)], a2[:len(q)], a3[:len(q)]
-	for i, x := range q {
-		p0 += x * a0[i]
-		p1 += x * a1[i]
-		p2 += x * a2[i]
-		p3 += x * a3[i]
-	}
-	return
-}
-
 // deflate4x2 is deflate(a[k], b[k], qs) for four pairs of columns of one
 // length at once, returning the norms of the a[k] as deflate4 does.
 func deflate4x2(a, b [4][]float64, qs [][]float64) (nrm [4]float64) {
@@ -190,8 +177,8 @@ func deflate4x2(a, b [4][]float64, qs [][]float64) (nrm [4]float64) {
 	var fresh [4]bool
 	var pa0, pa1, pa2, pa3, pb0, pb1, pb2, pb3 float64
 	if len(qs) > 0 {
-		pa0, pa1, pa2, pa3 = dot4(qs[0], a0, a1, a2, a3)
-		pb0, pb1, pb2, pb3 = dot4(qs[0], b0, b1, b2, b3)
+		pa0, pa1, pa2, pa3 = linalg.Dot4(qs[0][:n], a0, a1, a2, a3)
+		pb0, pb1, pb2, pb3 = linalg.Dot4(qs[0][:n], b0, b1, b2, b3)
 	}
 	for j, qi := range qs {
 		qi = qi[:n]
@@ -209,8 +196,8 @@ func deflate4x2(a, b [4][]float64, qs [][]float64) (nrm [4]float64) {
 				}
 			}
 			if !last {
-				pa0, pa1, pa2, pa3 = dot4(qs[j+1], a0, a1, a2, a3)
-				pb0, pb1, pb2, pb3 = dot4(qs[j+1], b0, b1, b2, b3)
+				pa0, pa1, pa2, pa3 = linalg.Dot4(qs[j+1][:n], a0, a1, a2, a3)
+				pb0, pb1, pb2, pb3 = linalg.Dot4(qs[j+1][:n], b0, b1, b2, b3)
 			}
 			continue
 		}

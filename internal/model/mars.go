@@ -564,9 +564,6 @@ func (m *MARSModel) ReadsVar(v int) bool {
 	return false
 }
 
-// NumParams returns the number of basis coefficients.
-func (m *MARSModel) NumParams() int { return len(m.Coef) }
-
 func constCol(n int) []float64 {
 	c := make([]float64, n)
 	for i := range c {

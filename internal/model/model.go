@@ -171,6 +171,3 @@ func (m *LinearModel) Predict(x []float64) float64 {
 
 // Name implements Model.
 func (m *LinearModel) Name() string { return "linear" }
-
-// NumParams returns the number of fitted coefficients.
-func (m *LinearModel) NumParams() int { return len(m.Coef) }

@@ -153,7 +153,7 @@ func TestMARSBeatsLinearOnNonlinearTruth(t *testing.T) {
 	if me > 3 {
 		t.Fatalf("MARS error %v%% too high on its home turf", me)
 	}
-	t.Logf("linear=%.2f%% mars=%.2f%% (terms=%d)", le, me, mars.NumParams())
+	t.Logf("linear=%.2f%% mars=%.2f%% (terms=%d)", le, me, len(mars.Coef))
 }
 
 func TestMARSPruningControlsComplexity(t *testing.T) {
@@ -164,8 +164,8 @@ func TestMARSPruningControlsComplexity(t *testing.T) {
 		t.Fatal(err)
 	}
 	// GCV pruning should keep the model small for a simple truth.
-	if m.NumParams() > 12 {
-		t.Fatalf("pruned model still has %d terms", m.NumParams())
+	if len(m.Coef) > 12 {
+		t.Fatalf("pruned model still has %d terms", len(m.Coef))
 	}
 	if math.IsInf(m.GCVScore, 1) || m.GCVScore <= 0 {
 		t.Fatalf("bad GCV: %v", m.GCVScore)

@@ -133,9 +133,6 @@ func (m *RBFModel) Predict(x []float64) float64 {
 // Name implements Model.
 func (m *RBFModel) Name() string { return "rbf-rt" }
 
-// NumParams returns the number of trained weights.
-func (m *RBFModel) NumParams() int { return len(m.W) }
-
 // radiiFor sets each center's σ to radiusScale × its nearest-neighbor
 // distance (falling back to 1 for a single center).
 func radiiFor(centers [][]float64) []float64 {

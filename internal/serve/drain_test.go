@@ -43,16 +43,16 @@ func TestDrainUnderLoad(t *testing.T) {
 	var drains atomic.Int64
 	srv := New(Options{
 		Scale: "quick",
-		Measure: func(ctx context.Context, job farm.Job) (farm.Result, error) {
-			started <- struct{}{}
-			select {
-			case <-gate:
-			case <-ctx.Done():
-				return farm.Result{}, ctx.Err()
-			}
-			return farm.Result{Cycles: 42, Energy: 7}, nil
-		},
 		MakeBackend: func(fo farm.Options) farm.Backend {
+			fo.Measure = func(ctx context.Context, job farm.Job) (farm.Result, error) {
+				started <- struct{}{}
+				select {
+				case <-gate:
+				case <-ctx.Done():
+					return farm.Result{}, ctx.Err()
+				}
+				return farm.Result{Cycles: 42, Energy: 7}, nil
+			}
 			return &drainBackend{Farm: farm.New(fo), drains: &drains, gate: gate}
 		},
 	})

@@ -68,9 +68,9 @@ func TestScalesShareOnePlane(t *testing.T) {
 	srv := New(Options{
 		Scale:       "quick",
 		TrainPoints: 30,
-		Measure:     countingMeasure(&sims),
 		MakeBackend: func(fo farm.Options) farm.Backend {
 			made.Add(1)
+			fo.Measure = countingMeasure(&sims)
 			return &planeBackend{Farm: farm.New(fo), drains: &drains, closes: &closes}
 		},
 	})
@@ -149,7 +149,7 @@ func TestOtherScaleReadsItsCacheFile(t *testing.T) {
 	dir := t.TempDir()
 	points := testPoints(2, 12)
 	boot := func(scale string, sims *atomic.Int64) (*Server, *httptest.Server) {
-		srv := New(Options{Scale: scale, CacheDir: dir, TrainPoints: 30, Measure: countingMeasure(sims)})
+		srv := New(Options{Scale: scale, CacheDir: dir, TrainPoints: 30, MakeBackend: stubPlane(countingMeasure(sims))})
 		return srv, httptest.NewServer(srv.Handler())
 	}
 

@@ -71,9 +71,6 @@ type Options struct {
 	// worker fleet.
 	MakeBackend func(opts farm.Options) farm.Backend
 
-	// Measure, when non-nil, replaces the plane's compile+simulate executor
-	// (test seam).
-	Measure farm.MeasureFunc
 	// Trainer, when non-nil, replaces the harness-backed model trainer
 	// (test seam).
 	Trainer Trainer
@@ -156,7 +153,7 @@ func New(opts Options) *Server {
 	own, _ := s.scaleFor("") // an unknown Scale is refused request by request, by the same call
 	s.plane = exp.NewHarness(own)
 	s.plane.CacheDir, s.plane.Workers, s.plane.Log = opts.CacheDir, opts.Workers, opts.Log
-	s.plane.Measure, s.plane.MakeBackend = opts.Measure, opts.MakeBackend
+	s.plane.MakeBackend = opts.MakeBackend
 	trainer := opts.Trainer
 	if trainer == nil {
 		trainer = s.harnessTrainer

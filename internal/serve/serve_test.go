@@ -154,13 +154,13 @@ func TestMeasureCoalescesConcurrentClients(t *testing.T) {
 	srv := New(Options{
 		Scale:   "quick",
 		Workers: 1,
-		Measure: func(ctx context.Context, job farm.Job) (farm.Result, error) {
+		MakeBackend: stubPlane(func(ctx context.Context, job farm.Job) (farm.Result, error) {
 			if executions.Add(1) == 1 {
 				entered <- struct{}{}
 			}
 			<-gate
 			return farm.Result{Cycles: coalesceValue(job.Point), Energy: 1, Instructions: 1}, nil
-		},
+		}),
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -260,7 +260,7 @@ func TestMeasureCancelledClientLeavesAlone(t *testing.T) {
 	srv := New(Options{
 		Scale:   "quick",
 		Workers: 2,
-		Measure: func(ctx context.Context, job farm.Job) (farm.Result, error) {
+		MakeBackend: stubPlane(func(ctx context.Context, job farm.Job) (farm.Result, error) {
 			entered <- struct{}{}
 			select {
 			case <-gate:
@@ -268,7 +268,7 @@ func TestMeasureCancelledClientLeavesAlone(t *testing.T) {
 			case <-ctx.Done():
 				return farm.Result{}, ctx.Err()
 			}
-		},
+		}),
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -708,7 +708,7 @@ func TestPredictRejectsTrailingBytes(t *testing.T) {
 		Batch: func(ctx context.Context, w workloads.Workload, pts []doe.Point, resp farm.Response) ([]float64, error) {
 			return make([]float64, len(pts)), nil
 		},
-		Measure: countingMeasure(&executions),
+		MakeBackend: stubPlane(countingMeasure(&executions)),
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -755,10 +755,10 @@ func TestServerCloseCheckpointsFarm(t *testing.T) {
 		return New(Options{
 			Scale:    "quick",
 			CacheDir: dir,
-			Measure: func(ctx context.Context, job farm.Job) (farm.Result, error) {
+			MakeBackend: stubPlane(func(ctx context.Context, job farm.Job) (farm.Result, error) {
 				executions.Add(1)
 				return farm.Result{Cycles: coalesceValue(job.Point), Energy: 1, Instructions: 1}, nil
-			},
+			}),
 		})
 	}
 	s1 := mk()
@@ -788,6 +788,15 @@ func TestServerCloseCheckpointsFarm(t *testing.T) {
 	}
 	if executions.Load() != 1 {
 		t.Fatalf("checkpointed measurement re-simulated: %d executions", executions.Load())
+	}
+}
+
+// stubPlane builds the in-process farm with measure as its
+// compile+simulate executor.
+func stubPlane(measure farm.MeasureFunc) func(farm.Options) farm.Backend {
+	return func(fo farm.Options) farm.Backend {
+		fo.Measure = measure
+		return farm.New(fo)
 	}
 }
 

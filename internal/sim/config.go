@@ -81,20 +81,34 @@ func Aggressive() Config {
 	}
 }
 
-// Validate checks that the configuration is self-consistent and within the
-// modeled ranges.
+// Hard caps on the fields that size the model's allocations (cache arrays,
+// predictor tables, the commit ring). They are safety limits, each at least
+// 8× the largest value the repository uses, not Table 2's box: a config
+// inside them allocates at most tens of megabytes.
+const (
+	maxCacheKB   = 1 << 16 // 64 MB; the box's largest L2 is 8 MB
+	maxBPredSize = 1 << 16 // the box's largest predictor has 8192 entries
+	maxRUUSize   = 1024    // the box's largest RUU has 128 entries
+	maxAssoc     = 256     // Cache.lru and Cache.mru are uint8
+)
+
+// Validate checks that the configuration is self-consistent and that no
+// field exceeds its hard cap. It does not check Table 2's box: sweeps may
+// leave it.
 func (c Config) Validate() error {
 	switch {
 	case c.IssueWidth < 1 || c.IssueWidth > 8:
 		return fmt.Errorf("sim: issue width %d out of range", c.IssueWidth)
-	case c.RUUSize < 2:
-		return fmt.Errorf("sim: RUU size %d too small", c.RUUSize)
-	case c.BPredSize < 2 || c.BPredSize&(c.BPredSize-1) != 0:
-		return fmt.Errorf("sim: predictor size %d must be a power of two ≥ 2", c.BPredSize)
+	case c.RUUSize < 2 || c.RUUSize > maxRUUSize:
+		return fmt.Errorf("sim: RUU size %d outside [2, %d]", c.RUUSize, maxRUUSize)
+	case c.BPredSize < 2 || c.BPredSize > maxBPredSize || c.BPredSize&(c.BPredSize-1) != 0:
+		return fmt.Errorf("sim: predictor size %d must be a power of two in [2, %d]", c.BPredSize, maxBPredSize)
 	case c.ICacheKB < 1 || c.DCacheKB < 1 || c.L2KB < 1:
 		return fmt.Errorf("sim: cache sizes must be positive")
-	case c.DCacheAssoc < 1 || c.L2Assoc < 1:
-		return fmt.Errorf("sim: associativity must be ≥ 1")
+	case c.ICacheKB > maxCacheKB || c.DCacheKB > maxCacheKB || c.L2KB > maxCacheKB:
+		return fmt.Errorf("sim: cache sizes must be at most %d KB", maxCacheKB)
+	case c.DCacheAssoc < 1 || c.L2Assoc < 1 || c.DCacheAssoc > maxAssoc || c.L2Assoc > maxAssoc:
+		return fmt.Errorf("sim: associativity must be in [1, %d]", maxAssoc)
 	case c.DCacheLat < 1 || c.L2Lat < 1 || c.MemLat < 1:
 		return fmt.Errorf("sim: latencies must be ≥ 1")
 	}

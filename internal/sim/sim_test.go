@@ -239,6 +239,44 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestConfigCaps: every field that sizes an allocation validates at its hard
+// cap and fails one above it, so a configuration from outside the process
+// (a worker's lease, a simrun flag) is refused before NewCPU allocates for
+// it. Each cap is at least 8× the largest value the repository uses.
+func TestConfigCaps(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		field func(*Config) *int
+		cap   int
+		used  int // the largest value the repository uses
+	}{
+		{"ICacheKB", func(c *Config) *int { return &c.ICacheKB }, maxCacheKB, 128},
+		{"DCacheKB", func(c *Config) *int { return &c.DCacheKB }, maxCacheKB, 128},
+		{"L2KB", func(c *Config) *int { return &c.L2KB }, maxCacheKB, 8192},
+		{"BPredSize", func(c *Config) *int { return &c.BPredSize }, maxBPredSize, 8192},
+		{"RUUSize", func(c *Config) *int { return &c.RUUSize }, maxRUUSize, 128},
+		{"DCacheAssoc", func(c *Config) *int { return &c.DCacheAssoc }, maxAssoc, 2},
+		{"L2Assoc", func(c *Config) *int { return &c.L2Assoc }, maxAssoc, 16},
+	} {
+		if c.cap < 8*c.used {
+			t.Errorf("%s: cap %d below 8× %d", c.name, c.cap, c.used)
+		}
+		cfg := DefaultConfig()
+		*c.field(&cfg) = c.cap
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s at its cap %d: %v", c.name, c.cap, err)
+		}
+		over := c.cap + 1
+		if c.name == "BPredSize" {
+			over = 2 * c.cap // the next power of two
+		}
+		*c.field(&cfg) = over
+		if cfg.Validate() == nil {
+			t.Errorf("%s = %d above its cap validated", c.name, over)
+		}
+	}
+}
+
 func TestSimulateBasics(t *testing.T) {
 	st, err := Simulate(handProgram(1000), DefaultConfig(), 1_000_000)
 	if err != nil {

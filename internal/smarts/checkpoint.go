@@ -1,12 +1,14 @@
 package smarts
 
 import (
-	"container/list"
+	"context"
 	"encoding/binary"
+	"errors"
 	"hash/fnv"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/isa"
+	"repro/internal/par"
 	"repro/internal/sim"
 )
 
@@ -132,26 +134,20 @@ func fingerprint(p *isa.Program) uint64 {
 // StoreStats is a snapshot of a Store's counters.
 type StoreStats struct {
 	Hits      int64 // RunCheckpointed calls served by replay
-	Misses    int64 // calls that built (or rebuilt) a checkpoint set
-	Entries   int64 // sets currently resident
+	Misses    int64 // calls that built a checkpoint set, or ran in full
+	Entries   int64 // sets currently resident, builds in flight included
 	Evictions int64 // sets dropped by the LRU cap
 }
 
-// Store is a bounded LRU cache of checkpoint sets, safe for concurrent
-// use. Sets are large (warm snapshots per region), so the cap is small by
-// default; a farm measuring one binary under many nearby configurations
-// needs only one resident set to serve the whole sweep.
+// Store is a bounded cache of checkpoint sets under par.Cache's rule, safe
+// for concurrent use: one build per key, callers that arrive meanwhile join
+// it, LRU beyond capacity. Sets are large (warm snapshots per region), so
+// the cap is small by default; a farm measuring one binary under many
+// nearby configurations needs only one resident set to serve the whole
+// sweep.
 type Store struct {
-	mu                      sync.Mutex
-	cap                     int
-	ll                      *list.List // front = most recently used; values are *storeEntry
-	byK                     map[storeKey]*list.Element
-	hits, misses, evictions int64
-}
-
-type storeEntry struct {
-	key storeKey
-	set *CheckpointSet
+	sets         *par.Cache[storeKey, *CheckpointSet]
+	hits, misses atomic.Int64
 }
 
 // DefaultStoreCap bounds a NewStore(0) store.
@@ -163,54 +159,24 @@ func NewStore(capacity int) *Store {
 	if capacity <= 0 {
 		capacity = DefaultStoreCap
 	}
-	return &Store{cap: capacity, ll: list.New(), byK: map[storeKey]*list.Element{}}
+	return &Store{sets: par.NewCache[storeKey, *CheckpointSet](capacity)}
 }
 
-// Stats snapshots the store's counters tear-free.
+// Stats snapshots the store's counters.
 func (st *Store) Stats() StoreStats {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return StoreStats{
-		Hits:      st.hits,
-		Misses:    st.misses,
-		Entries:   int64(st.ll.Len()),
-		Evictions: st.evictions,
-	}
+	cs := st.sets.Stats()
+	return StoreStats{Hits: st.hits.Load(), Misses: st.misses.Load(), Entries: int64(cs.Len), Evictions: cs.Evictions}
 }
 
-func (st *Store) get(k storeKey) *CheckpointSet {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if el, ok := st.byK[k]; ok {
-		st.ll.MoveToFront(el)
-		st.hits++
-		return el.Value.(*storeEntry).set
-	}
-	st.misses++
-	return nil
-}
-
-func (st *Store) put(k storeKey, set *CheckpointSet) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if el, ok := st.byK[k]; ok {
-		el.Value.(*storeEntry).set = set
-		st.ll.MoveToFront(el)
-		return
-	}
-	st.byK[k] = st.ll.PushFront(&storeEntry{key: k, set: set})
-	for st.ll.Len() > st.cap {
-		back := st.ll.Back()
-		delete(st.byK, back.Value.(*storeEntry).key)
-		st.ll.Remove(back)
-		st.evictions++
-	}
-}
+// errNoSet fails the build of a program too short for one sampling period,
+// so that par.Cache keeps no entry for it.
+var errNoSet = errors.New("smarts: no detailed region to checkpoint")
 
 // RunCheckpointed is Run backed by a warm-state checkpoint store: a hit
 // (same program, sampler, warm geometry and budget — any latencies/widths)
 // replays only the detailed regions; a miss runs in full and leaves a
-// checkpoint set behind. Results are bit-for-bit identical to Run either
+// checkpoint set behind. A caller that arrives while the set is being built
+// waits for it and replays. Results are bit-for-bit identical to Run either
 // way, except FunctionalInstrs, which reports the work actually done. The
 // second return reports whether the result was served by replay. A nil
 // store degrades to Run.
@@ -226,15 +192,26 @@ func RunCheckpointed(store *Store, prog *isa.Program, cfg sim.Config, s Sampler,
 		return nil, false, err
 	}
 	key := storeKey{fp: fingerprint(prog), sampler: s, geom: cfg.WarmGeometry(), maxInstrs: maxInstrs}
-	if set := store.get(key); set != nil {
-		return set.Replay(cfg), true, nil
-	}
-	res, set, err := buildCheckpoints(prog, cfg, s, maxInstrs)
-	if err != nil {
+	var own *Result // this caller's full run, set only if it built
+	set, _, err := store.sets.Get(context.Background(), key, func() (*CheckpointSet, error) {
+		res, set, err := buildCheckpoints(prog, cfg, s, maxInstrs)
+		own = res
+		if err == nil && set == nil {
+			err = errNoSet
+		}
+		return set, err
+	})
+	switch {
+	case err != nil && !errors.Is(err, errNoSet):
 		return nil, false, err
+	case own != nil:
+		store.misses.Add(1)
+		return own, false, nil
+	case err != nil: // joined a build that left no set
+		store.misses.Add(1)
+		res, err := Run(prog, cfg, s, maxInstrs)
+		return res, false, err
 	}
-	if set != nil {
-		store.put(key, set)
-	}
-	return res, false, err
+	store.hits.Add(1)
+	return set.Replay(cfg), true, nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/isa"
@@ -168,6 +169,48 @@ func TestOneDriveBehindEveryEntryPoint(t *testing.T) {
 		want.FunctionalInstrs = replayed.FunctionalInstrs
 		if !reflect.DeepEqual(*replayed, want) || replayed.FunctionalInstrs >= single.FunctionalInstrs {
 			t.Errorf("offset %d: replay = %+v, Run = %+v", off, replayed, single)
+		}
+	}
+}
+
+// TestStoreBuildsOncePerKey: concurrent callers of one key share one build
+// (one miss; every other caller replays), a program too short for one
+// sampling period leaves no entry and misses on every call, and each result
+// equals Run's but for FunctionalInstrs.
+func TestStoreBuildsOncePerKey(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	const budget = 1 << 30
+	for _, c := range []struct {
+		prog       *isa.Program
+		hits, sets int64
+	}{{countedLoop(5000, halt), 3, 1}, {countedLoop(10, halt), 0, 0}} {
+		s := Sampler{WindowSize: 200, Interval: 9, Offset: 5, Warmup: 40}
+		want, err := Run(c.prog, cfg, s, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store := NewStore(0)
+		var wg sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got, _, err := RunCheckpointed(store, c.prog, cfg, s, budget)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				w := *want
+				w.FunctionalInstrs = got.FunctionalInstrs
+				if !reflect.DeepEqual(*got, w) {
+					t.Errorf("RunCheckpointed = %+v, Run = %+v", got, want)
+				}
+			}()
+		}
+		wg.Wait()
+		if st := store.Stats(); st.Hits != c.hits || st.Misses != 4-c.hits || st.Entries != c.sets {
+			t.Errorf("%d-instruction program: store %+v, want %d hits, %d misses, %d entries",
+				want.Instructions, st, c.hits, 4-c.hits, c.sets)
 		}
 	}
 }

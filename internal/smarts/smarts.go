@@ -12,6 +12,7 @@ import (
 	"math"
 
 	"repro/internal/isa"
+	"repro/internal/linalg"
 	"repro/internal/sim"
 )
 
@@ -206,12 +207,12 @@ func (t *sampleState) result(instrs, exitValue int64) (*Result, bool) {
 	if len(t.cpis) == 0 {
 		return nil, false
 	}
-	mean, std := meanStd(t.cpis)
+	mean, std := linalg.Mean(t.cpis), linalg.StdDev(t.cpis)
 	rel := 0.0
 	if mean > 0 {
 		rel = 3 * std / (math.Sqrt(float64(len(t.cpis))) * mean)
 	}
-	meanE, _ := meanStd(t.epis)
+	meanE := linalg.Mean(t.epis)
 	return &Result{
 		EstimatedCycles: mean * float64(instrs),
 		Instructions:    instrs,
@@ -286,19 +287,4 @@ func drive(prog *isa.Program, cfg sim.Config, s Sampler, maxInstrs int64, rec *C
 		rec.dec, rec.instrs, rec.exit = exe.Decoded(), instrs, exit
 	}
 	return r, nil
-}
-
-func meanStd(xs []float64) (float64, float64) {
-	m := 0.0
-	for _, x := range xs {
-		m += x
-	}
-	m /= float64(len(xs))
-	v := 0.0
-	for _, x := range xs {
-		d := x - m
-		v += d * d
-	}
-	v /= float64(len(xs))
-	return m, math.Sqrt(v)
 }
