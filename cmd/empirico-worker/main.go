@@ -14,12 +14,12 @@
 //	POST /v1/group   measure one shared-binary group, results streamed as
 //	                 ndjson (heartbeats while measuring, then one result
 //	                 line per point and a done line)
-//	GET  /v1/store   the worker's journaled store delta since a cursor
+//	GET  /v1/store   the worker's whole journaled store
 //	GET  /healthz    liveness + local farm counters
 //
 // With -store the worker keeps its own journaled partition of the
 // measurement store: repeat leases are answered from local cache with zero
-// simulations, and the coordinator pulls the delta on its checkpoints.
+// simulations, and the coordinator pulls the store on its checkpoints.
 // Without it the worker is stateless and killing it at any moment loses
 // nothing: in-flight leases expire on the coordinator and requeue elsewhere.
 //
@@ -36,7 +36,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -48,7 +47,6 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":9101", "listen address")
 		workers     = flag.Int("workers", 0, "local farm workers (0 = GOMAXPROCS)")
-		heartbeat   = flag.Duration("heartbeat", 0, "interval between heartbeat lines while measuring (0 = 500ms)")
 		storePath   = flag.String("store", "", "journaled worker-local store path (empty = in-memory only)")
 		coordinator = flag.String("coordinator", "", "coordinator control URL to register with (empty = static fleet membership)")
 		advertise   = flag.String("advertise", "", "address the coordinator should lease to (default: -addr)")
@@ -56,10 +54,7 @@ func main() {
 	)
 	flag.Parse()
 
-	opts := dist.WorkerOptions{
-		Workers:   *workers,
-		Heartbeat: *heartbeat,
-	}
+	opts := dist.WorkerOptions{Workers: *workers}
 	if !*quiet {
 		opts.Log = os.Stderr
 	}
@@ -89,10 +84,7 @@ func main() {
 		leaseAddr = *addr
 	}
 	if *coordinator != "" {
-		slots := *workers
-		if slots <= 0 {
-			slots = runtime.GOMAXPROCS(0)
-		}
+		slots := w.Stats().Workers
 		regCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
 		err := dist.RegisterWorker(regCtx, *coordinator, leaseAddr, slots)
 		cancel()
@@ -115,7 +107,7 @@ func main() {
 	}
 	if *coordinator != "" {
 		// Deregister first so the coordinator stops leasing here and pulls
-		// the final store delta while this process can still answer.
+		// the store one last time while this process can still answer.
 		deregCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		if err := dist.DeregisterWorker(deregCtx, *coordinator, leaseAddr); err != nil {
 			fmt.Fprintln(os.Stderr, "empirico-worker: deregister:", err)

@@ -13,6 +13,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -587,42 +588,8 @@ var callerAllowlist = map[string]string{
 // interface{ Unwrap() error } that errors.Is and errors.As call) is called
 // through that interface and is exempt, as is callerAllowlist.
 func TestExportsHaveNonTestCallers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the module and the standard library from source")
-	}
-	fset := token.NewFileSet()
-	files := map[string][]*ast.File{} // import path -> non-test files
-	for _, root := range []string{"internal", "cmd", "examples", "benchmark"} {
-		err := filepath.WalkDir(root, func(path string, e fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if e.IsDir() && (strings.HasPrefix(e.Name(), ".") || e.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			if e.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return nil
-			}
-			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return err
-			}
-			pkg := "repro/" + filepath.ToSlash(filepath.Dir(path))
-			files[pkg] = append(files[pkg], f)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
-	im := &moduleImporter{fset: fset, files: files, info: info,
-		std: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*types.Package{}}
-	for path := range files {
-		if _, err := im.Import(path); err != nil {
-			t.Fatal(err)
-		}
-	}
+	im := loadModule(t)
+	fset, files, info := im.fset, im.files, im.info
 
 	// A function's references from inside its own body do not count.
 	body := map[types.Object]ast.Node{}
@@ -729,6 +696,169 @@ func TestExportsHaveNonTestCallers(t *testing.T) {
 			t.Errorf("callerAllowlist: %s is not an uncalled export; drop its entry", key)
 		}
 	}
+}
+
+// optionsAllowlist holds the exported fields of the internal Options
+// structs that no production file sets, each with the reason it stays a
+// field rather than a constant.
+var optionsAllowlist = map[string]string{
+	"dist.Options.LeaseTimeout":    "tests run the lease clock in milliseconds; production keeps 15 s",
+	"dist.WorkerOptions.Heartbeat": "tests heartbeat in milliseconds under short leases; production keeps 500 ms",
+	"dist.WorkerOptions.Measure":   "test seam: a stub executor in place of compile and simulate",
+	"serve.Options.Trainer":        "test seam: a stub trainer in place of RunStudy",
+	"farm.Options.MaxInstrs":       "tests shrink the instruction budget to reach an overrun; production keeps 500M",
+	"model.MARSOptions.MaxTerms":   "MARS complexity control, left open until ROADMAP item 1 settles pruning",
+	"model.MARSOptions.MaxDegree":  "MARS complexity control, left open until ROADMAP item 1 settles pruning",
+	"model.MARSOptions.MaxKnots":   "MARS complexity control, left open until ROADMAP item 1 settles pruning",
+	"model.MARSOptions.Penalty":    "MARS complexity control, left open until ROADMAP item 1 settles pruning",
+	"model.RBFOptions.LeafSizes":   "tests fit RBF-RT at one leaf size on designs too small for the grid",
+	"doe.DOptions.Candidates":      "tests shrink the candidate pool to keep the exchange fast",
+}
+
+// TestOptionsHaveProductionWriters holds the rule that a knob production
+// never turns is a constant: every exported field of an exported struct
+// named Options or ...Options under internal/ must be set by a non-test,
+// non-example file of the module or of benchmark/. A field counts as set
+// where it is a composite-literal key, or where a package other than its
+// own assigns it (or takes its address); a package filling in its own
+// defaults does not set anything. optionsAllowlist exempts the rest, and
+// an entry that names a field production sets, or no field at all, fails.
+func TestOptionsHaveProductionWriters(t *testing.T) {
+	im := loadModule(t)
+	set := map[*types.Var]bool{}
+	field := func(id *ast.Ident) *types.Var {
+		if v, ok := im.info.Uses[id].(*types.Var); ok && v.IsField() {
+			return v
+		}
+		return nil
+	}
+	for path, files := range im.files {
+		if strings.HasPrefix(path, "repro/examples/") {
+			continue
+		}
+		assigned := func(x ast.Expr) {
+			if sel, ok := x.(*ast.SelectorExpr); ok {
+				if v := field(sel.Sel); v != nil && v.Pkg().Path() != path {
+					set[v] = true
+				}
+			}
+		}
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						if v := field(id); v != nil {
+							set[v] = true
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						assigned(lhs)
+					}
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						assigned(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	allowed := map[string]bool{}
+	for path, p := range im.pkgs {
+		if !strings.HasPrefix(path, "repro/internal/") {
+			continue
+		}
+		for _, name := range p.Scope().Names() {
+			tn, ok := p.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !strings.HasSuffix(name, "Options") {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				v := st.Field(i)
+				if !v.Exported() || set[v] {
+					continue
+				}
+				key := p.Name() + "." + name + "." + v.Name()
+				if _, ok := optionsAllowlist[key]; ok {
+					allowed[key] = true
+					continue
+				}
+				t.Errorf("%s: %s has no production writer; make it a constant, or allowlist it with a reason",
+					im.fset.Position(v.Pos()), key)
+			}
+		}
+	}
+	for key := range optionsAllowlist {
+		if !allowed[key] {
+			t.Errorf("optionsAllowlist: %s is not an unset Options field; drop its entry", key)
+		}
+	}
+}
+
+var (
+	moduleOnce sync.Once
+	moduleIm   *moduleImporter
+	moduleErr  error
+)
+
+// loadModule parses and type-checks the non-test files of internal/, cmd/,
+// examples/ and benchmark/ (the standard library from source) once per test
+// binary, for the tests that read the module through go/types. It skips
+// under -short.
+func loadModule(t *testing.T) *moduleImporter {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("type-checks the module and the standard library from source")
+	}
+	moduleOnce.Do(func() { moduleIm, moduleErr = typeCheckModule() })
+	if moduleErr != nil {
+		t.Fatal(moduleErr)
+	}
+	return moduleIm
+}
+
+func typeCheckModule() (*moduleImporter, error) {
+	fset := token.NewFileSet()
+	files := map[string][]*ast.File{} // import path -> non-test files
+	for _, root := range []string{"internal", "cmd", "examples", "benchmark"} {
+		err := filepath.WalkDir(root, func(path string, e fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if e.IsDir() && (strings.HasPrefix(e.Name(), ".") || e.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			if e.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			pkg := "repro/" + filepath.ToSlash(filepath.Dir(path))
+			files[pkg] = append(files[pkg], f)
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	im := &moduleImporter{fset: fset, files: files, info: info,
+		std: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*types.Package{}}
+	for path := range files {
+		if _, err := im.Import(path); err != nil {
+			return nil, err
+		}
+	}
+	return im, nil
 }
 
 // moduleImporter type-checks the module's packages from their parsed

@@ -173,14 +173,17 @@ func listSchedule(nodes []schedNode, width int, press *pressureInfo) []int {
 	return order
 }
 
+// addEdge adds the dependence from → to once. Both graph builders add every
+// edge into to while they process to, in increasing order of to, so an edge
+// already present can only be from's last successor; checking that one
+// element keeps a build linear in its edges where memory ops, each ordered
+// after every earlier one, made a scan of succs quadratic.
 func addEdge(nodes []schedNode, from, to int32) {
 	if from == to {
 		return
 	}
-	for _, s := range nodes[from].succs {
-		if s == to {
-			return
-		}
+	if s := nodes[from].succs; len(s) > 0 && s[len(s)-1] == to {
+		return
 	}
 	nodes[from].succs = append(nodes[from].succs, to)
 	nodes[to].preds = append(nodes[to].preds, from)

@@ -64,6 +64,11 @@ func BackendFactory(prog, workersAddrs, controlAddr string, fatal func(error)) f
 // with an address of any length.
 const maxControlBody = 64 << 10
 
+// maxSlots caps the capacity a worker may advertise. Placement
+// cross-multiplies slot counts, so an unbounded advertisement overflows the
+// comparison; no pool is anywhere near this size.
+const maxSlots = 1 << 12
+
 func (c *Coordinator) handleRegister(rw http.ResponseWriter, r *http.Request) {
 	c.handleControl(rw, r, func(req RegisterRequest) (int, error) { return c.Register(req.Addr, req.Slots) })
 }
@@ -73,11 +78,12 @@ func (c *Coordinator) handleDeregister(rw http.ResponseWriter, r *http.Request) 
 }
 
 // handleControl decodes a bounded RegisterRequest, applies it to the fleet
-// and answers with the fleet size.
+// and answers with the fleet size. A body without an address, or with more
+// than maxSlots slots, is a 400.
 func (c *Coordinator) handleControl(rw http.ResponseWriter, r *http.Request, apply func(RegisterRequest) (int, error)) {
 	var req RegisterRequest
 	body := http.MaxBytesReader(rw, r.Body, maxControlBody)
-	if err := json.NewDecoder(body).Decode(&req); err != nil || req.Addr == "" {
+	if err := json.NewDecoder(body).Decode(&req); err != nil || req.Addr == "" || req.Slots > maxSlots {
 		http.Error(rw, "bad control body", http.StatusBadRequest)
 		return
 	}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"sync"
 	"time"
 
@@ -28,21 +27,10 @@ type Options struct {
 	// in-memory store. Workers may keep their own journaled stores, which
 	// the coordinator pulls and merges into this one on Checkpoint.
 	Store *farm.Store
-	// MaxInFlight is the slot budget assumed for workers that did not
-	// advertise one (the statically-configured Addrs; 0 = 2). Workers that
-	// register advertise their own capacity and get a budget proportional
-	// to it.
-	MaxInFlight int
-	// PullTimeout bounds one round of worker store-delta pulls during
-	// Checkpoint and Close (0 = 2s).
-	PullTimeout time.Duration
 	// LeaseTimeout is the longest silence tolerated on a group's result
 	// stream before the lease expires and the group is requeued (0 = 15s).
 	// Workers heartbeat well under this.
 	LeaseTimeout time.Duration
-	// MaxAttempts bounds failed leases per group before the group's
-	// callers see the lease error (0 = 3).
-	MaxAttempts int
 	// Client performs the HTTP calls; nil means a dedicated client with
 	// no overall request timeout (the lease timeout bounds streams).
 	Client *http.Client
@@ -50,22 +38,30 @@ type Options struct {
 	Log io.Writer
 }
 
+const (
+	// staticSlots is the lease budget of a worker that advertised no
+	// capacity: a static address, or a registration without slots.
+	staticSlots = 2
+	// maxAttempts bounds failed leases per group before the group's callers
+	// see the lease error.
+	maxAttempts = 3
+	// pullTimeout bounds one round of worker store pulls during Checkpoint
+	// and Close.
+	pullTimeout = 2 * time.Second
+)
+
 // Coordinator is a farm.Backend whose executor is a lease scheduler over
 // remote workers: the embedded farm.Planner looks up, deduplicates, groups
 // and completes exactly as it does in front of the in-process pool, and the
 // coordinator adds only what placing a group on a worker takes — capacity-
-// weighted placement, lease expiry and requeue, and the pull of worker store
-// deltas. A group is on at most one lease at a time. Callers cannot tell it
+// weighted placement, lease expiry and requeue, and the pull of worker
+// stores. A group is on at most one lease at a time. Callers cannot tell it
 // apart from a local farm except by throughput.
 type Coordinator struct {
 	*farm.Planner
-	opts        Options
-	client      *http.Client
-	lease       time.Duration
-	maxAttempts int
-	cap         int
-
-	pull time.Duration
+	opts   Options
+	client *http.Client
+	lease  time.Duration
 
 	// mu is the dispatch lock. It is never held across a call that
 	// completes a group: completion journals, and may sleep between retries.
@@ -111,17 +107,14 @@ type workerRef struct {
 	slots    int // lease budget; registered workers advertise their capacity
 	live     bool
 	removed  bool // deregistered: no new leases, in-flight leases complete
-	// store-delta pull progress: how far into the worker's journaled store
-	// (identified by its boot ID) the coordinator has merged.
-	storeCursor int
-	storeBoot   string
 }
 
 var errClosed = errors.New("dist: coordinator closed")
 
-// New starts a coordinator over the given workers. It performs no network
-// IO — workers are contacted lazily on first dispatch, so a worker that is
-// still starting up costs a retry, not a construction failure.
+// New starts a coordinator over the given workers, each registered with
+// the static budget. It performs no network IO — workers are contacted
+// lazily on first dispatch, so a worker that is still starting up costs a
+// retry, not a construction failure.
 func New(opts Options) (*Coordinator, error) {
 	if len(opts.Addrs) == 0 && !opts.Dynamic {
 		return nil, errors.New("dist: no worker addresses")
@@ -130,8 +123,6 @@ func New(opts Options) (*Coordinator, error) {
 		opts:         opts,
 		client:       opts.Client,
 		lease:        opts.LeaseTimeout,
-		maxAttempts:  opts.MaxAttempts,
-		cap:          opts.MaxInFlight,
 		leaseCancels: map[int64]context.CancelFunc{},
 		schedDone:    make(chan struct{}),
 	}
@@ -142,23 +133,10 @@ func New(opts Options) (*Coordinator, error) {
 	if c.lease <= 0 {
 		c.lease = 15 * time.Second
 	}
-	if c.maxAttempts <= 0 {
-		c.maxAttempts = 3
-	}
-	if c.cap <= 0 {
-		c.cap = 2
-	}
-	c.pull = opts.PullTimeout
-	if c.pull <= 0 {
-		c.pull = 2 * time.Second
-	}
-	// Static addresses did not advertise a capacity; they get the uniform
-	// MaxInFlight budget, which is exactly the pre-elastic behavior.
-	for _, addr := range opts.Addrs {
-		c.workers = append(c.workers, &workerRef{addr: addr, base: baseURL(addr), live: true, slots: c.cap})
-	}
-	c.perWorker = make([]farm.WorkerStats, len(c.workers))
 	c.cond = sync.NewCond(&c.mu)
+	for _, addr := range opts.Addrs {
+		c.Register(addr, staticSlots) // fails only once closed
+	}
 	go c.scheduler()
 	return c, nil
 }
@@ -166,11 +144,11 @@ func New(opts Options) (*Coordinator, error) {
 // Register adds a worker to the fleet mid-run (or refreshes one that
 // deregistered: the address reclaims its entry and history). slots is the
 // worker's advertised capacity — its lease budget for capacity-weighted
-// placement; 0 means the coordinator's MaxInFlight default. The worker
-// starts receiving leases immediately. Returns the active fleet size.
+// placement; 0 means the static budget of two slots. The worker starts
+// receiving leases immediately. Returns the active fleet size.
 func (c *Coordinator) Register(addr string, slots int) (int, error) {
 	if slots <= 0 {
-		slots = c.cap
+		slots = staticSlots
 	}
 	c.mu.Lock()
 	if c.closed {
@@ -199,8 +177,8 @@ func (c *Coordinator) Register(addr string, slots int) (int, error) {
 }
 
 // Deregister withdraws a worker gracefully: it gets no new leases, in-flight
-// leases run to completion, and its store delta is pulled one last time in
-// the background while the process is presumably still up. (A worker that
+// leases run to completion, and its store is pulled one last time in the
+// background while the process is presumably still up. (A worker that
 // dies without deregistering is handled by lease expiry instead.) Returns
 // the active fleet size; deregistering an unknown address is a no-op.
 func (c *Coordinator) Deregister(addr string) (int, error) {
@@ -209,21 +187,23 @@ func (c *Coordinator) Deregister(addr string) (int, error) {
 		c.mu.Unlock()
 		return 0, errClosed
 	}
-	pull := false
+	var pull *workerRef
 	for _, w := range c.workers {
 		if w.addr == addr && !w.removed {
 			w.removed = true
-			pull = w.live
+			if w.live {
+				pull = w
+			}
 		}
 	}
 	n := c.fleetSizeLocked()
 	c.mu.Unlock()
 	c.logf("dist: deregistered worker %s, fleet %d", addr, n)
-	if pull {
+	if pull != nil {
 		go func() {
-			ctx, cancel := context.WithTimeout(context.Background(), c.pull)
+			ctx, cancel := context.WithTimeout(context.Background(), pullTimeout)
 			defer cancel()
-			c.pullWorker(ctx, addr)
+			c.pullWorker(ctx, pull)
 		}()
 	}
 	return n, nil
@@ -240,17 +220,17 @@ func (c *Coordinator) fleetSizeLocked() int {
 	return n
 }
 
-// PullDeltas fetches every reachable fleet member's journaled store delta
-// and merges it into the coordinator's store, last-write-wins. The merge is
-// idempotent, so a lost cursor (worker reboot, coordinator restart) only
-// costs a resend, never a wrong value. Per-worker failures are logged, not
-// returned — a dead worker must not block a checkpoint.
+// PullDeltas fetches every reachable fleet member's whole store and merges
+// it into the coordinator's store, last-write-wins. The merge skips what the
+// coordinator already holds, so a re-sent store costs traffic, never a wrong
+// value. Per-worker failures are logged, not returned — a dead worker must
+// not block a checkpoint.
 func (c *Coordinator) PullDeltas(ctx context.Context) (added, conflicts int) {
 	c.mu.Lock()
-	var addrs []string
+	var fleet []*workerRef
 	for _, w := range c.workers {
 		if !w.removed && w.live {
-			addrs = append(addrs, w.addr)
+			fleet = append(fleet, w)
 		}
 	}
 	c.mu.Unlock()
@@ -258,78 +238,55 @@ func (c *Coordinator) PullDeltas(ctx context.Context) (added, conflicts int) {
 		wg  sync.WaitGroup
 		tmu sync.Mutex
 	)
-	for _, addr := range addrs {
+	for _, w := range fleet {
 		wg.Add(1)
-		go func(addr string) {
+		go func() {
 			defer wg.Done()
-			a, cf := c.pullWorker(ctx, addr)
+			a, cf := c.pullWorker(ctx, w)
 			tmu.Lock()
 			added += a
 			conflicts += cf
 			tmu.Unlock()
-		}(addr)
+		}()
 	}
 	wg.Wait()
 	return added, conflicts
 }
 
-// pullWorker pulls one worker's store delta from the coordinator's cursor
-// and merges it. The cursor and the worker's boot ID travel with the
-// request; a worker that rebooted since the cursor was taken ignores the
-// stale cursor and resends everything (Merge skips what the coordinator
-// already holds).
-func (c *Coordinator) pullWorker(ctx context.Context, addr string) (added, conflicts int) {
-	c.mu.Lock()
-	var w *workerRef
-	for _, cand := range c.workers {
-		if cand.addr == addr {
-			w = cand
-			break
-		}
-	}
-	if w == nil {
-		c.mu.Unlock()
-		return 0, 0
-	}
-	base, cursor, boot := w.base, w.storeCursor, w.storeBoot
-	c.mu.Unlock()
-
-	u := fmt.Sprintf("%s/v1/store?cursor=%d&boot=%s", base, cursor, url.QueryEscape(boot))
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+// pullWorker fetches one worker's store and merges it. A pull that adds or
+// overwrites an entry counts as a store merge.
+func (c *Coordinator) pullWorker(ctx context.Context, w *workerRef) (added, conflicts int) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.base+"/v1/store", nil)
 	if err != nil {
-		c.logf("dist: store pull from %s: %v", addr, err)
+		c.logf("dist: store pull from %s: %v", w.addr, err)
 		return 0, 0
 	}
 	resp, err := c.client.Do(req)
 	if err != nil {
-		c.logf("dist: store pull from %s: %v", addr, err)
+		c.logf("dist: store pull from %s: %v", w.addr, err)
 		return 0, 0
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		c.logf("dist: store pull from %s: %s", addr, resp.Status)
+		c.logf("dist: store pull from %s: %s", w.addr, resp.Status)
 		return 0, 0
 	}
 	var d StoreDelta
 	if err := json.NewDecoder(resp.Body).Decode(&d); err != nil {
-		c.logf("dist: store pull from %s: %v", addr, err)
+		c.logf("dist: store pull from %s: %v", w.addr, err)
 		return 0, 0
 	}
-	if len(d.Entries) > 0 {
-		var merr error
-		added, conflicts, merr = c.Store().Merge(d.Entries)
-		if merr != nil {
-			c.logf("dist: store merge from %s: %v", addr, merr)
-			return 0, 0
-		}
+	added, conflicts, err = c.Store().Merge(d.Entries)
+	if err != nil {
+		c.logf("dist: store merge from %s: %v", w.addr, err)
+		return 0, 0
+	}
+	if added+conflicts > 0 {
 		c.Count(func() {
 			c.disp.StoreMerges++
 			c.disp.StoreMergeConflicts += int64(conflicts)
 		})
 	}
-	c.mu.Lock()
-	w.storeCursor, w.storeBoot = d.Next, d.Boot
-	c.mu.Unlock()
 	return added, conflicts
 }
 
@@ -346,12 +303,12 @@ func (c *Coordinator) logf(format string, args ...interface{}) {
 	}
 }
 
-// Checkpoint pulls every reachable worker's store delta, merges it, and
-// flushes the merged store to its durable checkpoint file — so a
-// coordinator checkpoint subsumes the fleet's partitioned caches as of that
-// instant, and coordinator state survives worker churn.
+// Checkpoint pulls every reachable worker's store, merges it, and flushes
+// the merged store to its durable checkpoint file — so a coordinator
+// checkpoint subsumes the fleet's partitioned caches as of that instant,
+// and coordinator state survives worker churn.
 func (c *Coordinator) Checkpoint() error {
-	ctx, cancel := context.WithTimeout(context.Background(), c.pull)
+	ctx, cancel := context.WithTimeout(context.Background(), pullTimeout)
 	c.PullDeltas(ctx)
 	cancel()
 	return c.Store().Checkpoint()
@@ -439,7 +396,7 @@ func (c *Coordinator) Close() error {
 	// Last chance to fold the fleet's partitioned caches into the durable
 	// checkpoint; workers already gone were marked dead by their failed
 	// leases and are skipped, so this costs at most one pull round.
-	ctx, cancel := context.WithTimeout(context.Background(), c.pull)
+	ctx, cancel := context.WithTimeout(context.Background(), pullTimeout)
 	c.PullDeltas(ctx)
 	cancel()
 	return c.Store().Close()

@@ -143,7 +143,7 @@ func (c *Coordinator) runLease(g *cgroup, w *workerRef, wi int, seq int64, ctx c
 		c.requeueLocked(g, probeDelay)
 		c.logf("dist: requeued %s group of %d after probe of suspect %s: %v",
 			g.Workload().Key(), len(g.Tasks), w.addr, err)
-	case g.attempts+1 >= c.maxAttempts:
+	case g.attempts+1 >= maxAttempts:
 		g.attempts++
 		failure = fmt.Errorf("dist: group failed after %d leases: %w", g.attempts, err)
 	default:

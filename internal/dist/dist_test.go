@@ -19,16 +19,6 @@ import (
 	"repro/internal/workloads"
 )
 
-// storeLen counts the distinct keys of s.
-func storeLen(s *farm.Store) int {
-	entries, _ := s.Since(0)
-	keys := map[string]bool{}
-	for _, e := range entries {
-		keys[e.K] = true
-	}
-	return len(keys)
-}
-
 // measureOne is MeasureBatch on one point.
 func measureOne(b farm.Backend, w workloads.Workload, p doe.Point, resp farm.Response) (float64, error) {
 	v, err := b.MeasureBatch(context.Background(), w, []doe.Point{p}, resp)
@@ -74,23 +64,26 @@ type plane struct {
 }
 
 // newPlane spins up len(wopts) workers behind httptest servers and a
-// coordinator over them. Close order matters: coordinator first (it cancels
-// leases), then servers, then worker farms.
-func newPlane(t *testing.T, wopts []WorkerOptions, copts Options) *plane {
+// coordinator over them, each worker registered with its Workers count as
+// its slots, as a real worker registers. Close order matters: coordinator
+// first (it cancels leases), then servers, then worker farms.
+func newPlane(t *testing.T, wopts []WorkerOptions) *plane {
 	t.Helper()
 	p := &plane{}
+	co, err := New(Options{Dynamic: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.co = co
 	for _, wo := range wopts {
 		w := NewWorker(wo)
 		ts := httptest.NewServer(w.Handler())
 		p.workers = append(p.workers, w)
 		p.servers = append(p.servers, ts)
-		copts.Addrs = append(copts.Addrs, ts.URL)
+		if _, err := co.Register(ts.URL, wo.Workers); err != nil {
+			t.Fatal(err)
+		}
 	}
-	co, err := New(copts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.co = co
 	t.Cleanup(func() {
 		p.co.Close()
 		for _, ts := range p.servers {
@@ -179,7 +172,6 @@ func TestDistributedMatchesInProcess(t *testing.T) {
 
 	p := newPlane(t,
 		[]WorkerOptions{{Workers: 2, Heartbeat: 20 * time.Millisecond}, {Workers: 2, Heartbeat: 20 * time.Millisecond}},
-		Options{},
 	)
 	cycDist, err := p.co.MeasureBatch(context.Background(), w, points, farm.Cycles)
 	if err != nil {
@@ -218,7 +210,6 @@ func TestGroupIsTheDispatchUnit(t *testing.T) {
 
 	p := newPlane(t,
 		[]WorkerOptions{{Workers: 2, Heartbeat: 20 * time.Millisecond}, {Workers: 2, Heartbeat: 20 * time.Millisecond}},
-		Options{},
 	)
 	if _, err := p.co.MeasureBatch(context.Background(), w, points, farm.Cycles); err != nil {
 		t.Fatal(err)
@@ -251,7 +242,6 @@ func TestCoalescingAndStoreHits(t *testing.T) {
 	var execs atomic.Int64
 	p := newPlane(t,
 		[]WorkerOptions{{Workers: 2, Measure: stubMeasure(&execs, 30*time.Millisecond), Heartbeat: 10 * time.Millisecond}},
-		Options{},
 	)
 	w := workloads.MustGet("179.art", workloads.Train)
 	pt := randomPoints(1, 1)[0]
@@ -361,7 +351,6 @@ func TestStatsConsistentUnderLoad(t *testing.T) {
 			{Workers: 4, Measure: stubMeasure(nil, 0), Heartbeat: 10 * time.Millisecond},
 			{Workers: 4, Measure: stubMeasure(nil, 0), Heartbeat: 10 * time.Millisecond},
 		},
-		Options{MaxInFlight: 4},
 	)
 
 	stop := make(chan struct{})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -157,6 +158,78 @@ func TestControlBodiesAreBounded(t *testing.T) {
 	}
 }
 
+// TestRegisterRefusesSlotsAboveCap pins the slot bound: placement
+// cross-multiplies slot counts, so a registration advertising more than
+// maxSlots is a 400 that leaves the fleet as it was, and one at the cap
+// joins.
+func TestRegisterRefusesSlotsAboveCap(t *testing.T) {
+	co, err := New(Options{Dynamic: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	control := httptest.NewServer(co.Handler())
+	defer control.Close()
+	register := func(slots int) int {
+		t.Helper()
+		body := fmt.Sprintf(`{"addr":"127.0.0.1:1","slots":%d}`, slots)
+		resp, err := http.Post(control.URL+"/v1/register", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, slots := range []int{maxSlots + 1, 1 << 62} {
+		if code := register(slots); code != http.StatusBadRequest {
+			t.Errorf("register with %d slots: %d, want 400", slots, code)
+		}
+	}
+	if st := co.Stats(); len(st.PerWorker) != 0 {
+		t.Fatalf("an over-cap registration joined the fleet: %+v", st.PerWorker)
+	}
+	if code := register(maxSlots); code != http.StatusOK {
+		t.Fatalf("register with %d slots: %d, want 200", maxSlots, code)
+	}
+	if st := co.Stats(); len(st.PerWorker) != 1 || st.PerWorker[0].Slots != maxSlots {
+		t.Fatalf("fleet after a registration at the cap: %+v", st.PerWorker)
+	}
+}
+
+// TestEmptyStaticFleetIsRefused pins the construction rule: with no worker
+// address and no control address there is nothing to lease to, so New fails,
+// and BackendFactory hands the failure to its fatal hook — also when
+// -workers-addrs holds only separators.
+func TestEmptyStaticFleetIsRefused(t *testing.T) {
+	if co, err := New(Options{}); err == nil {
+		co.Close()
+		t.Fatal("New(Options{}) built a coordinator with no workers")
+	}
+	var fatal error
+	build := BackendFactory("test", ",", "", func(err error) { fatal = err })
+	if build == nil {
+		t.Fatal(`BackendFactory with -workers-addrs "," returned no factory`)
+	}
+	build(farm.Options{})
+	if fatal == nil {
+		t.Fatal(`a factory over -workers-addrs "," did not reach fatal`)
+	}
+}
+
+// TestDuplicateStaticAddressIsOneWorker pins one membership path: static
+// addresses join through Register, so an address listed twice reclaims its
+// entry like a worker registering twice, instead of doubling its slots.
+func TestDuplicateStaticAddressIsOneWorker(t *testing.T) {
+	co, err := New(Options{Addrs: []string{"127.0.0.1:1", "127.0.0.1:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	if st := co.Stats(); len(st.PerWorker) != 1 || st.PerWorker[0].Slots != staticSlots {
+		t.Fatalf("a twice-listed address: %+v, want one worker of %d slots", st.PerWorker, staticSlots)
+	}
+}
+
 // TestCapacityWeightedDispatch pins the placement policy: with one 1-slot
 // and one 3-slot worker and service time pinned equal, the big worker must
 // carry roughly three times the jobs — uniform caps would split them evenly.
@@ -306,8 +379,9 @@ func TestWarmWorkerStoreSurvivesCoordinatorRestart(t *testing.T) {
 
 // TestCheckpointMergesWorkerDeltas pins the pull/merge path: a coordinator
 // that never dispatched anything inherits a worker's journaled measurements
-// through Checkpoint, serves them as cache hits, and re-merging (fresh
-// coordinator, lost cursor) is a conflict-free no-op.
+// through Checkpoint, serves them as cache hits, and re-merging the same
+// store (a second checkpoint, or a fresh coordinator) is a conflict-free
+// no-op.
 func TestCheckpointMergesWorkerDeltas(t *testing.T) {
 	dir := t.TempDir()
 	wk := NewWorker(WorkerOptions{Workers: 2, Measure: stubMeasure(nil, 0), Heartbeat: 10 * time.Millisecond})
@@ -332,7 +406,7 @@ func TestCheckpointMergesWorkerDeltas(t *testing.T) {
 	}
 
 	// A second coordinator with a durable store of its own measures nothing:
-	// one checkpoint pulls the worker's whole delta.
+	// one checkpoint pulls the worker's whole store.
 	openStore := func() *farm.Store {
 		st, err := farm.Open(filepath.Join(dir, "coordinator.json"), nil)
 		if err != nil {
@@ -354,7 +428,7 @@ func TestCheckpointMergesWorkerDeltas(t *testing.T) {
 	if st.StoreMergeConflicts != 0 {
 		t.Fatalf("identical values counted as conflicts: %d", st.StoreMergeConflicts)
 	}
-	if n := storeLen(co2.Store()); n != 2*len(points) {
+	if n := len(co2.Store().Entries()); n != 2*len(points) {
 		t.Fatalf("merged store has %d entries, want %d (cycles+energy per point)", n, 2*len(points))
 	}
 	got, err := co2.MeasureBatch(context.Background(), w, points, farm.Cycles)
@@ -370,27 +444,28 @@ func TestCheckpointMergesWorkerDeltas(t *testing.T) {
 	if st.GroupsDispatched != 0 || st.CacheHits != int64(len(points)) {
 		t.Fatalf("merged sweep went to the wire: dispatched=%d hits=%d", st.GroupsDispatched, st.CacheHits)
 	}
-	// The cursor advanced: a second checkpoint pulls an empty delta.
+	// A second checkpoint pulls the same store again; nothing in it is new,
+	// so it is not a merge.
 	merges := st.StoreMerges
 	if err := co2.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if st = co2.Stats(); st.StoreMerges != merges {
-		t.Fatalf("empty delta counted as a merge: %d -> %d", merges, st.StoreMerges)
+		t.Fatalf("an unchanged store counted as a merge: %d -> %d", merges, st.StoreMerges)
 	}
 	if err := co2.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Coordinator restart after the merge: journal replay restores every
-	// merged entry, and the forced full re-pull (lost cursor) changes
-	// nothing — idempotence across restarts.
+	// merged entry, and pulling the worker's store again changes nothing —
+	// idempotence across restarts.
 	co3, err := New(Options{Addrs: []string{ts.URL}, Store: openStore()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer co3.Close()
-	if n := storeLen(co3.Store()); n != 2*len(points) {
+	if n := len(co3.Store().Entries()); n != 2*len(points) {
 		t.Fatalf("restart lost merged entries: %d, want %d", n, 2*len(points))
 	}
 	if err := co3.Checkpoint(); err != nil {
@@ -400,7 +475,7 @@ func TestCheckpointMergesWorkerDeltas(t *testing.T) {
 	if st.StoreMergeConflicts != 0 {
 		t.Fatalf("re-merge after restart produced conflicts: %d", st.StoreMergeConflicts)
 	}
-	if n := storeLen(co3.Store()); n != 2*len(points) {
+	if n := len(co3.Store().Entries()); n != 2*len(points) {
 		t.Fatalf("re-merge changed the store: %d entries, want %d", n, 2*len(points))
 	}
 }
@@ -420,7 +495,7 @@ func TestWorkerKillLosesNothingJournaled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co, err := New(Options{Addrs: []string{ts.URL}, Store: st, PullTimeout: 200 * time.Millisecond})
+	co, err := New(Options{Addrs: []string{ts.URL}, Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}

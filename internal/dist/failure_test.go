@@ -98,7 +98,6 @@ func TestSlowGroupKeepsOneLease(t *testing.T) {
 			{Workers: 1, Measure: stubMeasure(&execs[0], 2500*time.Millisecond), Heartbeat: 10 * time.Millisecond},
 			{Workers: 1, Measure: stubMeasure(&execs[1], 2500*time.Millisecond), Heartbeat: 10 * time.Millisecond},
 		},
-		Options{},
 	)
 	w := workloads.MustGet("179.art", workloads.Train)
 	pt := randomPoints(1, 26)[0]
@@ -299,7 +298,7 @@ func (l *lockedLog) String() string {
 }
 
 // TestAllWorkersDeadExhaustsAttempts bounds the retry loop: with every
-// worker silent, a group fails to its callers after MaxAttempts leases
+// worker silent, a group fails to its callers after maxAttempts (3) leases
 // instead of spinning forever.
 func TestAllWorkersDeadExhaustsAttempts(t *testing.T) {
 	d1 := httptest.NewServer(deadWorker())
@@ -310,7 +309,6 @@ func TestAllWorkersDeadExhaustsAttempts(t *testing.T) {
 	co, err := New(Options{
 		Addrs:        []string{d1.URL, d2.URL},
 		LeaseTimeout: 100 * time.Millisecond,
-		MaxAttempts:  2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -322,12 +320,12 @@ func TestAllWorkersDeadExhaustsAttempts(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected failure with every worker dead")
 	}
-	if !strings.Contains(err.Error(), "after 2 leases") {
+	if !strings.Contains(err.Error(), "after 3 leases") {
 		t.Fatalf("error %q does not mention the exhausted lease budget", err)
 	}
 	st := co.Stats()
-	if st.GroupsDispatched != 2 || st.GroupsRequeued != 1 {
-		t.Fatalf("dispatched=%d requeued=%d, want 2/1", st.GroupsDispatched, st.GroupsRequeued)
+	if st.GroupsDispatched != 3 || st.GroupsRequeued != 2 {
+		t.Fatalf("dispatched=%d requeued=%d, want 3/2", st.GroupsDispatched, st.GroupsRequeued)
 	}
 	if st.Failures != 1 {
 		t.Fatalf("failures = %d, want 1", st.Failures)
@@ -351,15 +349,17 @@ func TestSuspectWorkerDoesNotBurnAttempts(t *testing.T) {
 	defer liveTS.Close()
 	defer live.Close()
 
-	co, err := New(Options{
-		Addrs:       []string{goneURL, liveTS.URL},
-		MaxInFlight: 1, // keeps the live worker saturated, exposing the dead one
-		MaxAttempts: 2,
-	})
+	co, err := New(Options{Dynamic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer co.Close()
+	// One slot each keeps the live worker saturated, exposing the dead one.
+	for _, addr := range []string{goneURL, liveTS.URL} {
+		if _, err := co.Register(addr, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	w := workloads.MustGet("179.art", workloads.Train)
 	points := randomPoints(5, 28) // five groups, only one live lease slot
@@ -424,7 +424,6 @@ func TestDrainWaitsThenRequeues(t *testing.T) {
 	t.Run("in-flight lease finishes", func(t *testing.T) {
 		p := newPlane(t,
 			[]WorkerOptions{{Workers: 1, Measure: stubMeasure(nil, 100*time.Millisecond), Heartbeat: 10 * time.Millisecond}},
-			Options{},
 		)
 		w := workloads.MustGet("179.art", workloads.Train)
 		points := sweepPoints(1, 2) // one group, one lease
@@ -466,7 +465,6 @@ func TestDrainWaitsThenRequeues(t *testing.T) {
 					return farm.Result{}, ctx.Err()
 				},
 			}},
-			Options{},
 		)
 		w := workloads.MustGet("179.art", workloads.Train)
 		done := make(chan error, 1)

@@ -8,7 +8,7 @@
 // recompile per shard). Workers wrap a local
 // farm over an optionally journaled worker-local store: a worker that
 // already measured a group answers from its own cache with zero
-// simulations, and the coordinator pulls each worker's store delta on
+// simulations, and the coordinator pulls each worker's whole store on
 // checkpoint and merges it (idempotent, last-write-wins) into its own
 // durable store — worker-local caches survive coordinator restarts and
 // coordinator state survives worker churn. Results still journal through
@@ -122,15 +122,9 @@ type WorkerInfo struct {
 	Removed  bool   `json:"removed,omitempty"`
 }
 
-// StoreDelta is a worker's answer to GET /v1/store?cursor=N: every entry its
-// journaled store recorded after the cursor, plus the next cursor and the
-// worker's boot identity. Cursors are positions in the worker store's
-// arrival order and are only comparable within one boot — a coordinator
-// holding a cursor from a previous boot re-pulls from zero (merge is
-// idempotent, so the re-pull is just traffic).
+// StoreDelta is a worker's answer to GET /v1/store: every entry its store
+// holds, in no particular order.
 type StoreDelta struct {
-	Boot    string    `json:"boot"`
-	Next    int       `json:"next"`
 	Entries []farm.KV `json:"entries"`
 }
 

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -51,10 +49,9 @@ var jointVars = doe.JointSpace().NumVars()
 // work (which the coordinator requeues on lease expiry) — but each worker
 // keeps its own partition of the measurement store: results it computed,
 // journaled locally, served back instantly on repeat leases and shipped to
-// the coordinator as deltas via GET /v1/store.
+// the coordinator whole via GET /v1/store.
 type Worker struct {
 	farm *farm.Farm
-	boot string // identifies this process lifetime; store cursors are scoped to it
 	hb   time.Duration
 	log  io.Writer
 	mux  *http.ServeMux
@@ -72,7 +69,6 @@ func NewWorker(opts WorkerOptions) *Worker {
 			Store:   opts.Store,
 			Log:     opts.Log,
 		}),
-		boot:  fmt.Sprintf("%d-%d", os.Getpid(), time.Now().UnixNano()),
 		hb:    opts.Heartbeat,
 		log:   opts.Log,
 		start: time.Now(),
@@ -202,19 +198,11 @@ func (w *Worker) handleGroup(rw http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleStore ships the worker's store delta: everything recorded after the
-// caller's cursor, or everything the store holds when the cursor belongs to
-// a different boot of this worker (cursors index the store's arrival order,
-// which does not survive a restart). Re-sending is safe — the coordinator's
-// merge skips entries it already holds.
+// handleStore ships the worker's whole store. The coordinator's merge skips
+// what it already holds, so a repeated pull costs traffic only.
 func (w *Worker) handleStore(rw http.ResponseWriter, r *http.Request) {
-	cursor, _ := strconv.Atoi(r.URL.Query().Get("cursor"))
-	if r.URL.Query().Get("boot") != w.boot {
-		cursor = 0
-	}
-	entries, next := w.farm.Store().Since(cursor)
 	rw.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(rw).Encode(StoreDelta{Boot: w.boot, Next: next, Entries: entries})
+	json.NewEncoder(rw).Encode(StoreDelta{Entries: w.farm.Store().Entries()})
 }
 
 func (w *Worker) handleHealthz(rw http.ResponseWriter, r *http.Request) {

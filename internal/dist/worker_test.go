@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/doe"
+	"repro/internal/farm"
 	"repro/internal/sim"
 )
 
@@ -104,7 +106,9 @@ func TestWorkerRejectsMalformedGroup(t *testing.T) {
 // simulator the second before it allocates. Each point streams an error
 // line, the stream ends with done, and the same worker then measures a
 // valid group. Without the caps, far larger values exhaust the process's
-// memory; these two are the cheapest that cross them.
+// memory; these two are the cheapest that cross them. A valid point leased in
+// one group with the over-cap one shares its binary but not its failure: it
+// streams the cycles of its lone run.
 func TestWorkerFailsPointsAboveCaps(t *testing.T) {
 	w := NewWorker(WorkerOptions{Workers: 1, Heartbeat: 20 * time.Millisecond})
 	ts := httptest.NewServer(w.Handler())
@@ -155,7 +159,25 @@ func TestWorkerFailsPointsAboveCaps(t *testing.T) {
 		t.Errorf("no line for points %v", want)
 	}
 
-	valid := lines(doe.JoinPoint(doe.FromOptions(compiler.O2()), doe.FromConfig(sim.DefaultConfig())))
+	validPt := doe.JoinPoint(doe.FromOptions(compiler.O2()), doe.FromConfig(sim.DefaultConfig()))
+	alone, err := farm.Executor(0)(context.Background(), farm.Job{Workload: distTestWorkload(), Point: validPt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed := lines(validPt, doe.JoinPoint(doe.FromOptions(compiler.O2()), doe.FromConfig(bigL1)))
+	if len(mixed) != 2 {
+		t.Fatalf("mixed group streamed %d result lines, want 2", len(mixed))
+	}
+	for _, gl := range mixed {
+		switch {
+		case gl.Index == 0 && (gl.Error != "" || gl.Cycles != alone.Cycles):
+			t.Errorf("valid point beside an over-cap one streamed %+v, want %v cycles", gl, alone.Cycles)
+		case gl.Index == 1 && !strings.Contains(gl.Error, "cache sizes"):
+			t.Errorf("over-cap point streamed %+v, want an error naming the cache sizes", gl)
+		}
+	}
+
+	valid := lines(validPt)
 	if len(valid) != 1 || valid[0].Error != "" || valid[0].Cycles <= 0 {
 		t.Errorf("valid group after the capped one streamed %+v", valid)
 	}
@@ -167,8 +189,9 @@ func TestWorkerFailsPointsAboveCaps(t *testing.T) {
 // planner. The seed corpus under testdata/fuzz/FuzzGroupRequest names the
 // cases that matter — a valid group, a short point, a 26-value point, a value
 // outside the modelled range (measured: ranges are the coordinator's
-// business), values above the hard caps, empty points, not JSON, source that
-// does not parse — and runs on every plain `go test`.
+// business), values above the hard caps, a valid point sharing its binary
+// with an over-cap one, empty points, not JSON, source that does not parse —
+// and runs on every plain `go test`.
 // TestWorkerRejectsMalformedGroup and TestWorkerFailsPointsAboveCaps hold the
 // last and the caps against the real executor, which the stub here never
 // reaches.

@@ -187,7 +187,7 @@ func TestFailedJobDoesNotPoisonKey(t *testing.T) {
 	if st := h.FarmStats(); st.Failures != 1 {
 		t.Fatalf("failure not counted: %+v", st)
 	}
-	if e, _ := h.Farm().Store().Since(0); len(e) != 0 {
+	if e := h.Farm().Store().Entries(); len(e) != 0 {
 		t.Fatalf("failed job left %d entries in the store", len(e))
 	}
 

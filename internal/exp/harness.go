@@ -202,7 +202,7 @@ func (h *Harness) AtScale(sc Scale) *Harness {
 		h.logf("cache %s unreadable (scale %s starts cold): %v", b.cachePath(), sc.Name, err)
 		return b
 	}
-	entries, _ := old.Since(0)
+	entries := old.Entries()
 	added, _, err := b.farm.Store().Merge(entries)
 	if cerr := old.Close(); err == nil {
 		err = cerr

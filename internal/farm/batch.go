@@ -6,6 +6,7 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/doe"
 	"repro/internal/isa"
+	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
@@ -57,11 +58,10 @@ func (f *Farm) compileCached(w workloads.Workload, p doe.Point) (*isa.Program, s
 }
 
 // simulateGroup is the farm's default executor for one group, a lone task
-// being a group of one: compile once through the binary cache, then
-// sim.SimulateMany over the points' configurations (which runs a lone
-// configuration's sim.Simulate inline). Errors fan out to every member,
-// typed as Executor types them (CompileError, SimError with its Budget
-// flag).
+// being a group of one: compile once through the binary cache, then one
+// sim.Simulate per point over par.For. A compile error fails every member;
+// a simulation error fails its own point only. Errors are typed as Executor
+// types them (CompileError, SimError with its Budget flag).
 func (f *Farm) simulateGroup(g *Group, results []Result, errs []error) {
 	f.Count(func() { f.dispatched++ })
 	fail := func(err error) {
@@ -82,20 +82,12 @@ func (f *Farm) simulateGroup(g *Group, results []Result, errs []error) {
 		fail(cerr)
 		return
 	}
-	cfgs := make([]sim.Config, len(g.Tasks))
-	for i, t := range g.Tasks {
-		cfgs[i] = doe.ToConfig(t.Job.Point)
-	}
-	stats, serr := sim.SimulateMany(prog, cfgs, f.maxInstrs)
-	if serr != nil {
-		fail(&SimError{Workload: g.Workload().Key(), Budget: sim.IsBudget(serr), Err: serr})
-		return
-	}
-	for i, st := range stats {
-		results[i] = Result{
-			Cycles:       float64(st.Cycles),
-			Energy:       st.Energy,
-			Instructions: st.Instructions,
+	par.For(len(g.Tasks), 0, func(i int) {
+		st, serr := sim.Simulate(prog, doe.ToConfig(g.Tasks[i].Job.Point), f.maxInstrs)
+		if serr != nil {
+			errs[i] = &SimError{Workload: g.Workload().Key(), Budget: sim.IsBudget(serr), Err: serr}
+			return
 		}
-	}
+		results[i] = Result{Cycles: float64(st.Cycles), Energy: st.Energy, Instructions: st.Instructions}
+	})
 }

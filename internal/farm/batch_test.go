@@ -271,6 +271,41 @@ func TestGroupCompileFailureNoPoison(t *testing.T) {
 	}
 }
 
+// TestOverCapPointFailsAlone puts a valid point and one whose L1D is above
+// sim.Config.Validate's cap in one shared-binary group: the bad point fails
+// with the cap error as its own SimError, and the valid one reads the cycles
+// and energy of its lone run, bit for bit.
+func TestOverCapPointFailsAlone(t *testing.T) {
+	w := tinyWorkload()
+	valid := jointPoint(compiler.O2(), sim.DefaultConfig())
+	bigL1 := sim.DefaultConfig()
+	bigL1.DCacheKB = 1<<16 + 1
+	want, err := Executor(0)(context.Background(), Job{Workload: w, Point: valid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := New(Options{Workers: 1})
+	defer f.Close()
+	res, errs := f.DoJobs(context.Background(), []Job{
+		{Workload: w, Point: valid},
+		{Workload: w, Point: jointPoint(compiler.O2(), bigL1)},
+	})
+	if errs[0] != nil {
+		t.Fatalf("the valid point failed with its group: %v", errs[0])
+	}
+	if math.Float64bits(res[0].Cycles) != math.Float64bits(want.Cycles) ||
+		math.Float64bits(res[0].Energy) != math.Float64bits(want.Energy) {
+		t.Errorf("valid point %+v in the group, %+v alone", res[0], want)
+	}
+	var se *SimError
+	if !errors.As(errs[1], &se) || !strings.Contains(errs[1].Error(), "cache sizes") {
+		t.Errorf("over-cap point: %v, want a SimError naming the cache sizes", errs[1])
+	}
+	if st := f.Stats(); st.BinaryGroups != 1 || st.SimsExecuted != 1 || st.Failures != 1 {
+		t.Errorf("groups=%d sims=%d failures=%d, want 1/1/1", st.BinaryGroups, st.SimsExecuted, st.Failures)
+	}
+}
+
 // TestCallersShareOneGroup is the sharing every caller of the planner gets:
 // seven callers, one point each on one binary, arrive while the farm's only
 // worker is held inside another compile. Their tasks meet in one open group,

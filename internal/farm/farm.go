@@ -46,9 +46,8 @@ type Options struct {
 	Store *Store
 	// Measure executes jobs; nil means the farm's own executor — compiles
 	// served by the shared binary cache, and points that share a binary
-	// compiled once and simulated together by one sim.SimulateMany call, one
-	// sim.Simulate per point. A non-nil Measure owns the whole pipeline and
-	// turns grouping off.
+	// compiled once, then one sim.Simulate per point. A non-nil Measure owns
+	// the whole pipeline and turns grouping off.
 	Measure MeasureFunc
 	// MaxInstrs is the per-simulation instruction budget for the default
 	// executor (0 = 500M).
@@ -168,12 +167,20 @@ func (f *Farm) run(g *Group) {
 	default:
 		results[0], errs[0] = f.measure(g.Ctx, g.Tasks[0].Job)
 	}
-	// A shared group fails as a whole, so its first error speaks for it.
-	if err := errs[0]; err != nil {
-		if IsBudget(err) {
+	// One line per failure: a compile error that failed the whole group is
+	// one error shared by its points, a simulation error each point's own.
+	for i := 0; i < len(errs); {
+		err, n := errs[i], 1
+		for i+n < len(errs) && errs[i+n] == err {
+			n++
+		}
+		i += n
+		switch {
+		case err == nil:
+		case IsBudget(err):
 			f.logf("farm: %s: %v", g.Workload().Key(), err)
-		} else {
-			f.logf("farm: %s: permanent failure (%d points): %v", g.Workload().Key(), len(g.Tasks), err)
+		default:
+			f.logf("farm: %s: permanent failure (%d points): %v", g.Workload().Key(), n, err)
 		}
 	}
 	f.Complete(g, results, errs)

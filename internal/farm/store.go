@@ -25,15 +25,14 @@ type Store struct {
 	path    string // checkpoint path; "" means memory-only
 	journal *os.File
 	m       map[string]float64
-	order   []string // keys in arrival order, the Since cursor space
-	pending int      // journal entries not yet folded into the checkpoint
+	pending int // journal entries not yet folded into the checkpoint
 	log     io.Writer
 }
 
 // KV is one stored measurement on the wire and in the journal: the
-// measurement key and its value. It is the unit of Put, Since and Merge, so
-// the distributed plane can ship store deltas between processes in exactly
-// the representation the journal persists.
+// measurement key and its value. It is the unit of Put, Entries and Merge,
+// so the distributed plane can ship stores between processes in exactly the
+// representation the journal persists.
 type KV struct {
 	K string  `json:"k"`
 	V float64 `json:"v"`
@@ -63,14 +62,6 @@ func Open(path string, logTo io.Writer) (*Store, error) {
 		}
 	} else if !os.IsNotExist(err) {
 		return nil, err
-	}
-	// Loaded entries enter the Since cursor space too, so a reopened store
-	// can ship its whole contents as one delta from cursor 0. Map iteration
-	// order is arbitrary, which is why cursors are only meaningful within one
-	// store lifetime (Boot below).
-	s.order = make([]string, 0, len(s.m))
-	for k := range s.m {
-		s.order = append(s.order, k)
 	}
 	valid, size, err := s.replayJournal()
 	if err != nil {
@@ -129,7 +120,6 @@ func (s *Store) replayJournal() (valid []byte, size int, err error) {
 				break
 			}
 			s.m[e.K] = e.V
-			s.order = append(s.order, e.K)
 			replayed++
 		}
 		good = min(good+len(line)+1, len(data))
@@ -171,7 +161,6 @@ func (s *Store) Put(entries ...KV) error {
 func (s *Store) putLocked(entries []KV) error {
 	for _, e := range entries {
 		s.m[e.K] = e.V
-		s.order = append(s.order, e.K)
 	}
 	if s.journal == nil {
 		return nil
@@ -194,26 +183,16 @@ func (s *Store) putLocked(entries []KV) error {
 	return nil
 }
 
-// Since returns the entries recorded after cursor (a value previously
-// returned as next, or 0 for everything) along with the new cursor. Cursors
-// are positions in this store's arrival order and are only meaningful within
-// one store lifetime — callers pairing Since with a remote store must reset
-// to 0 when the remote's boot identity changes. Values are read at call
-// time, so an entry overwritten since it was recorded ships its latest
-// value (merge is last-write-wins anyway).
-func (s *Store) Since(cursor int) (entries []KV, next int) {
+// Entries returns every stored measurement, in no particular order: Merge's
+// outcome does not depend on the order it is given.
+func (s *Store) Entries() []KV {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if cursor < 0 {
-		cursor = 0
+	entries := make([]KV, 0, len(s.m))
+	for k, v := range s.m {
+		entries = append(entries, KV{K: k, V: v})
 	}
-	if cursor > len(s.order) {
-		cursor = 0 // stale cursor from another lifetime: resend everything
-	}
-	for _, k := range s.order[cursor:] {
-		entries = append(entries, KV{K: k, V: s.m[k]})
-	}
-	return entries, len(s.order)
+	return entries
 }
 
 // Merge folds a delta from another store into this one, last-write-wins:
@@ -246,17 +225,6 @@ func (s *Store) Merge(entries []KV) (added, conflicts int, err error) {
 
 // Entry builds a journal entry; exported so callers can batch Put calls.
 func Entry(key string, v float64) KV { return KV{K: key, V: v} }
-
-// snapshot returns a copy of the store contents.
-func (s *Store) snapshot() map[string]float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]float64, len(s.m))
-	for k, v := range s.m {
-		out[k] = v
-	}
-	return out
-}
 
 // Checkpoint folds the journal into the checkpoint file: the full map is
 // written to a temp file, synced, atomically renamed over the checkpoint,

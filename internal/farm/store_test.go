@@ -25,6 +25,13 @@ func (s *Store) Len() int {
 	return len(s.m)
 }
 
+// snapshot returns a copy of the store contents.
+func (s *Store) snapshot() map[string]float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return maps.Clone(s.m)
+}
+
 func TestStoreCheckpointRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "measurements-test.json")
 	s, err := Open(path, nil)
@@ -376,35 +383,6 @@ func TestCheckpointCrashBeforeRenameRecovers(t *testing.T) {
 	}
 }
 
-func TestStoreSinceCursor(t *testing.T) {
-	s := MemStore()
-	if err := s.Put(Entry("a", 1), Entry("b", 2)); err != nil {
-		t.Fatal(err)
-	}
-	all, next := s.Since(0)
-	if len(all) != 2 || next != 2 {
-		t.Fatalf("Since(0) = %v, next %d; want 2 entries, next 2", all, next)
-	}
-	if err := s.Put(Entry("c", 3)); err != nil {
-		t.Fatal(err)
-	}
-	delta, next2 := s.Since(next)
-	if len(delta) != 1 || delta[0].K != "c" || delta[0].V != 3 || next2 != 3 {
-		t.Fatalf("Since(%d) = %v, next %d; want just c, next 3", next, delta, next2)
-	}
-	if empty, _ := s.Since(next2); len(empty) != 0 {
-		t.Fatalf("Since at head returned %v", empty)
-	}
-	// Out-of-range cursors (negative, or from another store lifetime with a
-	// longer order) fall back to a full resend — safe because Merge skips
-	// entries the receiver already holds.
-	for _, cur := range []int{-1, next2 + 10} {
-		if got, _ := s.Since(cur); len(got) != 3 {
-			t.Fatalf("Since(%d) = %d entries, want full resend of 3", cur, len(got))
-		}
-	}
-}
-
 func TestStoreMergeIdempotentAndLastWriteWins(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "merged.json")
 	dst, err := Open(path, nil)
@@ -462,7 +440,9 @@ func TestStoreMergeIdempotentAndLastWriteWins(t *testing.T) {
 	}
 }
 
-func TestStoreSinceMergeShipsWholeStore(t *testing.T) {
+// TestStoreEntriesMergeShipsWholeStore ships a reopened store's entries,
+// checkpoint and journal alike, into an empty store through Merge.
+func TestStoreEntriesMergeShipsWholeStore(t *testing.T) {
 	// The worker-side flow: a store reopened from checkpoint+journal ships
 	// its entire contents from cursor 0, and a fresh receiver reconstructs it
 	// exactly.
@@ -483,7 +463,7 @@ func TestStoreSinceMergeShipsWholeStore(t *testing.T) {
 	}
 	defer src.Close()
 
-	delta, _ := src.Since(0)
+	delta := src.Entries()
 	dst := MemStore()
 	if added, conflicts, err := dst.Merge(delta); err != nil || added != 2 || conflicts != 0 {
 		t.Fatalf("merge of reopened store: added=%d conflicts=%d err=%v", added, conflicts, err)
@@ -557,7 +537,6 @@ func FuzzJournalReplay(f *testing.F) {
 				want[k] = f
 			}
 		}
-		nCkpt := len(want)
 		var lines []KV
 		for _, line := range bytes.Split(journal, []byte{'\n'}) {
 			if len(line) == 0 {
@@ -580,13 +559,8 @@ func FuzzJournalReplay(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
-		if got := s.order[nCkpt:]; len(got) != len(lines) {
-			t.Fatalf("recovered %d journal entries, want the %d leading valid lines", len(got), len(lines))
-		}
-		for i, e := range lines {
-			if s.order[nCkpt+i] != e.K {
-				t.Fatalf("journal entry %d: key %q, want %q", i, s.order[nCkpt+i], e.K)
-			}
+		if s.pending != len(lines) {
+			t.Fatalf("recovered %d journal entries, want the %d leading valid lines", s.pending, len(lines))
 		}
 		if !maps.Equal(s.m, want) {
 			t.Fatalf("recovered %v, want %v", s.m, want)
