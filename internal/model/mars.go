@@ -109,7 +109,7 @@ func FitMARS(data *Dataset, opt MARSOptions) (*MARSModel, error) {
 		return nil, fmt.Errorf("model: mars fit: %w", err)
 	}
 	opt = opt.withDefaults(data.Dim(), data.Len())
-	bases, cols, _ := marsForward(data, opt, marsCacheBytes, nil)
+	bases, cols, _ := marsForward(data, opt, marsCacheBytes)
 	return marsBackward(data, opt, bases, cols)
 }
 
@@ -127,15 +127,15 @@ const marsCacheBytes = 64 << 20
 // so it is neither stored, deflated nor scored; a candidate whose columns are
 // both zero scores 0, can never win, and is not listed at all.
 // o holds its nonzero hinge columns (the first, then the second when both
-// are) orthogonalised against q[:nq], nq being its scoring unit's, and left
-// un-normalised, so that a later step continues the same Gram–Schmidt over
-// q[nq:]. o is nil for a candidate past the cache bound, which starts over
-// from its raw pair every time.
+// are) orthogonalised against q[:nq] and left un-normalised, so that a later
+// step continues the same Gram–Schmidt over q[nq:]. o is nil for a candidate
+// past the cache bound, which starts over from its raw pair every time.
 type marsCand struct {
 	parent, v int
 	t         float64
 	z1, z2    bool
 	o         []float64
+	nq        int
 }
 
 // marsState is what candidate scoring reads of the forward pass: the data by
@@ -159,13 +159,13 @@ func (s *marsState) hinge(c1, c2 []float64, parent, v int, t float64) (z1, z2 bo
 // only — q[:nq] is already out of it, by the operations a projection from
 // scratch performs in the same order, so the gain has the same bits. The
 // loops below fuse sums that linalg.Dot and linalg.Norm2 would take one at a
-// time; each keeps its own accumulator and index order. w is 4·n values of
+// time; each keeps its own accumulator and index order. w is 3·n values of
 // scratch the caller owns.
 func (c *marsCand) score(s *marsState, nq int, w []float64) float64 {
 	n := len(s.r)
 	o := c.o
 	if o == nil {
-		o, nq = w[2*n:], 0
+		o, nq = w[n:], 0
 		s.hinge(o[:n], o[n:], c.parent, c.v, c.t)
 	}
 	var o1, o2 []float64
@@ -227,8 +227,6 @@ type marsWork struct {
 	arena          []float64
 	xs, raw, gains []float64
 	scratch        []float64
-	units          []laneGroup
-	round          []int32
 }
 
 var marsWorkPool = sync.Pool{New: func() any { return new(marsWork) }}
@@ -258,10 +256,8 @@ func reuse[T any](buf []T, m int) []T {
 // marsForward is the greedy forward pass: it returns the bases, their
 // columns over the data and the candidates it scored, caching up to budget
 // bytes of them (marsCacheBytes outside tests). The candidates' cached
-// columns live in pooled memory that the next fit may overwrite. onStep,
-// when not nil, sees every step's state, candidates and scoring units just
-// before they are scored.
-func marsForward(data *Dataset, opt MARSOptions, budget int, onStep func(*marsState, []marsCand, []laneGroup)) ([]Basis, [][]float64, []marsCand) {
+// columns live in pooled memory that the next fit may overwrite.
+func marsForward(data *Dataset, opt MARSOptions, budget int) ([]Basis, [][]float64, []marsCand) {
 	n, dim := data.Len(), data.Dim()
 	wk := marsWorkPool.Get().(*marsWork)
 	defer marsWorkPool.Put(wk)
@@ -313,7 +309,7 @@ func marsForward(data *Dataset, opt MARSOptions, budget int, onStep func(*marsSt
 		perParent += len(ks)
 	}
 	workers := par.Workers(opt.Workers)
-	wk.scratch = reuse(wk.scratch, workers*4*n)
+	wk.scratch = reuse(wk.scratch, workers*3*n)
 	wk.raw = reuse(wk.raw, 2*n)
 	raw := wk.raw
 
@@ -321,11 +317,7 @@ func marsForward(data *Dataset, opt MARSOptions, budget int, onStep func(*marsSt
 	// candidate never leaves, and new parents join bases at the end, so
 	// appending their candidates keeps the list in the serial scan order the
 	// winner selection below relies on. bases[:listed] have theirs in it.
-	// The scoring units are append-only too: a parent's candidates join
-	// units of their own when it is listed, and every unit is scored at
-	// every step, so its members keep sharing one nq.
 	var cands []marsCand
-	units := wk.units[:0]
 	listed := 0
 	for len(bases) < opt.MaxTerms {
 		for ; listed < len(bases); listed++ {
@@ -333,7 +325,6 @@ func marsForward(data *Dataset, opt MARSOptions, budget int, onStep func(*marsSt
 				continue
 			}
 			cands = slices.Grow(cands, perParent)
-			round := wk.round[:0]
 			for v := 0; v < dim; v++ {
 				if bases[listed].usesVar(v) {
 					continue
@@ -343,7 +334,6 @@ func marsForward(data *Dataset, opt MARSOptions, budget int, onStep func(*marsSt
 					if budget < 16*n {
 						c.z1, c.z2 = s.hinge(raw[:n], raw[n:], listed, v, t)
 						if !c.z1 || !c.z2 {
-							units = append(units, laneGroup{n: 1, i: [4]int32{int32(len(cands))}})
 							cands = append(cands, c)
 						}
 						continue
@@ -363,27 +353,24 @@ func marsForward(data *Dataset, opt MARSOptions, budget int, onStep func(*marsSt
 					}
 					c.o = o
 					budget -= 16 * n
-					round = append(round, int32(len(cands)))
 					cands = append(cands, c)
 				}
 			}
-			units = appendLaneGroups(units, cands, round)
-			wk.round = round
 		}
 		// Score on the worker pool — a gain depends only on the candidate's
 		// own columns and the shared read-only state — then pick the first
 		// strict maximum: the serial selection at any worker count. Worker w
-		// takes every workers-th unit, which spreads the new (costliest)
-		// ones at the tail.
-		if onStep != nil {
-			onStep(s, cands, units)
-		}
+		// takes every workers-th candidate, which spreads the new (costliest)
+		// ones at the tail, and extends each cached one's columns from its nq
+		// to the whole span.
 		gains := reuse(wk.gains, len(cands))
 		wk.gains = gains
 		par.For(workers, workers, func(w int) {
-			ws := wk.scratch[w*4*n : (w+1)*4*n]
-			for u := w; u < len(units); u += workers {
-				units[u].score(cands, s, ws, gains)
+			ws := wk.scratch[w*3*n : (w+1)*3*n]
+			for i := w; i < len(cands); i += workers {
+				c := &cands[i]
+				gains[i] = c.score(s, c.nq, ws)
+				c.nq = len(s.q)
 			}
 		})
 		bestI, bestGain := -1, 1e-9
@@ -407,7 +394,6 @@ func marsForward(data *Dataset, opt MARSOptions, budget int, onStep func(*marsSt
 		pushColumn(c1)
 		pushColumn(c2)
 	}
-	wk.units = units
 	return bases, s.cols, cands
 }
 
