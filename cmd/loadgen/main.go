@@ -3,18 +3,9 @@
 // serve SLO gate: it exits 1 when the run's p99 latency or error rate breaks
 // the SLO (sloP99Ms, sloErrRate).
 //
-// Two loop modes:
-//
-//   - closed loop (default): -conns workers issue requests back to back, so
-//     the offered load adapts to the server — the classic saturation probe;
-//   - open loop (-rps N): arrivals fire on a fixed schedule regardless of
-//     completions, so queueing delay shows up in the tail instead of
-//     throttling the arrival rate (the coordinated-omission-free mode).
-//
-// The endpoint mix defaults to prediction traffic (predict + rank) because
-// that is the replica-servable surface; measure traffic is opt-in via -mix,
-// since a replica answers it 503 by design and a writer answers it at
-// simulation speed, not serving speed.
+// It runs a closed loop: -conns workers issue requests back to back, so the
+// offered load adapts to the server. Nine requests in ten are predicts and
+// one is a rank (predictMix): the surface a replica serves.
 //
 // Output: a human line on stderr and optionally the full JSON report via
 // -out (written before the SLO verdict, so a failing run leaves its numbers):
@@ -45,11 +36,9 @@ type config struct {
 	workloads []string
 	scale     string
 	modelKind string
-	mix       map[string]float64
 	duration  time.Duration
 	warmup    time.Duration
 	conns     int
-	rps       float64
 	points    int
 	seed      int64
 	out       string
@@ -65,9 +54,11 @@ const (
 	sloErrRate = 0.01
 )
 
+// predictMix is the share of requests that are predicts; the rest are ranks.
+const predictMix = 0.9
+
 // Report is the JSON document -out writes.
 type Report struct {
-	Mode        string           `json:"mode"` // "closed" or "open"
 	DurationSec float64          `json:"duration_sec"`
 	Requests    int64            `json:"requests"`
 	Errors      int64            `json:"errors"`
@@ -86,11 +77,9 @@ func main() {
 		wls      = flag.String("workloads", "179.art", "comma-separated workload names to spread requests over")
 		scale    = flag.String("scale", "", "request scale (empty = server default)")
 		kind     = flag.String("model", "", "model kind for predict requests (empty = server default)")
-		mix      = flag.String("mix", "predict=0.9,rank=0.1", "endpoint mix as name=weight pairs (predict|rank|measure)")
 		duration = flag.Duration("duration", 10*time.Second, "measured run length (after warmup)")
 		warmup   = flag.Duration("warmup", 1*time.Second, "warmup period excluded from the report")
-		conns    = flag.Int("conns", 8, "closed-loop concurrent connections (also the open-loop worker pool)")
-		rps      = flag.Float64("rps", 0, "open-loop arrival rate; 0 = closed loop")
+		conns    = flag.Int("conns", 8, "closed-loop concurrent connections")
 		points   = flag.Int("points", 1, "design points per predict request")
 		seed     = flag.Int64("seed", 1, "deterministic point-generation seed")
 		out      = flag.String("out", "", "write the full JSON report here")
@@ -98,14 +87,10 @@ func main() {
 	)
 	flag.Parse()
 
-	mixW, err := parseMix(*mix)
-	if err != nil {
-		fatal(err)
-	}
 	cfg := config{
 		addr: strings.TrimRight(*addr, "/"), workloads: strings.Split(*wls, ","),
-		scale: *scale, modelKind: *kind, mix: mixW,
-		duration: *duration, warmup: *warmup, conns: *conns, rps: *rps,
+		scale: *scale, modelKind: *kind,
+		duration: *duration, warmup: *warmup, conns: *conns,
 		points: *points, seed: *seed, out: *out, quiet: *quiet,
 	}
 	rep, err := run(cfg)
@@ -120,8 +105,8 @@ func main() {
 	}
 	if !cfg.quiet {
 		fmt.Fprintf(os.Stderr,
-			"loadgen: %s loop, %d requests in %.1fs: %.0f req/s, p50 %.2fms p95 %.2fms p99 %.2fms, %.2f%% errors\n",
-			rep.Mode, rep.Requests, rep.DurationSec, rep.RPS, rep.P50Ms, rep.P95Ms, rep.P99Ms, 100*rep.ErrRate)
+			"loadgen: %d requests in %.1fs: %.0f req/s, p50 %.2fms p95 %.2fms p99 %.2fms, %.2f%% errors\n",
+			rep.Requests, rep.DurationSec, rep.RPS, rep.P50Ms, rep.P95Ms, rep.P99Ms, 100*rep.ErrRate)
 	}
 	if err := checkSLO(rep); err != nil {
 		fatal(err)
@@ -140,59 +125,6 @@ func checkSLO(rep *Report) error {
 		return fmt.Errorf("loadgen: error rate %.4f above SLO cap %g", rep.ErrRate, sloErrRate)
 	}
 	return nil
-}
-
-// parseMix turns "predict=0.9,rank=0.1" into normalized endpoint weights.
-func parseMix(s string) (map[string]float64, error) {
-	out := map[string]float64{}
-	total := 0.0
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return nil, fmt.Errorf("loadgen: bad mix entry %q (want name=weight)", part)
-		}
-		switch name {
-		case "predict", "rank", "measure":
-		default:
-			return nil, fmt.Errorf("loadgen: unknown endpoint %q in mix (predict|rank|measure)", name)
-		}
-		var w float64
-		if _, err := fmt.Sscanf(val, "%g", &w); err != nil || w < 0 {
-			return nil, fmt.Errorf("loadgen: bad mix weight %q", val)
-		}
-		out[name] += w
-		total += w
-	}
-	if total <= 0 {
-		return nil, fmt.Errorf("loadgen: mix has no positive weights")
-	}
-	for k := range out {
-		out[k] /= total
-	}
-	return out, nil
-}
-
-// pickEndpoint samples the mix. Weights are normalized, so the running-sum
-// walk always terminates inside the loop.
-func pickEndpoint(mix map[string]float64, u float64) string {
-	// Iterate in fixed order for determinism given u.
-	last := ""
-	for _, name := range []string{"predict", "rank", "measure"} {
-		w, ok := mix[name]
-		if !ok {
-			continue
-		}
-		last = name
-		if u < w {
-			return name
-		}
-		u -= w
-	}
-	return last
 }
 
 // sample is one completed request.
@@ -235,65 +167,24 @@ func run(cfg config) (*Report, error) {
 	}
 
 	var wg sync.WaitGroup
-	mode := "closed"
-	if cfg.rps > 0 {
-		mode = "open"
-		// Open loop: a ticker fires arrivals; a worker pool absorbs them so a
-		// slow response delays later requests' completion, never their start.
-		arrivals := make(chan int, cfg.conns*4)
+	for c := 0; c < cfg.conns; c++ {
 		wg.Add(1)
-		go func() {
+		go func(c int) {
 			defer wg.Done()
-			defer close(arrivals)
-			interval := time.Duration(float64(time.Second) / cfg.rps)
-			tick := time.NewTicker(interval)
-			defer tick.Stop()
-			for i := 0; ; i++ {
-				if time.Now().After(deadline) {
-					return
-				}
-				select {
-				case arrivals <- i:
-				default:
-					// The pool is saturated: the arrival is dropped and counted
-					// as an error, which is what an overloaded open-loop target
-					// should report, not silently absorb.
-					record(sample{err: true, name: "dropped"}, time.Now())
-				}
-				<-tick.C
+			rng := rand.New(rand.NewSource(cfg.seed + int64(c)*7919))
+			for i := 0; time.Now().Before(deadline); i++ {
+				record(issue(client, cfg, bodies, rng, i))
 			}
-		}()
-		for c := 0; c < cfg.conns; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(cfg.seed + int64(c)*7919))
-				for i := range arrivals {
-					record(issue(client, cfg, bodies, rng, i))
-				}
-			}(c)
-		}
-	} else {
-		for c := 0; c < cfg.conns; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(cfg.seed + int64(c)*7919))
-				for i := 0; time.Now().Before(deadline); i++ {
-					record(issue(client, cfg, bodies, rng, i))
-				}
-			}(c)
-		}
+		}(c)
 	}
 	wg.Wait()
-	return summarize(mode, cfg.duration, samples), nil
+	return summarize(cfg.duration, samples), nil
 }
 
-// prebuildBodies renders n predict/measure request payloads over random
-// joint-space points, plus the rank URLs, round-robined over the workloads.
+// prebuildBodies renders n predict request payloads over random joint-space
+// points, plus the rank URLs, round-robined over the workloads.
 type bodySet struct {
 	predict [][]byte
-	measure [][]byte
 	rank    []string
 }
 
@@ -311,30 +202,32 @@ func prebuildBodies(cfg config, n int) *bodySet {
 			"workload": wl, "scale": cfg.scale, "model": cfg.modelKind, "points": pts,
 		})
 		bs.predict = append(bs.predict, pb)
-		mb, _ := json.Marshal(map[string]any{"workload": wl, "points": pts})
-		bs.measure = append(bs.measure, mb)
 		bs.rank = append(bs.rank,
 			fmt.Sprintf("%s/v1/rank?workload=%s&n=5&scale=%s", cfg.addr, url.QueryEscape(wl), url.QueryEscape(cfg.scale)))
 	}
 	return bs
 }
 
+// pickEndpoint samples the mix for a uniform draw u in [0, 1).
+func pickEndpoint(u float64) string {
+	if u < predictMix {
+		return "predict"
+	}
+	return "rank"
+}
+
 // issue sends one request picked from the mix and returns its sample.
 func issue(client *http.Client, cfg config, bodies *bodySet, rng *rand.Rand, i int) (sample, time.Time) {
-	name := pickEndpoint(cfg.mix, rng.Float64())
+	name := pickEndpoint(rng.Float64())
 	var (
 		resp *http.Response
 		err  error
 	)
 	start := time.Now()
-	switch name {
-	case "predict":
+	if name == "predict" {
 		resp, err = client.Post(cfg.addr+"/v1/predict", "application/json",
 			bytes.NewReader(bodies.predict[i%len(bodies.predict)]))
-	case "measure":
-		resp, err = client.Post(cfg.addr+"/v1/measure", "application/json",
-			bytes.NewReader(bodies.measure[i%len(bodies.measure)]))
-	default:
+	} else {
 		resp, err = client.Get(bodies.rank[i%len(bodies.rank)])
 	}
 	s := sample{name: name}
@@ -353,9 +246,8 @@ func issue(client *http.Client, cfg config, bodies *bodySet, rng *rand.Rand, i i
 // summarize reduces the samples to the report. Percentiles use the
 // nearest-rank method over successful-and-failed requests alike: an error
 // that took 30s to surface is tail latency the client felt.
-func summarize(mode string, duration time.Duration, samples []sample) *Report {
+func summarize(duration time.Duration, samples []sample) *Report {
 	rep := &Report{
-		Mode:        mode,
 		DurationSec: duration.Seconds(),
 		ByEndpoint:  map[string]int64{},
 	}

@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -10,28 +9,16 @@ import (
 	"time"
 )
 
-func TestParseMix(t *testing.T) {
-	mix, err := parseMix("predict=3,rank=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(mix["predict"]-0.75) > 1e-12 || math.Abs(mix["rank"]-0.25) > 1e-12 {
-		t.Fatalf("normalized mix %v", mix)
-	}
-	for _, bad := range []string{"", "predict", "predict=-1", "teapot=1", "predict=x"} {
-		if _, err := parseMix(bad); err == nil {
-			t.Fatalf("mix %q accepted", bad)
+// TestPickEndpoint: the sampler covers the whole unit interval at the
+// constant mix, nine predicts in ten.
+func TestPickEndpoint(t *testing.T) {
+	for _, tc := range []struct {
+		u    float64
+		want string
+	}{{0, "predict"}, {0.5, "predict"}, {0.899, "predict"}, {0.9, "rank"}, {0.999, "rank"}} {
+		if got := pickEndpoint(tc.u); got != tc.want {
+			t.Errorf("u=%v picked %q, want %q", tc.u, got, tc.want)
 		}
-	}
-	// The sampler covers the whole unit interval.
-	if got := pickEndpoint(mix, 0.5); got != "predict" {
-		t.Fatalf("u=0.5 picked %q", got)
-	}
-	if got := pickEndpoint(mix, 0.9); got != "rank" {
-		t.Fatalf("u=0.9 picked %q", got)
-	}
-	if got := pickEndpoint(mix, 1.0); got != "rank" {
-		t.Fatalf("u=1.0 picked %q (must fall into the last bucket)", got)
 	}
 }
 
@@ -58,7 +45,7 @@ func TestSummarize(t *testing.T) {
 		{latency: 30 * time.Millisecond, name: "rank", err: true},
 		{latency: 40 * time.Millisecond, name: "predict"},
 	}
-	rep := summarize("closed", 2*time.Second, samples)
+	rep := summarize(2*time.Second, samples)
 	if rep.Requests != 4 || rep.Errors != 1 {
 		t.Fatalf("counts %+v", rep)
 	}
@@ -112,16 +99,15 @@ func TestRunAgainstStubServer(t *testing.T) {
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
-	mix, _ := parseMix("predict=0.8,rank=0.2")
 	rep, err := run(config{
-		addr: ts.URL, workloads: []string{"179.art"}, mix: mix,
+		addr: ts.URL, workloads: []string{"179.art"},
 		duration: 300 * time.Millisecond, warmup: 50 * time.Millisecond,
 		conns: 4, points: 2, seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Requests == 0 || rep.Mode != "closed" {
+	if rep.Requests == 0 {
 		t.Fatalf("report %+v", rep)
 	}
 	if rep.ErrRate != 0 {

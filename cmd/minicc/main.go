@@ -1,39 +1,37 @@
 // minicc is the MiniC compiler command line: it compiles a source file (or
-// one of the built-in benchmark programs) at a chosen optimization level,
-// optionally dumping the optimized IR or the generated assembly, and reports
-// static statistics.
+// one of the built-in benchmark programs) at an optimization level or at the
+// compiler half of a joint design point, optionally dumping the optimized IR
+// or the generated assembly, and reports static statistics.
 //
 // Usage:
 //
-//	minicc -src prog.mc -O2 -dump-asm
-//	minicc -bench 179.art -O3 -unroll -dump-ir
+//	minicc -src prog.mc -O 2 -dump-asm
+//	minicc -bench 179.art -O 3 -dump-ir
+//	minicc -bench 179.art -point '[0,0,1,1,1,1,1,1,0,100,50,16,8,200,4,2048,64,32,32,1,2,1024,4,10,100]'
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/compiler"
 	"repro/internal/doe"
 	"repro/internal/lang"
+	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
 func main() {
 	var (
-		srcPath  = flag.String("src", "", "MiniC source file to compile")
-		bench    = flag.String("bench", "", "compile a built-in benchmark (e.g. 179.art)")
-		input    = flag.String("input", "train", "benchmark input class: train|ref")
-		level    = flag.String("O", "2", "optimization level: 0|2|3")
-		unroll   = flag.Bool("unroll", false, "additionally enable -funroll-loops")
-		dumpIR   = flag.Bool("dump-ir", false, "print the optimized IR")
-		dumpAsm  = flag.Bool("dump-asm", false, "print the generated assembly")
-		width    = flag.Int("issue-width", 4, "target issue width for the scheduler model")
-		flagsStr = flag.String("flags", "", "explicit 14-value comma-separated Table 1 settings (overrides -O)")
-		outPath  = flag.String("o", "", "write the compiled binary object to this path")
-		fmtSrc   = flag.Bool("fmt", false, "print the program formatted canonically and exit")
+		srcPath = flag.String("src", "", "MiniC source file to compile")
+		bench   = flag.String("bench", "", "compile a built-in benchmark (e.g. 179.art)")
+		input   = flag.String("input", "train", "benchmark input class: train|ref")
+		level   = flag.String("O", "2", "optimization level: 0|2|3, scheduled for the typical configuration's issue width")
+		point   = flag.String("point", "", "joint design point as the JSON array /v1/measure takes; builds as the farm does (replaces -O)")
+		dumpIR  = flag.Bool("dump-ir", false, "print the optimized IR")
+		dumpAsm = flag.Bool("dump-asm", false, "print the generated assembly")
+		fmtSrc  = flag.Bool("fmt", false, "print the program formatted canonically and exit")
 	)
 	flag.Parse()
 
@@ -41,7 +39,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opts, err := buildOptions(*level, *unroll, *width, *flagsStr)
+	opts, err := buildOptions(*level, *point)
 	if err == nil {
 		err = opts.Validate() // before -dump-ir's OptimizeIR, as Compile does
 	}
@@ -75,18 +73,6 @@ func main() {
 	bin, stats, err := compiler.Compile(prog, opts)
 	if err != nil {
 		fatal(err)
-	}
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fatal(err)
-		}
-		if err := bin.Encode(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
 	}
 	if *dumpAsm {
 		for i, in := range bin.Instrs {
@@ -124,7 +110,17 @@ func loadSource(srcPath, bench, input string) (string, string, error) {
 	}
 }
 
-func buildOptions(level string, unroll bool, width int, flagsStr string) (compiler.Options, error) {
+// buildOptions names the build: a joint point's compiler half scheduled for
+// its own issue width, as farm.Executor builds it, or a preset scheduled for
+// the typical configuration's.
+func buildOptions(level, point string) (compiler.Options, error) {
+	if point != "" {
+		p, err := doe.ParsePoint(point)
+		if err != nil {
+			return compiler.Options{}, err
+		}
+		return doe.ToOptions(p, doe.ToConfig(p).IssueWidth), nil
+	}
 	var opts compiler.Options
 	switch level {
 	case "0":
@@ -136,24 +132,7 @@ func buildOptions(level string, unroll bool, width int, flagsStr string) (compil
 	default:
 		return opts, fmt.Errorf("minicc: unknown level -O%s", level)
 	}
-	if flagsStr != "" {
-		var vals []int64
-		for _, part := range strings.Split(flagsStr, ",") {
-			var v int64
-			if _, err := fmt.Sscanf(part, "%d", &v); err != nil {
-				return opts, fmt.Errorf("minicc: bad -flags entry %q", part)
-			}
-			vals = append(vals, v)
-		}
-		if len(vals) != doe.NumCompilerVars {
-			return opts, fmt.Errorf("minicc: -flags needs %d values, got %d", doe.NumCompilerVars, len(vals))
-		}
-		opts = doe.ToOptions(vals, width)
-	}
-	if unroll {
-		opts.UnrollLoops = true
-	}
-	opts.TargetIssueWidth = width
+	opts.TargetIssueWidth = sim.DefaultConfig().IssueWidth
 	return opts, nil
 }
 

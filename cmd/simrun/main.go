@@ -5,12 +5,15 @@
 // selects the simulation engine (feed, fused or the basic-block translated
 // bb tier); all engines produce bit-identical results.
 //
+// A build is named by presets (-O and -config) or by a joint design point
+// (-point), which is compiled and configured exactly as farm.Executor does.
+//
 // Usage:
 //
 //	simrun -bench 181.mcf -config typical
-//	simrun -bench 179.art -O3 -config aggressive -smarts
+//	simrun -bench 179.art -O 3 -config aggressive -smarts
 //	simrun -bench 179.art -engine fused
-//	simrun -src prog.mc -mem-lat 150 -dcache-kb 8
+//	simrun -bench 179.art -point '[0,0,1,1,1,1,1,1,0,100,50,16,8,200,4,2048,64,32,32,1,2,1024,4,10,100]'
 //	simrun -bench 179.art -cpuprofile cpu.out -memprofile mem.out
 package main
 
@@ -23,6 +26,7 @@ import (
 	"slices"
 
 	"repro/internal/compiler"
+	"repro/internal/doe"
 	"repro/internal/exp"
 	"repro/internal/isa"
 	"repro/internal/lang"
@@ -34,12 +38,11 @@ import (
 func main() {
 	var (
 		srcPath = flag.String("src", "", "MiniC source file")
-		binPath = flag.String("bin", "", "compiled binary object (from minicc -o)")
 		bench   = flag.String("bench", "", "built-in benchmark (e.g. 181.mcf)")
 		input   = flag.String("input", "train", "benchmark input: train|ref")
 		level   = flag.String("O", "2", "optimization level: 0|2|3")
-		unroll  = flag.Bool("unroll", false, "additionally enable -funroll-loops")
 		cfgName = flag.String("config", "typical", "configuration: constrained|typical|aggressive")
+		point   = flag.String("point", "", "joint design point as the JSON array /v1/measure takes; builds and configures as the farm does (replaces -O and -config)")
 		useSam  = flag.Bool("smarts", false, "use SMARTS sampled simulation")
 		engine  = flag.String("engine", sim.EngineBB, "simulation engine, all bit-identical: feed (reference), fused (chunk producer feeding the reference timing model in one goroutine), bb (translated blocks; sim.Simulate's tier)")
 		trace   = flag.Int64("trace", 0, "print pipeline timing for the first N instructions")
@@ -47,101 +50,44 @@ func main() {
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile (after the run) to this file")
-
-		issueWidth = flag.Int("issue-width", 0, "override issue width")
-		memLat     = flag.Int("mem-lat", 0, "override memory latency")
-		dcacheKB   = flag.Int("dcache-kb", 0, "override L1D size (KB)")
-		icacheKB   = flag.Int("icache-kb", 0, "override L1I size (KB)")
-		l2KB       = flag.Int("l2-kb", 0, "override L2 size (KB)")
-		ruu        = flag.Int("ruu", 0, "override RUU size")
 	)
 	flag.Parse()
 
-	configs := exp.NamedConfigs()
-	i := slices.IndexFunc(configs, func(nc exp.NamedConfig) bool { return nc.Name == *cfgName })
-	if i < 0 {
-		fatal(fmt.Errorf("simrun: unknown config %q", *cfgName))
-	}
-	cfg := configs[i].Config
-	if *issueWidth != 0 {
-		cfg.IssueWidth = *issueWidth
-	}
-	if *memLat != 0 {
-		cfg.MemLat = *memLat
-	}
-	if *dcacheKB != 0 {
-		cfg.DCacheKB = *dcacheKB
-	}
-	if *icacheKB != 0 {
-		cfg.ICacheKB = *icacheKB
-	}
-	if *l2KB != 0 {
-		cfg.L2KB = *l2KB
-	}
-	if *ruu != 0 {
-		cfg.RUUSize = *ruu
+	opts, cfg, label, err := build(*level, *cfgName, *point)
+	if err != nil {
+		fatal(err)
 	}
 	if err := cfg.Validate(); err != nil { // -trace builds its CPU directly
 		fatal(err)
 	}
 
-	var bin *isa.Program
-	var name string
-	if *binPath != "" {
-		f, err := os.Open(*binPath)
+	var src, name string
+	switch {
+	case *srcPath != "":
+		data, err := os.ReadFile(*srcPath)
 		if err != nil {
 			fatal(err)
 		}
-		bin, err = isa.Decode(f)
-		f.Close()
+		src, name = string(data), *srcPath
+	case *bench != "":
+		w, err := workloads.Get(*bench, workloads.InputClass(*input))
 		if err != nil {
 			fatal(err)
 		}
-		name = *binPath
-	} else {
-		var src string
-		switch {
-		case *srcPath != "":
-			data, err := os.ReadFile(*srcPath)
-			if err != nil {
-				fatal(err)
-			}
-			src, name = string(data), *srcPath
-		case *bench != "":
-			w, err := workloads.Get(*bench, workloads.InputClass(*input))
-			if err != nil {
-				fatal(err)
-			}
-			src, name = w.Source, w.Key()
-		default:
-			fatal(fmt.Errorf("simrun: need -src, -bin or -bench"))
-		}
-
-		var opts compiler.Options
-		switch *level {
-		case "0":
-			opts = compiler.O0()
-		case "2":
-			opts = compiler.O2()
-		case "3":
-			opts = compiler.O3()
-		default:
-			fatal(fmt.Errorf("simrun: unknown level -O%s", *level))
-		}
-		opts.UnrollLoops = opts.UnrollLoops || *unroll
-		opts.TargetIssueWidth = cfg.IssueWidth
-
-		prog, err := lang.Parse(src)
-		if err != nil {
-			fatal(err)
-		}
-		if err := lang.Check(prog); err != nil {
-			fatal(err)
-		}
-		bin, _, err = compiler.Compile(prog, opts)
-		if err != nil {
-			fatal(err)
-		}
+		src, name = w.Source, w.Key()
+	default:
+		fatal(fmt.Errorf("simrun: need -src or -bench"))
+	}
+	prog, err := lang.Parse(src)
+	if err != nil {
+		fatal(err)
+	}
+	if err := lang.Check(prog); err != nil {
+		fatal(err)
+	}
+	bin, _, err := compiler.Compile(prog, opts)
+	if err != nil {
+		fatal(err)
 	}
 
 	// Profile only the simulation itself, not parsing or compilation.
@@ -174,7 +120,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("%s on %s (SMARTS)\n", name, *cfgName)
+		fmt.Printf("%s on %s (SMARTS)\n", name, label)
 		fmt.Printf("  estimated cycles: %.0f\n", res.EstimatedCycles)
 		fmt.Printf("  instructions:     %d\n", res.Instructions)
 		fmt.Printf("  mean CPI:         %.3f (99.7%% CI ±%.2f%%)\n", res.MeanCPI, 100*res.RelCI997)
@@ -218,7 +164,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	fmt.Printf("%s on %s\n", name, *cfgName)
+	fmt.Printf("%s on %s\n", name, label)
 	fmt.Printf("  cycles:        %d\n", st.Cycles)
 	fmt.Printf("  instructions:  %d\n", st.Instructions)
 	fmt.Printf("  IPC:           %.3f\n", st.IPC())
@@ -232,6 +178,38 @@ func main() {
 		fmt.Printf("  engine:        bb (%d blocks, %d translated instrs, %d slow-path entries)\n",
 			es.BlocksTranslated, es.TranslatedInstrs, es.SlowPathEntries)
 	}
+}
+
+// build names the build: a joint point, compiled and configured as
+// farm.Executor does, or the presets, scheduled for the configuration's issue
+// width. label names it in the report's header.
+func build(level, cfgName, point string) (opts compiler.Options, cfg sim.Config, label string, err error) {
+	if point != "" {
+		p, err := doe.ParsePoint(point)
+		if err != nil {
+			return opts, cfg, "", err
+		}
+		cfg = doe.ToConfig(p)
+		return doe.ToOptions(p, cfg.IssueWidth), cfg, "point " + point, nil
+	}
+	configs := exp.NamedConfigs()
+	i := slices.IndexFunc(configs, func(nc exp.NamedConfig) bool { return nc.Name == cfgName })
+	if i < 0 {
+		return opts, cfg, "", fmt.Errorf("simrun: unknown config %q", cfgName)
+	}
+	cfg = configs[i].Config
+	switch level {
+	case "0":
+		opts = compiler.O0()
+	case "2":
+		opts = compiler.O2()
+	case "3":
+		opts = compiler.O3()
+	default:
+		return opts, cfg, "", fmt.Errorf("simrun: unknown level -O%s", level)
+	}
+	opts.TargetIssueWidth = cfg.IssueWidth
+	return opts, cfg, cfgName, nil
 }
 
 func pct(a, b int64) float64 {

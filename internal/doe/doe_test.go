@@ -3,6 +3,8 @@ package doe
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -215,6 +217,37 @@ func TestValidateBoundsFlags(t *testing.T) {
 		if err := s.Validate(p); err == nil {
 			t.Fatalf("flag = %d passed validation", v)
 		}
+	}
+}
+
+// TestParsePoint: the JSON array /v1/measure takes, one integer per joint
+// variable, with no Table 1/2 box check (the build's own caps refuse what
+// cannot be built). CI's $PT is -O2 on the typical configuration.
+func TestParsePoint(t *testing.T) {
+	const pt = "[0,0,1,1,1,1,1,1,0,100,50,16,8,200,4,2048,64,32,32,1,2,1024,4,10,100]"
+	o2Typical := JoinPoint(FromOptions(compiler.O2()), FromConfig(sim.DefaultConfig()))
+	outOfBox := strings.Replace(pt, ",100]", ",1000]", 1) // mem-lat 1000 > 150
+	for _, tc := range []struct {
+		name, in string
+		ok       bool
+	}{
+		{"CI's $PT", pt, true},
+		{"out of the box", outOfBox, true},
+		{"24 values", strings.Replace(pt, "0,0,", "0,", 1), false},
+		{"a fraction", strings.Replace(pt, "100]", "100.5]", 1), false},
+		{"null", "null", false},
+		{"trailing bytes", pt + "]", false},
+	} {
+		p, err := ParsePoint(tc.in)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: ParsePoint(%s) = %v, %v", tc.name, tc.in, p, err)
+		}
+	}
+	if p, _ := ParsePoint(pt); !slices.Equal(p, o2Typical) {
+		t.Errorf("$PT = %v, want -O2 on typical %v", p, o2Typical)
+	}
+	if p, _ := ParsePoint(outOfBox); JointSpace().Validate(p) == nil {
+		t.Errorf("mem-lat 1000 is inside the box")
 	}
 }
 

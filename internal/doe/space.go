@@ -5,6 +5,7 @@
 package doe
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/bits"
@@ -208,6 +209,22 @@ func (s *Space) Validate(p Point) error {
 		}
 	}
 	return nil
+}
+
+// ParsePoint reads a joint-space point written as the JSON array that
+// /v1/measure takes, e.g. "[0,0,1,…,100]". It requires one integer per
+// JointSpace variable but does not hold them to the Table 1/2 box: a value
+// outside it is refused by compiler.Options.Validate and sim.Config.Validate
+// only where it cannot be built, as for a leased point.
+func ParsePoint(s string) (Point, error) {
+	var p Point
+	if err := json.Unmarshal([]byte(s), &p); err != nil {
+		return nil, fmt.Errorf("doe: point %q: %w", s, err)
+	}
+	if n := JointSpace().NumVars(); len(p) != n {
+		return nil, fmt.Errorf("doe: point has %d values, the joint space has %d", len(p), n)
+	}
+	return p, nil
 }
 
 // CompilerVars returns the 14 compiler variables of Table 1, in the paper's
