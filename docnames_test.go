@@ -566,15 +566,15 @@ func stdNames(t *testing.T) map[string]bool {
 // non-test caller on purpose, each with its reason. Keys are
 // pkg.Name or pkg.Type.Method.
 var callerAllowlist = map[string]string{
-	"model.SelectByCV":             "kept for ROADMAP item 1b: CV model selection",
-	"exp.Harness.RefineToAccuracy": "kept for ROADMAP item 15: the refine-to-accuracy loop",
-	"farm.Executor":                "oracle: the per-point compile+simulate path that farm, exp and root tests hold the grouped path to",
-	"search.RandomSearch":          "kept: the GA's baseline in BenchmarkAblationSearch",
-	"search.HillClimb":             "kept: the GA's baseline in BenchmarkAblationSearch",
-	"lang.GenProgram":              "oracle input: the seeded program generator of the sim and lang fuzz targets and the compiler's differential test",
-	"smarts.Store.Stats":           "kept: the checkpoint store's counters, which golden_test.go reads",
-	"sim.Executor.Run":             "oracle: the functional interpreter that sim, compiler and workloads tests run programs on",
-	"linalg.LogDetGram":            "oracle: the D-optimal criterion that doe and linalg tests share",
+	"model.SelectByCV":    "kept for ROADMAP item 1b: CV model selection",
+	"exp.Study.Refine":    "kept for ROADMAP item 15: the refine-to-accuracy loop",
+	"farm.Executor":       "oracle: the per-point compile+simulate path that farm, exp and root tests hold the grouped path to",
+	"search.RandomSearch": "kept: the GA's baseline in BenchmarkAblationSearch",
+	"search.HillClimb":    "kept: the GA's baseline in BenchmarkAblationSearch",
+	"lang.GenProgram":     "oracle input: the seeded program generator of the sim and lang fuzz targets and the compiler's differential test",
+	"smarts.Store.Stats":  "kept: the checkpoint store's counters, which golden_test.go reads",
+	"sim.Executor.Run":    "oracle: the functional interpreter that sim, compiler and workloads tests run programs on",
+	"linalg.LogDetGram":   "oracle: the D-optimal criterion that doe and linalg tests share",
 }
 
 // TestExportsHaveNonTestCallers holds DESIGN.md's caller rule for names: an

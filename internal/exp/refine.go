@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/doe"
 	"repro/internal/model"
-	"repro/internal/workloads"
 )
 
 // RefineResult records one iteration of the model refinement loop.
@@ -14,51 +13,52 @@ type RefineResult struct {
 	CVError float64 // k-fold cross-validation error of the RBF model (%)
 }
 
-// RefineToAccuracy implements the paper's Figure 1 loop: build a model from
-// an initial D-optimal design, estimate its error, and augment the design
-// with additional D-optimal points until the error target is met or the
-// budget is exhausted. Error is estimated by cross-validation on the
-// measured data, so the loop needs no independent test simulations.
-//
-// Returns the final model, the full design, and the per-iteration history.
-func (h *Harness) RefineToAccuracy(w workloads.Workload, targetErrPct float64,
-	initial, step, maxPoints int) (model.Model, []doe.Point, []RefineResult, error) {
-	if initial < 10 || step < 1 || maxPoints < initial {
-		return nil, nil, nil, fmt.Errorf("exp: invalid refinement sizes %d/%d/%d", initial, step, maxPoints)
+// Refine runs the paper's Figure 1 loop on the study. Per program, until the
+// RBF-RT error cross-validated on the training rows (5 folds, 3 under 25) is
+// at most targetErrPct or step more points would pass maxPoints, it adds step
+// D-optimal points to the design, measures them and refits the program's
+// models on the Design, Measure and Fit clocks. It returns each history.
+func (s *Study) Refine(targetErrPct float64, step, maxPoints int) (map[string][]RefineResult, error) {
+	h := s.Harness
+	if step < 1 || maxPoints < h.Scale.TrainPoints {
+		return nil, fmt.Errorf("exp: invalid refinement sizes %d/%d/%d", h.Scale.TrainPoints, step, maxPoints)
 	}
-	rng := h.rngFor("refine-" + w.Key())
-	design := doe.DOptimal(h.Space(), initial, rng,
-		doe.DOptions{Expansion: h.Scale.DesignExpansion, MaxSweeps: 6})
-	points := design.Points
-
-	fitter := func(d *model.Dataset) (model.Model, error) { return FitRBF(d) }
-
-	var history []RefineResult
-	for {
-		data, err := h.BuildDataset(w, points)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		folds := 5
-		if data.Len() < 25 {
-			folds = 3
-		}
-		cv, err := model.CrossValidateParallel(data, folds, h.Seed, h.Workers, fitter)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		history = append(history, RefineResult{Points: len(points), CVError: cv})
-		h.logf("%s: refine: %d points, CV error %.2f%%", w.Key(), len(points), cv)
-
-		if cv <= targetErrPct || len(points)+step > maxPoints {
-			m, err := FitRBF(data)
-			if err != nil {
-				return nil, nil, nil, err
+	history := map[string][]RefineResult{}
+	for _, pd := range s.Programs {
+		key := pd.Workload.Key()
+		rng := h.rngFor("refine-" + key)
+		for {
+			folds := 5
+			if pd.Train.Len() < 25 {
+				folds = 3
 			}
-			return m, points, history, nil
+			cv, err := model.CrossValidateParallel(pd.Train, folds, h.Seed, h.Workers, FitRBF)
+			if err != nil {
+				return nil, fmt.Errorf("exp: %s: %w", key, err)
+			}
+			history[key] = append(history[key], RefineResult{Points: len(pd.TrainPoints), CVError: cv})
+			h.logf("%s: refine: %d points, CV error %.2f%%", key, len(pd.TrainPoints), cv)
+			if cv <= targetErrPct || len(pd.TrainPoints)+step > maxPoints {
+				break
+			}
+			stop := h.clock(&s.Stages.Design)
+			points := doe.AugmentDOptimal(h.Space(), pd.TrainPoints, step, rng,
+				doe.DOptions{Expansion: h.Scale.DesignExpansion, MaxSweeps: 4}).Points
+			stop()
+			stop = h.clock(&s.Stages.Measure)
+			data, err := h.BuildDataset(pd.Workload, points)
+			stop()
+			if err != nil {
+				return nil, err
+			}
+			stop = h.clock(&s.Stages.Fit)
+			ms, err := FitAllParallel(data, h.Workers)
+			stop()
+			if err != nil {
+				return nil, fmt.Errorf("exp: %s: %w", key, err)
+			}
+			pd.TrainPoints, pd.Train, s.Models[key] = points, data, ms
 		}
-		aug := doe.AugmentDOptimal(h.Space(), points, step, rng,
-			doe.DOptions{Expansion: h.Scale.DesignExpansion, MaxSweeps: 4})
-		points = aug.Points
 	}
+	return history, nil
 }
