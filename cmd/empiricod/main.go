@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"repro/internal/dist"
+	"repro/internal/exp"
 	"repro/internal/serve"
 )
 
@@ -67,6 +68,11 @@ func main() {
 
 	if *replica && *artDir == "" {
 		fatal(fmt.Errorf("-replica requires -artifacts"))
+	}
+	// serve.New takes the name; resolve it here, so an unknown -scale stops
+	// the daemon before it listens instead of failing every request.
+	if _, err := exp.ScaleByName(*scale); err != nil {
+		fatal(err)
 	}
 	opts := serve.Options{
 		Scale:       *scale,

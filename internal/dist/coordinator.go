@@ -126,7 +126,7 @@ func New(opts Options) (*Coordinator, error) {
 		leaseCancels: map[int64]context.CancelFunc{},
 		schedDone:    make(chan struct{}),
 	}
-	c.Planner = farm.NewPlanner(farm.Options{Store: opts.Store, Log: opts.Log}, true, c.execute)
+	c.Planner = farm.NewPlanner(farm.Options{Store: opts.Store, Log: opts.Log}, c.execute)
 	if c.client == nil {
 		c.client = &http.Client{}
 	}

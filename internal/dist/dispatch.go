@@ -46,10 +46,10 @@ func (c *Coordinator) scheduler() {
 		c.leaseSeq++
 		lctx, cancel := context.WithCancel(g.Ctx)
 		c.leaseCancels[seq] = cancel
-		c.Count(func() { c.disp.GroupsDispatched++ })
 		c.mu.Unlock()
 		// The first lease freezes the group, which later batches could add to
-		// while it queued; a requeue finds it frozen.
+		// while it queued; a requeue finds it frozen. Every lease counts as a
+		// dispatch.
 		c.Start(g.Group)
 		go c.runLease(g, w, wi, seq, lctx, wasLive)
 	}
@@ -201,7 +201,7 @@ func (c *Coordinator) requeueLocked(g *cgroup, delay time.Duration) {
 func (c *Coordinator) streamGroup(ctx context.Context, base string, g *cgroup, seq int64) (_ []farm.Result, _ []error, localHits int, err error) {
 	body, err := json.Marshal(GroupRequest{
 		Lease:    fmt.Sprintf("l%d", seq),
-		Workload: toWire(g.Workload()),
+		Workload: g.Workload(),
 		Points:   wirePoints(g.Tasks),
 	})
 	if err != nil {

@@ -33,40 +33,18 @@ import (
 	"repro/internal/workloads"
 )
 
-// WireWorkload is the full workload identity on the wire. The source text
-// travels too: farm keys hash it, and workers must measure exactly what the
-// coordinator keyed (generated workloads — benchmarks, future workload
-// generators — have no name registry to resolve against).
-type WireWorkload struct {
-	Name   string `json:"name"`
-	Input  string `json:"input"`
-	Class  string `json:"class"`
-	Source string `json:"source"`
-}
-
-func toWire(w workloads.Workload) WireWorkload {
-	return WireWorkload{Name: w.Name, Input: w.Input, Class: string(w.Class), Source: w.Source}
-}
-
-// Workload reconstructs the workload a request describes.
-func (ww WireWorkload) Workload() workloads.Workload {
-	return workloads.Workload{
-		Name:   ww.Name,
-		Input:  ww.Input,
-		Class:  workloads.InputClass(ww.Class),
-		Source: ww.Source,
-	}
-}
-
 // GroupRequest leases one shared-binary group to a worker: every point
 // carries the same compiler subvector and issue width, so the worker's own
 // batch planner compiles once for the whole group.
 type GroupRequest struct {
 	// Lease identifies this lease in worker logs; each requeue of the same
 	// group carries a new lease ID.
-	Lease    string       `json:"lease"`
-	Workload WireWorkload `json:"workload"`
-	Points   [][]int64    `json:"points"`
+	Lease string `json:"lease"`
+	// Workload carries the source text: farm keys hash it, and a worker must
+	// measure exactly what the coordinator keyed (generated workloads have no
+	// name registry to resolve against).
+	Workload workloads.Workload `json:"workload"`
+	Points   [][]int64          `json:"points"`
 }
 
 // GroupLine is one line of the worker's streamed ndjson response. While the
@@ -147,10 +125,9 @@ func wirePoints(tasks []*farm.Task) [][]int64 {
 
 // jobsFromWire rebuilds farm jobs from a request.
 func jobsFromWire(req *GroupRequest) []farm.Job {
-	w := req.Workload.Workload()
 	jobs := make([]farm.Job, len(req.Points))
 	for i, raw := range req.Points {
-		jobs[i] = farm.Job{Workload: w, Point: doe.Point(raw)}
+		jobs[i] = farm.Job{Workload: req.Workload, Point: doe.Point(raw)}
 	}
 	return jobs
 }

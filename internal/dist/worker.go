@@ -101,7 +101,7 @@ func (w *Worker) logf(format string, args ...interface{}) {
 
 // handleGroup measures one leased group and streams the outcome. The group
 // runs through the local farm's batch planner, so all points (which share a
-// binary by construction) are compiled once and interpreted once —
+// binary by construction) are compiled once, then simulated one by one —
 // bit-for-bit identical to the coordinator running them in-process. While
 // the measurement runs, heartbeat lines keep the coordinator's lease alive;
 // a worker that dies mid-group simply stops writing, and the coordinator's

@@ -20,7 +20,7 @@ import (
 // groupBody is a /v1/group request for the test workload at the given points.
 func groupBody(t testing.TB, points ...[]int64) []byte {
 	t.Helper()
-	body, err := json.Marshal(GroupRequest{Lease: "t", Workload: toWire(distTestWorkload()), Points: points})
+	body, err := json.Marshal(GroupRequest{Lease: "t", Workload: distTestWorkload(), Points: points})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestWorkerRejectsMalformedGroup(t *testing.T) {
 
 	valid := doe.JoinPoint(doe.FromOptions(compiler.O2()), doe.FromConfig(sim.DefaultConfig()))
 	withSource := func(src string) []byte {
-		wl := toWire(distTestWorkload())
+		wl := distTestWorkload()
 		wl.Source = src
 		body, err := json.Marshal(GroupRequest{Lease: "t", Workload: wl, Points: [][]int64{valid}})
 		if err != nil {

@@ -6,7 +6,6 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/doe"
 	"repro/internal/isa"
-	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
@@ -57,37 +56,22 @@ func (f *Farm) compileCached(w workloads.Workload, p doe.Point) (*isa.Program, s
 	return prog, cfg, err
 }
 
-// simulateGroup is the farm's default executor for one group, a lone task
-// being a group of one: compile once through the binary cache, then one
-// sim.Simulate per point over par.For. A compile error fails every member;
-// a simulation error fails its own point only. Errors are typed as Executor
-// types them (CompileError, SimError with its Budget flag).
-func (f *Farm) simulateGroup(g *Group, results []Result, errs []error) {
-	f.Count(func() { f.dispatched++ })
-	fail := func(err error) {
-		for i := range errs {
-			errs[i] = err
-		}
-	}
-	if cerr := g.Ctx.Err(); cerr != nil {
-		fail(cerr)
-		return
-	}
-	prog, _, err := f.compileCached(g.Workload(), g.Tasks[0].Job.Point)
+// simulate is the farm's default MeasureFunc: the job's binary through the
+// binary cache, then one sim.Simulate. Points of a group run it side by
+// side, so the first compiles and the others join that build or hit the
+// finished binary. Errors are typed as Executor types them (CompileError,
+// SimError with its Budget flag).
+func (f *Farm) simulate(ctx context.Context, job Job) (Result, error) {
+	prog, cfg, err := f.compileCached(job.Workload, job.Point)
 	if err != nil {
-		fail(err)
-		return
+		return Result{}, err
 	}
-	if cerr := g.Ctx.Err(); cerr != nil {
-		fail(cerr)
-		return
+	if err := ctx.Err(); err != nil {
+		return Result{}, err
 	}
-	par.For(len(g.Tasks), 0, func(i int) {
-		st, serr := sim.Simulate(prog, doe.ToConfig(g.Tasks[i].Job.Point), f.maxInstrs)
-		if serr != nil {
-			errs[i] = &SimError{Workload: g.Workload().Key(), Budget: sim.IsBudget(serr), Err: serr}
-			return
-		}
-		results[i] = Result{Cycles: float64(st.Cycles), Energy: st.Energy, Instructions: st.Instructions}
-	})
+	st, err := sim.Simulate(prog, cfg, f.maxInstrs)
+	if err != nil {
+		return Result{}, &SimError{Workload: job.Workload.Key(), Budget: sim.IsBudget(err), Err: err}
+	}
+	return Result{Cycles: float64(st.Cycles), Energy: st.Energy, Instructions: st.Instructions}, nil
 }

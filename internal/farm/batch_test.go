@@ -148,6 +148,12 @@ func TestMeasureBatchGroupedMatchesSerial(t *testing.T) {
 		t.Errorf("Coalesced = %d, want 1 (in-batch duplicate)", st.Coalesced)
 	}
 
+	// Every point looks its binary up: the first of each binary misses and
+	// the other grouped points hit, 4 in group A and 2 in group B.
+	if st.CompileCacheHits != 6 {
+		t.Errorf("CompileCacheHits = %d, want 6 (one per grouped point after the first)", st.CompileCacheHits)
+	}
+
 	// A fresh point on group A's binary is a compile-cache hit.
 	extra := jointPoint(compiler.O2(), func() sim.Config {
 		c := sim.DefaultConfig()
@@ -157,8 +163,8 @@ func TestMeasureBatchGroupedMatchesSerial(t *testing.T) {
 	if _, err := doOne(f, Job{Workload: w, Point: extra}); err != nil {
 		t.Fatal(err)
 	}
-	if st := f.Stats(); st.CompileCacheHits != 1 {
-		t.Errorf("CompileCacheHits = %d, want 1 after reusing a cached binary", st.CompileCacheHits)
+	if st := f.Stats(); st.CompileCacheHits != 7 {
+		t.Errorf("CompileCacheHits = %d, want 7 after reusing a cached binary", st.CompileCacheHits)
 	}
 }
 
@@ -194,11 +200,13 @@ func TestLoneTaskIsAGroupOfOne(t *testing.T) {
 	}
 }
 
-// TestGroupCompileFailureNoPoison injects one compile failure into a
-// shared-binary group: every member of the group reports the permanent
+// TestGroupCompileFailureNoPoison makes one shared-binary group's compile
+// fail for the first batch: every member of the group reports the permanent
 // error, other work in the batch is unaffected, and the failure is not
 // cached — resubmitting the points compiles afresh and succeeds with
-// results identical to the serial path.
+// results identical to the serial path. The failure lasts the whole batch
+// because each point looks its binary up: one that comes after a failed
+// build has left the cache compiles again.
 func TestGroupCompileFailureNoPoison(t *testing.T) {
 	w := tinyWorkload()
 	o2 := compiler.O2()
@@ -218,9 +226,10 @@ func TestGroupCompileFailureNoPoison(t *testing.T) {
 	f := New(Options{Workers: 2})
 	defer f.Close()
 	badKey := BinaryKey(w, groupPts[0])
-	var failed atomic.Int64
+	var failing atomic.Bool
+	failing.Store(true)
 	f.compile = func(cw workloads.Workload, p doe.Point, cfg sim.Config) (*isa.Program, error) {
-		if BinaryKey(cw, p) == badKey && failed.CompareAndSwap(0, 1) {
+		if BinaryKey(cw, p) == badKey && failing.Load() {
 			return nil, &CompileError{Workload: cw.Key(), Err: context.DeadlineExceeded}
 		}
 		return defaultCompile(cw, p, cfg)
@@ -249,6 +258,7 @@ func TestGroupCompileFailureNoPoison(t *testing.T) {
 	}
 
 	// Resubmit: the failed compile must not have been cached.
+	failing.Store(false)
 	res, errs = f.DoJobs(context.Background(), jobs)
 	for i, err := range errs {
 		if err != nil {
@@ -380,37 +390,42 @@ func TestCallersShareOneGroup(t *testing.T) {
 	}
 }
 
-// TestCustomMeasureDisablesGrouping pins the planner's scope: a farm with a
-// caller-supplied MeasureFunc owns its whole pipeline, so batches run one
-// job at a time and the sharing counters stay zero.
-func TestCustomMeasureDisablesGrouping(t *testing.T) {
-	var calls atomic.Int64
-	f := New(Options{
-		Workers: 2,
-		Measure: func(ctx context.Context, job Job) (Result, error) {
-			calls.Add(1)
-			return Result{Cycles: pointValue(job.Point), Energy: 1, Instructions: 1}, nil
-		},
-	})
-	defer f.Close()
-	w := tinyWorkload()
-	points := mixedBatch()
-	if _, err := f.MeasureBatch(context.Background(), w, points, Cycles); err != nil {
-		t.Fatal(err)
+// TestStubMeasureIsPlannedLikeDefault pins the one executor path: a farm
+// with a caller-supplied MeasureFunc plans the mixed batch into the same
+// shared-binary groups as the default executor, so its planner and dispatch
+// counters read the same.
+func TestStubMeasureIsPlannedLikeDefault(t *testing.T) {
+	type plan struct{ misses, coalesced, sims, groups, shared, dispatched int64 }
+	planOf := func(opts Options) plan {
+		f := New(opts)
+		defer f.Close()
+		if _, err := f.MeasureBatch(context.Background(), tinyWorkload(), mixedBatch(), Cycles); err != nil {
+			t.Fatal(err)
+		}
+		st := f.Stats()
+		return plan{st.CacheMisses, st.Coalesced, st.SimsExecuted, st.BinaryGroups, st.TraceSharedSims, st.GroupsDispatched}
 	}
+	var calls atomic.Int64
+	stub := planOf(Options{Workers: 2, Measure: func(ctx context.Context, job Job) (Result, error) {
+		calls.Add(1)
+		return Result{Cycles: pointValue(job.Point), Energy: 1, Instructions: 1}, nil
+	}})
 	if got := calls.Load(); got != 10 {
 		t.Errorf("measure calls = %d, want 10 unique points", got)
 	}
-	st := f.Stats()
-	if st.BinaryGroups != 0 || st.TraceSharedSims != 0 || st.CompileCacheMisses != 0 || st.GroupsDispatched != 0 {
-		t.Errorf("sharing counters moved under a custom executor: %+v", st)
+	want := plan{misses: 10, coalesced: 1, sims: 10, groups: 2, shared: 8, dispatched: 4}
+	if stub != want {
+		t.Errorf("stub executor planned %+v, want %+v", stub, want)
+	}
+	if def := planOf(Options{Workers: 2}); def != stub {
+		t.Errorf("default executor planned %+v, stub %+v", def, stub)
 	}
 }
 
 // TestBatchStatsConsistentUnderLoad hammers the real batch pipeline while
 // readers assert the sharing counters are never observed torn: trace-shared
 // sims can't exceed total sims, groups can't exceed compile-cache traffic
-// (each group performs exactly one cached compile), and completions can't
+// (each point of a group looks its binary up once), and completions can't
 // outrun misses.
 func TestBatchStatsConsistentUnderLoad(t *testing.T) {
 	f := New(Options{Workers: 4})

@@ -44,10 +44,10 @@ type Options struct {
 	Workers int
 	// Store holds completed measurements; nil means a fresh MemStore.
 	Store *Store
-	// Measure executes jobs; nil means the farm's own executor — compiles
-	// served by the shared binary cache, and points that share a binary
-	// compiled once, then one sim.Simulate per point. A non-nil Measure owns
-	// the whole pipeline and turns grouping off.
+	// Measure executes one job; nil means the farm's own executor, a compile
+	// served by the shared binary cache and then one sim.Simulate. Either way
+	// the planner groups the points that share a binary, and a pool worker
+	// runs a group's points in parallel, one Measure call each.
 	Measure MeasureFunc
 	// MaxInstrs is the per-simulation instruction budget for the default
 	// executor (0 = 500M).
@@ -65,7 +65,7 @@ const binaryCacheSize = 256
 type Farm struct {
 	*Planner
 	workers int
-	measure MeasureFunc // Options.Measure; nil runs the default executor, simulateGroup
+	measure MeasureFunc // Options.Measure, or the default executor simulate
 
 	// Compile machinery of the default executor: binary cache and compile
 	// hook (swappable in tests).
@@ -80,9 +80,8 @@ type Farm struct {
 	wg      sync.WaitGroup
 
 	// Pool-layer counters, guarded by the planner's stats lock (Count).
-	pool       PoolStats
-	dispatched int64
-	perWorker  []WorkerStats
+	pool      PoolStats
+	perWorker []WorkerStats
 }
 
 // New starts a farm with opts.Workers workers. The pool runs until Close.
@@ -100,9 +99,10 @@ func New(opts Options) *Farm {
 	if f.maxInstrs == 0 {
 		f.maxInstrs = 500_000_000
 	}
-	// Grouping only applies with the default executor. A custom Measure owns
-	// the whole pipeline, so the planner can't split it.
-	f.Planner = NewPlanner(opts, f.measure == nil, f.execute)
+	if f.measure == nil {
+		f.measure = f.simulate
+	}
+	f.Planner = NewPlanner(opts, f.execute)
 	f.cond = sync.NewCond(&f.mu)
 	f.perWorker = make([]WorkerStats, f.workers)
 	for i := range f.perWorker {
@@ -151,24 +151,21 @@ func (f *Farm) worker(id int) {
 	}
 }
 
-// run executes one group, once, and hands the outcome to the planner. The
-// default executor runs every group through simulateGroup; a custom Measure
-// (whose groups are single tasks) is called per task. Neither is retried: a
-// compile and a simulation are deterministic, so a failed measurement fails
-// again.
+// run executes one group, once, and hands the outcome to the planner: one
+// Measure call per point over par.For, so the points of a group share their
+// binary through the binary cache. Nothing is retried: a compile and a
+// simulation are deterministic, so a failed measurement fails again.
 func (f *Farm) run(g *Group) {
 	results := make([]Result, len(g.Tasks))
 	errs := make([]error, len(g.Tasks))
-	switch {
-	case f.measure == nil:
-		f.simulateGroup(g, results, errs)
-	case g.Ctx.Err() != nil:
-		errs[0] = g.Ctx.Err()
-	default:
-		results[0], errs[0] = f.measure(g.Ctx, g.Tasks[0].Job)
-	}
-	// One line per failure: a compile error that failed the whole group is
-	// one error shared by its points, a simulation error each point's own.
+	par.For(len(g.Tasks), 0, func(i int) {
+		if errs[i] = g.Ctx.Err(); errs[i] == nil {
+			results[i], errs[i] = f.measure(g.Ctx, g.Tasks[i].Job)
+		}
+	})
+	// One line per failure: a compile error that points met while it was
+	// in flight is one error shared by them, a simulation error each point's
+	// own.
 	for i := 0; i < len(errs); {
 		err, n := errs[i], 1
 		for i+n < len(errs) && errs[i+n] == err {
@@ -252,8 +249,9 @@ type PlannerStats struct {
 }
 
 // PoolStats are the counters of the local worker pool's default executor:
-// binary-cache traffic and the engine tiers. They stay zero on a
-// coordinator, whose compiles and simulations happen worker-side.
+// binary-cache traffic, one lookup per point. They stay zero on a
+// coordinator, whose compiles and simulations happen worker-side, and under
+// a custom Measure.
 type PoolStats struct {
 	CompileCacheHits   int64
 	CompileCacheMisses int64
@@ -262,10 +260,10 @@ type PoolStats struct {
 // DispatchStats are the counters of the plane that places groups on
 // executors.
 type DispatchStats struct {
-	// GroupsDispatched counts handovers of a group to an executor: in the
-	// local pool one per group the default executor runs, a lone point
-	// included (a custom Measure moves it not at all), on the coordinator
-	// one per worker lease of any group, so requeue re-leases count again.
+	// GroupsDispatched counts handovers of a group to an executor, that is
+	// calls of Planner.Start: in the local pool one per group a worker
+	// dequeues, a lone point included, on the coordinator one per worker
+	// lease of any group, so requeue re-leases count again.
 	// GroupsRequeued counts leases abandoned after worker death or drain, and
 	// WorkersLive is the executors currently believed healthy (for the
 	// in-process farm that is simply the pool size).
@@ -326,7 +324,6 @@ func (f *Farm) Stats() Stats {
 	return f.Snapshot(func(st *Stats) {
 		st.Workers = f.workers
 		st.PoolStats = f.pool
-		st.GroupsDispatched = f.dispatched
 		st.WorkersLive = int64(f.workers)
 		st.PerWorker = append([]WorkerStats(nil), f.perWorker...)
 	})

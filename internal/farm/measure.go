@@ -132,9 +132,9 @@ func keyString(w workloads.Workload, sep string, h fnv64a) string {
 func EnergyKey(jobKey string) string { return jobKey + "|energy" }
 
 // Executor returns the uncached serial MeasureFunc. It is not what a nil
-// Options.Measure runs (that is the farm's own executor, with the binary
-// cache and grouping); it is the plain form tests and benchmarks compare
-// that executor against: compile the workload at the point's compiler
+// Options.Measure runs (that is the farm's own executor, which compiles
+// through the binary cache); it is the plain form tests and benchmarks
+// compare that executor against: compile the workload at the point's compiler
 // settings, then simulate on the point's microarchitecture under the given
 // instruction budget (0 means 500M, guarding miscompiled infinite loops).
 // Errors are typed: CompileError, or SimError with Budget set on an

@@ -29,9 +29,9 @@ type Task struct {
 }
 
 // Group is what an executor receives: new tasks that compile to one binary
-// (a single task when nothing shares its binary, or when the planner does not
-// group). Until the executor calls Start the group is open: a new task of a
-// later batch that needs the same binary is added to it, whoever submits it.
+// (a single task when nothing shares its binary). Until the executor calls
+// Start the group is open: a new task of a later batch that needs the same
+// binary is added to it, whoever submits it.
 type Group struct {
 	// Tasks is final once Start has returned; an executor reads it only then.
 	Tasks []*Task
@@ -67,11 +67,10 @@ func (g *Group) Workload() workloads.Workload { return g.Tasks[0].Job.Workload }
 // Lock order: an executor's own dispatch lock, then Planner.mu, then the
 // stats lock. The planner calls the executor with none of them held.
 type Planner struct {
-	store    *Store
-	execute  func([]*Group)
-	grouping bool
-	log      io.Writer
-	start    time.Time
+	store   *Store
+	execute func([]*Group)
+	log     io.Writer
+	start   time.Time
 
 	mu       sync.Mutex
 	inflight map[string]*Task  // by Key: tasks a request may still join
@@ -82,18 +81,17 @@ type Planner struct {
 	// the embedding backend's: one lock lets Stats take one consistent
 	// snapshot, so counters that move together (sims and instrs, groups and
 	// the compiles behind them) are never observed torn.
-	statMu sync.Mutex
-	st     PlannerStats
+	statMu     sync.Mutex
+	st         PlannerStats
+	dispatched int64 // Start calls, reported as DispatchStats.GroupsDispatched
 }
 
 // NewPlanner builds a planner over opts.Store (nil = a fresh MemStore) that
 // hands new groups to execute. It reads the store and the log from opts.
-// With grouping off every task is planned as a group of one.
-func NewPlanner(opts Options, grouping bool, execute func([]*Group)) *Planner {
+func NewPlanner(opts Options, execute func([]*Group)) *Planner {
 	p := &Planner{
 		store:    opts.Store,
 		execute:  execute,
-		grouping: grouping,
 		log:      opts.Log,
 		start:    time.Now(),
 		inflight: map[string]*Task{},
@@ -124,11 +122,13 @@ func (p *Planner) Count(update func()) {
 }
 
 // Snapshot returns the planner's counters and lets the backend add its own
-// layer inside the same critical section.
+// layer inside the same critical section. GroupsDispatched is the planner's
+// count of Start calls, whatever the layer sets.
 func (p *Planner) Snapshot(layer func(*Stats)) Stats {
 	p.statMu.Lock()
 	st := Stats{PlannerStats: p.st}
 	layer(&st)
+	st.GroupsDispatched = p.dispatched
 	p.statMu.Unlock()
 	st.WallTime = time.Since(p.start)
 	return st
@@ -206,10 +206,7 @@ func (p *Planner) Run(ctx context.Context, jobs []Job) (res []Result, errs []err
 		p.inflight[t.Key] = t
 		tasks[i] = t
 		fresh++
-		bin := t.Key // ungrouped: nothing shares a task's group
-		if p.grouping {
-			bin = BinaryKey(job.Workload, job.Point)
-		}
+		bin := BinaryKey(job.Workload, job.Point)
 		g := p.open[bin]
 		if g == nil || g.Ctx.Err() != nil {
 			g = &Group{bin: bin}
@@ -270,14 +267,15 @@ func (p *Planner) leave(tasks []*Task) {
 // Start freezes g's membership: from here on a new task that needs its binary
 // opens another group. An executor calls it when it begins work on the group
 // (a pool worker at dequeue, the lease scheduler at each lease) and sizes
-// nothing by g.Tasks before. A requeue starts a started group again, which
-// changes nothing.
+// nothing by g.Tasks before. Each call counts as a dispatch; a requeue
+// starts a started group again, which changes nothing else.
 func (p *Planner) Start(g *Group) {
 	p.mu.Lock()
 	if p.open[g.bin] == g {
 		delete(p.open, g.bin)
 	}
 	p.mu.Unlock()
+	p.Count(func() { p.dispatched++ })
 }
 
 // Complete delivers a group's outcome, one result and one error per task.

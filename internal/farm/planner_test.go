@@ -29,10 +29,10 @@ type heldExecutor struct {
 }
 
 // newHeldPlanner builds a planner over a held executor.
-func newHeldPlanner(opts Options, grouping bool) (*heldExecutor, *Planner) {
+func newHeldPlanner(opts Options) (*heldExecutor, *Planner) {
 	// Buffered beyond any test's batch count, so execute never blocks.
 	e := &heldExecutor{calls: make(chan struct{}, 16)}
-	e.p = NewPlanner(opts, grouping, e.execute)
+	e.p = NewPlanner(opts, e.execute)
 	return e, e.p
 }
 
@@ -184,7 +184,7 @@ func TestPlannerPlansBatch(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ex, p := newHeldPlanner(Options{}, true)
+			ex, p := newHeldPlanner(Options{})
 			for _, job := range jobsAt(points, tc.stored) {
 				key := Key(job.Workload, job.Point)
 				if err := p.Store().Put(Entry(key, pointValue(job.Point)), Entry(EnergyKey(key), 1)); err != nil {
@@ -258,7 +258,7 @@ func TestPlannerPlansBatch(t *testing.T) {
 // group — what a lease finishing after Abandon would do — and requires
 // the first to be the only one waiters, store and counters ever see.
 func TestPlannerCompletionAppliedOnce(t *testing.T) {
-	ex, p := newHeldPlanner(Options{}, true)
+	ex, p := newHeldPlanner(Options{})
 	points := plannerPoints()
 	done := runAsync(p, context.Background(), jobsAt(points, []int{0, 1}))
 	await(t, "the batch to reach the executor", ex.calls)
@@ -284,36 +284,29 @@ func TestPlannerCompletionAppliedOnce(t *testing.T) {
 }
 
 // TestPlannerOpenGroups pins when a group takes a later batch's task: while no
-// executor has started it, and only when the planner groups at all. A task
-// that joins rides the group's one completion.
+// executor has started it. A task that joins rides the group's one completion.
 func TestPlannerOpenGroups(t *testing.T) {
 	points := plannerPoints()
 	cases := []struct {
-		name     string
-		grouping bool
-		hold     bool    // the executor leaves the first batch's group open
-		groups   [][]int // what the executor holds once both batches are planned
-		want     PlannerStats
+		name   string
+		hold   bool    // the executor leaves the first batch's group open
+		groups [][]int // what the executor holds once both batches are planned
+		want   PlannerStats
 	}{
 		{
-			name: "an open group takes a later batch's point", grouping: true, hold: true,
+			name: "an open group takes a later batch's point", hold: true,
 			groups: [][]int{{0, 1}},
 			want:   PlannerStats{CacheMisses: 2, SimsExecuted: 2, InstrsSimulated: 20, BinaryGroups: 1, TraceSharedSims: 2},
 		},
 		{
-			name: "a started group takes nothing", grouping: true,
-			groups: [][]int{{0}, {1}},
-			want:   PlannerStats{CacheMisses: 2, SimsExecuted: 2, InstrsSimulated: 20},
-		},
-		{
-			name: "nothing joins with grouping off", hold: true,
+			name:   "a started group takes nothing",
 			groups: [][]int{{0}, {1}},
 			want:   PlannerStats{CacheMisses: 2, SimsExecuted: 2, InstrsSimulated: 20},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ex, p := newHeldPlanner(Options{}, tc.grouping)
+			ex, p := newHeldPlanner(Options{})
 			ex.hold = tc.hold
 			first := runAsync(p, context.Background(), jobsAt(points, []int{0}))
 			await(t, "the first batch to reach the executor", ex.calls)
@@ -362,7 +355,7 @@ func TestPlannerOpenGroups(t *testing.T) {
 // waiter has gone is the group's context cancelled, and a request arriving
 // after that plans a fresh task instead of joining the doomed one.
 func TestPlannerContexts(t *testing.T) {
-	ex, p := newHeldPlanner(Options{}, true)
+	ex, p := newHeldPlanner(Options{})
 	points := plannerPoints()
 	jobs := jobsAt(points, []int{0, 1})
 
@@ -445,7 +438,7 @@ func TestPlannerContexts(t *testing.T) {
 // its groups: every waiter is failed with ErrClosed, and an outcome that
 // turns up afterwards is dropped without touching the store.
 func TestPlannerCloseFailsWaiters(t *testing.T) {
-	ex, p := newHeldPlanner(Options{}, true)
+	ex, p := newHeldPlanner(Options{})
 	points := plannerPoints()
 	a := runAsync(p, context.Background(), jobsAt(points, []int{0, 1, 3}))
 	await(t, "the first batch to reach the executor", ex.calls)
@@ -502,7 +495,7 @@ func TestPlannerRetriesTransientJournalError(t *testing.T) {
 			store.journal.Close()
 			store.journal = full
 
-			ex, p := newHeldPlanner(Options{Store: store}, true)
+			ex, p := newHeldPlanner(Options{Store: store})
 			done := runAsync(p, context.Background(), jobsAt(points, tc.batch))
 			await(t, "the batch to reach the executor", ex.calls)
 			succeed(p, ex.held()[0])

@@ -643,7 +643,7 @@ func BenchmarkStoreHit(b *testing.B) {
 			keySink = Key(j.Workload, j.Point)
 		}
 		keyNS += time.Since(t0).Nanoseconds()
-		p := NewPlanner(Options{Store: s}, false, func([]*Group) { b.Fatal("a stored point was executed") })
+		p := NewPlanner(Options{Store: s}, func([]*Group) { b.Fatal("a stored point was executed") })
 		t0 = time.Now()
 		_, errs := p.DoJobs(ctx, jobs)
 		hitNS += time.Since(t0).Nanoseconds()

@@ -31,12 +31,13 @@ const (
 	Ref InputClass = "ref"
 )
 
-// Workload is one benchmark program at one input class.
+// Workload is one benchmark program at one input class. Its JSON form is
+// what dist.GroupRequest carries to a worker.
 type Workload struct {
-	Name   string // e.g. "164.gzip"
-	Input  string // input label, e.g. "graphic" or "train"
-	Class  InputClass
-	Source string // MiniC source text
+	Name   string     `json:"name"`  // e.g. "164.gzip"
+	Input  string     `json:"input"` // input label, e.g. "graphic" or "train"
+	Class  InputClass `json:"class"`
+	Source string     `json:"source"` // MiniC source text
 }
 
 // Key returns "name-input", e.g. "179.art-train".
