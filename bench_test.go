@@ -760,9 +760,10 @@ const minDistSpeedup = 1.7
 // coordinator over one worker and then over two, and gates the wall-clock
 // ratio — the distributed plane's headline number. Each worker is a
 // fixed-service-time measurement service (a stub executor with a
-// deterministic per-point latency and a single-slot farm), so
-// the ratio measures what the coordinator actually adds — overlapping whole
-// groups across worker processes — and holds on any core count; two real
+// deterministic per-point latency and a single-slot farm, which runs a
+// group's points one after another), so the ratio measures what the
+// coordinator actually adds — overlapping whole groups across worker
+// processes — and holds on any core count; two real
 // simulator processes on one localhost would just contend for the same cores
 // and say nothing about the scheduler.
 func BenchmarkDistributedSweep(b *testing.B) {

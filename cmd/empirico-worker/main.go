@@ -46,7 +46,7 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", ":9101", "listen address")
-		workers     = flag.Int("workers", 0, "local farm workers (0 = GOMAXPROCS)")
+		workers     = flag.Int("workers", 0, "simulations run at once, also the advertised slots (0 = GOMAXPROCS)")
 		storePath   = flag.String("store", "", "journaled worker-local store path (empty = in-memory only)")
 		coordinator = flag.String("coordinator", "", "coordinator control URL to register with (empty = static fleet membership)")
 		advertise   = flag.String("advertise", "", "address the coordinator should lease to (default: -addr)")

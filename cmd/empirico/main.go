@@ -37,7 +37,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "random seed for designs and search")
 		cacheDir = flag.String("cache", "", "directory for the measurement cache")
 		jsonPath = flag.String("json", "", "also write machine-readable results to this file")
-		workers  = flag.Int("workers", 0, "measurement farm + analytics workers (0 = GOMAXPROCS, 1 = serial; results identical)")
+		workers  = flag.Int("workers", 0, "simulations run at once + analytics workers (0 = GOMAXPROCS, 1 = serial; results identical)")
 		waddrs   = flag.String("workers-addrs", "", "comma-separated empirico-worker addresses; measurements shard across them instead of running in-process (results identical)")
 		ctrlAddr = flag.String("control-addr", "", "serve the coordinator control API (worker register/deregister) on this address; implies an elastic fleet, usable with an empty -workers-addrs")
 		quiet    = flag.Bool("q", false, "suppress progress output")

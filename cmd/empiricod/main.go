@@ -50,7 +50,7 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen address")
 		scale    = flag.String("scale", "default", "default harness scale: quick|default|paper")
 		cacheDir = flag.String("cache", "", "directory for the durable measurement cache")
-		workers  = flag.Int("workers", 0, "farm + analytics workers (0 = GOMAXPROCS)")
+		workers  = flag.Int("workers", 0, "simulations run at once + analytics workers (0 = GOMAXPROCS)")
 		models   = flag.Int("max-models", 0, "resident (workload, scale) model sets (0 = 8)")
 		rate     = flag.Float64("rate", 0, "per-endpoint requests/second (0 = 50)")
 		burst    = flag.Float64("burst", 0, "per-endpoint burst (0 = 100)")

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/iotest"
@@ -16,20 +17,20 @@ import (
 	"repro/internal/workloads"
 )
 
-// cutTransport is an http.RoundTripper that cuts the client side of one
-// lease stream: it reads the first lease response (POST /v1/group) whole,
-// hands the coordinator its first cut(body) bytes and then fails the read
-// with io.ErrUnexpectedEOF, as a connection dropped mid-body does. Every
-// other request and response passes through untouched.
-type cutTransport struct {
-	base *http.Transport
-	cut  func(body []byte) int
-	used atomic.Bool
+// faultTransport is an http.RoundTripper that reads every lease response
+// (POST /v1/group) whole before the coordinator sees a byte of it, so only a
+// fault can hold a lease up, and hands the coordinator the first one through
+// fault(body): cut short, reordered, repeated or stalled. Every other
+// request and response passes through untouched.
+type faultTransport struct {
+	base  *http.Transport
+	fault func(body []byte) io.Reader
+	used  atomic.Bool
 }
 
-func (c *cutTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+func (c *faultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	resp, err := c.base.RoundTrip(req)
-	if err != nil || req.URL.Path != "/v1/group" || c.used.Swap(true) {
+	if err != nil || req.URL.Path != "/v1/group" {
 		return resp, err
 	}
 	body, err := io.ReadAll(resp.Body)
@@ -37,8 +38,73 @@ func (c *cutTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp.Body = io.NopCloser(io.MultiReader(bytes.NewReader(body[:c.cut(body)]), iotest.ErrReader(io.ErrUnexpectedEOF)))
+	var r io.Reader = bytes.NewReader(body)
+	if !c.used.Swap(true) {
+		r = c.fault(body)
+	}
+	resp.Body = io.NopCloser(r)
 	return resp, nil
+}
+
+// stallReader reads nothing for its duration, then ends.
+type stallReader time.Duration
+
+func (d stallReader) Read([]byte) (int, error) {
+	time.Sleep(time.Duration(d))
+	return 0, io.EOF
+}
+
+// faultedSweep measures three shared-binary groups of three points, both
+// responses, through a coordinator over two stub workers whose first lease
+// stream crosses fault, holds every value to the in-process farm's bit for
+// bit, and returns the coordinator's stats and log. lease is the
+// coordinator's LeaseTimeout (0 = its default).
+func faultedSweep(t *testing.T, fault func(body []byte) io.Reader, lease time.Duration) (farm.Stats, string) {
+	t.Helper()
+	w := workloads.MustGet("179.art", workloads.Train)
+	points := sweepPoints(3, 3)
+	local := farm.New(farm.Options{Workers: 2, Measure: stubMeasure(nil, 0)})
+	defer local.Close()
+
+	tr := &faultTransport{base: http.DefaultTransport.(*http.Transport).Clone(), fault: fault}
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		wk := NewWorker(WorkerOptions{Workers: 2, Measure: stubMeasure(nil, 0), Heartbeat: 10 * time.Millisecond})
+		ts := httptest.NewServer(wk.Handler())
+		t.Cleanup(func() { ts.Close(); wk.Close() }) // after the coordinator's
+		addrs = append(addrs, ts.URL)
+	}
+	logs := &lockedLog{}
+	co, err := New(Options{Dynamic: true, Client: &http.Client{Transport: tr}, LeaseTimeout: lease, Log: logs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { co.Close(); tr.base.CloseIdleConnections() })
+	for _, addr := range addrs {
+		if _, err := co.Register(addr, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, resp := range []farm.Response{farm.Cycles, farm.Energy} {
+		want, err := local.MeasureBatch(context.Background(), w, points, resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := co.MeasureBatch(context.Background(), w, points, resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range points {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("response %v point %d: %v, in-process farm %v", resp, i, got[i], want[i])
+			}
+		}
+	}
+	if !tr.used.Load() {
+		t.Fatal("no lease stream crossed the transport")
+	}
+	return co.Stats(), logs.String()
 }
 
 // lineOffset is the offset of the first line of body that starts with
@@ -64,19 +130,6 @@ func lineOffset(t *testing.T, body []byte, prefix string, skip int) int {
 // lease is requeued once, no caller sees an error, and the sweep equals the
 // in-process farm's to the bit.
 func TestCutLeaseStreamRequeues(t *testing.T) {
-	w := workloads.MustGet("179.art", workloads.Train)
-	points := sweepPoints(3, 3) // three shared-binary groups of three points
-	local := farm.New(farm.Options{Workers: 2, Measure: stubMeasure(nil, 0)})
-	defer local.Close()
-	want := map[farm.Response][]float64{}
-	for _, resp := range []farm.Response{farm.Cycles, farm.Energy} {
-		v, err := local.MeasureBatch(context.Background(), w, points, resp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[resp] = v
-	}
-
 	for _, tc := range []struct {
 		name string
 		cut  func(t *testing.T, body []byte) int
@@ -90,42 +143,63 @@ func TestCutLeaseStreamRequeues(t *testing.T) {
 		{"inside the done line", func(t *testing.T, b []byte) int { return lineOffset(t, b, `{"done":true`, 5) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tr := &cutTransport{base: http.DefaultTransport.(*http.Transport).Clone()}
-			tr.cut = func(body []byte) int { return tc.cut(t, body) }
-			var addrs []string
-			for i := 0; i < 2; i++ {
-				wk := NewWorker(WorkerOptions{Workers: 2, Measure: stubMeasure(nil, 0), Heartbeat: 10 * time.Millisecond})
-				ts := httptest.NewServer(wk.Handler())
-				t.Cleanup(func() { ts.Close(); wk.Close() }) // after the coordinator's
-				addrs = append(addrs, ts.URL)
-			}
-			co, err := New(Options{Dynamic: true, Client: &http.Client{Transport: tr}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { co.Close(); tr.base.CloseIdleConnections() })
-			for _, addr := range addrs {
-				if _, err := co.Register(addr, 2); err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			for _, resp := range []farm.Response{farm.Cycles, farm.Energy} {
-				got, err := co.MeasureBatch(context.Background(), w, points, resp)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range points {
-					if math.Float64bits(got[i]) != math.Float64bits(want[resp][i]) {
-						t.Fatalf("response %v point %d: %v, in-process farm %v", resp, i, got[i], want[resp][i])
-					}
-				}
-			}
-			if !tr.used.Load() {
-				t.Fatal("no lease stream crossed the transport")
-			}
-			if st := co.Stats(); st.GroupsRequeued != 1 || st.Failures != 0 {
+			st, _ := faultedSweep(t, func(body []byte) io.Reader {
+				return io.MultiReader(bytes.NewReader(body[:tc.cut(t, body)]), iotest.ErrReader(io.ErrUnexpectedEOF))
+			}, 0)
+			if st.GroupsRequeued != 1 || st.Failures != 0 {
 				t.Fatalf("requeued=%d failures=%d, want one requeue and no failure", st.GroupsRequeued, st.Failures)
+			}
+		})
+	}
+}
+
+// TestFaultedLeaseStream delays, duplicates and reorders lines of one group's
+// first lease stream. Results in another order are still the group's (the
+// stream protocol allows any order), a repeated result line is a StreamError
+// and a stall past the lease timeout before the done line an expiry, each
+// requeued once; every case ends with the in-process farm's results, bit for
+// bit.
+func TestFaultedLeaseStream(t *testing.T) {
+	// resultLines splits a lease body around its result lines, which the
+	// worker writes together after its heartbeats and before its done line.
+	resultLines := func(t *testing.T, body []byte) (head []byte, results [][]byte, tail []byte) {
+		first := lineOffset(t, body, `{"result":true`, 0)
+		done := lineOffset(t, body, `{"done":true`, 0)
+		return body[:first], bytes.SplitAfter(body[first:done], []byte("\n"))[:3], body[done:]
+	}
+	// The stalled lease expires after 10 ms. The others get the default
+	// lease: under the race detector at GOMAXPROCS 1 a lease as short as a
+	// millisecond can expire between two lines read from memory.
+	const lease = 10 * time.Millisecond
+	for _, tc := range []struct {
+		name     string
+		fault    func(t *testing.T, body []byte) io.Reader
+		lease    time.Duration
+		requeued int64
+		logged   string // what the requeue line names; "" when there is none
+	}{
+		{"result lines reversed", func(t *testing.T, b []byte) io.Reader {
+			head, res, tail := resultLines(t, b)
+			return io.MultiReader(bytes.NewReader(head), bytes.NewReader(res[2]), bytes.NewReader(res[1]),
+				bytes.NewReader(res[0]), bytes.NewReader(tail))
+		}, 0, 0, ""},
+		{"a result line repeated", func(t *testing.T, b []byte) io.Reader {
+			head, res, tail := resultLines(t, b)
+			return io.MultiReader(bytes.NewReader(head), bytes.NewReader(res[0]), bytes.NewReader(res[0]),
+				bytes.NewReader(res[1]), bytes.NewReader(res[2]), bytes.NewReader(tail))
+		}, 0, 1, "duplicate result index 0"},
+		{"a stall before the done line", func(t *testing.T, b []byte) io.Reader {
+			done := lineOffset(t, b, `{"done":true`, 0)
+			return io.MultiReader(bytes.NewReader(b[:done]), stallReader(20*lease), bytes.NewReader(b[done:]))
+		}, lease, 1, "lease expired"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, log := faultedSweep(t, func(body []byte) io.Reader { return tc.fault(t, body) }, tc.lease)
+			if st.GroupsRequeued != tc.requeued || st.Failures != 0 {
+				t.Fatalf("requeued=%d failures=%d, want %d and none:\n%s", st.GroupsRequeued, st.Failures, tc.requeued, log)
+			}
+			if tc.logged != "" && strings.Count(log, tc.logged) != 1 {
+				t.Fatalf("want one requeue naming %q:\n%s", tc.logged, log)
 			}
 		})
 	}

@@ -15,9 +15,9 @@ import (
 
 // WorkerOptions configures a measurement worker.
 type WorkerOptions struct {
-	// Workers bounds the local farm's pool (0 = GOMAXPROCS). The count is
-	// also the slot budget a worker advertises when it registers with a
-	// coordinator.
+	// Workers is the local farm's slot budget, the simulations it runs at
+	// once (0 = GOMAXPROCS). The count is also the slot budget a worker
+	// advertises when it registers with a coordinator.
 	Workers int
 	// Heartbeat is the interval between heartbeat lines while a group
 	// measures (0 = 500ms). It must be well under the coordinator's lease

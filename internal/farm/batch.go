@@ -36,7 +36,8 @@ func defaultCompile(w workloads.Workload, p doe.Point, cfg sim.Config) (*isa.Pro
 
 // compileCached resolves a job's binary through the farm's binary cache,
 // wrapping failures as CompileError. A failed compile is not cached, so the
-// next job for the binary compiles afresh.
+// next group for the binary compiles afresh (run keeps the failure for the
+// rest of its own group).
 func (f *Farm) compileCached(w workloads.Workload, p doe.Point) (*isa.Program, sim.Config, error) {
 	cfg := doe.ToConfig(p)
 	prog, hit, err := f.bins.Get(context.Background(), BinaryKey(w, p), func() (*isa.Program, error) {
@@ -57,9 +58,9 @@ func (f *Farm) compileCached(w workloads.Workload, p doe.Point) (*isa.Program, s
 }
 
 // simulate is the farm's default MeasureFunc: the job's binary through the
-// binary cache, then one sim.Simulate. Points of a group run it side by
-// side, so the first compiles and the others join that build or hit the
-// finished binary. Errors are typed as Executor types them (CompileError,
+// binary cache, then one sim.Simulate. Points of a group run it on slots of
+// their own, so the first compiles and the others join that build or hit
+// the finished binary. Errors are typed as Executor types them (CompileError,
 // SimError with its Budget flag).
 func (f *Farm) simulate(ctx context.Context, job Job) (Result, error) {
 	prog, cfg, err := f.compileCached(job.Workload, job.Point)

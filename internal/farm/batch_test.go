@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/compiler"
 	"repro/internal/doe"
@@ -277,6 +279,82 @@ func TestGroupCompileFailureNoPoison(t *testing.T) {
 		if res[i].Cycles != ref.Cycles || res[i].Energy != ref.Energy {
 			t.Errorf("point %d after retry: (%v, %v) != serial (%v, %v)",
 				i, res[i].Cycles, res[i].Energy, ref.Cycles, ref.Energy)
+		}
+	}
+}
+
+// TestCompileFailureFailsGroupOnce holds a failed build to one compile per
+// group: at one slot the points of a 3-point group run one after another,
+// and the two after the failure take its error instead of compiling again,
+// so the farm logs one line for the three. The next batch compiles afresh.
+func TestCompileFailureFailsGroupOnce(t *testing.T) {
+	w := tinyWorkload()
+	points := make([]doe.Point, 3)
+	for i := range points {
+		cfg := sim.DefaultConfig()
+		cfg.MemLat = 60 + 10*i
+		points[i] = jointPoint(compiler.O2(), cfg)
+	}
+	jobs := make([]Job, len(points))
+	for i, p := range points {
+		jobs[i] = Job{Workload: w, Point: p}
+	}
+	var log strings.Builder // written before the group completes, read after
+	f := New(Options{Workers: 1, Log: &log})
+	defer f.Close()
+	var compiles atomic.Int64
+	f.compile = func(cw workloads.Workload, p doe.Point, cfg sim.Config) (*isa.Program, error) {
+		compiles.Add(1)
+		return nil, errors.New("injected")
+	}
+
+	for batch := int64(1); batch <= 2; batch++ {
+		_, errs := f.DoJobs(context.Background(), jobs)
+		for i, err := range errs {
+			if !errors.As(err, new(*CompileError)) {
+				t.Fatalf("batch %d point %d: %v, want a CompileError", batch, i, err)
+			}
+		}
+		if n := compiles.Load(); n != batch {
+			t.Errorf("after batch %d: %d compiles, want %d", batch, n, batch)
+		}
+		if n := strings.Count(log.String(), "permanent failure (3 points)"); n != int(batch) ||
+			strings.Count(log.String(), "\n") != int(batch) {
+			t.Errorf("after batch %d, log:\n%s\nwant one permanent-failure line per batch", batch, log.String())
+		}
+	}
+}
+
+// TestWorkersBoundMeasuresInFlight holds the farm to one concurrency bound:
+// however many cores the runtime has, Workers is the most Measure calls in
+// flight, over a batch whose groups have five and three points. Each slot
+// reports the points it measured.
+func TestWorkersBoundMeasuresInFlight(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, workers := range []int{1, 2} {
+		var inFlight, peak atomic.Int64
+		f := New(Options{Workers: workers, Measure: func(ctx context.Context, job Job) (Result, error) {
+			n := inFlight.Add(1)
+			for old := peak.Load(); n > old && !peak.CompareAndSwap(old, n); old = peak.Load() {
+			}
+			time.Sleep(2 * time.Millisecond)
+			inFlight.Add(-1)
+			return Result{Cycles: pointValue(job.Point), Energy: 1, Instructions: 1}, nil
+		}})
+		if _, err := f.MeasureBatch(context.Background(), tinyWorkload(), mixedBatch(), Cycles); err != nil {
+			t.Fatal(err)
+		}
+		st := f.Stats()
+		f.Close()
+		if p := peak.Load(); p > int64(workers) {
+			t.Errorf("Workers %d: %d Measure calls in flight at once", workers, p)
+		}
+		var jobs int64
+		for _, pw := range st.PerWorker {
+			jobs += pw.Jobs
+		}
+		if len(st.PerWorker) != workers || jobs != 10 {
+			t.Errorf("Workers %d: %d slots measured %d points, want %d slots and 10", workers, len(st.PerWorker), jobs, workers)
 		}
 	}
 }

@@ -18,9 +18,9 @@
 //   - exactly-once completion with bounded retry of transient store IO.
 //
 // Behind it sits an executor that turns planned groups into results. This
-// package has the local one, Farm: a bounded worker pool with a binary
-// cache, typed errors (a measurement is tried once; budget overruns are
-// counted apart) and context cancellation that drains workers cleanly.
+// package has the local one, Farm: a budget of slots, one simulation each,
+// with a binary cache, typed errors (a measurement is tried once; budget
+// overruns are counted apart) and context cancellation that drains cleanly.
 // internal/dist has the other, a lease scheduler over remote workers.
 //
 // Results are keyed by point and order-independent, so a parallel run is
@@ -28,10 +28,12 @@
 package farm
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/isa"
@@ -40,14 +42,15 @@ import (
 
 // Options configures a Farm.
 type Options struct {
-	// Workers bounds the pool; <= 0 means runtime.GOMAXPROCS(0).
+	// Workers is the farm's slot budget, the number of Measure calls in
+	// flight at once; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
 	// Store holds completed measurements; nil means a fresh MemStore.
 	Store *Store
 	// Measure executes one job; nil means the farm's own executor, a compile
 	// served by the shared binary cache and then one sim.Simulate. Either way
-	// the planner groups the points that share a binary, and a pool worker
-	// runs a group's points in parallel, one Measure call each.
+	// the planner groups the points that share a binary, and each point of a
+	// group is one Measure call on a slot of its own.
 	Measure MeasureFunc
 	// MaxInstrs is the per-simulation instruction budget for the default
 	// executor (0 = 500M).
@@ -60,11 +63,10 @@ type Options struct {
 const binaryCacheSize = 256
 
 // Farm is the in-process measurement backend: a Planner in front of a
-// bounded worker pool. Create with New, submit with MeasureBatch or DoJobs,
-// and Close when done to flush the store.
+// budget of Workers slots. Create with New, submit with MeasureBatch or
+// DoJobs, and Close when done to flush the store.
 type Farm struct {
 	*Planner
-	workers int
 	measure MeasureFunc // Options.Measure, or the default executor simulate
 
 	// Compile machinery of the default executor: binary cache and compile
@@ -73,28 +75,27 @@ type Farm struct {
 	compile   compileFn
 	maxInstrs int64
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   []*Group
-	stopped bool
-	wg      sync.WaitGroup
+	slots chan int // the free slots, by index into perWorker
+	// handed is read-held by every group handed to the pool until its
+	// outcome is in; Close write-locks it to wait for them.
+	handed sync.RWMutex
 
 	// Pool-layer counters, guarded by the planner's stats lock (Count).
 	pool      PoolStats
 	perWorker []WorkerStats
 }
 
-// New starts a farm with opts.Workers workers. The pool runs until Close.
+// New starts a farm of opts.Workers slots.
 func New(opts Options) *Farm {
 	f := &Farm{
-		workers:   opts.Workers,
 		measure:   opts.Measure,
 		bins:      par.NewCache[string, *isa.Program](binaryCacheSize),
 		compile:   defaultCompile,
 		maxInstrs: opts.MaxInstrs,
 	}
-	if f.workers <= 0 {
-		f.workers = runtime.GOMAXPROCS(0)
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if f.maxInstrs == 0 {
 		f.maxInstrs = 500_000_000
@@ -103,69 +104,64 @@ func New(opts Options) *Farm {
 		f.measure = f.simulate
 	}
 	f.Planner = NewPlanner(opts, f.execute)
-	f.cond = sync.NewCond(&f.mu)
-	f.perWorker = make([]WorkerStats, f.workers)
+	f.slots = make(chan int, workers)
+	f.perWorker = make([]WorkerStats, workers)
 	for i := range f.perWorker {
 		f.perWorker[i].Slots = 1
-	}
-	f.wg.Add(f.workers)
-	for i := 0; i < f.workers; i++ {
-		go f.worker(i)
+		f.slots <- i
 	}
 	return f
 }
 
-// execute is the farm's executor: queue the planned groups for the pool.
+// execute is the farm's executor: each planned group waits for a slot.
 func (f *Farm) execute(groups []*Group) {
-	f.mu.Lock()
-	f.queue = append(f.queue, groups...)
-	for range groups {
-		f.cond.Signal()
-	}
-	f.mu.Unlock()
-}
-
-func (f *Farm) worker(id int) {
-	defer f.wg.Done()
-	for {
-		f.mu.Lock()
-		for len(f.queue) == 0 && !f.stopped {
-			f.cond.Wait()
-		}
-		if len(f.queue) == 0 {
-			// Stopped with an empty queue: the pool has drained.
-			f.mu.Unlock()
-			return
-		}
-		g := f.queue[0]
-		f.queue = f.queue[1:]
-		f.mu.Unlock()
-		f.Start(g) // while it waited here, later batches could still add to it
-		start := time.Now()
-		f.run(g)
-		busy := time.Since(start)
-		f.Count(func() {
-			f.perWorker[id].Busy += busy
-			f.perWorker[id].Jobs++
-		})
+	for _, g := range groups {
+		f.handed.RLock()
+		go f.run(g)
 	}
 }
 
-// run executes one group, once, and hands the outcome to the planner: one
-// Measure call per point over par.For, so the points of a group share their
-// binary through the binary cache. Nothing is retried: a compile and a
+// run executes one group, once, and hands the outcome to the planner. The
+// group waits for a free slot, open to later batches until it has one; then
+// each point is one Measure call on a slot of its own, the first on the slot
+// the group waited for, the rest as slots come free. The points share their
+// binary through the binary cache, and a failed compile fails the rest of
+// the group without compiling again. Nothing is retried: a compile and a
 // simulation are deterministic, so a failed measurement fails again.
 func (f *Farm) run(g *Group) {
+	defer f.handed.RUnlock()
+	slot := <-f.slots
+	f.Start(g) // while it waited for the slot, later batches could still add to it
 	results := make([]Result, len(g.Tasks))
 	errs := make([]error, len(g.Tasks))
-	par.For(len(g.Tasks), 0, func(i int) {
-		if errs[i] = g.Ctx.Err(); errs[i] == nil {
-			results[i], errs[i] = f.measure(g.Ctx, g.Tasks[i].Job)
+	var points sync.WaitGroup
+	var compileErr atomic.Pointer[error] // the group's failed build, once a point has met it
+	for i, t := range g.Tasks {
+		if i > 0 {
+			slot = <-f.slots
 		}
-	})
+		points.Add(1)
+		go func(i, slot int) {
+			defer func() { f.slots <- slot; points.Done() }()
+			errs[i] = g.Ctx.Err()
+			if failed := compileErr.Load(); failed != nil {
+				errs[i] = *failed
+			}
+			if errs[i] != nil {
+				return
+			}
+			start := time.Now()
+			results[i], errs[i] = f.measure(g.Ctx, t.Job)
+			f.Count(func() { f.perWorker[slot].Jobs++; f.perWorker[slot].Busy += time.Since(start) })
+			if errors.As(errs[i], new(*CompileError)) {
+				compileErr.Store(&errs[i])
+			}
+		}(i, slot)
+	}
+	points.Wait()
 	// One line per failure: a compile error that points met while it was
-	// in flight is one error shared by them, a simulation error each point's
-	// own.
+	// in flight, or after it failed, is one error shared by them, a
+	// simulation error each point's own.
 	for i := 0; i < len(errs); {
 		err, n := errs[i], 1
 		for i+n < len(errs) && errs[i+n] == err {
@@ -186,33 +182,34 @@ func (f *Farm) run(g *Group) {
 // Checkpoint flushes the result store to its durable checkpoint file.
 func (f *Farm) Checkpoint() error { return f.store.Checkpoint() }
 
-// Close drains the queue, stops the workers and closes the store (flushing
-// a final checkpoint when durable). The farm rejects new work afterwards.
+// Close waits for the groups already handed to the pool, fails whatever is
+// left in flight and closes the store (flushing a final checkpoint when
+// durable). The farm rejects new work afterwards.
 func (f *Farm) Close() error {
 	if !f.Shut() {
 		return nil
 	}
-	f.mu.Lock()
-	f.stopped = true
-	f.cond.Broadcast()
-	f.mu.Unlock()
-	f.wg.Wait()
+	// Held to the end, so a group handed over after Shut starts only once
+	// Abandon has failed it.
+	f.handed.Lock()
+	defer f.handed.Unlock()
 	f.Abandon()
 	return f.store.Close()
 }
 
 // WorkerStats reports one worker's share of the farm's work. For the
-// in-process farm a worker is one pool goroutine (Slots is always 1 and the
-// remote-plane fields stay zero); for the distributed coordinator a worker
-// is one empirico-worker process with an address, an advertised slot budget
-// and a worker-local result store.
+// in-process farm a worker is one slot (Slots is always 1, Jobs counts the
+// points measured on it, Busy the time inside Measure, and the remote-plane
+// fields stay zero); for the distributed coordinator a worker is one
+// empirico-worker process with an address, an advertised slot budget and a
+// worker-local result store, and Jobs and Busy count its leases.
 type WorkerStats struct {
 	Jobs int64
 	Busy time.Duration
 	// Addr identifies a remote worker process ("" for in-process workers).
 	Addr string
 	// Slots is the worker's lease capacity (its advertised -workers count on
-	// the distributed plane; 1 for an in-process pool goroutine).
+	// the distributed plane; 1 for an in-process slot).
 	Slots int64
 	// InFlight is the leases currently held by this worker.
 	InFlight int64
@@ -261,12 +258,12 @@ type PoolStats struct {
 // executors.
 type DispatchStats struct {
 	// GroupsDispatched counts handovers of a group to an executor, that is
-	// calls of Planner.Start: in the local pool one per group a worker
-	// dequeues, a lone point included, on the coordinator one per worker
+	// calls of Planner.Start: in the local pool one per group that gets a
+	// slot, a lone point included, on the coordinator one per worker
 	// lease of any group, so requeue re-leases count again.
 	// GroupsRequeued counts leases abandoned after worker death or drain, and
 	// WorkersLive is the executors currently believed healthy (for the
-	// in-process farm that is simply the pool size).
+	// in-process farm that is simply the slot count).
 	GroupsDispatched int64
 	GroupsRequeued   int64
 	WorkersLive      int64
@@ -295,7 +292,7 @@ type Stats struct {
 }
 
 // Utilization is the mean fraction of wall time the workers spent executing
-// jobs (1.0 = every worker busy the whole time).
+// jobs (1.0 = every worker, or every in-process slot, busy the whole time).
 func (s Stats) Utilization() float64 {
 	if s.WallTime <= 0 || s.Workers == 0 {
 		return 0
@@ -322,9 +319,9 @@ func (s Stats) String() string {
 // SimsExecuted completed simulations, never a torn in-between state.
 func (f *Farm) Stats() Stats {
 	return f.Snapshot(func(st *Stats) {
-		st.Workers = f.workers
+		st.Workers = len(f.perWorker)
 		st.PoolStats = f.pool
-		st.WorkersLive = int64(f.workers)
+		st.WorkersLive = int64(st.Workers)
 		st.PerWorker = append([]WorkerStats(nil), f.perWorker...)
 	})
 }

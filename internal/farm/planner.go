@@ -266,9 +266,9 @@ func (p *Planner) leave(tasks []*Task) {
 
 // Start freezes g's membership: from here on a new task that needs its binary
 // opens another group. An executor calls it when it begins work on the group
-// (a pool worker at dequeue, the lease scheduler at each lease) and sizes
-// nothing by g.Tasks before. Each call counts as a dispatch; a requeue
-// starts a started group again, which changes nothing else.
+// (the farm when the group gets a slot, the lease scheduler at each lease)
+// and sizes nothing by g.Tasks before. Each call counts as a dispatch; a
+// requeue starts a started group again, which changes nothing else.
 func (p *Planner) Start(g *Group) {
 	p.mu.Lock()
 	if p.open[g.bin] == g {

@@ -99,8 +99,9 @@ type Server struct {
 	start     time.Time
 	mux       *http.ServeMux
 
-	plane  *exp.Harness // owns the one measurement plane (harnessFor)
-	closed atomic.Bool
+	plane    *exp.Harness // owns the one measurement plane (harnessFor)
+	scaleErr error        // Options.Scale does not resolve
+	closed   atomic.Bool
 
 	rankHits   atomic.Int64 // rank requests answered from an entry's memo
 	rankMisses atomic.Int64 // rankings computed
@@ -150,7 +151,8 @@ func New(opts Options) *Server {
 		maxFlight: int64(opts.MaxInFlight),
 		start:     time.Now(),
 	}
-	own, _ := s.scaleFor("") // an unknown Scale is refused request by request, by the same call
+	var own exp.Scale // an unknown Scale fails /healthz, and each request by the same call
+	own, s.scaleErr = s.scaleFor("")
 	s.plane = exp.NewHarness(own)
 	s.plane.CacheDir, s.plane.Workers, s.plane.Log = opts.CacheDir, opts.Workers, opts.Log
 	s.plane.MakeBackend = opts.MakeBackend
@@ -708,6 +710,10 @@ func (s *Server) ReloadArtifacts() (loaded, skipped int, err error) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	if s.scaleErr != nil {
+		writeErr(w, http.StatusServiceUnavailable, s.scaleErr.Error())
+		return
+	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":         "ok",
 		"uptime_seconds": time.Since(s.start).Seconds(),

@@ -462,6 +462,26 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 }
 
+// TestUnknownScaleIsUnhealthy: a server whose Options.Scale does not resolve
+// answers every predict and measure with the scale error, so its health check
+// fails with that error too instead of reporting a daemon that serves.
+func TestUnknownScaleIsUnhealthy(t *testing.T) {
+	srv := New(Options{Scale: "bogus"})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close()
+
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), "unknown scale") {
+		t.Fatalf("healthz %d %s, want 503 naming the unknown scale", resp.StatusCode, body)
+	}
+}
+
 func TestRateLimitSheds429(t *testing.T) {
 	srv := New(Options{
 		Scale:      "quick",
