@@ -23,9 +23,11 @@
 // Without it the worker is stateless and killing it at any moment loses
 // nothing: in-flight leases expire on the coordinator and requeue elsewhere.
 //
-// With -coordinator the worker registers itself on boot (advertising its
-// -workers slot count for capacity-weighted placement) and deregisters on
+// With -coordinator the worker registers itself on boot and deregisters on
 // SIGTERM, so fleets grow and shrink without restarting the coordinator.
+// Registered or named in -workers-addrs, the worker states its -workers
+// slot count on every lease it answers, and the coordinator leases it that
+// many groups at once.
 package main
 
 import (
@@ -46,7 +48,7 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", ":9101", "listen address")
-		workers     = flag.Int("workers", 0, "simulations run at once, also the advertised slots (0 = GOMAXPROCS)")
+		workers     = flag.Int("workers", 0, "simulations run at once, stated to the coordinator as this worker's lease budget (0 = GOMAXPROCS)")
 		storePath   = flag.String("store", "", "journaled worker-local store path (empty = in-memory only)")
 		coordinator = flag.String("coordinator", "", "coordinator control URL to register with (empty = static fleet membership)")
 		advertise   = flag.String("advertise", "", "address the coordinator should lease to (default: -addr)")
@@ -55,8 +57,10 @@ func main() {
 	flag.Parse()
 
 	opts := dist.WorkerOptions{Workers: *workers}
+	say := func(format string, args ...any) {}
 	if !*quiet {
 		opts.Log = os.Stderr
+		say = func(format string, args ...any) { fmt.Fprintf(os.Stderr, "empirico-worker: "+format+"\n", args...) }
 	}
 	if *storePath != "" {
 		st, err := farm.Open(*storePath, opts.Log)
@@ -73,9 +77,7 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() {
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "empirico-worker: listening on %s\n", *addr)
-		}
+		say("listening on %s", *addr)
 		errc <- hs.ListenAndServe()
 	}()
 
@@ -84,16 +86,13 @@ func main() {
 		leaseAddr = *addr
 	}
 	if *coordinator != "" {
-		slots := w.Stats().Workers
 		regCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
-		err := dist.RegisterWorker(regCtx, *coordinator, leaseAddr, slots)
+		err := dist.RegisterWorker(regCtx, *coordinator, leaseAddr)
 		cancel()
 		if err != nil {
 			fatal(fmt.Errorf("register with %s: %w", *coordinator, err))
 		}
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "empirico-worker: registered %s (slots %d) with %s\n", leaseAddr, slots, *coordinator)
-		}
+		say("registered %s with %s", leaseAddr, *coordinator)
 	}
 
 	select {
@@ -102,9 +101,7 @@ func main() {
 	case <-ctx.Done():
 	}
 
-	if !*quiet {
-		fmt.Fprintln(os.Stderr, "empirico-worker: shutting down")
-	}
+	say("shutting down")
 	if *coordinator != "" {
 		// Deregister first so the coordinator stops leasing here and pulls
 		// the store one last time while this process can still answer.

@@ -263,6 +263,20 @@ func TestCIMatchesDesign(t *testing.T) {
 // or the bare (or path-qualified) binary name, followed by its arguments.
 var command = regexp.MustCompile(`^(?:go run \./cmd/([\w-]+)|(?:[\w./-]*/)?(empirico-worker|empiricod|empirico|simrun|minicc|plotfigs|loadgen))(?:\s|$)`)
 
+// TestDocCaps holds the two reference documents to their line caps, so a
+// section that grows must first shrink another.
+func TestDocCaps(t *testing.T) {
+	for doc, limit := range map[string]int{"README.md": 400, "DESIGN.md": 450} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := strings.Count(string(text), "\n"); n > limit {
+			t.Errorf("%s: %d lines, over its cap of %d", doc, n, limit)
+		}
+	}
+}
+
 // listSep splits a shell line into its commands: pipelines, lists,
 // background jobs and redirections each end one.
 var listSep = regexp.MustCompile(`&&|\|\||[|;&>]`)

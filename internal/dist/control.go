@@ -18,9 +18,9 @@ import (
 // listener the embedding process chooses (empirico's -control-addr,
 // empiricod's API port):
 //
-//	POST   /v1/register  {"addr","slots"} — join the fleet (or rejoin/resize)
-//	DELETE /v1/register  {"addr"}         — leave gracefully
-//	GET    /v1/workers                    — the coordinator's fleet view
+//	POST   /v1/register  {"addr"} — join the fleet (or rejoin)
+//	DELETE /v1/register  {"addr"} — leave gracefully
+//	GET    /v1/workers            — the coordinator's fleet view
 //
 // Keeping it a plain http.Handler (like Worker.Handler) leaves listener
 // lifecycle, TLS and auth to the caller.
@@ -60,17 +60,12 @@ func BackendFactory(prog, workersAddrs, controlAddr string, fatal func(error)) f
 }
 
 // maxControlBody bounds a register or deregister body. A request is
-// {"addr","slots"}; an unbounded decode would let one POST register a worker
+// {"addr"}; an unbounded decode would let one POST register a worker
 // with an address of any length.
 const maxControlBody = 64 << 10
 
-// maxSlots caps the capacity a worker may advertise. Placement
-// cross-multiplies slot counts, so an unbounded advertisement overflows the
-// comparison; no pool is anywhere near this size.
-const maxSlots = 1 << 12
-
 func (c *Coordinator) handleRegister(rw http.ResponseWriter, r *http.Request) {
-	c.handleControl(rw, r, func(req RegisterRequest) (int, error) { return c.Register(req.Addr, req.Slots) })
+	c.handleControl(rw, r, func(req RegisterRequest) (int, error) { return c.Register(req.Addr) })
 }
 
 func (c *Coordinator) handleDeregister(rw http.ResponseWriter, r *http.Request) {
@@ -78,12 +73,11 @@ func (c *Coordinator) handleDeregister(rw http.ResponseWriter, r *http.Request) 
 }
 
 // handleControl decodes a bounded RegisterRequest, applies it to the fleet
-// and answers with the fleet size. A body without an address, or with more
-// than maxSlots slots, is a 400.
+// and answers with the fleet size. A body without an address is a 400.
 func (c *Coordinator) handleControl(rw http.ResponseWriter, r *http.Request, apply func(RegisterRequest) (int, error)) {
 	var req RegisterRequest
 	body := http.MaxBytesReader(rw, r.Body, maxControlBody)
-	if err := json.NewDecoder(body).Decode(&req); err != nil || req.Addr == "" || req.Slots > maxSlots {
+	if err := json.NewDecoder(body).Decode(&req); err != nil || req.Addr == "" {
 		http.Error(rw, "bad control body", http.StatusBadRequest)
 		return
 	}
@@ -115,9 +109,10 @@ func (c *Coordinator) handleWorkers(rw http.ResponseWriter, r *http.Request) {
 
 // RegisterWorker announces a worker to a coordinator's control endpoint,
 // retrying until ctx expires — at boot the worker usually comes up before
-// (or racing) the coordinator, so transient refusals are expected.
-func RegisterWorker(ctx context.Context, coordinator, addr string, slots int) error {
-	return controlCall(ctx, http.MethodPost, coordinator, RegisterRequest{Addr: addr, Slots: slots})
+// (or racing) the coordinator, so transient refusals are expected. The
+// worker states its slots on each lease it answers, not here.
+func RegisterWorker(ctx context.Context, coordinator, addr string) error {
+	return controlCall(ctx, http.MethodPost, coordinator, RegisterRequest{Addr: addr})
 }
 
 // DeregisterWorker withdraws a worker from a coordinator; used on graceful
@@ -127,13 +122,15 @@ func DeregisterWorker(ctx context.Context, coordinator, addr string) error {
 	return controlCall(ctx, http.MethodDelete, coordinator, RegisterRequest{Addr: addr})
 }
 
+// controlCall sends one control request, retrying dial errors and 5xx
+// answers until ctx expires. A 4xx (a wrong coordinator URL, a bad body)
+// will not change on retry, so it returns at once.
 func controlCall(ctx context.Context, method, coordinator string, body RegisterRequest) error {
 	payload, err := json.Marshal(body)
 	if err != nil {
 		return err
 	}
 	u := baseURL(coordinator) + "/v1/register"
-	var lastErr error
 	for {
 		req, err := http.NewRequestWithContext(ctx, method, u, bytes.NewReader(payload))
 		if err != nil {
@@ -147,16 +144,14 @@ func controlCall(ctx context.Context, method, coordinator string, body RegisterR
 			if resp.StatusCode == http.StatusOK {
 				return nil
 			}
-			lastErr = fmt.Errorf("dist: control %s %s: %s: %s", method, u, resp.Status, bytes.TrimSpace(msg))
-		} else {
-			lastErr = err
+			err = fmt.Errorf("dist: control %s %s: %s: %s", method, u, resp.Status, bytes.TrimSpace(msg))
+			if resp.StatusCode >= 400 && resp.StatusCode < 500 {
+				return err
+			}
 		}
 		select {
 		case <-ctx.Done():
-			if lastErr != nil {
-				return lastErr
-			}
-			return ctx.Err()
+			return err
 		case <-time.After(200 * time.Millisecond):
 		}
 	}

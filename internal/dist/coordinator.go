@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 
@@ -39,9 +40,6 @@ type Options struct {
 }
 
 const (
-	// staticSlots is the lease budget of a worker that advertised no
-	// capacity: a static address, or a registration without slots.
-	staticSlots = 2
 	// maxAttempts bounds failed leases per group before the group's callers
 	// see the lease error.
 	maxAttempts = 3
@@ -104,15 +102,15 @@ type workerRef struct {
 	base string // normalized base URL
 	// guarded by Coordinator.mu:
 	inflight int
-	slots    int // lease budget; registered workers advertise their capacity
+	slots    int // lease budget: 1 until the worker states its own on a lease
 	live     bool
 	removed  bool // deregistered: no new leases, in-flight leases complete
 }
 
 var errClosed = errors.New("dist: coordinator closed")
 
-// New starts a coordinator over the given workers, each registered with
-// the static budget. It performs no network IO — workers are contacted
+// New starts a coordinator over the given workers, each joining through
+// Register. It performs no network IO — workers are contacted
 // lazily on first dispatch, so a worker that is still starting up costs a
 // retry, not a construction failure.
 func New(opts Options) (*Coordinator, error) {
@@ -135,21 +133,18 @@ func New(opts Options) (*Coordinator, error) {
 	}
 	c.cond = sync.NewCond(&c.mu)
 	for _, addr := range opts.Addrs {
-		c.Register(addr, staticSlots) // fails only once closed
+		c.Register(addr) // fails only once closed
 	}
 	go c.scheduler()
 	return c, nil
 }
 
 // Register adds a worker to the fleet mid-run (or refreshes one that
-// deregistered: the address reclaims its entry and history). slots is the
-// worker's advertised capacity — its lease budget for capacity-weighted
-// placement; 0 means the static budget of two slots. The worker starts
-// receiving leases immediately. Returns the active fleet size.
-func (c *Coordinator) Register(addr string, slots int) (int, error) {
-	if slots <= 0 {
-		slots = staticSlots
-	}
+// deregistered: the address reclaims its entry, history and last stated
+// budget). The worker starts receiving leases immediately: a new one a
+// single lease, until its first response states its slots (statedSlots).
+// Returns the active fleet size.
+func (c *Coordinator) Register(addr string) (int, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -158,7 +153,6 @@ func (c *Coordinator) Register(addr string, slots int) (int, error) {
 	found := false
 	for _, w := range c.workers {
 		if w.addr == addr {
-			w.slots = slots
 			w.removed = false
 			w.live = true
 			found = true
@@ -166,13 +160,13 @@ func (c *Coordinator) Register(addr string, slots int) (int, error) {
 		}
 	}
 	if !found {
-		c.workers = append(c.workers, &workerRef{addr: addr, base: baseURL(addr), live: true, slots: slots})
+		c.workers = append(c.workers, &workerRef{addr: addr, base: baseURL(addr), live: true, slots: 1})
 		c.Count(func() { c.perWorker = append(c.perWorker, farm.WorkerStats{}) })
 	}
 	n := c.fleetSizeLocked()
 	c.mu.Unlock()
 	c.cond.Broadcast() // queued work may now be dispatchable
-	c.logf("dist: registered worker %s (slots %d), fleet %d", addr, slots, n)
+	c.logf("dist: registered worker %s, fleet %d", addr, n)
 	return n, nil
 }
 
@@ -256,30 +250,29 @@ func (c *Coordinator) PullDeltas(ctx context.Context) (added, conflicts int) {
 // pullWorker fetches one worker's store and merges it. A pull that adds or
 // overwrites an entry counts as a store merge.
 func (c *Coordinator) pullWorker(ctx context.Context, w *workerRef) (added, conflicts int) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.base+"/v1/store", nil)
-	if err != nil {
+	failed := func(err any) (int, int) {
 		c.logf("dist: store pull from %s: %v", w.addr, err)
 		return 0, 0
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.base+"/v1/store", nil)
+	if err != nil {
+		return failed(err)
 	}
 	resp, err := c.client.Do(req)
 	if err != nil {
-		c.logf("dist: store pull from %s: %v", w.addr, err)
-		return 0, 0
+		return failed(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		c.logf("dist: store pull from %s: %s", w.addr, resp.Status)
-		return 0, 0
+		return failed(resp.Status)
 	}
 	var d StoreDelta
 	if err := json.NewDecoder(resp.Body).Decode(&d); err != nil {
-		c.logf("dist: store pull from %s: %v", w.addr, err)
-		return 0, 0
+		return failed(err)
 	}
 	added, conflicts, err = c.Store().Merge(d.Entries)
 	if err != nil {
-		c.logf("dist: store merge from %s: %v", w.addr, err)
-		return 0, 0
+		return failed(fmt.Errorf("merge: %w", err))
 	}
 	if added+conflicts > 0 {
 		c.Count(func() {
@@ -291,7 +284,7 @@ func (c *Coordinator) pullWorker(ctx context.Context, w *workerRef) (added, conf
 }
 
 func baseURL(addr string) string {
-	if len(addr) >= 7 && (addr[:7] == "http://" || (len(addr) >= 8 && addr[:8] == "https://")) {
+	if strings.HasPrefix(addr, "http://") || strings.HasPrefix(addr, "https://") {
 		return addr
 	}
 	return "http://" + addr

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"time"
 
 	"repro/internal/farm"
@@ -100,7 +101,7 @@ const probeDelay = 250 * time.Millisecond
 // stable for the coordinator's lifetime.
 func (c *Coordinator) runLease(g *cgroup, w *workerRef, wi int, seq int64, ctx context.Context, wasLive bool) {
 	start := time.Now()
-	results, errs, localHits, err := c.streamGroup(ctx, w.base, g, seq)
+	results, errs, localHits, err := c.streamGroup(ctx, w, g, seq)
 	busy := time.Since(start)
 
 	c.mu.Lock()
@@ -196,18 +197,19 @@ func (c *Coordinator) requeueLocked(g *cgroup, delay time.Duration) {
 	})
 }
 
-// streamGroup posts one group to a worker and consumes its ndjson stream
-// with readLeaseStream.
-func (c *Coordinator) streamGroup(ctx context.Context, base string, g *cgroup, seq int64) (_ []farm.Result, _ []error, localHits int, err error) {
-	body, err := json.Marshal(GroupRequest{
-		Lease:    fmt.Sprintf("l%d", seq),
-		Workload: g.Workload(),
-		Points:   wirePoints(g.Tasks),
-	})
+// streamGroup posts one group to a worker, takes the lease budget the
+// response states (statedSlots) and consumes its ndjson stream with
+// readLeaseStream.
+func (c *Coordinator) streamGroup(ctx context.Context, w *workerRef, g *cgroup, seq int64) (_ []farm.Result, _ []error, localHits int, err error) {
+	points := make([][]int64, len(g.Tasks))
+	for i, t := range g.Tasks {
+		points[i] = t.Job.Point
+	}
+	body, err := json.Marshal(GroupRequest{Lease: fmt.Sprintf("l%d", seq), Workload: g.Workload(), Points: points})
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/group", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+"/v1/group", bytes.NewReader(body))
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -219,16 +221,40 @@ func (c *Coordinator) streamGroup(ctx context.Context, base string, g *cgroup, s
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, nil, 0, fmt.Errorf("dist: worker %s: %s: %s", base, resp.Status, bytes.TrimSpace(msg))
+		return nil, nil, 0, fmt.Errorf("dist: worker %s: %s: %s", w.base, resp.Status, bytes.TrimSpace(msg))
 	}
-
-	return readLeaseStream(ctx, resp.Body, len(g.Tasks), c.lease, base)
+	if err := c.statedSlots(w, resp.Header.Get(slotsHeader)); err != nil {
+		return nil, nil, 0, err
+	}
+	return readLeaseStream(ctx, resp.Body, len(g.Tasks), c.lease, w.base)
 }
 
-// StreamError is a lease whose ndjson stream broke the protocol: a result
-// index out of range or repeated, a measured result without a positive cycle
-// count, or a done line before every result or with a local-hit count outside
-// [0, tasks]. Such a lease fails like any other, so its group goes to another
+// statedSlots makes the slots a worker states on a lease response its lease
+// budget. Stating nothing leaves the budget as it was; stating a count
+// outside [1, maxSlots] breaches the protocol.
+func (c *Coordinator) statedSlots(w *workerRef, stated string) error {
+	if stated == "" {
+		return nil
+	}
+	n, err := strconv.Atoi(stated)
+	if err != nil || n < 1 || n > maxSlots {
+		return &StreamError{Worker: w.base, Msg: fmt.Sprintf("stated %q slots", stated)}
+	}
+	c.mu.Lock()
+	old := w.slots
+	w.slots = n
+	c.mu.Unlock()
+	if old != n {
+		c.cond.Broadcast() // a larger budget may place queued groups
+		c.logf("dist: worker %s states %d slots", w.addr, n)
+	}
+	return nil
+}
+
+// StreamError is a lease whose response broke the protocol: a stated slot
+// count outside [1, maxSlots], a result index out of range or repeated, a
+// measured result without a positive cycle count, or a done line before every
+// result or with a local-hit count outside [0, tasks]. Such a lease fails like any other, so its group goes to another
 // lease, and nothing it streamed reaches a caller or the dispatch stats.
 type StreamError struct {
 	Worker string

@@ -64,8 +64,8 @@ type plane struct {
 }
 
 // newPlane spins up len(wopts) workers behind httptest servers and a
-// coordinator over them, each worker registered with its Workers count as
-// its slots, as a real worker registers. Close order matters: coordinator
+// coordinator over them, each worker registered as a real worker registers
+// and stating its Workers count as its slots. Close order matters: coordinator
 // first (it cancels leases), then servers, then worker farms.
 func newPlane(t *testing.T, wopts []WorkerOptions) *plane {
 	t.Helper()
@@ -80,7 +80,7 @@ func newPlane(t *testing.T, wopts []WorkerOptions) *plane {
 		ts := httptest.NewServer(w.Handler())
 		p.workers = append(p.workers, w)
 		p.servers = append(p.servers, ts)
-		if _, err := co.Register(ts.URL, wo.Workers); err != nil {
+		if _, err := co.Register(ts.URL); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -431,7 +431,7 @@ func TestStatsConsistentUnderLoad(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := p.co.Register(churnTS.URL, 3); err != nil {
+			if _, err := p.co.Register(churnTS.URL); err != nil {
 				return
 			}
 			p.co.Checkpoint()

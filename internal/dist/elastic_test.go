@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -58,7 +60,7 @@ func TestRegistrationGrowsAndShrinksFleet(t *testing.T) {
 	// First worker joins over the wire and the queue drains to it.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := RegisterWorker(ctx, control.URL, ts1.URL, 2); err != nil {
+	if err := RegisterWorker(ctx, control.URL, ts1.URL); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -74,7 +76,7 @@ func TestRegistrationGrowsAndShrinksFleet(t *testing.T) {
 	}
 
 	// Second worker joins mid-run; later load reaches it.
-	if err := RegisterWorker(ctx, control.URL, ts2.URL, 2); err != nil {
+	if err := RegisterWorker(ctx, control.URL, ts2.URL); err != nil {
 		t.Fatal(err)
 	}
 	var infos []WorkerInfo
@@ -158,42 +160,113 @@ func TestControlBodiesAreBounded(t *testing.T) {
 	}
 }
 
-// TestRegisterRefusesSlotsAboveCap pins the slot bound: placement
-// cross-multiplies slot counts, so a registration advertising more than
-// maxSlots is a 400 that leaves the fleet as it was, and one at the cap
-// joins.
-func TestRegisterRefusesSlotsAboveCap(t *testing.T) {
-	co, err := New(Options{Dynamic: true})
-	if err != nil {
-		t.Fatal(err)
+// TestRegisterWorkerRetriesOnlyWhatMayPass: a control server answering 4xx
+// (a wrong -coordinator URL, a bad body) answers the same on every retry, so
+// RegisterWorker returns its error at once instead of waiting out its
+// context; a 5xx is retried until the coordinator accepts.
+func TestRegisterWorkerRetriesOnlyWhatMayPass(t *testing.T) {
+	wrong := httptest.NewServer(http.NotFoundHandler())
+	defer wrong.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := RegisterWorker(ctx, wrong.URL, "127.0.0.1:1"); err == nil || !strings.Contains(err.Error(), "404") {
+		t.Fatalf("registering with a 404 server: %v, want its 404", err)
 	}
-	defer co.Close()
-	control := httptest.NewServer(co.Handler())
-	defer control.Close()
-	register := func(slots int) int {
-		t.Helper()
-		body := fmt.Sprintf(`{"addr":"127.0.0.1:1","slots":%d}`, slots)
-		resp, err := http.Post(control.URL+"/v1/register", "application/json", strings.NewReader(body))
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("a 404 took %v to give up on, against a 5s deadline", d)
+	}
+
+	var calls atomic.Int64
+	busy := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) == 1 {
+			http.Error(rw, "starting", http.StatusServiceUnavailable)
+		}
+	}))
+	defer busy.Close()
+	if err := RegisterWorker(ctx, busy.URL, "127.0.0.1:1"); err != nil || calls.Load() != 2 {
+		t.Fatalf("a 503 then a 200: %v after %d calls, want success on the second", err, calls.Load())
+	}
+}
+
+// TestStatedSlotsHeader holds the coordinator to the budget a lease response
+// states: a value outside [1, maxSlots] fails the lease as a *StreamError,
+// the group is requeued to an honest worker and the budget stays as it was;
+// a response that states nothing leaves the budget as it was.
+func TestStatedSlotsHeader(t *testing.T) {
+	stream := `{"result":true,"i":0,"cycles":1}` + "\n" + `{"result":true,"i":1,"cycles":1}` + "\n" + `{"done":true}` + "\n"
+	w := workloads.MustGet("179.art", workloads.Train)
+	for _, stated := range []string{"0", "-1", "4097", "x"} {
+		t.Run(stated, func(t *testing.T) {
+			var se *StreamError
+			if err := (&Coordinator{}).statedSlots(&workerRef{}, stated); !errors.As(err, &se) {
+				t.Fatalf("stating %q slots: %v, want a *StreamError", stated, err)
+			}
+			liar := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+				rw.Header().Set(slotsHeader, stated)
+				io.WriteString(rw, stream)
+			}))
+			defer liar.Close()
+			live := NewWorker(WorkerOptions{Workers: 2, Measure: stubMeasure(nil, 0), Heartbeat: 10 * time.Millisecond})
+			liveTS := httptest.NewServer(live.Handler())
+			defer liveTS.Close()
+			defer live.Close()
+
+			// The liar is listed first, so the group's first lease lands on it.
+			logs := &lockedLog{}
+			co, err := New(Options{Addrs: []string{liar.URL, liveTS.URL}, Log: logs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer co.Close()
+			points := sweepPoints(1, 2) // one shared-binary group of two points
+			got, err := co.MeasureBatch(context.Background(), w, points, farm.Cycles)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range points {
+				if got[i] != pointValue(p) {
+					t.Errorf("point %d: got %v want %v", i, got[i], pointValue(p))
+				}
+			}
+			st := co.Stats()
+			if st.GroupsRequeued == 0 || st.GroupsDispatched < 2 {
+				t.Errorf("dispatched=%d requeued=%d: the lease stating %q slots was accepted", st.GroupsDispatched, st.GroupsRequeued, stated)
+			}
+			if st.PerWorker[0].Slots != 1 {
+				t.Errorf("stating %q slots set the budget to %d", stated, st.PerWorker[0].Slots)
+			}
+			if log := logs.String(); !strings.Contains(log, fmt.Sprintf("dist: stream from %s: stated %q slots", liar.URL, stated)) {
+				t.Errorf("no stream error logged for the liar:\n%s", log)
+			}
+		})
+	}
+	t.Run("absent", func(t *testing.T) {
+		var state atomic.Bool
+		state.Store(true)
+		stub := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if state.Load() {
+				rw.Header().Set(slotsHeader, "3")
+			}
+			io.WriteString(rw, stream)
+		}))
+		defer stub.Close()
+		co, err := New(Options{Addrs: []string{stub.URL}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-	for _, slots := range []int{maxSlots + 1, 1 << 62} {
-		if code := register(slots); code != http.StatusBadRequest {
-			t.Errorf("register with %d slots: %d, want 400", slots, code)
+		defer co.Close()
+		points := sweepPoints(2, 2) // two shared-binary groups of two points
+		for i, stating := range []bool{true, false} {
+			state.Store(stating)
+			if _, err := co.MeasureBatch(context.Background(), w, points[2*i:2*i+2], farm.Cycles); err != nil {
+				t.Fatal(err)
+			}
+			if st := co.Stats(); st.PerWorker[0].Slots != 3 || st.GroupsRequeued != 0 {
+				t.Fatalf("batch %d (stating %v): %d slots, %d requeued; want 3 slots, none requeued", i, stating, st.PerWorker[0].Slots, st.GroupsRequeued)
+			}
 		}
-	}
-	if st := co.Stats(); len(st.PerWorker) != 0 {
-		t.Fatalf("an over-cap registration joined the fleet: %+v", st.PerWorker)
-	}
-	if code := register(maxSlots); code != http.StatusOK {
-		t.Fatalf("register with %d slots: %d, want 200", maxSlots, code)
-	}
-	if st := co.Stats(); len(st.PerWorker) != 1 || st.PerWorker[0].Slots != maxSlots {
-		t.Fatalf("fleet after a registration at the cap: %+v", st.PerWorker)
-	}
+	})
 }
 
 // TestEmptyStaticFleetIsRefused pins the construction rule: with no worker
@@ -225,8 +298,68 @@ func TestDuplicateStaticAddressIsOneWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer co.Close()
-	if st := co.Stats(); len(st.PerWorker) != 1 || st.PerWorker[0].Slots != staticSlots {
-		t.Fatalf("a twice-listed address: %+v, want one worker of %d slots", st.PerWorker, staticSlots)
+	if st := co.Stats(); len(st.PerWorker) != 1 || st.PerWorker[0].Slots != 1 {
+		t.Fatalf("a twice-listed address: %+v, want one worker of 1 slot", st.PerWorker)
+	}
+}
+
+// TestStaticWorkersStateTheirSlots pins one way to join the fleet: a worker
+// named as a static address states its slots on its leases like a
+// registered one, so a 1-slot worker never holds two leases at once, a
+// 3-slot worker's budget reads 3 after one batch, and a worker that leaves
+// and rejoins keeps the budget it last stated.
+func TestStaticWorkersStateTheirSlots(t *testing.T) {
+	ws := NewWorker(WorkerOptions{Workers: 1, Measure: stubMeasure(nil, 5*time.Millisecond), Heartbeat: 10 * time.Millisecond})
+	tsS := httptest.NewServer(ws.Handler())
+	defer tsS.Close()
+	defer ws.Close()
+	wb := NewWorker(WorkerOptions{Workers: 3, Measure: stubMeasure(nil, 5*time.Millisecond), Heartbeat: 10 * time.Millisecond})
+	tsB := httptest.NewServer(wb.Handler())
+	defer tsB.Close()
+	defer wb.Close()
+	co, err := New(Options{Addrs: []string{tsS.URL, tsB.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+
+	// Watch the small worker's leases while the batch runs.
+	var peak atomic.Int64
+	stop, watched := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(watched)
+		for {
+			if n := co.Stats().PerWorker[0].InFlight; n > peak.Load() {
+				peak.Store(n)
+			}
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}()
+	w := workloads.MustGet("179.art", workloads.Train)
+	_, err = co.MeasureBatch(context.Background(), w, randomPoints(16, 38), farm.Cycles)
+	close(stop)
+	<-watched
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := peak.Load(); p != 1 {
+		t.Errorf("the 1-slot worker held %d leases at once, want 1", p)
+	}
+	if st := co.Stats(); st.PerWorker[0].Slots != 1 || st.PerWorker[1].Slots != 3 {
+		t.Fatalf("budgets after one batch: %+v, want 1 and 3 slots", st.PerWorker)
+	}
+	if _, err := co.Deregister(tsB.URL); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := co.Register(tsB.URL); err != nil {
+		t.Fatal(err)
+	}
+	if st := co.Stats(); st.PerWorker[1].Slots != 3 {
+		t.Fatalf("a rejoined worker's budget: %d slots, want the 3 it stated", st.PerWorker[1].Slots)
 	}
 }
 
@@ -249,10 +382,10 @@ func TestCapacityWeightedDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer co.Close()
-	if _, err := co.Register(tsS.URL, 1); err != nil {
+	if _, err := co.Register(tsS.URL); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := co.Register(tsB.URL, 3); err != nil {
+	if _, err := co.Register(tsB.URL); err != nil {
 		t.Fatal(err)
 	}
 
@@ -271,7 +404,7 @@ func TestCapacityWeightedDispatch(t *testing.T) {
 	}
 	st := co.Stats()
 	if len(st.PerWorker) != 2 || st.PerWorker[0].Slots != 1 || st.PerWorker[1].Slots != 3 {
-		t.Fatalf("advertised slots lost: %+v", st.PerWorker)
+		t.Fatalf("stated slots lost: %+v", st.PerWorker)
 	}
 	if st.PerWorker[0].Groups+st.PerWorker[1].Groups != st.GroupsDispatched {
 		t.Fatalf("per-worker groups %d+%d do not sum to dispatched %d",

@@ -356,7 +356,7 @@ func TestSuspectWorkerDoesNotBurnAttempts(t *testing.T) {
 	defer co.Close()
 	// One slot each keeps the live worker saturated, exposing the dead one.
 	for _, addr := range []string{goneURL, liveTS.URL} {
-		if _, err := co.Register(addr, 1); err != nil {
+		if _, err := co.Register(addr); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -16,10 +16,11 @@
 // semantics are no weaker than the in-process plane.
 //
 // The fleet is elastic: workers join (POST /v1/register) and leave
-// (DELETE /v1/register) a running coordinator, advertising their slot count
-// at registration; placement is capacity-weighted (least relative load
-// against per-worker slot budgets) so heterogeneous fleets get load
-// proportional to capacity.
+// (DELETE /v1/register) a running coordinator, or are named at construction;
+// both join the same way. Every worker states its slot count in the
+// Empirico-Slots header of each lease response, and placement is
+// capacity-weighted (least relative load against per-worker slot budgets)
+// so heterogeneous fleets get load proportional to capacity.
 //
 // Failure handling lives entirely on the coordinator: a group is on one
 // lease at a time; a lease whose result stream goes silent past the lease
@@ -28,7 +29,6 @@
 package dist
 
 import (
-	"repro/internal/doe"
 	"repro/internal/farm"
 	"repro/internal/workloads"
 )
@@ -73,14 +73,20 @@ type GroupLine struct {
 	LocalHits int  `json:"local_hits,omitempty"`
 }
 
+// slotsHeader carries a worker's lease budget on every /v1/group response:
+// its farm's slot count, the simulations it runs at once.
+const slotsHeader = "Empirico-Slots"
+
+// maxSlots caps the budget a worker may state. Placement cross-multiplies
+// slot counts, so an unbounded statement overflows the comparison; no pool
+// is anywhere near this size.
+const maxSlots = 1 << 12
+
 // RegisterRequest announces a worker to a running coordinator
 // (POST /v1/register) or withdraws it (DELETE /v1/register). Addr is the
-// address the coordinator should lease groups to; Slots is the worker's
-// advertised capacity (its local farm's pool size), the input to
-// capacity-weighted placement.
+// address the coordinator should lease groups to.
 type RegisterRequest struct {
-	Addr  string `json:"addr"`
-	Slots int    `json:"slots,omitempty"`
+	Addr string `json:"addr"`
 }
 
 // RegisterResponse acknowledges a registration change with the
@@ -112,22 +118,4 @@ func (l GroupLine) result() (farm.Result, error) {
 		return farm.Result{}, &farm.RemoteError{Msg: l.Error, Budget: l.Budget}
 	}
 	return farm.Result{Cycles: l.Cycles, Energy: l.Energy, Instructions: l.Instrs}, nil
-}
-
-// wirePoints flattens doe points for JSON.
-func wirePoints(tasks []*farm.Task) [][]int64 {
-	pts := make([][]int64, len(tasks))
-	for i, t := range tasks {
-		pts[i] = []int64(t.Job.Point)
-	}
-	return pts
-}
-
-// jobsFromWire rebuilds farm jobs from a request.
-func jobsFromWire(req *GroupRequest) []farm.Job {
-	jobs := make([]farm.Job, len(req.Points))
-	for i, raw := range req.Points {
-		jobs[i] = farm.Job{Workload: req.Workload, Point: doe.Point(raw)}
-	}
-	return jobs
 }

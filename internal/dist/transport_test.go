@@ -81,7 +81,7 @@ func faultedSweep(t *testing.T, fault func(body []byte) io.Reader, lease time.Du
 	}
 	t.Cleanup(func() { co.Close(); tr.base.CloseIdleConnections() })
 	for _, addr := range addrs {
-		if _, err := co.Register(addr, 2); err != nil {
+		if _, err := co.Register(addr); err != nil {
 			t.Fatal(err)
 		}
 	}

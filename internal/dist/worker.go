@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -16,8 +17,8 @@ import (
 // WorkerOptions configures a measurement worker.
 type WorkerOptions struct {
 	// Workers is the local farm's slot budget, the simulations it runs at
-	// once (0 = GOMAXPROCS). The count is also the slot budget a worker
-	// advertises when it registers with a coordinator.
+	// once (0 = GOMAXPROCS). The worker states the count on every lease it
+	// answers, and the coordinator leases it that many groups at once.
 	Workers int
 	// Heartbeat is the interval between heartbeat lines while a group
 	// measures (0 = 500ms). It must be well under the coordinator's lease
@@ -93,19 +94,14 @@ func (w *Worker) Close() error { return w.farm.Close() }
 // tests).
 func (w *Worker) Stats() farm.Stats { return w.farm.Stats() }
 
-func (w *Worker) logf(format string, args ...interface{}) {
-	if w.log != nil {
-		fmt.Fprintf(w.log, format+"\n", args...)
-	}
-}
-
 // handleGroup measures one leased group and streams the outcome. The group
 // runs through the local farm's batch planner, so all points (which share a
 // binary by construction) are compiled once, then simulated one by one —
 // bit-for-bit identical to the coordinator running them in-process. While
 // the measurement runs, heartbeat lines keep the coordinator's lease alive;
 // a worker that dies mid-group simply stops writing, and the coordinator's
-// read deadline expires the lease.
+// read deadline expires the lease. The response states the worker's slots,
+// the coordinator's lease budget for it.
 func (w *Worker) handleGroup(rw http.ResponseWriter, r *http.Request) {
 	var req GroupRequest
 	r.Body = http.MaxBytesReader(rw, r.Body, maxGroupBody)
@@ -124,11 +120,13 @@ func (w *Worker) handleGroup(rw http.ResponseWriter, r *http.Request) {
 	// measures what the coordinator keyed), but hard caps are: a point above
 	// compiler.Options.Validate's or sim.Config.Validate's fails as its own
 	// error line before anything is sized by it.
+	jobs := make([]farm.Job, len(req.Points))
 	for i, p := range req.Points {
 		if len(p) != jointVars {
 			http.Error(rw, fmt.Sprintf("point %d has %d values, want %d", i, len(p), jointVars), http.StatusBadRequest)
 			return
 		}
+		jobs[i] = farm.Job{Workload: req.Workload, Point: doe.Point(p)}
 	}
 	// The farm parses the source on the same goroutines, with workloads.Parse,
 	// which panics on source that does not parse or check.
@@ -140,24 +138,25 @@ func (w *Worker) handleGroup(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, "bad source: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	jobs := jobsFromWire(&req)
-	w.logf("worker: lease %s: %s, %d points", req.Lease, jobs[0].Workload.Key(), len(jobs))
+	if w.log != nil {
+		fmt.Fprintf(w.log, "worker: lease %s: %s, %d points\n", req.Lease, req.Workload.Key(), len(jobs))
+	}
 
-	type outcome struct {
+	// hits is how many points the local store answered: the farm's counters
+	// are process-global, and the done line wants an exact per-group number.
+	var (
 		res  []farm.Result
 		errs []error
-		// localHits is how many points the local store answered: the farm's
-		// counters are process-global, and the coordinator wants an exact
-		// per-group number for the done line.
-		localHits int
-	}
-	done := make(chan outcome, 1)
+		hits int
+	)
+	done := make(chan struct{})
 	go func() {
-		res, errs, hits := w.farm.Run(r.Context(), jobs)
-		done <- outcome{res, errs, hits}
+		defer close(done)
+		res, errs, hits = w.farm.Run(r.Context(), jobs)
 	}()
 
 	rw.Header().Set("Content-Type", "application/x-ndjson")
+	rw.Header().Set(slotsHeader, strconv.Itoa(w.farm.Stats().Workers))
 	rw.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(rw)
 	flush := func() {
@@ -165,6 +164,7 @@ func (w *Worker) handleGroup(rw http.ResponseWriter, r *http.Request) {
 			f.Flush()
 		}
 	}
+	flush() // the stated slots reach the coordinator now, not with the first line
 	ticker := time.NewTicker(w.hb)
 	defer ticker.Stop()
 	for {
@@ -172,20 +172,20 @@ func (w *Worker) handleGroup(rw http.ResponseWriter, r *http.Request) {
 		case <-ticker.C:
 			enc.Encode(GroupLine{Heartbeat: true})
 			flush()
-		case out := <-done:
+		case <-done:
 			for i := range jobs {
 				line := GroupLine{Result: true, Index: i}
-				if err := out.errs[i]; err != nil {
+				if err := errs[i]; err != nil {
 					line.Error = err.Error()
 					line.Budget = farm.IsBudget(err)
 				} else {
-					line.Cycles = out.res[i].Cycles
-					line.Energy = out.res[i].Energy
-					line.Instrs = out.res[i].Instructions
+					line.Cycles = res[i].Cycles
+					line.Energy = res[i].Energy
+					line.Instrs = res[i].Instructions
 				}
 				enc.Encode(line)
 			}
-			enc.Encode(GroupLine{Done: true, LocalHits: out.localHits})
+			enc.Encode(GroupLine{Done: true, LocalHits: hits})
 			flush()
 			w.groups.Add(1)
 			return

@@ -207,8 +207,8 @@ func TestLoneTaskIsAGroupOfOne(t *testing.T) {
 // error, other work in the batch is unaffected, and the failure is not
 // cached — resubmitting the points compiles afresh and succeeds with
 // results identical to the serial path. The failure lasts the whole batch
-// because each point looks its binary up: one that comes after a failed
-// build has left the cache compiles again.
+// because the group keeps its first CompileError: a point that starts after
+// the failed build takes that error instead of compiling again.
 func TestGroupCompileFailureNoPoison(t *testing.T) {
 	w := tinyWorkload()
 	o2 := compiler.O2()

@@ -201,14 +201,14 @@ func (f *Farm) Close() error {
 // in-process farm a worker is one slot (Slots is always 1, Jobs counts the
 // points measured on it, Busy the time inside Measure, and the remote-plane
 // fields stay zero); for the distributed coordinator a worker is one
-// empirico-worker process with an address, an advertised slot budget and a
+// empirico-worker process with an address, a stated slot budget and a
 // worker-local result store, and Jobs and Busy count its leases.
 type WorkerStats struct {
 	Jobs int64
 	Busy time.Duration
 	// Addr identifies a remote worker process ("" for in-process workers).
 	Addr string
-	// Slots is the worker's lease capacity (its advertised -workers count on
+	// Slots is the worker's lease capacity (the -workers count it states on
 	// the distributed plane; 1 for an in-process slot).
 	Slots int64
 	// InFlight is the leases currently held by this worker.
