@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"strings"
@@ -112,20 +114,21 @@ func (c *Coordinator) handleWorkers(rw http.ResponseWriter, r *http.Request) {
 // (or racing) the coordinator, so transient refusals are expected. The
 // worker states its slots on each lease it answers, not here.
 func RegisterWorker(ctx context.Context, coordinator, addr string) error {
-	return controlCall(ctx, http.MethodPost, coordinator, RegisterRequest{Addr: addr})
+	return controlCall(ctx, http.MethodPost, coordinator, RegisterRequest{Addr: addr}, true)
 }
 
 // DeregisterWorker withdraws a worker from a coordinator; used on graceful
 // worker shutdown so the coordinator stops leasing to it and pulls its
-// final store delta while the process is still up.
+// final store delta while the process is still up. A refused dial returns
+// at once: a coordinator that is gone has nothing to withdraw.
 func DeregisterWorker(ctx context.Context, coordinator, addr string) error {
-	return controlCall(ctx, http.MethodDelete, coordinator, RegisterRequest{Addr: addr})
+	return controlCall(ctx, http.MethodDelete, coordinator, RegisterRequest{Addr: addr}, false)
 }
 
-// controlCall sends one control request, retrying dial errors and 5xx
-// answers until ctx expires. A 4xx (a wrong coordinator URL, a bad body)
-// will not change on retry, so it returns at once.
-func controlCall(ctx context.Context, method, coordinator string, body RegisterRequest) error {
+// controlCall sends one control request, retrying 5xx answers, and dial
+// errors if retryDial, until ctx expires. A 4xx (a wrong coordinator URL, a
+// bad body) will not change on retry, so it returns at once.
+func controlCall(ctx context.Context, method, coordinator string, body RegisterRequest, retryDial bool) error {
 	payload, err := json.Marshal(body)
 	if err != nil {
 		return err
@@ -138,6 +141,9 @@ func controlCall(ctx context.Context, method, coordinator string, body RegisterR
 		}
 		req.Header.Set("Content-Type", "application/json")
 		resp, err := http.DefaultClient.Do(req)
+		if op := (*net.OpError)(nil); !retryDial && errors.As(err, &op) && op.Op == "dial" {
+			return err
+		}
 		if err == nil {
 			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 			resp.Body.Close()

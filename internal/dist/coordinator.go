@@ -84,8 +84,8 @@ type Coordinator struct {
 }
 
 // cgroup is one planned group on the dispatch plane, the unit of lease: at
-// any moment it is queued, on one lease, or waiting out a probe delay. The
-// dispatch fields are guarded by Coordinator.mu.
+// any moment it is queued or on one lease. The dispatch fields are guarded
+// by Coordinator.mu.
 type cgroup struct {
 	*farm.Group
 
@@ -105,6 +105,9 @@ type workerRef struct {
 	slots    int // lease budget: 1 until the worker states its own on a lease
 	live     bool
 	removed  bool // deregistered: no new leases, in-flight leases complete
+	// probeAfter is when a suspect worker whose probe failed may take a
+	// lease again (probeDelay).
+	probeAfter time.Time
 }
 
 var errClosed = errors.New("dist: coordinator closed")
@@ -383,8 +386,7 @@ func (c *Coordinator) Close() error {
 	}
 	c.queue = nil
 	c.mu.Unlock()
-	// Whatever is still in flight was queued, or is waiting out a probe
-	// delay; nothing will lease it now.
+	// Whatever is still in flight was queued; nothing will lease it now.
 	c.Abandon()
 	// Last chance to fold the fleet's partitioned caches into the durable
 	// checkpoint; workers already gone were marked dead by their failed

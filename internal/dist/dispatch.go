@@ -61,10 +61,12 @@ func (c *Coordinator) scheduler() {
 // inflight/slots ratio, so a 3-slot worker carries ~3× the load of a 1-slot
 // one. Suspect workers and the group's previous worker are deprioritized by
 // loading the numerator; the comparison cross-multiplies to stay in integers.
+// A worker sitting out a probe delay takes no lease.
 func (c *Coordinator) pickWorkerLocked(g *cgroup) int {
 	best, bestNum, bestSlots := -1, 0, 1
+	now := time.Now()
 	for i, w := range c.workers {
-		if w.removed || w.inflight >= w.slots {
+		if w.removed || w.inflight >= w.slots || now.Before(w.probeAfter) {
 			continue
 		}
 		num := w.inflight * 4
@@ -82,9 +84,10 @@ func (c *Coordinator) pickWorkerLocked(g *cgroup) int {
 	return best
 }
 
-// probeDelay spaces out redispatches after a failure on a worker that was
-// already suspect, so a dead worker cannot hot-loop the scheduler (or burn a
-// group's attempt budget) while the live workers are busy.
+// probeDelay is how long a worker that was already suspect sits out after
+// another failed lease, so a dead worker cannot hot-loop the scheduler (or
+// burn a group's attempt budget) while the live workers are busy. The worker
+// waits, not the group: the group goes back on the queue at once.
 const probeDelay = 250 * time.Millisecond
 
 // runLease executes one lease end to end: stream the group from the worker,
@@ -135,13 +138,16 @@ func (c *Coordinator) runLease(g *cgroup, w *workerRef, wi int, seq int64, ctx c
 		// Drain expired this lease: requeue so the group is visibly
 		// abandoned-but-unlost; Close fails its waiters.
 		g.attempts++
-		c.requeueLocked(g, 0)
+		c.requeueLocked(g)
 		c.logf("dist: drain requeued %s group of %d", g.Workload().Key(), len(g.Tasks))
 	case !wasLive && c.anyLiveLocked():
 		// A fast failure on a worker that was already suspect, with
-		// healthier workers around: redispatch after a probe delay and keep
-		// the attempt budget for failures that carry information.
-		c.requeueLocked(g, probeDelay)
+		// healthier workers around: requeue at once, keep the attempt budget
+		// for failures that carry information, and sit the worker out for a
+		// probe delay, after which the scheduler looks again.
+		c.requeueLocked(g)
+		w.probeAfter = time.Now().Add(probeDelay)
+		time.AfterFunc(probeDelay, c.cond.Broadcast)
 		c.logf("dist: requeued %s group of %d after probe of suspect %s: %v",
 			g.Workload().Key(), len(g.Tasks), w.addr, err)
 	case g.attempts+1 >= maxAttempts:
@@ -149,7 +155,7 @@ func (c *Coordinator) runLease(g *cgroup, w *workerRef, wi int, seq int64, ctx c
 		failure = fmt.Errorf("dist: group failed after %d leases: %w", g.attempts, err)
 	default:
 		g.attempts++
-		c.requeueLocked(g, 0)
+		c.requeueLocked(g)
 		c.logf("dist: requeued %s group of %d after lease failure on %s: %v",
 			g.Workload().Key(), len(g.Tasks), w.addr, err)
 	}
@@ -178,23 +184,10 @@ func (c *Coordinator) anyLiveLocked() bool {
 	return false
 }
 
-// requeueLocked puts g back on the dispatch queue, immediately or after a
-// delay. A group still waiting out its delay when the coordinator closes is
-// failed by Close, not requeued.
-func (c *Coordinator) requeueLocked(g *cgroup, delay time.Duration) {
+// requeueLocked puts g back on the dispatch queue.
+func (c *Coordinator) requeueLocked(g *cgroup) {
 	c.Count(func() { c.disp.GroupsRequeued++ })
-	if delay <= 0 {
-		c.queue = append(c.queue, g)
-		return
-	}
-	time.AfterFunc(delay, func() {
-		c.mu.Lock()
-		if !c.closed {
-			c.queue = append(c.queue, g)
-		}
-		c.mu.Unlock()
-		c.cond.Broadcast()
-	})
+	c.queue = append(c.queue, g)
 }
 
 // streamGroup posts one group to a worker, takes the lease budget the

@@ -187,6 +187,18 @@ func TestRegisterWorkerRetriesOnlyWhatMayPass(t *testing.T) {
 	if err := RegisterWorker(ctx, busy.URL, "127.0.0.1:1"); err != nil || calls.Load() != 2 {
 		t.Fatalf("a 503 then a 200: %v after %d calls, want success on the second", err, calls.Load())
 	}
+
+	// A coordinator that is gone refuses the dial: deregistering from it
+	// has nothing to withdraw, so it must not wait out the deadline.
+	gone := httptest.NewServer(http.NotFoundHandler())
+	gone.Close()
+	start = time.Now()
+	if err := DeregisterWorker(ctx, gone.URL, "127.0.0.1:1"); err == nil {
+		t.Fatal("deregistering from a closed listener succeeded")
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("a refused deregister took %v to give up on, against a 5s deadline", d)
+	}
 }
 
 // TestStatedSlotsHeader holds the coordinator to the budget a lease response

@@ -377,6 +377,47 @@ func TestSuspectWorkerDoesNotBurnAttempts(t *testing.T) {
 	}
 }
 
+// TestSuspectWorkerSitsOutNotTheGroup: a failed probe of a dead worker
+// requeues its group at once and sits the worker out instead, so with the
+// only live worker saturated at one slot, each group leases as soon as that
+// slot frees. At 40 ms a point, five groups take ~200 ms; a group held out
+// for probeDelay (250 ms) would take longer than that on its own.
+func TestSuspectWorkerSitsOutNotTheGroup(t *testing.T) {
+	gone := httptest.NewServer(http.NotFoundHandler())
+	goneURL := gone.URL
+	gone.Close()
+
+	var execs atomic.Int64
+	live := NewWorker(WorkerOptions{Workers: 1, Measure: stubMeasure(&execs, 40*time.Millisecond), Heartbeat: 10 * time.Millisecond})
+	liveTS := httptest.NewServer(live.Handler())
+	defer liveTS.Close()
+	defer live.Close()
+
+	co, err := New(Options{Dynamic: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	for _, addr := range []string{goneURL, liveTS.URL} {
+		if _, err := co.Register(addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w := workloads.MustGet("179.art", workloads.Train)
+	points := randomPoints(5, 29)
+	start := time.Now()
+	if _, err := co.MeasureBatch(context.Background(), w, points, farm.Cycles); err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(start)
+	// Five 40 ms groups back to back on one slot, plus a probe delay's worth
+	// of slack for a slow machine; a group held out for probeDelay after
+	// each failed probe costs several of them.
+	if limit := 5*40*time.Millisecond + probeDelay; elapsed > limit {
+		t.Fatalf("five groups took %v on one free slot, want under %v", elapsed, limit)
+	}
+}
+
 // TestErrorClassSurvivesTheWire pins farm.RemoteError: a worker-side budget
 // overrun reaches the coordinator's caller with its budget flag (so the
 // BudgetOverruns counter behaves exactly as in-process).

@@ -10,10 +10,9 @@ type Cache struct {
 	assoc    int
 	setShift uint // log2(LineBytes)
 	setMask  uint64
-	tags     []uint64 // sets*assoc entries
-	valid    []bool
-	lru      []uint8 // age per way; 0 = most recent
-	mru      []uint8 // most recently used way per set (its lru age is 0)
+	tags     []uint64 // sets*assoc entries: line address + 1, 0 for an invalid way
+	lru      []uint8  // age per way; 0 = most recent
+	mru      []uint8  // most recently used way per set (its lru age is 0)
 	Accesses int64
 	Misses   int64
 }
@@ -43,7 +42,6 @@ func NewCache(sizeKB, assoc int) *Cache {
 		setShift: 6, // log2(LineBytes)
 		setMask:  uint64(sets - 1),
 		tags:     make([]uint64, sets*assoc),
-		valid:    make([]bool, sets*assoc),
 		lru:      make([]uint8, sets*assoc),
 		mru:      make([]uint8, sets),
 	}
@@ -57,21 +55,22 @@ func NewCache(sizeKB, assoc int) *Cache {
 // loop is skipped entirely.
 func (c *Cache) Access(addr uint64) bool {
 	c.Accesses++
-	line := addr >> c.setShift // full line address doubles as the tag
+	line := addr >> c.setShift
 	set := int(line & c.setMask)
 	base := set * c.assoc
-	mruWay := base + int(c.mru[set])
-	if c.valid[mruWay] && c.tags[mruWay] == line {
+	if c.tags[base+int(c.mru[set])] == line+1 {
 		return true // MRU hit: ages are already correct
 	}
-	return c.accessSlow(line, set, base)
+	return c.accessSlow(line+1, set, base)
 }
 
 // accessSlow probes the non-MRU ways and handles the miss/replacement path.
+// tag is the line address + 1, as the tags array stores it: line 0 is a
+// real line (instruction 0's), so 0 is left to mean an invalid way.
 func (c *Cache) accessSlow(tag uint64, set, base int) bool {
 	hitWay := -1
 	for w := 0; w < c.assoc; w++ {
-		if c.valid[base+w] && c.tags[base+w] == tag {
+		if c.tags[base+w] == tag {
 			hitWay = w
 			break
 		}
@@ -85,7 +84,7 @@ func (c *Cache) accessSlow(tag uint64, set, base int) bool {
 	victim := 0
 	oldest := uint8(0)
 	for w := 0; w < c.assoc; w++ {
-		if !c.valid[base+w] {
+		if c.tags[base+w] == 0 {
 			victim = w
 			break
 		}
@@ -94,7 +93,6 @@ func (c *Cache) accessSlow(tag uint64, set, base int) bool {
 			victim = w
 		}
 	}
-	c.valid[base+victim] = true
 	c.tags[base+victim] = tag
 	c.touch(set, base, victim)
 	return false

@@ -7,89 +7,82 @@ import (
 	"repro/internal/isa"
 )
 
-// Memory is a sparse word-addressed memory backed by fixed-size pages. Two
-// layers keep the hot path off the page map: a one-entry page cache exploits
-// the spatial locality of consecutive accesses, and behind it a two-level
-// radix table covers the executor's entire architected address space
-// (globals low, stack below 1 GiB) with two pointer hops. The map survives
-// only as a spill area for pathological addresses beyond the radix reach.
+// Memory is the executor's word-addressed data memory in three parts. The
+// globals slab holds the program's static data, [GlobalBase,
+// GlobalBase+DataSize), sized once by NewExecutor. The stack slab owns the
+// stackRegion bytes below StackBase: it starts at stackInitBytes and grows
+// down (doubling, capped at the region's floor) when a store lands below its
+// bottom, so a load there that the slab does not reach reads a never-written
+// 0. Every other address is a word in a plain map. A load or store that hits
+// a slab is two range checks and an index. Unaligned addresses are truncated
+// to their word; the three parts never hold the same word, because every
+// access tries them in the same order.
 type Memory struct {
-	lastIdx  uint64
-	lastPage *[pageWords]int64
-	regions  []*[regionPages]*[pageWords]int64
-	spill    map[uint64]*[pageWords]int64
+	globals []int64 // word i is byte address GlobalBase + 8i
+	stack   []int64 // word i is byte address stackLo + 8i; the slab ends at StackBase
+	stackLo uint64
+	other   map[uint64]int64 // keyed by byte address >> 3
 }
 
 const (
-	pageShift = 12 // 4 KiB pages
-	pageWords = 1 << (pageShift - 3)
-
-	regionShift = 10 // pages per radix leaf
-	regionPages = 1 << regionShift
-	numRegions  = 1024 // leaves in the top level: covers 4 GiB of address space
+	stackInitBytes = 16 << 10
+	// stackRegion bounds the stack slab at 256x the 16 KiB that every
+	// workload's stack fits in: a store deeper than 4 MiB below StackBase
+	// goes to the map like any other address.
+	stackRegion = 4 << 20
+	stackFloor  = isa.StackBase - stackRegion
+	// maxGlobalBytes bounds the globals slab, at 14x the largest workload's
+	// static data (181.mcf at ref input, 1.1 MB). A program that declares
+	// more keeps the words above the bound in the map, so an array of any
+	// declared size costs only the words it touches beyond the bound.
+	maxGlobalBytes = 16 << 20
 )
 
-// NewMemory returns an empty memory.
-func NewMemory() *Memory {
-	return &Memory{regions: make([]*[regionPages]*[pageWords]int64, numRegions)}
-}
-
-// page returns the page holding word index w, or nil if it has never been
-// written.
-func (m *Memory) page(pi uint64) *[pageWords]int64 {
-	if ri := pi >> regionShift; ri < numRegions {
-		leaf := m.regions[ri]
-		if leaf == nil {
-			return nil
-		}
-		return leaf[pi&(regionPages-1)]
+// newMemory returns an empty memory whose globals slab covers dataSize bytes.
+func newMemory(dataSize int64) *Memory {
+	dataSize = min(max(dataSize, 0), maxGlobalBytes)
+	return &Memory{
+		globals: make([]int64, (dataSize+7)/8),
+		stack:   make([]int64, stackInitBytes/8),
+		stackLo: isa.StackBase - stackInitBytes,
+		other:   map[uint64]int64{},
 	}
-	return m.spill[pi]
 }
 
-// Load reads the word at byte address addr (which must be 8-byte aligned in
-// well-formed programs; unaligned addresses are truncated to words).
+// Load reads the word at byte address addr.
 func (m *Memory) Load(addr uint64) int64 {
-	w := addr >> 3
-	pi := w >> (pageShift - 3)
-	if pi == m.lastIdx && m.lastPage != nil {
-		return m.lastPage[w&(pageWords-1)]
+	if i := (addr - isa.GlobalBase) >> 3; i < uint64(len(m.globals)) {
+		return m.globals[i]
 	}
-	page := m.page(pi)
-	if page == nil {
-		return 0
+	if i := (addr - m.stackLo) >> 3; i < uint64(len(m.stack)) {
+		return m.stack[i]
 	}
-	m.lastIdx, m.lastPage = pi, page
-	return page[w&(pageWords-1)]
+	return m.other[addr>>3]
 }
 
-// Store writes the word at byte address addr.
+// Store writes the word at byte address addr. A store below the stack slab's
+// bottom but within its region grows the slab down to it.
 func (m *Memory) Store(addr uint64, val int64) {
-	w := addr >> 3
-	pi := w >> (pageShift - 3)
-	if pi == m.lastIdx && m.lastPage != nil {
-		m.lastPage[w&(pageWords-1)] = val
+	if i := (addr - isa.GlobalBase) >> 3; i < uint64(len(m.globals)) {
+		m.globals[i] = val
 		return
 	}
-	page := m.page(pi)
-	if page == nil {
-		page = new([pageWords]int64)
-		if ri := pi >> regionShift; ri < numRegions {
-			leaf := m.regions[ri]
-			if leaf == nil {
-				leaf = new([regionPages]*[pageWords]int64)
-				m.regions[ri] = leaf
-			}
-			leaf[pi&(regionPages-1)] = page
-		} else {
-			if m.spill == nil {
-				m.spill = map[uint64]*[pageWords]int64{}
-			}
-			m.spill[pi] = page
-		}
+	if i := (addr - m.stackLo) >> 3; i < uint64(len(m.stack)) {
+		m.stack[i] = val
+		return
 	}
-	m.lastIdx, m.lastPage = pi, page
-	page[w&(pageWords-1)] = val
+	if addr < stackFloor || addr >= m.stackLo {
+		m.other[addr>>3] = val
+		return
+	}
+	lo := m.stackLo
+	for lo > addr {
+		lo = max(isa.StackBase-2*(isa.StackBase-lo), stackFloor)
+	}
+	stack := make([]int64, (isa.StackBase-lo)/8)
+	copy(stack[(m.stackLo-lo)/8:], m.stack)
+	m.stack, m.stackLo = stack, lo
+	m.stack[(addr-lo)>>3] = val
 }
 
 // Executor interprets a program instruction-by-instruction, producing the
@@ -124,7 +117,7 @@ type TraceEntry struct {
 // NewExecutor prepares an executor with globals initialized and the stack
 // pointer set.
 func NewExecutor(p *isa.Program) *Executor {
-	e := &Executor{Prog: p, Mem: NewMemory(), PC: p.Entry, instrs: p.Instrs, dec: Decode(p)}
+	e := &Executor{Prog: p, Mem: newMemory(p.DataSize), PC: p.Entry, instrs: p.Instrs, dec: Decode(p)}
 	e.Regs[isa.RegSP] = isa.StackBase
 	for _, di := range p.Init {
 		e.Mem.Store(di.Addr, di.Val)

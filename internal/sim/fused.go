@@ -143,26 +143,14 @@ loop:
 				err = &ErrFault{PC: pc, Msg: fmt.Sprintf("load from %#x", addr)}
 				break loop
 			}
-			w := addr >> 3
-			pi := w >> (pageShift - 3)
-			if pi == mem.lastIdx && mem.lastPage != nil {
-				r[m.rd&regIdxMask] = mem.lastPage[w&(pageWords-1)]
-			} else {
-				r[m.rd&regIdxMask] = mem.Load(addr)
-			}
+			r[m.rd&regIdxMask] = mem.Load(addr)
 		case isa.OpStore:
 			addr = uint64(r[m.rs1&regIdxMask] + m.imm)
 			if addr < minValidAddr {
 				err = &ErrFault{PC: pc, Msg: fmt.Sprintf("store to %#x", addr)}
 				break loop
 			}
-			w := addr >> 3
-			pi := w >> (pageShift - 3)
-			if pi == mem.lastIdx && mem.lastPage != nil {
-				mem.lastPage[w&(pageWords-1)] = r[m.rs2&regIdxMask]
-			} else {
-				mem.Store(addr, r[m.rs2&regIdxMask])
-			}
+			mem.Store(addr, r[m.rs2&regIdxMask])
 		case isa.OpPrefetch:
 			addr = uint64(r[m.rs1&regIdxMask] + m.imm) // non-binding: no fault
 		case isa.OpBeq:

@@ -8,7 +8,7 @@ import (
 )
 
 func TestMemoryRoundTrip(t *testing.T) {
-	m := NewMemory()
+	m := newMemory(0)
 	m.Store(0x10000, 42)
 	m.Store(0x10008, -7)
 	if m.Load(0x10000) != 42 || m.Load(0x10008) != -7 {
@@ -21,7 +21,7 @@ func TestMemoryRoundTrip(t *testing.T) {
 
 func TestPropertyMemory(t *testing.T) {
 	f := func(addrs []uint32, vals []int64) bool {
-		m := NewMemory()
+		m := newMemory(0)
 		ref := map[uint64]int64{}
 		for i, a := range addrs {
 			if i >= len(vals) {

@@ -153,9 +153,9 @@ func runTranslated(exe *Executor, cpu *CPU, maxInstrs int64, es *EngineStats) er
 	aluLen := len(fuAlu)
 	memLen := len(fuMem)
 
-	il1Valid, il1Tags, il1Mask := il1.valid, il1.tags, il1.setMask
+	il1Tags, il1Mask := il1.tags, il1.setMask
 	il1Acc := il1.Accesses
-	dl1Valid, dl1Tags, dl1Mru := dl1.valid, dl1.tags, dl1.mru
+	dl1Tags, dl1Mru := dl1.tags, dl1.mru
 	dl1Mask, dl1Assoc := dl1.setMask, dl1.assoc
 	dl1Acc := dl1.Accesses
 
@@ -213,7 +213,9 @@ outer:
 			il1Acc++
 			line0 = uint64(p) >> 1
 			set := int(line0 & il1Mask)
-			if !(il1Valid[set] && il1Tags[set] == line0) && !il1.accessSlow(line0, set, set) {
+			// lastLine is line0+1, which is how Cache.tags stores the line;
+			// IL1 is direct-mapped, so the set is the way.
+			if il1Tags[set] != lastLine && !il1.accessSlow(lastLine, set, set) {
 				energy += energyL2
 				if l2.Access(uint64(p) * isa.InstrBytes) {
 					stall = l2lat
@@ -243,7 +245,7 @@ outer:
 				il1Acc++
 				line0 = uint64(p) >> 1
 				set := int(line0 & il1Mask)
-				if !(il1Valid[set] && il1Tags[set] == line0) && !il1.accessSlow(line0, set, set) {
+				if il1Tags[set] != lastLine && !il1.accessSlow(lastLine, set, set) {
 					energy += energyL2
 					if l2.Access(uint64(p) * isa.InstrBytes) {
 						stall = l2lat
@@ -365,11 +367,7 @@ outer:
 					err = &ErrFault{PC: p, Msg: fmt.Sprintf("load from %#x", addr)}
 					goto fault
 				}
-				if w := addr >> 3; w>>(pageShift-3) == mem.lastIdx && mem.lastPage != nil {
-					r[u.rd&regIdxMask] = mem.lastPage[w&(pageWords-1)]
-				} else {
-					r[u.rd&regIdxMask] = mem.Load(addr)
-				}
+				r[u.rd&regIdxMask] = mem.Load(addr)
 				if v = regReady[u.rs1&regIdxMask]; v > ready {
 					ready = v
 				}
@@ -396,11 +394,7 @@ outer:
 					err = &ErrFault{PC: p, Msg: fmt.Sprintf("store to %#x", addr)}
 					goto fault
 				}
-				if w := addr >> 3; w>>(pageShift-3) == mem.lastIdx && mem.lastPage != nil {
-					mem.lastPage[w&(pageWords-1)] = r[u.rs2&regIdxMask]
-				} else {
-					mem.Store(addr, r[u.rs2&regIdxMask])
-				}
+				mem.Store(addr, r[u.rs2&regIdxMask])
 				if v = regReady[u.rs1&regIdxMask]; v > ready {
 					ready = v
 				}
@@ -655,7 +649,7 @@ outer:
 				dset := int(dline & dl1Mask)
 				based := dset * dl1Assoc
 				mw := based + int(dl1Mru[dset])
-				if (dl1Valid[mw] && dl1Tags[mw] == dline) || dl1.accessSlow(dline, dset, based) {
+				if dl1Tags[mw] == dline+1 || dl1.accessSlow(dline+1, dset, based) {
 					lat = dlat
 				} else {
 					energy += energyL2
@@ -760,7 +754,7 @@ outer:
 					il1Acc++
 					line0 = uint64(tpc) >> 1
 					set := int(line0 & il1Mask)
-					if !(il1Valid[set] && il1Tags[set] == line0) && !il1.accessSlow(line0, set, set) {
+					if il1Tags[set] != lastLine && !il1.accessSlow(lastLine, set, set) {
 						energy += energyL2
 						if l2.Access(uint64(tpc) * isa.InstrBytes) {
 							stall = l2lat

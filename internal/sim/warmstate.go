@@ -12,8 +12,8 @@ package sim
 
 // cacheLine is one valid line in a CacheState snapshot.
 type cacheLine struct {
-	idx uint32 // way index into the cache's flat tags/valid/lru arrays
-	tag uint64
+	idx uint32 // way index into the cache's flat tags/lru arrays
+	tag uint64 // as Cache.tags stores it
 	lru uint8
 }
 
@@ -30,9 +30,9 @@ type CacheState struct {
 // Snapshot captures the cache's current contents.
 func (c *Cache) Snapshot() CacheState {
 	st := CacheState{sets: c.sets, assoc: c.assoc, mru: append([]uint8(nil), c.mru...)}
-	for i, v := range c.valid {
-		if v {
-			st.lines = append(st.lines, cacheLine{idx: uint32(i), tag: c.tags[i], lru: c.lru[i]})
+	for i, tag := range c.tags {
+		if tag != 0 {
+			st.lines = append(st.lines, cacheLine{idx: uint32(i), tag: tag, lru: c.lru[i]})
 		}
 	}
 	return st
@@ -46,14 +46,10 @@ func (c *Cache) Restore(st CacheState) {
 	if st.sets != c.sets || st.assoc != c.assoc {
 		panic("sim: cache snapshot geometry mismatch")
 	}
-	for i := range c.valid {
-		c.valid[i] = false
-		c.tags[i] = 0
-		c.lru[i] = 0
-	}
+	clear(c.tags)
+	clear(c.lru)
 	copy(c.mru, st.mru)
 	for _, ln := range st.lines {
-		c.valid[ln.idx] = true
 		c.tags[ln.idx] = ln.tag
 		c.lru[ln.idx] = ln.lru
 	}
