@@ -5,7 +5,10 @@
 //
 // It runs a closed loop: -conns workers issue requests back to back, so the
 // offered load adapts to the server. Nine requests in ten are predicts and
-// one is a rank (predictMix): the surface a replica serves.
+// one is a rank (predictMix): the surface a replica serves. Every request
+// names 179.art at the server's default scale and model, and each predict
+// carries one design point drawn from a fixed seed; the first second of the
+// loop is warmup and stays out of the report.
 //
 // Output: a human line on stderr and optionally the full JSON report via
 // -out (written before the SLO verdict, so a failing run leaves its numbers):
@@ -74,24 +77,17 @@ type Report struct {
 func main() {
 	var (
 		addr     = flag.String("addr", "http://127.0.0.1:8080", "empiricod base URL")
-		wls      = flag.String("workloads", "179.art", "comma-separated workload names to spread requests over")
-		scale    = flag.String("scale", "", "request scale (empty = server default)")
-		kind     = flag.String("model", "", "model kind for predict requests (empty = server default)")
-		duration = flag.Duration("duration", 10*time.Second, "measured run length (after warmup)")
-		warmup   = flag.Duration("warmup", 1*time.Second, "warmup period excluded from the report")
+		duration = flag.Duration("duration", 10*time.Second, "measured run length (after a 1s warmup)")
 		conns    = flag.Int("conns", 8, "closed-loop concurrent connections")
-		points   = flag.Int("points", 1, "design points per predict request")
-		seed     = flag.Int64("seed", 1, "deterministic point-generation seed")
 		out      = flag.String("out", "", "write the full JSON report here")
 		quiet    = flag.Bool("q", false, "suppress the human-readable summary")
 	)
 	flag.Parse()
 
 	cfg := config{
-		addr: strings.TrimRight(*addr, "/"), workloads: strings.Split(*wls, ","),
-		scale: *scale, modelKind: *kind,
-		duration: *duration, warmup: *warmup, conns: *conns,
-		points: *points, seed: *seed, out: *out, quiet: *quiet,
+		addr: strings.TrimRight(*addr, "/"), workloads: []string{"179.art"},
+		duration: *duration, warmup: time.Second, conns: *conns,
+		points: 1, seed: 1, out: *out, quiet: *quiet,
 	}
 	rep, err := run(cfg)
 	if err != nil {

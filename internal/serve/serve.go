@@ -93,7 +93,6 @@ type Server struct {
 	artifacts *ArtifactStore // nil without ArtifactDir
 	batches   atomic.Int64   // measure batches handed to the plane
 	metrics   *Metrics
-	limits    map[string]*bucket
 	inFlight  atomic.Int64
 	maxFlight int64
 	start     time.Time
@@ -190,7 +189,6 @@ func New(opts Options) *Server {
 		s.opts.Batch = s.farmBatch
 	}
 
-	s.limits = map[string]*bucket{}
 	s.mux = http.NewServeMux()
 	s.route("POST /v1/predict", "predict", s.handlePredict)
 	s.route("POST /v1/measure", "measure", s.handleMeasure)
@@ -209,7 +207,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // in-flight limiter.
 func (s *Server) route(pattern, name string, h http.HandlerFunc) {
 	b := newBucket(s.opts.RatePerSec, s.opts.RateBurst)
-	s.limits[name] = b
 	s.mux.HandleFunc(pattern, s.instrument(name, func(w http.ResponseWriter, r *http.Request) {
 		if !b.allow(time.Now()) {
 			s.metrics.RateLimited()

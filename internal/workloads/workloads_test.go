@@ -1,9 +1,11 @@
 package workloads
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/compiler"
+	"repro/internal/doe"
 	"repro/internal/sim"
 )
 
@@ -52,12 +54,32 @@ func run(t *testing.T, w Workload, opts compiler.Options) (int64, int64) {
 	return rv, n
 }
 
+// TestWorkloadsSemanticsAcrossOptLevels holds every workload's exit value to
+// its O0 value under the presets and under settings that only the GA and
+// /v1/measure build: seeded joint-space draws at issue widths 2 and 4, and
+// every flag on with every Table 1 heuristic at its box minimum, then at its
+// maximum.
 func TestWorkloadsSemanticsAcrossOptLevels(t *testing.T) {
 	everything := compiler.O3()
 	everything.UnrollLoops = true
-	configs := []compiler.Options{compiler.O0(), compiler.O2(), compiler.O3(), everything}
+	presets := []compiler.Options{compiler.O0(), compiler.O2(), compiler.O3(), everything}
+	lo, hi := make(doe.Point, doe.NumCompilerVars), make(doe.Point, doe.NumCompilerVars)
+	for i, v := range doe.CompilerVars() {
+		lo[i], hi[i] = v.Low, v.High
+		if v.Kind == doe.Flag {
+			lo[i] = 1
+		}
+	}
+	for _, p := range []doe.Point{lo, hi} {
+		presets = append(presets, doe.ToOptions(p, 2), doe.ToOptions(p, 4))
+	}
+	space, rng := doe.JointSpace(), rand.New(rand.NewSource(1))
 	for _, name := range Names() {
 		w := MustGet(name, Train)
+		configs := presets
+		for i := range 8 {
+			configs = append(configs[:len(configs):len(configs)], doe.ToOptions(space.RandomPoint(rng), 2+2*(i%2)))
+		}
 		var ref int64
 		for ci, opts := range configs {
 			got, n := run(t, w, opts)
@@ -67,7 +89,7 @@ func TestWorkloadsSemanticsAcrossOptLevels(t *testing.T) {
 				continue
 			}
 			if got != ref {
-				t.Errorf("%s: config %d result %d != O0 result %d", w.Key(), ci, got, ref)
+				t.Errorf("%s: config %d %+v: result %d != O0 result %d", w.Key(), ci, opts, got, ref)
 			}
 		}
 	}
