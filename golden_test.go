@@ -113,7 +113,7 @@ func TestGoldenSimulate(t *testing.T) {
 }
 
 // TestTranslatedMatchesFused pins the basic-block translated engine
-// bit-for-bit against the fused loop over the full golden workload/config
+// bit-for-bit against the fused engine over the full golden workload/config
 // grid, and checks the translation actually ran (no silent slow-path
 // takeover).
 func TestTranslatedMatchesFused(t *testing.T) {

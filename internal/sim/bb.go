@@ -4,14 +4,13 @@ import "repro/internal/isa"
 
 // Translated-execution kinds. Each interior (non-control) instruction of a
 // basic block is re-encoded at translation time into one tuop whose kind
-// fuses the opcode with everything Step and the reference timing model
-// otherwise discover per instruction at run time: whether the destination
-// register is architecturally written (rd==0 results are discarded instead
-// of written and re-cleared), which dataflow sources gate issue, the
-// functional-unit class, and whether the op occupies its unit unpipelined.
-// The discard kinds (tk*Z) are exact because regReady[RegZero] is
-// invariantly zero and an ALU result written to r0 and immediately
-// re-zeroed is a no-op.
+// fuses the opcode with everything the fused engine otherwise discovers
+// per-instruction at run time: whether the destination register is
+// architecturally written (rd==0 results are discarded instead of written
+// and re-cleared), which dataflow sources gate issue, the functional-unit
+// class, and whether the op occupies its unit unpipelined. The discard
+// kinds (tk*Z) are exact because regReady[RegZero] is invariantly zero and
+// an ALU result written to r0 and immediately re-zeroed is a no-op.
 const (
 	tkAdd uint8 = iota
 	tkSub
@@ -79,7 +78,7 @@ func isTermOp(m *instrMeta) bool {
 	return m.flags&(flagBranch|flagControl) != 0 || m.op == isa.OpHalt
 }
 
-// knownOp reports whether Step has a case for the opcode; unknown
+// knownOp reports whether fillChunk has a case for the opcode; unknown
 // opcodes are left untranslated so the slow path raises the exact fault.
 func knownOp(op isa.Op) bool {
 	return op <= isa.OpHalt

@@ -19,7 +19,7 @@ type instrMeta struct {
 	lat    int64   // fixed execute latency (memory ops add hierarchy time)
 	imm    int64   // immediate / displacement (copied from the instruction)
 	target int32   // control-transfer target (copied from the instruction)
-	op     isa.Op  // opcode (copied so the bb kernel reads one record)
+	op     isa.Op  // opcode (copied so the interpreters read one record)
 	rd     uint8   // raw destination field, for the functional switch
 	rs1    uint8   // raw first source field
 	rs2    uint8   // raw second source field
@@ -42,7 +42,7 @@ const (
 // decodeInstr computes the metadata for the instruction at pc. It must agree
 // exactly with the isa.Op predicate methods; the golden determinism test
 // holds the two in lockstep. Register fields are validated against
-// isa.NumRegs here so the bb kernel's masked indexing (regIdxMask) is
+// isa.NumRegs here so the interpreters' masked indexing (regIdxMask) is
 // provably a no-op.
 func decodeInstr(in *isa.Instr, pc int32) instrMeta {
 	if in.Rd >= isa.NumRegs || in.Rs1 >= isa.NumRegs || in.Rs2 >= isa.NumRegs {

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/isa"
 )
@@ -98,8 +99,7 @@ type Executor struct {
 	// Count is the number of instructions executed so far.
 	Count int64
 
-	instrs []isa.Instr // Prog.Instrs, cached to keep Step off the Program header
-	dec    *DecodedProgram
+	dec *DecodedProgram
 }
 
 // Decoded returns the program's pre-decoded metadata table, built once in
@@ -117,7 +117,7 @@ type TraceEntry struct {
 // NewExecutor prepares an executor with globals initialized and the stack
 // pointer set.
 func NewExecutor(p *isa.Program) *Executor {
-	e := &Executor{Prog: p, Mem: newMemory(p.DataSize), PC: p.Entry, instrs: p.Instrs, dec: Decode(p)}
+	e := &Executor{Prog: p, Mem: newMemory(p.DataSize), PC: p.Entry, dec: Decode(p)}
 	e.Regs[isa.RegSP] = isa.StackBase
 	for _, di := range p.Init {
 		e.Mem.Store(di.Addr, di.Val)
@@ -152,115 +152,169 @@ func budgetFault(pc int32, maxInstrs int64) *ErrFault {
 
 const minValidAddr = 4096
 
-// Step executes one instruction and reports it. After the final halt, ok is
-// false.
+// Step executes one instruction and reports it: fillChunk with a one-entry
+// buffer and no budget. After the final halt, ok is false.
 func (e *Executor) Step() (entry TraceEntry, ok bool, err error) {
 	if e.Halted {
 		return TraceEntry{}, false, nil
 	}
-	if uint32(e.PC) >= uint32(len(e.instrs)) { // also catches negative PCs
-		return TraceEntry{}, false, &ErrFault{PC: e.PC, Msg: "pc out of range"}
+	var buf [1]TraceEntry
+	if _, err = e.fillChunk(buf[:], math.MaxInt64); err != nil {
+		return TraceEntry{}, false, err
 	}
-	in := &e.instrs[e.PC]
-	entry = TraceEntry{PC: e.PC, NextPC: e.PC + 1}
-	r := &e.Regs
+	return buf[0], true, nil
+}
 
-	switch in.Op {
-	case isa.OpNop:
-	case isa.OpAdd:
-		r[in.Rd] = r[in.Rs1] + r[in.Rs2]
-	case isa.OpSub:
-		r[in.Rd] = r[in.Rs1] - r[in.Rs2]
-	case isa.OpAnd:
-		r[in.Rd] = r[in.Rs1] & r[in.Rs2]
-	case isa.OpOr:
-		r[in.Rd] = r[in.Rs1] | r[in.Rs2]
-	case isa.OpXor:
-		r[in.Rd] = r[in.Rs1] ^ r[in.Rs2]
-	case isa.OpShl:
-		r[in.Rd] = r[in.Rs1] << (uint64(r[in.Rs2]) & 63)
-	case isa.OpShr:
-		r[in.Rd] = r[in.Rs1] >> (uint64(r[in.Rs2]) & 63)
-	case isa.OpSlt:
-		r[in.Rd] = b2i(r[in.Rs1] < r[in.Rs2])
-	case isa.OpSle:
-		r[in.Rd] = b2i(r[in.Rs1] <= r[in.Rs2])
-	case isa.OpSeq:
-		r[in.Rd] = b2i(r[in.Rs1] == r[in.Rs2])
-	case isa.OpSne:
-		r[in.Rd] = b2i(r[in.Rs1] != r[in.Rs2])
-	case isa.OpAddi:
-		r[in.Rd] = r[in.Rs1] + in.Imm
-	case isa.OpLui:
-		r[in.Rd] = in.Imm
-	case isa.OpMul:
-		r[in.Rd] = r[in.Rs1] * r[in.Rs2]
-	case isa.OpDiv:
-		if r[in.Rs2] == 0 {
-			r[in.Rd] = 0
-		} else {
-			r[in.Rd] = r[in.Rs1] / r[in.Rs2]
-		}
-	case isa.OpRem:
-		if r[in.Rs2] == 0 {
-			r[in.Rd] = 0
-		} else {
-			r[in.Rd] = r[in.Rs1] % r[in.Rs2]
-		}
-	case isa.OpLoad:
-		addr := uint64(r[in.Rs1] + in.Imm)
-		if addr < minValidAddr {
-			return TraceEntry{}, false, &ErrFault{PC: e.PC, Msg: fmt.Sprintf("load from %#x", addr)}
-		}
-		entry.Addr = addr
-		r[in.Rd] = e.Mem.Load(addr)
-	case isa.OpStore:
-		addr := uint64(r[in.Rs1] + in.Imm)
-		if addr < minValidAddr {
-			return TraceEntry{}, false, &ErrFault{PC: e.PC, Msg: fmt.Sprintf("store to %#x", addr)}
-		}
-		entry.Addr = addr
-		e.Mem.Store(addr, r[in.Rs2])
-	case isa.OpPrefetch:
-		addr := uint64(r[in.Rs1] + in.Imm)
-		entry.Addr = addr // non-binding: no fault, no architectural effect
-	case isa.OpBeq:
-		entry.Taken = r[in.Rs1] == r[in.Rs2]
-		if entry.Taken {
-			entry.NextPC = in.Target
-		}
-	case isa.OpBne:
-		entry.Taken = r[in.Rs1] != r[in.Rs2]
-		if entry.Taken {
-			entry.NextPC = in.Target
-		}
-	case isa.OpBlt:
-		entry.Taken = r[in.Rs1] < r[in.Rs2]
-		if entry.Taken {
-			entry.NextPC = in.Target
-		}
-	case isa.OpBge:
-		entry.Taken = r[in.Rs1] >= r[in.Rs2]
-		if entry.Taken {
-			entry.NextPC = in.Target
-		}
-	case isa.OpJump:
-		entry.NextPC = in.Target
-	case isa.OpCall:
-		r[isa.RegRA] = int64(e.PC + 1)
-		entry.NextPC = in.Target
-	case isa.OpRet:
-		entry.NextPC = int32(r[isa.RegRA])
-	case isa.OpHalt:
-		e.Halted = true
-		entry.NextPC = e.PC
-	default:
-		return TraceEntry{}, false, &ErrFault{PC: e.PC, Msg: fmt.Sprintf("unknown opcode %d", in.Op)}
+// Run executes until halt or until maxInstrs is exceeded, returning the
+// number of instructions executed and main's return value.
+func (e *Executor) Run(maxInstrs int64) (int64, int64, error) {
+	if err := e.Trace(maxInstrs, func([]TraceEntry) {}); err != nil {
+		return e.Count, 0, err
 	}
-	r[isa.RegZero] = 0 // r0 stays hardwired even if targeted
-	e.PC = entry.NextPC
-	e.Count++
-	return entry, true, nil
+	return e.Count, e.Regs[isa.RegRV], nil
+}
+
+// regIdxMask masks register indices read back out of instrMeta. Decode
+// verifies every register field is < isa.NumRegs, so the mask is a no-op
+// that exists purely to let the compiler elide bounds checks in the hot
+// loops (isa.NumRegs is a power of two).
+const regIdxMask = isa.NumRegs - 1
+
+// fillChunk is the ISA interpreter outside the bb kernel: Step, Run and
+// Trace all execute through it. It executes up to len(ents) instructions,
+// stopping before Count reaches maxInstrs, with pc, count and the decoded
+// table held in locals, and records each in ents. It returns early on halt
+// (the halt instruction is the last entry), when the budget is exhausted (a
+// typed budget fault, IsBudget reports true) or on a fault. The faulting
+// instruction is never recorded and never executed: ents[:n] holds exactly
+// the instructions before it, and PC and Count are left at the faulting
+// instruction.
+func (e *Executor) fillChunk(ents []TraceEntry, maxInstrs int64) (n int, err error) {
+	meta := e.dec.meta
+	r := &e.Regs
+	mem := e.Mem
+	pc := e.PC
+	count := e.Count
+	halted := e.Halted
+
+loop:
+	for n < len(ents) && !halted {
+		if count >= maxInstrs {
+			err = budgetFault(pc, maxInstrs)
+			break
+		}
+		if uint32(pc) >= uint32(len(meta)) { // also catches negative PCs
+			err = &ErrFault{PC: pc, Msg: "pc out of range"}
+			break
+		}
+		m := &meta[pc]
+		nextPC := pc + 1
+		var addr uint64
+		taken := false
+
+		switch m.op {
+		case isa.OpNop:
+		case isa.OpAdd:
+			r[m.rd&regIdxMask] = r[m.rs1&regIdxMask] + r[m.rs2&regIdxMask]
+		case isa.OpSub:
+			r[m.rd&regIdxMask] = r[m.rs1&regIdxMask] - r[m.rs2&regIdxMask]
+		case isa.OpAnd:
+			r[m.rd&regIdxMask] = r[m.rs1&regIdxMask] & r[m.rs2&regIdxMask]
+		case isa.OpOr:
+			r[m.rd&regIdxMask] = r[m.rs1&regIdxMask] | r[m.rs2&regIdxMask]
+		case isa.OpXor:
+			r[m.rd&regIdxMask] = r[m.rs1&regIdxMask] ^ r[m.rs2&regIdxMask]
+		case isa.OpShl:
+			r[m.rd&regIdxMask] = r[m.rs1&regIdxMask] << (uint64(r[m.rs2&regIdxMask]) & 63)
+		case isa.OpShr:
+			r[m.rd&regIdxMask] = r[m.rs1&regIdxMask] >> (uint64(r[m.rs2&regIdxMask]) & 63)
+		case isa.OpSlt:
+			r[m.rd&regIdxMask] = b2i(r[m.rs1&regIdxMask] < r[m.rs2&regIdxMask])
+		case isa.OpSle:
+			r[m.rd&regIdxMask] = b2i(r[m.rs1&regIdxMask] <= r[m.rs2&regIdxMask])
+		case isa.OpSeq:
+			r[m.rd&regIdxMask] = b2i(r[m.rs1&regIdxMask] == r[m.rs2&regIdxMask])
+		case isa.OpSne:
+			r[m.rd&regIdxMask] = b2i(r[m.rs1&regIdxMask] != r[m.rs2&regIdxMask])
+		case isa.OpAddi:
+			r[m.rd&regIdxMask] = r[m.rs1&regIdxMask] + m.imm
+		case isa.OpLui:
+			r[m.rd&regIdxMask] = m.imm
+		case isa.OpMul:
+			r[m.rd&regIdxMask] = r[m.rs1&regIdxMask] * r[m.rs2&regIdxMask]
+		case isa.OpDiv:
+			if r[m.rs2&regIdxMask] == 0 {
+				r[m.rd&regIdxMask] = 0
+			} else {
+				r[m.rd&regIdxMask] = r[m.rs1&regIdxMask] / r[m.rs2&regIdxMask]
+			}
+		case isa.OpRem:
+			if r[m.rs2&regIdxMask] == 0 {
+				r[m.rd&regIdxMask] = 0
+			} else {
+				r[m.rd&regIdxMask] = r[m.rs1&regIdxMask] % r[m.rs2&regIdxMask]
+			}
+		case isa.OpLoad:
+			addr = uint64(r[m.rs1&regIdxMask] + m.imm)
+			if addr < minValidAddr {
+				err = &ErrFault{PC: pc, Msg: fmt.Sprintf("load from %#x", addr)}
+				break loop
+			}
+			r[m.rd&regIdxMask] = mem.Load(addr)
+		case isa.OpStore:
+			addr = uint64(r[m.rs1&regIdxMask] + m.imm)
+			if addr < minValidAddr {
+				err = &ErrFault{PC: pc, Msg: fmt.Sprintf("store to %#x", addr)}
+				break loop
+			}
+			mem.Store(addr, r[m.rs2&regIdxMask])
+		case isa.OpPrefetch:
+			addr = uint64(r[m.rs1&regIdxMask] + m.imm) // non-binding: no fault
+		case isa.OpBeq:
+			taken = r[m.rs1&regIdxMask] == r[m.rs2&regIdxMask]
+			if taken {
+				nextPC = m.target
+			}
+		case isa.OpBne:
+			taken = r[m.rs1&regIdxMask] != r[m.rs2&regIdxMask]
+			if taken {
+				nextPC = m.target
+			}
+		case isa.OpBlt:
+			taken = r[m.rs1&regIdxMask] < r[m.rs2&regIdxMask]
+			if taken {
+				nextPC = m.target
+			}
+		case isa.OpBge:
+			taken = r[m.rs1&regIdxMask] >= r[m.rs2&regIdxMask]
+			if taken {
+				nextPC = m.target
+			}
+		case isa.OpJump:
+			nextPC = m.target
+		case isa.OpCall:
+			r[isa.RegRA] = int64(pc + 1)
+			nextPC = m.target
+		case isa.OpRet:
+			nextPC = int32(r[isa.RegRA])
+		case isa.OpHalt:
+			halted = true
+			e.Halted = true
+			nextPC = pc
+		default:
+			err = &ErrFault{PC: pc, Msg: fmt.Sprintf("unknown opcode %d", m.op)}
+			break loop
+		}
+		r[isa.RegZero] = 0 // r0 stays hardwired even if targeted
+		ents[n] = TraceEntry{PC: pc, NextPC: nextPC, Addr: addr, Taken: taken}
+		n++
+		pc = nextPC
+		count++
+	}
+
+	e.PC = pc
+	e.Count = count
+	return n, err
 }
 
 func b2i(b bool) int64 {
@@ -268,18 +322,4 @@ func b2i(b bool) int64 {
 		return 1
 	}
 	return 0
-}
-
-// Run executes until halt or until maxInstrs is exceeded, returning the
-// number of instructions executed and main's return value.
-func (e *Executor) Run(maxInstrs int64) (int64, int64, error) {
-	for !e.Halted {
-		if e.Count >= maxInstrs {
-			return e.Count, 0, budgetFault(e.PC, maxInstrs)
-		}
-		if _, _, err := e.Step(); err != nil {
-			return e.Count, 0, err
-		}
-	}
-	return e.Count, e.Regs[isa.RegRV], nil
 }

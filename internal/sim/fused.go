@@ -25,10 +25,10 @@ func runFused(exe *Executor, cpu *CPU, maxInstrs int64) error {
 const fusedChunkSize = 256
 
 // Trace is the one trace pump: it executes the program until halt, fault or
-// the instruction budget — a single functional pass of Step calls, filled
-// chunk by chunk by fillChunk — and hands every chunk of the committed trace
-// to consume, in order, in the calling goroutine. consume must not retain a
-// chunk past its return.
+// the instruction budget — a single functional pass, filled chunk by chunk
+// by fillChunk — and hands every chunk of the committed trace to consume, in
+// order, in the calling goroutine. consume must not retain a chunk past its
+// return.
 //
 // When the producer faults, consume has returned from exactly the e.Count
 // instructions that executed before the faulting one — the last chunk
@@ -45,23 +45,4 @@ func (e *Executor) Trace(maxInstrs int64, consume func([]TraceEntry)) error {
 		}
 	}
 	return nil
-}
-
-// fillChunk is the functional producer behind Trace: it runs Step up to
-// len(ents) times under Run's budget check and records each instruction in
-// ents. It returns early on halt (the halt instruction is the last entry),
-// when the budget is exhausted (a typed budget fault) or on a fault. Step
-// neither records nor executes a faulting instruction, so ents[:n] holds
-// exactly the instructions before it, and PC and Count are left at it.
-func (e *Executor) fillChunk(ents []TraceEntry, maxInstrs int64) (n int, err error) {
-	for n < len(ents) && !e.Halted {
-		if e.Count >= maxInstrs {
-			return n, budgetFault(e.PC, maxInstrs)
-		}
-		if ents[n], _, err = e.Step(); err != nil {
-			return n, err
-		}
-		n++
-	}
-	return n, nil
 }

@@ -86,16 +86,10 @@ func runFeed(exe *Executor, cpu *CPU, maxInstrs int64) error {
 // caps IssueWidth at 8 and NewCPU never allocates more units than that.
 const fuMaxUnits = 8
 
-// regIdxMask masks register indices read back out of instrMeta. Decode
-// verifies every register field is < isa.NumRegs, so the mask is a no-op
-// that exists purely to let the compiler elide bounds checks in the hot
-// loop (isa.NumRegs is a power of two).
-const regIdxMask = isa.NumRegs - 1
-
 // runTranslated executes through the basic-block translation: the per-block
 // dispatch amortizes the budget, bounds and halt checks over whole blocks,
 // and the interior loop runs re-encoded tuops whose kinds bake in at
-// translation time what Step and CPU.FeedDecoded re-derive per instruction (dest
+// translation time what the fused engine re-derives per instruction (dest
 // writes, dataflow sources, FU class, unpipelined occupancy, flag tests,
 // and the icache-line crossing pattern — InstrBytes is half a cache line,
 // so sequential flow crosses lines exactly at even pcs).
